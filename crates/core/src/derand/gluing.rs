@@ -184,7 +184,7 @@ impl GluingExperiment {
             for local in 0..gp.original_len {
                 input.set(
                     NodeId::from_index(gp.offset + local),
-                    part.input.get(NodeId::from_index(local)).clone(),
+                    *part.input.get(NodeId::from_index(local)),
                 );
             }
         }

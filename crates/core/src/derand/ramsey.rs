@@ -59,7 +59,7 @@ impl BallTemplate {
     pub fn from_view(view: &View) -> Self {
         BallTemplate {
             graph: view.local_graph().clone(),
-            inputs: Labeling::new((0..view.len()).map(|i| view.input(i).clone()).collect()),
+            inputs: Labeling::new((0..view.len()).map(|i| *view.input(i)).collect()),
             order: (0..view.len()).map(|i| view.rank(i)).collect(),
         }
     }

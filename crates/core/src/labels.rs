@@ -5,125 +5,158 @@
 //! is stated under the promise `F_k`: the graph has maximum degree at most
 //! `k` and all input and output strings have length at most `k`.
 //!
-//! Labels are stored as short byte strings. The promise bounds the label
-//! *byte* length; since every language in this workspace uses an alphabet of
-//! constant size (colors `≤ Δ+1`, booleans, small counters), this keeps the
-//! promise semantics of the paper — a finite label alphabet per `k` — while
-//! avoiding bit-level bookkeeping.
+//! Labels are stored as short byte strings, and the promise is part of the
+//! type: a [`Label`] is a 16-byte `Copy` value holding one length byte and
+//! at most [`Label::MAX_LEN`] = 15 value bytes, and building a longer label
+//! panics. Every language in this workspace uses an alphabet of constant
+//! size (colors `≤ Δ+1`, booleans, small counters), which keeps the promise
+//! semantics of the paper — a finite label alphabet per `k` — without
+//! bit-level bookkeeping.
+//!
+//! The bound is 15 bytes rather than 7 because full-width identities are
+//! labels too: matching names nodes by identity, Byzantine relabelling
+//! forges identities at or above `2^40`, and coin-derived outputs use a
+//! whole `u64` — eight bytes each; no label the workspace builds, tests
+//! included, is longer than nine bytes. Sixteen bytes in all keep a label
+//! the size of two machine words, so a labeling is one flat `Vec<Label>`,
+//! a view's label arrays are contiguous 16-byte lanes, and copying or
+//! comparing a label never touches the heap.
 
 use rlnc_graph::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A bounded label: the input or output string of a single node.
-#[derive(Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct Label(Vec<u8>);
-
-/// Hand-written so that [`Clone::clone_from`] reuses the destination's byte
-/// buffer (the derived impl would reallocate on every call). This is what
-/// makes the engine's per-trial output refreshes and the language layer's
-/// view-native verdict scratch allocation-free in the steady state.
-impl Clone for Label {
-    fn clone(&self) -> Self {
-        Label(self.0.clone())
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.0.clone_from(&source.0);
-    }
-}
+///
+/// Byte 0 holds the length; the value bytes sit right-aligned in bytes
+/// `1..16`, zero-padded on the left. Padding is always zero, so equality
+/// is one 16-byte compare, [`Label::as_u64`] is one big-endian load of the
+/// last eight bytes, and [`Label::as_bytes`] borrows the value in place.
+/// `Eq`, `Ord`, `Hash`, `Debug` and `Display` are exactly those of the
+/// byte string [`Label::as_bytes`].
+#[derive(Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Label([u8; Label::SIZE]);
 
 impl Label {
+    /// Most value bytes a label holds — the `F_k` bound the type enforces.
+    pub const MAX_LEN: usize = 15;
+
+    /// Size of a label in memory: the length byte plus the value bytes.
+    const SIZE: usize = Self::MAX_LEN + 1;
+
     /// The empty label (used for "no input").
-    pub fn empty() -> Self {
-        Label(Vec::new())
+    pub const fn empty() -> Self {
+        Label([0; Self::SIZE])
     }
 
     /// A label holding raw bytes.
-    pub fn from_bytes(bytes: impl Into<Vec<u8>>) -> Self {
-        Label(bytes.into())
+    ///
+    /// # Panics
+    /// Panics if `bytes` is longer than [`Label::MAX_LEN`].
+    pub fn from_bytes(bytes: impl AsRef<[u8]>) -> Self {
+        let bytes = bytes.as_ref();
+        assert!(
+            bytes.len() <= Self::MAX_LEN,
+            "a label of {} bytes exceeds the F_k bound of {} bytes",
+            bytes.len(),
+            Self::MAX_LEN
+        );
+        let mut raw = [0; Self::SIZE];
+        raw[0] = bytes.len() as u8;
+        raw[Self::SIZE - bytes.len()..].copy_from_slice(bytes);
+        Label(raw)
     }
 
     /// A label encoding a small non-negative integer (colors, marks,
     /// counters) using the minimal number of big-endian bytes.
     pub fn from_u64(value: u64) -> Self {
-        if value == 0 {
-            return Label(vec![0]);
-        }
-        let bytes = value.to_be_bytes();
-        let first = bytes.iter().position(|&b| b != 0).unwrap();
-        Label(bytes[first..].to_vec())
+        let mut raw = [0; Self::SIZE];
+        raw[0] = (8 - value.leading_zeros() as u8 / 8).max(1);
+        raw[Self::SIZE - 8..].copy_from_slice(&value.to_be_bytes());
+        Label(raw)
     }
 
     /// A boolean label (`1` or `0`), used for selected/marked predicates.
     pub fn from_bool(value: bool) -> Self {
-        Label(vec![u8::from(value)])
+        let mut raw = [0; Self::SIZE];
+        raw[0] = 1;
+        raw[Self::SIZE - 1] = u8::from(value);
+        Label(raw)
     }
 
     /// Decodes the label as a big-endian integer (empty label decodes to 0).
     ///
     /// # Panics
     /// Panics if the label is longer than 8 bytes.
+    #[inline]
     pub fn as_u64(&self) -> u64 {
-        assert!(self.0.len() <= 8, "label too long to decode as u64");
-        let mut out = 0u64;
-        for &b in &self.0 {
-            out = (out << 8) | u64::from(b);
-        }
-        out
+        assert!(self.len() <= 8, "label too long to decode as u64");
+        let mut tail = [0; 8];
+        tail.copy_from_slice(&self.0[Self::SIZE - 8..]);
+        u64::from_be_bytes(tail)
     }
 
     /// Decodes the label as a boolean (any non-zero content is `true`).
+    #[inline]
     pub fn as_bool(&self) -> bool {
-        self.0.iter().any(|&b| b != 0)
+        // Little-endian, byte 0 (the length) is the low byte: shifting it
+        // out leaves exactly the value bytes and their zero padding.
+        u128::from_le_bytes(self.0) >> 8 != 0
     }
 
     /// Raw bytes of the label.
+    #[inline]
     pub fn as_bytes(&self) -> &[u8] {
-        &self.0
-    }
-
-    /// Number of value bits in a packed SoA key ([`Label::packed_key`]).
-    pub const PACKED_VALUE_BITS: u32 = 56;
-
-    /// Packs the label into a single `u64` "SoA key": the byte length in
-    /// the top 8 bits, the big-endian value ([`Label::as_u64`]) in the
-    /// low 56. Defined exactly for labels of at most 7 bytes — every
-    /// label the workspace's languages emit — and injective there: two
-    /// labels have equal keys iff they are byte-for-byte equal (length
-    /// plus value determine the bytes, leading zeros included, so even
-    /// non-canonical encodings compare correctly). Returns `None` for
-    /// longer labels, which invalidates the caller's cached key array
-    /// rather than producing a wrong comparison.
-    pub fn packed_key(&self) -> Option<u64> {
-        (self.0.len() <= 7)
-            .then(|| ((self.0.len() as u64) << Self::PACKED_VALUE_BITS) | self.as_u64())
-    }
-
-    /// The value half of a packed key: for any label `l` with
-    /// `l.packed_key() == Some(k)`, `Label::key_value(k) == l.as_u64()`
-    /// — and the value half is nonzero exactly when `l.as_bool()`.
-    pub fn key_value(key: u64) -> u64 {
-        key & ((1u64 << Self::PACKED_VALUE_BITS) - 1)
+        &self.0[Self::SIZE - self.len()..]
     }
 
     /// Length of the label in bytes (the quantity bounded by `F_k`).
+    #[inline]
     pub fn len(&self) -> usize {
-        self.0.len()
+        usize::from(self.0[0])
     }
 
     /// Returns `true` for the empty label.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.len() == 0
+    }
+}
+
+impl PartialOrd for Label {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Lexicographic on the bytes, like `Vec<u8>` (not length-first).
+impl Ord for Label {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+/// Hashes the byte string, so hashes equal those of the same `Vec<u8>`.
+impl Hash for Label {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_bytes().hash(state);
+    }
+}
+
+impl fmt::Debug for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Label").field(&self.as_bytes()).finish()
     }
 }
 
 impl fmt::Display for Label {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0.len() <= 8 {
+        if self.len() <= 8 {
             write!(f, "{}", self.as_u64())
         } else {
-            write!(f, "0x{}", self.0.iter().map(|b| format!("{b:02x}")).collect::<String>())
+            let hex: String = self.as_bytes().iter().map(|b| format!("{b:02x}")).collect();
+            write!(f, "0x{hex}")
         }
     }
 }
@@ -141,23 +174,9 @@ impl From<bool> for Label {
 }
 
 /// A per-node labeling: the function `x : V → {0,1}*` (or `y`).
-#[derive(Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Labeling {
     labels: Vec<Label>,
-}
-
-/// Hand-written so that [`Clone::clone_from`] clones element-wise into the
-/// existing label buffers (see [`Label`]'s `clone_from`).
-impl Clone for Labeling {
-    fn clone(&self) -> Self {
-        Labeling {
-            labels: self.labels.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.labels.clone_from(&source.labels);
-    }
 }
 
 impl Labeling {
@@ -202,18 +221,13 @@ impl Labeling {
         self.labels[v.index()] = label;
     }
 
-    /// Copies `source` into node `v`'s slot, reusing the slot's byte buffer
-    /// (no allocation once the buffer has enough capacity).
-    pub fn copy_into(&mut self, v: NodeId, source: &Label) {
-        self.labels[v.index()].clone_from(source);
-    }
-
-    /// Resizes the labeling to cover exactly `n` nodes. New slots hold the
-    /// empty label; surviving slots keep their byte buffers, so repeated
-    /// resize-and-fill cycles (the language layer's verdict scratch) are
-    /// allocation-free in the steady state.
-    pub fn resize_to(&mut self, n: usize) {
-        self.labels.resize_with(n, Label::empty);
+    /// Overwrites the labeling with `labels`, resizing to their count.
+    /// Allocation-free once the buffer has grown that far, which keeps the
+    /// language layer's verdict scratch allocation-free in the steady
+    /// state.
+    pub fn copy_from(&mut self, labels: &[Label]) {
+        self.labels.clear();
+        self.labels.extend_from_slice(labels);
     }
 
     /// Iterates over `(node, label)` pairs.
@@ -236,9 +250,9 @@ impl Labeling {
 
     /// Concatenates two labelings (for disjoint unions of instances).
     pub fn concatenate(&self, other: &Labeling) -> Labeling {
-        let mut labels = self.labels.clone();
-        labels.extend(other.labels.iter().cloned());
-        Labeling { labels }
+        Labeling {
+            labels: [self.labels.as_slice(), &other.labels].concat(),
+        }
     }
 }
 
@@ -280,6 +294,7 @@ impl FkPromise {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rlnc_graph::generators::{cycle, star};
 
     #[test]
@@ -297,13 +312,16 @@ mod tests {
         assert!(Label::from_bool(true).as_bool());
         assert!(!Label::from_bool(false).as_bool());
         assert!(!Label::empty().as_bool());
-        assert_eq!(Label::from_bytes(vec![1, 2]).as_u64(), 258);
+        assert_eq!(Label::from_bytes([1, 2]).as_u64(), 258);
         assert_eq!(Label::from(5u64).as_u64(), 5);
         assert_eq!(Label::from(true), Label::from_bool(true));
     }
 
+    /// Equal labels are exactly equal byte strings (leading zeros
+    /// included, so non-canonical encodings stay distinct), and the value
+    /// decodes in place.
     #[test]
-    fn packed_keys_are_injective_and_decode() {
+    fn labels_are_injective_and_decode_in_place() {
         let labels = [
             Label::empty(),
             Label::from_u64(0),
@@ -311,23 +329,76 @@ mod tests {
             Label::from_u64(255),
             Label::from_u64(256),
             Label::from_u64((1 << 56) - 1),
-            Label::from_bytes(vec![0, 5]),   // non-canonical 5
-            Label::from_bytes(vec![0, 0, 5]), // another non-canonical 5
+            Label::from_u64(u64::MAX),
+            Label::from_bytes([0, 5]),    // non-canonical 5
+            Label::from_bytes([0, 0, 5]), // another non-canonical 5
+            Label::from_bytes([1; 9]),
+            Label::from_bytes([0xff; Label::MAX_LEN]),
             Label::from_bool(true),
             Label::from_bool(false),
         ];
         for a in &labels {
-            let ka = a.packed_key().expect("short labels always pack");
-            assert_eq!(Label::key_value(ka), a.as_u64());
-            assert_eq!(Label::key_value(ka) != 0, a.as_bool());
+            assert_eq!(a.as_bool(), a.as_bytes().iter().any(|&b| b != 0));
+            if a.len() <= 8 {
+                let decoded = a
+                    .as_bytes()
+                    .iter()
+                    .fold(0u64, |acc, &b| acc << 8 | u64::from(b));
+                assert_eq!(a.as_u64(), decoded);
+            }
             for b in &labels {
-                let kb = b.packed_key().unwrap();
-                assert_eq!(ka == kb, a == b, "key equality must be label equality: {a:?} {b:?}");
+                assert_eq!(a == b, a.as_bytes() == b.as_bytes(), "{a:?} vs {b:?}");
             }
         }
-        // 8-byte labels decode as u64 but exceed the 56-bit value field.
-        assert_eq!(Label::from_bytes(vec![1; 8]).packed_key(), None);
-        assert_eq!(Label::from_bytes(vec![0; 9]).packed_key(), None);
+        assert_eq!(std::mem::size_of::<Label>(), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the F_k bound of 15 bytes")]
+    fn labels_longer_than_the_fk_bound_are_rejected() {
+        let _ = Label::from_bytes([0; 16]);
+    }
+
+    fn hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        value.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    proptest! {
+        /// The inline label behaves exactly like the `Vec<u8>` it replaced.
+        /// A three-letter alphabet makes ties, shared prefixes and leading
+        /// zeros common.
+        #[test]
+        fn inline_labels_match_the_byte_vector_reference(
+            a in proptest::collection::vec(0u8..3, 0..16),
+            b in proptest::collection::vec(0u8..3, 0..16),
+            c in proptest::collection::vec(any::<u8>(), 0..16),
+        ) {
+            for (x, y) in [(&a, &b), (&a, &c), (&c, &b), (&b, &b)] {
+                let (lx, ly) = (Label::from_bytes(x), Label::from_bytes(y));
+                prop_assert_eq!(lx == ly, x == y);
+                prop_assert_eq!(lx.cmp(&ly), x.cmp(y));
+                prop_assert_eq!(lx.partial_cmp(&ly), x.partial_cmp(y));
+            }
+            for x in [&a, &b, &c] {
+                let label = Label::from_bytes(x);
+                prop_assert_eq!(label.as_bytes(), x.as_slice());
+                prop_assert_eq!(label.len(), x.len());
+                prop_assert_eq!(label.is_empty(), x.is_empty());
+                prop_assert_eq!(hash_of(&label), hash_of(x));
+                prop_assert_eq!(label.as_bool(), x.iter().any(|&byte| byte != 0));
+                prop_assert_eq!(format!("{label:?}"), format!("Label({x:?})"));
+                let value = x.iter().fold(0u64, |acc, &byte| acc << 8 | u64::from(byte));
+                let display = if x.len() <= 8 {
+                    prop_assert_eq!(label.as_u64(), value);
+                    value.to_string()
+                } else {
+                    format!("0x{}", x.iter().map(|byte| format!("{byte:02x}")).collect::<String>())
+                };
+                prop_assert_eq!(label.to_string(), display);
+            }
+        }
     }
 
     #[test]
@@ -370,7 +441,7 @@ mod tests {
         let hub = star(10);
         assert!(!promise.check_graph(&hub));
         let short = Labeling::from_fn(&g, |_| Label::from_u64(3));
-        let long = Labeling::from_fn(&g, |_| Label::from_bytes(vec![0; 8]));
+        let long = Labeling::from_fn(&g, |_| Label::from_bytes([0; 8]));
         assert!(promise.check_labeling(&short));
         assert!(!promise.check_labeling(&long));
         assert!(promise.check(&g, &short, &short));

@@ -77,8 +77,8 @@ impl LocalAlgorithm for OrderInvariantTable {
     fn output(&self, view: &View) -> Label {
         self.table
             .get(&view.signature())
-            .cloned()
-            .unwrap_or_else(|| self.default.clone())
+            .copied()
+            .unwrap_or(self.default)
     }
 
     fn name(&self) -> String {
@@ -130,13 +130,13 @@ pub fn enumerate_algorithms<'a>(
         for sig in signatures {
             let choice = (rest % outputs.len() as u64) as usize;
             rest /= outputs.len() as u64;
-            table.insert(sig.clone(), outputs[choice].clone());
+            table.insert(sig.clone(), outputs[choice]);
         }
         OrderInvariantTable::new(
             radius,
             format!("order-invariant#{index}"),
             table,
-            outputs[0].clone(),
+            outputs[0],
         )
     })
 }

@@ -44,6 +44,7 @@ use rayon::prelude::*;
 use rlnc_graph::{Ball, Graph, GraphBuilder, IdAssignment, NodeId};
 use rlnc_obs::{LazyCounter, LazyHistogram, Section, POW2_BUCKETS};
 use std::borrow::Cow;
+use std::sync::Arc;
 
 // Round-backend observability. Message counts are functions of the
 // algorithm, graph, and fault schedule alone (each trial's rounds run
@@ -218,7 +219,7 @@ impl<'a, M: MessagePassingAlgorithm> RoundSystem<'a, M> {
                     node: v,
                     id: instance.ids.id(v),
                     degree: graph.degree(v),
-                    input: instance.input.get(v).clone(),
+                    input: *instance.input.get(v),
                 })
             })
             .collect();
@@ -296,7 +297,6 @@ impl<'a, M: MessagePassingAlgorithm> RoundSystem<'a, M> {
         let round = self.round + 1;
         let graph = self.graph;
         let n = graph.node_count();
-        let states = &self.states;
         let algo = self.algo;
         let faults = self.faults;
         let adversary = self.adversary;
@@ -312,7 +312,7 @@ impl<'a, M: MessagePassingAlgorithm> RoundSystem<'a, M> {
                     return None;
                 }
             }
-            let mut messages = algo.send(&states[vi], round);
+            let mut messages = algo.send(&self.states[vi], round);
             if let (Some(f), Some(adv)) = (faults, adversary) {
                 if f.is_byzantine(v) {
                     adv.rewrite(v, round, &mut messages, &mut f.adversary_rng(v, round));
@@ -343,8 +343,9 @@ impl<'a, M: MessagePassingAlgorithm> RoundSystem<'a, M> {
         // Phase 2 + 3: deliver and update. Fault-free executions call
         // `receive` with a plain slice (bit-identical to the historical
         // engine loop); fault-injected ones go through `receive_partial`
-        // so port silence is observable.
-        let compute_one = |vi: usize| -> M::State {
+        // so port silence is observable. Each node's state moves into its
+        // update; crashed nodes keep theirs unchanged.
+        let compute_one = |(vi, state): (usize, M::State)| -> M::State {
             let v = NodeId::from_index(vi);
             match faults {
                 None => {
@@ -358,9 +359,9 @@ impl<'a, M: MessagePassingAlgorithm> RoundSystem<'a, M> {
                             sent[reverse_port[vi][port]].clone()
                         })
                         .collect();
-                    algo.receive(states[vi].clone(), round, &incoming)
+                    algo.receive(state, round, &incoming)
                 }
-                Some(f) if f.is_silent(v, round) => states[vi].clone(),
+                Some(f) if f.is_silent(v, round) => state,
                 Some(_) => {
                     let incoming: Vec<Option<M::Message>> = graph
                         .neighbor_ids(v)
@@ -371,16 +372,20 @@ impl<'a, M: MessagePassingAlgorithm> RoundSystem<'a, M> {
                                 .map(|sent| sent[reverse_port[vi][port]].clone())
                         })
                         .collect();
-                    algo.receive_partial(states[vi].clone(), round, &incoming)
+                    algo.receive_partial(state, round, &incoming)
                 }
             }
         };
-        let next: Vec<M::State> = if self.parallel {
-            (0..n).into_par_iter().map(compute_one).collect()
+        let states = std::mem::take(&mut self.states);
+        self.states = if self.parallel {
+            states
+                .into_par_iter()
+                .enumerate()
+                .map(compute_one)
+                .collect()
         } else {
-            (0..n).map(compute_one).collect()
+            states.into_iter().enumerate().map(compute_one).collect()
         };
-        self.states = next;
         self.round = round;
         true
     }
@@ -497,7 +502,7 @@ impl<'a, A: LocalAlgorithm + ?Sized> GatherAndRun<'a, A> {
 
 impl<'a, A: LocalAlgorithm + ?Sized> MessagePassingAlgorithm for GatherAndRun<'a, A> {
     type State = GatherState;
-    type Message = GatherState;
+    type Message = Arc<GatherState>;
 
     fn rounds(&self) -> u32 {
         self.inner.radius()
@@ -508,25 +513,32 @@ impl<'a, A: LocalAlgorithm + ?Sized> MessagePassingAlgorithm for GatherAndRun<'a
             own_id: node.id,
             nodes: vec![KnownNode {
                 id: node.id,
-                input: node.input.clone(),
+                input: node.input,
                 degree: node.degree,
             }],
             edges: Vec::new(),
         }
     }
 
-    fn send(&self, state: &GatherState, _round: u32) -> Vec<GatherState> {
-        // Unbounded messages: send the whole state on every port.
+    fn send(&self, state: &GatherState, _round: u32) -> Vec<Arc<GatherState>> {
+        // Unbounded messages: the whole state on every port, as one
+        // snapshot shared by all ports.
         let degree = state
             .nodes
             .iter()
             .find(|n| n.id == state.own_id)
             .map(|n| n.degree)
             .unwrap_or(0);
-        vec![state.clone(); degree]
+        let snapshot = Arc::new(state.clone());
+        vec![snapshot; degree]
     }
 
-    fn receive(&self, mut state: GatherState, _round: u32, incoming: &[GatherState]) -> GatherState {
+    fn receive(
+        &self,
+        mut state: GatherState,
+        _round: u32,
+        incoming: &[Arc<GatherState>],
+    ) -> GatherState {
         for msg in incoming {
             // Learn the edge to the sender, and everything the sender knows.
             let a = state.own_id.min(msg.own_id);
@@ -553,7 +565,7 @@ impl<'a, A: LocalAlgorithm + ?Sized> MessagePassingAlgorithm for GatherAndRun<'a
         }
         let graph: Graph = builder.build();
         let ids = IdAssignment::new(nodes.iter().map(|n| n.id).collect());
-        let inputs = Labeling::new(nodes.iter().map(|n| n.input.clone()).collect());
+        let inputs = Labeling::new(nodes.iter().map(|n| n.input).collect());
         let instance = Instance::new(&graph, &inputs, &ids);
         let center = NodeId::from_index(index_of(state.own_id));
         let view = View::collect(&instance, center, self.inner.radius());
@@ -613,7 +625,7 @@ impl FullGatherState {
             nodes: vec![HostInfo {
                 host: node.node,
                 id: node.id,
-                input: node.input.clone(),
+                input: node.input,
                 output,
                 degree: node.degree,
             }],
@@ -683,12 +695,12 @@ impl FullGatherState {
         let inputs: Vec<Label> = ball
             .members
             .iter()
-            .map(|&m| nodes[m.index()].input.clone())
+            .map(|&m| nodes[m.index()].input)
             .collect();
         let outputs: Option<Vec<Label>> = with_outputs.then(|| {
             ball.members
                 .iter()
-                .map(|&m| nodes[m.index()].output.clone())
+                .map(|&m| nodes[m.index()].output)
                 .collect()
         });
         let host_degree = nodes[center.index()].degree;
@@ -699,14 +711,16 @@ impl FullGatherState {
     }
 }
 
-fn full_gather_send(state: &FullGatherState) -> Vec<FullGatherState> {
-    // Unbounded messages: the whole state on every port.
-    vec![state.clone(); state.own_degree()]
+fn full_gather_send(state: &FullGatherState) -> Vec<Arc<FullGatherState>> {
+    // Unbounded messages: the whole state on every port, as one snapshot
+    // shared by all ports (an adversary copies it on write).
+    let snapshot = Arc::new(state.clone());
+    vec![snapshot; state.own_degree()]
 }
 
 fn full_gather_receive(
     mut state: FullGatherState,
-    incoming: &[FullGatherState],
+    incoming: &[Arc<FullGatherState>],
 ) -> FullGatherState {
     for msg in incoming {
         state.absorb(msg);
@@ -733,7 +747,7 @@ impl<'a, A: RandomizedLocalAlgorithm + ?Sized> GatherRun<'a, A> {
 
 impl<'a, A: RandomizedLocalAlgorithm + ?Sized> MessagePassingAlgorithm for GatherRun<'a, A> {
     type State = FullGatherState;
-    type Message = FullGatherState;
+    type Message = Arc<FullGatherState>;
 
     fn rounds(&self) -> u32 {
         self.inner.radius()
@@ -743,7 +757,7 @@ impl<'a, A: RandomizedLocalAlgorithm + ?Sized> MessagePassingAlgorithm for Gathe
         FullGatherState::of(node, Label::empty())
     }
 
-    fn send(&self, state: &FullGatherState, _round: u32) -> Vec<FullGatherState> {
+    fn send(&self, state: &FullGatherState, _round: u32) -> Vec<Arc<FullGatherState>> {
         full_gather_send(state)
     }
 
@@ -751,7 +765,7 @@ impl<'a, A: RandomizedLocalAlgorithm + ?Sized> MessagePassingAlgorithm for Gathe
         &self,
         state: FullGatherState,
         _round: u32,
-        incoming: &[FullGatherState],
+        incoming: &[Arc<FullGatherState>],
     ) -> FullGatherState {
         full_gather_receive(state, incoming)
     }
@@ -787,17 +801,17 @@ impl<'a, D: RandomizedDecider + ?Sized> GatherDecide<'a, D> {
 
 impl<'a, D: RandomizedDecider + ?Sized> MessagePassingAlgorithm for GatherDecide<'a, D> {
     type State = FullGatherState;
-    type Message = FullGatherState;
+    type Message = Arc<FullGatherState>;
 
     fn rounds(&self) -> u32 {
         self.inner.radius()
     }
 
     fn init(&self, node: &NodeInit) -> FullGatherState {
-        FullGatherState::of(node, self.outputs.get(node.node).clone())
+        FullGatherState::of(node, *self.outputs.get(node.node))
     }
 
-    fn send(&self, state: &FullGatherState, _round: u32) -> Vec<FullGatherState> {
+    fn send(&self, state: &FullGatherState, _round: u32) -> Vec<Arc<FullGatherState>> {
         full_gather_send(state)
     }
 
@@ -805,7 +819,7 @@ impl<'a, D: RandomizedDecider + ?Sized> MessagePassingAlgorithm for GatherDecide
         &self,
         state: FullGatherState,
         _round: u32,
-        incoming: &[FullGatherState],
+        incoming: &[Arc<FullGatherState>],
     ) -> FullGatherState {
         full_gather_receive(state, incoming)
     }
@@ -825,6 +839,10 @@ impl<'a, D: RandomizedDecider + ?Sized> MessagePassingAlgorithm for GatherDecide
 /// keeps forged identities positive, injective, and disjoint from honest
 /// ones (which live below `2^40`), so victims can still rebuild a valid
 /// [`IdAssignment`] — they just decide over forged identities.
+///
+/// Gather messages are snapshots shared by every port of the sender, so
+/// the adversary copies each one on write ([`Arc::make_mut`]); honest
+/// senders' messages are never copied.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RelabelAdversary;
 
@@ -836,17 +854,17 @@ impl RelabelAdversary {
     }
 }
 
-impl Adversary<FullGatherState> for RelabelAdversary {
+impl Adversary<Arc<FullGatherState>> for RelabelAdversary {
     fn rewrite(
         &self,
         _sender: NodeId,
         _round: u32,
-        outgoing: &mut [FullGatherState],
+        outgoing: &mut [Arc<FullGatherState>],
         rng: &mut ChaCha8Rng,
     ) {
         let mask = (rng.random::<u64>() | 1) << 40;
         for msg in outgoing.iter_mut() {
-            msg.forge_ids(mask);
+            Arc::make_mut(msg).forge_ids(mask);
         }
     }
 }

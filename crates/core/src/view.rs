@@ -12,9 +12,12 @@ use crate::labels::{Label, Labeling};
 use rlnc_graph::arena::BallArena;
 use rlnc_graph::ball::{Ball, BallSignature};
 use rlnc_graph::{Graph, IdAssignment, NodeId};
-use std::sync::Arc;
 
 /// The information visible to one node after `t` rounds of communication.
+///
+/// Identities and labels are flat per-member arrays (local index order);
+/// labels are inline [`Label`] values, so the output array is the
+/// contiguous lane verdict kernels scan.
 #[derive(Debug, Clone)]
 pub struct View {
     /// The ball `B_G(v, t)` (local indices; center is local index 0).
@@ -29,147 +32,6 @@ pub struct View {
     /// Degree of the center in the host graph (known even at radius 0: a
     /// node always knows its own port count in the LOCAL model).
     host_degree: usize,
-    /// Packed-u64 SoA mirror of `inputs` (one [`Label::packed_key`] per
-    /// local index), valid when every input fits a key. The structure-of-
-    /// arrays layout behind the language layer's branchless verdict
-    /// kernels: one contiguous `u64` lane instead of pointer-chased label
-    /// bytes.
-    soa_inputs: SoaLane,
-    /// Packed-u64 SoA mirror of the output labels, maintained through
-    /// [`View::refresh_outputs`] without steady-state allocation.
-    soa_outputs: SoaLane,
-}
-
-/// Storage behind one packed-u64 SoA label lane of a [`View`].
-///
-/// Batch-collected radius-1 views slice a **single flat lane** packed once
-/// per [`BallArena`] pass (`Shared` — one `(offset, len)` window per view,
-/// no per-view copies); views assembled in isolation, or whose labels are
-/// rewritten after construction (the decision scratch's per-trial output
-/// refresh), carry a private buffer (`Owned`). `None` marks views with no
-/// lane at all: radius ≠ 1, or outputs not collected yet.
-#[derive(Debug, Clone)]
-enum SoaLane {
-    /// No lane maintained.
-    None,
-    /// A per-view buffer; `valid` is false when some label failed to pack.
-    Owned { keys: Vec<u64>, valid: bool },
-    /// An `(offset, len)` window into one arena-wide flat lane.
-    Shared {
-        lane: Arc<Vec<u64>>,
-        offset: usize,
-        len: usize,
-        valid: bool,
-    },
-}
-
-impl SoaLane {
-    fn as_slice(&self) -> Option<&[u64]> {
-        match self {
-            SoaLane::None => None,
-            SoaLane::Owned { keys, valid } => valid.then_some(keys.as_slice()),
-            SoaLane::Shared {
-                lane,
-                offset,
-                len,
-                valid,
-            } => valid.then(|| &lane[*offset..*offset + *len]),
-        }
-    }
-
-    /// Heap bytes attributable to *this view alone*. Shared lanes report
-    /// zero here: the arena-wide lane is counted exactly once by whoever
-    /// holds the view set (see [`View::shared_lane_refs`]).
-    fn owned_bytes(&self) -> usize {
-        match self {
-            SoaLane::Owned { keys, .. } => keys.len() * std::mem::size_of::<u64>(),
-            _ => 0,
-        }
-    }
-
-    /// `(address, bytes)` of the whole shared flat lane, when this lane is
-    /// a window into one.
-    fn shared_ref(&self) -> Option<(usize, u64)> {
-        match self {
-            SoaLane::Shared { lane, .. } => Some((
-                Arc::as_ptr(lane) as usize,
-                (lane.len() * std::mem::size_of::<u64>()) as u64,
-            )),
-            _ => None,
-        }
-    }
-
-    /// Detaches to owned storage of exactly `len` keys (shared windows are
-    /// abandoned, not written through) and returns the key buffer plus the
-    /// validity slot, ready to be rewritten. Allocation-free once owned.
-    fn owned_parts(&mut self, len: usize) -> (&mut [u64], &mut bool) {
-        if !matches!(self, SoaLane::Owned { .. }) {
-            *self = SoaLane::Owned {
-                keys: vec![0; len],
-                valid: false,
-            };
-        }
-        match self {
-            SoaLane::Owned { keys, valid } => {
-                keys.resize(len, 0);
-                (keys.as_mut_slice(), valid)
-            }
-            _ => unreachable!("just made owned"),
-        }
-    }
-}
-
-/// Packs labels into their SoA key array; `valid` is false when any
-/// label is too long to pack (the array then keeps a placeholder so
-/// lengths stay in sync, but accessors hide it).
-fn pack_label_keys(labels: &[Label]) -> (Vec<u64>, bool) {
-    let mut keys = Vec::with_capacity(labels.len());
-    let mut valid = true;
-    for label in labels {
-        match label.packed_key() {
-            Some(key) => keys.push(key),
-            None => {
-                keys.push(0);
-                valid = false;
-            }
-        }
-    }
-    (keys, valid)
-}
-
-/// Reusable per-host-node key buffer behind [`View::refresh_outputs_all`]
-/// and [`View::refresh_outputs_from`]: one [`Label::packed_key`] per host
-/// node per labeling, gathered by every refreshed view, instead of one
-/// pack per ball membership. Allocation-free after warm-up for a fixed
-/// host size.
-#[derive(Debug, Clone, Default)]
-pub struct HostLaneScratch {
-    /// Packed key per host node (zero placeholder when unpackable).
-    keys: Vec<u64>,
-    /// Whether each host node's label packed.
-    ok: Vec<bool>,
-}
-
-impl HostLaneScratch {
-    /// An empty scratch; [`HostLaneScratch::pack`] sizes it.
-    pub fn new() -> Self {
-        HostLaneScratch::default()
-    }
-
-    /// Packs every label of `output` once, ready for per-view gathering.
-    pub fn pack(&mut self, output: &Labeling) {
-        let n = output.len();
-        self.keys.clear();
-        self.keys.resize(n, 0);
-        self.ok.clear();
-        self.ok.resize(n, false);
-        for i in 0..n {
-            if let Some(key) = output.get(NodeId::from_index(i)).packed_key() {
-                self.keys[i] = key;
-                self.ok[i] = true;
-            }
-        }
-    }
 }
 
 impl View {
@@ -181,7 +43,7 @@ impl View {
         let inputs = ball
             .members
             .iter()
-            .map(|&w| instance.input.get(w).clone())
+            .map(|&w| *instance.input.get(w))
             .collect();
         let host_degree = instance.graph.degree(v);
         View::from_parts(ball, v, radius, ids, inputs, None, host_degree)
@@ -192,12 +54,8 @@ impl View {
     pub fn collect_io(io: &IoConfig<'_>, ids: &IdAssignment, v: NodeId, radius: u32) -> View {
         let ball = Ball::extract(io.graph, v, radius);
         let id_vec = ball.members.iter().map(|&w| ids.id(w)).collect();
-        let inputs = ball.members.iter().map(|&w| io.input.get(w).clone()).collect();
-        let outputs = ball
-            .members
-            .iter()
-            .map(|&w| io.output.get(w).clone())
-            .collect();
+        let inputs = ball.members.iter().map(|&w| *io.input.get(w)).collect();
+        let outputs = ball.members.iter().map(|&w| *io.output.get(w)).collect();
         let host_degree = io.graph.degree(v);
         View::from_parts(ball, v, radius, id_vec, inputs, Some(outputs), host_degree)
     }
@@ -224,12 +82,6 @@ impl View {
 
     /// Shared body of the batched collectors: one arena pass, one view per
     /// node, outputs gathered when present.
-    ///
-    /// Radius-1 collections also pack the SoA label lanes here — **one
-    /// flat lane per labeling**, built by a single
-    /// [`BallArena::pack_flat_lane`] pass (one [`Label::packed_key`] per
-    /// host node) and shared by every view as an `(offset, len)` window —
-    /// instead of one private per-view copy packed per ball member.
     fn collect_all_inner(
         graph: &Graph,
         input: &Labeling,
@@ -238,52 +90,17 @@ impl View {
         radius: u32,
     ) -> Vec<View> {
         let arena = BallArena::extract_all(graph, radius);
-        let pack = |labels: &Labeling| {
-            let (lane, valid) = arena.pack_flat_lane(|w| labels.get(w).packed_key());
-            (Arc::new(lane), valid)
-        };
-        let input_lane = (radius == 1).then(|| pack(input));
-        let output_lane = match (radius, output) {
-            (1, Some(out)) => Some(pack(out)),
-            _ => None,
-        };
-        let lane_bytes = |lane: &Option<(Arc<Vec<u64>>, bool)>| {
-            lane.as_ref()
-                .map_or(0, |(l, _)| (l.len() * std::mem::size_of::<u64>()) as u64)
-        };
-        let resident = lane_bytes(&input_lane) + lane_bytes(&output_lane);
-        if resident > 0 {
-            // The working-set gauge counts each flat lane exactly once —
-            // never once per view.
-            arena.record_resident_lanes(resident);
-        }
         (0..arena.len())
             .map(|i| {
                 let v = NodeId::from_index(i);
                 let members = arena.members(i);
-                let id_vec = members.iter().map(|&w| ids.id(w)).collect();
-                let inputs = members.iter().map(|&w| input.get(w).clone()).collect();
-                let outputs: Option<Vec<Label>> = output
-                    .map(|out| members.iter().map(|&w| out.get(w).clone()).collect());
-                let range = arena.flat_range(i);
-                let window = |lane: &Option<(Arc<Vec<u64>>, bool)>| match lane {
-                    Some((lane, valid)) => SoaLane::Shared {
-                        lane: Arc::clone(lane),
-                        offset: range.start,
-                        len: range.len(),
-                        valid: *valid,
-                    },
-                    None => SoaLane::None,
-                };
                 View {
                     ball: arena.ball(i),
                     center: v,
                     radius,
-                    soa_inputs: window(&input_lane),
-                    soa_outputs: window(&output_lane),
-                    ids: id_vec,
-                    inputs,
-                    outputs,
+                    ids: members.iter().map(|&w| ids.id(w)).collect(),
+                    inputs: members.iter().map(|&w| *input.get(w)).collect(),
+                    outputs: output.map(|out| members.iter().map(|&w| *out.get(w)).collect()),
                     host_degree: graph.degree(v),
                 }
             })
@@ -311,26 +128,6 @@ impl View {
         if let Some(outs) = &outputs {
             assert_eq!(ball.len(), outs.len(), "one output label per ball member");
         }
-        // Lane maintenance is pure overhead for views no kernel reads
-        // through the SoA accessors: every branchless kernel walks
-        // `center_neighbor_indices()`, the radius-1 acceptance shape, so
-        // wider views (e.g. the radius-2 minimality languages) skip the
-        // lanes entirely — no packing on refresh, no memory growth.
-        // Views assembled one at a time own their lanes; the batched
-        // collectors instead window one arena-wide flat lane.
-        let (soa_inputs, soa_outputs) = if radius == 1 {
-            let (keys, valid) = pack_label_keys(&inputs);
-            let so = match &outputs {
-                Some(outs) => {
-                    let (keys, valid) = pack_label_keys(outs);
-                    SoaLane::Owned { keys, valid }
-                }
-                None => SoaLane::None,
-            };
-            (SoaLane::Owned { keys, valid }, so)
-        } else {
-            (SoaLane::None, SoaLane::None)
-        };
         View {
             ball,
             center,
@@ -339,8 +136,6 @@ impl View {
             inputs,
             outputs,
             host_degree,
-            soa_inputs,
-            soa_outputs,
         }
     }
 
@@ -348,173 +143,39 @@ impl View {
     /// following the ball membership. Turns a cached construction view into
     /// the decision view of `(G, (x, output))` without re-extracting
     /// anything — the per-trial refresh step of the engine's decision
-    /// scratch.
+    /// scratch. Allocation-free once the view carries outputs.
     pub fn refresh_outputs(&mut self, output: &Labeling) {
-        let lanes = self.radius == 1;
+        let members = &self.ball.members;
         match &mut self.outputs {
             Some(outs) => {
-                if lanes {
-                    let (keys, valid_slot) = self.soa_outputs.owned_parts(outs.len());
-                    let mut valid = true;
-                    for (i, (slot, &w)) in outs.iter_mut().zip(&self.ball.members).enumerate() {
-                        slot.clone_from(output.get(w));
-                        match slot.packed_key() {
-                            Some(key) => keys[i] = key,
-                            None => {
-                                keys[i] = 0;
-                                valid = false;
-                            }
-                        }
-                    }
-                    *valid_slot = valid;
-                } else {
-                    for (slot, &w) in outs.iter_mut().zip(&self.ball.members) {
-                        slot.clone_from(output.get(w));
-                    }
+                for (slot, &w) in outs.iter_mut().zip(members) {
+                    *slot = *output.get(w);
                 }
             }
-            None => {
-                let outs: Vec<Label> = self
-                    .ball
-                    .members
-                    .iter()
-                    .map(|&w| output.get(w).clone())
-                    .collect();
-                if lanes {
-                    let (keys, valid) = pack_label_keys(&outs);
-                    self.soa_outputs = SoaLane::Owned { keys, valid };
-                }
-                self.outputs = Some(outs);
-            }
-        }
-    }
-
-    /// [`View::refresh_outputs`] against pre-packed host keys: byte labels
-    /// are refreshed exactly as there, but the lane entries are *gathered*
-    /// from `packed` — whose [`HostLaneScratch::pack`] ran once per
-    /// labeling, one [`Label::packed_key`] per host node — instead of
-    /// re-packed per ball member. Bit-identical to
-    /// [`View::refresh_outputs`].
-    ///
-    /// # Panics
-    /// Panics (on index) if `packed` was packed from a labeling smaller
-    /// than this view's host graph.
-    pub fn refresh_outputs_from(&mut self, output: &Labeling, packed: &HostLaneScratch) {
-        if self.radius != 1 {
-            return self.refresh_outputs(output);
-        }
-        match &mut self.outputs {
-            Some(outs) => {
-                let (keys, valid_slot) = self.soa_outputs.owned_parts(outs.len());
-                let mut valid = true;
-                for (i, (slot, &w)) in outs.iter_mut().zip(&self.ball.members).enumerate() {
-                    slot.clone_from(output.get(w));
-                    keys[i] = packed.keys[w.index()];
-                    valid &= packed.ok[w.index()];
-                }
-                *valid_slot = valid;
-            }
-            None => {
-                let outs: Vec<Label> = self
-                    .ball
-                    .members
-                    .iter()
-                    .map(|&w| output.get(w).clone())
-                    .collect();
-                let (keys, valid_slot) = self.soa_outputs.owned_parts(outs.len());
-                let mut valid = true;
-                for (i, &w) in self.ball.members.iter().enumerate() {
-                    keys[i] = packed.keys[w.index()];
-                    valid &= packed.ok[w.index()];
-                }
-                *valid_slot = valid;
-                self.outputs = Some(outs);
-            }
-        }
-    }
-
-    /// Refreshes the outputs of every view from one host labeling in a
-    /// single batched pass: `scratch` packs each host node's label **once**
-    /// (`n` packs instead of Σ|ball| per-member packs), then every view
-    /// gathers its lane entries from the scratch. Bit-identical to calling
-    /// [`View::refresh_outputs`] on each view in order.
-    pub fn refresh_outputs_all(
-        views: &mut [View],
-        output: &Labeling,
-        scratch: &mut HostLaneScratch,
-    ) {
-        if views.iter().any(|v| v.radius == 1) {
-            scratch.pack(output);
-        }
-        for view in views {
-            view.refresh_outputs_from(output, scratch);
+            None => self.outputs = Some(members.iter().map(|&w| *output.get(w)).collect()),
         }
     }
 
     /// Approximate heap bytes held by this view: ball membership and
-    /// distances, the induced CSR adjacency, identities, and the
-    /// input/output label bytes. The per-view term of the engine's
+    /// distances, the induced CSR adjacency, identities, and 16 bytes per
+    /// input and output label. The per-view term of the engine's
     /// `working_set_bytes` cache-behavior proxy exported by `bench-export`
     /// and the observability layer.
-    ///
-    /// Only *owned* SoA lane buffers count here; a shared arena-wide flat
-    /// lane is not this view's memory — callers sum it exactly once via
-    /// [`View::shared_lane_refs`] (counting it per view was the
-    /// working-set accounting drift this split fixes).
     pub fn memory_bytes(&self) -> u64 {
         use std::mem::size_of;
-        let label_bytes = |labels: &[Label]| -> usize {
-            labels
-                .iter()
-                .map(|l| size_of::<Label>() + l.as_bytes().len())
-                .sum()
-        };
+        let labels = self.inputs.len() + self.outputs.as_ref().map_or(0, Vec::len);
         let ball_graph = (self.ball.graph.node_count() + 1) * size_of::<u32>()
             + 2 * self.ball.graph.edge_count() * size_of::<u32>();
-        let mut total = self.ball.members.len() * size_of::<NodeId>()
+        let total = self.ball.members.len() * size_of::<NodeId>()
             + self.ball.distances.len() * size_of::<u32>()
             + ball_graph
             + self.ids.len() * size_of::<u64>()
-            + label_bytes(&self.inputs);
-        if let Some(outs) = &self.outputs {
-            total += label_bytes(outs);
-        }
-        total += self.soa_inputs.owned_bytes() + self.soa_outputs.owned_bytes();
+            + labels * size_of::<Label>();
         total as u64
     }
 
-    /// The arena-wide flat lanes this view windows, as `(address, bytes)`
-    /// of each *whole* lane. Holders of a view set (e.g.
-    /// `ExecutionPlan::working_set_bytes`) dedup by address so a lane
-    /// shared by N views is counted exactly once.
-    pub fn shared_lane_refs(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.soa_inputs
-            .shared_ref()
-            .into_iter()
-            .chain(self.soa_outputs.shared_ref())
-    }
-
-    /// The packed-key SoA lane over the input labels, or `None` when the
-    /// view is not radius 1 or some input is too long to pack (kernels
-    /// must then take the byte-level fallback path).
-    /// `keys[i] == self.input(i).packed_key().unwrap()` when present.
-    pub fn soa_inputs(&self) -> Option<&[u64]> {
-        self.soa_inputs.as_slice()
-    }
-
-    /// The packed-key SoA lane over the output labels, or `None` when the
-    /// view is not radius 1, has no outputs yet, or some output is too
-    /// long to pack. `keys[i] == self.output(i).packed_key().unwrap()`
-    /// when present.
-    pub fn soa_outputs(&self) -> Option<&[u64]> {
-        if self.outputs.is_some() {
-            self.soa_outputs.as_slice()
-        } else {
-            None
-        }
-    }
-
     /// Number of nodes visible in the view.
+    #[inline]
     pub fn len(&self) -> usize {
         self.ball.len()
     }
@@ -525,31 +186,37 @@ impl View {
     }
 
     /// The ball's own graph (local indices).
+    #[inline]
     pub fn local_graph(&self) -> &Graph {
         &self.ball.graph
     }
 
     /// Local index of the center (always 0).
+    #[inline]
     pub fn center_local(&self) -> usize {
         0
     }
 
     /// Host-graph node behind local index `i`.
+    #[inline]
     pub fn host_node(&self, i: usize) -> NodeId {
         self.ball.host_node(i)
     }
 
     /// Identity of local node `i`.
+    #[inline]
     pub fn id(&self, i: usize) -> u64 {
         self.ids[i]
     }
 
     /// Identity of the center.
+    #[inline]
     pub fn center_id(&self) -> u64 {
         self.ids[0]
     }
 
     /// Input label of local node `i`.
+    #[inline]
     pub fn input(&self, i: usize) -> &Label {
         &self.inputs[i]
     }
@@ -559,16 +226,19 @@ impl View {
     /// # Panics
     /// Panics if the view was collected without outputs (a construction
     /// view rather than a decision view).
+    #[inline]
     pub fn output(&self, i: usize) -> &Label {
         &self.outputs.as_ref().expect("view has no outputs")[i]
     }
 
     /// Returns `true` if the view carries output labels.
+    #[inline]
     pub fn has_outputs(&self) -> bool {
         self.outputs.is_some()
     }
 
     /// Distance of local node `i` from the center.
+    #[inline]
     pub fn distance(&self, i: usize) -> u32 {
         self.ball.distance(i)
     }
@@ -576,6 +246,7 @@ impl View {
     /// Degree of the center *in the host graph*. For radius ≥ 1 this equals
     /// the center's degree inside the ball; for radius 0 it is the port
     /// count the LOCAL model still exposes to the node.
+    #[inline]
     pub fn center_degree(&self) -> usize {
         self.host_degree
     }
@@ -592,32 +263,26 @@ impl View {
     /// Iterator over the local indices of the center's neighbors — the
     /// allocation-free counterpart of [`View::center_neighbors`], for
     /// verdict hot paths.
+    #[inline]
     pub fn center_neighbor_indices(&self) -> impl Iterator<Item = usize> + '_ {
         self.local_graph().neighbor_ids(NodeId(0)).map(|w| w.index())
     }
 
     /// Copies this view's input labels into `out` (resized to the view's
-    /// length), reusing `out`'s buffers. Together with
+    /// length), reusing `out`'s buffer. Together with
     /// [`View::write_outputs_to`] this is the fill step of the language
     /// layer's reusable ball-configuration scratch.
-    pub fn write_inputs_to(&self, out: &mut crate::labels::Labeling) {
-        out.resize_to(self.len());
-        for (i, label) in self.inputs.iter().enumerate() {
-            out.copy_into(NodeId::from_index(i), label);
-        }
+    pub fn write_inputs_to(&self, out: &mut Labeling) {
+        out.copy_from(&self.inputs);
     }
 
     /// Copies this view's output labels into `out` (resized to the view's
-    /// length), reusing `out`'s buffers.
+    /// length), reusing `out`'s buffer.
     ///
     /// # Panics
     /// Panics if the view carries no outputs (a construction view).
-    pub fn write_outputs_to(&self, out: &mut crate::labels::Labeling) {
-        let outputs = self.outputs.as_ref().expect("view has no outputs");
-        out.resize_to(self.len());
-        for (i, label) in outputs.iter().enumerate() {
-            out.copy_into(NodeId::from_index(i), label);
-        }
+    pub fn write_outputs_to(&self, out: &mut Labeling) {
+        out.copy_from(self.outputs.as_ref().expect("view has no outputs"));
     }
 
     /// Rank (0-based) of the center's identity among all identities in the
@@ -799,122 +464,13 @@ mod tests {
     }
 
     #[test]
-    fn soa_lanes_mirror_the_labels() {
+    fn memory_bytes_counts_sixteen_bytes_per_label() {
         let (g, x, ids) = setup(8);
         let inst = Instance::new(&g, &x, &ids);
         let mut view = View::collect(&inst, NodeId(3), 1);
-        // Construction views have input keys but no output lane yet.
-        let in_keys = view.soa_inputs().expect("small labels always pack");
-        for i in 0..view.len() {
-            assert_eq!(in_keys[i], view.input(i).packed_key().unwrap());
-        }
-        assert!(view.soa_outputs().is_none());
-        // Refreshing outputs populates the output lane in lock-step.
-        let y = Labeling::from_fn(&g, |v| Label::from_u64(u64::from(v.0) + 10));
-        view.refresh_outputs(&y);
-        let out_keys = view.soa_outputs().expect("small labels always pack");
-        for i in 0..view.len() {
-            assert_eq!(out_keys[i], view.output(i).packed_key().unwrap());
-        }
-        // An unpackable (8-byte) output invalidates the lane; packable
-        // outputs on a later refresh restore it.
-        let wide = Labeling::from_fn(&g, |_| Label::from_bytes(vec![1; 8]));
-        view.refresh_outputs(&wide);
-        assert!(view.soa_outputs().is_none());
-        view.refresh_outputs(&y);
-        assert!(view.soa_outputs().is_some());
-        // memory_bytes accounts for the SoA lanes.
-        let with_lanes = view.memory_bytes();
-        assert!(with_lanes > 0);
-        // Wider views never carry lanes: every SoA kernel walks the
-        // radius-1 neighborhood, so radius ≥ 2 skips the maintenance.
-        let mut wide_view = View::collect(&inst, NodeId(3), 2);
-        assert!(wide_view.soa_inputs().is_none());
-        wide_view.refresh_outputs(&y);
-        assert!(wide_view.soa_outputs().is_none());
-        assert_eq!(wide_view.output(wide_view.center_local()), y.get(NodeId(3)));
-    }
-
-    #[test]
-    fn batched_radius_one_views_share_one_flat_lane() {
-        let (g, x, ids) = setup(12);
-        let y = Labeling::from_fn(&g, |v| Label::from_u64(u64::from(v.0) % 3));
-        let io = IoConfig::new(&g, &x, &y);
-        let views = View::collect_all_io(&io, &ids, 1);
-        // Lanes mirror the labels exactly as the owned path does.
-        for view in &views {
-            let in_keys = view.soa_inputs().expect("inputs pack");
-            let out_keys = view.soa_outputs().expect("outputs pack");
-            for i in 0..view.len() {
-                assert_eq!(in_keys[i], view.input(i).packed_key().unwrap());
-                assert_eq!(out_keys[i], view.output(i).packed_key().unwrap());
-            }
-        }
-        // Every view windows the same two flat lanes (same addresses)...
-        let refs: Vec<Vec<(usize, u64)>> =
-            views.iter().map(|v| v.shared_lane_refs().collect()).collect();
-        assert_eq!(refs[0].len(), 2, "one input and one output lane");
-        for r in &refs {
-            assert_eq!(r, &refs[0]);
-        }
-        // ...whose total size is one u64 per ball membership per lane.
-        let total_members: usize = views.iter().map(View::len).sum();
-        let lane_bytes: u64 = refs[0].iter().map(|&(_, b)| b).sum();
-        assert_eq!(lane_bytes, (2 * total_members * 8) as u64);
-        // The per-view accounting no longer carries the lane: an
-        // identically collected standalone view (owned lanes) is bigger by
-        // exactly its two windows.
-        let solo = View::collect_io(&io, &ids, NodeId(4), 1);
-        let batched = &views[4];
-        assert_eq!(
-            solo.memory_bytes(),
-            batched.memory_bytes() + (2 * batched.len() * 8) as u64
-        );
-        // Refreshing detaches the output window into an owned buffer; the
-        // input lane stays shared.
-        let mut detached = views[4].clone();
-        let z = Labeling::from_fn(&g, |_| Label::from_u64(9));
-        detached.refresh_outputs(&z);
-        assert_eq!(detached.shared_lane_refs().count(), 1);
-        assert_eq!(
-            detached.soa_outputs().unwrap()[0],
-            Label::from_u64(9).packed_key().unwrap()
-        );
-    }
-
-    #[test]
-    fn refresh_outputs_all_matches_per_view_refresh() {
-        let (g, x, ids) = setup(10);
-        let inst = Instance::new(&g, &x, &ids);
-        for radius in [0u32, 1, 2] {
-            let mut per_view = View::collect_all(&inst, radius);
-            let mut batched = per_view.clone();
-            let mut scratch = HostLaneScratch::new();
-            // The middle labeling has an unpackable label, exercising the
-            // validity propagation through the gather path.
-            let labelings = [
-                Labeling::from_fn(&g, |v| Label::from_u64(u64::from(v.0) + 5)),
-                Labeling::from_fn(&g, |v| {
-                    if v.0 == 3 {
-                        Label::from_bytes(vec![1; 8])
-                    } else {
-                        Label::from_u64(1)
-                    }
-                }),
-                Labeling::from_fn(&g, |v| Label::from_u64(u64::from(v.0) % 2)),
-            ];
-            for y in &labelings {
-                for view in &mut per_view {
-                    view.refresh_outputs(y);
-                }
-                View::refresh_outputs_all(&mut batched, y, &mut scratch);
-                for (a, b) in per_view.iter().zip(&batched) {
-                    assert_eq!(a.outputs, b.outputs);
-                    assert_eq!(a.soa_outputs(), b.soa_outputs());
-                    assert_eq!(a.soa_inputs(), b.soa_inputs());
-                }
-            }
-        }
+        let construction = view.memory_bytes();
+        view.refresh_outputs(&x);
+        assert_eq!(view.memory_bytes(), construction + (16 * view.len()) as u64);
     }
 
     #[test]

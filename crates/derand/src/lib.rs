@@ -33,10 +33,10 @@
 //!   `boosting::disjoint_union_acceptance` and the `GluingExperiment`
 //!   estimators, which remain in `rlnc-core` as the reference
 //!   implementations.
-//! * [`OneSidedLclDecider`] supplies the standard one-sided BPLD decider
-//!   for **any** LCL language (accept good centers, reject bad centers
-//!   with probability `p`; it lives in `rlnc_core::one_sided` and verdicts
-//!   through the allocation-free `LclLanguage::is_bad_view` hook), and
+//! * `rlnc_core::one_sided::OneSidedLclDecider` is the standard one-sided
+//!   BPLD decider for **any** LCL language (accept good centers, reject
+//!   bad centers with probability `p`, verdicts through the
+//!   allocation-free `LclLanguage::is_bad_view` hook), and
 //!   [`cases`] adapts the `rlnc-langs` **case registry**
 //!   ([`rlnc_langs::registry::CaseRegistry`] — the full language catalog:
 //!   coloring, `amos`, weak coloring, MIS, matching, dominating set, LLL,
@@ -53,11 +53,9 @@
 #![warn(missing_docs)]
 
 pub mod cases;
-pub mod decider;
 pub mod pipeline;
 
 pub use cases::{CaseBundle, CaseId, CaseRegistry, LanguageCase, PipelineCase};
-pub use decider::OneSidedLclDecider;
 pub use pipeline::{
     deterministic_agreement, failure_probability_with, lift_agrees_with, ramsey_stage,
     DerandPipeline, GluedStage, HardInstanceStage, PipelineParams, RamseyStage, UnionStage,

@@ -28,7 +28,6 @@
 
 use std::collections::HashMap;
 
-use crate::decider::OneSidedLclDecider;
 use rlnc_core::algorithm::{LocalAlgorithm, RandomizedLocalAlgorithm};
 use rlnc_core::config::{Instance, IoConfig};
 use rlnc_core::decision::RandomizedDecider;
@@ -36,6 +35,7 @@ use rlnc_core::derand::gluing::{anchor_candidates, anchor_count, GluingExperimen
 use rlnc_core::derand::hard_instances::HardInstance;
 use rlnc_core::derand::ramsey::{collect_templates, consistent_id_set, OrderInvariantLift};
 use rlnc_core::language::{DistributedLanguage, LclLanguage};
+use rlnc_core::one_sided::OneSidedLclDecider;
 use rlnc_engine::{BatchRunner, ExecutionPlan, GluedPlan, PlanCache, UnionPlan};
 use rlnc_graph::NodeId;
 use rlnc_par::stats::Estimate;

@@ -12,7 +12,7 @@ use rlnc_core::algorithm::{Coins, LocalAlgorithm, RandomizedLocalAlgorithm};
 use rlnc_core::config::{Instance, IoConfig};
 use rlnc_core::decision::RandomizedDecider;
 use rlnc_core::labels::Labeling;
-use rlnc_core::view::{HostLaneScratch, View};
+use rlnc_core::view::View;
 use rlnc_graph::IdAssignment;
 use rlnc_obs::{LazyCounter, LazySpan, Section};
 use rlnc_par::rng::SeedSequence;
@@ -108,22 +108,8 @@ impl ExecutionPlan {
     /// execution pass touches. This is the cache-behavior proxy recorded
     /// per group in `bench-export` (`working_set_bytes`) alongside the
     /// arena-level `graph.arena.working_set_bytes` gauge.
-    ///
-    /// Radius-1 views window arena-wide flat SoA lanes instead of carrying
-    /// private copies; each distinct lane is counted exactly **once** here
-    /// (deduped by address), never once per view.
     pub fn working_set_bytes(&self) -> u64 {
-        let mut total: u64 = self.views.iter().map(View::memory_bytes).sum();
-        let mut seen: Vec<usize> = Vec::new();
-        for view in &self.views {
-            for (addr, bytes) in view.shared_lane_refs() {
-                if !seen.contains(&addr) {
-                    seen.push(addr);
-                    total += bytes;
-                }
-            }
-        }
-        total
+        self.views.iter().map(View::memory_bytes).sum()
     }
 
     /// Returns `true` if the cached views carry output labels (a decision
@@ -183,7 +169,6 @@ impl ExecutionPlan {
             plan_id: self.id,
             radius: self.radius,
             views: self.views.clone(),
-            lane_scratch: HostLaneScratch::new(),
         }
     }
 
@@ -208,11 +193,6 @@ pub struct DecisionScratch {
     plan_id: u64,
     radius: u32,
     views: Vec<View>,
-    /// Per-labeling packed host keys: each trial packs every host node's
-    /// output label once and the per-view refresh gathers from here,
-    /// instead of re-packing per ball membership (see
-    /// [`View::refresh_outputs_all`]).
-    lane_scratch: HostLaneScratch,
 }
 
 impl DecisionScratch {
@@ -245,12 +225,8 @@ impl DecisionScratch {
         );
         OBS_DECISIONS.inc();
         let coins = Coins::new(execution_seed);
-        if self.radius == 1 {
-            self.lane_scratch.pack(output);
-        }
-        let lane_scratch = &self.lane_scratch;
         self.views.iter_mut().all(|view| {
-            view.refresh_outputs_from(output, lane_scratch);
+            view.refresh_outputs(output);
             decider.accepts(view, &coins)
         })
     }
@@ -373,31 +349,15 @@ mod tests {
     }
 
     #[test]
-    fn working_set_counts_each_flat_lane_exactly_once() {
+    fn working_set_sums_the_view_footprints() {
         let (g, x, ids) = fixture(16);
         let y = Labeling::from_fn(&g, |v| Label::from_u64(u64::from(v.0 % 3)));
         let io = IoConfig::new(&g, &x, &y);
-        let plan = ExecutionPlan::for_io(&io, &ids, 1);
-        // Radius-1 decision views window two arena-wide lanes (inputs and
-        // outputs), each one u64 per ball membership.
-        let per_view: u64 = plan.views().iter().map(View::memory_bytes).sum();
-        let lane_bytes = (2 * plan.work_per_execution() * 8) as u64;
-        assert_eq!(plan.working_set_bytes(), per_view + lane_bytes);
-        // The old accounting counted the lane once per view; with every
-        // ball on a cycle holding 3 members the flat lane and the sum of
-        // windows coincide, so pin the sharing itself too: every view
-        // reports the same two lane addresses.
-        let first: Vec<(usize, u64)> = plan.views()[0].shared_lane_refs().collect();
-        assert_eq!(first.len(), 2);
-        for view in plan.views() {
-            let refs: Vec<(usize, u64)> = view.shared_lane_refs().collect();
-            assert_eq!(refs, first, "views must window the same flat lanes");
+        for radius in [1, 2] {
+            let plan = ExecutionPlan::for_io(&io, &ids, radius);
+            let per_view: u64 = plan.views().iter().map(View::memory_bytes).sum();
+            assert_eq!(plan.working_set_bytes(), per_view);
         }
-        // Radius-2 plans carry no lanes at all.
-        let wide = ExecutionPlan::for_io(&io, &ids, 2);
-        let wide_sum: u64 = wide.views().iter().map(View::memory_bytes).sum();
-        assert_eq!(wide.working_set_bytes(), wide_sum);
-        assert!(wide.views().iter().all(|v| v.shared_lane_refs().count() == 0));
     }
 
     #[test]

@@ -329,6 +329,113 @@ fn instrumented_decision_loop_does_not_allocate() {
     );
 }
 
+/// For every registered LCL case, the view-native verdict path performs
+/// zero heap allocations once the decision views exist.
+#[cfg(feature = "count-alloc")]
+#[test]
+fn view_native_verdicts_do_not_allocate() {
+    use rlnc_langs::registry::CaseRegistry;
+    use rlnc_obs::alloc_counter::allocations;
+
+    let registry = CaseRegistry::builtin();
+    for id in registry.ids() {
+        let case = id.case();
+        let Some(lcl) = &case.lcl else { continue };
+        let family = case.candidate_family(rlnc_graph::generators::Family::Cycle);
+        let mut rng = SeedSequence::new(5).rng();
+        let graph = family.generate(32, &mut rng);
+        let ids = IdAssignment::consecutive(&graph);
+        let input = case.build_input(&graph, &ids);
+        let inst = Instance::new(&graph, &input, &ids);
+        let out = rlnc_core::Simulator::sequential().run_randomized(
+            &*case.constructor,
+            &inst,
+            SeedSequence::new(1).child(0),
+        );
+        let io = IoConfig::new(&graph, &input, &out);
+        let views: Vec<View> = graph
+            .nodes()
+            .map(|v| View::collect_io(&io, &ids, v, lcl.radius()))
+            .collect();
+        // Warm-up pass (nothing to warm for overridden languages, but
+        // keep the protocol uniform), then the counted pass.
+        let warm: usize = views.iter().filter(|view| lcl.is_bad_view(view)).count();
+        let before = allocations();
+        let counted: usize = views.iter().filter(|view| lcl.is_bad_view(view)).count();
+        let after = allocations();
+        assert_eq!(warm, counted);
+        assert_eq!(
+            after - before,
+            0,
+            "case '{}': view-native verdicts allocated {} times",
+            case.name,
+            after - before
+        );
+    }
+}
+
+/// A warmed construct-then-decide trial allocates nothing: constructed
+/// labels are inline values written into the reusable output buffer, and
+/// the decision scratch copies them into its cached views in place.
+#[cfg(feature = "count-alloc")]
+#[test]
+fn construct_decide_loop_does_not_allocate() {
+    use rlnc_engine::ConstructDecidePlan;
+    use rlnc_langs::coloring::ProperColoring;
+    use rlnc_langs::random_coloring::RandomColoring;
+    use rlnc_obs::alloc_counter::allocations;
+
+    let n = 24;
+    let graph = rlnc_graph::generators::cycle(n);
+    let input = Labeling::empty(n);
+    let ids = IdAssignment::consecutive(&graph);
+    let instance = Instance::new(&graph, &input, &ids);
+    let constructor = RandomColoring::new(3);
+    let decider = OneSidedLclDecider::new(ProperColoring::new(3), 0.75);
+    let plan = ConstructDecidePlan::new(&instance, 0, 1);
+    let mut scratch = plan.decision_scratch();
+    let mut out = Labeling::empty(n);
+
+    rlnc_obs::set_enabled(true);
+    let root = SeedSequence::new(17);
+    // Warm-up: an always-accepting decider visits every node, so every
+    // cached view's output buffer exists before the counted loop.
+    let accept_all = FnRandomizedDecider::new(1, "accept-all", |_: &View, _: &Coins| true);
+    plan.accept_once(
+        &mut scratch,
+        &mut out,
+        &constructor,
+        &accept_all,
+        None,
+        root.child(0),
+    );
+    let mut trial = |t: u64| {
+        plan.accept_once(
+            &mut scratch,
+            &mut out,
+            &constructor,
+            &decider,
+            None,
+            root.child(t),
+        )
+    };
+    for t in 0..8u64 {
+        trial(t);
+    }
+    let before = allocations();
+    for t in 8..1008u64 {
+        trial(t);
+    }
+    let after = allocations();
+    rlnc_obs::set_enabled(false);
+    assert_eq!(
+        after - before,
+        0,
+        "construct-decide loop allocated {} times over 1000 trials",
+        after - before
+    );
+}
+
 /// Pinned seed-0 regression: the exact seed the E6/E7 drivers run at.
 #[test]
 fn union_and_glued_kernels_match_legacy_at_seed_zero() {

@@ -215,6 +215,7 @@ mod tests {
             quick: true,
             groups,
             peak_alloc_bytes: None,
+            nproc: None,
         }
     }
 

@@ -124,7 +124,7 @@ pub fn run_seeded(scale: Scale, _seed: u64) -> ExperimentReport {
 fn max_color_multiplicity(io: &IoConfig<'_>) -> usize {
     let mut counts = std::collections::HashMap::new();
     for v in io.graph.nodes() {
-        *counts.entry(io.output.get(v).clone()).or_insert(0usize) += 1;
+        *counts.entry(*io.output.get(v)).or_insert(0usize) += 1;
     }
     counts.into_values().max().unwrap_or(0)
 }

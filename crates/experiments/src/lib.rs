@@ -23,13 +23,11 @@
 //! table plus a list of [`Finding`]s (paper claim vs measured value), which
 //! the `rlnc-experiments` binary assembles into `EXPERIMENTS.md`.
 
-// The counting allocator (and its `unsafe impl GlobalAlloc`) moved to
-// `rlnc-obs`; this crate is pure-safe again and re-exports the shim.
+// The counting allocator (and its `unsafe impl GlobalAlloc`) lives in
+// `rlnc-obs`; this crate stays pure-safe.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[cfg(feature = "count-alloc")]
-pub mod alloc_counter;
 pub mod bench_export;
 pub mod bench_gate;
 pub mod e01_amos;

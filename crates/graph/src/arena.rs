@@ -34,10 +34,6 @@ static OBS_CSR_EDGES: LazyCounter =
     LazyCounter::new("graph.arena.csr_edges", Section::Deterministic);
 static OBS_WORKING_SET: LazyGauge =
     LazyGauge::new("graph.arena.working_set_bytes", Section::Deterministic);
-static OBS_LANE_PACKS: LazyCounter =
-    LazyCounter::new("graph.arena.lane_packs", Section::Deterministic);
-static OBS_LANE_KEYS: LazyCounter =
-    LazyCounter::new("graph.arena.lane_keys", Section::Deterministic);
 static OBS_BALL_MEMBERS: LazyHistogram = LazyHistogram::new(
     "graph.arena.ball_members",
     Section::Deterministic,
@@ -272,54 +268,6 @@ impl BallArena {
         &self.members[self.ball_offsets[i]..self.ball_offsets[i + 1]]
     }
 
-    /// Range of ball `i` within the flat member-parallel arrays — the
-    /// `(offset, len)` a view needs to slice a [flat lane]
-    /// (`BallArena::pack_flat_lane`) built over this arena.
-    pub fn flat_range(&self, i: usize) -> std::ops::Range<usize> {
-        self.ball_offsets[i]..self.ball_offsets[i + 1]
-    }
-
-    /// Packs one flat `u64` lane over every ball's members: entry `j` of
-    /// the lane is `key_of(members[j])`, so ball `i`'s slice is the lane at
-    /// [`BallArena::flat_range`]`(i)`. `key_of` is invoked **once per host
-    /// node** (not once per membership); the per-node keys are then
-    /// scattered through the member array, which is what turns N per-view
-    /// packing passes into a single arena pass. Returns the lane and
-    /// whether every node produced a key (`key_of` returning `None`
-    /// anywhere leaves a zero placeholder and marks the lane invalid —
-    /// callers must then take their byte-level fallback path).
-    pub fn pack_flat_lane(
-        &self,
-        mut key_of: impl FnMut(NodeId) -> Option<u64>,
-    ) -> (Vec<u64>, bool) {
-        let n = self.len();
-        let mut host_keys = vec![0u64; n];
-        let mut valid = true;
-        for (i, slot) in host_keys.iter_mut().enumerate() {
-            match key_of(NodeId::from_index(i)) {
-                Some(key) => *slot = key,
-                None => valid = false,
-            }
-        }
-        let lane: Vec<u64> = self.members.iter().map(|&w| host_keys[w.index()]).collect();
-        if rlnc_obs::enabled() {
-            OBS_LANE_PACKS.inc();
-            OBS_LANE_KEYS.add(lane.len() as u64);
-        }
-        (lane, valid)
-    }
-
-    /// Records lane bytes resident *alongside* this arena into the
-    /// `graph.arena.working_set_bytes` gauge — called once per extraction
-    /// with the **total** bytes of every flat lane built over it, so the
-    /// gauge counts each lane exactly once (never per view).
-    pub fn record_resident_lanes(&self, lane_bytes: u64) {
-        if !rlnc_obs::enabled() {
-            return;
-        }
-        OBS_WORKING_SET.record_max(self.working_set_bytes() + lane_bytes);
-    }
-
     /// Distances from the center for ball `i` (parallel to
     /// [`BallArena::members`]).
     pub fn distances(&self, i: usize) -> &[u32] {
@@ -420,27 +368,6 @@ mod tests {
             large.working_set_bytes() > small.working_set_bytes(),
             "larger radius must touch a larger working set"
         );
-    }
-
-    #[test]
-    fn flat_lane_scatters_per_node_keys() {
-        let g = cycle(10);
-        let arena = BallArena::extract_all(&g, 1);
-        let (lane, valid) = arena.pack_flat_lane(|v| Some(u64::from(v.0) * 3 + 1));
-        assert!(valid);
-        assert_eq!(lane.len(), arena.total_members());
-        for i in 0..arena.len() {
-            let slice = &lane[arena.flat_range(i)];
-            let members = arena.members(i);
-            assert_eq!(slice.len(), members.len());
-            for (key, &w) in slice.iter().zip(members) {
-                assert_eq!(*key, u64::from(w.0) * 3 + 1);
-            }
-        }
-        // A `None` anywhere invalidates the lane but keeps lengths in sync.
-        let (lane2, valid2) = arena.pack_flat_lane(|v| (v.0 != 3).then_some(7));
-        assert!(!valid2);
-        assert_eq!(lane2.len(), arena.total_members());
     }
 
     #[test]

@@ -76,6 +76,7 @@ impl Ball {
     }
 
     /// Number of nodes in the ball.
+    #[inline]
     pub fn len(&self) -> usize {
         self.members.len()
     }
@@ -86,6 +87,7 @@ impl Ball {
     }
 
     /// Host-graph node corresponding to local index `i`.
+    #[inline]
     pub fn host_node(&self, i: usize) -> NodeId {
         self.members[i]
     }
@@ -96,6 +98,7 @@ impl Ball {
     }
 
     /// Distance of local node `i` from the center.
+    #[inline]
     pub fn distance(&self, i: usize) -> u32 {
         self.distances[i]
     }

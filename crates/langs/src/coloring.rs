@@ -53,26 +53,17 @@ impl LclLanguage for ProperColoring {
     }
 
     fn is_bad_view(&self, view: &View) -> bool {
-        // SoA fast path: key equality is label equality, so the branchless
-        // accumulation over the packed lane is bit-identical to the
-        // early-exit byte comparison below.
-        if let Some(keys) = view.soa_outputs() {
-            let mine = keys[view.center_local()];
-            let color = Label::key_value(mine);
-            if color < 1 || color > self.colors {
-                return true;
-            }
-            let mut bad = 0u64;
-            for i in view.center_neighbor_indices() {
-                bad |= u64::from(keys[i] == mine);
-            }
-            return bad != 0;
-        }
+        // Branchless over the neighborhood: one inline label compare per
+        // neighbor, no early exit.
         let mine = view.output(view.center_local());
         if !self.in_range(mine) {
             return true;
         }
-        view.center_neighbor_indices().any(|i| view.output(i) == mine)
+        let mut bad = false;
+        for i in view.center_neighbor_indices() {
+            bad |= view.output(i) == mine;
+        }
+        bad
     }
 
     fn name(&self) -> String {
@@ -100,24 +91,16 @@ impl LocalDecider for ColoringDecider {
     }
 
     fn accepts(&self, view: &View) -> bool {
-        if let Some(keys) = view.soa_outputs() {
-            let mine = keys[view.center_local()];
-            let c = Label::key_value(mine);
-            if c < 1 || c > self.colors {
-                return false;
-            }
-            let mut collides = 0u64;
-            for i in view.center_neighbor_indices() {
-                collides |= u64::from(keys[i] == mine);
-            }
-            return collides == 0;
-        }
         let mine = view.output(view.center_local());
         let c = mine.as_u64();
         if c < 1 || c > self.colors {
             return false;
         }
-        view.center_neighbor_indices().all(|i| view.output(i) != mine)
+        let mut collides = false;
+        for i in view.center_neighbor_indices() {
+            collides |= view.output(i) == mine;
+        }
+        !collides
     }
 
     fn name(&self) -> String {

@@ -44,19 +44,11 @@ impl LclLanguage for DominatingSet {
     }
 
     fn is_bad_view(&self, view: &View) -> bool {
-        // SoA fast path: a packed key's value part is nonzero exactly when
-        // the label decodes to `true`.
-        if let Some(keys) = view.soa_outputs() {
-            let mut dominated = u64::from(Label::key_value(keys[view.center_local()]) != 0);
-            for i in view.center_neighbor_indices() {
-                dominated |= u64::from(Label::key_value(keys[i]) != 0);
-            }
-            return dominated == 0;
+        let mut dominated = view.output(view.center_local()).as_bool();
+        for i in view.center_neighbor_indices() {
+            dominated |= view.output(i).as_bool();
         }
-        !(view.output(view.center_local()).as_bool()
-            || view
-                .center_neighbor_indices()
-                .any(|i| view.output(i).as_bool()))
+        !dominated
     }
 
     fn name(&self) -> String {

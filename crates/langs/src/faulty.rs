@@ -65,7 +65,7 @@ impl<A: RandomizedLocalAlgorithm> RandomizedLocalAlgorithm for FaultyConstructor
         let _ = rng.random::<u64>();
         let _ = rng.random::<u64>();
         if rng.random_bool(self.fault_probability) {
-            self.corrupt_label.clone()
+            self.corrupt_label
         } else {
             honest
         }

@@ -64,37 +64,16 @@ impl LclLanguage for FrugalColoring {
     }
 
     fn is_bad_view(&self, view: &View) -> bool {
-        // SoA fast path. Propriety compares packed keys (key equality is
-        // label equality); multiplicity compares decoded values
-        // (`Label::key_value`, which equals `as_u64`), matching the
-        // fallback's grouping key on non-canonical encodings.
-        if let Some(keys) = view.soa_outputs() {
-            let mine = keys[view.center_local()];
-            let c = Label::key_value(mine);
-            if c < 1 || c > self.colors {
-                return true;
-            }
-            let mut conflict = 0u64;
-            for i in view.center_neighbor_indices() {
-                conflict |= u64::from(keys[i] == mine);
-            }
-            if conflict != 0 {
-                return true;
-            }
-            return view.center_neighbor_indices().any(|i| {
-                view.center_neighbor_indices()
-                    .filter(|&j| Label::key_value(keys[j]) == Label::key_value(keys[i]))
-                    .count()
-                    > self.frugality
-            });
-        }
-        let center = view.center_local();
-        let mine = view.output(center);
+        let mine = view.output(view.center_local());
         let c = mine.as_u64();
         if c < 1 || c > self.colors {
             return true;
         }
-        if view.center_neighbor_indices().any(|i| view.output(i) == mine) {
+        let mut conflict = false;
+        for i in view.center_neighbor_indices() {
+            conflict |= view.output(i) == mine;
+        }
+        if conflict {
             return true;
         }
         // Neighborhood multiplicity without the hash map: O(deg²) pairwise
@@ -103,8 +82,9 @@ impl LclLanguage for FrugalColoring {
         // `neighborhood_multiplicity`'s grouping key — byte equality would
         // diverge on non-canonical encodings of the same color.
         view.center_neighbor_indices().any(|i| {
+            let color = view.output(i).as_u64();
             view.center_neighbor_indices()
-                .filter(|&j| view.output(j).as_u64() == view.output(i).as_u64())
+                .filter(|&j| view.output(j).as_u64() == color)
                 .count()
                 > self.frugality
         })

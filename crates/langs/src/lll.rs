@@ -53,27 +53,15 @@ impl LclLanguage for NeighborhoodLll {
     }
 
     fn is_bad_view(&self, view: &View) -> bool {
-        // SoA fast path (key equality is label equality): bad iff the
-        // closed neighborhood is non-trivial and monochromatic.
-        if let Some(keys) = view.soa_outputs() {
-            let mine = keys[view.center_local()];
-            let (mut any, mut differs) = (0u64, 0u64);
-            for i in view.center_neighbor_indices() {
-                any = 1;
-                differs |= u64::from(keys[i] != mine);
-            }
-            return any != 0 && differs == 0;
-        }
+        // Bad iff the closed neighborhood is non-trivial and monochromatic.
         let mine = view.output(view.center_local());
-        let mut any = false;
+        let (mut any, mut differs) = (false, false);
         for i in view.center_neighbor_indices() {
             any = true;
-            if view.output(i) != mine {
-                return false;
-            }
+            differs |= view.output(i) != mine;
         }
         // Degree-0 centers (no neighbor in a radius ≥ 1 ball) are never bad.
-        any
+        any && !differs
     }
 
     fn name(&self) -> String {

@@ -69,49 +69,22 @@ impl LclLanguage for MaximalMatching {
     }
 
     fn is_bad_view(&self, view: &View) -> bool {
-        // SoA fast path: claims and partner lookups only ever compare
-        // decoded values (`as_u64`), which `Label::key_value` reproduces
-        // exactly. Needs both lanes — outputs for claims, inputs for names.
-        if let (Some(out_keys), Some(in_keys)) = (view.soa_outputs(), view.soa_inputs()) {
-            let center = view.center_local();
-            let claim = Label::key_value(out_keys[center]);
-            if claim == 0 {
-                let mut unmatched = 0u64;
-                for i in view.center_neighbor_indices() {
-                    unmatched |= u64::from(Label::key_value(out_keys[i]) == 0);
-                }
-                return unmatched != 0;
-            }
-            let mut partner = None;
-            for i in view.center_neighbor_indices() {
-                if Label::key_value(in_keys[i]) == claim {
-                    partner = Some(i);
-                    break;
-                }
-            }
-            return match partner {
-                None => true,
-                Some(i) => Label::key_value(out_keys[i]) != Label::key_value(in_keys[center]),
-            };
-        }
         let center = view.center_local();
         let claim = view.output(center).as_u64();
         if claim == 0 {
             // Maximality: no neighbor may also be unmatched.
-            return view
-                .center_neighbor_indices()
-                .any(|i| view.output(i).as_u64() == 0);
+            let mut unmatched = false;
+            for i in view.center_neighbor_indices() {
+                unmatched |= view.output(i).as_u64() == 0;
+            }
+            return unmatched;
         }
         // The claimed partner must be a neighbor that claims us back
         // (names are the input labels, as in `is_bad_ball`).
-        let mut partner = None;
-        for i in view.center_neighbor_indices() {
-            if view.input(i).as_u64() == claim {
-                partner = Some(i);
-                break;
-            }
-        }
-        match partner {
+        match view
+            .center_neighbor_indices()
+            .find(|&i| view.input(i).as_u64() == claim)
+        {
             None => true,
             Some(i) => view.output(i).as_u64() != view.input(center).as_u64(),
         }

@@ -44,26 +44,13 @@ impl LclLanguage for MaximalIndependentSet {
     }
 
     fn is_bad_view(&self, view: &View) -> bool {
-        // SoA fast path: a packed key's value part is nonzero exactly when
-        // the label decodes to `true`, so membership tests stay exact.
-        if let Some(keys) = view.soa_outputs() {
-            let in_set = Label::key_value(keys[view.center_local()]) != 0;
-            let mut neighbor = 0u64;
-            for i in view.center_neighbor_indices() {
-                neighbor |= u64::from(Label::key_value(keys[i]) != 0);
-            }
-            let neighbor_in_set = neighbor != 0;
-            return if in_set { neighbor_in_set } else { !neighbor_in_set };
-        }
         let in_set = view.output(view.center_local()).as_bool();
-        let neighbor_in_set = view
-            .center_neighbor_indices()
-            .any(|i| view.output(i).as_bool());
-        if in_set {
-            neighbor_in_set
-        } else {
-            !neighbor_in_set
+        let mut neighbor_in_set = false;
+        for i in view.center_neighbor_indices() {
+            neighbor_in_set |= view.output(i).as_bool();
         }
+        // Members break independence, non-members break maximality.
+        in_set == neighbor_in_set
     }
 
     fn name(&self) -> String {

@@ -46,28 +46,15 @@ impl LclLanguage for WeakColoring {
     }
 
     fn is_bad_view(&self, view: &View) -> bool {
-        // SoA fast path (key equality is label equality): bad iff the
-        // center has neighbors and none of them differs.
-        if let Some(keys) = view.soa_outputs() {
-            let mine = keys[view.center_local()];
-            let (mut any, mut differs) = (0u64, 0u64);
-            for i in view.center_neighbor_indices() {
-                any = 1;
-                differs |= u64::from(keys[i] != mine);
-            }
-            return any != 0 && differs == 0;
-        }
-        let center = view.center_local();
-        let mine = view.output(center);
-        let mut any = false;
+        // Bad iff the center has neighbors and none of them differs.
+        let mine = view.output(view.center_local());
+        let (mut any, mut differs) = (false, false);
         for i in view.center_neighbor_indices() {
             any = true;
-            if view.output(i) != mine {
-                return false;
-            }
+            differs |= view.output(i) != mine;
         }
         // No neighbor in the ball: isolated (at radius ≥ 1), never bad.
-        any
+        any && !differs
     }
 
     fn name(&self) -> String {

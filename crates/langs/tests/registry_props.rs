@@ -99,10 +99,10 @@ proptest! {
         let reference = graph.nodes().all(|v| {
             let view = View::collect_io(&io, &ids, v, 1);
             let local_input = rlnc_core::labels::Labeling::new(
-                (0..view.len()).map(|i| view.input(i).clone()).collect(),
+                (0..view.len()).map(|i| *view.input(i)).collect(),
             );
             let local_output = rlnc_core::labels::Labeling::new(
-                (0..view.len()).map(|i| view.output(i).clone()).collect(),
+                (0..view.len()).map(|i| *view.output(i)).collect(),
             );
             let local_io = IoConfig::new(view.local_graph(), &local_input, &local_output);
             if !lang.is_bad_ball(&local_io, rlnc_graph::NodeId::from_index(view.center_local())) {

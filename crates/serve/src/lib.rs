@@ -35,5 +35,5 @@ pub mod shard;
 
 pub use client::{connect, connect_with_retry, Connection, RunOutcome};
 pub use protocol::{Request, Response, StatusReport};
-pub use server::{BoundServer, Endpoint, SweepServer};
+pub use server::{BoundServer, Endpoint, SweepServer, MAX_REQUEST_LINE};
 pub use shard::ShardSpec;

@@ -46,6 +46,12 @@ static OBS_ERRORS: LazyCounter = LazyCounter::new("serve.errors", Section::Deter
 /// shutdown flag; also the accept loop's poll interval.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
+/// Longest request line the server buffers, newline excluded. A request
+/// is one short JSON object; a longer line gets an `error` response and
+/// its connection is closed, so no client can grow server memory without
+/// bound.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
+
 /// Where the service listens: a filesystem Unix socket or a TCP address.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Endpoint {
@@ -404,18 +410,29 @@ impl SweepServer {
         let mut writer = conn.try_clone()?;
         let mut reader = BufReader::new(conn);
         // The accumulator persists across read timeouts so a request line
-        // arriving in pieces is never truncated: read_line appends to it
-        // and only a terminal '\n' dispatches.
-        let mut line = String::new();
+        // arriving in pieces is never truncated: read_until appends to it
+        // and only a terminal '\n' dispatches. Each read may fill it to at
+        // most one byte past the cap, which is how an over-long line shows.
+        let mut line = Vec::new();
         loop {
-            match reader.read_line(&mut line) {
+            let budget = (MAX_REQUEST_LINE + 1 - line.len()) as u64;
+            match (&mut reader).take(budget).read_until(b'\n', &mut line) {
                 Ok(0) => return Ok(()), // client EOF
-                Ok(_) if line.ends_with('\n') => {
-                    let trimmed = line.trim();
-                    if !trimmed.is_empty() && !self.dispatch(&mut writer, trimmed)? {
-                        return Ok(());
+                Ok(_) if line.ends_with(b"\n") => {
+                    match std::str::from_utf8(&line) {
+                        Ok(text) => {
+                            let trimmed = text.trim();
+                            if !trimmed.is_empty() && !self.dispatch(&mut writer, trimmed)? {
+                                return Ok(());
+                            }
+                        }
+                        Err(_) => self.send_error(&mut writer, "bad request: not UTF-8".into())?,
                     }
                     line.clear();
+                }
+                Ok(_) if line.len() > MAX_REQUEST_LINE => {
+                    let message = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+                    return self.send_error(&mut writer, message);
                 }
                 Ok(_) => {} // partial final line; next read returns 0
                 Err(e)

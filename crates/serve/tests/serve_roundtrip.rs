@@ -3,8 +3,11 @@
 //! clients — over both Unix sockets and TCP.
 
 use rlnc_par::Scale;
-use rlnc_serve::{connect_with_retry, Endpoint, ShardSpec, SweepServer};
+use rlnc_serve::{
+    connect_with_retry, Endpoint, Response, ShardSpec, SweepServer, MAX_REQUEST_LINE,
+};
 use rlnc_sweep::{emit, Registry, SweepExecutor};
+use std::io::{BufRead, BufReader, Write};
 use std::time::Duration;
 
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
@@ -158,4 +161,66 @@ fn scenario_listing_and_request_errors_keep_the_connection_usable() {
 
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread").expect("serve exits cleanly");
+}
+
+#[test]
+fn oversized_request_lines_are_refused_and_the_server_keeps_serving() {
+    let endpoint = temp_socket("oversized");
+    let (endpoint, handle) = start(endpoint);
+    let Endpoint::Unix(path) = &endpoint else {
+        unreachable!("unix endpoint")
+    };
+
+    // One line past the cap, never terminated: the server must answer with
+    // a structured error and close instead of buffering without bound.
+    let stream = std::os::unix::net::UnixStream::connect(path).expect("connect");
+    stream
+        .set_read_timeout(Some(CONNECT_TIMEOUT))
+        .expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let flood = vec![b'x'; 2 * MAX_REQUEST_LINE];
+    // The server may close before the whole flood is written.
+    let _ = writer.write_all(&flood).and_then(|_| writer.flush());
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("error response");
+    match Response::from_json(line.trim()).expect("structured response") {
+        Response::Error { message } => {
+            assert!(message.contains("exceeds"), "unexpected error: {message}")
+        }
+        other => panic!("expected an error response, got {other:?}"),
+    }
+    // Closed: EOF, or a reset because the unread rest of the flood was
+    // discarded with the socket.
+    line.clear();
+    match reader.read_line(&mut line) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("expected the connection to close, got {other:?} ({line:?})"),
+    }
+
+    // A fresh connection is served normally.
+    let mut client = connect_with_retry(&endpoint, CONNECT_TIMEOUT).expect("connect");
+    let outcome = client
+        .run("smoke", Scale::Smoke, 3, None, |_| {})
+        .expect("normal run");
+    let spec = Registry::builtin()
+        .get("smoke")
+        .cloned()
+        .expect("smoke scenario");
+    assert_eq!(
+        outcome.run,
+        SweepExecutor::new(Scale::Smoke).with_seed(3).run(&spec)
+    );
+    let status = client.status().expect("status");
+    assert!(
+        status.errors >= 1,
+        "the refused line counts as an error: {status:?}"
+    );
+
+    client.shutdown().expect("shutdown");
+    handle
+        .join()
+        .expect("server thread")
+        .expect("serve exits cleanly");
 }

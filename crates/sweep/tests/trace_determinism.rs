@@ -47,7 +47,7 @@ fn deterministic_json(
 fn deterministic_section_is_schedule_independent() {
     // fault-matrix exercises rounds + faults + engine; language-matrix
     // exercises the registry-driven plan-cache path; claim2-scan
-    // exercises the batched multi-algorithm kernel and the arena lanes.
+    // exercises the batched multi-algorithm kernel.
     for scenario in ["fault-matrix", "language-matrix", "claim2-scan"] {
         let parallel = deterministic_json(scenario, |e| e);
         let sequential = deterministic_json(scenario, |e| e.sequential());

@@ -64,7 +64,7 @@ pub use rlnc_sweep as sweep;
 /// The most commonly used items across the workspace.
 pub mod prelude {
     pub use rlnc_core::prelude::*;
-    pub use rlnc_derand::{DerandPipeline, OneSidedLclDecider, PipelineParams};
+    pub use rlnc_derand::{DerandPipeline, PipelineParams};
     pub use rlnc_engine::{BatchRunner, ExecutionPlan, GluedPlan, UnionPlan};
     pub use rlnc_graph::{Graph, GraphBuilder, IdAssignment, NodeId};
     pub use rlnc_par::{MonteCarlo, Scale, SeedSequence};
