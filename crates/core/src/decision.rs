@@ -14,7 +14,6 @@ use crate::algorithm::Coins;
 use crate::config::IoConfig;
 use crate::language::DistributedLanguage;
 use crate::view::View;
-use rayon::prelude::*;
 use rlnc_par::rng::SeedSequence;
 use rlnc_par::stats::Estimate;
 use rlnc_par::trials::MonteCarlo;
@@ -279,11 +278,11 @@ where
     L: DistributedLanguage + ?Sized,
 {
     let results: Vec<(bool, Estimate)> = configs
-        .par_iter()
+        .iter()
         .enumerate()
         .map(|(i, (io, ids))| {
             let is_member = language.contains(io);
-            let mc = MonteCarlo::new(trials).with_seed(seed.wrapping_add(i as u64)).sequential();
+            let mc = MonteCarlo::new(trials).with_seed(seed.wrapping_add(i as u64));
             let est = if is_member {
                 mc.estimate(|s| decide_randomized(decider, io, ids, s))
             } else {

@@ -91,7 +91,7 @@ where
     D: RandomizedDecider + ?Sized,
 {
     let inst: Instance<'_> = instance.as_instance();
-    let sim = Simulator::sequential();
+    let sim = Simulator::new();
     MonteCarlo::new(trials).with_seed(seed).estimate(|trial_seed| {
         let construction_seed = trial_seed.child(0);
         let decision_seed = trial_seed.child(1);

@@ -98,7 +98,7 @@ where
     D: RandomizedDecider + ?Sized,
 {
     let inst: Instance<'_> = instance.as_instance();
-    let sim = Simulator::sequential();
+    let sim = Simulator::new();
     MonteCarlo::new(trials).with_seed(seed).estimate(|trial_seed| {
         let output = sim.run_randomized(constructor, &inst, trial_seed.child(0));
         let io = IoConfig::from_instance(&inst, &output);
@@ -240,7 +240,7 @@ impl GluingExperiment {
     {
         let hard = self.as_hard_instance();
         let inst = hard.as_instance();
-        let sim = Simulator::sequential();
+        let sim = Simulator::new();
         let anchors: Vec<NodeId> = (0..self.parts.len()).map(|i| self.glued_anchor(i)).collect();
         let exclusion = self.exclusion_radius;
         MonteCarlo::new(trials).with_seed(seed).estimate(|trial_seed| {
@@ -270,7 +270,7 @@ impl GluingExperiment {
     {
         let hard = self.as_hard_instance();
         let inst = hard.as_instance();
-        let output = Simulator::sequential().run_randomized(constructor, &inst, seed.child(0));
+        let output = Simulator::new().run_randomized(constructor, &inst, seed.child(0));
         let io = IoConfig::from_instance(&inst, &output);
         decide_randomized(decider, &io, &hard.ids, seed.child(1))
     }

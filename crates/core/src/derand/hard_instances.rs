@@ -116,7 +116,7 @@ impl<'l, L: DistributedLanguage + ?Sized> HardInstanceSearch<'l, L> {
     /// (its output configuration is not in the language).
     pub fn fails_on<A: LocalAlgorithm + ?Sized>(&self, algo: &A, instance: &HardInstance) -> bool {
         let inst = instance.as_instance();
-        let output = Simulator::sequential().run(algo, &inst);
+        let output = Simulator::new().run(algo, &inst);
         let io = IoConfig::from_instance(&inst, &output);
         !self.language.contains(&io)
     }
@@ -184,7 +184,7 @@ impl<'l, L: DistributedLanguage + ?Sized> HardInstanceSearch<'l, L> {
     ) -> Estimate {
         let inst = instance.as_instance();
         let success =
-            Simulator::sequential().construction_success(constructor, &inst, self.language, trials, seed);
+            Simulator::new().construction_success(constructor, &inst, self.language, trials, seed);
         // Failure = 1 - success; rebuild the estimate from the complement counts.
         Estimate::from_counts(success.trials - success.successes, success.trials)
     }

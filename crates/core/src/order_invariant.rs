@@ -154,8 +154,6 @@ pub fn check_order_invariance<A: LocalAlgorithm + ?Sized>(
     base_ids: &IdAssignment,
     monotone_maps: &[&dyn Fn(u64) -> u64],
 ) -> bool {
-    // The auto-detecting simulator: parallel when safe, sequential inside
-    // an already-parallel region (PR 3's nested-parallelism convention).
     let sim = Simulator::new();
     let base_instance = Instance::new(graph, input, base_ids);
     let reference = sim.run(algo, &base_instance);

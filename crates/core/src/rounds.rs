@@ -24,7 +24,10 @@
 //!   [`RoundTopology`], driven by [`RoundSystem::step`] /
 //!   [`RoundSystem::step_until_quiet`], with optional
 //!   [`FaultSchedule`]-driven crashes and an [`Adversary`] tap on
-//!   Byzantine senders. [`RoundEngine`] is the one-shot fault-free facade.
+//!   Byzantine senders. Each round fans out over nodes iff [`fans_out`]
+//!   says so for the node count, so small systems and systems stepped
+//!   inside a pool task run inline. [`RoundEngine`] is the one-shot
+//!   fault-free facade.
 //! * The full-information gathers — [`GatherAndRun`] (identity-keyed, the
 //!   classic simulation argument) and the coin-aware [`GatherRun`] /
 //!   [`GatherDecide`] (host-keyed), which reconstruct each node's view
@@ -43,6 +46,7 @@ use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 use rlnc_graph::{Ball, Graph, GraphBuilder, IdAssignment, NodeId};
 use rlnc_obs::{LazyCounter, LazyHistogram, Section, POW2_BUCKETS};
+use rlnc_par::pool::fans_out;
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -181,7 +185,6 @@ pub struct RoundSystem<'a, M: MessagePassingAlgorithm> {
     faults: Option<&'a FaultSchedule>,
     adversary: Option<&'a (dyn Adversary<M::Message> + 'a)>,
     round: u32,
-    parallel: bool,
 }
 
 impl<'a, M: MessagePassingAlgorithm> RoundSystem<'a, M> {
@@ -231,7 +234,6 @@ impl<'a, M: MessagePassingAlgorithm> RoundSystem<'a, M> {
             faults: None,
             adversary: None,
             round: 0,
-            parallel: true,
         }
     }
 
@@ -255,13 +257,6 @@ impl<'a, M: MessagePassingAlgorithm> RoundSystem<'a, M> {
     /// senders (no-op unless a schedule with Byzantine nodes is attached).
     pub fn with_adversary(mut self, adversary: &'a (dyn Adversary<M::Message> + 'a)) -> Self {
         self.adversary = Some(adversary);
-        self
-    }
-
-    /// Disables the per-round fan-out over nodes (for execution inside an
-    /// already-parallel region; results are identical either way).
-    pub fn sequential(mut self) -> Self {
-        self.parallel = false;
         self
     }
 
@@ -289,7 +284,9 @@ impl<'a, M: MessagePassingAlgorithm> RoundSystem<'a, M> {
 
     /// Executes one synchronous round — send, deliver, compute — and
     /// returns `true`, or returns `false` without side effects if the
-    /// system [`is_quiet`](RoundSystem::is_quiet).
+    /// system [`is_quiet`](RoundSystem::is_quiet). Both phases fan out
+    /// over nodes iff [`fans_out`] says so for the node count; results
+    /// are identical either way.
     pub fn step(&mut self) -> bool {
         if self.is_quiet() {
             return false;
@@ -297,6 +294,7 @@ impl<'a, M: MessagePassingAlgorithm> RoundSystem<'a, M> {
         let round = self.round + 1;
         let graph = self.graph;
         let n = graph.node_count();
+        let parallel = fans_out(n as u64);
         let algo = self.algo;
         let faults = self.faults;
         let adversary = self.adversary;
@@ -320,7 +318,7 @@ impl<'a, M: MessagePassingAlgorithm> RoundSystem<'a, M> {
             }
             Some(messages)
         };
-        let outgoing: Vec<Option<Vec<M::Message>>> = if self.parallel {
+        let outgoing: Vec<Option<Vec<M::Message>>> = if parallel {
             (0..n).into_par_iter().map(send_one).collect()
         } else {
             (0..n).map(send_one).collect()
@@ -377,7 +375,7 @@ impl<'a, M: MessagePassingAlgorithm> RoundSystem<'a, M> {
             }
         };
         let states = std::mem::take(&mut self.states);
-        self.states = if self.parallel {
+        self.states = if parallel {
             states
                 .into_par_iter()
                 .enumerate()
@@ -1016,7 +1014,7 @@ mod tests {
         let inst = Instance::new(&g, &x, &ids);
         let algo = MinIdFlood { rounds: 3 };
         let one_shot = RoundEngine::new().run(&algo, &inst);
-        let mut system = RoundSystem::new(&algo, &inst).sequential();
+        let mut system = RoundSystem::new(&algo, &inst);
         assert_eq!(system.round(), 0);
         assert_eq!(system.total_rounds(), 3);
         assert!(system.step());
@@ -1100,7 +1098,7 @@ mod tests {
             let inst = Instance::new(&graph, &x, &ids);
             for trial in 0..4 {
                 let seed = SeedSequence::new(41).child(trial);
-                let direct = Simulator::sequential().run_randomized(&algo, &inst, seed);
+                let direct = Simulator::new().run_randomized(&algo, &inst, seed);
                 let via_rounds = run_randomized_via_rounds(&algo, &inst, seed);
                 assert_eq!(direct, via_rounds);
             }
@@ -1178,10 +1176,7 @@ mod tests {
         }
         let schedule = schedule.unwrap();
         let algo = MinIdFlood { rounds: 4 };
-        let out = RoundSystem::new(&algo, &inst)
-            .with_faults(&schedule)
-            .sequential()
-            .run();
+        let out = RoundSystem::new(&algo, &inst).with_faults(&schedule).run();
         // Nodes 3 and 4 never hear of id 1 across the crashed node 2.
         assert_eq!(out.get(NodeId(0)).as_u64(), 1);
         assert_eq!(out.get(NodeId(1)).as_u64(), 1);

@@ -1,20 +1,24 @@
 //! The LOCAL-model simulator: runs construction algorithms on instances.
 //!
 //! The simulator uses the ball-view formulation of §2.1: for every node it
-//! collects the radius-`t` view and evaluates the algorithm's output
-//! function. Per-node work is independent, so it is parallelized with
-//! Rayon; determinism is preserved because each node's coins are derived
-//! from the (execution seed, node) pair, not from scheduling order.
+//! collects the radius-`t` view with [`View::collect`] and evaluates the
+//! algorithm's output function. That per-node collection is the reference
+//! the engine's equivalence suites compare the arena-backed cached views
+//! against.
 //!
-//! Parallelism is decided automatically: a simulator that finds itself
-//! inside an already-parallel region (a Monte-Carlo trial batch, a sweep
-//! work item) evaluates sequentially, so callers never need to thread a
-//! manual "sequential" flag through nested loops. Monte-Carlo estimation
-//! over a fixed instance ([`Simulator::construction_success`]) collects
-//! every node's view **once** via [`View::collect_all`] and reuses the
-//! cached views across all trials — the same plan-then-execute split the
-//! `rlnc-engine` crate exposes as a full subsystem (`ExecutionPlan` +
-//! `BatchRunner`).
+//! Per-node work is independent, so it fans out over the pool when the
+//! workspace's one rule, [`fans_out`], says so; determinism is preserved
+//! because each node's coins are derived from the (execution seed, node)
+//! pair, not from scheduling order. A node's cost includes its ball
+//! extraction, which is not known in advance, so each node counts as
+//! `FAN_OUT_WORK / 64`: 64 nodes fan out, and a simulator inside a pool
+//! task never does.
+//!
+//! Monte-Carlo estimation over a fixed instance
+//! ([`Simulator::construction_success`]) collects every node's view
+//! **once** via [`View::collect_all`] and reuses the cached views across
+//! all trials — the same plan-then-execute split the `rlnc-engine` crate
+//! exposes as a full subsystem (`ExecutionPlan` + `BatchRunner`).
 
 use crate::algorithm::{Coins, LocalAlgorithm, RandomizedLocalAlgorithm};
 use crate::config::{Instance, IoConfig};
@@ -22,39 +26,21 @@ use crate::labels::Labeling;
 use crate::language::DistributedLanguage;
 use crate::view::View;
 use rayon::prelude::*;
+use rlnc_par::pool::{fans_out, FAN_OUT_WORK};
 use rlnc_par::rng::SeedSequence;
 use rlnc_par::stats::Estimate;
 use rlnc_par::trials::MonteCarlo;
 use rlnc_graph::NodeId;
 
 /// Runs LOCAL algorithms over whole instances.
-#[derive(Debug, Clone, Copy)]
-pub struct Simulator {
-    parallel: bool,
-}
-
-impl Default for Simulator {
-    fn default() -> Self {
-        Simulator::new()
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Simulator;
 
 impl Simulator {
-    /// A simulator that parallelizes per-node evaluation automatically:
-    /// large instances run on the thread pool **unless** the simulator is
-    /// already executing inside a parallel region (detected via
-    /// `rayon::current_thread_index`), in which case it evaluates
-    /// sequentially to avoid nested-parallelism overhead. Results never
-    /// depend on the choice.
+    /// A simulator. Per-node evaluation fans out over the pool by the
+    /// workspace's one rule; results never depend on the choice.
     pub fn new() -> Self {
-        Simulator { parallel: true }
-    }
-
-    /// Forces sequential per-node evaluation. Rarely needed now that
-    /// [`Simulator::new`] detects nested parallel contexts automatically;
-    /// kept for debugging and for pinning down scheduling in tests.
-    pub fn sequential() -> Self {
-        Simulator { parallel: false }
+        Simulator
     }
 
     /// Runs a deterministic algorithm, returning the output labeling.
@@ -120,7 +106,7 @@ impl Simulator {
         F: Fn(NodeId) -> T + Sync,
     {
         let n = instance.graph.node_count();
-        if self.parallel && n >= 64 && rayon::current_thread_index().is_none() {
+        if fans_out((n as u64).saturating_mul(FAN_OUT_WORK / 64)) {
             (0..n)
                 .into_par_iter()
                 .map(|i| f(NodeId::from_index(i)))
@@ -165,7 +151,11 @@ mod tests {
             Label::from_u64(total)
         });
         let a = Simulator::new().run(&algo, &inst);
-        let b = Simulator::sequential().run(&algo, &inst);
+        let b = Labeling::new(
+            g.nodes()
+                .map(|v| LocalAlgorithm::output(&algo, &View::collect(&inst, v, 1)))
+                .collect(),
+        );
         assert_eq!(a, b);
     }
 
@@ -180,7 +170,10 @@ mod tests {
         });
         let s = SeedSequence::new(4).child(9);
         let out1 = Simulator::new().run_randomized(&algo, &inst, s);
-        let out2 = Simulator::sequential().run_randomized(&algo, &inst, s);
+        let coins = Coins::new(s);
+        let out2 = Labeling::new(
+            g.nodes().map(|v| algo.output(&View::collect(&inst, v, 0), &coins)).collect(),
+        );
         assert_eq!(out1, out2);
         let out3 = Simulator::new().run_randomized(&algo, &inst, SeedSequence::new(4).child(10));
         assert_ne!(out1, out3);
@@ -189,8 +182,8 @@ mod tests {
     #[test]
     fn auto_parallelism_never_changes_results_inside_parallel_regions() {
         // Run the simulator from inside a parallel Monte-Carlo batch (where
-        // the nested-parallelism heuristic forces sequential evaluation) and
-        // outside it; the outputs must agree exactly.
+        // the fan-out rule forces inline evaluation) and outside it; the
+        // outputs must agree exactly.
         let g = cycle(128);
         let x = Labeling::empty(128);
         let ids = IdAssignment::consecutive(&g);

@@ -163,13 +163,6 @@ where
         }
     }
 
-    /// Overrides the batch runner (e.g. [`BatchRunner::sequential`] for
-    /// scheduling-pinned comparisons; results are identical either way).
-    pub fn with_runner(mut self, runner: BatchRunner) -> Self {
-        self.runner = runner;
-        self
-    }
-
     /// The pipeline's quantitative knobs.
     pub fn params(&self) -> PipelineParams {
         self.params

@@ -387,7 +387,7 @@ impl BatchRunner {
                 .count() as u64
         };
         let work = (plan.work_per_trial() as u64).saturating_mul(trials);
-        let counts = self.run_blocked(trials, work, run_block);
+        let counts = self.run_blocked(trials as usize, work, Some(trials), run_block);
         Estimate::from_counts(counts.into_iter().sum(), trials)
     }
 }
@@ -438,7 +438,7 @@ mod tests {
         let decider = zero_rejecting_decider(0.7);
         let legacy = acceptance_of_constructed(&constructor, &decider, &hard[0], 300, 0);
         let plan = ConstructDecidePlan::new(&hard[0].as_instance(), 0, 0);
-        for runner in [BatchRunner::new(), BatchRunner::sequential()] {
+        for runner in [BatchRunner::new(), BatchRunner::new().with_block(7)] {
             let engine =
                 runner.construct_decide_acceptance(&plan, &constructor, &decider, 300, 0);
             assert_eq!(engine.successes, legacy.successes);

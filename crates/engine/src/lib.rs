@@ -15,10 +15,11 @@
 //!   hash maps — and caches the per-ball layout as ready-to-evaluate
 //!   [`View`](rlnc_core::View)s.
 //! * [`BatchRunner`] then evaluates `(algorithm × plan × K seeds)` in
-//!   blocked parallel passes with a reusable per-block output buffer,
-//!   deciding parallel-vs-sequential automatically from the plan size ×
-//!   trial count (and never fanning out inside an already-parallel
-//!   region).
+//!   passes with a reusable per-block output buffer; a pass is split into
+//!   blocks on the pool iff the workspace's one rule,
+//!   [`fans_out`](rlnc_par::pool::fans_out), says so for its total work
+//!   (plan size × trials × algorithms), so it never fans out inside an
+//!   already-parallel region.
 //! * [`DecisionScratch`] covers the remaining shape — deciders whose
 //!   *outputs* change per trial (e.g. "construct, then decide") — by
 //!   refreshing only the output labels of cloned cached views.
@@ -32,9 +33,9 @@
 //!   algorithms against the same candidate instances (the Claim-2
 //!   hard-instance search) plan each candidate once instead of once per
 //!   `(algorithm, candidate)` pair.
-//! * [`RoundPlan`] / [`RoundRunner`] (mod [`round`]) are the same
-//!   plan/runner split over the **round backend** — explicit message
-//!   passing instead of ball extraction — with seeded fault injection
+//! * [`RoundPlan`] (mod [`round`]) is the same planning step over the
+//!   **round backend** — explicit message passing instead of ball
+//!   extraction — with seeded fault injection
 //!   ([`FaultPlan`](rlnc_core::FaultPlan)) the ball path cannot express.
 //!   Fault-free round executions are proven bit-identical to the engine
 //!   path by `tests/round_equivalence.rs`.
@@ -96,5 +97,5 @@ pub use cache::{
 };
 pub use composite::{ConstructDecidePlan, GluedPlan, UnionPlan};
 pub use plan::{DecisionScratch, ExecutionPlan};
-pub use round::{RoundPlan, RoundRunner};
+pub use round::RoundPlan;
 pub use runner::BatchRunner;

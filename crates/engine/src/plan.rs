@@ -98,8 +98,8 @@ impl ExecutionPlan {
     }
 
     /// Total ball membership across all views — the amount of data one
-    /// execution touches. The [`BatchRunner`](crate::BatchRunner) uses
-    /// `work_per_execution × trials` to decide parallel vs sequential.
+    /// execution touches. The [`BatchRunner`](crate::BatchRunner) hands
+    /// `work_per_execution × trials` to the fan-out rule.
     pub fn work_per_execution(&self) -> usize {
         self.work_per_execution
     }
@@ -172,7 +172,7 @@ impl ExecutionPlan {
         }
     }
 
-    fn assert_radius(&self, declared: u32) {
+    pub(crate) fn assert_radius(&self, declared: u32) {
         assert_eq!(
             declared, self.radius,
             "algorithm radius {declared} does not match plan radius {}",
@@ -292,7 +292,7 @@ mod tests {
         assert_eq!(plan.radius(), 2);
         assert!(!plan.has_outputs());
         assert_eq!(plan.work_per_execution(), 24 * 5);
-        assert_eq!(plan.run(&det), Simulator::sequential().run(&det, &inst));
+        assert_eq!(plan.run(&det), Simulator::new().run(&det, &inst));
 
         let rand_algo = FnRandomizedAlgorithm::new(2, "coin", |v: &View, c: &Coins| {
             Label::from_bool(c.for_center(v).random_bool(0.5))
@@ -301,7 +301,7 @@ mod tests {
             let seed = SeedSequence::new(5).child(t);
             assert_eq!(
                 plan.run_randomized(&rand_algo, seed),
-                Simulator::sequential().run_randomized(&rand_algo, &inst, seed)
+                Simulator::new().run_randomized(&rand_algo, &inst, seed)
             );
         }
     }

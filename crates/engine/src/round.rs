@@ -1,13 +1,13 @@
-//! The round backend's plan/runner pair: batched `algorithm × K seeds`
-//! execution through explicit message passing instead of ball extraction.
+//! The round backend's plan: `algorithm × seed` executions through
+//! explicit message passing instead of ball extraction.
 //!
-//! A [`RoundPlan`] is the amortizable half — it owns the instance and the
-//! prebuilt [`RoundTopology`] (the delivery map), so per-seed executions
-//! pay no per-trial topology cost. A [`RoundRunner`] mirrors
-//! [`BatchRunner`](crate::BatchRunner): blocked trial batches with
-//! per-block output-buffer reuse, the same nested-parallelism heuristic,
-//! and results that never depend on scheduling — every trial's coins and
-//! fault schedule derive from its seed alone.
+//! A [`RoundPlan`] is the amortizable half of a batch — it owns the
+//! instance and the prebuilt [`RoundTopology`] (the delivery map), so
+//! per-seed executions pay no per-trial topology cost. Batches loop over
+//! seeds themselves (the `fault-matrix` workload runs one
+//! [`RoundPlan::run_with_faults`] per trial inside the sweep executor's
+//! blocks); every trial's coins and fault schedule derive from its seed
+//! alone, so results never depend on scheduling.
 //!
 //! Fault-free executions are bit-identical to the ball-extraction path
 //! ([`ExecutionPlan`](crate::ExecutionPlan)) with the same seed — proven
@@ -24,13 +24,6 @@ use rlnc_core::rounds::{GatherDecide, GatherRun, RelabelAdversary, RoundSystem, 
 use rlnc_core::{Instance, Label};
 use rlnc_graph::{Graph, IdAssignment};
 use rlnc_par::rng::SeedSequence;
-use rlnc_par::stats::Estimate;
-use rlnc_par::sweep::{balanced_ranges, sweep, sweep_sequential};
-use std::ops::Range;
-
-/// Total `node count × (rounds + 1) × trials` work below which a batch
-/// runs sequentially (mirrors the engine's threshold).
-const PARALLEL_WORK_THRESHOLD: u64 = 1 << 14;
 
 /// One instance prepared for repeated round-backend execution: the graph,
 /// inputs, and identities (owned), plus the prebuilt delivery topology.
@@ -82,12 +75,6 @@ impl RoundPlan {
         self.radius
     }
 
-    /// Work proxy of one execution (`node count × (rounds + 1)`), for the
-    /// runner's parallelism heuristic.
-    pub fn work_per_execution(&self) -> usize {
-        self.graph.node_count() * (self.radius as usize + 1)
-    }
-
     fn assert_radius(&self, declared: u32) {
         assert_eq!(
             declared, self.radius,
@@ -108,9 +95,7 @@ impl RoundPlan {
         self.assert_radius(algo.radius());
         let instance = self.instance();
         let wrapper = GatherRun::new(algo, Coins::new(execution_seed));
-        RoundSystem::with_topology(&wrapper, &instance, &self.topology)
-            .sequential()
-            .run()
+        RoundSystem::with_topology(&wrapper, &instance, &self.topology).run()
     }
 
     /// One fault-injected execution: crashed nodes fall silent per the
@@ -127,9 +112,8 @@ impl RoundPlan {
         let instance = self.instance();
         let wrapper = GatherRun::new(algo, Coins::new(execution_seed));
         let adversary = RelabelAdversary::new();
-        let mut system = RoundSystem::with_topology(&wrapper, &instance, &self.topology)
-            .sequential()
-            .with_faults(schedule);
+        let mut system =
+            RoundSystem::with_topology(&wrapper, &instance, &self.topology).with_faults(schedule);
         if schedule.has_byzantine() {
             system = system.with_adversary(&adversary);
         }
@@ -150,178 +134,9 @@ impl RoundPlan {
         self.assert_radius(decider.radius());
         let instance = self.instance();
         let wrapper = GatherDecide::new(decider, output, Coins::new(execution_seed));
-        let verdicts = RoundSystem::with_topology(&wrapper, &instance, &self.topology)
-            .sequential()
-            .run();
+        let verdicts = RoundSystem::with_topology(&wrapper, &instance, &self.topology).run();
         let yes = Label::from_bool(true);
         verdicts.as_slice().iter().all(|v| *v == yes)
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Auto,
-    Sequential,
-}
-
-/// Evaluates algorithms against [`RoundPlan`]s, one seed or many — the
-/// round backend's [`BatchRunner`](crate::BatchRunner).
-#[derive(Debug, Clone, Copy)]
-pub struct RoundRunner {
-    mode: Mode,
-    block: u64,
-}
-
-impl Default for RoundRunner {
-    fn default() -> Self {
-        RoundRunner::new()
-    }
-}
-
-impl RoundRunner {
-    /// A runner with automatic parallelism and 64-trial blocks.
-    pub fn new() -> Self {
-        RoundRunner {
-            mode: Mode::Auto,
-            block: 64,
-        }
-    }
-
-    /// A runner that always evaluates sequentially (results are identical
-    /// either way).
-    pub fn sequential() -> Self {
-        RoundRunner {
-            mode: Mode::Sequential,
-            block: 64,
-        }
-    }
-
-    /// Overrides the trial block size. Results are independent of this
-    /// knob; it only shapes load balancing.
-    ///
-    /// # Panics
-    /// Panics if `block` is zero.
-    pub fn with_block(mut self, block: u64) -> Self {
-        assert!(block > 0, "block size must be positive");
-        self.block = block;
-        self
-    }
-
-    /// The nested-parallelism heuristic, same shape as the engine's: fan
-    /// out iff not already inside a parallel region, more than one trial,
-    /// and enough total work.
-    fn parallel_trials(&self, plan: &RoundPlan, trials: u64) -> bool {
-        match self.mode {
-            Mode::Sequential => false,
-            Mode::Auto => {
-                trials > 1
-                    && rayon::current_thread_index().is_none()
-                    && (plan.work_per_execution() as u64).saturating_mul(trials)
-                        >= PARALLEL_WORK_THRESHOLD
-            }
-        }
-    }
-
-    /// Runs one fault-free execution per seed and maps each output
-    /// labeling through `f`, in seed order. Trials are grouped into
-    /// blocks; each block reuses one output buffer.
-    pub fn map_executions<A, T, F>(
-        &self,
-        algo: &A,
-        plan: &RoundPlan,
-        seeds: &[SeedSequence],
-        f: F,
-    ) -> Vec<T>
-    where
-        A: RandomizedLocalAlgorithm + ?Sized,
-        T: Send,
-        F: Fn(usize, &Labeling) -> T + Sync,
-    {
-        plan.assert_radius(algo.radius());
-        let n = plan.node_count();
-        let instance = plan.instance();
-        let run_block = |range: &Range<usize>| -> Vec<T> {
-            let mut out = Labeling::empty(n);
-            let mut results = Vec::with_capacity(range.len());
-            for trial in range.clone() {
-                let wrapper = GatherRun::new(algo, Coins::new(seeds[trial]));
-                let mut system =
-                    RoundSystem::with_topology(&wrapper, &instance, &plan.topology).sequential();
-                system.step_until_quiet();
-                system.write_outputs(&mut out);
-                results.push(f(trial, &out));
-            }
-            results
-        };
-        let chunks = seeds.len().div_ceil(self.block as usize).max(1);
-        let ranges = balanced_ranges(seeds.len(), chunks);
-        let nested: Vec<Vec<T>> = if self.parallel_trials(plan, seeds.len() as u64) {
-            sweep(ranges, run_block)
-        } else {
-            sweep_sequential(ranges, run_block)
-        };
-        nested.into_iter().flatten().collect()
-    }
-
-    /// Runs one **fault-injected** execution per seed: trial `t`'s fault
-    /// schedule derives from `seeds[t].child(0)` via `schedule`, its coins
-    /// from `seeds[t].child(1)`, and `f` sees the output labeling together
-    /// with the materialized schedule. Blocked and buffer-reusing like
-    /// [`RoundRunner::map_executions`].
-    pub fn map_fault_executions<A, T, F>(
-        &self,
-        algo: &A,
-        plan: &RoundPlan,
-        fault_plan: &rlnc_core::faults::FaultPlan,
-        seeds: &[SeedSequence],
-        f: F,
-    ) -> Vec<T>
-    where
-        A: RandomizedLocalAlgorithm + ?Sized,
-        T: Send,
-        F: Fn(usize, &Labeling, &FaultSchedule) -> T + Sync,
-    {
-        plan.assert_radius(algo.radius());
-        let run_block = |range: &Range<usize>| -> Vec<T> {
-            let mut results = Vec::with_capacity(range.len());
-            for trial in range.clone() {
-                let schedule = fault_plan.schedule(&plan.graph, seeds[trial].child(0));
-                let out = plan.run_with_faults(algo, seeds[trial].child(1), &schedule);
-                results.push(f(trial, &out, &schedule));
-            }
-            results
-        };
-        let chunks = seeds.len().div_ceil(self.block as usize).max(1);
-        let ranges = balanced_ranges(seeds.len(), chunks);
-        let nested: Vec<Vec<T>> = if self.parallel_trials(plan, seeds.len() as u64) {
-            sweep(ranges, run_block)
-        } else {
-            sweep_sequential(ranges, run_block)
-        };
-        nested.into_iter().flatten().collect()
-    }
-
-    /// Estimates `Pr[success(output)]` over `trials` fault-free
-    /// executions with the same `(master_seed, trial)` derivation as
-    /// [`BatchRunner::estimate`](crate::BatchRunner::estimate) — the
-    /// success stream is bit-identical to the engine's for any algorithm
-    /// the equivalence suite covers.
-    pub fn estimate<A, F>(
-        &self,
-        algo: &A,
-        plan: &RoundPlan,
-        trials: u64,
-        master_seed: u64,
-        success: F,
-    ) -> Estimate
-    where
-        A: RandomizedLocalAlgorithm + ?Sized,
-        F: Fn(&Labeling) -> bool + Sync,
-    {
-        let root = SeedSequence::new(master_seed);
-        let seeds: Vec<SeedSequence> = (0..trials).map(|i| root.child(i)).collect();
-        let flags = self.map_executions(algo, plan, &seeds, |_, out| success(out));
-        Estimate::from_counts(flags.into_iter().filter(|&b| b).count() as u64, trials)
     }
 }
 
@@ -329,10 +144,8 @@ impl RoundRunner {
 mod tests {
     use super::*;
     use crate::plan::ExecutionPlan;
-    use crate::runner::BatchRunner;
     use rlnc_core::algorithm::FnRandomizedAlgorithm;
     use rlnc_core::decision::FnRandomizedDecider;
-    use rlnc_core::faults::FaultPlan;
     use rlnc_core::view::View;
     use rand::Rng;
     use rlnc_graph::generators::cycle;
@@ -372,26 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn round_runner_estimate_is_bit_identical_to_batch_runner() {
-        let (g, x, ids) = fixture(24);
-        let inst = Instance::new(&g, &x, &ids);
-        let algo = coin_algo();
-        let ball_plan = ExecutionPlan::for_instance(&inst, 1);
-        let round_plan = RoundPlan::for_instance(&inst, 1);
-        let success = |out: &Labeling| out.get(rlnc_graph::NodeId(0)).as_u64() % 2 == 0;
-        let reference = BatchRunner::sequential().estimate(&algo, &ball_plan, 60, 17, success);
-        for runner in [
-            RoundRunner::new(),
-            RoundRunner::sequential(),
-            RoundRunner::new().with_block(7),
-        ] {
-            let got = runner.estimate(&algo, &round_plan, 60, 17, success);
-            assert_eq!(got.successes, reference.successes);
-            assert_eq!(got.p_hat, reference.p_hat);
-        }
-    }
-
-    #[test]
     fn round_plan_decides_like_the_decision_scratch() {
         let (g, x, ids) = fixture(16);
         let inst = Instance::new(&g, &x, &ids);
@@ -423,28 +216,6 @@ mod tests {
             plan.run_with_faults(&algo, seed, &schedule),
             plan.run_randomized(&algo, seed)
         );
-    }
-
-    #[test]
-    fn fault_executions_are_deterministic_across_batching() {
-        let (g, x, ids) = fixture(16);
-        let inst = Instance::new(&g, &x, &ids);
-        let algo = coin_algo();
-        let plan = RoundPlan::for_instance(&inst, 1);
-        let fault_plan = FaultPlan::from_index(2, 0.4);
-        let root = SeedSequence::new(77);
-        let seeds: Vec<SeedSequence> = (0..30).map(|i| root.child(i)).collect();
-        let digest = |_t: usize, out: &Labeling, s: &FaultSchedule| {
-            (s.fingerprint(), out.get(rlnc_graph::NodeId(0)).as_u64())
-        };
-        let a = RoundRunner::new().map_fault_executions(&algo, &plan, &fault_plan, &seeds, digest);
-        let b = RoundRunner::sequential()
-            .map_fault_executions(&algo, &plan, &fault_plan, &seeds, digest);
-        let c = RoundRunner::new()
-            .with_block(3)
-            .map_fault_executions(&algo, &plan, &fault_plan, &seeds, digest);
-        assert_eq!(a, b);
-        assert_eq!(a, c);
     }
 
     #[test]

@@ -1,28 +1,30 @@
-//! The batch runner: `(algorithm × plan × K seeds)` in blocked parallel
-//! passes.
+//! The batch runner: `(algorithm × plan × K seeds)` in blocked passes.
 //!
-//! A [`BatchRunner`] owns only scheduling policy. Whether a batch fans out
-//! over the thread pool is decided automatically from `plan size × trial
-//! count` (the total work of the batch), and **never** inside an
-//! already-parallel region — the nested-parallelism heuristic that
-//! replaces the manual `Simulator::sequential()` convention. The choice
-//! can never change a result: every trial's coins derive from
-//! `(trial seed, node)` alone.
+//! A [`BatchRunner`] owns only the block size. Every method dispatches
+//! through one blocked helper: iff the workspace's one rule, [`fans_out`],
+//! says so for the pass's total work in ball members (plan work × trials
+//! × algorithms), the pass is split into blocks that run on the thread
+//! pool — so never inside an already-parallel region; otherwise it runs
+//! as one block on the caller. The choice can never change a result:
+//! every trial's coins derive from `(trial seed, node)` alone.
+//!
+//! The single-execution methods are the K=1 case of the batched ones:
+//! [`BatchRunner::run`] and [`BatchRunner::run_randomized`] walk the views
+//! like [`BatchRunner::run_many`], and [`BatchRunner::acceptance`] is
+//! [`BatchRunner::acceptance_many`] over one decider.
 
 use crate::plan::ExecutionPlan;
 use rlnc_core::algorithm::{Coins, LocalAlgorithm, RandomizedLocalAlgorithm};
 use rlnc_core::decision::RandomizedDecider;
-use rlnc_core::labels::Labeling;
+use rlnc_core::labels::{Label, Labeling};
+use rlnc_core::view::View;
 use rlnc_graph::NodeId;
+use rlnc_obs::{LazyCounter, Section};
+use rlnc_par::pool::fans_out;
 use rlnc_par::rng::SeedSequence;
 use rlnc_par::stats::Estimate;
-use rlnc_obs::{LazyCounter, Section};
-use rlnc_par::sweep::{balanced_ranges, sweep, sweep_sequential};
+use rlnc_par::sweep::{balanced_ranges, sweep};
 use std::ops::Range;
-
-/// Total `plan size × trial count` work below which a batch runs
-/// sequentially (the fan-out bookkeeping would dominate).
-const PARALLEL_WORK_THRESHOLD: u64 = 1 << 14;
 
 // Trials executed are a function of the requested batch alone —
 // deterministic. Pass counts depend on the block-size knob, and the
@@ -50,18 +52,9 @@ fn record_batch_pass(trials: u64, parallel: bool) {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Decide from batch work and the nesting context (the default).
-    Auto,
-    /// Never fan out.
-    Sequential,
-}
-
 /// Evaluates algorithms against [`ExecutionPlan`]s, one seed or many.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchRunner {
-    mode: Mode,
     block: u64,
 }
 
@@ -72,25 +65,14 @@ impl Default for BatchRunner {
 }
 
 impl BatchRunner {
-    /// A runner with automatic parallelism and 64-trial blocks.
+    /// A runner with 64-item blocks.
     pub fn new() -> Self {
-        BatchRunner {
-            mode: Mode::Auto,
-            block: 64,
-        }
+        BatchRunner { block: 64 }
     }
 
-    /// A runner that always evaluates sequentially (debugging, or pinning
-    /// scheduling down in tests — results are identical either way).
-    pub fn sequential() -> Self {
-        BatchRunner {
-            mode: Mode::Sequential,
-            block: 64,
-        }
-    }
-
-    /// Overrides the trial block size (trials per parallel work item).
-    /// Results are independent of this knob; it only shapes load balancing.
+    /// Overrides the block size (trials, or nodes for view walks, per pool
+    /// work item). Results are independent of this knob; it only shapes
+    /// load balancing when a pass fans out.
     ///
     /// # Panics
     /// Panics if `block` is zero.
@@ -100,179 +82,114 @@ impl BatchRunner {
         self
     }
 
-    /// The nested-parallelism heuristic: fan a batch of `trials` executions
-    /// out iff (a) the runner is not already inside a parallel region,
-    /// (b) there is more than one trial, and (c) the total work
-    /// `plan size × trials` clears [`PARALLEL_WORK_THRESHOLD`].
-    fn parallel_trials(&self, plan: &ExecutionPlan, trials: u64) -> bool {
-        match self.mode {
-            Mode::Sequential => false,
-            Mode::Auto => {
-                trials > 1
-                    && rayon::current_thread_index().is_none()
-                    && (plan.work_per_execution() as u64).saturating_mul(trials)
-                        >= PARALLEL_WORK_THRESHOLD
-            }
-        }
-    }
-
-    /// The work-based form of the heuristic, for plans (e.g. composite
-    /// construct-then-decide plans) whose per-trial work is not a single
-    /// `ExecutionPlan`'s.
-    fn parallel_for_work(&self, total_work: u64, trials: u64) -> bool {
-        match self.mode {
-            Mode::Sequential => false,
-            Mode::Auto => {
-                trials > 1
-                    && rayon::current_thread_index().is_none()
-                    && total_work >= PARALLEL_WORK_THRESHOLD
-            }
-        }
-    }
-
-    /// Chunks `trials` into blocks and maps `f` over the trial ranges,
-    /// fanning out iff `total_work` clears the heuristic. Results arrive in
-    /// submission (ascending-range) order either way.
-    pub(crate) fn run_blocked<T, F>(&self, trials: u64, total_work: u64, f: F) -> Vec<T>
+    /// The one dispatch path: iff [`fans_out`]`(work)`, chunks `0..items`
+    /// into blocks and maps `f` over them on the pool, in ascending-range
+    /// order; otherwise `f` runs once over the whole range on the caller
+    /// (blocks only balance load across threads). `pass` is the trial
+    /// count a batch pass records in the registry; single executions,
+    /// which are not batch passes, give `None`.
+    pub(crate) fn run_blocked<T, F>(
+        &self,
+        items: usize,
+        work: u64,
+        pass: Option<u64>,
+        f: F,
+    ) -> Vec<T>
     where
         T: Send,
         F: Fn(&Range<usize>) -> T + Sync,
     {
-        let chunks = (trials as usize).div_ceil(self.block as usize).max(1);
-        let ranges = balanced_ranges(trials as usize, chunks);
-        let parallel = self.parallel_for_work(total_work, trials);
-        record_batch_pass(trials, parallel);
+        let parallel = fans_out(work);
+        if let Some(trials) = pass {
+            record_batch_pass(trials, parallel);
+        }
         if parallel {
-            sweep(ranges, f)
+            sweep(balanced_ranges(items, items.div_ceil(self.block as usize)), f)
         } else {
-            sweep_sequential(ranges, f)
+            vec![f(&(0..items))]
         }
     }
 
-    /// The single-execution variant of the heuristic: fan out over nodes
-    /// iff the one execution alone carries enough work.
-    fn parallel_nodes(&self, plan: &ExecutionPlan) -> bool {
-        match self.mode {
-            Mode::Sequential => false,
-            Mode::Auto => {
-                plan.node_count() >= 64
-                    && rayon::current_thread_index().is_none()
-                    && plan.work_per_execution() as u64 >= PARALLEL_WORK_THRESHOLD
-            }
-        }
-    }
-
-    /// Evaluates a deterministic algorithm once against the plan,
-    /// parallelizing over nodes when the single execution is large enough.
+    /// Evaluates a deterministic algorithm once against the plan — the
+    /// K=1 case of [`BatchRunner::run_many`].
     pub fn run<A: LocalAlgorithm + ?Sized>(&self, algo: &A, plan: &ExecutionPlan) -> Labeling {
-        if !self.parallel_nodes(plan) {
-            return plan.run(algo);
-        }
-        let chunks = plan.node_count().div_ceil(self.block as usize).max(1);
-        let ranges = balanced_ranges(plan.node_count(), chunks);
-        let parts: Vec<Vec<rlnc_core::labels::Label>> = sweep(ranges, |range: &Range<usize>| {
-            plan.views()[range.clone()].iter().map(|v| algo.output(v)).collect()
-        });
-        Labeling::new(parts.into_iter().flatten().collect())
+        plan.assert_radius(algo.radius());
+        let mut outs = self.walk_views(plan, &[algo], None, |a, view| a.output(view));
+        outs.pop().expect("one algorithm yields one labeling")
     }
 
     /// Evaluates one execution of a randomized algorithm against the plan,
-    /// parallelizing over nodes when the execution is large enough.
+    /// walking the views like [`BatchRunner::run`].
     pub fn run_randomized<A: RandomizedLocalAlgorithm + ?Sized>(
         &self,
         algo: &A,
         plan: &ExecutionPlan,
         execution_seed: SeedSequence,
     ) -> Labeling {
-        if !self.parallel_nodes(plan) {
-            return plan.run_randomized(algo, execution_seed);
-        }
+        plan.assert_radius(algo.radius());
         let coins = Coins::new(execution_seed);
-        let chunks = plan.node_count().div_ceil(self.block as usize).max(1);
-        let ranges = balanced_ranges(plan.node_count(), chunks);
-        let parts: Vec<Vec<rlnc_core::labels::Label>> = sweep(ranges, |range: &Range<usize>| {
-            plan.views()[range.clone()]
-                .iter()
-                .map(|v| algo.output(v, &coins))
-                .collect()
-        });
-        Labeling::new(parts.into_iter().flatten().collect())
-    }
-
-    /// The multi-algorithm form of the heuristic: one pass over the plan
-    /// carrying `k` evaluations per view.
-    fn parallel_many(&self, plan: &ExecutionPlan, k: u64) -> bool {
-        match self.mode {
-            Mode::Sequential => false,
-            Mode::Auto => {
-                plan.node_count() >= 64
-                    && rayon::current_thread_index().is_none()
-                    && (plan.work_per_execution() as u64).saturating_mul(k)
-                        >= PARALLEL_WORK_THRESHOLD
-            }
-        }
+        let mut outs = self.walk_views(plan, &[algo], None, |a, view| a.output(view, &coins));
+        outs.pop().expect("one algorithm yields one labeling")
     }
 
     /// Evaluates **K same-radius deterministic algorithms** against the
-    /// plan in one view walk: node blocks are dispatched exactly like
-    /// [`BatchRunner::run`], and within each resident block the algorithm
-    /// loop runs *innermost* — every view is loaded once and serves all K
-    /// output functions while hot, amortizing the walk's memory traffic
-    /// across the whole algorithm slice. Returns one labeling per
-    /// algorithm, in slice order.
+    /// plan in one view walk: node blocks are dispatched like every other
+    /// pass, and within each block the algorithm loop runs *innermost* —
+    /// every view is loaded once and serves all K output functions while
+    /// hot, amortizing the walk's memory traffic across the whole
+    /// algorithm slice. Returns one labeling per algorithm, in slice
+    /// order.
     ///
-    /// Bit-identical to K sequential [`BatchRunner::run`] calls: each
-    /// output is a pure function of the (immutable) view, so neither the
-    /// loop interchange nor the block dispatch can change a label.
+    /// Bit-identical to K [`ExecutionPlan::run`] calls: each output is a
+    /// pure function of the (immutable) view, so neither the loop
+    /// interchange nor the block dispatch can change a label.
     pub fn run_many<A: LocalAlgorithm + ?Sized>(
         &self,
         algos: &[&A],
         plan: &ExecutionPlan,
     ) -> Vec<Labeling> {
         for algo in algos {
-            assert_eq!(
-                algo.radius(),
-                plan.radius(),
-                "algorithm radius {} does not match plan radius {}",
-                algo.radius(),
-                plan.radius()
-            );
+            plan.assert_radius(algo.radius());
         }
-        let k = algos.len();
-        if k == 0 {
+        if algos.is_empty() {
             return Vec::new();
         }
+        self.walk_views(plan, algos, Some(algos.len() as u64), |a, view| {
+            a.output(view)
+        })
+    }
+
+    /// One blocked walk over the plan's views evaluating `output(algo,
+    /// view)` for every algorithm, the algorithm loop innermost; work is
+    /// the plan's work per execution times K.
+    fn walk_views<A, F>(
+        &self,
+        plan: &ExecutionPlan,
+        algos: &[&A],
+        pass: Option<u64>,
+        output: F,
+    ) -> Vec<Labeling>
+    where
+        A: ?Sized + Sync,
+        F: Fn(&A, &View) -> Label + Sync,
+    {
+        let k = algos.len();
         let n = plan.node_count();
-        let parallel = self.parallel_many(plan, k as u64);
-        record_batch_pass(k as u64, parallel);
-        if !parallel {
-            // Direct-write walk: every output lands straight in its final
-            // slot, so the sequential path carries no block buffers or
-            // stitch copies on top of the plain per-algorithm loop.
-            let mut outs: Vec<Vec<rlnc_core::labels::Label>> =
-                (0..k).map(|_| Vec::with_capacity(n)).collect();
-            for view in plan.views() {
-                for (slot, algo) in outs.iter_mut().zip(algos) {
-                    slot.push(algo.output(view));
-                }
-            }
-            return outs.into_iter().map(Labeling::new).collect();
-        }
-        let run_block = |range: &Range<usize>| -> Vec<Vec<rlnc_core::labels::Label>> {
-            let mut parts: Vec<Vec<rlnc_core::labels::Label>> =
+        let work = (plan.work_per_execution() as u64).saturating_mul(k as u64);
+        let blocks = self.run_blocked(n, work, pass, |range: &Range<usize>| {
+            let mut parts: Vec<Vec<Label>> =
                 (0..k).map(|_| Vec::with_capacity(range.len())).collect();
             for view in &plan.views()[range.clone()] {
                 for (slot, algo) in parts.iter_mut().zip(algos) {
-                    slot.push(algo.output(view));
+                    slot.push(output(algo, view));
                 }
             }
             parts
-        };
-        let chunks = n.div_ceil(self.block as usize).max(1);
-        let ranges = balanced_ranges(n, chunks);
-        let blocks = sweep(ranges, run_block);
-        let mut outs: Vec<Vec<rlnc_core::labels::Label>> =
-            (0..k).map(|_| Vec::with_capacity(n)).collect();
+        });
+        // The first block's vectors become the outputs, so a walk that
+        // does not fan out copies no label.
+        let mut blocks = blocks.into_iter();
+        let mut outs = blocks.next().unwrap_or_else(|| vec![Vec::new(); k]);
         for block in blocks {
             for (slot, part) in outs.iter_mut().zip(block) {
                 slot.extend(part);
@@ -282,17 +199,16 @@ impl BatchRunner {
     }
 
     /// Estimates the acceptance probability of **K deciders at once** over
-    /// a decision plan: trials are blocked exactly like
-    /// [`BatchRunner::acceptance`], and within each trial one walk over the
-    /// cached views runs the decider loop innermost, keeping one verdict
-    /// bit per decider (a rejected decider is never re-evaluated, and the
-    /// walk stops early once every verdict has settled).
+    /// a decision plan: trials are blocked, and within each trial one walk
+    /// over the cached views runs the decider loop innermost, keeping one
+    /// verdict bit per decider (a rejected decider is never re-evaluated,
+    /// and the walk stops early once every verdict has settled).
     ///
-    /// Bit-identical, decider by decider, to K sequential
-    /// [`BatchRunner::acceptance`] calls with the same master seed: trial
-    /// `t`'s coins derive from `(master_seed, t, node)` alone, and a
-    /// decider's trial verdict is "accepts at every view" either way —
-    /// skipped evaluations only ever follow a rejection that already
+    /// Bit-identical, decider by decider, to the per-trial
+    /// [`ExecutionPlan::decide_randomized`] loop with the same master
+    /// seed: trial `t`'s coins derive from `(master_seed, t, node)` alone,
+    /// and a decider's trial verdict is "accepts at every view" either
+    /// way — skipped evaluations only ever follow a rejection that already
     /// settled the verdict.
     pub fn acceptance_many<D>(
         &self,
@@ -356,7 +272,7 @@ impl BatchRunner {
         let total_work = (plan.work_per_execution() as u64)
             .saturating_mul(trials)
             .saturating_mul(k as u64);
-        let counts = self.run_blocked(trials, total_work, run_block);
+        let counts = self.run_blocked(trials as usize, total_work, Some(trials), run_block);
         let mut successes = vec![0u64; k];
         for block in counts {
             for (total, count) in successes.iter_mut().zip(block) {
@@ -371,8 +287,7 @@ impl BatchRunner {
 
     /// Runs one execution per seed and maps each output labeling through
     /// `f`, returning the results in seed order. Trials are grouped into
-    /// blocks; each block reuses one output buffer, and blocks run in
-    /// parallel when the heuristic says so.
+    /// blocks; each block reuses one output buffer.
     pub fn map_executions<A, T, F>(
         &self,
         algo: &A,
@@ -385,6 +300,7 @@ impl BatchRunner {
         T: Send,
         F: Fn(usize, &Labeling) -> T + Sync,
     {
+        plan.assert_radius(algo.radius());
         let n = plan.node_count();
         let run_block = |range: &Range<usize>| -> Vec<T> {
             let mut out = Labeling::empty(n);
@@ -398,23 +314,9 @@ impl BatchRunner {
             }
             results
         };
-        // Plans carry a radius; fail fast before spawning anything.
-        assert_eq!(
-            algo.radius(),
-            plan.radius(),
-            "algorithm radius {} does not match plan radius {}",
-            algo.radius(),
-            plan.radius()
-        );
-        let chunks = seeds.len().div_ceil(self.block as usize).max(1);
-        let ranges = balanced_ranges(seeds.len(), chunks);
-        let parallel = self.parallel_trials(plan, seeds.len() as u64);
-        record_batch_pass(seeds.len() as u64, parallel);
-        let nested: Vec<Vec<T>> = if parallel {
-            sweep(ranges, run_block)
-        } else {
-            sweep_sequential(ranges, run_block)
-        };
+        let trials = seeds.len() as u64;
+        let work = (plan.work_per_execution() as u64).saturating_mul(trials);
+        let nested = self.run_blocked(seeds.len(), work, Some(trials), run_block);
         nested.into_iter().flatten().collect()
     }
 
@@ -444,7 +346,8 @@ impl BatchRunner {
     /// Estimates the acceptance probability `Pr[all nodes accept]` of a
     /// randomized decider over a **decision plan** (fixed outputs), with
     /// the same `(master_seed, trial)` seed derivation as
-    /// [`acceptance_probability`](rlnc_core::decision::acceptance_probability).
+    /// [`acceptance_probability`](rlnc_core::decision::acceptance_probability)
+    /// — the K=1 case of [`BatchRunner::acceptance_many`].
     pub fn acceptance<D>(
         &self,
         decider: &D,
@@ -455,23 +358,8 @@ impl BatchRunner {
     where
         D: RandomizedDecider + ?Sized,
     {
-        let root = SeedSequence::new(master_seed);
-        let run_block = |range: &Range<usize>| -> u64 {
-            range
-                .clone()
-                .filter(|&trial| plan.decide_randomized(decider, root.child(trial as u64)))
-                .count() as u64
-        };
-        let chunks = (trials as usize).div_ceil(self.block as usize).max(1);
-        let ranges = balanced_ranges(trials as usize, chunks);
-        let parallel = self.parallel_trials(plan, trials);
-        record_batch_pass(trials, parallel);
-        let counts: Vec<u64> = if parallel {
-            sweep(ranges, run_block)
-        } else {
-            sweep_sequential(ranges, run_block)
-        };
-        Estimate::from_counts(counts.into_iter().sum(), trials)
+        let mut estimates = self.acceptance_many(&[decider], plan, trials, master_seed);
+        estimates.pop().expect("one decider yields one estimate")
     }
 }
 
@@ -510,23 +398,20 @@ mod tests {
 
     #[test]
     fn runner_matches_simulator_for_single_executions() {
-        let (g, x, ids) = fixture(200);
+        // 6000 nodes × 3 ball members clear the fan-out threshold.
+        let (g, x, ids) = fixture(6000);
         let inst = Instance::new(&g, &x, &ids);
         let plan = ExecutionPlan::for_instance(&inst, 1);
         let det = FnAlgorithm::new(1, "ids", |v: &View| Label::from_u64(v.center_id()));
         assert_eq!(
             BatchRunner::new().run(&det, &plan),
-            Simulator::sequential().run(&det, &inst)
+            Simulator::new().run(&det, &inst)
         );
         let algo = coin_algo();
         let seed = SeedSequence::new(77).child(3);
         assert_eq!(
             BatchRunner::new().run_randomized(&algo, &plan, seed),
-            Simulator::sequential().run_randomized(&algo, &inst, seed)
-        );
-        assert_eq!(
-            BatchRunner::sequential().run_randomized(&algo, &plan, seed),
-            Simulator::sequential().run_randomized(&algo, &inst, seed)
+            Simulator::new().run_randomized(&algo, &inst, seed)
         );
     }
 
@@ -539,14 +424,10 @@ mod tests {
         let success =
             |out: &Labeling| out.get(rlnc_graph::NodeId(0)).as_u64() % 2 == 0;
         let legacy = MonteCarlo::new(400).with_seed(13).estimate(|seed| {
-            let out = Simulator::sequential().run_randomized(&algo, &inst, seed);
+            let out = Simulator::new().run_randomized(&algo, &inst, seed);
             success(&out)
         });
-        for runner in [
-            BatchRunner::new(),
-            BatchRunner::sequential(),
-            BatchRunner::new().with_block(7),
-        ] {
+        for runner in [BatchRunner::new(), BatchRunner::new().with_block(7)] {
             let engine = runner.estimate(&algo, &plan, 400, 13, success);
             assert_eq!(engine.successes, legacy.successes);
             assert_eq!(engine.p_hat, legacy.p_hat);
@@ -563,15 +444,31 @@ mod tests {
         });
         let plan = ExecutionPlan::for_io(&io, &ids, 1);
         let legacy = acceptance_probability(&decider, &io, &ids, 600, 5);
-        let engine = BatchRunner::new().acceptance(&decider, &plan, 600, 5);
-        assert_eq!(engine.successes, legacy.successes);
-        let sequential = BatchRunner::sequential().acceptance(&decider, &plan, 600, 5);
-        assert_eq!(sequential.successes, legacy.successes);
+        for runner in [BatchRunner::new(), BatchRunner::new().with_block(7)] {
+            let engine = runner.acceptance(&decider, &plan, 600, 5);
+            assert_eq!(engine.successes, legacy.successes);
+        }
+    }
+
+    /// The reference every batched acceptance is checked against: the
+    /// per-trial `ExecutionPlan::decide_randomized` loop.
+    fn accepted_trials<D: RandomizedDecider + ?Sized>(
+        decider: &D,
+        plan: &ExecutionPlan,
+        trials: u64,
+        master_seed: u64,
+    ) -> u64 {
+        let root = SeedSequence::new(master_seed);
+        (0..trials)
+            .filter(|&t| plan.decide_randomized(decider, root.child(t)))
+            .count() as u64
     }
 
     #[test]
     fn run_many_matches_k_sequential_runs() {
-        let (g, x, ids) = fixture(150);
+        // 2048 nodes × 3 ball members × 3 algorithms clear the fan-out
+        // threshold.
+        let (g, x, ids) = fixture(2048);
         let inst = Instance::new(&g, &x, &ids);
         let plan = ExecutionPlan::for_instance(&inst, 1);
         let a1 = FnAlgorithm::new(1, "ids", |v: &View| Label::from_u64(v.center_id()));
@@ -582,15 +479,11 @@ mod tests {
             Label::from_u64(v.center_rank() as u64)
         });
         let algos: Vec<&dyn LocalAlgorithm> = vec![&a1, &a2, &a3];
-        for runner in [
-            BatchRunner::new(),
-            BatchRunner::sequential(),
-            BatchRunner::new().with_block(7),
-        ] {
+        for runner in [BatchRunner::new(), BatchRunner::new().with_block(7)] {
             let many = runner.run_many(&algos, &plan);
             assert_eq!(many.len(), 3);
             for (algo, out) in algos.iter().zip(&many) {
-                assert_eq!(out, &runner.run(*algo, &plan));
+                assert_eq!(out, &plan.run(*algo));
             }
         }
         let empty: [&dyn LocalAlgorithm; 0] = [];
@@ -615,17 +508,11 @@ mod tests {
             coins.for_center(view).random_bool(0.3)
         });
         let deciders: Vec<&dyn RandomizedDecider> = vec![&d1, &d2, &d3];
-        for runner in [
-            BatchRunner::new(),
-            BatchRunner::sequential(),
-            BatchRunner::new().with_block(5),
-        ] {
+        for runner in [BatchRunner::new(), BatchRunner::new().with_block(5)] {
             let many = runner.acceptance_many(&deciders, &plan, 300, 11);
             assert_eq!(many.len(), 3);
             for (decider, estimate) in deciders.iter().zip(&many) {
-                let solo = runner.acceptance(*decider, &plan, 300, 11);
-                assert_eq!(estimate.successes, solo.successes);
-                assert_eq!(estimate.p_hat, solo.p_hat);
+                assert_eq!(estimate.successes, accepted_trials(*decider, &plan, 300, 11));
             }
         }
     }
@@ -647,8 +534,7 @@ mod tests {
         let many = BatchRunner::new().acceptance_many(&refs, &plan, 64, 3);
         assert_eq!(many.len(), 70);
         for (decider, estimate) in deciders.iter().zip(&many) {
-            let solo = BatchRunner::new().acceptance(decider, &plan, 64, 3);
-            assert_eq!(estimate.successes, solo.successes);
+            assert_eq!(estimate.successes, accepted_trials(decider, &plan, 64, 3));
         }
     }
 
@@ -664,6 +550,27 @@ mod tests {
         let _ = BatchRunner::new().run_many(&algos, &plan);
     }
 
+    // 8192 nodes × 3 ball members clear the fan-out work threshold, so
+    // these pin the radius check ahead of any dispatch decision.
+    #[test]
+    #[should_panic(expected = "does not match plan radius")]
+    fn run_rejects_a_radius_mismatch_on_large_plans() {
+        let (g, x, ids) = fixture(8192);
+        let plan = ExecutionPlan::for_instance(&Instance::new(&g, &x, &ids), 1);
+        let wrong = FnAlgorithm::new(2, "wrong", |_: &View| Label::from_u64(0));
+        let _ = BatchRunner::new().run(&wrong, &plan);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match plan radius")]
+    fn run_randomized_rejects_a_radius_mismatch_on_large_plans() {
+        let (g, x, ids) = fixture(8192);
+        let plan = ExecutionPlan::for_instance(&Instance::new(&g, &x, &ids), 1);
+        let wrong =
+            FnRandomizedAlgorithm::new(2, "wrong", |_: &View, _: &Coins| Label::from_u64(0));
+        let _ = BatchRunner::new().run_randomized(&wrong, &plan, SeedSequence::new(1));
+    }
+
     #[test]
     fn map_executions_preserves_trial_order() {
         let (g, x, ids) = fixture(16);
@@ -674,7 +581,9 @@ mod tests {
         });
         let plan = ExecutionPlan::for_instance(&inst, 0);
         let root = SeedSequence::new(4);
-        let seeds: Vec<SeedSequence> = (0..40).map(|i| root.child(i)).collect();
+        // 16 nodes × 1024 trials clear the fan-out threshold, so the
+        // 3-trial blocks run on the pool.
+        let seeds: Vec<SeedSequence> = (0..1024).map(|i| root.child(i)).collect();
         let got = BatchRunner::new().with_block(3).map_executions(&algo, &plan, &seeds, |t, out| {
             (t, out.get(rlnc_graph::NodeId(0)).as_u64())
         });

@@ -84,7 +84,7 @@ proptest! {
         let instance = Instance::new(&graph, &input, &ids);
         let algo = structural_algo(radius);
         let plan = ExecutionPlan::for_instance(&instance, radius);
-        let legacy = Simulator::sequential().run(&algo, &instance);
+        let legacy = Simulator::new().run(&algo, &instance);
         prop_assert_eq!(&plan.run(&algo), &legacy);
         prop_assert_eq!(&BatchRunner::new().run(&algo, &plan), &legacy);
     }
@@ -103,7 +103,7 @@ proptest! {
         let algo = coin_mixing_algo(radius);
         let plan = ExecutionPlan::for_instance(&instance, radius);
         let execution_seed = SeedSequence::new(seed).child(execution);
-        let legacy = Simulator::sequential().run_randomized(&algo, &instance, execution_seed);
+        let legacy = Simulator::new().run_randomized(&algo, &instance, execution_seed);
         prop_assert_eq!(&plan.run_randomized(&algo, execution_seed), &legacy);
         prop_assert_eq!(
             &BatchRunner::new().run_randomized(&algo, &plan, execution_seed),
@@ -124,7 +124,7 @@ proptest! {
         let plan = ExecutionPlan::for_instance(&instance, 1);
         let success = |out: &Labeling| out.get(NodeId(0)).as_u64() % 3 == 0;
         let legacy = MonteCarlo::new(60).with_seed(seed ^ 0xBEEF).estimate(|s| {
-            let out = Simulator::sequential().run_randomized(&algo, &instance, s);
+            let out = Simulator::new().run_randomized(&algo, &instance, s);
             success(&out)
         });
         let engine = BatchRunner::new().with_block(13).estimate(
@@ -222,7 +222,7 @@ proptest! {
         let parts: Vec<_> = hard.iter().map(|h| (&h.graph, &h.input, &h.ids)).collect();
         let union = UnionPlan::for_parts(&parts, nu, 0, 1);
         prop_assert_eq!(union.components(), nu);
-        for runner in [BatchRunner::new(), BatchRunner::sequential(), BatchRunner::new().with_block(7)] {
+        for runner in [BatchRunner::new(), BatchRunner::new().with_block(7)] {
             let engine = runner.union_acceptance(&union, &constructor, &decider, 60, seed);
             prop_assert_eq!(engine.successes, legacy.successes);
             prop_assert_eq!(engine.p_hat, legacy.p_hat);
@@ -260,7 +260,7 @@ proptest! {
 
         let far_legacy = experiment.acceptance_far_from_all_anchors(&constructor, &decider, 50, seed);
         let full_legacy = experiment.acceptance(&constructor, &decider, 50, seed ^ 0xF);
-        for runner in [BatchRunner::new(), BatchRunner::sequential()] {
+        for runner in [BatchRunner::new(), BatchRunner::new().with_block(7)] {
             let far = runner.glued_far_acceptance(&plan, &constructor, &decider, 50, seed);
             prop_assert_eq!(far.successes, far_legacy.successes);
             let full = runner.glued_acceptance(&plan, &constructor, &decider, 50, seed ^ 0xF);
@@ -347,7 +347,7 @@ fn view_native_verdicts_do_not_allocate() {
         let ids = IdAssignment::consecutive(&graph);
         let input = case.build_input(&graph, &ids);
         let inst = Instance::new(&graph, &input, &ids);
-        let out = rlnc_core::Simulator::sequential().run_randomized(
+        let out = rlnc_core::Simulator::new().run_randomized(
             &*case.constructor,
             &inst,
             SeedSequence::new(1).child(0),

@@ -1,12 +1,13 @@
 //! Batched multi-algorithm equivalence: `run_many` / `acceptance_many`
-//! must be **bit-identical** to K sequential `run` / `acceptance` calls —
-//! across the registry's language cases, the connected regular families
-//! the Claim-2 scan sweeps (cycle, circulant-2, prism), identity schemes,
-//! and seeds. The schedule axis is covered twice: in-process by running
-//! every property through the parallel, sequential, and odd-block
-//! runners, and across processes by CI running this suite in both the
-//! default and `RLNC_THREADS=1` legs (the pool reads the variable once
-//! per process).
+//! must be **bit-identical** to K independent references — per-algorithm
+//! [`ExecutionPlan::run`] and legacy `Simulator` runs, and per-trial
+//! [`ExecutionPlan::decide_randomized`] loops — across the registry's
+//! language cases, the connected regular families the Claim-2 scan sweeps
+//! (cycle, circulant-2, prism), identity schemes, and seeds. The schedule
+//! axis is covered twice: in-process by running every property through
+//! the default and odd-block runners, and across processes by CI running
+//! this suite in both the default and `RLNC_THREADS=1` legs (the pool
+//! reads the variable once per process).
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -18,17 +19,14 @@ use rlnc_engine::{BatchRunner, ExecutionPlan};
 use rlnc_graph::generators::Family;
 use rlnc_graph::IdAssignment;
 use rlnc_langs::registry::{CaseId, CaseRegistry};
+use rlnc_par::rng::SeedSequence;
 
 /// The families the `claim2-scan` scenario sweeps.
 const FAMILIES: [Family; 3] = [Family::Cycle, Family::Circulant2, Family::Prism];
 
 /// The schedule variants every property runs through.
-fn runners() -> [BatchRunner; 3] {
-    [
-        BatchRunner::new(),
-        BatchRunner::sequential(),
-        BatchRunner::new().with_block(7),
-    ]
+fn runners() -> [BatchRunner; 2] {
+    [BatchRunner::new(), BatchRunner::new().with_block(7)]
 }
 
 /// Graph + identity assignment for one property case; odd seeds take the
@@ -91,7 +89,7 @@ proptest! {
                 let many = runner.run_many(&refs, &plan);
                 prop_assert_eq!(many.len(), refs.len());
                 for (algo, batched) in refs.iter().zip(&many) {
-                    prop_assert_eq!(batched, &runner.run(*algo, &plan));
+                    prop_assert_eq!(batched, &plan.run(*algo));
                 }
             }
         }
@@ -113,13 +111,15 @@ proptest! {
         let deciders: Vec<_> = (0..k).map(graded_decider).collect();
         let refs: Vec<&dyn RandomizedDecider> =
             deciders.iter().map(|d| d as &dyn RandomizedDecider).collect();
+        let root = SeedSequence::new(seed ^ 0xA5);
         for runner in runners() {
             let many = runner.acceptance_many(&refs, &plan, trials, seed ^ 0xA5);
             prop_assert_eq!(many.len(), refs.len());
             for (decider, batched) in refs.iter().zip(&many) {
-                let solo = runner.acceptance(*decider, &plan, trials, seed ^ 0xA5);
-                prop_assert_eq!(batched.successes, solo.successes);
-                prop_assert_eq!(batched.p_hat, solo.p_hat);
+                let accepted = (0..trials)
+                    .filter(|&t| plan.decide_randomized(*decider, root.child(t)))
+                    .count() as u64;
+                prop_assert_eq!(batched.successes, accepted);
             }
         }
     }
@@ -127,7 +127,7 @@ proptest! {
 
 /// Pinned full-catalog pass at the default seed: every registry case's
 /// whole deterministic family (all radii) through the batched kernel on
-/// one prism instance, byte-compared against the sequential loop.
+/// one prism instance, byte-compared against the legacy simulator.
 #[test]
 fn every_registry_case_batches_bit_identically_at_seed_zero() {
     for case_index in 0..CaseRegistry::builtin().len() as u64 {
@@ -151,7 +151,7 @@ fn every_registry_case_batches_bit_identically_at_seed_zero() {
             for (algo, batched) in refs.iter().zip(&many) {
                 assert_eq!(
                     batched,
-                    &BatchRunner::new().run(*algo, &plan),
+                    &Simulator::new().run(*algo, &instance),
                     "case '{}' radius {radius}",
                     case.name
                 );

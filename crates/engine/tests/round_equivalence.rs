@@ -1,11 +1,10 @@
 //! Property-based equivalence suite for the **round backend**: fault-free
-//! executions through explicit message passing ([`RoundPlan`] /
-//! [`RoundRunner`]) must be **bit-identical** to the ball-extraction
-//! engine ([`ExecutionPlan`] / [`BatchRunner`] / [`DecisionScratch`]) for
-//! the same `(seed, node)` coin derivation — across random graph
-//! families, sizes, radii, identity assignments, seeds, synthetic
-//! coin-mixing algorithms, and **every language case in the registry**
-//! (constructor and decider alike).
+//! executions through explicit message passing ([`RoundPlan`]) must be
+//! **bit-identical** to the ball-extraction engine ([`ExecutionPlan`] /
+//! [`DecisionScratch`]) for the same `(seed, node)` coin derivation —
+//! across random graph families, sizes, radii, identity assignments,
+//! seeds, synthetic coin-mixing algorithms, and **every language case in
+//! the registry** (constructor and decider alike).
 //!
 //! This is the proof obligation that makes the fault axis trustworthy:
 //! once the fault-free round backend is pinned to the engine bit-for-bit,
@@ -16,9 +15,9 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rlnc_core::prelude::*;
-use rlnc_engine::{BatchRunner, ExecutionPlan, RoundPlan, RoundRunner};
+use rlnc_engine::{ExecutionPlan, RoundPlan};
 use rlnc_graph::generators::Family;
-use rlnc_graph::{IdAssignment, NodeId};
+use rlnc_graph::IdAssignment;
 use rlnc_langs::registry::{CaseId, LanguageCase};
 use rlnc_par::rng::SeedSequence;
 
@@ -126,29 +125,6 @@ proptest! {
             &round_plan.run_with_faults(&algo, execution_seed, &schedule),
             &reference
         );
-    }
-
-    /// The round runner's Monte-Carlo success stream equals the batch
-    /// runner's — same `(master, trial)` seed derivation, any blocking.
-    #[test]
-    fn round_runner_success_streams_are_bit_identical(
-        family_index in 0usize..Family::ALL.len(),
-        n in 8usize..32,
-        seed in 0u64..1_000_000,
-    ) {
-        let family = Family::ALL[family_index];
-        let (graph, input, ids) = instance_parts(family, n, seed);
-        let instance = Instance::new(&graph, &input, &ids);
-        let algo = coin_mixing_algo(1);
-        let ball_plan = ExecutionPlan::for_instance(&instance, 1);
-        let round_plan = RoundPlan::for_instance(&instance, 1);
-        let success = |out: &Labeling| out.get(NodeId(0)).as_u64() % 3 == 0;
-        let reference = BatchRunner::new().estimate(&algo, &ball_plan, 40, seed ^ 0xBEEF, success);
-        for runner in [RoundRunner::new(), RoundRunner::sequential(), RoundRunner::new().with_block(7)] {
-            let got = runner.estimate(&algo, &round_plan, 40, seed ^ 0xBEEF, success);
-            prop_assert_eq!(got.successes, reference.successes);
-            prop_assert_eq!(got.p_hat, reference.p_hat);
-        }
     }
 
     /// Decision by gathered views equals decision by extracted balls —

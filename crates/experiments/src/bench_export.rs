@@ -7,17 +7,20 @@
 //! trajectory the project can read trends from, and CI uploads a fresh
 //! export per run as an artifact.
 //!
-//! The three groups mirror the `simulator_perf` criterion benchmarks:
+//! The groups:
 //!
 //! * `ring-monte-carlo` — the headline: K Monte-Carlo trials of the
 //!   zero-round random 3-coloring on a consecutive-identity ring,
 //!   legacy (re-collect every view each trial) vs engine
-//!   ([`ExecutionPlan`] once + [`BatchRunner`]). Both sides run the trial
-//!   loop sequentially so the ratio isolates the plan amortization, not
-//!   thread counts.
+//!   ([`ExecutionPlan`] once + [`BatchRunner`]).
 //! * `resilient-decider` — the Corollary-1 decider on a planted-conflict
 //!   cycle: legacy `acceptance_probability` (radius-1 views re-collected
 //!   per node per trial) vs the engine's cached decision plan.
+//!
+//!   Both sides of these two groups fan their trials out by the
+//!   workspace's one rule ([`rlnc_par::pool::fans_out`]): on a multi-core
+//!   machine both run on the pool, so the ratio isolates the plan
+//!   amortization at equal thread counts.
 //! * `ball-extraction` — the substrate: per-node `Ball::extract` vs the
 //!   shared-scratch [`BallArena`] pass.
 //! * `shard-overhead` — the sweep partitioning cost (new with the serve
@@ -34,9 +37,10 @@
 //!   trajectory joins across BENCH files.
 //! * `multi-algo-scan` — the batched K-algorithm kernel: K = 16
 //!   label-comparing verdict deciders on a
-//!   larger-than-LLC radius-1 ring decision plan, K sequential
-//!   `acceptance` walks vs one `acceptance_many` pass with the decider
-//!   loop innermost, verdicts asserted bit-identical per decider.
+//!   larger-than-LLC radius-1 ring decision plan, K per-decider
+//!   `decide_randomized` trial loops vs one `acceptance_many` pass with
+//!   the decider loop innermost, verdicts asserted bit-identical per
+//!   decider.
 //!
 //! The derand groups (new with the pipeline refactor) measure the two
 //! Theorem-1 kernels against their legacy `rlnc_core::derand` reference
@@ -192,21 +196,21 @@ fn ring_monte_carlo(quick: bool) -> BenchGroup {
     let success = |out: &Labeling| out.get(NodeId(0)).as_u64() == 1;
 
     let legacy_ns = best_of(reps, || {
-        let est = MonteCarlo::new(trials).sequential().with_seed(7).estimate(|seed| {
-            let out = Simulator::sequential().run_randomized(&algo, &instance, seed);
+        let est = MonteCarlo::new(trials).with_seed(7).estimate(|seed| {
+            let out = Simulator::new().run_randomized(&algo, &instance, seed);
             success(&out)
         });
         assert!(est.p_hat >= 0.0);
     });
     let engine_ns = best_of(reps, || {
         let plan = ExecutionPlan::for_instance(&instance, 0);
-        let est = BatchRunner::sequential().estimate(&algo, &plan, trials, 7, success);
+        let est = BatchRunner::new().estimate(&algo, &plan, trials, 7, success);
         assert!(est.p_hat >= 0.0);
     });
     let plan = ExecutionPlan::for_instance(&instance, 0);
     let working_set_bytes = plan.working_set_bytes();
     let counters = obs_counters(|| {
-        let est = BatchRunner::sequential().estimate(&algo, &plan, trials, 7, success);
+        let est = BatchRunner::new().estimate(&algo, &plan, trials, 7, success);
         assert!(est.p_hat >= 0.0);
     });
     BenchGroup {
@@ -238,13 +242,13 @@ fn resilient_decider(quick: bool) -> BenchGroup {
     });
     let engine_ns = best_of(reps, || {
         let plan = ExecutionPlan::for_io(&io, &ids, 1);
-        let est = BatchRunner::sequential().acceptance(&decider, &plan, trials, 11);
+        let est = BatchRunner::new().acceptance(&decider, &plan, trials, 11);
         assert!(est.p_hat >= 0.0);
     });
     let plan = ExecutionPlan::for_io(&io, &ids, 1);
     let working_set_bytes = plan.working_set_bytes();
     let counters = obs_counters(|| {
-        let est = BatchRunner::sequential().acceptance(&decider, &plan, trials, 11);
+        let est = BatchRunner::new().acceptance(&decider, &plan, trials, 11);
         assert!(est.p_hat >= 0.0);
     });
     BenchGroup {
@@ -411,7 +415,7 @@ fn lcl_verdict_group(
     let instance = Instance::new(&graph, &input, &ids);
     // One constructed output at a fixed seed, then the decision views the
     // generic deciders would verdict on.
-    let out = Simulator::sequential().run_randomized(
+    let out = Simulator::new().run_randomized(
         &*case.constructor,
         &instance,
         rlnc_par::SeedSequence::new(0).child(0),
@@ -628,7 +632,7 @@ fn verdict_soa(quick: bool) -> BenchGroup {
     let input = Labeling::empty(n);
     let ids = IdAssignment::consecutive(&graph);
     let instance = Instance::new(&graph, &input, &ids);
-    let out = Simulator::sequential().run_randomized(
+    let out = Simulator::new().run_randomized(
         &RandomColoring::new(colors),
         &instance,
         rlnc_par::SeedSequence::new(0).child(0),
@@ -710,14 +714,15 @@ fn scan_decider(j: u64) -> FnRandomizedDecider<impl Fn(&View, &Coins) -> bool + 
 
 /// The batched K-decider scan (the `acceptance_many` kernel): K = 16
 /// label-comparing verdict deciders over a properly 3-colored ring whose
-/// decision plan exceeds the last-level cache. Legacy = K sequential
-/// [`BatchRunner::acceptance`] calls — the per-algorithm loop the Claim-2
-/// scan used to run — each trial re-streaming every cached view from
-/// memory; engine = one [`BatchRunner::acceptance_many`] pass with the decider
-/// loop innermost, so each view is loaded once per trial and serves all
-/// K verdicts while hot. Verdict parity (successes and p-hat per
-/// decider) is asserted on the way; both sides run sequentially so the
-/// ratio isolates the view-walk amortization, not thread counts.
+/// decision plan exceeds the last-level cache. Legacy = K per-decider
+/// [`ExecutionPlan::decide_randomized`] trial loops — the per-algorithm
+/// loop the Claim-2 scan used to run — each trial re-streaming every
+/// cached view from memory; engine = one [`BatchRunner::acceptance_many`]
+/// pass with the decider loop innermost, so each view is loaded once per
+/// trial and serves all K verdicts while hot. Verdict parity (successes
+/// per decider) is asserted on the way. Two trials make one block, so
+/// both sides run inline and the ratio isolates the view-walk
+/// amortization, not thread counts.
 fn multi_algo_scan(quick: bool) -> BenchGroup {
     let (n, reps) = if quick { (3usize << 14, 3) } else { (3 << 19, 3) };
     let k = 16u64;
@@ -733,13 +738,18 @@ fn multi_algo_scan(quick: bool) -> BenchGroup {
     let deciders: Vec<_> = (0..k).map(scan_decider).collect();
     let refs: Vec<&dyn RandomizedDecider> =
         deciders.iter().map(|d| d as &dyn RandomizedDecider).collect();
-    let runner = BatchRunner::sequential();
+    let root = rlnc_par::SeedSequence::new(0xC2);
+    let accepted = |decider: &dyn RandomizedDecider| {
+        (0..trials)
+            .filter(|&t| plan.decide_randomized(decider, root.child(t)))
+            .count() as u64
+    };
+    let runner = BatchRunner::new();
     let batched = runner.acceptance_many(&refs, &plan, trials, 0xC2);
     for (decider, estimate) in refs.iter().zip(&batched) {
-        let solo = runner.acceptance(*decider, &plan, trials, 0xC2);
         assert_eq!(
-            (estimate.successes, estimate.p_hat),
-            (solo.successes, solo.p_hat),
+            estimate.successes,
+            accepted(*decider),
             "the batched scan must be bit-identical to the per-decider loop"
         );
         assert_eq!(estimate.successes, trials, "scan deciders accept by construction");
@@ -747,7 +757,7 @@ fn multi_algo_scan(quick: bool) -> BenchGroup {
     let legacy_ns = best_of(reps, || {
         let mut successes = 0u64;
         for decider in &refs {
-            successes += runner.acceptance(*decider, &plan, trials, 0xC2).successes;
+            successes += accepted(*decider);
         }
         assert_eq!(successes, k * trials);
     });

@@ -73,7 +73,7 @@ fn enable_tracing() {
     rlnc_obs::set_enabled(true);
 }
 
-/// Writes the collected trace (registry snapshot + rayon spawn count) to
+/// Writes the collected trace (registry snapshot + pool counters) to
 /// `path`.
 fn write_trace(path: &str) {
     write_file(path, &trace::collect().to_json());

@@ -5,11 +5,9 @@
 //! injects the metrics the registry cannot see from inside: the
 //! persistent work-stealing pool's counters
 //! ([`rlnc_par::pool::stats`] — tasks dispatched, steals, parks,
-//! resident workers) plus the historical
-//! [`rlnc_par::sweep::scoped_spawn_count`] alias for the worker count.
-//! All of them depend on core count / `RLNC_THREADS` and scheduling
-//! luck, so they land in the **timing** section and never disturb the
-//! deterministic-section byte pins.
+//! resident workers). All of them depend on core count / `RLNC_THREADS`
+//! and scheduling luck, so they land in the **timing** section and never
+//! disturb the deterministic-section byte pins.
 //!
 //! [`from_json`] parses an `rlnc-trace-v1` document back into a
 //! [`TraceDocument`] via the shared `rlnc-sweep` JSON parser;
@@ -19,19 +17,12 @@
 use rlnc_obs::{MetricValue, MetricsSnapshot, TraceDocument};
 use rlnc_sweep::emit::json;
 
-/// The timing-section name under which the pool's resident worker
-/// count is exported. Kept under its historical name (the pre-pool
-/// stub spawned scoped threads per region) so traces stay comparable
-/// across the transition; it now equals `pool.workers`.
-pub const RAYON_SPAWNS_METRIC: &str = "rayon.scoped_spawns";
-
 /// Timing-section names for the work-stealing pool counters, in the
 /// order they are inserted.
 pub const POOL_METRICS: [&str; 4] = ["pool.tasks", "pool.steals", "pool.parks", "pool.workers"];
 
 /// Snapshots the registry into a [`TraceDocument`] and appends the
-/// work-stealing pool's cumulative counters (plus the historical rayon
-/// spawn-count alias) to the timing section.
+/// work-stealing pool's cumulative counters to the timing section.
 pub fn collect() -> TraceDocument {
     let mut doc = rlnc_obs::snapshot();
     let pool = rlnc_par::pool::stats();
@@ -40,10 +31,6 @@ pub fn collect() -> TraceDocument {
     doc.timing.insert(steals, MetricValue::Counter(pool.steals));
     doc.timing.insert(parks, MetricValue::Counter(pool.parks));
     doc.timing.insert(workers, MetricValue::Counter(pool.workers));
-    doc.timing.insert(
-        RAYON_SPAWNS_METRIC,
-        MetricValue::Counter(rlnc_par::sweep::scoped_spawn_count()),
-    );
     doc
 }
 
@@ -126,18 +113,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn collect_always_reports_rayon_spawns() {
-        let doc = collect();
-        assert!(
-            matches!(
-                doc.timing.get(RAYON_SPAWNS_METRIC),
-                Some(MetricValue::Counter(_))
-            ),
-            "the spawn counter must be present even when obs is disabled"
-        );
-    }
-
-    #[test]
     fn collect_always_reports_pool_counters() {
         let doc = collect();
         for name in POOL_METRICS {
@@ -150,10 +125,6 @@ mod tests {
                 "{name} is schedule-dependent and must stay out of the deterministic section"
             );
         }
-        // The historical alias and the pool's own worker counter agree.
-        let workers = doc.timing.get("pool.workers");
-        let spawns = doc.timing.get(RAYON_SPAWNS_METRIC);
-        assert_eq!(workers, spawns);
     }
 
     #[test]

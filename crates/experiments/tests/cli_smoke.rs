@@ -290,10 +290,7 @@ fn trace_out_deterministic_section_is_reproducible_and_parses_back() {
         "a fault-matrix sweep must populate deterministic metrics"
     );
     assert!(doc_a.deterministic.get("sweep.runs").is_some());
-    assert!(doc_a
-        .timing
-        .get(rlnc_experiments::trace::RAYON_SPAWNS_METRIC)
-        .is_some());
+    assert!(doc_a.timing.get("pool.workers").is_some());
 
     // Across process runs (fresh thread schedules) the deterministic
     // section is byte-identical; the timing section may differ.

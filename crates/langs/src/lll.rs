@@ -182,11 +182,11 @@ mod tests {
         let lang = NeighborhoodLll::new();
         let mc = rlnc_par::trials::MonteCarlo::new(60).with_seed(19);
         let zero_phase = mc.summarize(|seed| {
-            let out = Simulator::sequential().run_randomized(&ResamplingLll::new(0), &inst, seed);
+            let out = Simulator::new().run_randomized(&ResamplingLll::new(0), &inst, seed);
             bad_ball_count(&lang, &IoConfig::new(&g, &x, &out)) as f64
         });
         let five_phases = mc.summarize(|seed| {
-            let out = Simulator::sequential().run_randomized(&ResamplingLll::new(5), &inst, seed);
+            let out = Simulator::new().run_randomized(&ResamplingLll::new(5), &inst, seed);
             bad_ball_count(&lang, &IoConfig::new(&g, &x, &out)) as f64
         });
         assert!(
@@ -205,7 +205,8 @@ mod tests {
         let ids = IdAssignment::consecutive(&g);
         let inst = Instance::new(&g, &x, &ids);
         let relaxed = FResilient::new(NeighborhoodLll::new(), 3);
-        let est = Simulator::sequential().construction_success(&ResamplingLll::new(6), &inst, &relaxed, 200, 23);
+        let est =
+            Simulator::new().construction_success(&ResamplingLll::new(6), &inst, &relaxed, 200, 23);
         assert!(
             est.p_hat > 0.6,
             "resampling should usually leave at most 3 bad events, got {}",

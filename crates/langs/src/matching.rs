@@ -361,7 +361,7 @@ mod tests {
         let lang = MaximalMatching::new();
         for trial in 0..12u64 {
             let seed = SeedSequence::new(4).child(trial);
-            let out = Simulator::sequential().run_randomized(&algo, &inst, seed);
+            let out = Simulator::new().run_randomized(&algo, &inst, seed);
             let io = IoConfig::new(&g, &x, &out);
             // Every non-zero claim must be reciprocated (the only bad balls
             // a mutual-proposal matching can leave are maximality ones).
@@ -381,7 +381,7 @@ mod tests {
             let shifted = IdAssignment::new(ids.as_slice().iter().map(|&i| i + 500).collect());
             let bad_before = rlnc_core::language::bad_ball_count(&lang, &io);
             let shifted_out =
-                Simulator::sequential().run_randomized(&algo, &Instance::new(&g, &x, &shifted), seed);
+                Simulator::new().run_randomized(&algo, &Instance::new(&g, &x, &shifted), seed);
             let bad_after = rlnc_core::language::bad_ball_count(
                 &lang,
                 &IoConfig::new(&g, &x, &shifted_out),

@@ -89,7 +89,7 @@ mod tests {
         let lang = ProperColoring::new(3);
         let mc = MonteCarlo::new(200).with_seed(21);
         let summary = mc.summarize(|seed| {
-            let out = Simulator::sequential().run_randomized(&algo, &inst, seed);
+            let out = Simulator::new().run_randomized(&algo, &inst, seed);
             let io = IoConfig::new(&g, &x, &out);
             1.0 - improperly_colored_nodes(&lang, &io) as f64 / n as f64
         });
@@ -113,7 +113,7 @@ mod tests {
         let inst = Instance::new(&g, &x, &ids);
         let algo = RandomColoring::new(3);
         let relaxed = EpsilonSlack::new(ProperColoring::new(3), 0.62);
-        let est = Simulator::sequential().construction_success(&algo, &inst, &relaxed, 400, 5);
+        let est = Simulator::new().construction_success(&algo, &inst, &relaxed, 400, 5);
         assert!(est.p_hat > 0.8, "ε-slack success probability {} too small", est.p_hat);
     }
 
@@ -130,8 +130,8 @@ mod tests {
         let ids2 = IdAssignment::consecutive(&g2);
         let algo = RandomColoring::new(4);
         let seed = SeedSequence::new(77).child(0);
-        let out1 = Simulator::sequential().run_randomized(&algo, &Instance::new(&g1, &x1, &ids1), seed);
-        let out2 = Simulator::sequential().run_randomized(&algo, &Instance::new(&g2, &x2, &ids2), seed);
+        let out1 = Simulator::new().run_randomized(&algo, &Instance::new(&g1, &x1, &ids1), seed);
+        let out2 = Simulator::new().run_randomized(&algo, &Instance::new(&g2, &x2, &ids2), seed);
         for i in 0..8u32 {
             assert_eq!(out1.get(rlnc_graph::NodeId(i)), out2.get(rlnc_graph::NodeId(i)));
         }

@@ -576,7 +576,7 @@ mod tests {
             let input = case.build_input(&graph, &ids);
             let inst = Instance::new(&graph, &input, &ids);
             for algo in &case.det_family {
-                let out = Simulator::sequential().run(&**algo, &inst);
+                let out = Simulator::new().run(&**algo, &inst);
                 let io = IoConfig::new(&graph, &input, &out);
                 assert!(
                     !case.language.contains(&io),
@@ -601,7 +601,7 @@ mod tests {
             let inst = Instance::new(&graph, &input, &ids);
             let mut failures = 0u32;
             for trial in 0..40u64 {
-                let out = Simulator::sequential().run_randomized(
+                let out = Simulator::new().run_randomized(
                     &*case.constructor,
                     &inst,
                     SeedSequence::new(7).child(trial),

@@ -149,7 +149,7 @@ mod tests {
         let lang = WeakColoring::new();
         let mc = rlnc_par::trials::MonteCarlo::new(100).with_seed(5);
         let summary = mc.summarize(|seed| {
-            let out = Simulator::sequential().run_randomized(&RandomBitColoring, &inst, seed);
+            let out = Simulator::new().run_randomized(&RandomBitColoring, &inst, seed);
             bad_ball_count(&lang, &IoConfig::new(&g, &x, &out)) as f64 / n as f64
         });
         // On the ring the per-node failure probability is 2^{-2} = 1/4.

@@ -45,7 +45,7 @@ proptest! {
             let input = case.build_input(&graph, &ids);
             let instance = Instance::new(&graph, &input, &ids);
             // A real output distribution: the case's own constructor.
-            let output = Simulator::sequential().run_randomized(
+            let output = Simulator::new().run_randomized(
                 &*case.constructor,
                 &instance,
                 SeedSequence::new(seed).child(1),
@@ -85,7 +85,7 @@ proptest! {
         let ids = IdAssignment::consecutive(&graph);
         let input = rlnc_core::labels::Labeling::empty(n);
         let instance = Instance::new(&graph, &input, &ids);
-        let output = Simulator::sequential().run_randomized(
+        let output = Simulator::new().run_randomized(
             &RandomColoring::new(3),
             &instance,
             SeedSequence::new(seed).child(0),

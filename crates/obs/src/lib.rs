@@ -21,8 +21,8 @@
 //! * [`Section::Timing`] — wall-clock spans and anything
 //!   schedule-dependent: blocked-pass counts (a function of batch size),
 //!   parallel-vs-sequential dispatch decisions (a function of core count
-//!   and nesting), scoped-thread spawn counts from the vendored rayon
-//!   stub. Excluded from all determinism checks.
+//!   and nesting), the work-stealing pool's task/steal/park/worker
+//!   counts. Excluded from all determinism checks.
 //!
 //! ## Cost model
 //!

@@ -16,9 +16,10 @@
 //!   confidence intervals.
 //! * [`stats`]: Wilson score intervals, summary statistics, histograms.
 //! * [`sweep`]: chunked parallel parameter sweeps.
-//! * [`pool`]: introspection over the persistent work-stealing pool that
-//!   executes all of the above (size, task/steal/park counters, the
-//!   `RLNC_THREADS` override).
+//! * [`pool`]: the persistent work-stealing pool that executes all of the
+//!   above — the one fan-out rule ([`pool::fans_out`]) every runner in
+//!   the workspace asks, plus introspection (size, task/steal/park
+//!   counters, the `RLNC_THREADS` override).
 //! * [`scale`]: the shared smoke/standard/full work-scaling knob used by
 //!   the experiment drivers, the sweep engine, and the benches.
 

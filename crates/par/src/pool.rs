@@ -14,8 +14,25 @@
 //! parallelism (see [`thread_count`]). `RLNC_THREADS=1` disables the
 //! pool entirely — every region runs inline on its caller, which is
 //! the sequential-equivalence configuration CI pins.
+//!
+//! [`fans_out`] is the workspace's one fan-out rule: every runner,
+//! simulator and executor asks it whether a loop goes to the pool. No
+//! result can depend on the answer, because every Monte-Carlo stream is
+//! a function of `(seed, node)` alone.
 
 pub use rayon::pool::PoolStats;
+
+/// Work, counted in ball members, below which a loop runs inline: the
+/// fan-out bookkeeping would dominate.
+pub const FAN_OUT_WORK: u64 = 1 << 14;
+
+/// Whether a loop carrying `work` ball members should fan out over the
+/// pool: true iff `work >= FAN_OUT_WORK`, the pool has more than one
+/// thread, and the caller is not already inside a pool task (nested
+/// regions run inline).
+pub fn fans_out(work: u64) -> bool {
+    work >= FAN_OUT_WORK && thread_count() > 1 && rayon::current_thread_index().is_none()
+}
 
 /// Snapshot of the pool's lifetime counters: workers spawned, tasks
 /// dispatched, steals, and parks. All zeros until the first parallel
@@ -39,6 +56,14 @@ mod tests {
         let first = thread_count();
         assert!(first >= 1);
         assert_eq!(thread_count(), first);
+    }
+
+    #[test]
+    fn fans_out_needs_the_threshold_several_threads_and_the_top_level() {
+        assert!(!fans_out(FAN_OUT_WORK - 1));
+        assert_eq!(fans_out(u64::MAX), thread_count() > 1);
+        let nested = crate::sweep::sweep((0..8u64).collect(), |_| fans_out(u64::MAX));
+        assert_eq!(nested, vec![false; 8]);
     }
 
     #[test]

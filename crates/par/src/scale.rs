@@ -2,12 +2,12 @@
 //! wall-clock time.
 //!
 //! Every Monte-Carlo workload in the workspace (the E1–E10 experiment
-//! drivers, the scenario sweeps, the criterion benchmarks) sizes itself
+//! drivers, the scenario sweeps, the bench export) sizes itself
 //! from a base trial count and a base graph size; [`Scale`] is the single
 //! place where those bases are multiplied up or down. Keeping the
 //! multipliers here — rather than re-deriving them per harness — guarantees
-//! that "smoke" means the same thing to the CLI, the benches, and the
-//! sweep executor.
+//! that "smoke" means the same thing to the CLI, the bench export, and
+//! the sweep executor.
 
 use serde::{Deserialize, Serialize};
 

@@ -27,25 +27,6 @@ where
     configs.iter().map(f).collect()
 }
 
-/// Number of resident worker threads the vendored `rayon` stub's
-/// persistent pool has spawned since process start — a *timing-section*
-/// metric (it depends on core count / `RLNC_THREADS`, never on
-/// results). The pool spawns its workers exactly once, on the first
-/// real parallel region, and parks them between regions, so this stays
-/// at `thread_count() - 1` for the life of the process (0 before the
-/// first region, or always under `RLNC_THREADS=1`). Kept under its
-/// historical name so `rayon.scoped_spawns` traces stay comparable
-/// across the scoped-thread → pool transition; the richer per-region
-/// counters live in [`crate::pool::stats`].
-///
-/// This wrapper is the single site to patch when swapping the vendored
-/// stub back to crates.io `rayon`: count `ThreadPoolBuilder` spawns via
-/// its `spawn_handler` (the semantics — threads spawned into the
-/// resident pool — now match upstream's one-time spawn model exactly).
-pub fn scoped_spawn_count() -> u64 {
-    rayon::scoped_spawn_count()
-}
-
 /// Cartesian product of two parameter axes.
 pub fn grid2<A: Clone, B: Clone>(a: &[A], b: &[B]) -> Vec<(A, B)> {
     let mut out = Vec::with_capacity(a.len() * b.len());

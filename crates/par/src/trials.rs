@@ -2,12 +2,14 @@
 //!
 //! [`MonteCarlo`] runs `N` independent trials of a user closure. Each trial
 //! receives a [`SeedSequence`] derived from `(master seed, trial index)`,
-//! so results do not depend on the parallel schedule; trials are spread
-//! over the Rayon thread pool. A runner that finds itself already inside a
-//! parallel region (via `rayon::current_thread_index`) degrades to
-//! sequential execution automatically, so nesting Monte-Carlo loops never
-//! multiplies thread counts — and never changes a result.
+//! so results do not depend on the parallel schedule. Whether the trials
+//! are spread over the pool is decided by [`fans_out`]: the runner cannot
+//! see a trial's work, so it counts each trial as a full
+//! [`FAN_OUT_WORK`] and fans out whenever it is not already inside a pool
+//! task — nesting Monte-Carlo loops never multiplies thread counts, and
+//! never changes a result.
 
+use crate::pool::{fans_out, FAN_OUT_WORK};
 use crate::rng::SeedSequence;
 use crate::stats::{Estimate, Summary};
 use rayon::prelude::*;
@@ -33,13 +35,12 @@ impl TrialOutcome {
     }
 }
 
-/// A Monte-Carlo experiment configuration: number of trials, master seed,
-/// and whether to parallelize.
+/// A Monte-Carlo experiment configuration: number of trials and master
+/// seed.
 #[derive(Debug, Clone, Copy)]
 pub struct MonteCarlo {
     trials: u64,
     master_seed: u64,
-    parallel: bool,
 }
 
 impl MonteCarlo {
@@ -50,7 +51,6 @@ impl MonteCarlo {
         MonteCarlo {
             trials,
             master_seed: 0x5AA5_1DE0_2015_0627, // SPAA 2015 vintage
-            parallel: true,
         }
     }
 
@@ -58,21 +58,6 @@ impl MonteCarlo {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.master_seed = seed;
         self
-    }
-
-    /// Forces sequential execution. Rarely needed: a parallel runner
-    /// invoked from inside an already-parallel region detects the nesting
-    /// and runs sequentially on its own; this override remains for
-    /// debugging and scheduling-sensitive tests.
-    pub fn sequential(mut self) -> Self {
-        self.parallel = false;
-        self
-    }
-
-    /// Whether this invocation should actually fan out: the configured
-    /// flag, gated on not already running inside a parallel region.
-    fn fan_out(&self) -> bool {
-        self.parallel && rayon::current_thread_index().is_none()
     }
 
     /// Number of trials this runner performs.
@@ -86,16 +71,7 @@ impl MonteCarlo {
     where
         F: Fn(SeedSequence) -> bool + Sync,
     {
-        let successes = if self.fan_out() {
-            (0..self.trials)
-                .into_par_iter()
-                .map(|i| u64::from(trial(self.trial_seed(i))))
-                .sum()
-        } else {
-            (0..self.trials)
-                .map(|i| u64::from(trial(self.trial_seed(i))))
-                .sum()
-        };
+        let successes = self.map_trials(trial).into_iter().filter(|&s| s).count() as u64;
         Estimate::from_counts(successes, self.trials)
     }
 
@@ -105,15 +81,7 @@ impl MonteCarlo {
     where
         F: Fn(SeedSequence) -> f64 + Sync,
     {
-        let values: Vec<f64> = if self.fan_out() {
-            (0..self.trials)
-                .into_par_iter()
-                .map(|i| trial(self.trial_seed(i)))
-                .collect()
-        } else {
-            (0..self.trials).map(|i| trial(self.trial_seed(i))).collect()
-        };
-        Summary::of(&values)
+        Summary::of(&self.map_trials(trial))
     }
 
     /// Runs an experiment returning a full [`TrialOutcome`] and produces
@@ -122,17 +90,29 @@ impl MonteCarlo {
     where
         F: Fn(SeedSequence) -> TrialOutcome + Sync,
     {
-        let outcomes: Vec<TrialOutcome> = if self.fan_out() {
-            (0..self.trials)
+        let outcomes = self.map_trials(trial);
+        let successes = outcomes.iter().filter(|o| o.success).count() as u64;
+        let values: Vec<f64> = outcomes.iter().map(|o| o.value).collect();
+        (Estimate::from_counts(successes, self.trials), Summary::of(&values))
+    }
+
+    /// Maps every trial's seed through `trial`, in trial order, on the pool
+    /// iff [`fans_out`] says so — each trial counting as a full
+    /// [`FAN_OUT_WORK`], since the runner cannot see a trial's work.
+    fn map_trials<T, F>(&self, trial: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(SeedSequence) -> T + Sync,
+    {
+        let seeds = 0..self.trials;
+        if fans_out(self.trials.saturating_mul(FAN_OUT_WORK)) {
+            seeds
                 .into_par_iter()
                 .map(|i| trial(self.trial_seed(i)))
                 .collect()
         } else {
-            (0..self.trials).map(|i| trial(self.trial_seed(i))).collect()
-        };
-        let successes = outcomes.iter().filter(|o| o.success).count() as u64;
-        let values: Vec<f64> = outcomes.iter().map(|o| o.value).collect();
-        (Estimate::from_counts(successes, self.trials), Summary::of(&values))
+            seeds.map(|i| trial(self.trial_seed(i))).collect()
+        }
     }
 
     /// Seed sequence handed to trial `i`.
@@ -157,9 +137,10 @@ mod tests {
     #[test]
     fn parallel_and_sequential_agree_exactly() {
         let trial = |seq: SeedSequence| seq.rng().random_bool(0.37);
-        let par = MonteCarlo::new(5_000).with_seed(7).estimate(trial);
-        let seq = MonteCarlo::new(5_000).with_seed(7).sequential().estimate(trial);
-        assert_eq!(par.successes, seq.successes);
+        let mc = MonteCarlo::new(5_000).with_seed(7);
+        let par = mc.estimate(trial);
+        let seq = (0..5_000).filter(|&i| trial(mc.trial_seed(i))).count() as u64;
+        assert_eq!(par.successes, seq);
     }
 
     #[test]

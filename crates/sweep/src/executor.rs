@@ -21,6 +21,7 @@
 use crate::record::{RunRecord, SweepRun};
 use crate::spec::{GridPoint, ScenarioSpec};
 use rlnc_obs::{LazyCounter, LazySpan, Section};
+use rlnc_par::pool::{fans_out, FAN_OUT_WORK};
 use rlnc_par::rng::SeedSequence;
 use rlnc_par::stats::Estimate;
 use rlnc_par::sweep::{balanced_ranges, sweep, sweep_sequential};
@@ -53,25 +54,23 @@ pub fn scenario_tag(name: &str) -> u64 {
 }
 
 /// Runs [`ScenarioSpec`]s: materializes the grid, executes trial batches
-/// in parallel, and collects [`RunRecord`]s.
+/// (in parallel when [`fans_out`] says so), and collects [`RunRecord`]s.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepExecutor {
     scale: Scale,
     master_seed: u64,
     batch: u64,
-    parallel: bool,
     progress: bool,
 }
 
 impl SweepExecutor {
-    /// Creates an executor at the given scale with the default seed,
-    /// parallel execution, and 256-trial batches.
+    /// Creates an executor at the given scale with the default seed and
+    /// 256-trial batches.
     pub fn new(scale: Scale) -> Self {
         SweepExecutor {
             scale,
             master_seed: DEFAULT_SWEEP_SEED,
             batch: 256,
-            parallel: true,
             progress: false,
         }
     }
@@ -99,12 +98,6 @@ impl SweepExecutor {
     pub fn with_batch(mut self, batch: u64) -> Self {
         assert!(batch > 0, "batch size must be positive");
         self.batch = batch;
-        self
-    }
-
-    /// Forces sequential execution (for debugging or nested contexts).
-    pub fn sequential(mut self) -> Self {
-        self.parallel = false;
         self
     }
 
@@ -348,11 +341,15 @@ impl SweepExecutor {
             }
             (slot, successes, values)
         };
-        let partials: Vec<(usize, u64, Vec<f64>)> = if self.parallel {
-            sweep(items, run_item)
-        } else {
-            sweep_sequential(items, run_item)
-        };
+        // The executor cannot see a trial's work, so each trial counts as a
+        // full FAN_OUT_WORK: the items fan out unless already nested.
+        let trials: u64 = prepared.iter().map(|(p, _, _)| p.trials).sum();
+        let partials: Vec<(usize, u64, Vec<f64>)> =
+            if fans_out(trials.saturating_mul(FAN_OUT_WORK)) {
+                sweep(items, run_item)
+            } else {
+                sweep_sequential(items, run_item)
+            };
 
         // Items arrive in submission order (ascending trial ranges per
         // slot), so concatenating value chunks restores trial order; the
@@ -366,7 +363,7 @@ impl SweepExecutor {
         }
         if rlnc_obs::enabled() {
             OBS_POINTS.add(prepared.len() as u64);
-            OBS_TRIALS.add(prepared.iter().map(|(p, _, _)| p.trials).sum());
+            OBS_TRIALS.add(trials);
         }
         let value_sums: Vec<f64> = values.iter().map(|v| v.iter().sum()).collect();
 
@@ -433,8 +430,6 @@ mod tests {
         let a = SweepExecutor::new(Scale::Smoke).with_seed(11).run(&spec);
         let b = SweepExecutor::new(Scale::Smoke).with_seed(11).run(&spec);
         assert_eq!(a, b);
-        let sequential = SweepExecutor::new(Scale::Smoke).with_seed(11).sequential().run(&spec);
-        assert_eq!(a, sequential);
         let odd_batches = SweepExecutor::new(Scale::Smoke).with_seed(11).with_batch(7).run(&spec);
         assert_eq!(a, odd_batches);
     }
