@@ -17,7 +17,13 @@
 //!   identities that participate in disagreements, until the sampled
 //!   assignments all give the same output for every supplied ball type (or
 //!   the set becomes too small). For finite `t`, `k`, and graph families
-//!   this is exactly the construction's computational content.
+//!   this is exactly the construction's computational content. Each
+//!   template's evaluation view is built once: a template's order type
+//!   fixes every rank, so a sample only re-labels the view
+//!   ([`View::assign_ids_by_rank`]) before the algorithm runs on it.
+//!   Templates record the center's host degree, which the ball graph
+//!   loses at radius 0, so radius-0 views keep their port count and
+//!   balls that differ only in it stay separate ball types.
 //! * [`OrderInvariantLift`] is `A'`: it relabels the view's ball with the
 //!   smallest identities of the chosen set (respecting the original order)
 //!   and runs `A`. The lift is order-invariant *by construction*; the
@@ -31,7 +37,7 @@ use crate::view::View;
 use rand::seq::IndexedRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rlnc_graph::{IdAssignment, NodeId};
+use rlnc_graph::{Ball, NodeId};
 
 /// A concrete ordered labeled ball on which consistency is enforced: a host
 /// graph position together with the data needed to re-run the algorithm
@@ -46,6 +52,10 @@ pub struct BallTemplate {
     /// type σ), i.e. `order[i]` is the position of node `i`'s identity in
     /// increasing order.
     pub order: Vec<usize>,
+    /// Degree of the center in the host graph: the port count a view
+    /// exposes at every radius, which the ball graph alone loses at
+    /// radius 0.
+    pub center_degree: usize,
 }
 
 impl BallTemplate {
@@ -61,6 +71,7 @@ impl BallTemplate {
             graph: view.local_graph().clone(),
             inputs: Labeling::new((0..view.len()).map(|i| *view.input(i)).collect()),
             order: (0..view.len()).map(|i| view.rank(i)).collect(),
+            center_degree: view.center_degree(),
         }
     }
 
@@ -80,28 +91,87 @@ impl BallTemplate {
     pub fn evaluate<A: LocalAlgorithm + ?Sized>(&self, algo: &A, chosen: &[u64]) -> Label {
         assert_eq!(chosen.len(), self.len());
         debug_assert!(chosen.windows(2).all(|w| w[0] < w[1]));
-        let ids: Vec<u64> = self.order.iter().map(|&rank| chosen[rank]).collect();
-        let ids = IdAssignment::new(ids);
-        let instance = Instance::new(&self.graph, &self.inputs, &ids);
-        let view = View::collect(&instance, NodeId(0), algo.radius());
-        algo.output(&view)
+        algo.output(&self.view(algo.radius(), chosen))
+    }
+
+    /// The radius-`radius` view of the center when node `i` carries
+    /// `chosen[order[i]]`, with the center's host degree — the view behind
+    /// [`BallTemplate::evaluate`] and the refinement's cached views.
+    fn view(&self, radius: u32, chosen: &[u64]) -> View {
+        let ball = Ball::extract(&self.graph, NodeId(0), radius);
+        let ids = ball
+            .members
+            .iter()
+            .map(|&w| chosen[self.order[w.index()]])
+            .collect();
+        let inputs = ball.members.iter().map(|&w| *self.inputs.get(w)).collect();
+        View::from_parts(
+            ball,
+            NodeId(0),
+            radius,
+            ids,
+            inputs,
+            None,
+            self.center_degree,
+        )
     }
 }
 
 /// Collects the ball templates of every node of every instance, deduplicated
-/// by view signature so each ordered labeled ball type appears once.
+/// by view signature and center degree (which the signature omits at radius
+/// 0) so each ordered labeled ball type appears once.
 pub fn collect_templates(instances: &[Instance<'_>], radius: u32) -> Vec<BallTemplate> {
     let mut seen = std::collections::HashSet::new();
     let mut out = Vec::new();
     for instance in instances {
         for v in instance.graph.nodes() {
             let view = View::collect(instance, v, radius);
-            if seen.insert(view.signature()) {
+            if seen.insert((view.signature(), view.center_degree())) {
                 out.push(BallTemplate::from_view(&view));
             }
         }
     }
     out
+}
+
+/// A template's evaluation view, built once and re-labeled per sample.
+struct CachedEvaluation {
+    /// Number of nodes in the template: the size of every sample.
+    template_len: usize,
+    /// The view [`BallTemplate::evaluate`] would build.
+    view: View,
+    /// The template ranks of the view's members, sorted: `0..r` unless the
+    /// algorithm sees less of the ball than the template holds.
+    ranks: Vec<usize>,
+    /// The identities the view's members receive, in rank order.
+    picked: Vec<u64>,
+}
+
+impl CachedEvaluation {
+    fn new(template: &BallTemplate, radius: u32, chosen: &[u64]) -> Self {
+        let view = template.view(radius, chosen);
+        let mut ranks: Vec<usize> = (0..view.len())
+            .map(|i| template.order[view.host_node(i).index()])
+            .collect();
+        ranks.sort_unstable();
+        let picked = Vec::with_capacity(ranks.len());
+        CachedEvaluation {
+            template_len: template.len(),
+            view,
+            ranks,
+            picked,
+        }
+    }
+
+    /// `template.evaluate(algo, chosen)` on the cached view: the order type
+    /// fixes every rank, so only the identities change.
+    fn evaluate<A: LocalAlgorithm + ?Sized>(&mut self, algo: &A, chosen: &[u64]) -> Label {
+        self.picked.clear();
+        self.picked
+            .extend(self.ranks.iter().map(|&rank| chosen[rank]));
+        self.view.assign_ids_by_rank(&self.picked);
+        algo.output(&self.view)
+    }
 }
 
 /// Finds a subset of `universe` on which `algo` is *consistent* for every
@@ -112,7 +182,8 @@ pub fn collect_templates(instances: &[Instance<'_>], radius: u32) -> Vec<BallTem
 /// `samples_per_round` assignments per template per round and removes the
 /// highest-frequency offender on disagreement, stopping when every template
 /// is consistent across its samples or when the set reaches the minimum
-/// usable size (the largest template).
+/// usable size (the largest template). Each template's evaluation view is
+/// built once; a sample only re-labels it.
 pub fn consistent_id_set<A: LocalAlgorithm + ?Sized>(
     algo: &A,
     templates: &[BallTemplate],
@@ -129,31 +200,32 @@ pub fn consistent_id_set<A: LocalAlgorithm + ?Sized>(
         "identity universe smaller than the largest ball"
     );
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut cached: Vec<CachedEvaluation> = templates
+        .iter()
+        .filter(|template| !template.is_empty())
+        .map(|template| CachedEvaluation::new(template, algo.radius(), &ids[..template.len()]))
+        .collect();
+    let mut subset: Vec<u64> = Vec::with_capacity(max_ball);
 
     loop {
-        let mut disagreement: Option<Vec<u64>> = None;
-        'templates: for template in templates {
-            let r = template.len();
-            if r == 0 {
-                continue;
-            }
+        let mut victim: Option<u64> = None;
+        'templates: for evaluation in &mut cached {
+            let r = evaluation.template_len;
             // Reference output: the r smallest identities of the current set.
-            let reference = template.evaluate(algo, &ids[..r]);
+            let reference = evaluation.evaluate(algo, &ids[..r]);
             for _ in 0..samples_per_round {
-                let mut subset: Vec<u64> = ids
-                    .choose_multiple(&mut rng, r)
-                    .copied()
-                    .collect();
+                subset.clear();
+                subset.extend(ids.choose_multiple(&mut rng, r).copied());
                 subset.sort_unstable();
-                if template.evaluate(algo, &subset) != reference {
-                    disagreement = Some(subset);
+                if evaluation.evaluate(algo, &subset) != reference {
+                    victim = subset.last().copied();
                     break 'templates;
                 }
             }
         }
-        match disagreement {
+        match victim {
             None => return ids,
-            Some(subset) => {
+            Some(victim) => {
                 if ids.len() <= max_ball {
                     // Cannot refine further; return the minimal consistent-by-
                     // construction set (a single assignment per ball type).
@@ -163,7 +235,6 @@ pub fn consistent_id_set<A: LocalAlgorithm + ?Sized>(
                 // a simple, deterministic-ish refinement step that always
                 // terminates and, for identity-threshold/parity algorithms,
                 // converges to a consistent residue class.
-                let victim = *subset.last().unwrap();
                 ids.retain(|&x| x != victim);
             }
         }
@@ -222,7 +293,9 @@ mod tests {
     use crate::algorithm::FnAlgorithm;
     use crate::order_invariant::{check_order_invariance, standard_monotone_maps};
     use crate::simulator::Simulator;
-    use rlnc_graph::generators::cycle;
+    use rand::rngs::SmallRng;
+    use rlnc_graph::generators::{circulant, cycle, prism, star};
+    use rlnc_graph::IdAssignment;
 
     fn cycle_instance(n: usize) -> (rlnc_graph::Graph, Labeling, IdAssignment) {
         let g = cycle(n);
@@ -323,5 +396,185 @@ mod tests {
         let lift = OrderInvariantLift::new(&algo, refined.clone());
         let sim = Simulator::new();
         assert_eq!(sim.run(&algo, &inst), sim.run(&lift, &inst));
+    }
+
+    #[test]
+    fn lift_keeps_the_center_degree_at_radius_zero() {
+        // Reads no identity, so the lift must agree with it; at radius 0
+        // only the recorded degree can tell the lift the port count.
+        let (g, x, ids) = cycle_instance(8);
+        let inst = Instance::new(&g, &x, &ids);
+        let own_degree = FnAlgorithm::new(0, "own-degree", |v: &View| {
+            Label::from_u64(v.center_degree() as u64)
+        });
+        let lift = OrderInvariantLift::new(&own_degree, (1..=8).collect());
+        let sim = Simulator::new();
+        let direct = sim.run(&own_degree, &inst);
+        assert!(g.nodes().all(|v| direct.get(v).as_u64() == 2));
+        assert_eq!(sim.run(&lift, &inst), direct);
+    }
+
+    #[test]
+    fn radius_zero_templates_tell_center_degrees_apart() {
+        // Every radius-0 ball of a star has the same signature; the center
+        // (degree 5) and the leaves (degree 1) are still two ball types.
+        let g = star(6);
+        let x = Labeling::empty(6);
+        let ids = IdAssignment::consecutive(&g);
+        let templates = collect_templates(&[Instance::new(&g, &x, &ids)], 0);
+        let mut degrees: Vec<usize> = templates.iter().map(|t| t.center_degree).collect();
+        degrees.sort_unstable();
+        assert_eq!(degrees, [1, 5]);
+    }
+
+    /// The refinement loop with a fresh view per evaluation
+    /// ([`BallTemplate::evaluate`]): the reference the cached views are
+    /// pinned against.
+    fn consistent_id_set_reference<A: LocalAlgorithm + ?Sized>(
+        algo: &A,
+        templates: &[BallTemplate],
+        universe: &[u64],
+        samples_per_round: usize,
+        seed: u64,
+    ) -> Vec<u64> {
+        let mut ids: Vec<u64> = universe.to_vec();
+        ids.sort_unstable();
+        ids.dedup();
+        let max_ball = templates.iter().map(BallTemplate::len).max().unwrap_or(0);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        loop {
+            let mut disagreement: Option<Vec<u64>> = None;
+            'templates: for template in templates {
+                let r = template.len();
+                if r == 0 {
+                    continue;
+                }
+                let reference = template.evaluate(algo, &ids[..r]);
+                for _ in 0..samples_per_round {
+                    let mut subset: Vec<u64> = ids.choose_multiple(&mut rng, r).copied().collect();
+                    subset.sort_unstable();
+                    if template.evaluate(algo, &subset) != reference {
+                        disagreement = Some(subset);
+                        break 'templates;
+                    }
+                }
+            }
+            match disagreement {
+                None => return ids,
+                Some(subset) => {
+                    if ids.len() <= max_ball {
+                        return ids;
+                    }
+                    let victim = *subset.last().unwrap();
+                    ids.retain(|&x| x != victim);
+                }
+            }
+        }
+    }
+
+    /// Algorithms that make the refinement remove identities (parity,
+    /// residue, threshold, and one reading every member's identity) and
+    /// ones that do not (rank, constant).
+    fn probe_algorithms(radius: u32) -> Vec<Box<dyn LocalAlgorithm>> {
+        vec![
+            Box::new(FnAlgorithm::new(radius, "id-parity", |v: &View| {
+                Label::from_u64(v.center_id() % 2)
+            })),
+            Box::new(FnAlgorithm::new(radius, "id-mod-3", |v: &View| {
+                Label::from_u64(v.center_id() % 3)
+            })),
+            Box::new(FnAlgorithm::new(radius, "id-threshold", |v: &View| {
+                Label::from_bool(v.center_id() > 24)
+            })),
+            Box::new(FnAlgorithm::new(radius, "max-id-parity", |v: &View| {
+                Label::from_u64((0..v.len()).map(|i| v.id(i)).max().unwrap() % 2)
+            })),
+            Box::new(FnAlgorithm::new(radius, "rank", |v: &View| {
+                Label::from_u64(v.center_rank() as u64)
+            })),
+            Box::new(FnAlgorithm::new(radius, "constant", |_: &View| {
+                Label::from_u64(7)
+            })),
+        ]
+    }
+
+    #[test]
+    fn cached_refinement_equals_per_sample_evaluation() {
+        let probes = [cycle(12), prism(6), circulant(12, &[1, 2])];
+        let mut refined_runs = 0;
+        let mut stopped_runs = 0;
+        for (p, g) in probes.iter().enumerate() {
+            let n = g.node_count();
+            let x = Labeling::from_fn(g, |v| Label::from_u64(u64::from(v.0) % 2));
+            let ids = IdAssignment::random_permutation(g, &mut SmallRng::seed_from_u64(p as u64));
+            let inst = Instance::new(g, &x, &ids);
+            for radius in [0u32, 1] {
+                let templates = collect_templates(&[inst], radius);
+                let max_ball = templates.iter().map(BallTemplate::len).max().unwrap();
+                // The last universe leaves one identity to spare, so a
+                // refining algorithm runs into the `ids.len() <= max_ball`
+                // stop.
+                let universes: [Vec<u64>; 3] = [
+                    (1..=40).collect(),
+                    (1..=n as u64 * 3).map(|i| 5 * i + 2).collect(),
+                    (10..=10 + max_ball as u64).collect(),
+                ];
+                for algo in probe_algorithms(radius) {
+                    for universe in &universes {
+                        for seed in [3u64, 11, 29] {
+                            let ours = consistent_id_set(&*algo, &templates, universe, 40, seed);
+                            let reference =
+                                consistent_id_set_reference(&*algo, &templates, universe, 40, seed);
+                            assert_eq!(
+                                ours,
+                                reference,
+                                "{} radius {radius} probe {p} seed {seed}",
+                                algo.name()
+                            );
+                            refined_runs += usize::from(ours.len() < universe.len());
+                            stopped_runs += usize::from(ours.len() == max_ball);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            refined_runs > 0 && stopped_runs > 0,
+            "{refined_runs} refined, {stopped_runs} stopped"
+        );
+    }
+
+    #[test]
+    fn cached_evaluations_equal_fresh_evaluations() {
+        // The digest reads every identity with its position, so a
+        // misplaced identity shows; algorithm radii below, at and above
+        // the template radius cover views smaller than their templates.
+        let (g, x, _) = cycle_instance(10);
+        let ids = IdAssignment::random_permutation(&g, &mut SmallRng::seed_from_u64(9));
+        let inst = Instance::new(&g, &x, &ids);
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        let universe: Vec<u64> = (1..=50).map(|i| 3 * i).collect();
+        for template_radius in 0..3u32 {
+            for algo_radius in 0..=template_radius + 1 {
+                let algo = FnAlgorithm::new(algo_radius, "id-digest", |v: &View| {
+                    let digest =
+                        (0..v.len()).fold(0u64, |acc, i| acc.wrapping_mul(1_000_003) ^ v.id(i));
+                    Label::from_u64(digest)
+                });
+                for template in collect_templates(&[inst], template_radius) {
+                    let r = template.len();
+                    let mut cached = CachedEvaluation::new(&template, algo_radius, &universe[..r]);
+                    for _ in 0..8 {
+                        let mut chosen: Vec<u64> =
+                            universe.choose_multiple(&mut rng, r).copied().collect();
+                        chosen.sort_unstable();
+                        assert_eq!(
+                            cached.evaluate(&algo, &chosen),
+                            template.evaluate(&algo, &chosen)
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -44,10 +44,11 @@ use crate::view::View;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
-use rlnc_graph::{Ball, Graph, GraphBuilder, IdAssignment, NodeId};
+use rlnc_graph::{BallParts, BfsScratch, Graph, GraphBuilder, IdAssignment, NodeId};
 use rlnc_obs::{LazyCounter, LazyHistogram, Section, POW2_BUCKETS};
 use rlnc_par::pool::fans_out;
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::sync::Arc;
 
 // Round-backend observability. Message counts are functions of the
@@ -673,7 +674,88 @@ impl FullGatherState {
     /// are mapped back to their true host indices (so coin streams
     /// match), and the center's true degree is restored (so radius-0
     /// views report it correctly).
+    ///
+    /// The learned CSR and the ball are built in a thread-local scratch
+    /// by the shared per-ball routine ([`BfsScratch::append_ball`]); only
+    /// the view's own buffers are allocated, and the scratch is released
+    /// before the caller runs the wrapped algorithm.
     fn reconstruct_view(&self, radius: u32, with_outputs: bool) -> View {
+        GATHER_SCRATCH.with(|cell| {
+            let GatherScratch {
+                order,
+                offsets,
+                neighbors,
+                bfs,
+                ball: parts,
+            } = &mut *cell.borrow_mut();
+            // Learned index = position in host order.
+            order.clear();
+            order.extend(
+                self.nodes
+                    .iter()
+                    .enumerate()
+                    .map(|(i, n)| (n.host, i as u32)),
+            );
+            order.sort_unstable();
+            let learned = |h: NodeId| {
+                order
+                    .binary_search_by_key(&h, |&(host, _)| host)
+                    .expect("gather invariant: every edge endpoint is a known node")
+            };
+            // Learned adjacency as a CSR over learned indices: count the
+            // degrees, place each edge at its endpoints' cursors (the
+            // starts, advanced in place), then shift the ends back into
+            // starts. `edges` is a set, so no list holds a duplicate.
+            let k = order.len();
+            offsets.clear();
+            offsets.resize(k + 1, 0);
+            for &(a, b) in &self.edges {
+                offsets[learned(a) + 1] += 1;
+                offsets[learned(b) + 1] += 1;
+            }
+            for i in 0..k {
+                offsets[i + 1] += offsets[i];
+            }
+            neighbors.clear();
+            neighbors.resize(2 * self.edges.len(), 0);
+            for &(a, b) in &self.edges {
+                let (la, lb) = (learned(a), learned(b));
+                neighbors[offsets[la] as usize] = lb as u32;
+                offsets[la] += 1;
+                neighbors[offsets[lb] as usize] = la as u32;
+                offsets[lb] += 1;
+            }
+            offsets.copy_within(0..k, 1);
+            offsets[0] = 0;
+
+            let center = NodeId::from_index(learned(self.own));
+            let adjacency = |v: NodeId| {
+                let range = offsets[v.index()] as usize..offsets[v.index() + 1] as usize;
+                neighbors[range].iter().map(|&w| NodeId(w))
+            };
+            parts.clear();
+            bfs.append_ball(k, adjacency, center, radius, parts);
+
+            let info = |m: NodeId| &self.nodes[order[m.index()].1 as usize];
+            let mut ball = parts.to_ball(radius);
+            let ids: Vec<u64> = ball.members.iter().map(|&m| info(m).id).collect();
+            let inputs: Vec<Label> = ball.members.iter().map(|&m| info(m).input).collect();
+            let outputs: Option<Vec<Label>> =
+                with_outputs.then(|| ball.members.iter().map(|&m| info(m).output).collect());
+            let host_degree = info(center).degree;
+            for m in &mut ball.members {
+                *m = order[m.index()].0;
+            }
+            View::from_parts(ball, self.own, radius, ids, inputs, outputs, host_degree)
+        })
+    }
+
+    /// The one-shot reconstruction — clone, sort, rebuild the learned
+    /// graph with a [`GraphBuilder`], then
+    /// [`Ball::extract`](rlnc_graph::Ball::extract): the reference the
+    /// scratch path is pinned against.
+    #[cfg(test)]
+    fn reconstruct_view_reference(&self, radius: u32, with_outputs: bool) -> View {
         let mut nodes = self.nodes.clone();
         nodes.sort_by_key(|n| n.host);
         let hosts: Vec<NodeId> = nodes.iter().map(|n| n.host).collect();
@@ -688,7 +770,7 @@ impl FullGatherState {
         }
         let graph: Graph = builder.build();
         let center = NodeId::from_index(index_of(self.own));
-        let mut ball = Ball::extract(&graph, center, radius);
+        let mut ball = rlnc_graph::Ball::extract(&graph, center, radius);
         let ids: Vec<u64> = ball.members.iter().map(|&m| nodes[m.index()].id).collect();
         let inputs: Vec<Label> = ball
             .members
@@ -707,6 +789,27 @@ impl FullGatherState {
         }
         View::from_parts(ball, self.own, radius, ids, inputs, outputs, host_degree)
     }
+}
+
+/// Reusable buffers of [`FullGatherState::reconstruct_view`].
+#[derive(Default)]
+struct GatherScratch {
+    /// Learned nodes as `(host, index into nodes)`, sorted by host.
+    order: Vec<(NodeId, u32)>,
+    /// CSR offsets of the learned adjacency over learned indices.
+    offsets: Vec<u32>,
+    /// CSR neighbor lists of the learned adjacency.
+    neighbors: Vec<u32>,
+    bfs: BfsScratch,
+    /// The reconstructed ball, in learned indices.
+    ball: BallParts,
+}
+
+thread_local! {
+    /// One gather scratch per thread: the buffers grow to the largest
+    /// learned subgraph seen on this thread and are then reused, so a
+    /// gathered view allocates only its own buffers.
+    static GATHER_SCRATCH: RefCell<GatherScratch> = RefCell::new(GatherScratch::default());
 }
 
 fn full_gather_send(state: &FullGatherState) -> Vec<Arc<FullGatherState>> {
@@ -903,9 +1006,10 @@ mod tests {
     use super::*;
     use crate::algorithm::{FnAlgorithm, FnRandomizedAlgorithm};
     use crate::decision::{decide_randomized, FnRandomizedDecider};
-    use crate::faults::FaultPlan;
+    use crate::faults::{FaultPlan, FAULT_PLAN_KINDS};
     use crate::simulator::Simulator;
-    use rlnc_graph::generators::{binary_tree, cycle, grid};
+    use proptest::prelude::*;
+    use rlnc_graph::generators::{binary_tree, cycle, grid, Family};
     use rlnc_par::rng::SeedSequence;
 
     /// A hand-written message-passing algorithm: compute the minimum
@@ -1235,5 +1339,76 @@ mod tests {
             .with_adversary(&adversary)
             .run();
         assert_eq!(attacked, replay);
+    }
+
+    /// Steps a gather to quiescence under `schedule` (through the
+    /// relabeling adversary when it marks Byzantine nodes) and checks every
+    /// node's gathered view against the reference reconstruction.
+    fn assert_gathered_views_match_reference<M>(
+        gather: &M,
+        instance: &Instance<'_>,
+        schedule: &FaultSchedule,
+        radius: u32,
+        with_outputs: bool,
+    ) where
+        M: MessagePassingAlgorithm<State = FullGatherState, Message = Arc<FullGatherState>>,
+    {
+        let adversary = RelabelAdversary::new();
+        let mut system = RoundSystem::new(gather, instance).with_faults(schedule);
+        if schedule.has_byzantine() {
+            system = system.with_adversary(&adversary);
+        }
+        system.step_until_quiet();
+        for state in &system.states {
+            assert_eq!(
+                state.reconstruct_view(radius, with_outputs),
+                state.reconstruct_view_reference(radius, with_outputs),
+                "node {} at radius {radius}",
+                state.own
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// Gathered views equal the reference reconstruction on faulty
+        /// executions too — crashes, cascades and Byzantine relabeling at
+        /// both sweep intensities — for run and decide gathers alike.
+        #[test]
+        fn faulty_gathered_views_equal_the_reference_reconstruction(
+            n in 10usize..24,
+            seed in 0u64..1_000_000,
+        ) {
+            let families =
+                [Family::Cycle, Family::Circulant2, Family::Prism, Family::Grid, Family::RandomRegular4];
+            for family in families {
+                let mut rng = SeedSequence::new(seed).rng();
+                let g = family.generate(n, &mut rng);
+                let x = Labeling::from_fn(&g, |v| Label::from_u64(u64::from(v.0) % 3));
+                let y = Labeling::from_fn(&g, |v| Label::from_u64(u64::from(v.0) % 5));
+                let ids = IdAssignment::random_permutation(&g, &mut rng);
+                let inst = Instance::new(&g, &x, &ids);
+                let coins = Coins::new(SeedSequence::new(seed));
+                for radius in 0..=3u32 {
+                    let algo = FnRandomizedAlgorithm::new(radius, "empty", |_: &View, _: &Coins| {
+                        Label::empty()
+                    });
+                    let decider = FnRandomizedDecider::new(radius, "yes", |_: &View, _: &Coins| true);
+                    let run = GatherRun::new(&algo, coins);
+                    let decide = GatherDecide::new(&decider, &y, coins);
+                    let mut plans = vec![FaultPlan::None];
+                    for kind in 0..FAULT_PLAN_KINDS {
+                        plans.extend([0.15, 0.35].map(|p| FaultPlan::from_index(kind, p)));
+                    }
+                    for (i, plan) in plans.iter().enumerate() {
+                        let schedule =
+                            plan.schedule(&g, SeedSequence::new(seed).child(u64::from(radius) * 16 + i as u64));
+                        assert_gathered_views_match_reference(&run, &inst, &schedule, radius, false);
+                        assert_gathered_views_match_reference(&decide, &inst, &schedule, radius, true);
+                    }
+                }
+            }
+        }
     }
 }

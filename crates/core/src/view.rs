@@ -18,7 +18,7 @@ use rlnc_graph::{Graph, IdAssignment, NodeId};
 /// Identities and labels are flat per-member arrays (local index order);
 /// labels are inline [`Label`] values, so the output array is the
 /// contiguous lane verdict kernels scan.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct View {
     /// The ball `B_G(v, t)` (local indices; center is local index 0).
     pub ball: Ball,
@@ -154,6 +154,36 @@ impl View {
             }
             None => self.outputs = Some(members.iter().map(|&w| *output.get(w)).collect()),
         }
+    }
+
+    /// Rewrites every identity so that the node of rank `i` gets
+    /// `sorted[i]`. Ranks, and with them the view's order type and
+    /// signature, are unchanged: the re-labeling step of the Claim-1
+    /// refinement, which evaluates one cached view per ball template under
+    /// many sampled identity sets. Allocation-free after the first call
+    /// on a view.
+    ///
+    /// # Panics
+    /// Panics unless `sorted` holds one identity per member in strictly
+    /// increasing order.
+    pub fn assign_ids_by_rank(&mut self, sorted: &[u64]) {
+        let n = self.ids.len();
+        assert_eq!(sorted.len(), n, "one identity per view member");
+        assert!(
+            sorted.windows(2).all(|w| w[0] < w[1]),
+            "identities must strictly increase"
+        );
+        // Each rank reads the old identities, so the ranks are parked
+        // behind them before any is overwritten; the buffer keeps that
+        // capacity for the next call.
+        for i in 0..n {
+            let rank = self.ids[..n].iter().filter(|&&x| x < self.ids[i]).count();
+            self.ids.push(rank as u64);
+        }
+        for i in 0..n {
+            self.ids[i] = sorted[self.ids[n + i] as usize];
+        }
+        self.ids.truncate(n);
     }
 
     /// Approximate heap bytes held by this view: ball membership and
@@ -300,8 +330,11 @@ impl View {
     }
 
     /// Canonical signature of the view: structure, distances, identity
-    /// order type, and input labels (plus outputs when present). Two views
-    /// with equal signatures are indistinguishable to any order-invariant
+    /// order type, and input labels (plus outputs when present). The
+    /// center's host degree is not part of it: at radius ≥ 1 the ball's
+    /// structure fixes it, but at radius 0 two views with equal signatures
+    /// can differ in [`View::center_degree`]. Otherwise, two views with
+    /// equal signatures are indistinguishable to any order-invariant
     /// algorithm.
     pub fn signature(&self) -> BallSignature {
         let order: Vec<u32> = (0..self.len()).map(|i| self.rank(i) as u32).collect();
@@ -506,6 +539,60 @@ mod tests {
             None,
             2,
         );
+    }
+
+    #[test]
+    fn assign_ids_by_rank_relabels_in_rank_order() {
+        let g = cycle(9);
+        let x = Labeling::empty(9);
+        let ids = IdAssignment::new(vec![50, 10, 40, 90, 20, 70, 30, 80, 60]);
+        let inst = Instance::new(&g, &x, &ids);
+        let mut view = View::collect(&inst, NodeId(4), 2);
+        let signature = view.signature();
+        let ranks: Vec<usize> = (0..view.len()).map(|i| view.rank(i)).collect();
+        let mut capacity = None;
+        for sorted in [[3, 5, 8, 13, 21], [1, 2, 4, 100, 101]] {
+            view.assign_ids_by_rank(&sorted);
+            for (i, &rank) in ranks.iter().enumerate() {
+                assert_eq!(view.id(i), sorted[rank]);
+            }
+            assert_eq!(view.signature(), signature, "the order type is preserved");
+            let now = view.ids.capacity();
+            assert_eq!(
+                *capacity.get_or_insert(now),
+                now,
+                "later calls reuse the buffer"
+            );
+        }
+        // Equal to collecting the view under the relabeled identities.
+        let relabeled: Vec<u64> = (0..9)
+            .map(|v| {
+                view.ball
+                    .local_index(NodeId(v))
+                    .map_or(1000 + u64::from(v), |i| view.id(i))
+            })
+            .collect();
+        let relabeled = IdAssignment::new(relabeled);
+        assert_eq!(
+            view,
+            View::collect(&Instance::new(&g, &x, &relabeled), NodeId(4), 2)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "one identity per view member")]
+    fn assign_ids_by_rank_rejects_a_wrong_length() {
+        let (g, x, ids) = setup(8);
+        let mut view = View::collect(&Instance::new(&g, &x, &ids), NodeId(2), 1);
+        view.assign_ids_by_rank(&[1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "identities must strictly increase")]
+    fn assign_ids_by_rank_rejects_a_non_increasing_slice() {
+        let (g, x, ids) = setup(8);
+        let mut view = View::collect(&Instance::new(&g, &x, &ids), NodeId(2), 1);
+        view.assign_ids_by_rank(&[1, 3, 3]);
     }
 
     #[test]

@@ -436,6 +436,76 @@ fn construct_decide_loop_does_not_allocate() {
     );
 }
 
+/// A warmed radius-0 gathered output allocates only its view's buffers
+/// (members, distances, CSR offsets, identities, inputs; a radius-0 ball
+/// has no neighbor list): the learned CSR and the ball are built in a
+/// reused per-thread scratch. Five per node plus the output labeling,
+/// bounded at six per node.
+#[cfg(feature = "count-alloc")]
+#[test]
+fn gathered_outputs_allocate_only_their_views() {
+    use rlnc_core::rounds::{GatherRun, RoundSystem};
+    use rlnc_obs::alloc_counter::allocations;
+
+    let n = 16;
+    let graph = rlnc_graph::generators::cycle(n);
+    let input = Labeling::empty(n);
+    let ids = IdAssignment::consecutive(&graph);
+    let instance = Instance::new(&graph, &input, &ids);
+    let algo = FnRandomizedAlgorithm::new(0, "id-degree", |v: &View, _: &Coins| {
+        Label::from_u64(v.center_id() ^ (v.center_degree() as u64) << 32)
+    });
+    let gather = GatherRun::new(&algo, Coins::new(SeedSequence::new(3)));
+    let mut system = RoundSystem::new(&gather, &instance);
+    system.step_until_quiet();
+    let warm = system.outputs();
+    let before = allocations();
+    let outputs = system.outputs();
+    let after = allocations();
+    assert_eq!(outputs, warm);
+    assert!(
+        after - before <= 6 * n as u64,
+        "{} allocations for {n} gathered outputs",
+        after - before
+    );
+}
+
+/// The Claim-1 refinement builds one evaluation view per ball template
+/// and only re-labels it per sample: on a 16-template probe, 40 samples
+/// per template cost at most three allocations per evaluation on average.
+/// The sampler (`choose_multiple`) allocates two per sample by itself, and
+/// building a view once per template adds well under one per evaluation.
+#[cfg(feature = "count-alloc")]
+#[test]
+fn ramsey_refinement_reuses_one_view_per_template() {
+    use rlnc_core::derand::ramsey::{collect_templates, consistent_id_set};
+    use rlnc_obs::alloc_counter::allocations;
+
+    let graph = rlnc_graph::generators::cycle(16);
+    let ids = IdAssignment::consecutive(&graph);
+    let input = Labeling::from_fn(&graph, |v| Label::from_u64(ids.id(v)));
+    let instance = Instance::new(&graph, &input, &ids);
+    let templates = collect_templates(&[instance], 1);
+    assert_eq!(
+        templates.len(),
+        16,
+        "identity inputs make every ball its own type"
+    );
+    let algo = FnAlgorithm::new(1, "constant", |_: &View| Label::from_u64(1));
+    let universe: Vec<u64> = (1..=64).collect();
+    let samples = 40;
+    let before = allocations();
+    let refined = consistent_id_set(&algo, &templates, &universe, samples, 9);
+    let after = allocations();
+    assert_eq!(refined, universe, "a constant algorithm refines nothing");
+    let evaluations = (templates.len() * (samples + 1)) as u64;
+    assert!(
+        after - before <= 3 * evaluations,
+        "{} allocations over {evaluations} evaluations",
+        after - before
+    );
+}
+
 /// Pinned seed-0 regression: the exact seed the E6/E7 drivers run at.
 #[test]
 fn union_and_glued_kernels_match_legacy_at_seed_zero() {

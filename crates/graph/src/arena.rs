@@ -1,22 +1,25 @@
-//! Arena extraction of *all* radius-`t` balls of a graph in one pass.
+//! Extraction of radius-`t` balls from a reusable scratch, and of *all*
+//! balls of a graph in one pass.
 //!
-//! [`Ball::extract`](crate::ball::Ball::extract) allocates a fresh
-//! hash map, frontier vector, and induced [`Graph`] per call. That is fine
-//! for extracting one ball, but the Monte-Carlo hot paths of this workspace
-//! need the balls of *every* node of the same `(graph, radius)` pair —
-//! often millions of times across trials. [`BallArena`] amortizes that
-//! work: a single [`BfsScratch`] (stamp-based visited marks, no hashing,
-//! no per-node clearing) drives one bounded BFS per node, and the results
-//! land in flat member/distance/offset arrays plus one concatenated CSR
-//! holding every ball's induced adjacency. Nothing is allocated per ball
-//! beyond the shared arrays' amortized growth.
+//! [`BfsScratch::append_ball`] is the one per-ball routine: a bounded BFS
+//! with stamp-based visited marks (no hashing, no per-node clearing) over
+//! any neighbor-list accessor, then the canonical member order and the
+//! induced CSR, appended to flat [`BallParts`] arrays. Nothing is
+//! allocated per ball beyond the arrays' amortized growth.
+//! [`BallArena::extract_all`] runs it once per node of a graph, so the
+//! Monte-Carlo hot paths of this workspace, which need the balls of
+//! *every* node of the same `(graph, radius)` pair, get them in flat
+//! member/distance/offset arrays plus one concatenated CSR. The round
+//! backend (`rlnc-core`'s gathers) runs the same routine over the CSR of
+//! what a node learned.
 //!
-//! The arena is **bit-identical** to the per-ball path:
-//! [`BallArena::ball`] materializes exactly the [`Ball`] that
-//! [`Ball::extract`](crate::ball::Ball::extract) would return (same member
-//! order, same distances, same induced CSR), which is what lets the
-//! execution engine built on top of it (`rlnc-engine`) guarantee
-//! bit-reproducible results.
+//! [`Ball::extract`](crate::ball::Ball::extract), which allocates a fresh
+//! hash map, frontier vector, and induced [`Graph`] per call, is the
+//! reference both are pinned against: [`BallArena::ball`] materializes
+//! exactly the [`Ball`] it would return (same member order, same
+//! distances, same induced CSR), which is what lets the execution engine
+//! built on top of the arena (`rlnc-engine`) guarantee bit-reproducible
+//! results.
 
 use crate::ball::Ball;
 use crate::csr::{Graph, NodeId};
@@ -51,8 +54,9 @@ static OBS_EXTRACT_SPAN: LazySpan = LazySpan::new("graph.arena.extract_all");
 /// Visited marks are generation stamps, so reusing the scratch across many
 /// sources costs no clearing: bumping the generation invalidates every mark
 /// at once. The same stamp array doubles as the host→local index map during
-/// ball extraction.
-#[derive(Debug, Clone)]
+/// ball extraction. The per-node arrays grow on demand, so one scratch can
+/// serve graphs of different sizes.
+#[derive(Debug, Clone, Default)]
 pub struct BfsScratch {
     /// Generation stamp per host node; a node is "seen" iff its stamp
     /// equals the current generation.
@@ -63,8 +67,9 @@ pub struct BfsScratch {
     dist: Vec<u32>,
     /// Current generation.
     generation: u64,
-    /// BFS queue of host nodes, consumed by index (`head`).
-    queue: Vec<NodeId>,
+    /// BFS queue of `(host node, distance)` pairs, consumed by index, so
+    /// after a search it holds every discovered node in discovery order.
+    queue: Vec<(NodeId, u32)>,
 }
 
 impl BfsScratch {
@@ -84,32 +89,153 @@ impl BfsScratch {
     /// discovery order. Equivalent to
     /// [`bfs_distances_bounded`](crate::traversal::bfs_distances_bounded)
     /// but allocation-free after warm-up.
-    pub fn bounded_bfs(&mut self, graph: &Graph, source: NodeId, radius: u32, out: &mut Vec<(NodeId, u32)>) {
-        assert!(graph.node_count() <= self.stamp.len(), "scratch too small for graph");
+    pub fn bounded_bfs(
+        &mut self,
+        graph: &Graph,
+        source: NodeId,
+        radius: u32,
+        out: &mut Vec<(NodeId, u32)>,
+    ) {
+        self.search(
+            graph.node_count(),
+            |v| graph.neighbor_ids(v),
+            source,
+            radius,
+        );
+        out.clear();
+        out.extend_from_slice(&self.queue);
+    }
+
+    /// The bounded BFS behind both public entry points: afterwards `queue`
+    /// holds the discovered nodes and `stamp`/`dist` mark them for this
+    /// generation.
+    fn search<I: Iterator<Item = NodeId>>(
+        &mut self,
+        node_count: usize,
+        neighbors: impl Fn(NodeId) -> I,
+        source: NodeId,
+        radius: u32,
+    ) {
+        if self.stamp.len() < node_count {
+            // Stamp 0 is never current (the generation starts at 1), so
+            // fresh entries read as unseen.
+            self.stamp.resize(node_count, 0);
+            self.local.resize(node_count, 0);
+            self.dist.resize(node_count, 0);
+        }
         self.generation += 1;
         let generation = self.generation;
-        out.clear();
         self.queue.clear();
         self.stamp[source.index()] = generation;
         self.dist[source.index()] = 0;
-        self.queue.push(source);
-        out.push((source, 0));
+        self.queue.push((source, 0));
         let mut head = 0usize;
         while head < self.queue.len() {
-            let u = self.queue[head];
+            let (u, du) = self.queue[head];
             head += 1;
-            let du = self.dist[u.index()];
             if du == radius {
                 continue;
             }
-            for w in graph.neighbor_ids(u) {
+            for w in neighbors(u) {
                 if self.stamp[w.index()] != generation {
                     self.stamp[w.index()] = generation;
                     self.dist[w.index()] = du + 1;
-                    out.push((w, du + 1));
-                    self.queue.push(w);
+                    self.queue.push((w, du + 1));
                 }
             }
+        }
+    }
+
+    /// Appends the radius-`radius` ball around `center` to `out` in the
+    /// canonical [`Ball`] form: members sorted by `(distance, node)`, so the
+    /// center comes first; their distances; and the induced CSR in local
+    /// indices (one offset run starting at 0, sorted neighbor lists)
+    /// without the edges between two nodes at distance exactly `radius`.
+    ///
+    /// `neighbors(v)` lists the neighbors of node `v` of a simple graph on
+    /// `0..node_count`; any neighbor order gives the same ball. This is the
+    /// one per-ball routine: [`BallArena::extract_all`] runs it over the
+    /// host graph once per center, and the round backend over the CSR of
+    /// what a node learned. Allocation-free once `out` and the scratch
+    /// have grown.
+    pub fn append_ball<I: Iterator<Item = NodeId>>(
+        &mut self,
+        node_count: usize,
+        neighbors: impl Fn(NodeId) -> I,
+        center: NodeId,
+        radius: u32,
+        out: &mut BallParts,
+    ) {
+        self.search(node_count, &neighbors, center, radius);
+        self.queue.sort_unstable_by_key(|&(v, d)| (d, v.0));
+        // The BFS stamps are still valid for this generation: record each
+        // member's local index for the host→local translation.
+        for (li, &(v, _)) in self.queue.iter().enumerate() {
+            self.local[v.index()] = li as u32;
+        }
+        let edge_base = out.neighbors.len();
+        out.offsets.push(0);
+        for &(v, dv) in &self.queue {
+            out.members.push(v);
+            out.distances.push(dv);
+            let list_start = out.neighbors.len();
+            for w in neighbors(v) {
+                if self.stamp[w.index()] != self.generation {
+                    continue; // neighbor outside the ball
+                }
+                // Exclude edges between two nodes at distance exactly t.
+                if dv == radius && self.dist[w.index()] == radius {
+                    continue;
+                }
+                out.neighbors.push(self.local[w.index()]);
+            }
+            out.neighbors[list_start..].sort_unstable();
+            out.offsets.push((out.neighbors.len() - edge_base) as u32);
+        }
+    }
+}
+
+/// Flat ball arrays as [`BfsScratch::append_ball`] appends them: members,
+/// their distances, and the induced CSR (per ball, one offset run starting
+/// at 0 over that ball's slice of `neighbors`).
+#[derive(Debug, Clone, Default)]
+pub struct BallParts {
+    /// Ball members, center first.
+    members: Vec<NodeId>,
+    /// Distance of each member from its center.
+    distances: Vec<u32>,
+    /// CSR offsets, `len + 1` per ball.
+    offsets: Vec<u32>,
+    /// CSR neighbor lists in local indices.
+    neighbors: Vec<u32>,
+}
+
+impl BallParts {
+    /// Empties every array, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.members.clear();
+        self.distances.clear();
+        self.offsets.clear();
+        self.neighbors.clear();
+    }
+
+    /// Copies the single ball these parts hold into a standalone [`Ball`],
+    /// one exactly sized buffer per array.
+    ///
+    /// # Panics
+    /// Panics unless the parts hold exactly one ball.
+    pub fn to_ball(&self, radius: u32) -> Ball {
+        assert_eq!(
+            self.offsets.len(),
+            self.members.len() + 1,
+            "parts must hold exactly one ball"
+        );
+        Ball {
+            radius,
+            center: NodeId(0),
+            members: self.members.clone(),
+            distances: self.distances.clone(),
+            graph: Graph::from_csr(self.offsets.clone(), self.neighbors.clone()),
         }
     }
 }
@@ -118,22 +244,19 @@ impl BfsScratch {
 ///
 /// For ball `i` (the ball centered at host node `i`):
 /// * members and distances live in
-///   `members[ball_offsets[i]..ball_offsets[i+1]]` (sorted by
+///   `parts.members[ball_offsets[i]..ball_offsets[i+1]]` (sorted by
 ///   `(distance, host index)`, center first — the canonical
 ///   [`Ball`] order);
 /// * its induced adjacency is the CSR pair
-///   `csr_offsets[ball_offsets[i] + i ..= ball_offsets[i+1] + i]` /
-///   `csr_neighbors[edge_offsets[i]..edge_offsets[i+1]]`, in local indices
-///   relative to the ball, with edges between two radius-`t` nodes removed
-///   per the paper's ball definition.
+///   `parts.offsets[ball_offsets[i] + i ..= ball_offsets[i+1] + i]` /
+///   `parts.neighbors[edge_offsets[i]..edge_offsets[i+1]]`, in local
+///   indices relative to the ball, with edges between two radius-`t` nodes
+///   removed per the paper's ball definition.
 #[derive(Debug, Clone)]
 pub struct BallArena {
     radius: u32,
     ball_offsets: Vec<usize>,
-    members: Vec<NodeId>,
-    distances: Vec<u32>,
-    csr_offsets: Vec<u32>,
-    csr_neighbors: Vec<u32>,
+    parts: BallParts,
     edge_offsets: Vec<usize>,
 }
 
@@ -144,62 +267,24 @@ impl BallArena {
         let _span = OBS_EXTRACT_SPAN.start();
         let n = graph.node_count();
         let mut scratch = BfsScratch::new(n);
-        let mut frontier: Vec<(NodeId, u32)> = Vec::new();
-        // Per-ball local adjacency lists, reused across balls.
-        let mut local_adjacency: Vec<Vec<u32>> = Vec::new();
-
         let mut arena = BallArena {
             radius,
             ball_offsets: Vec::with_capacity(n + 1),
-            members: Vec::new(),
-            distances: Vec::new(),
-            csr_offsets: Vec::new(),
-            csr_neighbors: Vec::new(),
+            parts: BallParts::default(),
             edge_offsets: Vec::with_capacity(n + 1),
         };
         arena.ball_offsets.push(0);
         arena.edge_offsets.push(0);
-
         for center in graph.nodes() {
-            scratch.bounded_bfs(graph, center, radius, &mut frontier);
-            // Canonical member order: (distance, host index), center first.
-            frontier.sort_unstable_by_key(|&(v, d)| (d, v.0));
-            let len = frontier.len();
-            if local_adjacency.len() < len {
-                local_adjacency.resize_with(len, Vec::new);
-            }
-            // The BFS stamps are still valid for this generation: record
-            // each member's local index for the host→local translation.
-            for (li, &(v, _)) in frontier.iter().enumerate() {
-                scratch.local[v.index()] = li as u32;
-            }
-            for (li, &(v, dv)) in frontier.iter().enumerate() {
-                arena.members.push(v);
-                arena.distances.push(dv);
-                let list = &mut local_adjacency[li];
-                list.clear();
-                for w in graph.neighbor_ids(v) {
-                    if scratch.stamp[w.index()] != scratch.generation {
-                        continue; // neighbor outside the ball
-                    }
-                    let dw = scratch.dist[w.index()];
-                    // Exclude edges between two nodes at distance exactly t.
-                    if dv == radius && dw == radius {
-                        continue;
-                    }
-                    list.push(scratch.local[w.index()]);
-                }
-                list.sort_unstable();
-            }
-            let mut running = 0u32;
-            arena.csr_offsets.push(0);
-            for list in local_adjacency.iter().take(len) {
-                running += list.len() as u32;
-                arena.csr_offsets.push(running);
-                arena.csr_neighbors.extend_from_slice(list);
-            }
-            arena.ball_offsets.push(arena.members.len());
-            arena.edge_offsets.push(arena.csr_neighbors.len());
+            scratch.append_ball(
+                n,
+                |v| graph.neighbor_ids(v),
+                center,
+                radius,
+                &mut arena.parts,
+            );
+            arena.ball_offsets.push(arena.parts.members.len());
+            arena.edge_offsets.push(arena.parts.neighbors.len());
         }
         arena.record_obs();
         arena
@@ -215,7 +300,7 @@ impl BallArena {
         OBS_EXTRACTIONS.inc();
         OBS_BALLS.add(self.len() as u64);
         OBS_MEMBERS.add(self.total_members() as u64);
-        OBS_CSR_EDGES.add(self.csr_neighbors.len() as u64);
+        OBS_CSR_EDGES.add(self.parts.neighbors.len() as u64);
         OBS_WORKING_SET.record_max(self.working_set_bytes());
         for i in 0..self.len() {
             OBS_BALL_MEMBERS.observe(self.ball_len(i) as u64);
@@ -229,10 +314,10 @@ impl BallArena {
     pub fn working_set_bytes(&self) -> u64 {
         use std::mem::size_of;
         (self.ball_offsets.len() * size_of::<usize>()
-            + self.members.len() * size_of::<NodeId>()
-            + self.distances.len() * size_of::<u32>()
-            + self.csr_offsets.len() * size_of::<u32>()
-            + self.csr_neighbors.len() * size_of::<u32>()
+            + self.parts.members.len() * size_of::<NodeId>()
+            + self.parts.distances.len() * size_of::<u32>()
+            + self.parts.offsets.len() * size_of::<u32>()
+            + self.parts.neighbors.len() * size_of::<u32>()
             + self.edge_offsets.len() * size_of::<usize>()) as u64
     }
 
@@ -254,7 +339,7 @@ impl BallArena {
     /// Total number of ball memberships across all balls — the per-execution
     /// work a simulator pass over the arena performs.
     pub fn total_members(&self) -> usize {
-        self.members.len()
+        self.parts.members.len()
     }
 
     /// Number of nodes in ball `i`.
@@ -265,13 +350,13 @@ impl BallArena {
     /// Members of ball `i`, as host-graph nodes in canonical order (center
     /// first).
     pub fn members(&self, i: usize) -> &[NodeId] {
-        &self.members[self.ball_offsets[i]..self.ball_offsets[i + 1]]
+        &self.parts.members[self.ball_offsets[i]..self.ball_offsets[i + 1]]
     }
 
     /// Distances from the center for ball `i` (parallel to
     /// [`BallArena::members`]).
     pub fn distances(&self, i: usize) -> &[u32] {
-        &self.distances[self.ball_offsets[i]..self.ball_offsets[i + 1]]
+        &self.parts.distances[self.ball_offsets[i]..self.ball_offsets[i + 1]]
     }
 
     /// Materializes ball `i` as a standalone [`Ball`], bit-identical to
@@ -279,13 +364,14 @@ impl BallArena {
     pub fn ball(&self, i: usize) -> Ball {
         let start = self.ball_offsets[i];
         let end = self.ball_offsets[i + 1];
-        let offsets = self.csr_offsets[start + i..=end + i].to_vec();
-        let neighbors = self.csr_neighbors[self.edge_offsets[i]..self.edge_offsets[i + 1]].to_vec();
+        let offsets = self.parts.offsets[start + i..=end + i].to_vec();
+        let neighbors =
+            self.parts.neighbors[self.edge_offsets[i]..self.edge_offsets[i + 1]].to_vec();
         Ball {
             radius: self.radius,
             center: NodeId(0),
-            members: self.members[start..end].to_vec(),
-            distances: self.distances[start..end].to_vec(),
+            members: self.parts.members[start..end].to_vec(),
+            distances: self.parts.distances[start..end].to_vec(),
             graph: Graph::from_csr(offsets, neighbors),
         }
     }
@@ -335,6 +421,56 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn single_ball_routine_matches_reference_extraction() {
+        // One scratch and one parts buffer serve every graph, growing from
+        // empty; reversing each neighbor list shows that the accessor's
+        // order does not matter.
+        let mut rng = SmallRng::seed_from_u64(43);
+        let mut scratch = BfsScratch::default();
+        let mut parts = BallParts::default();
+        for n in [12usize, 30] {
+            for family in Family::ALL {
+                let g = family.generate(n, &mut rng);
+                let count = g.node_count();
+                for radius in [0u32, 1, 2, 3] {
+                    for v in g.nodes() {
+                        let reference = Ball::extract(&g, v, radius);
+                        parts.clear();
+                        scratch.append_ball(count, |u| g.neighbor_ids(u), v, radius, &mut parts);
+                        assert_eq!(
+                            parts.to_ball(radius),
+                            reference,
+                            "{} radius {radius} node {v}",
+                            family.name()
+                        );
+                        parts.clear();
+                        let reversed = |u: NodeId| g.neighbors(u).iter().rev().map(|&w| NodeId(w));
+                        scratch.append_ball(count, reversed, v, radius, &mut parts);
+                        assert_eq!(
+                            parts.to_ball(radius),
+                            reference,
+                            "{} reversed, node {v}",
+                            family.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly one ball")]
+    fn to_ball_rejects_parts_holding_two_balls() {
+        let g = cycle(6);
+        let mut scratch = BfsScratch::new(6);
+        let mut parts = BallParts::default();
+        for v in [NodeId(0), NodeId(3)] {
+            scratch.append_ball(6, |u| g.neighbor_ids(u), v, 1, &mut parts);
+        }
+        let _ = parts.to_ball(1);
     }
 
     #[test]

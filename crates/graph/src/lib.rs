@@ -18,9 +18,10 @@
 //! * [`ball`]: extraction of the radius-`t` ball `B_G(v,t)` exactly as
 //!   defined in §2.1 of the paper, plus canonical encodings of labeled
 //!   balls used by the order-invariant machinery.
-//! * [`arena`]: batched extraction of *every* node's ball into flat shared
-//!   arrays with a reusable bounded-BFS scratch — the allocation-free
-//!   substrate of the `rlnc-engine` execution planner.
+//! * [`arena`]: the one per-ball routine over a reusable bounded-BFS
+//!   scratch, and batched extraction of *every* node's ball into flat
+//!   shared arrays — the allocation-free substrate of the `rlnc-engine`
+//!   execution planner and of the round backend's gathered views.
 //! * [`ops`]: disjoint unions, edge subdivisions, and the Theorem-1
 //!   **gluing** construction that connects hard instances into a single
 //!   connected bounded-degree graph.
@@ -37,7 +38,7 @@ pub mod ids;
 pub mod ops;
 pub mod traversal;
 
-pub use arena::{BallArena, BfsScratch};
+pub use arena::{BallArena, BallParts, BfsScratch};
 pub use ball::{Ball, BallSignature};
 pub use builder::GraphBuilder;
 pub use csr::{Graph, NodeId};
