@@ -25,6 +25,10 @@
 //! equivalence suite proves it against the functions here), typically
 //! several times faster (see the `boosted-union-acceptance` and
 //! `glued-acceptance` groups of `rlnc-experiments bench-export`).
+//!
+//! [`PipelineParams`] holds the argument's four knobs. It lives here, below
+//! both the language registry of `rlnc-langs` (every case carries one) and
+//! the `rlnc-derand` pipeline (which runs on one).
 
 pub mod boosting;
 pub mod gluing;
@@ -35,3 +39,28 @@ pub use boosting::{boosting_repetitions, disjoint_union_acceptance};
 pub use gluing::{anchor_count, gluing_repetitions, separation_distance, GluingExperiment};
 pub use hard_instances::{HardInstance, HardInstanceSearch};
 pub use ramsey::{consistent_id_set, OrderInvariantLift};
+
+/// The quantitative knobs of the Theorem-1 argument.
+#[derive(Debug, Clone, Copy)]
+pub struct PipelineParams {
+    /// The success probability `r` the hypothetical constructor claims.
+    pub r: f64,
+    /// The decider's guarantee `p > 1/2`.
+    pub p: f64,
+    /// The constructor's radius `t` (enters the anchor separation).
+    pub t: u32,
+    /// The decider's radius `t'`.
+    pub t_prime: u32,
+}
+
+impl PipelineParams {
+    /// The exclusion radius `t + t'` of the far-from-anchor events.
+    pub fn exclusion_radius(&self) -> u32 {
+        self.t + self.t_prime
+    }
+
+    /// `µ = ⌈1/(2p−1)⌉`, the Claim-4 anchor count.
+    pub fn mu(&self) -> usize {
+        anchor_count(self.p)
+    }
+}

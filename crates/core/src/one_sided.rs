@@ -18,10 +18,10 @@ use rand::Rng;
 ///
 /// On a yes-instance every node accepts deterministically; on a no-instance
 /// with `b ≥ 1` bad balls the acceptance probability is `(1 − p)^b`. This
-/// is the decider shape Claim 3 and the gluing argument feed on, and it
-/// generalizes the coloring-specific `RejectBadBallsDecider` of the sweep
-/// workloads: for `ProperColoring` the two are coin-for-coin identical
-/// (one `random_bool(p)` draw at bad centers, none at good centers).
+/// is the decider shape Claim 3 and the gluing argument feed on; the
+/// boosting and glued-decay sweep workloads run its `ProperColoring`
+/// instantiation (one `random_bool(p)` draw at bad centers, none at good
+/// centers).
 ///
 /// The verdict routes through [`LclLanguage::is_bad_view`], so for the
 /// languages shipped in `rlnc-langs` (which override the hook) it performs

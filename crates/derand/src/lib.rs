@@ -33,29 +33,23 @@
 //!   `boosting::disjoint_union_acceptance` and the `GluingExperiment`
 //!   estimators, which remain in `rlnc-core` as the reference
 //!   implementations.
-//! * `rlnc_core::one_sided::OneSidedLclDecider` is the standard one-sided
-//!   BPLD decider for **any** LCL language (accept good centers, reject
-//!   bad centers with probability `p`, verdicts through the
-//!   allocation-free `LclLanguage::is_bad_view` hook), and
-//!   [`cases`] adapts the `rlnc-langs` **case registry**
-//!   ([`rlnc_langs::registry::CaseRegistry`] — the full language catalog:
-//!   coloring, `amos`, weak coloring, MIS, matching, dominating set, LLL,
-//!   frugal coloring, Cole–Vishkin, majority) into pipeline bundles; the
-//!   legacy [`PipelineCase`] axis of the
-//!   `theorem1-pipeline` scenario is the registry's three-case prefix.
-//! * The Claim-2 search accepts a shared
-//!   [`PlanCache`](rlnc_engine::PlanCache)
-//!   ([`DerandPipeline::hard_instance_stage_cached`]), so large algorithm
-//!   families probe each candidate instance through one cached plan
-//!   instead of re-planning per `(algorithm, candidate)` pair.
+//! * The pipeline runs on any `rlnc-langs` case as is: a
+//!   [`CaseId`](rlnc_langs::registry::CaseId) names the case, and
+//!   its [`LanguageCase`](rlnc_langs::registry::LanguageCase) supplies the
+//!   language, the constructor/decider pair, the deterministic family the
+//!   Claim-2 search runs against and the [`PipelineParams`] (defined in
+//!   `rlnc_core::derand`, re-exported here).
+//! * The Claim-2 search ([`DerandPipeline::hard_instance_stage_cached`])
+//!   probes every candidate through a caller-provided
+//!   [`PlanCache`](rlnc_engine::PlanCache), so large algorithm families
+//!   probe each candidate instance through one cached plan instead of
+//!   re-planning per `(algorithm, candidate)` pair.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cases;
 pub mod pipeline;
 
-pub use cases::{CaseBundle, CaseId, CaseRegistry, LanguageCase, PipelineCase};
 pub use pipeline::{
     deterministic_agreement, failure_probability_with, lift_agrees_with, ramsey_stage,
     DerandPipeline, GluedStage, HardInstanceStage, PipelineParams, RamseyStage, UnionStage,

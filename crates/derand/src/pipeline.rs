@@ -31,52 +31,15 @@ use std::collections::HashMap;
 use rlnc_core::algorithm::{LocalAlgorithm, RandomizedLocalAlgorithm};
 use rlnc_core::config::{Instance, IoConfig};
 use rlnc_core::decision::RandomizedDecider;
-use rlnc_core::derand::gluing::{anchor_candidates, anchor_count, GluingExperiment};
+use rlnc_core::derand::gluing::{anchor_candidates, GluingExperiment};
 use rlnc_core::derand::hard_instances::HardInstance;
 use rlnc_core::derand::ramsey::{collect_templates, consistent_id_set, OrderInvariantLift};
-use rlnc_core::language::{DistributedLanguage, LclLanguage};
-use rlnc_core::one_sided::OneSidedLclDecider;
+use rlnc_core::language::DistributedLanguage;
 use rlnc_engine::{BatchRunner, ExecutionPlan, GluedPlan, PlanCache, UnionPlan};
 use rlnc_graph::NodeId;
 use rlnc_par::stats::Estimate;
 
-/// The quantitative knobs of the Theorem-1 argument.
-#[derive(Debug, Clone, Copy)]
-pub struct PipelineParams {
-    /// The success probability `r` the hypothetical constructor claims.
-    pub r: f64,
-    /// The decider's guarantee `p > 1/2`.
-    pub p: f64,
-    /// The constructor's radius `t` (enters the anchor separation).
-    pub t: u32,
-    /// The decider's radius `t'`.
-    pub t_prime: u32,
-}
-
-impl PipelineParams {
-    /// The exclusion radius `t + t'` of the far-from-anchor events.
-    pub fn exclusion_radius(&self) -> u32 {
-        self.t + self.t_prime
-    }
-
-    /// `µ = ⌈1/(2p−1)⌉`, the Claim-4 anchor count.
-    pub fn mu(&self) -> usize {
-        anchor_count(self.p)
-    }
-}
-
-/// The registry's per-case knobs are the same quantities; lifting them is
-/// what lets `rlnc_langs::registry` cases drive the pipeline directly.
-impl From<rlnc_langs::registry::CaseParams> for PipelineParams {
-    fn from(params: rlnc_langs::registry::CaseParams) -> PipelineParams {
-        PipelineParams {
-            r: params.r,
-            p: params.p,
-            t: params.t,
-            t_prime: params.t_prime,
-        }
-    }
-}
+pub use rlnc_core::derand::PipelineParams;
 
 /// Stage-1 artifact (Claim 1 / Appendix A): the Ramsey-refined identity
 /// set on which the wrapped algorithm is consistent for every observed
@@ -198,56 +161,14 @@ where
 
     // ---- Stage 2: hard instances (Claim 2) ----------------------------
 
-    /// Engine-backed version of `HardInstanceSearch::fails_on`: the
-    /// deterministic algorithm's output on the planned instance is rejected
-    /// by the language.
-    pub fn fails_on<A: LocalAlgorithm + ?Sized>(&self, algo: &A, instance: &HardInstance) -> bool {
-        let inst = instance.as_instance();
-        let plan = ExecutionPlan::for_instance(&inst, algo.radius());
-        let output = self.runner.run(algo, &plan);
-        let io = IoConfig::from_instance(&inst, &output);
-        !self.language.contains(&io)
-    }
-
-    /// [`DerandPipeline::fails_on`] against a shared [`PlanCache`]: the
-    /// candidate's views at the algorithm's radius are planned at most once
-    /// per distinct `(graph, ids, inputs, radius)` content no matter how
-    /// many algorithms probe it. Verdicts are identical to the uncached
-    /// path.
-    pub fn fails_on_cached<A: LocalAlgorithm + ?Sized>(
-        &self,
-        algo: &A,
-        instance: &HardInstance,
-        cache: &mut PlanCache,
-    ) -> bool {
-        let inst = instance.as_instance();
-        let plan = cache.plan_for(&inst, algo.radius());
-        let output = self.runner.run(algo, plan);
-        let io = IoConfig::from_instance(&inst, &output);
-        !self.language.contains(&io)
-    }
-
     /// Builds the Claim-2 pool: for each algorithm, the first candidate
     /// (after enforcing the running identity floor, by shifting) of
     /// diameter at least `min_diameter` on which it fails. Identity ranges
     /// come out pairwise disjoint, exactly like
-    /// `HardInstanceSearch::hard_instance_family`. Uses a search-local
-    /// [`PlanCache`]; pass your own via
-    /// [`DerandPipeline::hard_instance_stage_cached`] to share plans across
-    /// searches (or to read the hit statistics).
-    pub fn hard_instance_stage<A: LocalAlgorithm + ?Sized>(
-        &self,
-        algorithms: &[&A],
-        candidates: &[HardInstance],
-        min_diameter: u32,
-        min_id: u64,
-    ) -> HardInstanceStage {
-        let mut cache = PlanCache::new();
-        self.hard_instance_stage_cached(algorithms, candidates, min_diameter, min_id, &mut cache)
-    }
-
-    /// [`DerandPipeline::hard_instance_stage`] against a caller-provided
-    /// [`PlanCache`].
+    /// `HardInstanceSearch::hard_instance_family`. Every probe plans the
+    /// shifted candidate through `cache`, so pass a fresh [`PlanCache`]
+    /// for a self-contained search, or a shared one to reuse plans across
+    /// searches (and to read the hit statistics).
     ///
     /// The cache is what makes large algorithm families tractable: an
     /// algorithm that fails on *no* candidate leaves the identity floor
@@ -500,28 +421,6 @@ where
     })
 }
 
-/// Convenience constructor for the common LCL shape: the pipeline of a
-/// language against its one-sided decider ([`OneSidedLclDecider`]).
-pub fn lcl_pipeline<'a, C, L>(
-    constructor: &'a C,
-    decider: &'a OneSidedLclDecider<L>,
-    language: &'a L,
-    r: f64,
-    t: u32,
-) -> DerandPipeline<'a, C, OneSidedLclDecider<L>, L>
-where
-    C: RandomizedLocalAlgorithm + ?Sized,
-    L: LclLanguage,
-{
-    let params = PipelineParams {
-        r,
-        p: decider.rejection_probability(),
-        t,
-        t_prime: language.radius(),
-    };
-    DerandPipeline::new(constructor, decider, language, params)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -529,15 +428,21 @@ mod tests {
     use rlnc_core::derand::boosting::disjoint_union_acceptance;
     use rlnc_core::derand::hard_instances::{consecutive_cycle_candidates, HardInstanceSearch};
     use rlnc_core::labels::Label;
+    use rlnc_core::one_sided::OneSidedLclDecider;
     use rlnc_core::view::View;
     use rlnc_graph::traversal::is_connected;
     use rlnc_langs::coloring::ProperColoring;
     use rlnc_langs::random_coloring::RandomColoring;
+    use rlnc_langs::registry::CaseId;
+
+    /// The knobs of the 3-coloring triple below: a one-sided decider with
+    /// `p = 0.75` at the language's radius 1 over a radius-0 constructor.
+    const COLORING_PARAMS: PipelineParams = PipelineParams { r: 0.9, p: 0.75, t: 0, t_prime: 1 };
 
     fn coloring_pipeline() -> (RandomColoring, OneSidedLclDecider<ProperColoring>, ProperColoring) {
         (
             RandomColoring::new(3),
-            OneSidedLclDecider::new(ProperColoring::new(3), 0.75),
+            OneSidedLclDecider::new(ProperColoring::new(3), COLORING_PARAMS.p),
             ProperColoring::new(3),
         )
     }
@@ -552,12 +457,13 @@ mod tests {
     #[test]
     fn hard_instance_stage_matches_legacy_search() {
         let (constructor, decider, language) = coloring_pipeline();
-        let pipeline = lcl_pipeline(&constructor, &decider, &language, 0.9, 0);
+        let pipeline = DerandPipeline::new(&constructor, &decider, &language, COLORING_PARAMS);
         let c1 = FnAlgorithm::new(1, "always-1", |_: &View| Label::from_u64(1));
         let c2 = FnAlgorithm::new(1, "always-2", |_: &View| Label::from_u64(2));
         let algos: [&dyn LocalAlgorithm; 2] = [&c1, &c2];
         let candidates = consecutive_cycle_candidates([8, 10]);
-        let stage = pipeline.hard_instance_stage(&algos, &candidates, 0, 1);
+        let mut cache = PlanCache::new();
+        let stage = pipeline.hard_instance_stage_cached(&algos, &candidates, 0, 1, &mut cache);
         assert_eq!(stage.missing, 0);
         assert_eq!(stage.pool.len(), 2);
         // Same pool as the legacy search (disjoint id ranges included).
@@ -574,7 +480,7 @@ mod tests {
     #[test]
     fn cached_hard_instance_search_reuses_plans_across_missing_algorithms() {
         let (constructor, decider, language) = coloring_pipeline();
-        let pipeline = lcl_pipeline(&constructor, &decider, &language, 0.9, 0);
+        let pipeline = DerandPipeline::new(&constructor, &decider, &language, COLORING_PARAMS);
         // Two algorithms that never fail on even cycles (id-parity is a
         // proper 2-coloring there) followed by one that always fails: the
         // parity algorithms scan the whole candidate list at the same
@@ -586,18 +492,20 @@ mod tests {
         let c1 = FnAlgorithm::new(0, "always-1", |_: &View| Label::from_u64(1));
         let algos: [&dyn LocalAlgorithm; 3] = [&p1, &p2, &c1];
         let candidates = consecutive_cycle_candidates([8, 10, 12]);
-        let mut cache = rlnc_engine::PlanCache::new();
+        let mut cache = PlanCache::new();
         let cached = pipeline.hard_instance_stage_cached(&algos, &candidates, 0, 1, &mut cache);
         assert_eq!(cached.missing, 2);
         assert_eq!(cached.pool.len(), 1);
         // First algorithm: 3 misses. Second: 3 hits. Third: 1 hit.
         assert_eq!(cache.misses(), 3, "one plan per distinct candidate");
         assert_eq!(cache.hits(), 4, "repeat scans must hit the cache");
-        // And the result is identical to the uncached search.
-        let uncached = pipeline.hard_instance_stage(&algos, &candidates, 0, 1);
-        assert_eq!(uncached.missing, cached.missing);
-        assert_eq!(uncached.pool.len(), cached.pool.len());
-        for (a, b) in cached.pool.iter().zip(&uncached.pool) {
+        // A second search over the warm cache plans nothing new and finds
+        // the same pool.
+        let warm = pipeline.hard_instance_stage_cached(&algos, &candidates, 0, 1, &mut cache);
+        assert_eq!(cache.misses(), 3, "the warm search is all hits");
+        assert_eq!(warm.missing, cached.missing);
+        assert_eq!(warm.pool.len(), cached.pool.len());
+        for (a, b) in cached.pool.iter().zip(&warm.pool) {
             assert_eq!(a.graph, b.graph);
             assert_eq!(a.ids.as_slice(), b.ids.as_slice());
         }
@@ -606,7 +514,7 @@ mod tests {
     #[test]
     fn batched_hard_instance_scan_is_pinned() {
         let (constructor, decider, language) = coloring_pipeline();
-        let pipeline = lcl_pipeline(&constructor, &decider, &language, 0.9, 0);
+        let pipeline = DerandPipeline::new(&constructor, &decider, &language, COLORING_PARAMS);
         // A mixed-radius family: the batched scan settles one same-radius
         // slice per `run_many` call, so radius-0 and radius-1 algorithms
         // land in separate batches while the identity floor keeps
@@ -617,7 +525,8 @@ mod tests {
         let c2 = FnAlgorithm::new(1, "always-2", |_: &View| Label::from_u64(2));
         let algos: [&dyn LocalAlgorithm; 4] = [&p1, &c1, &p2, &c2];
         let candidates = consecutive_cycle_candidates([8, 10, 12]);
-        let stage = pipeline.hard_instance_stage(&algos, &candidates, 0, 1);
+        let mut cache = PlanCache::new();
+        let stage = pipeline.hard_instance_stage_cached(&algos, &candidates, 0, 1, &mut cache);
         // Bit-identical to the legacy probe-by-probe search...
         let legacy = HardInstanceSearch::new(&language).with_min_id(1);
         let (reference, missing) = legacy.hard_instance_family(algos.to_vec(), &candidates);
@@ -644,7 +553,7 @@ mod tests {
     #[test]
     fn failure_probability_matches_legacy_search() {
         let (constructor, decider, language) = coloring_pipeline();
-        let pipeline = lcl_pipeline(&constructor, &decider, &language, 0.9, 0);
+        let pipeline = DerandPipeline::new(&constructor, &decider, &language, COLORING_PARAMS);
         let instance = consecutive_cycle_candidates([6]).remove(0);
         let engine = pipeline.failure_probability(&instance, 500, 3);
         let legacy = HardInstanceSearch::new(&language)
@@ -656,7 +565,7 @@ mod tests {
     #[test]
     fn union_acceptance_matches_legacy_boosting() {
         let (constructor, decider, language) = coloring_pipeline();
-        let pipeline = lcl_pipeline(&constructor, &decider, &language, 0.9, 0);
+        let pipeline = DerandPipeline::new(&constructor, &decider, &language, COLORING_PARAMS);
         let pool = consecutive_cycle_candidates([6, 8]);
         for nu in [1usize, 3] {
             let stage = pipeline.union_stage(&pool, nu);
@@ -670,7 +579,7 @@ mod tests {
     #[test]
     fn glued_stage_matches_legacy_gluing_experiment() {
         let (constructor, decider, language) = coloring_pipeline();
-        let pipeline = lcl_pipeline(&constructor, &decider, &language, 0.9, 0);
+        let pipeline = DerandPipeline::new(&constructor, &decider, &language, COLORING_PARAMS);
         let pool = consecutive_cycle_candidates([12, 14]);
         let stage = pipeline.glued_stage_auto(&pool, 3);
         assert_eq!(stage.nu, 3);
@@ -696,7 +605,7 @@ mod tests {
     #[test]
     fn ramsey_stage_refines_and_lift_agrees() {
         let (constructor, decider, language) = coloring_pipeline();
-        let pipeline = lcl_pipeline(&constructor, &decider, &language, 0.9, 0);
+        let pipeline = DerandPipeline::new(&constructor, &decider, &language, COLORING_PARAMS);
         let probe = consecutive_cycle_candidates([8]).remove(0);
         let algo = FnAlgorithm::new(0, "id-parity", |v: &View| Label::from_u64(v.center_id() % 2));
         let universe: Vec<u64> = (1..=60).collect();
@@ -713,5 +622,51 @@ mod tests {
             rlnc_graph::IdAssignment::new(stage.id_set.iter().take(8).copied().collect()),
         );
         assert!(pipeline.lift_agrees(&algo, &stage, &in_set.as_instance()));
+    }
+
+    #[test]
+    fn every_case_runs_the_four_stages_end_to_end_on_cycles() {
+        for id in &CaseId::ALL[..3] {
+            let case = id.case();
+            let pipeline = DerandPipeline::new(
+                &*case.constructor,
+                &*case.decider,
+                &*case.language,
+                case.params,
+            );
+            let candidates = consecutive_cycle_candidates([12, 14, 16]);
+            // Stage 1: the refinement terminates and keeps enough ids.
+            let probe = candidates[0].as_instance();
+            let algo = &*case.det_family[0];
+            let universe: Vec<u64> = (1..=48).collect();
+            let ramsey = pipeline.ramsey_stage(algo, &[probe], &universe, 60, 11);
+            assert!(ramsey.id_set.len() >= 3, "{}: refined set too small", case.name);
+            // Stage 2: every deterministic algorithm has a hard instance.
+            let algos: Vec<&dyn LocalAlgorithm> = case.det_family.iter().map(|b| &**b).collect();
+            let mut cache = PlanCache::new();
+            let stage = pipeline.hard_instance_stage_cached(&algos, &candidates, 0, 1, &mut cache);
+            assert_eq!(stage.missing, 0, "{}: search came up empty", case.name);
+            assert_eq!(stage.pool.len(), case.det_family.len());
+            // β is strictly positive (the constructor really fails).
+            let beta = pipeline.failure_probability(&stage.pool[0], 300, 5);
+            assert!(beta.p_hat > 0.05, "{}: beta {} too small", case.name, beta.p_hat);
+            // Stage 3: union acceptance decays with ν.
+            let u2 = pipeline.union_stage(&stage.pool, 2);
+            let u4 = pipeline.union_stage(&stage.pool, 4);
+            let a2 = pipeline.union_acceptance(&u2, 300, 0);
+            let a4 = pipeline.union_acceptance(&u4, 300, 0);
+            assert!(
+                a4.p_hat <= a2.p_hat + 0.1,
+                "{}: union acceptance must not grow with nu ({} vs {})",
+                case.name,
+                a4.p_hat,
+                a2.p_hat
+            );
+            // Stage 4: the gluing is connected and evaluable.
+            let glued = pipeline.glued_stage_auto(&stage.pool, 2);
+            assert!(is_connected(&glued.instance.graph));
+            let far = pipeline.glued_far_acceptance(&glued, 200, 0);
+            assert!((0.0..=1.0).contains(&far.p_hat));
+        }
     }
 }

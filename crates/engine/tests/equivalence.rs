@@ -334,11 +334,10 @@ fn instrumented_decision_loop_does_not_allocate() {
 #[cfg(feature = "count-alloc")]
 #[test]
 fn view_native_verdicts_do_not_allocate() {
-    use rlnc_langs::registry::CaseRegistry;
+    use rlnc_langs::registry::CaseId;
     use rlnc_obs::alloc_counter::allocations;
 
-    let registry = CaseRegistry::builtin();
-    for id in registry.ids() {
+    for id in CaseId::ALL {
         let case = id.case();
         let Some(lcl) = &case.lcl else { continue };
         let family = case.candidate_family(rlnc_graph::generators::Family::Cycle);

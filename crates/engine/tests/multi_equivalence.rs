@@ -18,7 +18,7 @@ use rlnc_core::prelude::*;
 use rlnc_engine::{BatchRunner, ExecutionPlan};
 use rlnc_graph::generators::Family;
 use rlnc_graph::IdAssignment;
-use rlnc_langs::registry::{CaseId, CaseRegistry};
+use rlnc_langs::registry::CaseId;
 use rlnc_par::rng::SeedSequence;
 
 /// The families the `claim2-scan` scenario sweeps.
@@ -62,7 +62,7 @@ proptest! {
     #[test]
     fn batched_runs_match_sequential_runs_across_registry_cases(
         family_index in 0usize..FAMILIES.len(),
-        case_index in 0u64..CaseRegistry::builtin().len() as u64,
+        case_index in 0u64..CaseId::ALL.len() as u64,
         n in 8usize..32,
         seed in 0u64..1_000_000,
     ) {
@@ -130,7 +130,7 @@ proptest! {
 /// one prism instance, byte-compared against the legacy simulator.
 #[test]
 fn every_registry_case_batches_bit_identically_at_seed_zero() {
-    for case_index in 0..CaseRegistry::builtin().len() as u64 {
+    for case_index in 0..CaseId::ALL.len() as u64 {
         let case = CaseId::from_index(case_index).case();
         let family = case.candidate_family(Family::Prism);
         let (graph, ids) = graph_and_ids(family, 16, 0);

@@ -26,15 +26,6 @@
 //! * `shard-overhead` — the sweep partitioning cost (new with the serve
 //!   subsystem): one unsharded fault-matrix smoke sweep vs 4 shard runs
 //!   plus `emit::merge_runs`, with byte-identical output asserted.
-//! * `pool-warmup` — parallel-region dispatch (new with the persistent
-//!   pool): repeated regions through the old per-region scoped-thread
-//!   stub (fresh spawns + materialized index vectors) vs the resident
-//!   work-stealing pool.
-//! * `verdict-soa` — the proper-coloring verdict over cached views: a
-//!   hand-inlined early-exit body vs the branchless `is_bad_view` kernel,
-//!   bad-ball counts asserted identical. Both sides read inline labels,
-//!   so the ratio sits near or below 1×; the name is kept so the
-//!   trajectory joins across BENCH files.
 //! * `multi-algo-scan` — the batched K-algorithm kernel: K = 16
 //!   label-comparing verdict deciders on a
 //!   larger-than-LLC radius-1 ring decision plan, K per-decider
@@ -57,7 +48,7 @@
 //!
 //! The `langs` groups (new with the language-registry refactor) measure
 //! per-case verdict throughput for every LCL case in
-//! [`CaseRegistry`](rlnc_langs::registry::CaseRegistry):
+//! [`CaseId::ALL`](rlnc_langs::registry::CaseId::ALL):
 //!
 //! * `lcl-verdicts-<case>` — the decider hot kernel on a fixed constructed
 //!   configuration: legacy = rebuild the ball as a standalone `IoConfig`
@@ -541,159 +532,6 @@ fn shard_overhead(quick: bool) -> BenchGroup {
     }
 }
 
-/// The `pool-warmup` group (new with the persistent pool): R identical
-/// parallel regions over the same configuration slice. Legacy replicates
-/// the pre-pool stub's dispatch — materialize a reference vector, spawn
-/// one scoped OS thread per chunk (fresh threads every region, none when
-/// the process runs single-threaded), collect per-chunk result vectors —
-/// while the engine side routes the same regions through
-/// [`rlnc_par::sweep::sweep`] and the resident work-stealing pool. Both
-/// sides fold the same checksum, asserted equal, so the ratio is pure
-/// dispatch overhead: thread spawns and index materialization, amortized
-/// across regions. `n` is the region width, `trials` the region count,
-/// and the working set is the configuration slice.
-fn pool_warmup(quick: bool) -> BenchGroup {
-    let (n, regions, reps) = if quick { (256usize, 100u64, 3) } else { (1_024, 400u64, 5) };
-    let items: Vec<u64> = (0..n as u64).collect();
-    let f = |x: u64| x.wrapping_mul(2).wrapping_add(1);
-    let threads = rlnc_par::pool::thread_count();
-
-    let legacy_pass = || {
-        let mut acc = 0u64;
-        for _ in 0..regions {
-            let configs = items.clone();
-            let refs: Vec<&u64> = configs.iter().collect();
-            let out: Vec<u64> = if threads > 1 {
-                let chunk_size = refs.len().div_ceil(threads);
-                let mut results: Vec<Vec<u64>> = Vec::new();
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = refs
-                        .chunks(chunk_size)
-                        .map(|chunk| s.spawn(move || chunk.iter().map(|&&x| f(x)).collect::<Vec<u64>>()))
-                        .collect();
-                    results = handles.into_iter().map(|h| h.join().unwrap()).collect();
-                });
-                results.into_iter().flatten().collect()
-            } else {
-                refs.iter().map(|&&x| f(x)).collect()
-            };
-            acc = acc.wrapping_add(out.iter().sum::<u64>());
-        }
-        acc
-    };
-    let engine_pass = || {
-        let mut acc = 0u64;
-        for _ in 0..regions {
-            let out = rlnc_par::sweep::sweep(items.clone(), |&x| f(x));
-            acc = acc.wrapping_add(out.iter().sum::<u64>());
-        }
-        acc
-    };
-    assert_eq!(
-        legacy_pass(),
-        engine_pass(),
-        "pool dispatch must fold the same checksum as scoped-thread dispatch"
-    );
-    let legacy_ns = best_of(reps, || {
-        assert!(legacy_pass() > 0);
-    });
-    let engine_ns = best_of(reps, || {
-        assert!(engine_pass() > 0);
-    });
-    let counters = obs_counters(|| {
-        assert!(engine_pass() > 0);
-    });
-    BenchGroup {
-        name: "pool-warmup".into(),
-        n,
-        trials: regions,
-        legacy_ns,
-        engine_ns,
-        legacy_allocs: None,
-        engine_allocs: None,
-        working_set_bytes: (items.len() * std::mem::size_of::<u64>()) as u64,
-        counters,
-    }
-}
-
-/// The `verdict-soa` group: the proper 3-coloring verdict kernel over
-/// every cached decision view of a constructed ring configuration.
-/// Legacy hand-inlines an early-exit body — [`Label`] comparisons through
-/// `view.output()` — and the engine side is the branchless
-/// [`LclLanguage::is_bad_view`]. Bad-ball counts are asserted identical.
-/// Unlike `lcl-verdicts-*`, both sides here are allocation-free
-/// view-native passes over the same inline labels, so the ratio isolates
-/// the loop shape rather than the `IoConfig` rebuild.
-fn verdict_soa(quick: bool) -> BenchGroup {
-    let (n, passes, reps) = if quick { (96usize, 50u64, 3) } else { (192, 300u64, 5) };
-    let colors = 3u64;
-    let lang = ProperColoring::new(colors);
-    let graph = cycle(n);
-    let input = Labeling::empty(n);
-    let ids = IdAssignment::consecutive(&graph);
-    let instance = Instance::new(&graph, &input, &ids);
-    let out = Simulator::new().run_randomized(
-        &RandomColoring::new(colors),
-        &instance,
-        rlnc_par::SeedSequence::new(0).child(0),
-    );
-    let io = IoConfig::new(&graph, &input, &out);
-    let views = View::collect_all_io(&io, &ids, 1);
-
-    let legacy_pass = || {
-        let mut bad = 0usize;
-        for view in &views {
-            let mine = view.output(view.center_local());
-            let c = mine.as_u64();
-            let is_bad =
-                c < 1 || c > colors || view.center_neighbor_indices().any(|i| view.output(i) == mine);
-            bad += usize::from(is_bad);
-        }
-        bad
-    };
-    let engine_pass = || {
-        let mut bad = 0usize;
-        for view in &views {
-            bad += usize::from(lang.is_bad_view(view));
-        }
-        bad
-    };
-    assert_eq!(
-        legacy_pass(),
-        engine_pass(),
-        "branchless verdicts must be bit-identical to the early-exit verdicts"
-    );
-    let legacy_ns = best_of(reps, || {
-        let mut total = 0usize;
-        for _ in 0..passes {
-            total += legacy_pass();
-        }
-        assert!(total < usize::MAX);
-    });
-    let engine_ns = best_of(reps, || {
-        let mut total = 0usize;
-        for _ in 0..passes {
-            total += engine_pass();
-        }
-        assert!(total < usize::MAX);
-    });
-    let working_set_bytes: u64 = views.iter().map(|v| v.memory_bytes()).sum();
-    let counters = obs_counters(|| {
-        let _ = engine_pass();
-    });
-    BenchGroup {
-        name: "verdict-soa".into(),
-        n,
-        trials: passes,
-        legacy_ns,
-        engine_ns,
-        legacy_allocs: None,
-        engine_allocs: None,
-        working_set_bytes,
-        counters,
-    }
-}
-
 /// One always-accepting verdict decider: compare the center's output
 /// label against each neighbor's, plus a `j`-shifted probe value that can
 /// never match a valid color. Data-dependent (the compiler cannot fold the
@@ -783,9 +621,9 @@ fn multi_algo_scan(quick: bool) -> BenchGroup {
 
 /// The `langs` groups: one per LCL case in the registry.
 fn lcl_verdict_groups(quick: bool) -> Vec<BenchGroup> {
-    rlnc_langs::registry::CaseRegistry::builtin()
-        .iter()
-        .filter_map(|case| lcl_verdict_group(&case, quick))
+    rlnc_langs::registry::CaseId::ALL
+        .into_iter()
+        .filter_map(|id| lcl_verdict_group(&id.case(), quick))
         .collect()
 }
 
@@ -798,8 +636,6 @@ pub fn run(quick: bool) -> BenchExport {
         boosted_union_acceptance(quick),
         glued_acceptance(quick),
         shard_overhead(quick),
-        pool_warmup(quick),
-        verdict_soa(quick),
         multi_algo_scan(quick),
     ];
     groups.extend(lcl_verdict_groups(quick));
@@ -977,12 +813,12 @@ mod tests {
     #[test]
     fn quick_export_measures_and_serializes() {
         let export = run(true);
-        // 9 engine groups plus one lcl-verdicts group per LCL case.
-        let lcl_cases = rlnc_langs::registry::CaseRegistry::builtin()
-            .iter()
-            .filter(|c| c.lcl.is_some())
+        // 7 engine groups plus one lcl-verdicts group per LCL case.
+        let lcl_cases = rlnc_langs::registry::CaseId::ALL
+            .into_iter()
+            .filter(|id| id.case().lcl.is_some())
             .count();
-        assert_eq!(export.groups.len(), 9 + lcl_cases);
+        assert_eq!(export.groups.len(), 7 + lcl_cases);
         for group in &export.groups {
             assert!(group.legacy_ns > 0 && group.engine_ns > 0);
             assert!(group.speedup() > 0.0);
@@ -993,8 +829,6 @@ mod tests {
         assert!(json.contains("ring-monte-carlo"));
         assert!(json.contains("boosted-union-acceptance"));
         assert!(json.contains("glued-acceptance"));
-        assert!(json.contains("pool-warmup"));
-        assert!(json.contains("verdict-soa"));
         assert!(json.contains("multi-algo-scan"));
         assert!(json.contains("lcl-verdicts-coloring3"));
         assert!(json.contains("lcl-verdicts-matching"));

@@ -18,7 +18,6 @@ use rlnc_derand::{DerandPipeline, PipelineParams};
 use rlnc_graph::traversal::{distance, is_connected};
 use rlnc_langs::coloring::{GlobalGreedyColoring, ProperColoring};
 use rlnc_langs::faulty::FaultyConstructor;
-use rlnc_sweep::workload::RejectBadBallsDecider;
 
 /// Runs the experiment at the default master seed.
 pub fn run(scale: Scale) -> ExperimentReport {
@@ -44,7 +43,7 @@ pub fn run_seeded(scale: Scale, seed: u64) -> ExperimentReport {
         per_node_fault,
         Label::from_u64(0),
     );
-    let decider = RejectBadBallsDecider::new(3, p);
+    let decider = OneSidedLclDecider::new(ProperColoring::new(3), p);
 
     let language = ProperColoring::new(3);
     // All estimation now routes through the rlnc-derand pipeline: cached

@@ -30,8 +30,8 @@
 //!   with a prescribed failure probability β for the derandomization
 //!   experiments.
 //! * [`registry`] — the language-case registry: every language above as an
-//!   enumerable `(language, constructor, decider)` bundle
-//!   ([`CaseRegistry`]), the sweep engine's `language-matrix` axis and the
+//!   enumerable `(language, constructor, decider)` bundle ([`CaseId`] →
+//!   [`LanguageCase`]), the sweep engine's `language-matrix` axis and the
 //!   derandomization pipeline's case source.
 
 #![forbid(unsafe_code)]
@@ -62,5 +62,5 @@ pub use majority::{AllSelected, Majority, OneSidedLocalMajorityDecider};
 pub use matching::{MaximalMatching, ProposalMatching, RandomizedMatching};
 pub use mis::{LocalMinimumMis, LubyMis, MaximalIndependentSet};
 pub use random_coloring::RandomColoring;
-pub use registry::{CaseId, CaseParams, CaseRegistry, InputKind, LanguageCase};
+pub use registry::{CaseId, InputKind, LanguageCase};
 pub use weak_coloring::{LocalMinimumMarking, WeakColoring};

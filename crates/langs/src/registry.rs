@@ -6,13 +6,15 @@
 //! languages, and after the engine/pipeline refactors every downstream
 //! layer (the `rlnc-derand` pipeline, the `rlnc-sweep` workloads, the
 //! bench-export trajectory) is generic over such triples. This module
-//! closes the loop: [`CaseId`] enumerates the catalog, [`CaseId::case`]
-//! materializes a [`LanguageCase`] bundle (boxed trait objects, so sweep
-//! grid points can pick a case at runtime), and [`CaseRegistry`] is the
-//! name-indexed front door the CLI and the `language-matrix` scenario use.
+//! closes the loop: [`CaseId`] enumerates the catalog ([`CaseId::ALL`],
+//! looked up by slug through [`CaseId::from_name`] and by sweep-axis index
+//! through [`CaseId::from_index`]), and [`CaseId::case`] materializes a
+//! [`LanguageCase`] bundle (boxed trait objects, so sweep grid points can
+//! pick a case at runtime). Every layer picks its cases and their knobs
+//! this way.
 //!
 //! The first three cases (`coloring3`, `amos`, `weak-coloring`) are the
-//! legacy `theorem1-pipeline` bundles, preserved bit-for-bit (same
+//! `theorem1-pipeline` scenario's case axis, preserved bit-for-bit (same
 //! constructors, deciders, deterministic families, and parameters) so the
 //! seed-0 sweep records of the hand-wired pipeline are reproduced exactly.
 //!
@@ -27,8 +29,8 @@
 //! * a deterministic algorithm family for the Claim-2 hard-instance search
 //!   (each member fails on every connected regular candidate the scenarios
 //!   generate, so the pool always fills);
-//! * the quantitative knobs ([`CaseParams`]) and instance-input convention
-//!   ([`InputKind`]).
+//! * the quantitative knobs the pipeline runs on ([`PipelineParams`]) and
+//!   the instance-input convention ([`InputKind`]).
 
 use crate::amos::{Amos, AmosGoldenDecider, BernoulliSelection, GOLDEN_GUARANTEE};
 use crate::cole_vishkin::ColeVishkinRingColoring;
@@ -44,6 +46,7 @@ use crate::random_coloring::RandomColoring;
 use crate::weak_coloring::{RandomBitColoring, WeakColoring};
 use rlnc_core::algorithm::{FnAlgorithm, LocalAlgorithm, RandomizedLocalAlgorithm};
 use rlnc_core::decision::RandomizedDecider;
+use rlnc_core::derand::PipelineParams;
 use rlnc_core::labels::{Label, Labeling};
 use rlnc_core::language::{DistributedLanguage, LclLanguage};
 use rlnc_core::one_sided::OneSidedLclDecider;
@@ -55,21 +58,6 @@ use rlnc_graph::{Graph, IdAssignment, NodeId};
 /// iteration count, hence the constructor's radius, across all candidate
 /// instances of a sweep).
 pub const COLE_VISHKIN_MAX_ID: u64 = 1 << 20;
-
-/// The quantitative knobs a case hands the Theorem-1 pipeline: the claimed
-/// construction success probability `r`, the decider guarantee `p`, and the
-/// two radii (`t` for the constructor, `t'` for the decider).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CaseParams {
-    /// The success probability `r` the hypothetical constructor claims.
-    pub r: f64,
-    /// The decider's guarantee `p > 1/2`.
-    pub p: f64,
-    /// The constructor's radius `t`.
-    pub t: u32,
-    /// The decider's radius `t'`.
-    pub t_prime: u32,
-}
 
 /// How candidate instances of a case obtain their input labeling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,9 +74,8 @@ pub enum InputKind {
 }
 
 /// The named language/constructor/decider cases shipped with the crate, in
-/// registry order. The first three are the legacy `theorem1-pipeline`
-/// cases and must keep their positions (sweep grids select cases by
-/// index).
+/// registry order. The first three are the `theorem1-pipeline` cases and
+/// must keep their positions (sweep grids select cases by index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CaseId {
     /// Proper 3-coloring / zero-round random coloring / one-sided decider.
@@ -168,7 +155,7 @@ impl CaseId {
                 constructor: Box::new(RandomColoring::new(3)),
                 decider: Box::new(OneSidedLclDecider::new(ProperColoring::new(3), 0.75)),
                 det_family: constant_colorers(3),
-                params: CaseParams { r: 0.9, p: 0.75, t: 0, t_prime: 1 },
+                params: PipelineParams { r: 0.9, p: 0.75, t: 0, t_prime: 1 },
                 input: InputKind::Empty,
                 pinned_family: None,
             },
@@ -180,7 +167,7 @@ impl CaseId {
                 constructor: Box::new(BernoulliSelection::new(0.15)),
                 decider: Box::new(AmosGoldenDecider::new()),
                 det_family: selection_family(),
-                params: CaseParams { r: 0.9, p: GOLDEN_GUARANTEE, t: 0, t_prime: 0 },
+                params: PipelineParams { r: 0.9, p: GOLDEN_GUARANTEE, t: 0, t_prime: 0 },
                 input: InputKind::Empty,
                 pinned_family: None,
             },
@@ -192,7 +179,7 @@ impl CaseId {
                 constructor: Box::new(RandomBitColoring),
                 decider: Box::new(OneSidedLclDecider::new(WeakColoring::new(), 0.75)),
                 det_family: monochrome_family(),
-                params: CaseParams { r: 0.9, p: 0.75, t: 0, t_prime: 1 },
+                params: PipelineParams { r: 0.9, p: 0.75, t: 0, t_prime: 1 },
                 input: InputKind::Empty,
                 pinned_family: None,
             },
@@ -204,7 +191,7 @@ impl CaseId {
                 constructor: Box::new(LubyMis::new(1)),
                 decider: Box::new(OneSidedLclDecider::new(MaximalIndependentSet::new(), 0.75)),
                 det_family: mis_family(),
-                params: CaseParams { r: 0.9, p: 0.75, t: 1, t_prime: 1 },
+                params: PipelineParams { r: 0.9, p: 0.75, t: 1, t_prime: 1 },
                 input: InputKind::Empty,
                 pinned_family: None,
             },
@@ -216,7 +203,7 @@ impl CaseId {
                 constructor: Box::new(ProposalMatching::new()),
                 decider: Box::new(OneSidedLclDecider::new(MaximalMatching::new(), 0.75)),
                 det_family: matching_family(),
-                params: CaseParams { r: 0.9, p: 0.75, t: 2, t_prime: 1 },
+                params: PipelineParams { r: 0.9, p: 0.75, t: 2, t_prime: 1 },
                 input: InputKind::IdentityNames,
                 pinned_family: None,
             },
@@ -228,7 +215,7 @@ impl CaseId {
                 constructor: Box::new(BernoulliSelection::new(0.5)),
                 decider: Box::new(OneSidedLclDecider::new(MinimalDominatingSet::new(), 0.75)),
                 det_family: dominating_family(),
-                params: CaseParams { r: 0.9, p: 0.75, t: 0, t_prime: 2 },
+                params: PipelineParams { r: 0.9, p: 0.75, t: 0, t_prime: 2 },
                 input: InputKind::Empty,
                 pinned_family: None,
             },
@@ -240,7 +227,7 @@ impl CaseId {
                 constructor: Box::new(ResamplingLll::new(0)),
                 decider: Box::new(OneSidedLclDecider::new(NeighborhoodLll::new(), 0.75)),
                 det_family: monochrome_family(),
-                params: CaseParams { r: 0.9, p: 0.75, t: 0, t_prime: 1 },
+                params: PipelineParams { r: 0.9, p: 0.75, t: 0, t_prime: 1 },
                 input: InputKind::Empty,
                 pinned_family: None,
             },
@@ -252,7 +239,7 @@ impl CaseId {
                 constructor: Box::new(RandomColoring::new(3)),
                 decider: Box::new(OneSidedLclDecider::new(FrugalColoring::new(3, 1), 0.75)),
                 det_family: constant_colorers(3),
-                params: CaseParams { r: 0.9, p: 0.75, t: 0, t_prime: 1 },
+                params: PipelineParams { r: 0.9, p: 0.75, t: 0, t_prime: 1 },
                 input: InputKind::Empty,
                 pinned_family: None,
             },
@@ -267,7 +254,7 @@ impl CaseId {
                     constructor: Box::new(FaultyConstructor::new(cv, 0.08, Label::from_u64(0))),
                     decider: Box::new(OneSidedLclDecider::new(ProperColoring::new(3), 0.75)),
                     det_family: constant_colorers(3),
-                    params: CaseParams { r: 0.9, p: 0.75, t, t_prime: 1 },
+                    params: PipelineParams { r: 0.9, p: 0.75, t, t_prime: 1 },
                     input: InputKind::RingOrientation,
                     pinned_family: Some(Family::Cycle),
                 }
@@ -280,7 +267,7 @@ impl CaseId {
                 constructor: Box::new(BernoulliSelection::new(0.5)),
                 decider: Box::new(OneSidedLocalMajorityDecider::new(1, 0.75)),
                 det_family: majority_family(),
-                params: CaseParams { r: 0.9, p: 0.75, t: 0, t_prime: 1 },
+                params: PipelineParams { r: 0.9, p: 0.75, t: 0, t_prime: 1 },
                 input: InputKind::Empty,
                 pinned_family: None,
             },
@@ -314,7 +301,7 @@ pub struct LanguageCase {
     /// pool always fills.
     pub det_family: Vec<Box<dyn LocalAlgorithm>>,
     /// The case's quantitative knobs (`r`, `p`, radii).
-    pub params: CaseParams,
+    pub params: PipelineParams,
     /// The input convention of the case's candidate instances.
     pub input: InputKind,
     /// When `Some`, candidate instances must come from this family no
@@ -357,57 +344,6 @@ impl LanguageCase {
                 })
             }
         }
-    }
-}
-
-/// The name-indexed registry of all shipped cases.
-#[derive(Debug, Clone, Default)]
-pub struct CaseRegistry {
-    ids: Vec<CaseId>,
-}
-
-impl CaseRegistry {
-    /// The registry of every case shipped with the crate, in
-    /// [`CaseId::ALL`] order.
-    pub fn builtin() -> Self {
-        CaseRegistry {
-            ids: CaseId::ALL.to_vec(),
-        }
-    }
-
-    /// Number of registered cases.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Returns `true` if the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// The registered case ids, in registration order.
-    pub fn ids(&self) -> &[CaseId] {
-        &self.ids
-    }
-
-    /// All case names, in registration order.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.ids.iter().map(|c| c.name()).collect()
-    }
-
-    /// Looks a case up by name.
-    pub fn get(&self, name: &str) -> Option<CaseId> {
-        self.ids.iter().copied().find(|c| c.name() == name)
-    }
-
-    /// Materializes the bundle of the named case.
-    pub fn case(&self, name: &str) -> Option<LanguageCase> {
-        self.get(name).map(CaseId::case)
-    }
-
-    /// Iterates over materialized bundles, in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = LanguageCase> + '_ {
-        self.ids.iter().map(|c| c.case())
     }
 }
 
@@ -507,22 +443,20 @@ mod tests {
 
     #[test]
     fn registry_enumerates_unique_cases_with_legacy_prefix() {
-        let registry = CaseRegistry::builtin();
-        assert_eq!(registry.len(), CaseId::ALL.len());
-        assert!(!registry.is_empty());
-        let names = registry.names();
-        let unique: std::collections::HashSet<&&str> = names.iter().collect();
-        assert_eq!(unique.len(), names.len(), "duplicate case names");
-        // The legacy theorem1-pipeline cases keep their grid indices.
+        let names: std::collections::HashSet<&str> = CaseId::ALL.iter().map(|c| c.name()).collect();
+        assert_eq!(names.len(), CaseId::ALL.len(), "duplicate case names");
+        // The theorem1-pipeline cases keep their grid indices.
         assert_eq!(CaseId::from_index(0), CaseId::Coloring3);
         assert_eq!(CaseId::from_index(1), CaseId::Amos);
         assert_eq!(CaseId::from_index(2), CaseId::WeakColoring);
         assert_eq!(CaseId::from_index(10), CaseId::Coloring3);
-        assert_eq!(registry.get("mis"), Some(CaseId::Mis));
+        for (i, id) in CaseId::ALL.into_iter().enumerate() {
+            assert_eq!(CaseId::from_index(i as u64), id);
+            assert_eq!(CaseId::from_name(id.name()), Some(id));
+        }
+        assert_eq!(CaseId::from_name("mis"), Some(CaseId::Mis));
         assert_eq!(CaseId::from_name("cole-vishkin"), Some(CaseId::ColeVishkin));
         assert_eq!(CaseId::from_name("no-such-case"), None);
-        assert!(registry.case("matching").is_some());
-        assert_eq!(registry.iter().count(), registry.len());
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //! concrete languages of this crate: coin-for-coin agreement with the
 //! verdicts the derandomization pipeline attacks.
 
+use rand::Rng;
+use rlnc_core::algorithm::Coins;
 use rlnc_core::config::IoConfig;
 use rlnc_core::decision::{acceptance_probability, decide_randomized, RandomizedDecider};
 use rlnc_core::labels::{Label, Labeling};
@@ -47,10 +49,10 @@ fn rejects_bad_configurations_per_bad_ball() {
 
 #[test]
 fn matches_the_coloring_specific_decider_coin_for_coin() {
-    // The sweep crate's RejectBadBallsDecider is the ProperColoring
-    // instantiation of this decider; their verdicts must agree on every
-    // (configuration, seed) pair. Checked structurally here: same draw
-    // pattern (one random_bool at bad centers only).
+    // The boosting and glued-decay workloads (and E7) decide with the
+    // ProperColoring instantiation of this decider, so its verdicts must
+    // keep the coloring-specific draw pattern on every (configuration,
+    // seed) pair: one random_bool at bad centers only.
     let g = cycle(8);
     let x = Labeling::empty(8);
     let mut y = Labeling::from_fn(&g, |v| Label::from_u64(u64::from(v.0 % 2) + 1));
@@ -58,10 +60,15 @@ fn matches_the_coloring_specific_decider_coin_for_coin() {
     y.set(NodeId(3), Label::from_u64(1));
     let ids = IdAssignment::consecutive(&g);
     let io = IoConfig::new(&g, &x, &y);
-    let d = OneSidedLclDecider::new(ProperColoring::new(2), 0.7);
-    // 3 bad balls (nodes 2, 3, 4); acceptance = 0.3^3 in expectation,
-    // and the verdict per seed is deterministic.
-    let a = decide_randomized(&d, &io, &ids, SeedSequence::new(5));
-    let b = decide_randomized(&d, &io, &ids, SeedSequence::new(5));
-    assert_eq!(a, b);
+    let d = OneSidedLclDecider::new(ProperColoring::new(2), 0.3);
+    // 3 bad balls (nodes 2, 3, 4); acceptance = 0.7^3 in expectation.
+    // Per seed, the verdict is exactly "no bad center's first draw
+    // rejects": good centers draw nothing.
+    for seed in 0..64 {
+        let coins = Coins::new(SeedSequence::new(seed));
+        let expected = [2u32, 3, 4]
+            .iter()
+            .all(|&v| !coins.for_node(NodeId(v)).random_bool(0.3));
+        assert_eq!(decide_randomized(&d, &io, &ids, SeedSequence::new(seed)), expected);
+    }
 }

@@ -13,7 +13,7 @@ use rlnc_core::view::View;
 use rlnc_core::Simulator;
 use rlnc_graph::generators::Family;
 use rlnc_graph::IdAssignment;
-use rlnc_langs::registry::CaseRegistry;
+use rlnc_langs::registry::CaseId;
 use rlnc_core::LclLanguage;
 use rlnc_par::SeedSequence;
 
@@ -31,7 +31,7 @@ proptest! {
         extra_radius in 0u32..2,
         spread_ids in 0u8..2,
     ) {
-        for id in CaseRegistry::builtin().ids() {
+        for id in CaseId::ALL {
             let case = id.case();
             let Some(lcl) = &case.lcl else { continue };
             let family = case.candidate_family(FAMILIES[family_index]);

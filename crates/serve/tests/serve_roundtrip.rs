@@ -4,7 +4,7 @@
 
 use rlnc_par::Scale;
 use rlnc_serve::{
-    connect_with_retry, Endpoint, Response, ShardSpec, SweepServer, MAX_REQUEST_LINE,
+    connect_with_retry, Endpoint, Request, Response, ShardSpec, SweepServer, MAX_REQUEST_LINE,
 };
 use rlnc_sweep::{emit, Registry, SweepExecutor};
 use std::io::{BufRead, BufReader, Write};
@@ -218,6 +218,61 @@ fn oversized_request_lines_are_refused_and_the_server_keeps_serving() {
         "the refused line counts as an error: {status:?}"
     );
 
+    client.shutdown().expect("shutdown");
+    handle
+        .join()
+        .expect("server thread")
+        .expect("serve exits cleanly");
+}
+
+#[test]
+fn deeply_nested_request_lines_are_refused_and_the_connection_keeps_serving() {
+    let endpoint = temp_socket("nested");
+    let (endpoint, handle) = start(endpoint);
+    let Endpoint::Unix(path) = &endpoint else {
+        unreachable!("unix endpoint")
+    };
+
+    // A complete line under the length cap that opens 60 000 arrays: the
+    // parser must refuse it with a structured error instead of recursing
+    // off the end of the connection thread's stack.
+    let stream = std::os::unix::net::UnixStream::connect(path).expect("connect");
+    stream
+        .set_read_timeout(Some(CONNECT_TIMEOUT))
+        .expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut nested = vec![b'['; 60_000];
+    assert!(nested.len() < MAX_REQUEST_LINE);
+    nested.push(b'\n');
+    writer.write_all(&nested).expect("send nested line");
+    writer.flush().expect("flush");
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("error response");
+    match Response::from_json(line.trim()).expect("structured response") {
+        Response::Error { message } => {
+            assert!(message.contains("nesting"), "unexpected error: {message}")
+        }
+        other => panic!("expected an error response, got {other:?}"),
+    }
+
+    // The same connection still answers a well-formed request.
+    writer
+        .write_all(format!("{}\n", Request::Status.to_json()).as_bytes())
+        .expect("send status");
+    writer.flush().expect("flush");
+    line.clear();
+    reader.read_line(&mut line).expect("status response");
+    match Response::from_json(line.trim()).expect("structured response") {
+        Response::Status(status) => assert!(
+            status.errors >= 1,
+            "the refused line counts as an error: {status:?}"
+        ),
+        other => panic!("expected a status response, got {other:?}"),
+    }
+    drop((reader, writer));
+
+    let mut client = connect_with_retry(&endpoint, CONNECT_TIMEOUT).expect("connect");
     client.shutdown().expect("shutdown");
     handle
         .join()

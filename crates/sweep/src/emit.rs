@@ -247,7 +247,18 @@ pub fn merge_runs(runs: &[SweepRun]) -> Result<SweepRun, String> {
 /// exports (`rlnc-obs`) and bench trajectories (`bench-export`) — without
 /// growing their own parsers: one parser, one set of escape rules,
 /// property-tested round-trips.
+///
+/// Arrays and objects nest at most 64 levels deep (`MAX_DEPTH`); a
+/// deeper document is an `Err`, never a stack overflow, whether it comes
+/// from a file or a socket.
 pub mod json {
+    /// The deepest nesting of arrays and objects [`parse`] accepts. The
+    /// documents this workspace writes nest at most 4 levels (bench
+    /// exports and traces), and each level costs the recursive-descent
+    /// parser a few stack frames, so 64 keeps a hostile `[[[[…` far from
+    /// any thread's stack limit.
+    pub(crate) const MAX_DEPTH: usize = 64;
+
     /// A parsed JSON value.
     #[derive(Debug)]
     pub enum Value {
@@ -348,6 +359,8 @@ pub mod json {
     struct Parser<'a> {
         bytes: &'a [u8],
         pos: usize,
+        /// Arrays and objects currently open.
+        depth: usize,
     }
 
     /// Parses a complete JSON document.
@@ -355,6 +368,7 @@ pub mod json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let value = p.value()?;
         p.skip_ws();
@@ -405,8 +419,8 @@ pub mod json {
         fn value(&mut self) -> Result<Value, String> {
             self.skip_ws();
             match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
+                Some(b'{') => self.nested(Self::object),
+                Some(b'[') => self.nested(Self::array),
                 Some(b'"') => Ok(Value::String(self.string()?)),
                 Some(b't') => self.literal("true", Value::Bool(true)),
                 Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -414,6 +428,24 @@ pub mod json {
                 Some(b'-') | Some(b'0'..=b'9') => self.number(),
                 other => Err(format!("unexpected {:?} at byte {}", other.map(|c| c as char), self.pos)),
             }
+        }
+
+        /// Parses one array or object one level deeper, refusing to go
+        /// past [`MAX_DEPTH`].
+        fn nested(
+            &mut self,
+            parse: fn(&mut Self) -> Result<Value, String>,
+        ) -> Result<Value, String> {
+            if self.depth == MAX_DEPTH {
+                return Err(format!(
+                    "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                    self.pos
+                ));
+            }
+            self.depth += 1;
+            let value = parse(self);
+            self.depth -= 1;
+            value
         }
 
         fn object(&mut self) -> Result<Value, String> {
@@ -685,6 +717,15 @@ mod tests {
         assert!(from_json("[1, 2]").unwrap_err().contains("object"));
         assert!(json::parse("{\"a\": 1} trailing").is_err());
         assert!(json::parse("{\"a\": }").is_err());
+        // Nesting is capped: a 200 KB run of '[' is an error, not a stack
+        // overflow, and the cap sits exactly at MAX_DEPTH.
+        let err = json::parse(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "unexpected error: {err}");
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(json::parse(&nest(json::MAX_DEPTH)).is_ok());
+        assert!(json::parse(&nest(json::MAX_DEPTH + 1)).is_err());
+        let objects = "{\"a\":".repeat(json::MAX_DEPTH + 1);
+        assert!(json::parse(&objects).unwrap_err().contains("nesting deeper than"));
     }
 
     #[test]

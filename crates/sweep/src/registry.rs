@@ -9,6 +9,7 @@
 use crate::spec::{IdScheme, Params, ScenarioSpec};
 use crate::workload::Workload;
 use rlnc_graph::generators::Family;
+use rlnc_langs::registry::CaseId;
 
 /// A collection of named scenarios.
 #[derive(Debug, Clone, Default)]
@@ -181,9 +182,9 @@ pub fn ramsey_lift_spec() -> ScenarioSpec {
 }
 
 /// The end-to-end Theorem-1 scenario: the full four-stage pipeline across
-/// graph families, a ν grid, and three language/algorithm pairs from
-/// `rlnc-langs` (3-coloring, `amos`, weak 2-coloring — see
-/// [`rlnc_derand::PipelineCase`]).
+/// graph families, a ν grid, and the first three registry cases
+/// (3-coloring, `amos`, weak 2-coloring — `CaseId::ALL[..3]`), run by the
+/// same `language-pipeline` workload as `language-matrix`.
 pub fn theorem1_pipeline_spec() -> ScenarioSpec {
     ScenarioSpec {
         name: "theorem1-pipeline".into(),
@@ -195,30 +196,27 @@ pub fn theorem1_pipeline_spec() -> ScenarioSpec {
             .flat_map(|case| [2u64, 4].iter().map(move |&nu| Params::two(nu, case)))
             .collect(),
         base_trials: 240,
-        workload: Workload::Theorem1Pipeline,
+        workload: Workload::LanguagePipeline,
     }
 }
 
-/// The full-catalog scenario: every case registered in
-/// [`rlnc_langs::registry::CaseRegistry`] — coloring, `amos`, weak
-/// coloring, MIS, matching, dominating set, LLL, frugal coloring,
-/// Cole–Vishkin, majority — through the four-stage Theorem-1 pipeline,
-/// across connected regular families and a ν grid. The case is the
-/// `params.b` axis ([`rlnc_langs::registry::CaseId::from_index`]); `params.a`
-/// is ν.
+/// The full-catalog scenario: every case in [`CaseId::ALL`] — coloring,
+/// `amos`, weak coloring, MIS, matching, dominating set, LLL, frugal
+/// coloring, Cole–Vishkin, majority — through the four-stage Theorem-1
+/// pipeline, across connected regular families and a ν grid. The case is
+/// the `params.b` axis ([`CaseId::from_index`]); `params.a` is ν.
 pub fn language_matrix_spec() -> ScenarioSpec {
-    let registry = rlnc_langs::registry::CaseRegistry::builtin();
     ScenarioSpec {
         name: "language-matrix".into(),
         description: format!(
             "the whole language catalog through the Theorem-1 pipeline: {} registered cases ({}) × families × ν",
-            registry.len(),
-            registry.names().join(", ")
+            CaseId::ALL.len(),
+            case_names()
         ),
         families: vec![Family::Cycle, Family::Circulant2, Family::Prism],
         sizes: vec![16],
         id_schemes: vec![IdScheme::Consecutive],
-        params: (0..registry.len() as u64)
+        params: (0..CaseId::ALL.len() as u64)
             .flat_map(|case| [2u64, 4].iter().map(move |&nu| Params::two(nu, case)))
             .collect(),
         base_trials: 160,
@@ -236,16 +234,15 @@ pub fn language_matrix_spec() -> ScenarioSpec {
 /// Success tracks the all-nodes-accept rate as faults intensify; the value
 /// channel records the realized faulty-node fraction.
 pub fn fault_matrix_spec() -> ScenarioSpec {
-    let registry = rlnc_langs::registry::CaseRegistry::builtin();
-    let cases = registry.len() as u64;
+    let cases = CaseId::ALL.len() as u64;
     let intensities_permille = [150u64, 350];
     ScenarioSpec {
         name: "fault-matrix".into(),
         description: format!(
             "fault plans × intensity × the whole language catalog on the round backend: \
              crash-on-start, crash-at-round, crash-cascade, byzantine-relabel against {} cases ({})",
-            registry.len(),
-            registry.names().join(", ")
+            cases,
+            case_names()
         ),
         families: vec![Family::Cycle, Family::Circulant2, Family::Prism],
         sizes: vec![16],
@@ -260,6 +257,11 @@ pub fn fault_matrix_spec() -> ScenarioSpec {
         base_trials: 200,
         workload: Workload::FaultMatrix,
     }
+}
+
+/// Every registry case's slug, in [`CaseId::ALL`] order, comma-separated.
+fn case_names() -> String {
+    CaseId::ALL.map(CaseId::name).join(", ")
 }
 
 /// The batched Claim-2 scan as a scenario: the K-axis of the
@@ -400,14 +402,13 @@ mod tests {
     fn language_matrix_covers_every_registered_case() {
         let spec = language_matrix_spec();
         assert!(spec.validate().is_ok());
-        let case_registry = rlnc_langs::registry::CaseRegistry::builtin();
         let cases: std::collections::HashSet<u64> = spec.params.iter().map(|p| p.b).collect();
         assert_eq!(
             cases.len(),
-            case_registry.len(),
+            CaseId::ALL.len(),
             "every registered language case must appear on the sweep axis"
         );
-        for name in case_registry.names() {
+        for name in CaseId::ALL.map(CaseId::name) {
             assert!(
                 spec.description.contains(name),
                 "description must surface case '{name}'"
@@ -419,12 +420,12 @@ mod tests {
 
     #[test]
     fn language_matrix_smoke_grid_runs_the_non_legacy_cases() {
-        // The legacy prefix is pinned elsewhere (bit-identity with
-        // theorem1-pipeline); here the new catalog entries run end to end
+        // The first three cases are pinned by the theorem1-pipeline
+        // regression test; here the rest of the catalog runs end to end
         // through real grid points.
         let spec = language_matrix_spec();
         let grid = spec.grid(rlnc_par::Scale::Smoke);
-        for case in 3..rlnc_langs::registry::CaseRegistry::builtin().len() as u64 {
+        for case in 3..CaseId::ALL.len() as u64 {
             let point = grid
                 .iter()
                 .find(|p| p.params.b == case)
@@ -441,14 +442,13 @@ mod tests {
     fn fault_matrix_covers_every_plan_intensity_and_case() {
         let spec = fault_matrix_spec();
         assert!(spec.validate().is_ok());
-        let case_registry = rlnc_langs::registry::CaseRegistry::builtin();
         let cases: std::collections::HashSet<u64> = spec.params.iter().map(|p| p.b).collect();
         assert_eq!(
             cases.len(),
-            case_registry.len(),
+            CaseId::ALL.len(),
             "every registered language case must appear on the fault axis"
         );
-        for name in case_registry.names() {
+        for name in CaseId::ALL.map(CaseId::name) {
             assert!(
                 spec.description.contains(name),
                 "description must surface case '{name}'"
@@ -534,6 +534,27 @@ mod tests {
             let outcome = prepared.run_trial(rlnc_par::SeedSequence::new(7).child(1).child(0));
             assert!((0.0..=1.0).contains(&outcome.value), "case {case}");
         }
+    }
+
+    #[test]
+    fn theorem1_pipeline_streams_are_pinned_at_seed_7() {
+        // Every point's success count and value channel at smoke scale:
+        // the scenario's trial streams must not move when the pipeline
+        // code around them changes.
+        let run = crate::SweepExecutor::new(rlnc_par::Scale::Smoke)
+            .with_seed(7)
+            .run(&theorem1_pipeline_spec());
+        assert!(run.records.iter().all(|r| r.workload == "language-pipeline"));
+        let successes: Vec<u64> = run.records.iter().map(|r| r.successes).collect();
+        assert_eq!(successes, [0, 0, 4, 1, 0, 0, 0, 0, 4, 1, 4, 4, 0, 0, 3, 0, 2, 0]);
+        let mean_values: Vec<f64> = run.records.iter().map(|r| r.mean_value).collect();
+        assert_eq!(
+            mean_values,
+            [
+                0.0, 0.0, 0.2, 0.05, 0.0, 0.0, 0.0, 0.0, 0.15, 0.1, 0.5, 0.2, 0.0, 0.0, 0.1, 0.05,
+                0.0, 0.0
+            ]
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! equivalence suite pins this down).
 
 use crate::spec::{GridPoint, IdScheme};
-use rlnc_core::algorithm::{Coins, LocalAlgorithm};
+use rlnc_core::algorithm::LocalAlgorithm;
 use rlnc_core::decision::RandomizedDecider;
 use rlnc_core::derand::boosting::build_disjoint_union;
 use rlnc_core::derand::gluing::anchor_candidates;
@@ -24,18 +24,20 @@ use rlnc_core::derand::hard_instances::{consecutive_cycle_candidates, HardInstan
 use rlnc_core::derand::ramsey::OrderInvariantLift;
 use rlnc_core::faults::FaultPlan;
 use rlnc_core::language::DistributedLanguage;
+use rlnc_core::one_sided::OneSidedLclDecider;
 use rlnc_core::prelude::{
     FnAlgorithm, Instance, IoConfig, Label, Labeling, RandomizedLocalAlgorithm, Simulator, View,
 };
 use rlnc_core::relaxation::EpsilonSlack;
 use rlnc_core::resilient::{theoretical_acceptance, ResilientDecider};
-use rlnc_derand::{CaseId, DerandPipeline, PipelineCase};
+use rlnc_derand::DerandPipeline;
 use rlnc_engine::{DecisionScratch, ExecutionPlan, GluedPlan, PlanCache, RoundPlan, UnionPlan};
 use rlnc_graph::generators::{cycle, Family};
 use rlnc_graph::{Graph, IdAssignment, NodeId};
 use rlnc_langs::coloring::{improperly_colored_nodes, GlobalGreedyColoring, ProperColoring};
 use rlnc_langs::faulty::FaultyConstructor;
 use rlnc_langs::random_coloring::RandomColoring;
+use rlnc_langs::registry::{CaseId, LanguageCase};
 use rlnc_par::rng::SeedSequence;
 use rlnc_par::trials::TrialOutcome;
 use rand::seq::IndexedRandom;
@@ -110,26 +112,19 @@ pub enum Workload {
         /// Consistency samples per template per refinement round.
         samples: u32,
     },
-    /// The full four-stage Theorem-1 pipeline (ramsey lift → hard-instance
-    /// search → boosted disjoint union → connected gluing), generic over
-    /// the language/constructor/decider bundle selected by `params.b`
-    /// (see [`PipelineCase::from_index`]); `params.a` is the repetition
-    /// count `ν`. A trial constructs and decides once on the planned
-    /// union (the trial's value) and once on the planned gluing's
-    /// far-from-anchors event (the trial's success). Requires a connected
-    /// regular family (cycle, circulant, prism, torus).
-    Theorem1Pipeline,
-    /// The generic **language workload**: the same four-stage pipeline as
-    /// [`Workload::Theorem1Pipeline`], but the case axis `params.b` ranges
-    /// over the *whole* `rlnc-langs` case registry
+    /// The **language workload**: the full four-stage Theorem-1 pipeline
+    /// (ramsey lift → hard-instance search → boosted disjoint union →
+    /// connected gluing) for the registry case selected by `params.b`
     /// ([`CaseId::from_index`] — coloring, `amos`, weak coloring, MIS,
     /// matching, dominating set, LLL, frugal coloring, Cole–Vishkin,
-    /// majority) instead of the three legacy cases. Candidate instances
-    /// follow the case's input convention (identity names for matching,
-    /// ring orientation for Cole–Vishkin — which also pins its candidates
-    /// to the cycle family regardless of the grid's family axis). For
-    /// `params.b < 3` the trial streams are bit-identical to
-    /// `Theorem1Pipeline`'s. Requires a connected regular family.
+    /// majority); `params.a` is the repetition count `ν`. A trial
+    /// constructs and decides once on the planned union (the trial's
+    /// value) and once on the planned gluing's far-from-anchors event (the
+    /// trial's success). Candidate instances follow the case's input
+    /// convention (identity names for matching, ring orientation for
+    /// Cole–Vishkin — which also pins its candidates to the cycle family
+    /// regardless of the grid's family axis). Requires a connected regular
+    /// family (cycle, circulant, prism, torus).
     LanguagePipeline,
     /// The **fault matrix**: one registry case's constructor runs through
     /// the round backend ([`RoundPlan`]) under a seeded
@@ -173,7 +168,6 @@ impl Workload {
             Workload::BoostingUnion { .. } => "boosting-union",
             Workload::GluedDecay { .. } => "glued-decay",
             Workload::RamseyLift { .. } => "ramsey-lift",
-            Workload::Theorem1Pipeline => "theorem1-pipeline",
             Workload::LanguagePipeline => "language-pipeline",
             Workload::FaultMatrix => "fault-matrix",
             Workload::Claim2Scan => "claim2-scan",
@@ -197,10 +191,7 @@ impl Workload {
                     ))
                 }
             }
-            Workload::Theorem1Pipeline
-            | Workload::LanguagePipeline
-            | Workload::FaultMatrix
-            | Workload::Claim2Scan => {
+            Workload::LanguagePipeline | Workload::FaultMatrix | Workload::Claim2Scan => {
                 if matches!(
                     family,
                     Family::Cycle | Family::Circulant2 | Family::Prism | Family::Torus
@@ -232,10 +223,9 @@ impl Workload {
             | Workload::GluedDecay { cycle_size, .. } => *cycle_size,
             // The pipeline's hard-instance candidates need room for anchors
             // pairwise 2(t + t') apart and a usable Ramsey probe.
-            Workload::Theorem1Pipeline
-            | Workload::LanguagePipeline
-            | Workload::FaultMatrix
-            | Workload::Claim2Scan => n.max(12),
+            Workload::LanguagePipeline | Workload::FaultMatrix | Workload::Claim2Scan => {
+                n.max(12)
+            }
             Workload::RamseyLift { .. } => n.max(8),
             Workload::SlackColoring { .. } => n,
         }
@@ -260,7 +250,6 @@ impl Workload {
             | Workload::BoostingUnion { .. }
             | Workload::GluedDecay { .. }
             | Workload::RamseyLift { .. }
-            | Workload::Theorem1Pipeline
             | Workload::LanguagePipeline
             | Workload::FaultMatrix
             | Workload::Claim2Scan => 0,
@@ -344,7 +333,7 @@ impl Workload {
                     per_node_fault,
                     Label::from_u64(0),
                 );
-                let decider = RejectBadBallsDecider::new(colors, decider_p);
+                let decider = OneSidedLclDecider::new(ProperColoring::new(colors), decider_p);
                 let instance = union.as_instance();
                 let construction_plan = rlnc_engine::shared_plan_for_instance(
                     &instance,
@@ -382,7 +371,7 @@ impl Workload {
                     per_node_fault,
                     Label::from_u64(0),
                 );
-                let decider = RejectBadBallsDecider::new(colors, decider_p);
+                let decider = OneSidedLclDecider::new(ProperColoring::new(colors), decider_p);
                 // The whole glued composite — both view sets and the
                 // Claims-4/5 participation mask — is planned once by the
                 // pipeline's gluing stage; trials only flip coins.
@@ -422,14 +411,8 @@ impl Workload {
                     universe_size: stage.universe_size,
                 }
             }
-            Workload::Theorem1Pipeline => prepare_case_pipeline(
-                PipelineCase::from_index(point.params.b).case_id(),
-                point,
-                &mut prep_rng,
-                point_seed,
-            ),
             Workload::LanguagePipeline => prepare_case_pipeline(
-                CaseId::from_index(point.params.b),
+                CaseId::from_index(point.params.b).case(),
                 point,
                 &mut prep_rng,
                 point_seed,
@@ -461,19 +444,7 @@ impl Workload {
             Workload::Claim2Scan => {
                 let mut case = CaseId::from_index(point.params.b).case();
                 let k = point.params.a.max(1) as usize;
-                // Same candidate convention as the pipeline workloads:
-                // three increasing members of the case's candidate family,
-                // consecutive identities, case-convention inputs.
-                let family = case.candidate_family(point.family);
-                let candidates: Vec<HardInstance> = [point.n, point.n + 2, point.n + 4]
-                    .iter()
-                    .map(|&size| {
-                        let graph = family.generate(size, &mut prep_rng);
-                        let ids = IdAssignment::consecutive(&graph);
-                        let input = case.build_input(&graph, &ids);
-                        HardInstance::new(graph, input, ids)
-                    })
-                    .collect();
+                let candidates = case_candidates(&case, point, &mut prep_rng);
                 let algos = scan_family(std::mem::take(&mut case.det_family), k);
                 // The batched scan itself: one `run_many` pass per cached
                 // candidate settles verdicts for the whole same-radius
@@ -486,7 +457,7 @@ impl Workload {
                         &*case.constructor,
                         &*case.decider,
                         &*case.language,
-                        case.params.into(),
+                        case.params,
                     );
                     let mut cache = PlanCache::new();
                     let mut hard =
@@ -536,29 +507,19 @@ fn scan_family(
     algos
 }
 
-/// Shared body of the two pipeline workloads: stages the full four-stage
-/// Theorem-1 argument for one registry case at one grid point.
-///
-/// `Theorem1Pipeline` maps `params.b` through the legacy three-case axis
-/// and `LanguagePipeline` through the whole registry, but both run this
-/// code — for the legacy cases the two workloads draw identical streams
-/// from `prep_rng`/`point_seed`, so their trial outcomes are bit-identical
-/// (pinned by a workload test).
-fn prepare_case_pipeline(
-    case_id: CaseId,
+/// The Claim-2 candidates of a case at one grid point, shared by the
+/// `language-pipeline` and `claim2-scan` workloads: three members of the
+/// case's candidate family (the grid's family, unless the case pins one —
+/// Cole–Vishkin needs oriented rings) of increasing size, consecutive
+/// identities, inputs per the case's convention (empty / identity names /
+/// ring orientation).
+fn case_candidates(
+    case: &LanguageCase,
     point: &GridPoint,
     prep_rng: &mut impl Rng,
-    point_seed: SeedSequence,
-) -> Prepared {
-    let case = case_id.case();
-    let nu = point.params.a.max(2) as usize;
-    // Claim-2 candidates: three members of the case's candidate family
-    // (the grid's family, unless the case pins one — Cole–Vishkin needs
-    // oriented rings) of increasing size, consecutive identities, inputs
-    // per the case's convention (empty / identity names / ring
-    // orientation).
+) -> Vec<HardInstance> {
     let family = case.candidate_family(point.family);
-    let candidates: Vec<HardInstance> = [point.n, point.n + 2, point.n + 4]
+    [point.n, point.n + 2, point.n + 4]
         .iter()
         .map(|&size| {
             let graph = family.generate(size, prep_rng);
@@ -566,12 +527,24 @@ fn prepare_case_pipeline(
             let input = case.build_input(&graph, &ids);
             HardInstance::new(graph, input, ids)
         })
-        .collect();
+        .collect()
+}
+
+/// The `language-pipeline` workload's preparation: stages the full
+/// four-stage Theorem-1 argument for one registry case at one grid point.
+fn prepare_case_pipeline(
+    case: LanguageCase,
+    point: &GridPoint,
+    prep_rng: &mut impl Rng,
+    point_seed: SeedSequence,
+) -> Prepared {
+    let nu = point.params.a.max(2) as usize;
+    let candidates = case_candidates(&case, point, prep_rng);
     let pipeline = DerandPipeline::new(
         &*case.constructor,
         &*case.decider,
         &*case.language,
-        case.params.into(),
+        case.params,
     );
     // Stage 1: the Ramsey refinement of the first deterministic algorithm
     // over a universe sized to the probe. Its output feeds stage 2: the
@@ -666,7 +639,7 @@ pub enum Prepared {
         /// The fault-injected colorer.
         constructor: FaultyConstructor<GlobalGreedyColoring>,
         /// The one-sided rejecting decider.
-        decider: RejectBadBallsDecider,
+        decider: OneSidedLclDecider<ProperColoring>,
         /// Cached construction views at the constructor's radius.
         construction_plan: ExecutionPlan,
         /// Cached radius-1 views whose outputs a [`DecisionScratch`]
@@ -680,7 +653,7 @@ pub enum Prepared {
         /// The fault-injected colorer.
         constructor: FaultyConstructor<GlobalGreedyColoring>,
         /// The one-sided rejecting decider.
-        decider: RejectBadBallsDecider,
+        decider: OneSidedLclDecider<ProperColoring>,
         /// The engine plan over the glued instance.
         plan: GluedPlan,
     },
@@ -1012,44 +985,6 @@ impl Prepared {
     }
 }
 
-/// The one-sided decider used by the boosting workload (and E6): accept at
-/// properly-colored centers, reject at bad centers with probability `p`.
-#[derive(Debug, Clone, Copy)]
-pub struct RejectBadBallsDecider {
-    colors: u64,
-    p: f64,
-}
-
-impl RejectBadBallsDecider {
-    /// Builds the decider for a `colors`-palette with rejection probability
-    /// `p` at bad-ball centers.
-    pub fn new(colors: u64, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "rejection probability must lie in [0, 1]");
-        RejectBadBallsDecider { colors, p }
-    }
-}
-
-impl RandomizedDecider for RejectBadBallsDecider {
-    fn radius(&self) -> u32 {
-        1
-    }
-
-    fn accepts(&self, view: &View, coins: &Coins) -> bool {
-        let mine = view.output(view.center_local());
-        let in_range = mine.as_u64() >= 1 && mine.as_u64() <= self.colors;
-        let conflict = view.center_neighbor_indices().any(|i| view.output(i) == mine);
-        if in_range && !conflict {
-            true
-        } else {
-            !coins.for_center(view).random_bool(self.p)
-        }
-    }
-
-    fn name(&self) -> String {
-        format!("reject-bad-balls(p={})", self.p)
-    }
-}
-
 /// Plants `planted` recolorings on a properly 2-colored even cycle of size
 /// `n`: each recolored node matches both of its neighbors, so the victim's
 /// ball and both neighbors' balls become bad — exactly 3 bad balls per
@@ -1082,7 +1017,6 @@ pub fn planted_bad_balls(n: usize, planted: u64) -> usize {
 mod tests {
     use super::*;
     use crate::spec::Params;
-    use rlnc_core::decision::decide_randomized;
     use rlnc_core::language::bad_ball_count;
 
     #[test]
@@ -1137,23 +1071,6 @@ mod tests {
         assert!(w.min_trials(&hard) <= 18_000);
         let s = Workload::SlackColoring { colors: 3, epsilon: 0.6 };
         assert_eq!(s.min_trials(&easy), 0);
-    }
-
-    #[test]
-    fn reject_bad_balls_decider_accepts_proper_colorings_deterministically() {
-        let (graph, input, output) = planted_cycle_configuration(48, 0);
-        let ids = IdAssignment::consecutive(&graph);
-        let io = IoConfig::new(&graph, &input, &output);
-        let decider = RejectBadBallsDecider::new(2, 0.8);
-        for t in 0..8 {
-            assert!(decide_randomized(
-                &decider,
-                &io,
-                &ids,
-                SeedSequence::new(t)
-            ));
-        }
-        assert!(decider.name().contains("0.8"));
     }
 
     #[test]
@@ -1228,39 +1145,10 @@ mod tests {
     }
 
     #[test]
-    fn language_pipeline_reproduces_theorem1_for_the_legacy_cases() {
-        // The generic language workload and the hand-wired theorem1
-        // workload share the registry's three-case prefix: for
-        // params.b ∈ {0, 1, 2} their trial streams must be bit-identical.
-        for case in 0..3u64 {
-            let point = GridPoint {
-                index: case,
-                family: Family::Cycle,
-                n: 12,
-                id_scheme: IdScheme::Consecutive,
-                params: Params::two(2, case),
-                trials: 4,
-            };
-            let point_seed = SeedSequence::new(9).child(point.index);
-            let legacy = Workload::Theorem1Pipeline.prepare(&point, point_seed);
-            let generic = Workload::LanguagePipeline.prepare(&point, point_seed);
-            for trial in 0..4u64 {
-                let seed = point_seed.child(1).child(trial);
-                assert_eq!(
-                    legacy.run_trial(seed),
-                    generic.run_trial(seed),
-                    "case {case}, trial {trial}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn language_pipeline_runs_every_registered_case() {
         // The whole catalog — including the id-named matching case and the
         // family-pinned Cole–Vishkin case — stages and runs end to end.
-        let registry = rlnc_langs::registry::CaseRegistry::builtin();
-        for (index, id) in registry.ids().iter().enumerate() {
+        for (index, id) in CaseId::ALL.into_iter().enumerate() {
             let point = GridPoint {
                 index: index as u64,
                 family: Family::Prism,

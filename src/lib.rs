@@ -85,7 +85,8 @@ mod tests {
         let instance = crate::core::config::Instance::new(&graph, &input, &ids);
         let plan = crate::engine::ExecutionPlan::for_instance(&instance, 1);
         assert_eq!(plan.node_count(), 5);
-        assert_eq!(crate::derand::PipelineCase::ALL.len(), 3);
+        let params = crate::derand::PipelineParams { r: 0.9, p: 0.75, t: 0, t_prime: 1 };
+        assert_eq!(params.mu(), 2);
         // Observability is disabled by default; a snapshot still renders.
         assert!(!crate::obs::enabled());
         assert!(crate::obs::snapshot().to_json().contains("rlnc-trace-v1"));
