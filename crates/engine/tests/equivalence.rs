@@ -373,37 +373,34 @@ fn view_native_verdicts_do_not_allocate() {
     }
 }
 
-/// A warmed construct-then-decide trial allocates nothing: constructed
-/// labels are inline values written into the reusable output buffer, and
-/// the decision scratch copies them into its cached views in place.
+/// Warms a construct-then-decide loop on `instance`, then asserts that
+/// 1000 more trials allocate nothing.
 #[cfg(feature = "count-alloc")]
-#[test]
-fn construct_decide_loop_does_not_allocate() {
+fn assert_construct_decide_loop_does_not_allocate<C, D>(
+    instance: &Instance<'_>,
+    construction_radius: u32,
+    constructor: &C,
+    decider: &D,
+    root: SeedSequence,
+) where
+    C: RandomizedLocalAlgorithm + ?Sized,
+    D: RandomizedDecider + ?Sized,
+{
     use rlnc_engine::ConstructDecidePlan;
-    use rlnc_langs::coloring::ProperColoring;
-    use rlnc_langs::random_coloring::RandomColoring;
     use rlnc_obs::alloc_counter::allocations;
 
-    let n = 24;
-    let graph = rlnc_graph::generators::cycle(n);
-    let input = Labeling::empty(n);
-    let ids = IdAssignment::consecutive(&graph);
-    let instance = Instance::new(&graph, &input, &ids);
-    let constructor = RandomColoring::new(3);
-    let decider = OneSidedLclDecider::new(ProperColoring::new(3), 0.75);
-    let plan = ConstructDecidePlan::new(&instance, 0, 1);
+    let plan = ConstructDecidePlan::new(instance, construction_radius, 1);
     let mut scratch = plan.decision_scratch();
-    let mut out = Labeling::empty(n);
+    let mut out = Labeling::empty(plan.node_count());
 
     rlnc_obs::set_enabled(true);
-    let root = SeedSequence::new(17);
     // Warm-up: an always-accepting decider visits every node, so every
     // cached view's output buffer exists before the counted loop.
     let accept_all = FnRandomizedDecider::new(1, "accept-all", |_: &View, _: &Coins| true);
     plan.accept_once(
         &mut scratch,
         &mut out,
-        &constructor,
+        constructor,
         &accept_all,
         None,
         root.child(0),
@@ -412,8 +409,8 @@ fn construct_decide_loop_does_not_allocate() {
         plan.accept_once(
             &mut scratch,
             &mut out,
-            &constructor,
-            &decider,
+            constructor,
+            decider,
             None,
             root.child(t),
         )
@@ -432,6 +429,53 @@ fn construct_decide_loop_does_not_allocate() {
         0,
         "construct-decide loop allocated {} times over 1000 trials",
         after - before
+    );
+}
+
+/// A warmed construct-then-decide trial allocates nothing: constructed
+/// labels are inline values written into the reusable output buffer, and
+/// the decision scratch copies them into its cached views in place.
+#[cfg(feature = "count-alloc")]
+#[test]
+fn construct_decide_loop_does_not_allocate() {
+    use rlnc_langs::coloring::ProperColoring;
+    use rlnc_langs::random_coloring::RandomColoring;
+
+    let n = 24;
+    let graph = rlnc_graph::generators::cycle(n);
+    let input = Labeling::empty(n);
+    let ids = IdAssignment::consecutive(&graph);
+    let instance = Instance::new(&graph, &input, &ids);
+    let constructor = RandomColoring::new(3);
+    let decider = OneSidedLclDecider::new(ProperColoring::new(3), 0.75);
+    assert_construct_decide_loop_does_not_allocate(
+        &instance,
+        0,
+        &constructor,
+        &decider,
+        SeedSequence::new(17),
+    );
+}
+
+/// The radius-10 fault-injected Cole–Vishkin constructor allocates nothing
+/// per trial either: it replays the center's successor chain in a stack
+/// array.
+#[cfg(feature = "count-alloc")]
+#[test]
+fn cole_vishkin_construct_decide_loop_does_not_allocate() {
+    use rlnc_langs::registry::CaseId;
+
+    let case = CaseId::ColeVishkin.case();
+    let graph = rlnc_graph::generators::cycle(32);
+    let ids = IdAssignment::consecutive(&graph);
+    let input = case.build_input(&graph, &ids);
+    let instance = Instance::new(&graph, &input, &ids);
+    assert_construct_decide_loop_does_not_allocate(
+        &instance,
+        case.constructor.radius(),
+        &*case.constructor,
+        &*case.decider,
+        SeedSequence::new(19),
     );
 }
 

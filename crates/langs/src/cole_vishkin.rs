@@ -8,14 +8,21 @@
 //! input is the identity of its successor).
 //!
 //! The algorithm is expressed, like everything else in the workspace, as a
-//! function of the radius-`t` view: the node reconstructs the directed
-//! window of `t` successors and `t` predecessors around itself and replays
-//! the global iterative process inside that window. This is exactly the
-//! ball-simulation argument of §2.1 of the paper, and it makes the round
-//! complexity explicit: the radius needed is the number of Cole–Vishkin
-//! iterations plus `2 × 3` rounds for the three final shift-and-recolor
-//! reduction steps (each step reads the successor's color and then both
-//! neighbors' new colors, i.e. two communication rounds).
+//! function of the radius-`t` view: the node follows the successor
+//! pointers to its `t` successors and replays the global iterative process
+//! on that directed segment. This is exactly the ball-simulation argument
+//! of §2.1 of the paper. The node reads only its successors because every
+//! step writes a node's color from its own color and its successors'
+//! colors: a Cole–Vishkin iteration reads the successor, and a
+//! shift-and-recolor step reads the successor's color (the node's shifted
+//! color) and the shifted colors of both neighbors — the predecessor's
+//! shifted color is the node's own old color. So the final color of the
+//! center is a function of the center and its `t` successors.
+//!
+//! This makes the round complexity explicit: the radius needed is the
+//! number of Cole–Vishkin iterations (one successor each) plus `2 × 3`
+//! rounds for the three final shift-and-recolor reduction steps (two
+//! successors each: one for the shift, one for the shifted successor).
 
 use rlnc_core::prelude::*;
 use rlnc_graph::{Graph, IdAssignment, NodeId};
@@ -45,12 +52,13 @@ pub fn cv_step(mine: u64, successor: u64) -> u64 {
 
 /// The number of Cole–Vishkin iterations needed to reduce colors from
 /// identities bounded by `max_id` down to the range `{0, ..., 5}`.
+///
+/// At most 4 for every `u64` bound: 64-bit colors shrink to 7, 4 and then
+/// 3 bits, and one more step maps 3-bit colors into `{0, ..., 5}`.
 pub fn cv_iterations(max_id: u64) -> u32 {
-    // Track the number of bits needed for the colors; one step maps
-    // `b`-bit colors to colors of value at most `2(b-1)+1`, i.e.
-    // `ceil(log2(2b)) `bits. Stop once colors fit in 3 bits (values ≤ 5
-    // after one more step from ≤ 7? — see below: when colors fit in 3 bits,
-    // the *next* step yields values ≤ 2*2+1 = 5, so we count that step too).
+    // Track the number of bits needed for the colors: one step maps
+    // `b`-bit colors to values at most `2(b-1)+1`. Stop once colors fit
+    // in 3 bits.
     let mut bits = 64 - max_id.leading_zeros().min(63);
     let mut iterations = 0u32;
     while bits > 3 {
@@ -96,13 +104,22 @@ impl ColeVishkinRingColoring {
     pub fn rounds(&self) -> u32 {
         self.iterations + 6
     }
+}
 
+/// Upper bound on [`ColeVishkinRingColoring::rounds`]: [`cv_iterations`] is
+/// at most 4 for every `u64` bound, plus the six reduction rounds.
+const MAX_ROUNDS: usize = 10;
+
+/// The replay over the whole two-sided window `[-t, ..., +t]`: the
+/// reference the successor-only kernel ([`LocalAlgorithm::output`]) is
+/// pinned against.
+#[cfg(test)]
+impl ColeVishkinRingColoring {
     /// Reconstructs the directed window `[-radius, ..., 0, ..., +radius]`
     /// around the center: `window[radius]` is the center, successors extend
-    /// to the right. Entries are `(id, local_index)`. Windows are truncated
-    /// at the view boundary (only happens when the radius exceeds what the
-    /// view contains, i.e. tiny rings).
-    fn window(&self, view: &View) -> Vec<u64> {
+    /// to the right. Entries are identities. A walk that leaves the view
+    /// repeats its last identity.
+    fn window_reference(&self, view: &View) -> Vec<u64> {
         let radius = self.rounds() as usize;
         let n = view.len();
         // successor id of local node i is its input label.
@@ -142,16 +159,11 @@ impl ColeVishkinRingColoring {
         }
         window
     }
-}
 
-impl LocalAlgorithm for ColeVishkinRingColoring {
-    fn radius(&self) -> u32 {
-        self.rounds()
-    }
-
-    fn output(&self, view: &View) -> Label {
+    /// The center's color replayed over the whole two-sided window.
+    fn output_reference(&self, view: &View) -> Label {
         let radius = self.rounds() as usize;
-        let mut colors = self.window(view);
+        let mut colors = self.window_reference(view);
         let window_len = colors.len();
         // Phase 1: iterated Cole–Vishkin color reduction. After iteration k
         // the color of position j is valid for j ≤ window_len - 1 - k.
@@ -202,6 +214,78 @@ impl LocalAlgorithm for ColeVishkinRingColoring {
         // still strictly inside the valid prefix.
         debug_assert!(radius < valid);
         Label::from_u64(colors[radius] + 1)
+    }
+}
+
+impl LocalAlgorithm for ColeVishkinRingColoring {
+    fn radius(&self) -> u32 {
+        self.rounds()
+    }
+
+    /// Replays the process on the center and its `t` successors, in place
+    /// with the center at index 0. Every step writes position `j` from
+    /// positions `j..` only (see the module docs), so each step shortens
+    /// the exact prefix — by one per iteration, by two per
+    /// shift-and-recolor step — and the center's entry is the last exact
+    /// one.
+    fn output(&self, view: &View) -> Label {
+        let t = self.rounds() as usize;
+        let mut buffer = [0u64; MAX_ROUNDS + 1];
+        let colors = &mut buffer[..=t];
+        // colors[s] starts as the identity of the center's s-th successor,
+        // the first view member holding the identity its predecessor's
+        // input names. A chain that leaves the view (a path end, a forged
+        // or absent identity) repeats its last identity.
+        colors[0] = view.center_id();
+        let mut current = view.center_local();
+        for step in 1..=t {
+            let successor = view.input(current).as_u64();
+            let Some(next) = (0..view.len()).find(|&i| view.id(i) == successor) else {
+                let last = colors[step - 1];
+                colors[step..].fill(last);
+                break;
+            };
+            colors[step] = successor;
+            current = next;
+        }
+        // Phase 1: iterated Cole–Vishkin color reduction; each iteration
+        // reads the successor's color.
+        let mut exact = t + 1;
+        for _ in 0..self.iterations {
+            exact -= 1;
+            for j in 0..exact {
+                colors[j] = if colors[j] != colors[j + 1] {
+                    cv_step(colors[j], colors[j + 1])
+                } else {
+                    // Equal neighbors only come from a repeated
+                    // identity: keep the color.
+                    colors[j] % 6
+                };
+            }
+        }
+        // Phase 2: reduce {0..5} to {0..2} by three shift-and-recolor
+        // steps. In the step for color c ∈ {3, 4, 5}: every node first
+        // adopts its successor's color (a rotation, so properness is kept),
+        // then nodes holding color c — an independent set — recolor to a
+        // color in {0, 1, 2} unused by their shifted neighbors: the
+        // predecessor's shifted color is the node's own old color, the
+        // successor's is the second successor's old color.
+        for target in [3u64, 4, 5] {
+            exact -= 2;
+            for j in 0..exact {
+                let shifted = colors[j + 1];
+                colors[j] = if shifted == target {
+                    let forbidden = [colors[j], colors[j + 2]];
+                    (0..3)
+                        .find(|c| !forbidden.contains(c))
+                        .expect("two neighbors forbid at most two of three colors")
+                } else {
+                    shifted
+                };
+            }
+        }
+        debug_assert_eq!(exact, 1);
+        Label::from_u64(colors[0] + 1)
     }
 
     fn name(&self) -> String {
@@ -306,6 +390,201 @@ mod tests {
             let lang = ProperColoring::new(3);
             assert!(lang.contains(&IoConfig::new(&graph, &input, &out)));
         }
+    }
+
+    #[test]
+    fn cv_iterations_is_at_most_four_for_every_u64_bound() {
+        let powers = (1..64).flat_map(|k| [(1u64 << k) - 1, 1u64 << k]);
+        for max_id in [0, 1, u64::MAX].into_iter().chain(powers) {
+            let iterations = cv_iterations(max_id);
+            assert!(
+                (1..=4).contains(&iterations),
+                "cv_iterations({max_id}) = {iterations}"
+            );
+            let rounds = ColeVishkinRingColoring::for_max_id(max_id).rounds();
+            assert!(
+                rounds as usize <= MAX_ROUNDS,
+                "{rounds} rounds at bound {max_id}"
+            );
+        }
+        assert_eq!(cv_iterations(u64::MAX), 4);
+    }
+
+    /// `view` with every third member holding the identity of the member
+    /// before it, so successor lookups meet duplicate identities and the
+    /// first match decides.
+    fn with_colliding_ids(view: &View) -> View {
+        let ids = (0..view.len())
+            .map(|i| view.id(if i % 3 == 2 { i - 1 } else { i }))
+            .collect();
+        let inputs = (0..view.len()).map(|i| *view.input(i)).collect();
+        let (ball, degree) = (view.ball.clone(), view.center_degree());
+        View::from_parts(ball, view.center, view.radius, ids, inputs, None, degree)
+    }
+
+    /// The successor-only kernel equals the two-sided reference on every
+    /// view of the instance, and on each view with colliding identities.
+    fn assert_kernel_matches_reference(
+        algo: &ColeVishkinRingColoring,
+        graph: &Graph,
+        input: &Labeling,
+        ids: &IdAssignment,
+        what: &str,
+    ) {
+        let instance = Instance::new(graph, input, ids);
+        for view in View::collect_all(&instance, algo.rounds()) {
+            for view in [with_colliding_ids(&view), view] {
+                assert_eq!(
+                    LocalAlgorithm::output(algo, &view),
+                    algo.output_reference(&view),
+                    "{what}, {}: node {}",
+                    LocalAlgorithm::name(algo),
+                    view.center
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn successor_kernel_matches_the_reference_on_oriented_rings() {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
+        // Rings shorter than 2t + 1 wrap the window around the ring.
+        for n in (3..=24).chain([64]) {
+            let cycle = rlnc_graph::generators::cycle(n);
+            let sparse = IdAssignment::random_sparse(&cycle, 1 << 20, &mut rng);
+            for ids in [IdAssignment::consecutive(&cycle), sparse] {
+                let (graph, input, ids) = oriented_ring_instance_with_ids(n, ids);
+                for algo in [
+                    ColeVishkinRingColoring::for_max_id(1 << 20),
+                    ColeVishkinRingColoring::for_ring_size(n),
+                ] {
+                    assert_kernel_matches_reference(
+                        &algo,
+                        &graph,
+                        &input,
+                        &ids,
+                        &format!("ring {n}"),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn successor_kernel_matches_the_reference_where_the_chain_runs_out() {
+        let algo = ColeVishkinRingColoring::for_max_id(1 << 20);
+        assert_eq!(algo.rounds(), 10);
+        for n in [1usize, 2, 5, 11, 21, 30] {
+            let graph = rlnc_graph::generators::path(n);
+            let ids = IdAssignment::consecutive(&graph);
+            // Pointers run along the path in either direction; the node at
+            // the far end names an identity no node holds (`n + 1` or 0),
+            // so every chain that reaches it repeats from there on.
+            for step in [1i64, -1] {
+                let input = Labeling::from_fn(&graph, |v| {
+                    Label::from_u64(ids.id(v).wrapping_add_signed(step))
+                });
+                assert_kernel_matches_reference(&algo, &graph, &input, &ids, &format!("path {n}"));
+            }
+        }
+    }
+
+    #[test]
+    fn successor_kernel_matches_the_reference_on_arbitrary_pointers() {
+        use rand::{Rng, SeedableRng};
+        use rlnc_graph::generators::{prism, random_regular};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(29);
+        for case in 0..12u64 {
+            let graph = match case % 4 {
+                0 => random_regular(24, 3, &mut rng),
+                1 => random_regular(128, 3, &mut rng),
+                2 => prism(6),
+                _ => prism(40),
+            };
+            let n = graph.node_count();
+            let ids = IdAssignment::random_sparse(&graph, 1 << 10, &mut rng);
+            // Each node names a neighbor, any node (possibly outside the
+            // view), itself, or an identity no node holds: several nodes
+            // claim the same successor and chains leave the view.
+            let claims: Vec<Label> = graph
+                .nodes()
+                .map(|v| {
+                    let named = match rng.random_range(0..4) {
+                        0 => {
+                            let neighbors = graph.neighbors(v);
+                            NodeId(neighbors[rng.random_range(0..neighbors.len())])
+                        }
+                        1 => NodeId(rng.random_range(0..n) as u32),
+                        2 => v,
+                        _ => return Label::from_u64(rng.random_range((1 << 10) + 1..1 << 20)),
+                    };
+                    Label::from_u64(ids.id(named))
+                })
+                .collect();
+            let input = Labeling::new(claims);
+            for algo in [
+                ColeVishkinRingColoring::for_max_id(1 << 20),
+                ColeVishkinRingColoring::for_max_id(15),
+            ] {
+                assert_kernel_matches_reference(
+                    &algo,
+                    &graph,
+                    &input,
+                    &ids,
+                    &format!("graph {case}"),
+                );
+            }
+        }
+    }
+
+    /// The two-sided reference as a local algorithm, so it can run through
+    /// the round backend.
+    struct TwoSidedReference(ColeVishkinRingColoring);
+
+    impl LocalAlgorithm for TwoSidedReference {
+        fn radius(&self) -> u32 {
+            self.0.rounds()
+        }
+
+        fn output(&self, view: &View) -> Label {
+            self.0.output_reference(view)
+        }
+    }
+
+    #[test]
+    fn successor_kernel_matches_the_reference_under_every_fault_plan() {
+        use rlnc_core::faults::FAULT_PLAN_KINDS;
+        use rlnc_engine::RoundPlan;
+        use rlnc_par::rng::SeedSequence;
+
+        let algo = ColeVishkinRingColoring::for_max_id(1 << 20);
+        let reference = TwoSidedReference(algo);
+        let plans: Vec<FaultPlan> = std::iter::once(FaultPlan::None)
+            .chain((0..FAULT_PLAN_KINDS).map(|kind| FaultPlan::from_index(kind, 0.4)))
+            .collect();
+        let mut forged = 0;
+        for n in [12usize, 16, 25] {
+            let (graph, input, ids) = oriented_ring_instance(n);
+            let plan = RoundPlan::for_instance(&Instance::new(&graph, &input, &ids), algo.rounds());
+            for fault in &plans {
+                for trial in 0..4 {
+                    let seed = SeedSequence::new(trial);
+                    let schedule = fault.schedule(&graph, seed.child(0));
+                    forged += usize::from(schedule.has_byzantine());
+                    assert_eq!(
+                        plan.run_with_faults(&algo, seed.child(1), &schedule),
+                        plan.run_with_faults(&reference, seed.child(1), &schedule),
+                        "ring {n}, plan {}, trial {trial}",
+                        fault.name()
+                    );
+                }
+            }
+        }
+        assert!(
+            forged > 0,
+            "byzantine-relabel must forge identities in some trial"
+        );
     }
 
     #[test]

@@ -1,18 +1,16 @@
-//! Fault-injection wrappers.
+//! Fault injection for constructors.
 //!
 //! The derandomization experiments need concrete "Monte-Carlo constructors
 //! that err with probability β": the proof of Theorem 1 treats the
 //! constructor as an adversary whose only relevant property is its failure
-//! probability on hard instances. These wrappers produce such constructors
-//! from correct ones:
+//! probability on hard instances. [`FaultyConstructor`] produces such
+//! constructors from correct ones: it corrupts each node's output
+//! independently with a given probability, so the per-instance failure
+//! probability is `1 − (1 − q)^n` (tunable by `q`).
 //!
-//! * [`FaultyConstructor`] corrupts each node's output independently with a
-//!   given probability, so the per-instance failure probability is
-//!   `1 − (1 − q)^n` (tunable by `q`).
-//! * [`CorruptLowestIds`] deterministically corrupts the `k` nodes with the
-//!   smallest identities — producing configurations with a *known, planted*
-//!   number of bad balls, the workhorse of the `f`-resilient decider
-//!   experiments (E5).
+//! Configurations with a *known, planted* number of bad balls (the
+//! `f`-resilient decider experiments, E5) come from
+//! `rlnc_sweep::workload::planted_bad_balls`, not from a constructor.
 
 use rlnc_core::prelude::*;
 use rand::Rng;
@@ -76,75 +74,11 @@ impl<A: RandomizedLocalAlgorithm> RandomizedLocalAlgorithm for FaultyConstructor
     }
 }
 
-/// Wraps a randomized constructor and deterministically replaces the output
-/// of the `k` nodes with the smallest identities *in the whole instance* by
-/// copying the output of one of their neighbors (which plants adjacent
-/// same-output pairs — bad balls for coloring-style languages).
-///
-/// Knowing which nodes are corrupted requires knowing the global identity
-/// order, so the wrapper widens the radius by `extra_radius`; for the
-/// planted-fault experiments the instances are small and `extra_radius` is
-/// chosen to cover them.
-pub struct CorruptLowestIds<A> {
-    inner: A,
-    corrupted: usize,
-    extra_radius: u32,
-}
-
-impl<A: RandomizedLocalAlgorithm> CorruptLowestIds<A> {
-    /// Corrupts the `corrupted` smallest-identity nodes, looking
-    /// `extra_radius` hops beyond the inner algorithm's radius to identify
-    /// them.
-    pub fn new(inner: A, corrupted: usize, extra_radius: u32) -> Self {
-        CorruptLowestIds {
-            inner,
-            corrupted,
-            extra_radius,
-        }
-    }
-
-    /// Number of nodes whose output is corrupted.
-    pub fn corrupted(&self) -> usize {
-        self.corrupted
-    }
-}
-
-impl<A: RandomizedLocalAlgorithm> RandomizedLocalAlgorithm for CorruptLowestIds<A> {
-    fn radius(&self) -> u32 {
-        self.inner.radius() + self.extra_radius
-    }
-
-    fn output(&self, view: &View, coins: &Coins) -> Label {
-        let my_rank_global = (0..view.len()).filter(|&i| view.id(i) < view.center_id()).count();
-        if my_rank_global < self.corrupted {
-            // Copy a neighbor's (honest) output so the two endpoints of the
-            // edge agree — a planted conflict. With no neighbor, output the
-            // inner label unchanged.
-            if let Some(&neighbor) = view.center_neighbors().first() {
-                // Re-run the inner algorithm from the neighbor's perspective
-                // is not possible from here; instead output a label equal to
-                // the neighbor's identity-derived color used by the planted
-                // experiments: simply emit the fixed label 1, which the
-                // experiment pairs with honest outputs ≥ 1 to create
-                // collisions around low-identity regions.
-                let _ = neighbor;
-                return Label::from_u64(1);
-            }
-        }
-        self.inner.output(view, coins)
-    }
-
-    fn name(&self) -> String {
-        format!("corrupt-{}-lowest({})", self.corrupted, self.inner.name())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coloring::{GlobalGreedyColoring, ProperColoring};
     use crate::random_coloring::RandomColoring;
-    use rlnc_core::language::bad_ball_count;
     use rlnc_core::Simulator;
     use rlnc_graph::generators::cycle;
     use rlnc_graph::IdAssignment;
@@ -173,24 +107,6 @@ mod tests {
         assert!((faulty.expected_failure_probability(n) - (1.0 - expected_success)).abs() < 1e-9);
         assert!(faulty.name().contains("faulty"));
         assert_eq!(faulty.fault_probability(), q);
-    }
-
-    #[test]
-    fn corrupt_lowest_ids_plants_bad_balls() {
-        let n = 24;
-        let g = cycle(n);
-        let x = Labeling::empty(n);
-        let ids = IdAssignment::consecutive(&g);
-        let inst = Instance::new(&g, &x, &ids);
-        let inner = GlobalGreedyColoring::new(24, 3);
-        let corrupted = CorruptLowestIds::new(inner, 2, 24);
-        let out = Simulator::new().run_randomized(&corrupted, &inst, SeedSequence::new(1));
-        let io = IoConfig::new(&g, &x, &out);
-        let lang = ProperColoring::new(3);
-        let bad = bad_ball_count(&lang, &io);
-        assert!(bad >= 1, "corrupting two adjacent low-id nodes must create conflicts");
-        assert!(bad <= 6, "corruption must stay localized, got {bad}");
-        assert_eq!(corrupted.corrupted(), 2);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!   resampling constructor.
 //! * [`frugal`] — frugal coloring (§4's example of a language where local
 //!   fixing is non-trivial).
-//! * [`faulty`] — fault-injection wrappers used to realize constructors
+//! * [`faulty`] — a fault-injection wrapper used to realize constructors
 //!   with a prescribed failure probability β for the derandomization
 //!   experiments.
 //! * [`registry`] — the language-case registry: every language above as an
@@ -55,7 +55,7 @@ pub use amos::{Amos, AmosGoldenDecider, BernoulliSelection, GOLDEN_GUARANTEE};
 pub use coloring::{ColoringDecider, GlobalGreedyColoring, ProperColoring, RankColoring};
 pub use cole_vishkin::{oriented_ring_instance, ColeVishkinRingColoring};
 pub use dominating::{DominatingSet, MinIdPointerDominatingSet, MinimalDominatingSet};
-pub use faulty::{CorruptLowestIds, FaultyConstructor};
+pub use faulty::FaultyConstructor;
 pub use frugal::FrugalColoring;
 pub use lll::{NeighborhoodLll, ResamplingLll};
 pub use majority::{AllSelected, Majority, OneSidedLocalMajorityDecider};
