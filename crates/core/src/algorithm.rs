@@ -81,7 +81,7 @@ pub trait RandomizedLocalAlgorithm: Sync {
 
 /// Every deterministic algorithm is trivially a randomized one that ignores
 /// its coins (`LD ⊆ BPLD` at the algorithm level).
-impl<A: LocalAlgorithm> RandomizedLocalAlgorithm for A {
+impl<A: LocalAlgorithm + ?Sized> RandomizedLocalAlgorithm for A {
     fn radius(&self) -> u32 {
         LocalAlgorithm::radius(self)
     }

@@ -339,8 +339,8 @@ impl FaultSchedule {
     }
 }
 
-/// A message-level adversary: rewrites the outgoing messages of a
-/// Byzantine node before delivery.
+/// A message-level adversary: rewrites the broadcast of a Byzantine node
+/// before delivery.
 ///
 /// Implementations must keep whatever structural invariants the message
 /// type relies on (e.g. the full-information gather requires every edge's
@@ -348,9 +348,9 @@ impl FaultSchedule {
 /// randomness only from the provided RNG, which is derived from the
 /// `(node, round)` pair so rewrites stay bit-reproducible.
 pub trait Adversary<Msg>: Sync {
-    /// Rewrites the messages a Byzantine `sender` emits in `round`
-    /// (`outgoing[port]` goes to the sender's `port`-th neighbor).
-    fn rewrite(&self, sender: NodeId, round: u32, outgoing: &mut [Msg], rng: &mut ChaCha8Rng);
+    /// Rewrites the message a Byzantine `sender` broadcasts in `round`;
+    /// every neighbor receives the rewritten message.
+    fn rewrite(&self, sender: NodeId, round: u32, message: &mut Msg, rng: &mut ChaCha8Rng);
 }
 
 #[cfg(test)]

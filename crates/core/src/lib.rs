@@ -55,9 +55,8 @@ pub use order_invariant::OrderInvariantTable;
 pub use relaxation::{EpsilonSlack, FResilient};
 pub use resilient::ResilientDecider;
 pub use rounds::{
-    decide_randomized_via_rounds, run_randomized_via_rounds, run_via_message_passing,
-    GatherAndRun, GatherDecide, GatherRun, MessagePassingAlgorithm, NodeInit, RelabelAdversary,
-    RoundEngine, RoundSystem, RoundTopology,
+    decide_randomized_via_rounds, run_randomized_via_rounds, GatherDecide, GatherRun,
+    MessagePassingAlgorithm, NodeInit, RelabelAdversary, RoundSystem,
 };
 pub use simulator::Simulator;
 pub use view::View;

@@ -16,26 +16,25 @@
 //!
 //! Three layers live here:
 //!
-//! * [`MessagePassingAlgorithm`] — the node state machine contract, with
-//!   [`MessagePassingAlgorithm::receive_partial`] as the crash-aware
-//!   delivery hook (its default compacts the surviving messages, so
-//!   fault-oblivious algorithms run unchanged under crashes).
-//! * [`RoundSystem`] — explicit per-round message queues over a reusable
-//!   [`RoundTopology`], driven by [`RoundSystem::step`] /
-//!   [`RoundSystem::step_until_quiet`], with optional
-//!   [`FaultSchedule`]-driven crashes and an [`Adversary`] tap on
-//!   Byzantine senders. Each round fans out over nodes iff [`fans_out`]
-//!   says so for the node count, so small systems and systems stepped
-//!   inside a pool task run inline. [`RoundEngine`] is the one-shot
-//!   fault-free facade.
-//! * The full-information gathers — [`GatherAndRun`] (identity-keyed, the
-//!   classic simulation argument) and the coin-aware [`GatherRun`] /
-//!   [`GatherDecide`] (host-keyed), which reconstruct each node's view
-//!   **bit-identically** to [`View::collect`], so randomized algorithms
-//!   and deciders produce the same verdicts through messages as through
-//!   ball extraction with the same seed.
+//! * [`MessagePassingAlgorithm`] — the node state machine contract. Each
+//!   round a node broadcasts one message, which reaches every neighbor,
+//!   and receives its live neighbors' messages in port order.
+//! * [`RoundSystem`] — one broadcast per live node per round, driven by
+//!   [`RoundSystem::step`] / [`RoundSystem::step_until_quiet`], with
+//!   optional [`FaultSchedule`]-driven crashes (a crashed neighbor's
+//!   message is simply absent) and an [`Adversary`] tap on Byzantine
+//!   senders. Each round fans out over nodes iff [`fans_out`] says so for
+//!   the node count, so small systems and systems stepped inside a pool
+//!   task run inline.
+//! * The host-keyed full-information gathers [`GatherRun`] and
+//!   [`GatherDecide`], which simulate any `t`-round ball-view algorithm or
+//!   decider (deterministic ones through the blanket
+//!   [`RandomizedLocalAlgorithm`] impl) and reconstruct each node's view
+//!   **bit-identically** to [`View::collect`], so algorithms and deciders
+//!   produce the same outputs through messages as through ball extraction
+//!   with the same seed.
 
-use crate::algorithm::{Coins, LocalAlgorithm, RandomizedLocalAlgorithm};
+use crate::algorithm::{Coins, RandomizedLocalAlgorithm};
 use crate::config::{Instance, IoConfig};
 use crate::decision::RandomizedDecider;
 use crate::faults::{Adversary, FaultSchedule};
@@ -44,10 +43,9 @@ use crate::view::View;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
-use rlnc_graph::{BallParts, BfsScratch, Graph, GraphBuilder, IdAssignment, NodeId};
+use rlnc_graph::{BallParts, BfsScratch, Graph, IdAssignment, NodeId};
 use rlnc_obs::{LazyCounter, LazyHistogram, Section, POW2_BUCKETS};
 use rlnc_par::pool::fans_out;
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -81,10 +79,10 @@ pub struct NodeInit {
     pub input: Label,
 }
 
-/// A synchronous message-passing algorithm in the LOCAL model.
-///
-/// Messages are unbounded (`Message` can be arbitrarily large), matching
-/// the model's lack of bandwidth constraints.
+/// A synchronous message-passing algorithm in the LOCAL model, in
+/// broadcast form: each round a node sends one message to all of its
+/// neighbors. Messages are unbounded (`Message` can be arbitrarily
+/// large), matching the model's lack of bandwidth constraints.
 pub trait MessagePassingAlgorithm: Sync {
     /// Local state carried by each node between rounds.
     type State: Clone + Send + Sync;
@@ -97,91 +95,32 @@ pub trait MessagePassingAlgorithm: Sync {
     /// Initial state of a node.
     fn init(&self, node: &NodeInit) -> Self::State;
 
-    /// Messages to send in round `round` (1-based), one per port, in the
-    /// order of the node's neighbor list.
-    fn send(&self, state: &Self::State, round: u32) -> Vec<Self::Message>;
+    /// The message the node broadcasts in round `round` (1-based); every
+    /// neighbor receives a clone of it.
+    fn send(&self, state: &Self::State, round: u32) -> Self::Message;
 
-    /// State update after receiving the round's messages (`incoming[i]` is
-    /// the message that arrived on port `i`).
+    /// State update after receiving the round's messages: one per live
+    /// neighbor, in the order of the node's neighbor list. A neighbor
+    /// that crashed is silent, so its message is absent.
     fn receive(&self, state: Self::State, round: u32, incoming: &[Self::Message]) -> Self::State;
-
-    /// Crash-aware state update: `incoming[i]` is `None` when the port's
-    /// neighbor was silent this round (crashed). The default compacts the
-    /// surviving messages and delegates to
-    /// [`receive`](MessagePassingAlgorithm::receive), so fault-oblivious
-    /// algorithms behave identically whether ports fail or not; override
-    /// it to make port-silence observable. Only invoked by fault-injected
-    /// executions — fault-free runs call `receive` directly.
-    fn receive_partial(
-        &self,
-        state: Self::State,
-        round: u32,
-        incoming: &[Option<Self::Message>],
-    ) -> Self::State {
-        let surviving: Vec<Self::Message> = incoming.iter().filter_map(Clone::clone).collect();
-        self.receive(state, round, &surviving)
-    }
 
     /// Output label after the final round.
     fn output(&self, state: &Self::State) -> Label;
 }
 
-/// Precomputed delivery map of a graph, reusable across executions.
+/// A steppable synchronous message-passing system over one instance, one
+/// node state machine per node.
 ///
-/// For the edge `(v, w)` seen from `v`'s port `p`, `reverse_port[v][p]` is
-/// the index of `v` in `w`'s neighbor list — so delivering `w`'s message
-/// to `v` is O(1) per message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoundTopology {
-    reverse_port: Vec<Vec<usize>>,
-}
-
-impl RoundTopology {
-    /// Builds the delivery map of `graph` (one pass over the adjacency).
-    pub fn new(graph: &Graph) -> RoundTopology {
-        let reverse_port = (0..graph.node_count())
-            .map(|vi| {
-                let v = NodeId::from_index(vi);
-                graph
-                    .neighbor_ids(v)
-                    .map(|w| {
-                        graph
-                            .neighbors(w)
-                            .iter()
-                            .position(|&x| x == v.0)
-                            .expect("adjacency must be symmetric")
-                    })
-                    .collect()
-            })
-            .collect();
-        RoundTopology { reverse_port }
-    }
-
-    /// Number of nodes the topology covers.
-    pub fn node_count(&self) -> usize {
-        self.reverse_port.len()
-    }
-}
-
-/// A steppable synchronous message-passing system: explicit per-round
-/// message queues over one instance, one node state machine per node.
-///
-/// Created by [`RoundSystem::new`] (or
-/// [`RoundSystem::with_topology`] to reuse a prebuilt [`RoundTopology`]
-/// across executions), then driven round by round with
+/// Created by [`RoundSystem::new`], then driven round by round with
 /// [`RoundSystem::step`] or to completion with
 /// [`RoundSystem::step_until_quiet`] / [`RoundSystem::run`].
 ///
 /// Fault injection is opt-in: [`RoundSystem::with_faults`] silences
-/// crashed senders per the schedule (silent ports arrive as `None` in
-/// [`MessagePassingAlgorithm::receive_partial`]), and
-/// [`RoundSystem::with_adversary`] rewrites Byzantine nodes' outgoing
-/// messages. Fault-free execution is bit-identical to the original
-/// [`RoundEngine::run`] loop, which now delegates here.
+/// crashed nodes per the schedule, and [`RoundSystem::with_adversary`]
+/// rewrites Byzantine nodes' broadcasts.
 pub struct RoundSystem<'a, M: MessagePassingAlgorithm> {
     algo: &'a M,
     graph: &'a Graph,
-    topology: Cow<'a, RoundTopology>,
     states: Vec<M::State>,
     faults: Option<&'a FaultSchedule>,
     adversary: Option<&'a (dyn Adversary<M::Message> + 'a)>,
@@ -189,32 +128,8 @@ pub struct RoundSystem<'a, M: MessagePassingAlgorithm> {
 }
 
 impl<'a, M: MessagePassingAlgorithm> RoundSystem<'a, M> {
-    /// Initializes every node's state machine over `instance`, building
-    /// the delivery topology on the fly.
+    /// Initializes every node's state machine over `instance`.
     pub fn new(algo: &'a M, instance: &Instance<'a>) -> Self {
-        let topology = RoundTopology::new(instance.graph);
-        Self::build(algo, instance, Cow::Owned(topology))
-    }
-
-    /// Like [`RoundSystem::new`], but borrows a prebuilt topology — the
-    /// batched-execution path, where one topology serves many seeds.
-    ///
-    /// # Panics
-    /// Panics if the topology's node count differs from the instance's.
-    pub fn with_topology(
-        algo: &'a M,
-        instance: &Instance<'a>,
-        topology: &'a RoundTopology,
-    ) -> Self {
-        assert_eq!(
-            topology.node_count(),
-            instance.graph.node_count(),
-            "topology was built for a different graph"
-        );
-        Self::build(algo, instance, Cow::Borrowed(topology))
-    }
-
-    fn build(algo: &'a M, instance: &Instance<'a>, topology: Cow<'a, RoundTopology>) -> Self {
         let graph = instance.graph;
         let states = (0..graph.node_count())
             .map(|vi| {
@@ -230,7 +145,6 @@ impl<'a, M: MessagePassingAlgorithm> RoundSystem<'a, M> {
         RoundSystem {
             algo,
             graph,
-            topology,
             states,
             faults: None,
             adversary: None,
@@ -299,38 +213,37 @@ impl<'a, M: MessagePassingAlgorithm> RoundSystem<'a, M> {
         let algo = self.algo;
         let faults = self.faults;
         let adversary = self.adversary;
-        let reverse_port = &self.topology.reverse_port;
+        let silent = |v: NodeId| faults.is_some_and(|f| f.is_silent(v, round));
 
-        // Phase 1: every live node prepares its outgoing messages; the
-        // adversary rewrites Byzantine senders' with (node, round)-keyed
-        // coins, so the result is independent of scheduling.
-        let send_one = |vi: usize| -> Option<Vec<M::Message>> {
+        // Phase 1: every live node prepares its broadcast; the adversary
+        // rewrites Byzantine senders' with (node, round)-keyed coins, so
+        // the result is independent of scheduling.
+        let send_one = |vi: usize| -> Option<M::Message> {
             let v = NodeId::from_index(vi);
-            if let Some(f) = faults {
-                if f.is_silent(v, round) {
-                    return None;
-                }
+            if silent(v) {
+                return None;
             }
-            let mut messages = algo.send(&self.states[vi], round);
+            let mut message = algo.send(&self.states[vi], round);
             if let (Some(f), Some(adv)) = (faults, adversary) {
                 if f.is_byzantine(v) {
-                    adv.rewrite(v, round, &mut messages, &mut f.adversary_rng(v, round));
+                    adv.rewrite(v, round, &mut message, &mut f.adversary_rng(v, round));
                 }
             }
-            Some(messages)
+            Some(message)
         };
-        let outgoing: Vec<Option<Vec<M::Message>>> = if parallel {
+        let outgoing: Vec<Option<M::Message>> = if parallel {
             (0..n).into_par_iter().map(send_one).collect()
         } else {
             (0..n).map(send_one).collect()
         };
 
-        // Per-round message-delivery accounting: messages put on wires by
-        // live senders vs ports silenced by the fault schedule.
+        // Per-round message-delivery accounting: a live sender's broadcast
+        // crosses each of its ports; a silent sender's ports are dropped.
         if rlnc_obs::enabled() {
-            let delivered: u64 = outgoing
-                .iter()
-                .filter_map(|o| o.as_ref().map(|m| m.len() as u64))
+            let delivered: u64 = graph
+                .nodes()
+                .filter(|v| outgoing[v.index()].is_some())
+                .map(|v| graph.degree(v) as u64)
                 .sum();
             let total_ports = graph.degree_sum() as u64;
             OBS_STEPS.inc();
@@ -339,41 +252,19 @@ impl<'a, M: MessagePassingAlgorithm> RoundSystem<'a, M> {
             OBS_PER_ROUND.observe(delivered);
         }
 
-        // Phase 2 + 3: deliver and update. Fault-free executions call
-        // `receive` with a plain slice (bit-identical to the historical
-        // engine loop); fault-injected ones go through `receive_partial`
-        // so port silence is observable. Each node's state moves into its
-        // update; crashed nodes keep theirs unchanged.
+        // Phase 2 + 3: every live node receives its live neighbors'
+        // broadcasts in port order and updates. Each node's state moves
+        // into its update; crashed nodes keep theirs unchanged.
         let compute_one = |(vi, state): (usize, M::State)| -> M::State {
             let v = NodeId::from_index(vi);
-            match faults {
-                None => {
-                    let incoming: Vec<M::Message> = graph
-                        .neighbor_ids(v)
-                        .enumerate()
-                        .map(|(port, w)| {
-                            let sent = outgoing[w.index()]
-                                .as_ref()
-                                .expect("fault-free nodes always send");
-                            sent[reverse_port[vi][port]].clone()
-                        })
-                        .collect();
-                    algo.receive(state, round, &incoming)
-                }
-                Some(f) if f.is_silent(v, round) => state,
-                Some(_) => {
-                    let incoming: Vec<Option<M::Message>> = graph
-                        .neighbor_ids(v)
-                        .enumerate()
-                        .map(|(port, w)| {
-                            outgoing[w.index()]
-                                .as_ref()
-                                .map(|sent| sent[reverse_port[vi][port]].clone())
-                        })
-                        .collect();
-                    algo.receive_partial(state, round, &incoming)
-                }
+            if silent(v) {
+                return state;
             }
+            let incoming: Vec<M::Message> = graph
+                .neighbor_ids(v)
+                .filter_map(|w| outgoing[w.index()].clone())
+                .collect();
+            algo.receive(state, round, &incoming)
         };
         let states = std::mem::take(&mut self.states);
         self.states = if parallel {
@@ -406,179 +297,11 @@ impl<'a, M: MessagePassingAlgorithm> RoundSystem<'a, M> {
         Labeling::new(self.states.iter().map(|s| self.algo.output(s)).collect())
     }
 
-    /// Writes the outputs into an existing labeling, reusing its
-    /// allocations (the per-block buffer path of batched runners).
-    ///
-    /// # Panics
-    /// Panics if `out` was sized for a different node count.
-    pub fn write_outputs(&self, out: &mut Labeling) {
-        assert_eq!(out.len(), self.states.len(), "output buffer size mismatch");
-        for (vi, state) in self.states.iter().enumerate() {
-            out.set(NodeId::from_index(vi), self.algo.output(state));
-        }
-    }
-
     /// Runs to quiescence and returns the outputs.
     pub fn run(mut self) -> Labeling {
         self.step_until_quiet();
         self.outputs()
     }
-}
-
-/// The synchronous round engine: the one-shot, fault-free facade over
-/// [`RoundSystem`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RoundEngine;
-
-impl RoundEngine {
-    /// Creates a round engine.
-    pub fn new() -> Self {
-        RoundEngine
-    }
-
-    /// Runs a message-passing algorithm on an instance and returns the
-    /// output labeling.
-    pub fn run<M: MessagePassingAlgorithm>(&self, algo: &M, instance: &Instance<'_>) -> Labeling {
-        RoundSystem::new(algo, instance).run()
-    }
-}
-
-/// What the full-information gather knows about one remote node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KnownNode {
-    /// Identity of the node.
-    pub id: u64,
-    /// Input label of the node.
-    pub input: Label,
-    /// Degree of the node.
-    pub degree: usize,
-}
-
-/// State of the full-information gather: everything learned so far.
-#[derive(Debug, Clone)]
-pub struct GatherState {
-    own_id: u64,
-    nodes: Vec<KnownNode>,
-    /// Edges between known nodes, as (smaller id, larger id) pairs.
-    edges: Vec<(u64, u64)>,
-}
-
-impl GatherState {
-    fn merge(&mut self, other: &GatherState) {
-        for node in &other.nodes {
-            if !self.nodes.iter().any(|n| n.id == node.id) {
-                self.nodes.push(node.clone());
-            }
-        }
-        for edge in &other.edges {
-            if !self.edges.contains(edge) {
-                self.edges.push(*edge);
-            }
-        }
-    }
-}
-
-/// The generic `t`-round full-information gather that simulates any
-/// deterministic `t`-round LOCAL algorithm: it floods identities, inputs,
-/// and incident edges for `t` rounds, reconstructs the radius-`t` ball, and
-/// applies the wrapped algorithm's output function — the simulation
-/// argument of §2.1.1.
-///
-/// This is the identity-keyed classic; randomized algorithms need the
-/// host-keyed [`GatherRun`] instead, because coin streams are keyed by
-/// host index and a subgraph reconstructed from identities alone cannot
-/// recover them.
-pub struct GatherAndRun<'a, A: ?Sized> {
-    inner: &'a A,
-}
-
-impl<'a, A: LocalAlgorithm + ?Sized> GatherAndRun<'a, A> {
-    /// Wraps a ball-view algorithm into its message-passing simulation.
-    pub fn new(inner: &'a A) -> Self {
-        GatherAndRun { inner }
-    }
-}
-
-impl<'a, A: LocalAlgorithm + ?Sized> MessagePassingAlgorithm for GatherAndRun<'a, A> {
-    type State = GatherState;
-    type Message = Arc<GatherState>;
-
-    fn rounds(&self) -> u32 {
-        self.inner.radius()
-    }
-
-    fn init(&self, node: &NodeInit) -> GatherState {
-        GatherState {
-            own_id: node.id,
-            nodes: vec![KnownNode {
-                id: node.id,
-                input: node.input,
-                degree: node.degree,
-            }],
-            edges: Vec::new(),
-        }
-    }
-
-    fn send(&self, state: &GatherState, _round: u32) -> Vec<Arc<GatherState>> {
-        // Unbounded messages: the whole state on every port, as one
-        // snapshot shared by all ports.
-        let degree = state
-            .nodes
-            .iter()
-            .find(|n| n.id == state.own_id)
-            .map(|n| n.degree)
-            .unwrap_or(0);
-        let snapshot = Arc::new(state.clone());
-        vec![snapshot; degree]
-    }
-
-    fn receive(
-        &self,
-        mut state: GatherState,
-        _round: u32,
-        incoming: &[Arc<GatherState>],
-    ) -> GatherState {
-        for msg in incoming {
-            // Learn the edge to the sender, and everything the sender knows.
-            let a = state.own_id.min(msg.own_id);
-            let b = state.own_id.max(msg.own_id);
-            if !state.edges.contains(&(a, b)) {
-                state.edges.push((a, b));
-            }
-            state.merge(msg);
-        }
-        state
-    }
-
-    fn output(&self, state: &GatherState) -> Label {
-        // Rebuild the learned subgraph and extract the radius-t view of the
-        // center inside it; this reproduces B_G(v, t) exactly because after
-        // t rounds the learned subgraph contains every node at distance ≤ t
-        // and every edge with an endpoint at distance ≤ t − 1.
-        let mut nodes = state.nodes.clone();
-        nodes.sort_by_key(|n| n.id);
-        let index_of = |id: u64| nodes.iter().position(|n| n.id == id).unwrap();
-        let mut builder = GraphBuilder::new(nodes.len());
-        for &(a, b) in &state.edges {
-            builder.add_edge(index_of(a), index_of(b));
-        }
-        let graph: Graph = builder.build();
-        let ids = IdAssignment::new(nodes.iter().map(|n| n.id).collect());
-        let inputs = Labeling::new(nodes.iter().map(|n| n.input).collect());
-        let instance = Instance::new(&graph, &inputs, &ids);
-        let center = NodeId::from_index(index_of(state.own_id));
-        let view = View::collect(&instance, center, self.inner.radius());
-        self.inner.output(&view)
-    }
-}
-
-/// Runs a deterministic ball-view algorithm through the message-passing
-/// engine (the operational semantics) instead of the direct simulator.
-pub fn run_via_message_passing<A: LocalAlgorithm + ?Sized>(
-    algo: &A,
-    instance: &Instance<'_>,
-) -> Labeling {
-    RoundEngine::new().run(&GatherAndRun::new(algo), instance)
 }
 
 /// Honest identities must fit below this bound for [`RelabelAdversary`]'s
@@ -602,6 +325,8 @@ pub struct HostInfo {
 /// [`GatherRun`] and [`GatherDecide`]: everything learned so far, keyed
 /// by host index so the center can reconstruct its view — including every
 /// node's private coin stream — bit-identically to [`View::collect`].
+/// Messages are unbounded, so each round a node broadcasts a snapshot of
+/// its whole state, shared by all its neighbors.
 #[derive(Debug, Clone)]
 pub struct FullGatherState {
     own: NodeId,
@@ -632,29 +357,25 @@ impl FullGatherState {
         }
     }
 
-    fn own_degree(&self) -> usize {
-        self.nodes
-            .iter()
-            .find(|n| n.host == self.own)
-            .map(|n| n.degree)
-            .unwrap_or(0)
-    }
-
-    fn absorb(&mut self, msg: &FullGatherState) {
-        let edge = (self.own.min(msg.own), self.own.max(msg.own));
-        if !self.edges.contains(&edge) {
-            self.edges.push(edge);
-        }
-        for node in &msg.nodes {
-            if !self.nodes.iter().any(|n| n.host == node.host) {
-                self.nodes.push(node.clone());
+    /// Learns the edge to each sender and everything the sender knows.
+    fn absorb(mut self, incoming: &[Arc<FullGatherState>]) -> FullGatherState {
+        for msg in incoming {
+            let edge = (self.own.min(msg.own), self.own.max(msg.own));
+            if !self.edges.contains(&edge) {
+                self.edges.push(edge);
+            }
+            for node in &msg.nodes {
+                if !self.nodes.iter().any(|n| n.host == node.host) {
+                    self.nodes.push(node.clone());
+                }
+            }
+            for e in &msg.edges {
+                if !self.edges.contains(e) {
+                    self.edges.push(*e);
+                }
             }
         }
-        for e in &msg.edges {
-            if !self.edges.contains(e) {
-                self.edges.push(*e);
-            }
-        }
+        self
     }
 
     /// XORs `mask` into every known identity — the relabeling attack.
@@ -668,7 +389,10 @@ impl FullGatherState {
     }
 
     /// Reconstructs the center's radius-`radius` view from the learned
-    /// subgraph, bit-identically to [`View::collect`] /
+    /// subgraph. After `radius` rounds that subgraph holds every node
+    /// within distance `radius` and every edge with an endpoint within
+    /// distance `radius − 1`, which is all of `B_G(v, radius)`.
+    /// The view is bit-identical to [`View::collect`] /
     /// [`View::collect_io`] on the host instance: the learned nodes are
     /// indexed in host order (so BFS tie-breaking matches), ball members
     /// are mapped back to their true host indices (so coin streams
@@ -751,7 +475,7 @@ impl FullGatherState {
     }
 
     /// The one-shot reconstruction — clone, sort, rebuild the learned
-    /// graph with a [`GraphBuilder`], then
+    /// graph with a [`GraphBuilder`](rlnc_graph::GraphBuilder), then
     /// [`Ball::extract`](rlnc_graph::Ball::extract): the reference the
     /// scratch path is pinned against.
     #[cfg(test)]
@@ -764,7 +488,7 @@ impl FullGatherState {
                 .binary_search(&h)
                 .expect("gather invariant: every edge endpoint is a known node")
         };
-        let mut builder = GraphBuilder::new(nodes.len());
+        let mut builder = rlnc_graph::GraphBuilder::new(nodes.len());
         for &(a, b) in &self.edges {
             builder.add_edge(index_of(a), index_of(b));
         }
@@ -812,23 +536,6 @@ thread_local! {
     static GATHER_SCRATCH: RefCell<GatherScratch> = RefCell::new(GatherScratch::default());
 }
 
-fn full_gather_send(state: &FullGatherState) -> Vec<Arc<FullGatherState>> {
-    // Unbounded messages: the whole state on every port, as one snapshot
-    // shared by all ports (an adversary copies it on write).
-    let snapshot = Arc::new(state.clone());
-    vec![snapshot; state.own_degree()]
-}
-
-fn full_gather_receive(
-    mut state: FullGatherState,
-    incoming: &[Arc<FullGatherState>],
-) -> FullGatherState {
-    for msg in incoming {
-        state.absorb(msg);
-    }
-    state
-}
-
 /// The host-keyed full-information gather for **randomized** (and, via the
 /// blanket impl, deterministic) LOCAL algorithms: floods host indices,
 /// identities, inputs, and incident edges, then evaluates the wrapped
@@ -858,8 +565,8 @@ impl<'a, A: RandomizedLocalAlgorithm + ?Sized> MessagePassingAlgorithm for Gathe
         FullGatherState::of(node, Label::empty())
     }
 
-    fn send(&self, state: &FullGatherState, _round: u32) -> Vec<Arc<FullGatherState>> {
-        full_gather_send(state)
+    fn send(&self, state: &FullGatherState, _round: u32) -> Arc<FullGatherState> {
+        Arc::new(state.clone())
     }
 
     fn receive(
@@ -868,7 +575,7 @@ impl<'a, A: RandomizedLocalAlgorithm + ?Sized> MessagePassingAlgorithm for Gathe
         _round: u32,
         incoming: &[Arc<FullGatherState>],
     ) -> FullGatherState {
-        full_gather_receive(state, incoming)
+        state.absorb(incoming)
     }
 
     fn output(&self, state: &FullGatherState) -> Label {
@@ -912,8 +619,8 @@ impl<'a, D: RandomizedDecider + ?Sized> MessagePassingAlgorithm for GatherDecide
         FullGatherState::of(node, *self.outputs.get(node.node))
     }
 
-    fn send(&self, state: &FullGatherState, _round: u32) -> Vec<Arc<FullGatherState>> {
-        full_gather_send(state)
+    fn send(&self, state: &FullGatherState, _round: u32) -> Arc<FullGatherState> {
+        Arc::new(state.clone())
     }
 
     fn receive(
@@ -922,7 +629,7 @@ impl<'a, D: RandomizedDecider + ?Sized> MessagePassingAlgorithm for GatherDecide
         _round: u32,
         incoming: &[Arc<FullGatherState>],
     ) -> FullGatherState {
-        full_gather_receive(state, incoming)
+        state.absorb(incoming)
     }
 
     fn output(&self, state: &FullGatherState) -> Label {
@@ -941,9 +648,9 @@ impl<'a, D: RandomizedDecider + ?Sized> MessagePassingAlgorithm for GatherDecide
 /// ones (which live below `2^40`), so victims can still rebuild a valid
 /// [`IdAssignment`] — they just decide over forged identities.
 ///
-/// Gather messages are snapshots shared by every port of the sender, so
-/// the adversary copies each one on write ([`Arc::make_mut`]); honest
-/// senders' messages are never copied.
+/// The adversary forges a sender's broadcast before the system hands it
+/// to any neighbor, so the snapshot has no other owner and
+/// [`Arc::make_mut`] forges it in place.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RelabelAdversary;
 
@@ -960,13 +667,11 @@ impl Adversary<Arc<FullGatherState>> for RelabelAdversary {
         &self,
         _sender: NodeId,
         _round: u32,
-        outgoing: &mut [Arc<FullGatherState>],
+        message: &mut Arc<FullGatherState>,
         rng: &mut ChaCha8Rng,
     ) {
         let mask = (rng.random::<u64>() | 1) << 40;
-        for msg in outgoing.iter_mut() {
-            Arc::make_mut(msg).forge_ids(mask);
-        }
+        Arc::make_mut(message).forge_ids(mask);
     }
 }
 
@@ -1004,13 +709,19 @@ pub fn decide_randomized_via_rounds<D: RandomizedDecider + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::{FnAlgorithm, FnRandomizedAlgorithm};
+    use crate::algorithm::{FnAlgorithm, FnRandomizedAlgorithm, LocalAlgorithm};
     use crate::decision::{decide_randomized, FnRandomizedDecider};
     use crate::faults::{FaultPlan, FAULT_PLAN_KINDS};
     use crate::simulator::Simulator;
     use proptest::prelude::*;
     use rlnc_graph::generators::{binary_tree, cycle, grid, Family};
+    use rlnc_graph::GraphBuilder;
     use rlnc_par::rng::SeedSequence;
+
+    /// A deterministic algorithm through the gather (its coins go unread).
+    fn via_rounds<A: LocalAlgorithm>(algo: &A, instance: &Instance<'_>) -> Labeling {
+        run_randomized_via_rounds(algo, instance, SeedSequence::new(0))
+    }
 
     /// A hand-written message-passing algorithm: compute the minimum
     /// identity within distance `t` by flooding.
@@ -1030,11 +741,8 @@ mod tests {
             node.id
         }
 
-        fn send(&self, state: &u64, _round: u32) -> Vec<u64> {
-            // The engine only reads as many messages as the node has ports;
-            // over-provisioning is harmless but we cannot know the degree
-            // from the state alone here, so send a generous number.
-            vec![*state; 16]
+        fn send(&self, state: &u64, _round: u32) -> u64 {
+            *state
         }
 
         fn receive(&self, state: u64, _round: u32, incoming: &[u64]) -> u64 {
@@ -1053,7 +761,7 @@ mod tests {
         let ids = IdAssignment::spread(&g, 13);
         let inst = Instance::new(&g, &x, &ids);
         let t = 3;
-        let out = RoundEngine::new().run(&MinIdFlood { rounds: t }, &inst);
+        let out = RoundSystem::new(&MinIdFlood { rounds: t }, &inst).run();
         // Reference: minimum id within distance t via the ball view.
         let reference = Simulator::new().run(
             &FnAlgorithm::new(t, "min-id", |view: &View| {
@@ -1077,7 +785,7 @@ mod tests {
             Label::from_u64(ids_sum * 1000 + inputs_sum * 10 + edges)
         });
         let direct = Simulator::new().run(&algo, &inst);
-        let via_messages = run_via_message_passing(&algo, &inst);
+        let via_messages = via_rounds(&algo, &inst);
         assert_eq!(direct, via_messages);
     }
 
@@ -1091,7 +799,7 @@ mod tests {
                 Label::from_u64((view.center_degree() as u64) * 10 + view.center_rank() as u64)
             });
             let direct = Simulator::new().run(&algo, &inst);
-            let via_messages = run_via_message_passing(&algo, &inst);
+            let via_messages = via_rounds(&algo, &inst);
             assert_eq!(direct, via_messages);
         }
     }
@@ -1104,7 +812,7 @@ mod tests {
         let inst = Instance::new(&g, &x, &ids);
         let algo = FnAlgorithm::new(0, "own-id", |view: &View| Label::from_u64(view.center_id()));
         let direct = Simulator::new().run(&algo, &inst);
-        let via_messages = run_via_message_passing(&algo, &inst);
+        let via_messages = via_rounds(&algo, &inst);
         assert_eq!(direct, via_messages);
     }
 
@@ -1117,7 +825,7 @@ mod tests {
         let ids = IdAssignment::spread(&g, 5);
         let inst = Instance::new(&g, &x, &ids);
         let algo = MinIdFlood { rounds: 3 };
-        let one_shot = RoundEngine::new().run(&algo, &inst);
+        let one_shot = RoundSystem::new(&algo, &inst).run();
         let mut system = RoundSystem::new(&algo, &inst);
         assert_eq!(system.round(), 0);
         assert_eq!(system.total_rounds(), 3);
@@ -1129,9 +837,6 @@ mod tests {
         assert!(!system.step());
         assert_eq!(system.round(), 3);
         assert_eq!(system.outputs(), one_shot);
-        let mut reused = Labeling::empty(12);
-        system.write_outputs(&mut reused);
-        assert_eq!(reused, one_shot);
     }
 
     #[test]
@@ -1157,7 +862,7 @@ mod tests {
         let x = Labeling::empty(1);
         let ids = IdAssignment::consecutive(&single);
         let inst = Instance::new(&single, &x, &ids);
-        let out = RoundEngine::new().run(&MinIdFlood { rounds: 4 }, &inst);
+        let out = RoundSystem::new(&MinIdFlood { rounds: 4 }, &inst).run();
         assert_eq!(out.get(NodeId(0)).as_u64(), ids.id(NodeId(0)));
         // Degree-0 nodes inside a larger graph gather nothing but still
         // answer, and the host-keyed gather restores their (zero) degree
@@ -1172,14 +877,7 @@ mod tests {
         let algo = FnAlgorithm::new(2, "ball-size-and-degree", |view: &View| {
             Label::from_u64((view.len() as u64) * 100 + view.center_degree() as u64)
         });
-        assert_eq!(
-            run_via_message_passing(&algo, &inst),
-            Simulator::new().run(&algo, &inst)
-        );
-        assert_eq!(
-            run_randomized_via_rounds(&algo, &inst, SeedSequence::new(2)),
-            Simulator::new().run(&algo, &inst)
-        );
+        assert_eq!(via_rounds(&algo, &inst), Simulator::new().run(&algo, &inst));
     }
 
     // --- host-keyed gather: coins and deciders -------------------------

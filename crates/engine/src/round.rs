@@ -1,13 +1,12 @@
 //! The round backend's plan: `algorithm × seed` executions through
 //! explicit message passing instead of ball extraction.
 //!
-//! A [`RoundPlan`] is the amortizable half of a batch — it owns the
-//! instance and the prebuilt [`RoundTopology`] (the delivery map), so
-//! per-seed executions pay no per-trial topology cost. Batches loop over
-//! seeds themselves (the `fault-matrix` workload runs one
-//! [`RoundPlan::run_with_faults`] per trial inside the sweep executor's
-//! blocks); every trial's coins and fault schedule derive from its seed
-//! alone, so results never depend on scheduling.
+//! A [`RoundPlan`] owns one instance (graph, inputs, identities) and the
+//! radius its algorithms declare. Batches loop over seeds themselves (the
+//! `fault-matrix` workload runs one [`RoundPlan::run_with_faults`] per
+//! trial inside the sweep executor's blocks); every trial's coins and
+//! fault schedule derive from its seed alone, so results never depend on
+//! scheduling.
 //!
 //! Fault-free executions are bit-identical to the ball-extraction path
 //! ([`ExecutionPlan`](crate::ExecutionPlan)) with the same seed — proven
@@ -20,31 +19,32 @@ use rlnc_core::algorithm::{Coins, RandomizedLocalAlgorithm};
 use rlnc_core::decision::RandomizedDecider;
 use rlnc_core::faults::FaultSchedule;
 use rlnc_core::labels::Labeling;
-use rlnc_core::rounds::{GatherDecide, GatherRun, RelabelAdversary, RoundSystem, RoundTopology};
-use rlnc_core::{Instance, Label};
+use rlnc_core::rounds::{
+    decide_randomized_via_rounds, run_randomized_via_rounds, GatherRun, RelabelAdversary,
+    RoundSystem,
+};
+use rlnc_core::{Instance, IoConfig};
 use rlnc_graph::{Graph, IdAssignment};
 use rlnc_par::rng::SeedSequence;
 
 /// One instance prepared for repeated round-backend execution: the graph,
-/// inputs, and identities (owned), plus the prebuilt delivery topology.
+/// inputs, and identities (owned), and the radius of its algorithms.
 #[derive(Debug, Clone)]
 pub struct RoundPlan {
     graph: Graph,
     input: Labeling,
     ids: IdAssignment,
-    topology: RoundTopology,
     radius: u32,
 }
 
 impl RoundPlan {
-    /// Plans an instance for radius-`radius` algorithms: clones the
-    /// instance and builds the delivery map once.
+    /// Plans an instance for radius-`radius` algorithms (clones the
+    /// instance).
     pub fn for_instance(instance: &Instance<'_>, radius: u32) -> RoundPlan {
         RoundPlan {
             graph: instance.graph.clone(),
             input: instance.input.clone(),
             ids: instance.ids.clone(),
-            topology: RoundTopology::new(instance.graph),
             radius,
         }
     }
@@ -57,11 +57,6 @@ impl RoundPlan {
     /// The planned graph.
     pub fn graph(&self) -> &Graph {
         &self.graph
-    }
-
-    /// The prebuilt delivery topology.
-    pub fn topology(&self) -> &RoundTopology {
-        &self.topology
     }
 
     /// Number of nodes in the planned instance.
@@ -93,9 +88,7 @@ impl RoundPlan {
         execution_seed: SeedSequence,
     ) -> Labeling {
         self.assert_radius(algo.radius());
-        let instance = self.instance();
-        let wrapper = GatherRun::new(algo, Coins::new(execution_seed));
-        RoundSystem::with_topology(&wrapper, &instance, &self.topology).run()
+        run_randomized_via_rounds(algo, &self.instance(), execution_seed)
     }
 
     /// One fault-injected execution: crashed nodes fall silent per the
@@ -112,8 +105,7 @@ impl RoundPlan {
         let instance = self.instance();
         let wrapper = GatherRun::new(algo, Coins::new(execution_seed));
         let adversary = RelabelAdversary::new();
-        let mut system =
-            RoundSystem::with_topology(&wrapper, &instance, &self.topology).with_faults(schedule);
+        let mut system = RoundSystem::new(&wrapper, &instance).with_faults(schedule);
         if schedule.has_byzantine() {
             system = system.with_adversary(&adversary);
         }
@@ -132,11 +124,8 @@ impl RoundPlan {
         execution_seed: SeedSequence,
     ) -> bool {
         self.assert_radius(decider.radius());
-        let instance = self.instance();
-        let wrapper = GatherDecide::new(decider, output, Coins::new(execution_seed));
-        let verdicts = RoundSystem::with_topology(&wrapper, &instance, &self.topology).run();
-        let yes = Label::from_bool(true);
-        verdicts.as_slice().iter().all(|v| *v == yes)
+        let io = IoConfig::new(&self.graph, &self.input, output);
+        decide_randomized_via_rounds(decider, &io, &self.ids, execution_seed)
     }
 }
 
@@ -147,6 +136,7 @@ mod tests {
     use rlnc_core::algorithm::FnRandomizedAlgorithm;
     use rlnc_core::decision::FnRandomizedDecider;
     use rlnc_core::view::View;
+    use rlnc_core::Label;
     use rand::Rng;
     use rlnc_graph::generators::cycle;
 

@@ -513,6 +513,44 @@ fn gathered_outputs_allocate_only_their_views() {
     );
 }
 
+/// Stepping the radius-10 Cole–Vishkin gather on a 16-node oriented ring
+/// allocates at most 730 times, with or without every node Byzantine: a
+/// sender wraps one snapshot of its state per round (the snapshot and its
+/// two lists), and a Byzantine sender's forged snapshot has no other
+/// owner, so `RelabelAdversary` copies nothing.
+#[cfg(feature = "count-alloc")]
+#[test]
+fn cole_vishkin_gather_steps_within_its_allocation_budget() {
+    use rlnc_core::rounds::{GatherRun, MessagePassingAlgorithm, RelabelAdversary, RoundSystem};
+    use rlnc_langs::registry::CaseId;
+    use rlnc_obs::alloc_counter::allocations;
+
+    let case = CaseId::ColeVishkin.case();
+    let graph = rlnc_graph::generators::cycle(16);
+    let ids = IdAssignment::consecutive(&graph);
+    let input = case.build_input(&graph, &ids);
+    let instance = Instance::new(&graph, &input, &ids);
+    let gather = GatherRun::new(&*case.constructor, Coins::new(SeedSequence::new(29)));
+    assert_eq!(gather.rounds(), 10);
+    let byzantine =
+        FaultPlan::ByzantineRelabel { probability: 1.0 }.schedule(&graph, SeedSequence::new(31));
+    let adversary = RelabelAdversary::new();
+    for schedule in [None, Some(&byzantine)] {
+        let mut system = RoundSystem::new(&gather, &instance);
+        if let Some(schedule) = schedule {
+            system = system.with_faults(schedule).with_adversary(&adversary);
+        }
+        let before = allocations();
+        assert_eq!(system.step_until_quiet(), 10);
+        let stepped = allocations() - before;
+        assert!(
+            stepped <= 730,
+            "{stepped} allocations stepping (byzantine: {})",
+            schedule.is_some()
+        );
+    }
+}
+
 /// The Claim-1 refinement builds one evaluation view per ball template
 /// and only re-labels it per sample: on a 16-template probe, 40 samples
 /// per template cost at most three allocations per evaluation on average.

@@ -51,4 +51,15 @@ fn small_loops_stay_inline_and_large_batches_fan_out() {
         });
     });
     assert_eq!(batched > 0, pool::thread_count() > 1);
+
+    // A ring of FAN_OUT_WORK nodes: every round's send and receive phases
+    // go to the pool iff it has more than one thread.
+    let ring = cycle(FAN_OUT_WORK as usize);
+    let ring_input = Labeling::empty(ring.node_count());
+    let ring_ids = IdAssignment::consecutive(&ring);
+    let ring_instance = Instance::new(&ring, &ring_input, &ring_ids);
+    let stepped = tasks_during(|| {
+        run_randomized_via_rounds(&algo, &ring_instance, seed);
+    });
+    assert_eq!(stepped > 0, pool::thread_count() > 1);
 }

@@ -256,3 +256,52 @@ fn fault_schedules_are_pinned_at_seed_zero() {
     fingerprints.dedup();
     assert_eq!(fingerprints.len(), rlnc_core::FAULT_PLAN_KINDS);
 }
+
+/// FNV-1a over every node's output, in node order.
+fn output_digest(out: &Labeling) -> u64 {
+    out.as_slice()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, label| {
+            label
+                .as_bytes()
+                .iter()
+                .chain([&0xFF])
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        })
+}
+
+/// A ring of [`FAN_OUT_WORK`](rlnc_par::pool::FAN_OUT_WORK) nodes: large
+/// enough that every round fans out over the pool when it has more than
+/// one thread, so running this under the default pool and under
+/// `RLNC_THREADS=1` checks the parallel and inline steps against the same
+/// values. The algorithm reads identities as well as coins, so Byzantine
+/// relabeling moves its outputs.
+#[test]
+fn fan_out_sized_ring_steps_identically_on_every_thread_count() {
+    let n = rlnc_par::pool::FAN_OUT_WORK as usize;
+    let graph = rlnc_graph::generators::cycle(n);
+    let input = Labeling::from_fn(&graph, |v| Label::from_u64(u64::from(v.0) % 5));
+    let ids = IdAssignment::consecutive(&graph);
+    let instance = Instance::new(&graph, &input, &ids);
+    let algo = FnRandomizedAlgorithm::new(1, "id-coin-mixing", |v: &View, c: &Coins| {
+        let mut digest = 0u64;
+        for i in 0..v.len() {
+            let coin = c.for_view_node(v, i).random::<u64>() >> 8;
+            digest = digest.wrapping_mul(37).wrapping_add(coin ^ v.id(i));
+        }
+        Label::from_u64(digest)
+    });
+    let seed = SeedSequence::new(23);
+    let round_plan = RoundPlan::for_instance(&instance, 1);
+    assert_eq!(
+        round_plan.run_randomized(&algo, seed),
+        ExecutionPlan::for_instance(&instance, 1).run_randomized(&algo, seed)
+    );
+    // Crash cascade and Byzantine relabeling, at intensity 0.4.
+    for (kind, expected) in [(2, 0x139f_8528_180c_7152u64), (3, 0x8798_6520_b0ad_dc85)] {
+        let plan = FaultPlan::from_index(kind, 0.4);
+        let schedule = plan.schedule(&graph, seed.child(0));
+        let out = round_plan.run_with_faults(&algo, seed.child(1), &schedule);
+        assert_eq!(output_digest(&out), expected, "{}", plan.name());
+    }
+}

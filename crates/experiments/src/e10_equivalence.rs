@@ -10,7 +10,7 @@
 
 use crate::report::{ExperimentReport, Finding, Scale, Table};
 use rlnc_core::prelude::*;
-use rlnc_core::rounds::{GatherAndRun, RoundSystem};
+use rlnc_core::rounds::{GatherRun, RoundSystem};
 use rlnc_graph::generators::Family;
 use rlnc_graph::IdAssignment;
 use rlnc_langs::coloring::{GlobalGreedyColoring, RankColoring};
@@ -54,8 +54,9 @@ pub fn run_seeded(scale: Scale, seed: u64) -> ExperimentReport {
             let direct = Simulator::new().run(algo.as_ref(), &inst);
             // The operational semantics, stepped round by round: after
             // exactly t rounds of flooding the system must be quiet, and
-            // the gathered views must reproduce the ball-view outputs.
-            let gather = GatherAndRun::new(algo.as_ref());
+            // the gathered views must reproduce the ball-view outputs (the
+            // algorithms are deterministic, so the coins go unread).
+            let gather = GatherRun::new(algo.as_ref(), Coins::new(SeedSequence::new(seed)));
             let mut system = RoundSystem::new(&gather, &inst);
             let rounds_stepped = system.step_until_quiet();
             let via_messages = system.outputs();
@@ -96,9 +97,10 @@ mod tests {
         assert_eq!(report.table.rows.len(), 16);
     }
 
-    /// Routing E10 through the steppable [`RoundSystem`] must not move a
-    /// byte of its historical seed-0 output: this digest was recorded from
-    /// the one-shot `run_via_message_passing` path before the refactor.
+    /// Routing E10 through the steppable [`RoundSystem`] and the host-keyed
+    /// gather must not move a byte of its historical seed-0 output: this
+    /// digest was recorded from the original one-shot identity-keyed
+    /// gather.
     #[test]
     fn e10_seed_zero_table_is_byte_identical_to_the_historical_output() {
         let report = run(Scale::Smoke);

@@ -3,8 +3,7 @@
 //! An experiment is usually a grid of configurations (graph size × relaxation
 //! parameter × decider guarantee), each of which internally runs its own
 //! Monte-Carlo estimate. [`sweep`] evaluates the grid in parallel while
-//! keeping the output in input order, and [`grid2`]/[`grid3`] build the
-//! cartesian products.
+//! keeping the output in input order.
 
 use rayon::prelude::*;
 
@@ -25,30 +24,6 @@ where
     F: Fn(&C) -> T,
 {
     configs.iter().map(f).collect()
-}
-
-/// Cartesian product of two parameter axes.
-pub fn grid2<A: Clone, B: Clone>(a: &[A], b: &[B]) -> Vec<(A, B)> {
-    let mut out = Vec::with_capacity(a.len() * b.len());
-    for x in a {
-        for y in b {
-            out.push((x.clone(), y.clone()));
-        }
-    }
-    out
-}
-
-/// Cartesian product of three parameter axes.
-pub fn grid3<A: Clone, B: Clone, C: Clone>(a: &[A], b: &[B], c: &[C]) -> Vec<(A, B, C)> {
-    let mut out = Vec::with_capacity(a.len() * b.len() * c.len());
-    for x in a {
-        for y in b {
-            for z in c {
-                out.push((x.clone(), y.clone(), z.clone()));
-            }
-        }
-    }
-    out
 }
 
 /// Splits `0..n` into at most `chunks` contiguous ranges of nearly equal
@@ -82,17 +57,6 @@ mod tests {
         let seq = sweep_sequential(configs.clone(), |&c| c + 1);
         assert_eq!(seq[0], 1);
         assert_eq!(seq[99], 100);
-    }
-
-    #[test]
-    fn grids_have_expected_sizes() {
-        let g = grid2(&[1, 2, 3], &["a", "b"]);
-        assert_eq!(g.len(), 6);
-        assert_eq!(g[0], (1, "a"));
-        assert_eq!(g[5], (3, "b"));
-        let g3 = grid3(&[1, 2], &[10, 20], &[100]);
-        assert_eq!(g3.len(), 4);
-        assert_eq!(g3[3], (2, 20, 100));
     }
 
     #[test]

@@ -510,6 +510,28 @@ mod tests {
     }
 
     #[test]
+    fn fault_matrix_streams_are_pinned_at_seed_7() {
+        // Every record of the smoke sweep, all four fault kinds including
+        // Byzantine relabeling: faulty round executions must not move when
+        // the round backend around them changes.
+        let run = crate::SweepExecutor::new(rlnc_par::Scale::Smoke)
+            .with_seed(7)
+            .run(&fault_matrix_spec());
+        assert_eq!(run.records.len(), 240);
+        let lines: Vec<String> = run.records.iter().map(crate::emit::record_json).collect();
+        // `scenario_tag` is FNV-1a over the bytes.
+        assert_eq!(
+            crate::executor::scenario_tag(&lines.join("\n")),
+            0xbc61_62e2_0822_6cdd
+        );
+        let mut successes = [0u64; rlnc_core::FAULT_PLAN_KINDS];
+        for r in &run.records {
+            successes[crate::workload::decode_fault_params(r.param_a).0] += r.successes;
+        }
+        assert_eq!(successes, [175, 211, 188, 211]);
+    }
+
+    #[test]
     fn theorem1_pipeline_covers_three_cases_and_families() {
         let spec = theorem1_pipeline_spec();
         assert!(spec.families.len() >= 3, "need several graph families");

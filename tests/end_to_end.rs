@@ -10,7 +10,7 @@ use rlnc::prelude::*;
 use rlnc_core::decision::{acceptance_probability, decide};
 use rlnc_core::relaxation::{EpsilonSlack, FResilient};
 use rlnc_core::resilient::ResilientDecider;
-use rlnc_core::rounds::run_via_message_passing;
+use rlnc_core::rounds::run_randomized_via_rounds;
 use rlnc_graph::generators::cycle;
 
 #[test]
@@ -103,7 +103,7 @@ fn message_passing_and_ball_views_agree_for_library_algorithms() {
     let algo = RankColoring::new(2, 3);
     assert_eq!(
         Simulator::new().run(&algo, &instance),
-        run_via_message_passing(&algo, &instance)
+        run_randomized_via_rounds(&algo, &instance, SeedSequence::new(0))
     );
 }
 
