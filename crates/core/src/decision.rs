@@ -155,25 +155,6 @@ pub fn decide<D: LocalDecider + ?Sized>(decider: &D, io: &IoConfig<'_>, ids: &Id
     })
 }
 
-/// Runs one execution of a randomized decider (one coin sample); returns
-/// the rejecting nodes.
-pub fn rejecting_nodes_randomized<D: RandomizedDecider + ?Sized>(
-    decider: &D,
-    io: &IoConfig<'_>,
-    ids: &IdAssignment,
-    execution_seed: SeedSequence,
-) -> Vec<NodeId> {
-    let t = decider.radius();
-    let coins = Coins::new(execution_seed);
-    io.graph
-        .nodes()
-        .filter(|&v| {
-            let view = View::collect_io(io, ids, v, t);
-            !decider.accepts(&view, &coins)
-        })
-        .collect()
-}
-
 /// Global verdict of one execution of a randomized decider.
 pub fn decide_randomized<D: RandomizedDecider + ?Sized>(
     decider: &D,

@@ -23,7 +23,7 @@
 use super::hard_instances::HardInstance;
 use crate::algorithm::RandomizedLocalAlgorithm;
 use crate::config::{Instance, IoConfig};
-use crate::decision::{decide_randomized, decide_randomized_far_from, RandomizedDecider};
+use crate::decision::{decide_randomized_far_from, RandomizedDecider};
 use crate::labels::Labeling;
 use crate::simulator::Simulator;
 use rlnc_graph::ops::{glue_instances, glued_ids, Gluing};
@@ -254,25 +254,6 @@ impl GluingExperiment {
                 decide_randomized_far_from(decider, &io, &hard.ids, anchor, exclusion, decision_seed)
             })
         })
-    }
-
-    /// Full (all-nodes) acceptance of one decider execution, for comparison
-    /// against the far-from-anchors relaxation.
-    pub fn acceptance_single_execution<C, D>(
-        &self,
-        constructor: &C,
-        decider: &D,
-        seed: rlnc_par::rng::SeedSequence,
-    ) -> bool
-    where
-        C: RandomizedLocalAlgorithm + ?Sized,
-        D: RandomizedDecider + ?Sized,
-    {
-        let hard = self.as_hard_instance();
-        let inst = hard.as_instance();
-        let output = Simulator::new().run_randomized(constructor, &inst, seed.child(0));
-        let io = IoConfig::from_instance(&inst, &output);
-        decide_randomized(decider, &io, &hard.ids, seed.child(1))
     }
 }
 

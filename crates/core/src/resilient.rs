@@ -16,12 +16,10 @@
 //! does not help for `f`-resilient construction tasks.
 
 use crate::algorithm::Coins;
-use crate::config::IoConfig;
 use crate::decision::RandomizedDecider;
 use crate::language::LclLanguage;
 use crate::view::View;
 use rand::Rng;
-use rlnc_graph::NodeId;
 
 /// The acceptance probability used at bad-ball centers: the geometric-style
 /// midpoint of the open interval `(2^{-1/f}, 2^{-1/(f+1)})` prescribed by
@@ -81,13 +79,6 @@ impl<L: LclLanguage> ResilientDecider<L> {
     pub fn interval_is_valid(&self) -> bool {
         self.p.powi(self.f as i32) > 0.5 && self.p.powi(self.f as i32 + 1) < 0.5
     }
-
-    /// Evaluates whether a *ball* (the decider's view of one node, taken
-    /// from a full configuration) is bad, by re-checking the LCL predicate
-    /// on the host configuration. Exposed for tests.
-    pub fn is_bad_center(&self, io: &IoConfig<'_>, v: NodeId) -> bool {
-        self.language.is_bad_ball(io, v)
-    }
 }
 
 impl<L: LclLanguage> RandomizedDecider for ResilientDecider<L> {
@@ -114,11 +105,12 @@ impl<L: LclLanguage> RandomizedDecider for ResilientDecider<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::IoConfig;
     use crate::decision::{acceptance_probability, decide_randomized};
     use crate::labels::{Label, Labeling};
     use crate::language::FnLcl;
     use rlnc_graph::generators::cycle;
-    use rlnc_graph::IdAssignment;
+    use rlnc_graph::{IdAssignment, NodeId};
     use rlnc_par::rng::SeedSequence;
 
     fn coloring_lcl() -> FnLcl<impl Fn(&IoConfig<'_>, NodeId) -> bool + Sync> {

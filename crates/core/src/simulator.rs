@@ -18,7 +18,8 @@
 //! ([`Simulator::construction_success`]) collects every node's view
 //! **once** via [`View::collect_all`] and reuses the cached views across
 //! all trials — the same plan-then-execute split the `rlnc-engine` crate
-//! exposes as a full subsystem (`ExecutionPlan` + `BatchRunner`).
+//! exposes as a full subsystem (an `ExecutionPlan` and its batched
+//! passes, such as `ExecutionPlan::estimate`).
 
 use crate::algorithm::{Coins, LocalAlgorithm, RandomizedLocalAlgorithm};
 use crate::config::{Instance, IoConfig};

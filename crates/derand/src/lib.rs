@@ -25,11 +25,14 @@
 //!   planned once ([`UnionPlan`](rlnc_engine::UnionPlan) /
 //!   [`GluedPlan`](rlnc_engine::GluedPlan), one
 //!   [`BallArena`](rlnc_graph::arena::BallArena) pass over the combined
-//!   CSR) and evaluated for K seeds in blocked passes. The per-trial
-//!   streams are **bit-identical** to the legacy
-//!   `rlnc_core::derand` estimators (same `(master, trial)` seed tree, same
-//!   `child(0)`/`child(1)` constructor/decider split) — the engine
-//!   equivalence suite proves it against
+//!   CSR) and evaluated for K seeds by the plans' own blocked passes
+//!   ([`ConstructDecidePlan::acceptance`](rlnc_engine::ConstructDecidePlan::acceptance)
+//!   for Claims 3–5, [`ExecutionPlan::estimate`](rlnc_engine::ExecutionPlan::estimate)
+//!   for β, [`ExecutionPlan::run_many`](rlnc_engine::ExecutionPlan::run_many)
+//!   for the Claim-2 scan). The per-trial streams are **bit-identical**
+//!   to the legacy `rlnc_core::derand` estimators (same `(master, trial)`
+//!   seed tree, same `child(0)`/`child(1)` constructor/decider split) —
+//!   the engine equivalence suite proves it against
 //!   `boosting::disjoint_union_acceptance` and the `GluingExperiment`
 //!   estimators, which remain in `rlnc-core` as the reference
 //!   implementations.
@@ -51,6 +54,6 @@
 pub mod pipeline;
 
 pub use pipeline::{
-    deterministic_agreement, failure_probability_with, lift_agrees_with, ramsey_stage,
-    DerandPipeline, GluedStage, HardInstanceStage, PipelineParams, RamseyStage, UnionStage,
+    deterministic_agreement, failure_probability_with, ramsey_stage, DerandPipeline, GluedStage,
+    HardInstanceStage, PipelineParams, RamseyStage, UnionStage,
 };

@@ -33,9 +33,9 @@ use rlnc_core::config::{Instance, IoConfig};
 use rlnc_core::decision::RandomizedDecider;
 use rlnc_core::derand::gluing::{anchor_candidates, GluingExperiment};
 use rlnc_core::derand::hard_instances::HardInstance;
-use rlnc_core::derand::ramsey::{collect_templates, consistent_id_set, OrderInvariantLift};
+use rlnc_core::derand::ramsey::{collect_templates, consistent_id_set};
 use rlnc_core::language::DistributedLanguage;
-use rlnc_engine::{BatchRunner, ExecutionPlan, GluedPlan, PlanCache, UnionPlan};
+use rlnc_engine::{ExecutionPlan, GluedPlan, PlanCache, UnionPlan};
 use rlnc_graph::NodeId;
 use rlnc_par::stats::Estimate;
 
@@ -105,7 +105,6 @@ pub struct DerandPipeline<'a, C: ?Sized, D: ?Sized, L: ?Sized> {
     decider: &'a D,
     language: &'a L,
     params: PipelineParams,
-    runner: BatchRunner,
 }
 
 impl<'a, C, D, L> DerandPipeline<'a, C, D, L>
@@ -122,7 +121,6 @@ where
             decider,
             language,
             params,
-            runner: BatchRunner::new(),
         }
     }
 
@@ -147,16 +145,6 @@ where
         seed: u64,
     ) -> RamseyStage {
         ramsey_stage(algo, probes, universe, samples_per_round, seed)
-    }
-
-    /// [`lift_agrees_with`] using this pipeline's runner.
-    pub fn lift_agrees<A: LocalAlgorithm + ?Sized>(
-        &self,
-        algo: &A,
-        stage: &RamseyStage,
-        instance: &Instance<'_>,
-    ) -> bool {
-        lift_agrees_with(&self.runner, algo, stage, instance)
     }
 
     // ---- Stage 2: hard instances (Claim 2) ----------------------------
@@ -225,7 +213,7 @@ where
                             })
                             .collect();
                         let refs: Vec<&A> = batch.iter().map(|&jj| algorithms[jj]).collect();
-                        let outputs = self.runner.run_many(&refs, plan);
+                        let outputs = plan.run_many(&refs);
                         for (&jj, output) in batch.iter().zip(&outputs) {
                             let io = IoConfig::from_instance(&inst, output);
                             entry[jj] = Some(!self.language.contains(&io));
@@ -250,9 +238,9 @@ where
     }
 
     /// The free-function [`failure_probability_with`] using this pipeline's
-    /// constructor, language, and runner.
+    /// constructor and language.
     pub fn failure_probability(&self, instance: &HardInstance, trials: u64, seed: u64) -> Estimate {
-        failure_probability_with(&self.runner, self.constructor, self.language, instance, trials, seed)
+        failure_probability_with(self.constructor, self.language, instance, trials, seed)
     }
 
     // ---- Stage 3: boosted disjoint union (Claim 3) --------------------
@@ -273,8 +261,8 @@ where
     /// `Pr[D accepts C(G)]` on the union, over both coin sources —
     /// bit-identical to `boosting::disjoint_union_acceptance`.
     pub fn union_acceptance(&self, stage: &UnionStage, trials: u64, seed: u64) -> Estimate {
-        self.runner
-            .union_acceptance(&stage.plan, self.constructor, self.decider, trials, seed)
+        let plan = stage.plan.plan();
+        plan.acceptance(self.constructor, self.decider, None, trials, seed)
     }
 
     // ---- Stage 4: connected gluing (Claims 4–5) -----------------------
@@ -333,15 +321,16 @@ where
     /// All-nodes acceptance `Pr[D accepts C(G)]` on the glued instance —
     /// bit-identical to `GluingExperiment::acceptance`.
     pub fn glued_acceptance(&self, stage: &GluedStage, trials: u64, seed: u64) -> Estimate {
-        self.runner
-            .glued_acceptance(&stage.plan, self.constructor, self.decider, trials, seed)
+        let plan = stage.plan.plan();
+        plan.acceptance(self.constructor, self.decider, None, trials, seed)
     }
 
     /// The Claims-4/5 event `Pr[D accepts C(G) far from every anchor]` —
     /// bit-identical to `GluingExperiment::acceptance_far_from_all_anchors`.
     pub fn glued_far_acceptance(&self, stage: &GluedStage, trials: u64, seed: u64) -> Estimate {
-        self.runner
-            .glued_far_acceptance(&stage.plan, self.constructor, self.decider, trials, seed)
+        let far = Some(stage.plan.participants());
+        let plan = stage.plan.plan();
+        plan.acceptance(self.constructor, self.decider, far, trials, seed)
     }
 }
 
@@ -367,33 +356,15 @@ pub fn ramsey_stage<A: LocalAlgorithm + ?Sized>(
 }
 
 /// Engine-backed agreement of two same-radius deterministic algorithms on
-/// one instance: one plan (one arena pass) serves both evaluations.
-pub fn deterministic_agreement<A, B>(
-    runner: &BatchRunner,
-    a: &A,
-    b: &B,
-    instance: &Instance<'_>,
-) -> bool
+/// one instance (e.g. `A` and its order-invariant lift `A'`): one plan
+/// (one arena pass) serves both evaluations.
+pub fn deterministic_agreement<A, B>(a: &A, b: &B, instance: &Instance<'_>) -> bool
 where
     A: LocalAlgorithm + ?Sized,
     B: LocalAlgorithm + ?Sized,
 {
     let plan = ExecutionPlan::for_instance(instance, a.radius());
-    runner.run(a, &plan) == runner.run(b, &plan)
-}
-
-/// Engine-backed agreement check: does the lift `A'` built from the
-/// stage's identity set compute the same outputs as `A` on `instance`?
-/// Callers that already hold the lift should use
-/// [`deterministic_agreement`] directly and avoid rebuilding it.
-pub fn lift_agrees_with<A: LocalAlgorithm + ?Sized>(
-    runner: &BatchRunner,
-    algo: &A,
-    stage: &RamseyStage,
-    instance: &Instance<'_>,
-) -> bool {
-    let lift = OrderInvariantLift::new(algo, stage.id_set.clone());
-    deterministic_agreement(runner, algo, &lift, instance)
+    plan.run(a) == plan.run(b)
 }
 
 /// Stage-2 standalone (Claim 2): engine-backed failure probability β of a
@@ -402,7 +373,6 @@ pub fn lift_agrees_with<A: LocalAlgorithm + ?Sized>(
 /// `HardInstanceSearch::failure_probability` (cached views, same per-trial
 /// seed derivation, complemented counts).
 pub fn failure_probability_with<C, L>(
-    runner: &BatchRunner,
     constructor: &C,
     language: &L,
     instance: &HardInstance,
@@ -415,7 +385,7 @@ where
 {
     let inst = instance.as_instance();
     let plan = ExecutionPlan::for_instance(&inst, constructor.radius());
-    runner.estimate(constructor, &plan, trials, seed, |out| {
+    plan.estimate(constructor, trials, seed, |out| {
         let io = IoConfig::from_instance(&inst, out);
         !language.contains(&io)
     })
@@ -427,6 +397,7 @@ mod tests {
     use rlnc_core::algorithm::FnAlgorithm;
     use rlnc_core::derand::boosting::disjoint_union_acceptance;
     use rlnc_core::derand::hard_instances::{consecutive_cycle_candidates, HardInstanceSearch};
+    use rlnc_core::derand::ramsey::OrderInvariantLift;
     use rlnc_core::labels::Label;
     use rlnc_core::one_sided::OneSidedLclDecider;
     use rlnc_core::view::View;
@@ -621,7 +592,8 @@ mod tests {
             probe.input.clone(),
             rlnc_graph::IdAssignment::new(stage.id_set.iter().take(8).copied().collect()),
         );
-        assert!(pipeline.lift_agrees(&algo, &stage, &in_set.as_instance()));
+        let lift = OrderInvariantLift::new(&algo, stage.id_set.clone());
+        assert!(deterministic_agreement(&algo, &lift, &in_set.as_instance()));
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //! down bit-for-bit.
 
 use crate::plan::{DecisionScratch, ExecutionPlan};
-use crate::runner::BatchRunner;
-use rlnc_core::algorithm::{Coins, RandomizedLocalAlgorithm};
+use crate::runner::run_blocked;
+use rlnc_core::algorithm::RandomizedLocalAlgorithm;
 use rlnc_core::config::Instance;
 use rlnc_core::decision::RandomizedDecider;
 use rlnc_core::labels::Labeling;
@@ -117,17 +117,9 @@ impl ConstructDecidePlan {
             self.decision.id(),
             "decision scratch does not belong to this plan"
         );
-        assert_eq!(
-            constructor.radius(),
-            self.construction.radius(),
-            "constructor radius {} does not match plan radius {}",
-            constructor.radius(),
-            self.construction.radius()
-        );
-        let coins = Coins::new(trial_seed.child(0));
-        for (i, view) in self.construction.views().iter().enumerate() {
-            out.set(NodeId::from_index(i), constructor.output(view, &coins));
-        }
+        self.construction.assert_radius(constructor.radius());
+        self.construction
+            .construct_into(constructor, trial_seed.child(0), out);
         let decision_seed = trial_seed.child(1);
         match nodes {
             Some(nodes) => scratch.decide_randomized_at(decider, out, nodes, decision_seed),
@@ -138,6 +130,45 @@ impl ConstructDecidePlan {
     /// A fresh decision scratch for this plan (clone once per trial block).
     pub fn decision_scratch(&self) -> DecisionScratch {
         self.decision.decision_scratch()
+    }
+
+    /// Estimates `Pr[D accepts C(G)]` over `trials` construct-then-decide
+    /// executions: [`ConstructDecidePlan::accept_once`] per trial, with the
+    /// `(master seed, trial)` seed derivation of
+    /// [`MonteCarlo`](rlnc_par::MonteCarlo) and the `child(0)`/`child(1)`
+    /// constructor/decider split of the legacy `acceptance_of_constructed`
+    /// — bit-identical success streams. `nodes` is `accept_once`'s: `None`
+    /// for all-nodes acceptance, [`GluedPlan::participants`] for the
+    /// Claims-4/5 event `Pr[D accepts C(G) far from every anchor]`, which
+    /// the legacy `GluingExperiment::acceptance_far_from_all_anchors`
+    /// computes with one BFS per anchor per trial.
+    pub fn acceptance<C, D>(
+        &self,
+        constructor: &C,
+        decider: &D,
+        nodes: Option<&[usize]>,
+        trials: u64,
+        master_seed: u64,
+    ) -> Estimate
+    where
+        C: RandomizedLocalAlgorithm + ?Sized,
+        D: RandomizedDecider + ?Sized,
+    {
+        self.construction.assert_radius(constructor.radius());
+        let root = SeedSequence::new(master_seed);
+        let work = (self.work_per_trial() as u64).saturating_mul(trials);
+        let counts = run_blocked(trials as usize, work, trials, |range| {
+            let mut scratch = self.decision_scratch();
+            let mut out = Labeling::empty(self.node_count());
+            range
+                .clone()
+                .filter(|&trial| {
+                    let seed = root.child(trial as u64);
+                    self.accept_once(&mut scratch, &mut out, constructor, decider, nodes, seed)
+                })
+                .count() as u64
+        });
+        Estimate::from_counts(counts.into_iter().sum(), trials)
     }
 }
 
@@ -268,135 +299,11 @@ impl GluedPlan {
     }
 }
 
-impl BatchRunner {
-    /// Estimates `Pr[D accepts C(G)]` over `trials` construct-then-decide
-    /// executions of a composite plan, with the `(master seed, trial)` seed
-    /// derivation of [`MonteCarlo`](rlnc_par::MonteCarlo) and the
-    /// `child(0)`/`child(1)` constructor/decider split of the legacy
-    /// `acceptance_of_constructed` — bit-identical success streams.
-    pub fn construct_decide_acceptance<C, D>(
-        &self,
-        plan: &ConstructDecidePlan,
-        constructor: &C,
-        decider: &D,
-        trials: u64,
-        master_seed: u64,
-    ) -> Estimate
-    where
-        C: RandomizedLocalAlgorithm + ?Sized,
-        D: RandomizedDecider + ?Sized,
-    {
-        self.composite_acceptance(plan, constructor, decider, None, trials, master_seed)
-    }
-
-    /// [`BatchRunner::construct_decide_acceptance`] over a union plan.
-    pub fn union_acceptance<C, D>(
-        &self,
-        union: &UnionPlan,
-        constructor: &C,
-        decider: &D,
-        trials: u64,
-        master_seed: u64,
-    ) -> Estimate
-    where
-        C: RandomizedLocalAlgorithm + ?Sized,
-        D: RandomizedDecider + ?Sized,
-    {
-        self.construct_decide_acceptance(union.plan(), constructor, decider, trials, master_seed)
-    }
-
-    /// All-nodes acceptance `Pr[D accepts C(G)]` on a glued plan.
-    pub fn glued_acceptance<C, D>(
-        &self,
-        glued: &GluedPlan,
-        constructor: &C,
-        decider: &D,
-        trials: u64,
-        master_seed: u64,
-    ) -> Estimate
-    where
-        C: RandomizedLocalAlgorithm + ?Sized,
-        D: RandomizedDecider + ?Sized,
-    {
-        self.construct_decide_acceptance(glued.plan(), constructor, decider, trials, master_seed)
-    }
-
-    /// The Claims-4/5 event: `Pr[D accepts C(G) far from every anchor]` —
-    /// every precomputed participant accepts. Bit-identical to the legacy
-    /// `GluingExperiment::acceptance_far_from_all_anchors`, which re-ran
-    /// one BFS per anchor per trial to find the same participants.
-    pub fn glued_far_acceptance<C, D>(
-        &self,
-        glued: &GluedPlan,
-        constructor: &C,
-        decider: &D,
-        trials: u64,
-        master_seed: u64,
-    ) -> Estimate
-    where
-        C: RandomizedLocalAlgorithm + ?Sized,
-        D: RandomizedDecider + ?Sized,
-    {
-        self.composite_acceptance(
-            glued.plan(),
-            constructor,
-            decider,
-            Some(glued.participants()),
-            trials,
-            master_seed,
-        )
-    }
-
-    fn composite_acceptance<C, D>(
-        &self,
-        plan: &ConstructDecidePlan,
-        constructor: &C,
-        decider: &D,
-        nodes: Option<&[usize]>,
-        trials: u64,
-        master_seed: u64,
-    ) -> Estimate
-    where
-        C: RandomizedLocalAlgorithm + ?Sized,
-        D: RandomizedDecider + ?Sized,
-    {
-        assert_eq!(
-            constructor.radius(),
-            plan.construction().radius(),
-            "constructor radius {} does not match plan radius {}",
-            constructor.radius(),
-            plan.construction().radius()
-        );
-        let root = SeedSequence::new(master_seed);
-        let n = plan.node_count();
-        let run_block = |range: &std::ops::Range<usize>| -> u64 {
-            let mut scratch = plan.decision_scratch();
-            let mut out = Labeling::empty(n);
-            range
-                .clone()
-                .filter(|&trial| {
-                    plan.accept_once(
-                        &mut scratch,
-                        &mut out,
-                        constructor,
-                        decider,
-                        nodes,
-                        root.child(trial as u64),
-                    )
-                })
-                .count() as u64
-        };
-        let work = (plan.work_per_trial() as u64).saturating_mul(trials);
-        let counts = self.run_blocked(trials as usize, work, Some(trials), run_block);
-        Estimate::from_counts(counts.into_iter().sum(), trials)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::Rng;
-    use rlnc_core::algorithm::FnRandomizedAlgorithm;
+    use rlnc_core::algorithm::{Coins, FnRandomizedAlgorithm};
     use rlnc_core::decision::FnRandomizedDecider;
     use rlnc_core::derand::boosting::{acceptance_of_constructed, build_disjoint_union};
     use rlnc_core::derand::hard_instances::consecutive_cycle_candidates;
@@ -438,12 +345,9 @@ mod tests {
         let decider = zero_rejecting_decider(0.7);
         let legacy = acceptance_of_constructed(&constructor, &decider, &hard[0], 300, 0);
         let plan = ConstructDecidePlan::new(&hard[0].as_instance(), 0, 0);
-        for runner in [BatchRunner::new(), BatchRunner::new().with_block(7)] {
-            let engine =
-                runner.construct_decide_acceptance(&plan, &constructor, &decider, 300, 0);
-            assert_eq!(engine.successes, legacy.successes);
-            assert_eq!(engine.p_hat, legacy.p_hat);
-        }
+        let engine = plan.acceptance(&constructor, &decider, None, 300, 0);
+        assert_eq!(engine.successes, legacy.successes);
+        assert_eq!(engine.p_hat, legacy.p_hat);
     }
 
     #[test]

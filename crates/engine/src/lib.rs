@@ -14,12 +14,14 @@
 //!   offset arrays filled by one shared bounded-BFS scratch, no per-node
 //!   hash maps — and caches the per-ball layout as ready-to-evaluate
 //!   [`View`](rlnc_core::View)s.
-//! * [`BatchRunner`] then evaluates `(algorithm × plan × K seeds)` in
-//!   passes with a reusable per-block output buffer; a pass is split into
-//!   blocks on the pool iff the workspace's one rule,
-//!   [`fans_out`](rlnc_par::pool::fans_out), says so for its total work
-//!   (plan size × trials × algorithms), so it never fans out inside an
-//!   already-parallel region.
+//! * The plan then runs its own batched passes against the cached views:
+//!   [`ExecutionPlan::estimate`] (K seeds, one reused output buffer per
+//!   block), [`ExecutionPlan::run_many`] (K deterministic algorithms in
+//!   one view walk) and [`ExecutionPlan::acceptance_many`] (K deciders per
+//!   trial). A pass is split into blocks on the pool iff the workspace's
+//!   one rule, [`fans_out`](rlnc_par::pool::fans_out), says so for its
+//!   total work (plan size × trials × algorithms), so it never fans out
+//!   inside an already-parallel region.
 //! * [`DecisionScratch`] covers the remaining shape — deciders whose
 //!   *outputs* change per trial (e.g. "construct, then decide") — by
 //!   refreshing only the output labels of cloned cached views.
@@ -27,7 +29,8 @@
 //!   (mod [`composite`]) package the derandomization pipeline's hot shape —
 //!   construct on a disjoint union or gluing of hard instances, then decide
 //!   — into plans built once per composite instance, including the
-//!   precomputed "far from every anchor" participation set of Claims 4–5.
+//!   precomputed "far from every anchor" participation set of Claims 4–5;
+//!   [`ConstructDecidePlan::acceptance`] is their one batched pass.
 //! * [`PlanCache`] (mod [`cache`]) memoizes plans by a content fingerprint
 //!   of `(graph, ids, inputs, radius)`, so searches that evaluate many
 //!   algorithms against the same candidate instances (the Claim-2
@@ -60,7 +63,7 @@
 //! ```
 //! use rand::Rng;
 //! use rlnc_core::prelude::*;
-//! use rlnc_engine::{BatchRunner, ExecutionPlan};
+//! use rlnc_engine::ExecutionPlan;
 //! use rlnc_graph::{generators::cycle, IdAssignment};
 //!
 //! let graph = cycle(64);
@@ -75,7 +78,7 @@
 //! let plan = ExecutionPlan::for_instance(&instance, 0);
 //!
 //! // ...execute many times against the cached views.
-//! let est = BatchRunner::new().estimate(&algo, &plan, 500, 7, |out| {
+//! let est = plan.estimate(&algo, 500, 7, |out| {
 //!     out.get(rlnc_graph::NodeId(0)).as_bool()
 //! });
 //! assert!(est.p_hat > 0.3 && est.p_hat < 0.7);
@@ -88,7 +91,7 @@ pub mod cache;
 pub mod composite;
 pub mod plan;
 pub mod round;
-pub mod runner;
+mod runner;
 
 pub use cache::{
     set_shared_plan_cache, shared_plan_cache_clear, shared_plan_cache_enabled,
@@ -98,4 +101,3 @@ pub use cache::{
 pub use composite::{ConstructDecidePlan, GluedPlan, UnionPlan};
 pub use plan::{DecisionScratch, ExecutionPlan};
 pub use round::RoundPlan;
-pub use runner::BatchRunner;

@@ -13,7 +13,7 @@ use rlnc_core::config::{Instance, IoConfig};
 use rlnc_core::decision::RandomizedDecider;
 use rlnc_core::labels::Labeling;
 use rlnc_core::view::View;
-use rlnc_graph::IdAssignment;
+use rlnc_graph::{IdAssignment, NodeId};
 use rlnc_obs::{LazyCounter, LazySpan, Section};
 use rlnc_par::rng::SeedSequence;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -98,8 +98,8 @@ impl ExecutionPlan {
     }
 
     /// Total ball membership across all views — the amount of data one
-    /// execution touches. The [`BatchRunner`](crate::BatchRunner) hands
-    /// `work_per_execution × trials` to the fan-out rule.
+    /// execution touches. A batched pass hands `work_per_execution ×
+    /// trials` to the fan-out rule.
     pub fn work_per_execution(&self) -> usize {
         self.work_per_execution
     }
@@ -138,6 +138,23 @@ impl ExecutionPlan {
         self.assert_radius(algo.radius());
         let coins = Coins::new(execution_seed);
         Labeling::new(self.views.iter().map(|v| algo.output(v, &coins)).collect())
+    }
+
+    /// One execution of a randomized algorithm written into a reused
+    /// buffer: node `i`'s output goes to `out[i]`. The trial kernel of
+    /// [`ExecutionPlan::estimate`] and
+    /// [`ConstructDecidePlan::accept_once`](crate::ConstructDecidePlan::accept_once);
+    /// the caller checks the algorithm's radius.
+    pub(crate) fn construct_into<A: RandomizedLocalAlgorithm + ?Sized>(
+        &self,
+        algo: &A,
+        execution_seed: SeedSequence,
+        out: &mut Labeling,
+    ) {
+        let coins = Coins::new(execution_seed);
+        for (i, view) in self.views.iter().enumerate() {
+            out.set(NodeId::from_index(i), algo.output(view, &coins));
+        }
     }
 
     /// One execution of a randomized decider on a decision plan: accepted

@@ -1,24 +1,24 @@
-//! The batch runner: `(algorithm × plan × K seeds)` in blocked passes.
+//! Batched passes: `(algorithm × plan × K seeds)` over cached views.
 //!
-//! A [`BatchRunner`] owns only the block size. Every method dispatches
-//! through one blocked helper: iff the workspace's one rule, [`fans_out`],
-//! says so for the pass's total work in ball members (plan work × trials
-//! × algorithms), the pass is split into blocks that run on the thread
-//! pool — so never inside an already-parallel region; otherwise it runs
-//! as one block on the caller. The choice can never change a result:
-//! every trial's coins derive from `(trial seed, node)` alone.
+//! The passes that run many trials or many algorithms against one plan —
+//! [`ExecutionPlan::run_many`], [`ExecutionPlan::acceptance_many`],
+//! [`ExecutionPlan::estimate`] and
+//! [`ConstructDecidePlan::acceptance`](crate::ConstructDecidePlan::acceptance)
+//! — dispatch through one blocked helper: iff the workspace's one rule,
+//! [`fans_out`], says so for the pass's total work in ball members (plan
+//! work × trials × algorithms), the pass is split into blocks of [`BLOCK`]
+//! items that run on the thread pool — so never inside an already-parallel
+//! region; otherwise it runs as one block on the caller. The choice can
+//! never change a result: every trial's coins derive from `(trial seed,
+//! node)` alone.
 //!
-//! The single-execution methods are the K=1 case of the batched ones:
-//! [`BatchRunner::run`] and [`BatchRunner::run_randomized`] walk the views
-//! like [`BatchRunner::run_many`], and [`BatchRunner::acceptance`] is
-//! [`BatchRunner::acceptance_many`] over one decider.
+//! [`ExecutionPlan::acceptance`] is [`ExecutionPlan::acceptance_many`] over
+//! one decider.
 
 use crate::plan::ExecutionPlan;
 use rlnc_core::algorithm::{Coins, LocalAlgorithm, RandomizedLocalAlgorithm};
 use rlnc_core::decision::RandomizedDecider;
 use rlnc_core::labels::{Label, Labeling};
-use rlnc_core::view::View;
-use rlnc_graph::NodeId;
 use rlnc_obs::{LazyCounter, Section};
 use rlnc_par::pool::fans_out;
 use rlnc_par::rng::SeedSequence;
@@ -26,8 +26,12 @@ use rlnc_par::stats::Estimate;
 use rlnc_par::sweep::{balanced_ranges, sweep};
 use std::ops::Range;
 
+/// Items (trials, or nodes for view walks) per pool work item when a pass
+/// fans out. Blocks only balance load across threads.
+const BLOCK: usize = 64;
+
 // Trials executed are a function of the requested batch alone —
-// deterministic. Pass counts depend on the block-size knob, and the
+// deterministic. Pass counts depend on the block size, and the
 // parallel/sequential split on core count and nesting context, so those
 // stay in the timing section.
 static OBS_TRIALS: LazyCounter = LazyCounter::new("engine.batch.trials", Section::Deterministic);
@@ -38,100 +42,33 @@ static OBS_PARALLEL_PASSES: LazyCounter =
 static OBS_SEQUENTIAL_PASSES: LazyCounter =
     LazyCounter::new("engine.batch.sequential_passes", Section::Timing);
 
-/// Records one batched pass over `trials` trials into the registry.
-fn record_batch_pass(trials: u64, parallel: bool) {
-    if !rlnc_obs::enabled() {
-        return;
-    }
-    OBS_TRIALS.add(trials);
-    OBS_BLOCKED_PASSES.inc();
-    if parallel {
-        OBS_PARALLEL_PASSES.inc();
-    } else {
-        OBS_SEQUENTIAL_PASSES.inc();
-    }
-}
-
-/// Evaluates algorithms against [`ExecutionPlan`]s, one seed or many.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchRunner {
-    block: u64,
-}
-
-impl Default for BatchRunner {
-    fn default() -> Self {
-        BatchRunner::new()
-    }
-}
-
-impl BatchRunner {
-    /// A runner with 64-item blocks.
-    pub fn new() -> Self {
-        BatchRunner { block: 64 }
-    }
-
-    /// Overrides the block size (trials, or nodes for view walks, per pool
-    /// work item). Results are independent of this knob; it only shapes
-    /// load balancing when a pass fans out.
-    ///
-    /// # Panics
-    /// Panics if `block` is zero.
-    pub fn with_block(mut self, block: u64) -> Self {
-        assert!(block > 0, "block size must be positive");
-        self.block = block;
-        self
-    }
-
-    /// The one dispatch path: iff [`fans_out`]`(work)`, chunks `0..items`
-    /// into blocks and maps `f` over them on the pool, in ascending-range
-    /// order; otherwise `f` runs once over the whole range on the caller
-    /// (blocks only balance load across threads). `pass` is the trial
-    /// count a batch pass records in the registry; single executions,
-    /// which are not batch passes, give `None`.
-    pub(crate) fn run_blocked<T, F>(
-        &self,
-        items: usize,
-        work: u64,
-        pass: Option<u64>,
-        f: F,
-    ) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&Range<usize>) -> T + Sync,
-    {
-        let parallel = fans_out(work);
-        if let Some(trials) = pass {
-            record_batch_pass(trials, parallel);
-        }
+/// The one dispatch path: iff [`fans_out`]`(work)`, chunks `0..items` into
+/// blocks and maps `f` over them on the pool, in ascending-range order;
+/// otherwise `f` runs once over the whole range on the caller. `trials` is
+/// the count the pass records in the registry.
+pub(crate) fn run_blocked<T, F>(items: usize, work: u64, trials: u64, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(&Range<usize>) -> T + Sync,
+{
+    let parallel = fans_out(work);
+    if rlnc_obs::enabled() {
+        OBS_TRIALS.add(trials);
+        OBS_BLOCKED_PASSES.inc();
         if parallel {
-            sweep(balanced_ranges(items, items.div_ceil(self.block as usize)), f)
+            OBS_PARALLEL_PASSES.inc();
         } else {
-            vec![f(&(0..items))]
+            OBS_SEQUENTIAL_PASSES.inc();
         }
     }
-
-    /// Evaluates a deterministic algorithm once against the plan — the
-    /// K=1 case of [`BatchRunner::run_many`].
-    pub fn run<A: LocalAlgorithm + ?Sized>(&self, algo: &A, plan: &ExecutionPlan) -> Labeling {
-        plan.assert_radius(algo.radius());
-        let mut outs = self.walk_views(plan, &[algo], None, |a, view| a.output(view));
-        outs.pop().expect("one algorithm yields one labeling")
+    if parallel {
+        sweep(balanced_ranges(items, items.div_ceil(BLOCK)), f)
+    } else {
+        vec![f(&(0..items))]
     }
+}
 
-    /// Evaluates one execution of a randomized algorithm against the plan,
-    /// walking the views like [`BatchRunner::run`].
-    pub fn run_randomized<A: RandomizedLocalAlgorithm + ?Sized>(
-        &self,
-        algo: &A,
-        plan: &ExecutionPlan,
-        execution_seed: SeedSequence,
-    ) -> Labeling {
-        plan.assert_radius(algo.radius());
-        let coins = Coins::new(execution_seed);
-        let mut outs = self.walk_views(plan, &[algo], None, |a, view| a.output(view, &coins));
-        outs.pop().expect("one algorithm yields one labeling")
-    }
-
+impl ExecutionPlan {
     /// Evaluates **K same-radius deterministic algorithms** against the
     /// plan in one view walk: node blocks are dispatched like every other
     /// pass, and within each block the algorithm loop runs *innermost* —
@@ -143,45 +80,21 @@ impl BatchRunner {
     /// Bit-identical to K [`ExecutionPlan::run`] calls: each output is a
     /// pure function of the (immutable) view, so neither the loop
     /// interchange nor the block dispatch can change a label.
-    pub fn run_many<A: LocalAlgorithm + ?Sized>(
-        &self,
-        algos: &[&A],
-        plan: &ExecutionPlan,
-    ) -> Vec<Labeling> {
+    pub fn run_many<A: LocalAlgorithm + ?Sized>(&self, algos: &[&A]) -> Vec<Labeling> {
         for algo in algos {
-            plan.assert_radius(algo.radius());
+            self.assert_radius(algo.radius());
         }
-        if algos.is_empty() {
+        let k = algos.len();
+        if k == 0 {
             return Vec::new();
         }
-        self.walk_views(plan, algos, Some(algos.len() as u64), |a, view| {
-            a.output(view)
-        })
-    }
-
-    /// One blocked walk over the plan's views evaluating `output(algo,
-    /// view)` for every algorithm, the algorithm loop innermost; work is
-    /// the plan's work per execution times K.
-    fn walk_views<A, F>(
-        &self,
-        plan: &ExecutionPlan,
-        algos: &[&A],
-        pass: Option<u64>,
-        output: F,
-    ) -> Vec<Labeling>
-    where
-        A: ?Sized + Sync,
-        F: Fn(&A, &View) -> Label + Sync,
-    {
-        let k = algos.len();
-        let n = plan.node_count();
-        let work = (plan.work_per_execution() as u64).saturating_mul(k as u64);
-        let blocks = self.run_blocked(n, work, pass, |range: &Range<usize>| {
+        let work = (self.work_per_execution() as u64).saturating_mul(k as u64);
+        let blocks = run_blocked(self.node_count(), work, k as u64, |range| {
             let mut parts: Vec<Vec<Label>> =
                 (0..k).map(|_| Vec::with_capacity(range.len())).collect();
-            for view in &plan.views()[range.clone()] {
+            for view in &self.views()[range.clone()] {
                 for (slot, algo) in parts.iter_mut().zip(algos) {
-                    slot.push(output(algo, view));
+                    slot.push(algo.output(view));
                 }
             }
             parts
@@ -213,7 +126,6 @@ impl BatchRunner {
     pub fn acceptance_many<D>(
         &self,
         deciders: &[&D],
-        plan: &ExecutionPlan,
         trials: u64,
         master_seed: u64,
     ) -> Vec<Estimate>
@@ -221,16 +133,16 @@ impl BatchRunner {
         D: RandomizedDecider + ?Sized,
     {
         assert!(
-            plan.has_outputs(),
+            self.has_outputs(),
             "acceptance_many needs a decision plan (ExecutionPlan::for_io)"
         );
         for decider in deciders {
             assert_eq!(
                 decider.radius(),
-                plan.radius(),
+                self.radius(),
                 "decider radius {} does not match plan radius {}",
                 decider.radius(),
-                plan.radius()
+                self.radius()
             );
         }
         let k = deciders.len();
@@ -251,7 +163,7 @@ impl BatchRunner {
                     alive[words - 1] = (1u64 << (k % 64)) - 1;
                 }
                 let mut remaining = k;
-                'walk: for view in plan.views() {
+                'walk: for view in self.views() {
                     for (j, decider) in deciders.iter().enumerate() {
                         let bit = 1u64 << (j % 64);
                         if alive[j / 64] & bit != 0 && !decider.accepts(view, &coins) {
@@ -269,10 +181,10 @@ impl BatchRunner {
             }
             successes
         };
-        let total_work = (plan.work_per_execution() as u64)
+        let total_work = (self.work_per_execution() as u64)
             .saturating_mul(trials)
             .saturating_mul(k as u64);
-        let counts = self.run_blocked(trials as usize, total_work, Some(trials), run_block);
+        let counts = run_blocked(trials as usize, total_work, trials, run_block);
         let mut successes = vec![0u64; k];
         for block in counts {
             for (total, count) in successes.iter_mut().zip(block) {
@@ -285,81 +197,44 @@ impl BatchRunner {
             .collect()
     }
 
-    /// Runs one execution per seed and maps each output labeling through
-    /// `f`, returning the results in seed order. Trials are grouped into
-    /// blocks; each block reuses one output buffer.
-    pub fn map_executions<A, T, F>(
-        &self,
-        algo: &A,
-        plan: &ExecutionPlan,
-        seeds: &[SeedSequence],
-        f: F,
-    ) -> Vec<T>
+    /// Estimates the acceptance probability `Pr[all nodes accept]` of a
+    /// randomized decider over a **decision plan** (fixed outputs), with
+    /// the same `(master_seed, trial)` seed derivation as
+    /// [`acceptance_probability`](rlnc_core::decision::acceptance_probability)
+    /// — the K=1 case of [`ExecutionPlan::acceptance_many`].
+    pub fn acceptance<D>(&self, decider: &D, trials: u64, master_seed: u64) -> Estimate
     where
-        A: RandomizedLocalAlgorithm + ?Sized,
-        T: Send,
-        F: Fn(usize, &Labeling) -> T + Sync,
+        D: RandomizedDecider + ?Sized,
     {
-        plan.assert_radius(algo.radius());
-        let n = plan.node_count();
-        let run_block = |range: &Range<usize>| -> Vec<T> {
-            let mut out = Labeling::empty(n);
-            let mut results = Vec::with_capacity(range.len());
-            for trial in range.clone() {
-                let coins = Coins::new(seeds[trial]);
-                for (i, view) in plan.views().iter().enumerate() {
-                    out.set(NodeId::from_index(i), algo.output(view, &coins));
-                }
-                results.push(f(trial, &out));
-            }
-            results
-        };
-        let trials = seeds.len() as u64;
-        let work = (plan.work_per_execution() as u64).saturating_mul(trials);
-        let nested = self.run_blocked(seeds.len(), work, Some(trials), run_block);
-        nested.into_iter().flatten().collect()
+        let mut estimates = self.acceptance_many(&[decider], trials, master_seed);
+        estimates.pop().expect("one decider yields one estimate")
     }
 
     /// Estimates `Pr[success(output)]` over `trials` executions whose seeds
     /// derive from `(master_seed, trial)` exactly like
     /// [`MonteCarlo`](rlnc_par::MonteCarlo) — the per-trial success stream
     /// is bit-identical to running the legacy simulator under
-    /// `MonteCarlo::new(trials).with_seed(master_seed)`.
-    pub fn estimate<A, F>(
-        &self,
-        algo: &A,
-        plan: &ExecutionPlan,
-        trials: u64,
-        master_seed: u64,
-        success: F,
-    ) -> Estimate
+    /// `MonteCarlo::new(trials).with_seed(master_seed)`. Each trial block
+    /// constructs into one reused output buffer.
+    pub fn estimate<A, F>(&self, algo: &A, trials: u64, master_seed: u64, success: F) -> Estimate
     where
         A: RandomizedLocalAlgorithm + ?Sized,
         F: Fn(&Labeling) -> bool + Sync,
     {
+        self.assert_radius(algo.radius());
         let root = SeedSequence::new(master_seed);
-        let seeds: Vec<SeedSequence> = (0..trials).map(|i| root.child(i)).collect();
-        let flags = self.map_executions(algo, plan, &seeds, |_, out| success(out));
-        Estimate::from_counts(flags.into_iter().filter(|&b| b).count() as u64, trials)
-    }
-
-    /// Estimates the acceptance probability `Pr[all nodes accept]` of a
-    /// randomized decider over a **decision plan** (fixed outputs), with
-    /// the same `(master_seed, trial)` seed derivation as
-    /// [`acceptance_probability`](rlnc_core::decision::acceptance_probability)
-    /// — the K=1 case of [`BatchRunner::acceptance_many`].
-    pub fn acceptance<D>(
-        &self,
-        decider: &D,
-        plan: &ExecutionPlan,
-        trials: u64,
-        master_seed: u64,
-    ) -> Estimate
-    where
-        D: RandomizedDecider + ?Sized,
-    {
-        let mut estimates = self.acceptance_many(&[decider], plan, trials, master_seed);
-        estimates.pop().expect("one decider yields one estimate")
+        let work = (self.work_per_execution() as u64).saturating_mul(trials);
+        let counts = run_blocked(trials as usize, work, trials, |range| {
+            let mut out = Labeling::empty(self.node_count());
+            range
+                .clone()
+                .filter(|&trial| {
+                    self.construct_into(algo, root.child(trial as u64), &mut out);
+                    success(&out)
+                })
+                .count() as u64
+        });
+        Estimate::from_counts(counts.into_iter().sum(), trials)
     }
 }
 
@@ -397,25 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn runner_matches_simulator_for_single_executions() {
-        // 6000 nodes × 3 ball members clear the fan-out threshold.
-        let (g, x, ids) = fixture(6000);
-        let inst = Instance::new(&g, &x, &ids);
-        let plan = ExecutionPlan::for_instance(&inst, 1);
-        let det = FnAlgorithm::new(1, "ids", |v: &View| Label::from_u64(v.center_id()));
-        assert_eq!(
-            BatchRunner::new().run(&det, &plan),
-            Simulator::new().run(&det, &inst)
-        );
-        let algo = coin_algo();
-        let seed = SeedSequence::new(77).child(3);
-        assert_eq!(
-            BatchRunner::new().run_randomized(&algo, &plan, seed),
-            Simulator::new().run_randomized(&algo, &inst, seed)
-        );
-    }
-
-    #[test]
     fn estimate_is_bit_identical_to_monte_carlo_over_the_simulator() {
         let (g, x, ids) = fixture(96);
         let inst = Instance::new(&g, &x, &ids);
@@ -427,11 +283,9 @@ mod tests {
             let out = Simulator::new().run_randomized(&algo, &inst, seed);
             success(&out)
         });
-        for runner in [BatchRunner::new(), BatchRunner::new().with_block(7)] {
-            let engine = runner.estimate(&algo, &plan, 400, 13, success);
-            assert_eq!(engine.successes, legacy.successes);
-            assert_eq!(engine.p_hat, legacy.p_hat);
-        }
+        let engine = plan.estimate(&algo, 400, 13, success);
+        assert_eq!(engine.successes, legacy.successes);
+        assert_eq!(engine.p_hat, legacy.p_hat);
     }
 
     #[test]
@@ -444,10 +298,10 @@ mod tests {
         });
         let plan = ExecutionPlan::for_io(&io, &ids, 1);
         let legacy = acceptance_probability(&decider, &io, &ids, 600, 5);
-        for runner in [BatchRunner::new(), BatchRunner::new().with_block(7)] {
-            let engine = runner.acceptance(&decider, &plan, 600, 5);
-            assert_eq!(engine.successes, legacy.successes);
-        }
+        assert_eq!(
+            plan.acceptance(&decider, 600, 5).successes,
+            legacy.successes
+        );
     }
 
     /// The reference every batched acceptance is checked against: the
@@ -479,15 +333,13 @@ mod tests {
             Label::from_u64(v.center_rank() as u64)
         });
         let algos: Vec<&dyn LocalAlgorithm> = vec![&a1, &a2, &a3];
-        for runner in [BatchRunner::new(), BatchRunner::new().with_block(7)] {
-            let many = runner.run_many(&algos, &plan);
-            assert_eq!(many.len(), 3);
-            for (algo, out) in algos.iter().zip(&many) {
-                assert_eq!(out, &plan.run(*algo));
-            }
+        let many = plan.run_many(&algos);
+        assert_eq!(many.len(), 3);
+        for (algo, out) in algos.iter().zip(&many) {
+            assert_eq!(out, &plan.run(*algo));
         }
         let empty: [&dyn LocalAlgorithm; 0] = [];
-        assert!(BatchRunner::new().run_many(&empty, &plan).is_empty());
+        assert!(plan.run_many(&empty).is_empty());
     }
 
     #[test]
@@ -508,12 +360,13 @@ mod tests {
             coins.for_center(view).random_bool(0.3)
         });
         let deciders: Vec<&dyn RandomizedDecider> = vec![&d1, &d2, &d3];
-        for runner in [BatchRunner::new(), BatchRunner::new().with_block(5)] {
-            let many = runner.acceptance_many(&deciders, &plan, 300, 11);
-            assert_eq!(many.len(), 3);
-            for (decider, estimate) in deciders.iter().zip(&many) {
-                assert_eq!(estimate.successes, accepted_trials(*decider, &plan, 300, 11));
-            }
+        let many = plan.acceptance_many(&deciders, 300, 11);
+        assert_eq!(many.len(), 3);
+        for (decider, estimate) in deciders.iter().zip(&many) {
+            assert_eq!(
+                estimate.successes,
+                accepted_trials(*decider, &plan, 300, 11)
+            );
         }
     }
 
@@ -531,7 +384,7 @@ mod tests {
             })
             .collect();
         let refs: Vec<&_> = deciders.iter().collect();
-        let many = BatchRunner::new().acceptance_many(&refs, &plan, 64, 3);
+        let many = plan.acceptance_many(&refs, 64, 3);
         assert_eq!(many.len(), 70);
         for (decider, estimate) in deciders.iter().zip(&many) {
             assert_eq!(estimate.successes, accepted_trials(decider, &plan, 64, 3));
@@ -547,18 +400,19 @@ mod tests {
         let good = FnAlgorithm::new(1, "ok", |_: &View| Label::from_u64(0));
         let bad = FnAlgorithm::new(2, "wrong", |_: &View| Label::from_u64(0));
         let algos: Vec<&dyn LocalAlgorithm> = vec![&good, &bad];
-        let _ = BatchRunner::new().run_many(&algos, &plan);
+        let _ = plan.run_many(&algos);
     }
 
     // 8192 nodes × 3 ball members clear the fan-out work threshold, so
-    // these pin the radius check ahead of any dispatch decision.
+    // these pin the radius check of the deterministic (`run_many`) and
+    // randomized (`estimate`) passes ahead of any dispatch decision.
     #[test]
     #[should_panic(expected = "does not match plan radius")]
     fn run_rejects_a_radius_mismatch_on_large_plans() {
         let (g, x, ids) = fixture(8192);
         let plan = ExecutionPlan::for_instance(&Instance::new(&g, &x, &ids), 1);
         let wrong = FnAlgorithm::new(2, "wrong", |_: &View| Label::from_u64(0));
-        let _ = BatchRunner::new().run(&wrong, &plan);
+        let _ = plan.run_many(&[&wrong]);
     }
 
     #[test]
@@ -568,35 +422,6 @@ mod tests {
         let plan = ExecutionPlan::for_instance(&Instance::new(&g, &x, &ids), 1);
         let wrong =
             FnRandomizedAlgorithm::new(2, "wrong", |_: &View, _: &Coins| Label::from_u64(0));
-        let _ = BatchRunner::new().run_randomized(&wrong, &plan, SeedSequence::new(1));
-    }
-
-    #[test]
-    fn map_executions_preserves_trial_order() {
-        let (g, x, ids) = fixture(16);
-        let inst = Instance::new(&g, &x, &ids);
-        let algo = FnRandomizedAlgorithm::new(0, "trial-echo", |v: &View, c: &Coins| {
-            let mut rng = c.for_center(v);
-            Label::from_u64(rng.random::<u64>() & 0xFFFF)
-        });
-        let plan = ExecutionPlan::for_instance(&inst, 0);
-        let root = SeedSequence::new(4);
-        // 16 nodes × 1024 trials clear the fan-out threshold, so the
-        // 3-trial blocks run on the pool.
-        let seeds: Vec<SeedSequence> = (0..1024).map(|i| root.child(i)).collect();
-        let got = BatchRunner::new().with_block(3).map_executions(&algo, &plan, &seeds, |t, out| {
-            (t, out.get(rlnc_graph::NodeId(0)).as_u64())
-        });
-        for (i, (t, value)) in got.iter().enumerate() {
-            assert_eq!(i, *t);
-            let direct = plan.run_randomized(&algo, seeds[i]);
-            assert_eq!(*value, direct.get(rlnc_graph::NodeId(0)).as_u64());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "block size must be positive")]
-    fn zero_block_rejected() {
-        let _ = BatchRunner::new().with_block(0);
+        let _ = plan.estimate(&wrong, 1, 1, |_| true);
     }
 }

@@ -10,7 +10,7 @@ use rlnc_core::derand::boosting::disjoint_union_acceptance;
 use rlnc_core::derand::gluing::{anchor_candidates, GluingExperiment};
 use rlnc_core::derand::hard_instances::consecutive_cycle_candidates;
 use rlnc_core::prelude::*;
-use rlnc_engine::{BatchRunner, ExecutionPlan, GluedPlan, UnionPlan};
+use rlnc_engine::{ExecutionPlan, GluedPlan, UnionPlan};
 use rlnc_graph::generators::Family;
 use rlnc_graph::{IdAssignment, NodeId};
 use rlnc_par::rng::SeedSequence;
@@ -86,7 +86,6 @@ proptest! {
         let plan = ExecutionPlan::for_instance(&instance, radius);
         let legacy = Simulator::new().run(&algo, &instance);
         prop_assert_eq!(&plan.run(&algo), &legacy);
-        prop_assert_eq!(&BatchRunner::new().run(&algo, &plan), &legacy);
     }
 
     #[test]
@@ -105,10 +104,6 @@ proptest! {
         let execution_seed = SeedSequence::new(seed).child(execution);
         let legacy = Simulator::new().run_randomized(&algo, &instance, execution_seed);
         prop_assert_eq!(&plan.run_randomized(&algo, execution_seed), &legacy);
-        prop_assert_eq!(
-            &BatchRunner::new().run_randomized(&algo, &plan, execution_seed),
-            &legacy
-        );
     }
 
     #[test]
@@ -127,9 +122,7 @@ proptest! {
             let out = Simulator::new().run_randomized(&algo, &instance, s);
             success(&out)
         });
-        let engine = BatchRunner::new().with_block(13).estimate(
-            &algo, &plan, 60, seed ^ 0xBEEF, success,
-        );
+        let engine = plan.estimate(&algo, 60, seed ^ 0xBEEF, success);
         prop_assert_eq!(engine.successes, legacy.successes);
         prop_assert_eq!(engine.p_hat, legacy.p_hat);
     }
@@ -184,8 +177,8 @@ proptest! {
         n in 8usize..24,
         seed in 0u64..100_000,
     ) {
-        // The Simulator's own cached-view Monte-Carlo path and the engine's
-        // BatchRunner must agree with each other (both being bit-identical
+        // The Simulator's own cached-view Monte-Carlo path and the plan's
+        // estimate must agree with each other (both being bit-identical
         // to the historical per-trial resimulation stream).
         let (graph, input, ids) = instance_parts(Family::Cycle, n, seed);
         let instance = Instance::new(&graph, &input, &ids);
@@ -197,7 +190,7 @@ proptest! {
         });
         let legacy = Simulator::new().construction_success(&algo, &instance, &lang, 40, seed);
         let plan = ExecutionPlan::for_instance(&instance, 0);
-        let engine = BatchRunner::new().estimate(&algo, &plan, 40, seed, |out| {
+        let engine = plan.estimate(&algo, 40, seed, |out| {
             let io = IoConfig::from_instance(&instance, out);
             lang.contains(&io)
         });
@@ -222,11 +215,9 @@ proptest! {
         let parts: Vec<_> = hard.iter().map(|h| (&h.graph, &h.input, &h.ids)).collect();
         let union = UnionPlan::for_parts(&parts, nu, 0, 1);
         prop_assert_eq!(union.components(), nu);
-        for runner in [BatchRunner::new(), BatchRunner::new().with_block(7)] {
-            let engine = runner.union_acceptance(&union, &constructor, &decider, 60, seed);
-            prop_assert_eq!(engine.successes, legacy.successes);
-            prop_assert_eq!(engine.p_hat, legacy.p_hat);
-        }
+        let engine = union.plan().acceptance(&constructor, &decider, None, 60, seed);
+        prop_assert_eq!(engine.successes, legacy.successes);
+        prop_assert_eq!(engine.p_hat, legacy.p_hat);
     }
 
     #[test]
@@ -260,12 +251,11 @@ proptest! {
 
         let far_legacy = experiment.acceptance_far_from_all_anchors(&constructor, &decider, 50, seed);
         let full_legacy = experiment.acceptance(&constructor, &decider, 50, seed ^ 0xF);
-        for runner in [BatchRunner::new(), BatchRunner::new().with_block(7)] {
-            let far = runner.glued_far_acceptance(&plan, &constructor, &decider, 50, seed);
-            prop_assert_eq!(far.successes, far_legacy.successes);
-            let full = runner.glued_acceptance(&plan, &constructor, &decider, 50, seed ^ 0xF);
-            prop_assert_eq!(full.successes, full_legacy.successes);
-        }
+        let participants = Some(plan.participants());
+        let far = plan.plan().acceptance(&constructor, &decider, participants, 50, seed);
+        prop_assert_eq!(far.successes, far_legacy.successes);
+        let full = plan.plan().acceptance(&constructor, &decider, None, 50, seed ^ 0xF);
+        prop_assert_eq!(full.successes, full_legacy.successes);
     }
 }
 
@@ -597,7 +587,9 @@ fn union_and_glued_kernels_match_legacy_at_seed_zero() {
         let legacy = disjoint_union_acceptance(&constructor, &decider, &hard, nu, 200, 0);
         let parts: Vec<_> = hard.iter().map(|h| (&h.graph, &h.input, &h.ids)).collect();
         let union = UnionPlan::for_parts(&parts, nu, 0, 1);
-        let engine = BatchRunner::new().union_acceptance(&union, &constructor, &decider, 200, 0);
+        let engine = union
+            .plan()
+            .acceptance(&constructor, &decider, None, 200, 0);
         assert_eq!(engine.successes, legacy.successes, "union nu={nu}");
     }
 
@@ -611,9 +603,12 @@ fn union_and_glued_kernels_match_legacy_at_seed_zero() {
     let instance = experiment.as_hard_instance();
     let plan = GluedPlan::new(&instance.as_instance(), glued_anchors, 1, 0, 1);
     let far_legacy = experiment.acceptance_far_from_all_anchors(&constructor, &decider, 200, 0);
-    let far_engine = BatchRunner::new().glued_far_acceptance(&plan, &constructor, &decider, 200, 0);
+    let participants = Some(plan.participants());
+    let far_engine = plan
+        .plan()
+        .acceptance(&constructor, &decider, participants, 200, 0);
     assert_eq!(far_engine.successes, far_legacy.successes);
     let full_legacy = experiment.acceptance(&constructor, &decider, 200, 0);
-    let full_engine = BatchRunner::new().glued_acceptance(&plan, &constructor, &decider, 200, 0);
+    let full_engine = plan.plan().acceptance(&constructor, &decider, None, 200, 0);
     assert_eq!(full_engine.successes, full_legacy.successes);
 }

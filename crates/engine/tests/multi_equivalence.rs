@@ -4,10 +4,10 @@
 //! [`ExecutionPlan::decide_randomized`] loops — across the registry's
 //! language cases, the connected regular families the Claim-2 scan sweeps
 //! (cycle, circulant-2, prism), identity schemes, and seeds. The schedule
-//! axis is covered twice: in-process by running every property through
-//! the default and odd-block runners, and across processes by CI running
-//! this suite in both the default and `RLNC_THREADS=1` legs (the pool
-//! reads the variable once per process).
+//! axis is covered across processes by CI running this suite in both the
+//! default and `RLNC_THREADS=1` legs (the pool reads the variable once per
+//! process); `tests/fan_out.rs` checks that both passes go to the pool,
+//! on work spanning several blocks, whenever it has more than one thread.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 use rlnc_core::algorithm::LocalAlgorithm;
 use rlnc_core::decision::RandomizedDecider;
 use rlnc_core::prelude::*;
-use rlnc_engine::{BatchRunner, ExecutionPlan};
+use rlnc_engine::ExecutionPlan;
 use rlnc_graph::generators::Family;
 use rlnc_graph::IdAssignment;
 use rlnc_langs::registry::CaseId;
@@ -23,11 +23,6 @@ use rlnc_par::rng::SeedSequence;
 
 /// The families the `claim2-scan` scenario sweeps.
 const FAMILIES: [Family; 3] = [Family::Cycle, Family::Circulant2, Family::Prism];
-
-/// The schedule variants every property runs through.
-fn runners() -> [BatchRunner; 2] {
-    [BatchRunner::new(), BatchRunner::new().with_block(7)]
-}
 
 /// Graph + identity assignment for one property case; odd seeds take the
 /// random-permutation identity scheme.
@@ -85,12 +80,10 @@ proptest! {
                 .filter(|a| a.radius() == radius)
                 .collect();
             let plan = ExecutionPlan::for_instance(&instance, radius);
-            for runner in runners() {
-                let many = runner.run_many(&refs, &plan);
-                prop_assert_eq!(many.len(), refs.len());
-                for (algo, batched) in refs.iter().zip(&many) {
-                    prop_assert_eq!(batched, &plan.run(*algo));
-                }
+            let many = plan.run_many(&refs);
+            prop_assert_eq!(many.len(), refs.len());
+            for (algo, batched) in refs.iter().zip(&many) {
+                prop_assert_eq!(batched, &plan.run(*algo));
             }
         }
     }
@@ -112,15 +105,13 @@ proptest! {
         let refs: Vec<&dyn RandomizedDecider> =
             deciders.iter().map(|d| d as &dyn RandomizedDecider).collect();
         let root = SeedSequence::new(seed ^ 0xA5);
-        for runner in runners() {
-            let many = runner.acceptance_many(&refs, &plan, trials, seed ^ 0xA5);
-            prop_assert_eq!(many.len(), refs.len());
-            for (decider, batched) in refs.iter().zip(&many) {
-                let accepted = (0..trials)
-                    .filter(|&t| plan.decide_randomized(*decider, root.child(t)))
-                    .count() as u64;
-                prop_assert_eq!(batched.successes, accepted);
-            }
+        let many = plan.acceptance_many(&refs, trials, seed ^ 0xA5);
+        prop_assert_eq!(many.len(), refs.len());
+        for (decider, batched) in refs.iter().zip(&many) {
+            let accepted = (0..trials)
+                .filter(|&t| plan.decide_randomized(*decider, root.child(t)))
+                .count() as u64;
+            prop_assert_eq!(batched.successes, accepted);
         }
     }
 }
@@ -147,7 +138,7 @@ fn every_registry_case_batches_bit_identically_at_seed_zero() {
                 .filter(|a| a.radius() == radius)
                 .collect();
             let plan = ExecutionPlan::for_instance(&instance, radius);
-            let many = BatchRunner::new().run_many(&refs, &plan);
+            let many = plan.run_many(&refs);
             for (algo, batched) in refs.iter().zip(&many) {
                 assert_eq!(
                     batched,

@@ -12,7 +12,7 @@
 //! * `ring-monte-carlo` — the headline: K Monte-Carlo trials of the
 //!   zero-round random 3-coloring on a consecutive-identity ring,
 //!   legacy (re-collect every view each trial) vs engine
-//!   ([`ExecutionPlan`] once + [`BatchRunner`]).
+//!   ([`ExecutionPlan`] once + [`ExecutionPlan::estimate`]).
 //! * `resilient-decider` — the Corollary-1 decider on a planted-conflict
 //!   cycle: legacy `acceptance_probability` (radius-1 views re-collected
 //!   per node per trial) vs the engine's cached decision plan.
@@ -70,7 +70,7 @@ use rlnc_core::derand::gluing::{anchor_candidates, GluingExperiment};
 use rlnc_core::derand::hard_instances::consecutive_cycle_candidates;
 use rlnc_core::prelude::*;
 use rlnc_derand::{DerandPipeline, PipelineParams};
-use rlnc_engine::{BatchRunner, ExecutionPlan, UnionPlan};
+use rlnc_engine::{ExecutionPlan, UnionPlan};
 use rlnc_graph::arena::BallArena;
 use rlnc_graph::ball::Ball;
 use rlnc_graph::generators::cycle;
@@ -195,13 +195,13 @@ fn ring_monte_carlo(quick: bool) -> BenchGroup {
     });
     let engine_ns = best_of(reps, || {
         let plan = ExecutionPlan::for_instance(&instance, 0);
-        let est = BatchRunner::new().estimate(&algo, &plan, trials, 7, success);
+        let est = plan.estimate(&algo, trials, 7, success);
         assert!(est.p_hat >= 0.0);
     });
     let plan = ExecutionPlan::for_instance(&instance, 0);
     let working_set_bytes = plan.working_set_bytes();
     let counters = obs_counters(|| {
-        let est = BatchRunner::new().estimate(&algo, &plan, trials, 7, success);
+        let est = plan.estimate(&algo, trials, 7, success);
         assert!(est.p_hat >= 0.0);
     });
     BenchGroup {
@@ -233,13 +233,13 @@ fn resilient_decider(quick: bool) -> BenchGroup {
     });
     let engine_ns = best_of(reps, || {
         let plan = ExecutionPlan::for_io(&io, &ids, 1);
-        let est = BatchRunner::new().acceptance(&decider, &plan, trials, 11);
+        let est = plan.acceptance(&decider, trials, 11);
         assert!(est.p_hat >= 0.0);
     });
     let plan = ExecutionPlan::for_io(&io, &ids, 1);
     let working_set_bytes = plan.working_set_bytes();
     let counters = obs_counters(|| {
-        let est = BatchRunner::new().acceptance(&decider, &plan, trials, 11);
+        let est = plan.acceptance(&decider, trials, 11);
         assert!(est.p_hat >= 0.0);
     });
     BenchGroup {
@@ -307,7 +307,9 @@ fn boosted_union_acceptance(quick: bool) -> BenchGroup {
     let engine_ns = best_of(reps, || {
         let parts: Vec<_> = hard.iter().map(|h| (&h.graph, &h.input, &h.ids)).collect();
         let union = UnionPlan::for_parts(&parts, nu, 0, 1);
-        let est = BatchRunner::new().union_acceptance(&union, &constructor, &decider, trials, 7);
+        let est = union
+            .plan()
+            .acceptance(&constructor, &decider, None, trials, 7);
         engine_successes = est.successes;
     });
     assert_eq!(
@@ -318,7 +320,9 @@ fn boosted_union_acceptance(quick: bool) -> BenchGroup {
     let union = UnionPlan::for_parts(&parts, nu, 0, 1);
     let working_set_bytes = union.plan().working_set_bytes();
     let counters = obs_counters(|| {
-        let est = BatchRunner::new().union_acceptance(&union, &constructor, &decider, trials, 7);
+        let est = union
+            .plan()
+            .acceptance(&constructor, &decider, None, trials, 7);
         assert_eq!(est.successes, engine_successes);
     });
     BenchGroup {
@@ -555,7 +559,7 @@ fn scan_decider(j: u64) -> FnRandomizedDecider<impl Fn(&View, &Coins) -> bool + 
 /// decision plan exceeds the last-level cache. Legacy = K per-decider
 /// [`ExecutionPlan::decide_randomized`] trial loops — the per-algorithm
 /// loop the Claim-2 scan used to run — each trial re-streaming every
-/// cached view from memory; engine = one [`BatchRunner::acceptance_many`]
+/// cached view from memory; engine = one [`ExecutionPlan::acceptance_many`]
 /// pass with the decider loop innermost, so each view is loaded once per
 /// trial and serves all K verdicts while hot. Verdict parity (successes
 /// per decider) is asserted on the way. Two trials make one block, so
@@ -582,8 +586,7 @@ fn multi_algo_scan(quick: bool) -> BenchGroup {
             .filter(|&t| plan.decide_randomized(decider, root.child(t)))
             .count() as u64
     };
-    let runner = BatchRunner::new();
-    let batched = runner.acceptance_many(&refs, &plan, trials, 0xC2);
+    let batched = plan.acceptance_many(&refs, trials, 0xC2);
     for (decider, estimate) in refs.iter().zip(&batched) {
         assert_eq!(
             estimate.successes,
@@ -600,11 +603,11 @@ fn multi_algo_scan(quick: bool) -> BenchGroup {
         assert_eq!(successes, k * trials);
     });
     let engine_ns = best_of(reps, || {
-        let estimates = runner.acceptance_many(&refs, &plan, trials, 0xC2);
+        let estimates = plan.acceptance_many(&refs, trials, 0xC2);
         assert_eq!(estimates.len(), k as usize);
     });
     let counters = obs_counters(|| {
-        let _ = runner.acceptance_many(&refs, &plan, trials, 0xC2);
+        let _ = plan.acceptance_many(&refs, trials, 0xC2);
     });
     BenchGroup {
         name: "multi-algo-scan".into(),

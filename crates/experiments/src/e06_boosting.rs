@@ -9,15 +9,18 @@
 //!
 //! After β is measured — through the `rlnc-derand` pipeline's engine-backed
 //! Claim-2 estimator — the ν-grid runs on the `rlnc-sweep` engine (the
-//! `boosting-decay` registry scenario, truncated to the Eq.-(3) ν*), whose
-//! union kernel is the pipeline's `UnionPlan`.
+//! `boosting-decay` registry scenario, truncated to the Eq.-(3) ν*). Its
+//! `boosting-union` workload builds the union with
+//! `boosting::build_disjoint_union` and plans it with two shared
+//! `ExecutionPlan`s (construction and decision radius); each trial
+//! constructs against the first and decides through a `DecisionScratch`
+//! cloned from the second.
 
 use crate::report::{fmt_prob, ExperimentReport, Finding, Scale, Table};
 use rlnc_core::derand::boosting::{boosting_bound, boosting_repetitions};
 use rlnc_core::derand::hard_instances::consecutive_cycle_candidates;
 use rlnc_core::prelude::*;
 use rlnc_derand::failure_probability_with;
-use rlnc_engine::BatchRunner;
 use rlnc_langs::coloring::{GlobalGreedyColoring, ProperColoring};
 use rlnc_langs::faulty::FaultyConstructor;
 use rlnc_sweep::registry::boosting_spec;
@@ -59,15 +62,8 @@ pub fn run_seeded(scale: Scale, seed: u64) -> ExperimentReport {
     // β comes out of the pipeline's engine-backed Claim-2 estimator
     // (cached views, bit-identical to the legacy HardInstanceSearch path);
     // the Claim-2 stage involves no decider, so the standalone form fits.
-    let beta = failure_probability_with(
-        &BatchRunner::new(),
-        &constructor,
-        &language,
-        &hard[0],
-        trials,
-        seed ^ 0xE6,
-    )
-    .p_hat;
+    let beta =
+        failure_probability_with(&constructor, &language, &hard[0], trials, seed ^ 0xE6).p_hat;
     let nu_star = boosting_repetitions(r, p, beta);
     let max_nu = nu_star.min(12).max(4);
     spec = boosting_spec(max_nu as u64);

@@ -12,7 +12,6 @@ use rlnc_core::derand::ramsey::OrderInvariantLift;
 use rlnc_core::order_invariant::{check_order_invariance, standard_monotone_maps};
 use rlnc_core::prelude::*;
 use rlnc_derand::{deterministic_agreement, ramsey_stage};
-use rlnc_engine::BatchRunner;
 use rlnc_graph::generators::cycle;
 use rlnc_graph::IdAssignment;
 
@@ -34,11 +33,6 @@ pub fn run_seeded(scale: Scale, seed: u64) -> ExperimentReport {
     let graph = cycle(n);
     let input = Labeling::empty(n);
     let ids = IdAssignment::consecutive(&graph);
-
-    // The Claim-1 stage of the rlnc-derand pipeline: it concerns only the
-    // wrapped deterministic algorithm, so E8 uses the standalone stage
-    // functions (no constructor/decider bundle needed).
-    let runner = BatchRunner::new();
 
     // Three wrapped algorithms: one already order-invariant, two identity-
     // dependent in different ways.
@@ -74,6 +68,9 @@ pub fn run_seeded(scale: Scale, seed: u64) -> ExperimentReport {
     for (label, algo) in &algorithms {
         let inner_invariant = check_order_invariance(algo, &graph, &input, &ids, &map_refs);
         let universe: Vec<u64> = (1..=universe_size).collect();
+        // The Claim-1 stage of the rlnc-derand pipeline: it concerns only
+        // the wrapped deterministic algorithm, so E8 uses the standalone
+        // stage functions (no constructor/decider bundle needed).
         let stage = ramsey_stage(
             algo,
             &[Instance::new(&graph, &input, &ids)],
@@ -92,7 +89,7 @@ pub fn run_seeded(scale: Scale, seed: u64) -> ExperimentReport {
         let in_set_ids = IdAssignment::new(stage.id_set.iter().take(n).copied().collect());
         let agreement = if in_set_ids.len() == n {
             let inst = Instance::new(&graph, &input, &in_set_ids);
-            deterministic_agreement(&runner, algo, &lift, &inst)
+            deterministic_agreement(algo, &lift, &inst)
         } else {
             false
         };

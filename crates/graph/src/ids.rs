@@ -52,14 +52,6 @@ impl IdAssignment {
         }
     }
 
-    /// Consecutive identities starting from `offset + 1`. Used when
-    /// concatenating instances whose identity ranges must not overlap.
-    pub fn consecutive_from(graph: &Graph, offset: u64) -> Self {
-        IdAssignment {
-            ids: (1..=graph.node_count() as u64).map(|i| i + offset).collect(),
-        }
-    }
-
     /// A uniformly random permutation of `1..=n`.
     pub fn random_permutation<R: Rng + ?Sized>(graph: &Graph, rng: &mut R) -> Self {
         let mut ids: Vec<u64> = (1..=graph.node_count() as u64).collect();

@@ -161,11 +161,6 @@ impl BernoulliSelection {
         BernoulliSelection { q }
     }
 
-    /// The per-node selection probability.
-    pub fn selection_probability(&self) -> f64 {
-        self.q
-    }
-
     /// Theoretical failure probability (`≥ 2` selected) on an `n`-node
     /// instance.
     pub fn failure_probability(&self, n: usize) -> f64 {

@@ -17,15 +17,6 @@ where
     configs.par_iter().map(|c| f(c)).collect()
 }
 
-/// Evaluates `f` sequentially (for nested sweeps where the inner level is
-/// already parallel).
-pub fn sweep_sequential<C, T, F>(configs: Vec<C>, f: F) -> Vec<T>
-where
-    F: Fn(&C) -> T,
-{
-    configs.iter().map(f).collect()
-}
-
 /// Splits `0..n` into at most `chunks` contiguous ranges of nearly equal
 /// size (used to batch per-node work in the simulator).
 pub fn balanced_ranges(n: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
@@ -54,9 +45,6 @@ mod tests {
         let configs: Vec<u64> = (0..100).collect();
         let out = sweep(configs.clone(), |&c| c * c);
         assert_eq!(out, configs.iter().map(|c| c * c).collect::<Vec<_>>());
-        let seq = sweep_sequential(configs.clone(), |&c| c + 1);
-        assert_eq!(seq[0], 1);
-        assert_eq!(seq[99], 100);
     }
 
     #[test]

@@ -507,5 +507,10 @@ mod tests {
         }
         .to_json();
         assert!(line.contains(&record_json(&record)));
+        // The client parser rejects counts no run can produce.
+        let impossible = line.replacen("\"successes\":60", "\"successes\":65", 1);
+        assert!(Response::from_json(&impossible)
+            .unwrap_err()
+            .contains("successes"));
     }
 }

@@ -160,9 +160,14 @@ pub fn from_json(text: &str) -> Result<SweepRun, String> {
 /// value; `what` names the value in error messages. The inverse of
 /// [`record_json`], shared by [`from_json`] and the `sweep-serve` protocol
 /// parser.
+///
+/// Rejects counts no executor run can produce: `trials` must be at least 1
+/// and `successes` at most `trials` (every estimate is built by
+/// [`Estimate::from_counts`](rlnc_par::stats::Estimate::from_counts),
+/// which asserts both).
 pub fn record_from_json(value: &json::Value, what: &str) -> Result<RunRecord, String> {
     let r = value.as_object(what)?;
-    Ok(RunRecord {
+    let record = RunRecord {
         scenario: json::get(r, "scenario")?.as_string("scenario")?,
         point: json::get(r, "point")?.as_u64("point")?,
         family: json::get(r, "family")?.as_string("family")?,
@@ -178,7 +183,17 @@ pub fn record_from_json(value: &json::Value, what: &str) -> Result<RunRecord, St
         lower: json::get(r, "lower")?.as_f64("lower")?,
         upper: json::get(r, "upper")?.as_f64("upper")?,
         mean_value: json::get(r, "mean_value")?.as_f64("mean_value")?,
-    })
+    };
+    if record.trials == 0 {
+        return Err(format!("{what}: trials must be at least 1, got 0"));
+    }
+    if record.successes > record.trials {
+        return Err(format!(
+            "{what}: successes ({}) exceed trials ({})",
+            record.successes, record.trials
+        ));
+    }
+    Ok(record)
 }
 
 /// Merges shard runs (e.g. the exports of `sweep --shard i/N` for each
@@ -726,6 +741,23 @@ mod tests {
         assert!(json::parse(&nest(json::MAX_DEPTH + 1)).is_err());
         let objects = "{\"a\":".repeat(json::MAX_DEPTH + 1);
         assert!(json::parse(&objects).unwrap_err().contains("nesting deeper than"));
+        // Well-formed JSON whose counts no run can produce: the error names
+        // the record and the field.
+        let exported = to_json(&demo_run());
+        let zero_trials = exported.replacen("\"trials\":100", "\"trials\":0", 1);
+        let err = from_json(&zero_trials).unwrap_err();
+        assert!(
+            err.contains("records[0]") && err.contains("trials"),
+            "unexpected error: {err}"
+        );
+        let too_many = exported
+            .replacen("\"successes\":61", "\"successes\":99", 1)
+            .replacen("\"trials\":100", "\"trials\":20", 1);
+        let err = from_json(&too_many).unwrap_err();
+        assert!(
+            err.contains("records[0]") && err.contains("successes"),
+            "unexpected error: {err}"
+        );
     }
 
     #[test]

@@ -24,7 +24,7 @@ use rlnc_obs::{LazyCounter, LazySpan, Section};
 use rlnc_par::pool::{fans_out, FAN_OUT_WORK};
 use rlnc_par::rng::SeedSequence;
 use rlnc_par::stats::Estimate;
-use rlnc_par::sweep::{balanced_ranges, sweep, sweep_sequential};
+use rlnc_par::sweep::{balanced_ranges, sweep};
 use rlnc_par::Scale;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -348,7 +348,7 @@ impl SweepExecutor {
             if fans_out(trials.saturating_mul(FAN_OUT_WORK)) {
                 sweep(items, run_item)
             } else {
-                sweep_sequential(items, run_item)
+                items.iter().map(run_item).collect()
             };
 
         // Items arrive in submission order (ascending trial ranges per

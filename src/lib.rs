@@ -10,8 +10,8 @@
 //! * [`core`] — the LOCAL model, languages, decision classes (LD/BPLD),
 //!   relaxations, and the Theorem-1 derandomization machinery.
 //! * [`engine`] — the batched execution engine: build an `ExecutionPlan`
-//!   once per fixed instance, run `algorithm × K seeds` against cached
-//!   views with a `BatchRunner` (bit-identical to the per-trial path),
+//!   once per fixed instance, then let the plan run `algorithm × K seeds`
+//!   against its cached views (bit-identical to the per-trial path),
 //!   including composite `UnionPlan`/`GluedPlan` kernels for the
 //!   derandomization argument.
 //! * [`derand`] — the staged, engine-backed Theorem-1 pipeline
@@ -65,7 +65,7 @@ pub use rlnc_sweep as sweep;
 pub mod prelude {
     pub use rlnc_core::prelude::*;
     pub use rlnc_derand::{DerandPipeline, PipelineParams};
-    pub use rlnc_engine::{BatchRunner, ExecutionPlan, GluedPlan, UnionPlan};
+    pub use rlnc_engine::{ExecutionPlan, GluedPlan, UnionPlan};
     pub use rlnc_graph::{Graph, GraphBuilder, IdAssignment, NodeId};
     pub use rlnc_par::{MonteCarlo, Scale, SeedSequence};
     pub use rlnc_sweep::{Registry, SweepExecutor};
