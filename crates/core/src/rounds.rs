@@ -23,9 +23,8 @@
 //!   [`RoundSystem::step`] / [`RoundSystem::step_until_quiet`], with
 //!   optional [`FaultSchedule`]-driven crashes (a crashed neighbor's
 //!   message is simply absent) and an [`Adversary`] tap on Byzantine
-//!   senders. Each round fans out over nodes iff [`fans_out`] says so for
-//!   the node count, so small systems and systems stepped inside a pool
-//!   task run inline.
+//!   senders. A system steps on its caller: the work that fans out is
+//!   the batch of trials around it (a sweep's items), never one round.
 //! * The host-keyed full-information gathers [`GatherRun`] and
 //!   [`GatherDecide`], which simulate any `t`-round ball-view algorithm or
 //!   decider (deterministic ones through the blanket
@@ -42,10 +41,8 @@ use crate::labels::{Label, Labeling};
 use crate::view::View;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use rlnc_graph::{BallParts, BfsScratch, Graph, IdAssignment, NodeId};
 use rlnc_obs::{LazyCounter, LazyHistogram, Section, POW2_BUCKETS};
-use rlnc_par::pool::fans_out;
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -199,9 +196,8 @@ impl<'a, M: MessagePassingAlgorithm> RoundSystem<'a, M> {
 
     /// Executes one synchronous round — send, deliver, compute — and
     /// returns `true`, or returns `false` without side effects if the
-    /// system [`is_quiet`](RoundSystem::is_quiet). Both phases fan out
-    /// over nodes iff [`fans_out`] says so for the node count; results
-    /// are identical either way.
+    /// system [`is_quiet`](RoundSystem::is_quiet). Both phases run on
+    /// the caller, in node order.
     pub fn step(&mut self) -> bool {
         if self.is_quiet() {
             return false;
@@ -209,15 +205,13 @@ impl<'a, M: MessagePassingAlgorithm> RoundSystem<'a, M> {
         let round = self.round + 1;
         let graph = self.graph;
         let n = graph.node_count();
-        let parallel = fans_out(n as u64);
         let algo = self.algo;
         let faults = self.faults;
         let adversary = self.adversary;
         let silent = |v: NodeId| faults.is_some_and(|f| f.is_silent(v, round));
 
         // Phase 1: every live node prepares its broadcast; the adversary
-        // rewrites Byzantine senders' with (node, round)-keyed coins, so
-        // the result is independent of scheduling.
+        // rewrites Byzantine senders' with (node, round)-keyed coins.
         let send_one = |vi: usize| -> Option<M::Message> {
             let v = NodeId::from_index(vi);
             if silent(v) {
@@ -231,11 +225,7 @@ impl<'a, M: MessagePassingAlgorithm> RoundSystem<'a, M> {
             }
             Some(message)
         };
-        let outgoing: Vec<Option<M::Message>> = if parallel {
-            (0..n).into_par_iter().map(send_one).collect()
-        } else {
-            (0..n).map(send_one).collect()
-        };
+        let outgoing: Vec<Option<M::Message>> = (0..n).map(send_one).collect();
 
         // Per-round message-delivery accounting: a live sender's broadcast
         // crosses each of its ports; a silent sender's ports are dropped.
@@ -267,15 +257,7 @@ impl<'a, M: MessagePassingAlgorithm> RoundSystem<'a, M> {
             algo.receive(state, round, &incoming)
         };
         let states = std::mem::take(&mut self.states);
-        self.states = if parallel {
-            states
-                .into_par_iter()
-                .enumerate()
-                .map(compute_one)
-                .collect()
-        } else {
-            states.into_iter().enumerate().map(compute_one).collect()
-        };
+        self.states = states.into_iter().enumerate().map(compute_one).collect();
         self.round = round;
         true
     }

@@ -6,13 +6,13 @@
 //! the engine's equivalence suites compare the arena-backed cached views
 //! against.
 //!
-//! Per-node work is independent, so it fans out over the pool when the
-//! workspace's one rule, [`fans_out`], says so; determinism is preserved
-//! because each node's coins are derived from the (execution seed, node)
-//! pair, not from scheduling order. A node's cost includes its ball
-//! extraction, which is not known in advance, so each node counts as
-//! `FAN_OUT_WORK / 64`: 64 nodes fan out, and a simulator inside a pool
-//! task never does.
+//! Per-node work is independent, so it goes through [`pool::map`], which
+//! fans out over the pool when the workspace's one rule says so;
+//! determinism is preserved because each node's coins are derived from
+//! the (execution seed, node) pair, not from scheduling order. A node's
+//! cost includes its ball extraction, which is not known in advance, so
+//! each node counts as `FAN_OUT_WORK / 64`: 64 nodes fan out, and a
+//! simulator inside a pool task never does.
 //!
 //! Monte-Carlo estimation over a fixed instance
 //! ([`Simulator::construction_success`]) collects every node's view
@@ -26,8 +26,7 @@ use crate::config::{Instance, IoConfig};
 use crate::labels::Labeling;
 use crate::language::DistributedLanguage;
 use crate::view::View;
-use rayon::prelude::*;
-use rlnc_par::pool::{fans_out, FAN_OUT_WORK};
+use rlnc_par::pool::{self, FAN_OUT_WORK};
 use rlnc_par::rng::SeedSequence;
 use rlnc_par::stats::Estimate;
 use rlnc_par::trials::MonteCarlo;
@@ -107,14 +106,8 @@ impl Simulator {
         F: Fn(NodeId) -> T + Sync,
     {
         let n = instance.graph.node_count();
-        if fans_out((n as u64).saturating_mul(FAN_OUT_WORK / 64)) {
-            (0..n)
-                .into_par_iter()
-                .map(|i| f(NodeId::from_index(i)))
-                .collect()
-        } else {
-            (0..n).map(|i| f(NodeId::from_index(i))).collect()
-        }
+        let work = (n as u64).saturating_mul(FAN_OUT_WORK / 64);
+        pool::map(n, work, |i| f(NodeId::from_index(i)))
     }
 }
 

@@ -26,8 +26,6 @@
 //! The engine equivalence suite (`crates/engine/tests/equivalence.rs`)
 //! pins these claims down at seed 0 and beyond.
 
-use std::collections::HashMap;
-
 use rlnc_core::algorithm::{LocalAlgorithm, RandomizedLocalAlgorithm};
 use rlnc_core::config::{Instance, IoConfig};
 use rlnc_core::decision::RandomizedDecider;
@@ -174,61 +172,67 @@ where
         min_id: u64,
         cache: &mut PlanCache,
     ) -> HardInstanceStage {
+        /// Candidate `ci` under the current identity floor: its shifted
+        /// instance and every algorithm's verdict on it so far.
+        struct Probe {
+            instance: HardInstance,
+            verdicts: Vec<Option<bool>>,
+        }
         let mut pool = Vec::new();
         let mut missing = 0usize;
         let mut floor = min_id.max(1);
-        // Verdicts of every algorithm on candidate `ci` as probed under
-        // identity floor `floor`. A candidate's content is a function of
-        // `(ci, floor)` (the floor fixes the id shift), so whenever a
-        // probe lands on an unsettled verdict we batch one
+        // The diameter reads only the graph, which no identity shift
+        // changes: one double sweep per candidate, none without a floor.
+        let eligible: Vec<bool> = candidates
+            .iter()
+            .map(|c| min_diameter == 0 || c.diameter_lower_bound() >= min_diameter)
+            .collect();
+        // A probed candidate's content is a function of `(ci, floor)`, and
+        // the floor only rises, so the table is cleared when it moves.
+        // Whenever a probe lands on an unsettled verdict we batch one
         // `run_many` pass over *all* still-unsettled same-radius
-        // algorithms from the prober onward — the cached views are
-        // walked once per batch instead of once per algorithm.
-        let mut verdicts: HashMap<(usize, u64), Vec<Option<bool>>> = HashMap::new();
+        // algorithms from the prober onward — the cached views are walked
+        // once per batch instead of once per algorithm.
+        let mut probes: Vec<Option<Probe>> = candidates.iter().map(|_| None).collect();
         for (j, algo) in algorithms.iter().enumerate() {
+            let radius = algo.radius();
             let mut found = None;
             for (ci, candidate) in candidates.iter().enumerate() {
-                let candidate = if candidate.min_id() >= floor {
-                    candidate.clone()
-                } else {
-                    candidate.shifted_ids(floor - candidate.min_id())
-                };
-                if candidate.diameter_lower_bound() < min_diameter {
+                if !eligible[ci] {
                     continue;
                 }
-                let fails = {
-                    let radius = algo.radius();
-                    let inst = candidate.as_instance();
-                    // Every probe still routes through the plan cache,
-                    // so hit/miss statistics match the sequential scan
-                    // exactly; only the `run` calls are batched.
-                    let plan = cache.plan_for(&inst, radius);
-                    let entry = verdicts
-                        .entry((ci, floor))
-                        .or_insert_with(|| vec![None; algorithms.len()]);
-                    if entry[j].is_none() {
-                        let batch: Vec<usize> = (j..algorithms.len())
-                            .filter(|&jj| {
-                                algorithms[jj].radius() == radius && entry[jj].is_none()
-                            })
-                            .collect();
-                        let refs: Vec<&A> = batch.iter().map(|&jj| algorithms[jj]).collect();
-                        let outputs = plan.run_many(&refs);
-                        for (&jj, output) in batch.iter().zip(&outputs) {
-                            let io = IoConfig::from_instance(&inst, output);
-                            entry[jj] = Some(!self.language.contains(&io));
-                        }
+                let Probe { instance, verdicts } = probes[ci].get_or_insert_with(|| Probe {
+                    instance: if candidate.min_id() >= floor {
+                        candidate.clone()
+                    } else {
+                        candidate.shifted_ids(floor - candidate.min_id())
+                    },
+                    verdicts: vec![None; algorithms.len()],
+                });
+                let inst = instance.as_instance();
+                // Every probe still routes through the plan cache, so
+                // hit/miss statistics match the sequential scan exactly;
+                // only the `run` calls are batched.
+                let plan = cache.plan_for(&inst, radius);
+                if verdicts[j].is_none() {
+                    let batch: Vec<usize> = (j..algorithms.len())
+                        .filter(|&jj| algorithms[jj].radius() == radius && verdicts[jj].is_none())
+                        .collect();
+                    let refs: Vec<&A> = batch.iter().map(|&jj| algorithms[jj]).collect();
+                    for (&jj, output) in batch.iter().zip(plan.run_many(&refs)) {
+                        let io = IoConfig::from_instance(&inst, &output);
+                        verdicts[jj] = Some(!self.language.contains(&io));
                     }
-                    entry[j].expect("batched scan settles the probing algorithm's verdict")
-                };
-                if fails {
-                    found = Some(candidate);
+                }
+                if verdicts[j].expect("batched scan settles the probing algorithm's verdict") {
+                    found = Some(instance.clone());
                     break;
                 }
             }
             match found {
                 Some(instance) => {
                     floor = instance.max_id() + 1;
+                    probes.fill_with(|| None);
                     pool.push(instance);
                 }
                 None => missing += 1,
@@ -519,6 +523,37 @@ mod tests {
             .map(|h| (h.graph.node_count(), h.min_id(), h.max_id()))
             .collect();
         assert_eq!(shape, [(8, 1, 8), (10, 9, 18), (8, 19, 26)]);
+    }
+
+    #[test]
+    fn hard_instance_stage_honours_a_positive_min_diameter() {
+        let (constructor, decider, language) = coloring_pipeline();
+        let pipeline = DerandPipeline::new(&constructor, &decider, &language, COLORING_PARAMS);
+        let c1 = FnAlgorithm::new(1, "always-1", |_: &View| Label::from_u64(1));
+        let c2 = FnAlgorithm::new(1, "always-2", |_: &View| Label::from_u64(2));
+        let algos: [&dyn LocalAlgorithm; 2] = [&c1, &c2];
+        // Diameters 2, 3, 4, 5: a floor of 4 skips the 4- and 6-cycles.
+        let candidates = consecutive_cycle_candidates([4, 6, 8, 10]);
+        let mut cache = PlanCache::new();
+        let stage = pipeline.hard_instance_stage_cached(&algos, &candidates, 4, 1, &mut cache);
+        let legacy = HardInstanceSearch::new(&language)
+            .with_min_id(1)
+            .with_min_diameter(4);
+        let (reference, missing) = legacy.hard_instance_family(algos.to_vec(), &candidates);
+        assert_eq!((stage.missing, missing), (0, 0));
+        assert_eq!(stage.pool.len(), reference.len());
+        for (ours, theirs) in stage.pool.iter().zip(&reference) {
+            assert_eq!(ours.graph, theirs.graph);
+            assert_eq!(ours.ids.as_slice(), theirs.ids.as_slice());
+        }
+        let shape: Vec<(usize, u64, u64)> = stage
+            .pool
+            .iter()
+            .map(|h| (h.graph.node_count(), h.min_id(), h.max_id()))
+            .collect();
+        assert_eq!(shape, [(8, 1, 8), (8, 9, 16)]);
+        // Skipped candidates are never planned.
+        assert_eq!(cache.misses(), 2);
     }
 
     #[test]

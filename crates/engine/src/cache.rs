@@ -198,10 +198,10 @@ pub fn shared_plan_cache_stats() -> SharedCacheStats {
     }
 }
 
-/// Shared-cache lookup body: returns a clone of the cached plan (cloning
-/// the flat view arrays is cheap next to the ball-arena pass that builds
-/// them), building and retaining on miss. Hits/misses feed the same
-/// `engine.plan_cache.*` observability counters as [`PlanCache`].
+/// Shared-cache lookup body: returns a clone of the cached plan (which
+/// shares its views), building and retaining on miss. Hits/misses feed
+/// the same `engine.plan_cache.*` observability counters as
+/// [`PlanCache`].
 fn shared_lookup(key: u64, build: impl FnOnce() -> ExecutionPlan) -> ExecutionPlan {
     let mut state = shared_state().lock().unwrap_or_else(PoisonError::into_inner);
     if let Some(plan) = state.plans.get(&key).cloned() {

@@ -29,7 +29,7 @@
 //! down bit-for-bit.
 
 use crate::plan::{DecisionScratch, ExecutionPlan};
-use crate::runner::run_blocked;
+use crate::runner::run_pass;
 use rlnc_core::algorithm::RandomizedLocalAlgorithm;
 use rlnc_core::config::Instance;
 use rlnc_core::decision::RandomizedDecider;
@@ -44,7 +44,7 @@ use rlnc_par::stats::Estimate;
 ///
 /// The construction half drives a [`RandomizedLocalAlgorithm`]; the
 /// decision half holds construction views at the decider's radius whose
-/// output labels a per-block [`DecisionScratch`] refreshes from each
+/// output labels a per-range [`DecisionScratch`] refreshes from each
 /// trial's constructed labeling.
 #[derive(Debug, Clone)]
 pub struct ConstructDecidePlan {
@@ -127,7 +127,7 @@ impl ConstructDecidePlan {
         }
     }
 
-    /// A fresh decision scratch for this plan (clone once per trial block).
+    /// A fresh decision scratch for this plan (clone once per trial range).
     pub fn decision_scratch(&self) -> DecisionScratch {
         self.decision.decision_scratch()
     }
@@ -157,11 +157,10 @@ impl ConstructDecidePlan {
         self.construction.assert_radius(constructor.radius());
         let root = SeedSequence::new(master_seed);
         let work = (self.work_per_trial() as u64).saturating_mul(trials);
-        let counts = run_blocked(trials as usize, work, trials, |range| {
+        let counts = run_pass(trials as usize, work, trials, |range| {
             let mut scratch = self.decision_scratch();
             let mut out = Labeling::empty(self.node_count());
             range
-                .clone()
                 .filter(|&trial| {
                     let seed = root.child(trial as u64);
                     self.accept_once(&mut scratch, &mut out, constructor, decider, nodes, seed)
@@ -348,6 +347,20 @@ mod tests {
         let engine = plan.acceptance(&constructor, &decider, None, 300, 0);
         assert_eq!(engine.successes, legacy.successes);
         assert_eq!(engine.p_hat, legacy.p_hat);
+    }
+
+    #[test]
+    fn equal_radius_plans_share_one_view_allocation() {
+        let hard = consecutive_cycle_candidates([6]);
+        let instance = hard[0].as_instance();
+        let shared = ConstructDecidePlan::new(&instance, 1, 1);
+        let (construction, decision) = (shared.construction(), shared.decision());
+        assert!(std::ptr::eq(construction.views(), decision.views()));
+        let split = ConstructDecidePlan::new(&instance, 0, 1);
+        assert!(!std::ptr::eq(
+            split.construction().views(),
+            split.decision().views()
+        ));
     }
 
     #[test]

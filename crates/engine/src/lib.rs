@@ -16,12 +16,14 @@
 //!   [`View`](rlnc_core::View)s.
 //! * The plan then runs its own batched passes against the cached views:
 //!   [`ExecutionPlan::estimate`] (K seeds, one reused output buffer per
-//!   block), [`ExecutionPlan::run_many`] (K deterministic algorithms in
-//!   one view walk) and [`ExecutionPlan::acceptance_many`] (K deciders per
-//!   trial). A pass is split into blocks on the pool iff the workspace's
-//!   one rule, [`fans_out`](rlnc_par::pool::fans_out), says so for its
-//!   total work (plan size × trials × algorithms), so it never fans out
-//!   inside an already-parallel region.
+//!   range of trials), [`ExecutionPlan::run_many`] (K deterministic
+//!   algorithms in one view walk) and [`ExecutionPlan::acceptance_many`]
+//!   (K deciders per trial). Every pass goes through
+//!   [`map_ranges`](rlnc_par::pool::map_ranges): it is split into ranges
+//!   on the pool iff the workspace's one rule,
+//!   [`fans_out`](rlnc_par::pool::fans_out), says so for its total work
+//!   (plan size × trials × algorithms), so it never fans out inside an
+//!   already-parallel region.
 //! * [`DecisionScratch`] covers the remaining shape — deciders whose
 //!   *outputs* change per trial (e.g. "construct, then decide") — by
 //!   refreshing only the output labels of cloned cached views.

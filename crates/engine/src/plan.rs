@@ -17,6 +17,7 @@ use rlnc_graph::{IdAssignment, NodeId};
 use rlnc_obs::{LazyCounter, LazySpan, Section};
 use rlnc_par::rng::SeedSequence;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Monotonic source of plan identities (see [`ExecutionPlan::id`]).
 static NEXT_PLAN_ID: AtomicU64 = AtomicU64::new(1);
@@ -36,12 +37,15 @@ static OBS_PLAN_SPAN: LazySpan = LazySpan::new("engine.plan.build");
 /// outputs and drive [`LocalAlgorithm`]s / [`RandomizedLocalAlgorithm`]s;
 /// decision plans ([`ExecutionPlan::for_io`]) carry outputs too and drive
 /// [`RandomizedDecider`]s. For deciders whose outputs change per trial, see
-/// [`DecisionScratch`].
+/// [`DecisionScratch`]. The views are immutable and shared: a clone of a
+/// plan points at the same views.
 #[derive(Debug, Clone)]
 pub struct ExecutionPlan {
     id: u64,
     radius: u32,
-    views: Vec<View>,
+    // Not `Arc<[View]>`: the views arrive as a `Vec`, and converting would
+    // copy them on every plan build.
+    views: Arc<Vec<View>>,
     work_per_execution: usize,
     has_outputs: bool,
 }
@@ -68,7 +72,7 @@ impl ExecutionPlan {
         ExecutionPlan {
             id: NEXT_PLAN_ID.fetch_add(1, Ordering::Relaxed),
             radius,
-            views,
+            views: Arc::new(views),
             work_per_execution,
             has_outputs,
         }
@@ -180,12 +184,12 @@ impl ExecutionPlan {
 
     /// Clones the cached views into a mutable scratch whose output labels
     /// can be refreshed per trial — the "construct, then decide" shape.
-    /// Clone once per worker (or per trial block), not per trial.
+    /// Clone once per worker (or per trial range), not per trial.
     pub fn decision_scratch(&self) -> DecisionScratch {
         DecisionScratch {
             plan_id: self.id,
             radius: self.radius,
-            views: self.views.clone(),
+            views: self.views.to_vec(),
         }
     }
 

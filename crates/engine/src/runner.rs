@@ -4,13 +4,14 @@
 //! [`ExecutionPlan::run_many`], [`ExecutionPlan::acceptance_many`],
 //! [`ExecutionPlan::estimate`] and
 //! [`ConstructDecidePlan::acceptance`](crate::ConstructDecidePlan::acceptance)
-//! — dispatch through one blocked helper: iff the workspace's one rule,
-//! [`fans_out`], says so for the pass's total work in ball members (plan
-//! work × trials × algorithms), the pass is split into blocks of [`BLOCK`]
-//! items that run on the thread pool — so never inside an already-parallel
-//! region; otherwise it runs as one block on the caller. The choice can
-//! never change a result: every trial's coins derive from `(trial seed,
-//! node)` alone.
+//! — hand their items (trials, or nodes for view walks) and their total
+//! work in ball members (plan work × trials × algorithms) to
+//! [`map_ranges`]: iff the workspace's one rule, [`fans_out`], says so,
+//! the items are split into balanced ranges that run on the thread pool —
+//! so never inside an already-parallel region; otherwise they run as one
+//! range on the caller. Each range builds its scratch once. The choice
+//! can never change a result: every trial's coins derive from `(trial
+//! seed, node)` alone.
 //!
 //! [`ExecutionPlan::acceptance`] is [`ExecutionPlan::acceptance_many`] over
 //! one decider.
@@ -20,20 +21,14 @@ use rlnc_core::algorithm::{Coins, LocalAlgorithm, RandomizedLocalAlgorithm};
 use rlnc_core::decision::RandomizedDecider;
 use rlnc_core::labels::{Label, Labeling};
 use rlnc_obs::{LazyCounter, Section};
-use rlnc_par::pool::fans_out;
+use rlnc_par::pool::{fans_out, map_ranges};
 use rlnc_par::rng::SeedSequence;
 use rlnc_par::stats::Estimate;
-use rlnc_par::sweep::{balanced_ranges, sweep};
 use std::ops::Range;
 
-/// Items (trials, or nodes for view walks) per pool work item when a pass
-/// fans out. Blocks only balance load across threads.
-const BLOCK: usize = 64;
-
 // Trials executed are a function of the requested batch alone —
-// deterministic. Pass counts depend on the block size, and the
-// parallel/sequential split on core count and nesting context, so those
-// stay in the timing section.
+// deterministic. The parallel/sequential split depends on core count and
+// nesting context, so the pass counts stay in the timing section.
 static OBS_TRIALS: LazyCounter = LazyCounter::new("engine.batch.trials", Section::Deterministic);
 static OBS_BLOCKED_PASSES: LazyCounter =
     LazyCounter::new("engine.batch.blocked_passes", Section::Timing);
@@ -42,36 +37,29 @@ static OBS_PARALLEL_PASSES: LazyCounter =
 static OBS_SEQUENTIAL_PASSES: LazyCounter =
     LazyCounter::new("engine.batch.sequential_passes", Section::Timing);
 
-/// The one dispatch path: iff [`fans_out`]`(work)`, chunks `0..items` into
-/// blocks and maps `f` over them on the pool, in ascending-range order;
-/// otherwise `f` runs once over the whole range on the caller. `trials` is
-/// the count the pass records in the registry.
-pub(crate) fn run_blocked<T, F>(items: usize, work: u64, trials: u64, f: F) -> Vec<T>
+/// Records one pass in the registry (`trials` is the count it carries)
+/// and maps `f` over ranges of `0..items` with [`map_ranges`].
+pub(crate) fn run_pass<T, F>(items: usize, work: u64, trials: u64, f: F) -> Vec<T>
 where
     T: Send,
-    F: Fn(&Range<usize>) -> T + Sync,
+    F: Fn(Range<usize>) -> T + Sync,
 {
-    let parallel = fans_out(work);
     if rlnc_obs::enabled() {
         OBS_TRIALS.add(trials);
         OBS_BLOCKED_PASSES.inc();
-        if parallel {
+        if fans_out(work) {
             OBS_PARALLEL_PASSES.inc();
         } else {
             OBS_SEQUENTIAL_PASSES.inc();
         }
     }
-    if parallel {
-        sweep(balanced_ranges(items, items.div_ceil(BLOCK)), f)
-    } else {
-        vec![f(&(0..items))]
-    }
+    map_ranges(items, work, f)
 }
 
 impl ExecutionPlan {
     /// Evaluates **K same-radius deterministic algorithms** against the
-    /// plan in one view walk: node blocks are dispatched like every other
-    /// pass, and within each block the algorithm loop runs *innermost* —
+    /// plan in one view walk: node ranges are dispatched like every other
+    /// pass, and within each range the algorithm loop runs *innermost* —
     /// every view is loaded once and serves all K output functions while
     /// hot, amortizing the walk's memory traffic across the whole
     /// algorithm slice. Returns one labeling per algorithm, in slice
@@ -79,7 +67,7 @@ impl ExecutionPlan {
     ///
     /// Bit-identical to K [`ExecutionPlan::run`] calls: each output is a
     /// pure function of the (immutable) view, so neither the loop
-    /// interchange nor the block dispatch can change a label.
+    /// interchange nor the range dispatch can change a label.
     pub fn run_many<A: LocalAlgorithm + ?Sized>(&self, algos: &[&A]) -> Vec<Labeling> {
         for algo in algos {
             self.assert_radius(algo.radius());
@@ -89,22 +77,22 @@ impl ExecutionPlan {
             return Vec::new();
         }
         let work = (self.work_per_execution() as u64).saturating_mul(k as u64);
-        let blocks = run_blocked(self.node_count(), work, k as u64, |range| {
+        let per_range = run_pass(self.node_count(), work, k as u64, |range| {
             let mut parts: Vec<Vec<Label>> =
                 (0..k).map(|_| Vec::with_capacity(range.len())).collect();
-            for view in &self.views()[range.clone()] {
+            for view in &self.views()[range] {
                 for (slot, algo) in parts.iter_mut().zip(algos) {
                     slot.push(algo.output(view));
                 }
             }
             parts
         });
-        // The first block's vectors become the outputs, so a walk that
+        // The first range's vectors become the outputs, so a walk that
         // does not fan out copies no label.
-        let mut blocks = blocks.into_iter();
-        let mut outs = blocks.next().unwrap_or_else(|| vec![Vec::new(); k]);
-        for block in blocks {
-            for (slot, part) in outs.iter_mut().zip(block) {
+        let mut per_range = per_range.into_iter();
+        let mut outs = per_range.next().unwrap_or_else(|| vec![Vec::new(); k]);
+        for parts in per_range {
+            for (slot, part) in outs.iter_mut().zip(parts) {
                 slot.extend(part);
             }
         }
@@ -112,10 +100,11 @@ impl ExecutionPlan {
     }
 
     /// Estimates the acceptance probability of **K deciders at once** over
-    /// a decision plan: trials are blocked, and within each trial one walk
-    /// over the cached views runs the decider loop innermost, keeping one
-    /// verdict bit per decider (a rejected decider is never re-evaluated,
-    /// and the walk stops early once every verdict has settled).
+    /// a decision plan: trials are split into ranges, and within each
+    /// trial one walk over the cached views runs the decider loop
+    /// innermost, keeping one verdict bit per decider (a rejected decider
+    /// is never re-evaluated, and the walk stops early once every verdict
+    /// has settled).
     ///
     /// Bit-identical, decider by decider, to the per-trial
     /// [`ExecutionPlan::decide_randomized`] loop with the same master
@@ -151,10 +140,10 @@ impl ExecutionPlan {
         }
         let words = k.div_ceil(64);
         let root = SeedSequence::new(master_seed);
-        let run_block = |range: &Range<usize>| -> Vec<u64> {
+        let run_range = |range: Range<usize>| -> Vec<u64> {
             let mut successes = vec![0u64; k];
             let mut alive = vec![0u64; words];
-            for trial in range.clone() {
+            for trial in range {
                 let coins = Coins::new(root.child(trial as u64));
                 for slot in alive.iter_mut() {
                     *slot = u64::MAX;
@@ -184,10 +173,10 @@ impl ExecutionPlan {
         let total_work = (self.work_per_execution() as u64)
             .saturating_mul(trials)
             .saturating_mul(k as u64);
-        let counts = run_blocked(trials as usize, total_work, trials, run_block);
+        let counts = run_pass(trials as usize, total_work, trials, run_range);
         let mut successes = vec![0u64; k];
-        for block in counts {
-            for (total, count) in successes.iter_mut().zip(block) {
+        for range_counts in counts {
+            for (total, count) in successes.iter_mut().zip(range_counts) {
                 *total += count;
             }
         }
@@ -214,7 +203,7 @@ impl ExecutionPlan {
     /// derive from `(master_seed, trial)` exactly like
     /// [`MonteCarlo`](rlnc_par::MonteCarlo) — the per-trial success stream
     /// is bit-identical to running the legacy simulator under
-    /// `MonteCarlo::new(trials).with_seed(master_seed)`. Each trial block
+    /// `MonteCarlo::new(trials).with_seed(master_seed)`. Each trial range
     /// constructs into one reused output buffer.
     pub fn estimate<A, F>(&self, algo: &A, trials: u64, master_seed: u64, success: F) -> Estimate
     where
@@ -224,10 +213,9 @@ impl ExecutionPlan {
         self.assert_radius(algo.radius());
         let root = SeedSequence::new(master_seed);
         let work = (self.work_per_execution() as u64).saturating_mul(trials);
-        let counts = run_blocked(trials as usize, work, trials, |range| {
+        let counts = run_pass(trials as usize, work, trials, |range| {
             let mut out = Labeling::empty(self.node_count());
             range
-                .clone()
                 .filter(|&trial| {
                     self.construct_into(algo, root.child(trial as u64), &mut out);
                     success(&out)

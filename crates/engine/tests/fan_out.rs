@@ -1,5 +1,7 @@
 //! The fan-out rule, observed from outside: pool task counts around loops
-//! that ask [`rlnc_par::pool::fans_out`] whether to use the pool.
+//! that go through [`rlnc_par::pool::map_ranges`], which asks
+//! [`rlnc_par::pool::fans_out`] whether to use the pool, and around round
+//! stepping, which never does.
 //!
 //! One `#[test]` only: the pool's task counter is process-global, so a
 //! second test dispatching concurrently would leak into these deltas.
@@ -41,9 +43,8 @@ fn small_loops_stay_inline_and_large_batches_fan_out() {
     assert_eq!(simulated, 0, "a 16-node simulation must run inline");
 
     // The trial passes: 16 nodes × 3 ball members × 1024 trials clears the
-    // threshold and spans 16 blocks of 64 trials. Each pass must dispatch
-    // pool tasks iff the pool has more than one thread, and agree with its
-    // per-trial reference either way.
+    // threshold. Each pass must dispatch pool tasks iff the pool has more
+    // than one thread, and agree with its per-trial reference either way.
     let trials = 1024;
     let root = SeedSequence::new(5);
     let plan = ExecutionPlan::for_instance(&instance, 1);
@@ -83,15 +84,15 @@ fn small_loops_stay_inline_and_large_batches_fan_out() {
         .count() as u64;
     assert_eq!(accepted.successes, expected);
 
-    // A ring of FAN_OUT_WORK nodes: every round's send and receive phases
-    // go to the pool iff it has more than one thread, and so does one
-    // `run_many` walk over its radius-1 views (256 blocks of 64 nodes).
+    // A ring of FAN_OUT_WORK nodes: its rounds step inline on any pool,
+    // while one `run_many` walk over its radius-1 views goes to the pool
+    // iff it has more than one thread.
     let ring = cycle(FAN_OUT_WORK as usize);
     let ring_input = Labeling::empty(ring.node_count());
     let ring_ids = IdAssignment::consecutive(&ring);
     let ring_instance = Instance::new(&ring, &ring_input, &ring_ids);
     let (stepped, _) = tasks_during(|| run_randomized_via_rounds(&algo, &ring_instance, seed));
-    assert_eq!(stepped > 0, fans_out, "rounds");
+    assert_eq!(stepped, 0, "a 2^14-node round system must step inline");
     let ring_plan = ExecutionPlan::for_instance(&ring_instance, 1);
     let ids_of = FnAlgorithm::new(1, "ids", |v: &View| Label::from_u64(v.center_id()));
     let algos: [&dyn LocalAlgorithm; 1] = [&ids_of];

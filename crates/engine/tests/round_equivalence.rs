@@ -270,12 +270,12 @@ fn output_digest(out: &Labeling) -> u64 {
         })
 }
 
-/// A ring of [`FAN_OUT_WORK`](rlnc_par::pool::FAN_OUT_WORK) nodes: large
-/// enough that every round fans out over the pool when it has more than
-/// one thread, so running this under the default pool and under
-/// `RLNC_THREADS=1` checks the parallel and inline steps against the same
-/// values. The algorithm reads identities as well as coins, so Byzantine
-/// relabeling moves its outputs.
+/// A ring of [`FAN_OUT_WORK`](rlnc_par::pool::FAN_OUT_WORK) nodes, pinned
+/// to the same values under the default pool and under `RLNC_THREADS=1`.
+/// Rounds step on the caller at any size, so a thread count that moved
+/// these digests would be a determinism bug outside the round loop. The
+/// algorithm reads identities as well as coins, so Byzantine relabeling
+/// moves its outputs.
 #[test]
 fn fan_out_sized_ring_steps_identically_on_every_thread_count() {
     let n = rlnc_par::pool::FAN_OUT_WORK as usize;

@@ -562,9 +562,11 @@ fn scan_decider(j: u64) -> FnRandomizedDecider<impl Fn(&View, &Coins) -> bool + 
 /// cached view from memory; engine = one [`ExecutionPlan::acceptance_many`]
 /// pass with the decider loop innermost, so each view is loaded once per
 /// trial and serves all K verdicts while hot. Verdict parity (successes
-/// per decider) is asserted on the way. Two trials make one block, so
-/// both sides run inline and the ratio isolates the view-walk
-/// amortization, not thread counts.
+/// per decider) is asserted on the way. The legacy loop runs on the
+/// caller; the engine pass clears the fan-out threshold, so on a
+/// multi-core machine its two trials run as two pool tasks and the
+/// ratio includes up to a twofold thread advantage on top of the
+/// view-walk amortization.
 fn multi_algo_scan(quick: bool) -> BenchGroup {
     let (n, reps) = if quick { (3usize << 14, 3) } else { (3 << 19, 3) };
     let k = 16u64;

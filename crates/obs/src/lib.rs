@@ -16,13 +16,13 @@
 //!   functions of *what work was done*, never of *how it was scheduled*:
 //!   trials executed, balls extracted, messages delivered, faults
 //!   materialized. The aggregated deterministic section is byte-identical
-//!   across thread schedules and batch sizes (pinned by
+//!   across thread schedules and thread counts (pinned by
 //!   `trace_determinism` in `rlnc-sweep`).
 //! * [`Section::Timing`] — wall-clock spans and anything
-//!   schedule-dependent: blocked-pass counts (a function of batch size),
-//!   parallel-vs-sequential dispatch decisions (a function of core count
-//!   and nesting), the work-stealing pool's task/steal/park/worker
-//!   counts. Excluded from all determinism checks.
+//!   schedule-dependent: pass counts, parallel-vs-sequential dispatch
+//!   decisions (a function of core count and nesting), the work-stealing
+//!   pool's task/steal/park/worker counts. Excluded from all determinism
+//!   checks.
 //!
 //! ## Cost model
 //!

@@ -2,17 +2,15 @@
 //!
 //! [`MonteCarlo`] runs `N` independent trials of a user closure. Each trial
 //! receives a [`SeedSequence`] derived from `(master seed, trial index)`,
-//! so results do not depend on the parallel schedule. Whether the trials
-//! are spread over the pool is decided by [`fans_out`]: the runner cannot
-//! see a trial's work, so it counts each trial as a full
-//! [`FAN_OUT_WORK`] and fans out whenever it is not already inside a pool
-//! task — nesting Monte-Carlo loops never multiplies thread counts, and
-//! never changes a result.
+//! so results do not depend on the parallel schedule. The trials go
+//! through [`pool::map`]: the runner cannot see a trial's work, so it
+//! counts each trial as a full [`FAN_OUT_WORK`] and fans out whenever it
+//! is not already inside a pool task — nesting Monte-Carlo loops never
+//! multiplies thread counts, and never changes a result.
 
-use crate::pool::{fans_out, FAN_OUT_WORK};
+use crate::pool::{self, FAN_OUT_WORK};
 use crate::rng::SeedSequence;
 use crate::stats::{Estimate, Summary};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Outcome of a single Monte-Carlo trial when more than a boolean is needed.
@@ -96,23 +94,18 @@ impl MonteCarlo {
         (Estimate::from_counts(successes, self.trials), Summary::of(&values))
     }
 
-    /// Maps every trial's seed through `trial`, in trial order, on the pool
-    /// iff [`fans_out`] says so — each trial counting as a full
-    /// [`FAN_OUT_WORK`], since the runner cannot see a trial's work.
+    /// Maps every trial's seed through `trial`, in trial order, through
+    /// [`pool::map`] — each trial counting as a full [`FAN_OUT_WORK`],
+    /// since the runner cannot see a trial's work.
     fn map_trials<T, F>(&self, trial: F) -> Vec<T>
     where
         T: Send,
         F: Fn(SeedSequence) -> T + Sync,
     {
-        let seeds = 0..self.trials;
-        if fans_out(self.trials.saturating_mul(FAN_OUT_WORK)) {
-            seeds
-                .into_par_iter()
-                .map(|i| trial(self.trial_seed(i)))
-                .collect()
-        } else {
-            seeds.map(|i| trial(self.trial_seed(i))).collect()
-        }
+        let work = self.trials.saturating_mul(FAN_OUT_WORK);
+        pool::map(self.trials as usize, work, |i| {
+            trial(self.trial_seed(i as u64))
+        })
     }
 
     /// Seed sequence handed to trial `i`.

@@ -13,18 +13,17 @@
 //!   .child(1).child(trial)             // trial stream
 //! ```
 //!
-//! Nothing depends on thread scheduling or batch size, so a sweep is
-//! bit-reproducible; and because each grid point's records are derived
-//! independently, a sweep is resumable: feed previously exported records
-//! back via [`SweepExecutor::resume`] and only the missing points run.
+//! Nothing depends on thread scheduling, so a sweep is bit-reproducible;
+//! and because each grid point's records are derived independently, a
+//! sweep is resumable: feed previously exported records back via
+//! [`SweepExecutor::resume`] and only the missing points run.
 
 use crate::record::{RunRecord, SweepRun};
 use crate::spec::{GridPoint, ScenarioSpec};
 use rlnc_obs::{LazyCounter, LazySpan, Section};
-use rlnc_par::pool::{fans_out, FAN_OUT_WORK};
+use rlnc_par::pool::{self, balanced_ranges, FAN_OUT_WORK};
 use rlnc_par::rng::SeedSequence;
 use rlnc_par::stats::Estimate;
-use rlnc_par::sweep::{balanced_ranges, sweep};
 use rlnc_par::Scale;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,6 +41,11 @@ static OBS_RESUME_SPAN: LazySpan = LazySpan::new("sweep.resume");
 /// the CLI's `--seed`).
 pub const DEFAULT_SWEEP_SEED: u64 = 0x5EED_2015_0613;
 
+/// Trials per work item: a grid point's trials are cut into items of at
+/// most this many, so small grids with large trial budgets still spread
+/// over the pool. Results do not depend on it.
+const TRIALS_PER_ITEM: u64 = 256;
+
 /// 64-bit FNV-1a hash of a string — maps a scenario name to its branch of
 /// the seed tree.
 pub fn scenario_tag(name: &str) -> u64 {
@@ -54,23 +58,20 @@ pub fn scenario_tag(name: &str) -> u64 {
 }
 
 /// Runs [`ScenarioSpec`]s: materializes the grid, executes trial batches
-/// (in parallel when [`fans_out`] says so), and collects [`RunRecord`]s.
+/// (through [`pool::map`]), and collects [`RunRecord`]s.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepExecutor {
     scale: Scale,
     master_seed: u64,
-    batch: u64,
     progress: bool,
 }
 
 impl SweepExecutor {
-    /// Creates an executor at the given scale with the default seed and
-    /// 256-trial batches.
+    /// Creates an executor at the given scale with the default seed.
     pub fn new(scale: Scale) -> Self {
         SweepExecutor {
             scale,
             master_seed: DEFAULT_SWEEP_SEED,
-            batch: 256,
             progress: false,
         }
     }
@@ -87,17 +88,6 @@ impl SweepExecutor {
     /// Overrides the master seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.master_seed = seed;
-        self
-    }
-
-    /// Overrides the batch size (trials per parallel work item). Results
-    /// are independent of this knob; it only shapes load balancing.
-    ///
-    /// # Panics
-    /// Panics if `batch` is zero.
-    pub fn with_batch(mut self, batch: u64) -> Self {
-        assert!(batch > 0, "batch size must be positive");
-        self.batch = batch;
         self
     }
 
@@ -303,7 +293,7 @@ impl SweepExecutor {
             .iter()
             .enumerate()
             .flat_map(|(slot, (p, _, _))| {
-                let chunks = (p.trials.div_ceil(self.batch)).max(1) as usize;
+                let chunks = (p.trials.div_ceil(TRIALS_PER_ITEM)).max(1) as usize;
                 balanced_ranges(p.trials as usize, chunks)
                     .into_iter()
                     .map(move |r| (slot, r))
@@ -344,17 +334,14 @@ impl SweepExecutor {
         // The executor cannot see a trial's work, so each trial counts as a
         // full FAN_OUT_WORK: the items fan out unless already nested.
         let trials: u64 = prepared.iter().map(|(p, _, _)| p.trials).sum();
-        let partials: Vec<(usize, u64, Vec<f64>)> =
-            if fans_out(trials.saturating_mul(FAN_OUT_WORK)) {
-                sweep(items, run_item)
-            } else {
-                items.iter().map(run_item).collect()
-            };
+        let partials = pool::map(items.len(), trials.saturating_mul(FAN_OUT_WORK), |i| {
+            run_item(&items[i])
+        });
 
         // Items arrive in submission order (ascending trial ranges per
         // slot), so concatenating value chunks restores trial order; the
-        // left-fold sum below is then independent of batch size and thread
-        // schedule, keeping mean_value bit-reproducible.
+        // left-fold sum below is then independent of the thread schedule,
+        // keeping mean_value bit-reproducible.
         let mut successes = vec![0u64; prepared.len()];
         let mut values: Vec<Vec<f64>> = vec![Vec::new(); prepared.len()];
         for (slot, succ, chunk) in partials {
@@ -430,8 +417,6 @@ mod tests {
         let a = SweepExecutor::new(Scale::Smoke).with_seed(11).run(&spec);
         let b = SweepExecutor::new(Scale::Smoke).with_seed(11).run(&spec);
         assert_eq!(a, b);
-        let odd_batches = SweepExecutor::new(Scale::Smoke).with_seed(11).with_batch(7).run(&spec);
-        assert_eq!(a, odd_batches);
     }
 
     #[test]

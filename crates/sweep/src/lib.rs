@@ -19,7 +19,7 @@
 //! * [`executor`] — [`SweepExecutor`]: a batched parallel executor that
 //!   derives every trial's [`rlnc_par::SeedSequence`] from
 //!   `(scenario, grid point, trial)`, so runs are bit-reproducible
-//!   regardless of thread scheduling or batch size, and resumable from
+//!   regardless of thread scheduling, and resumable from
 //!   previously exported records.
 //! * [`record`] — structured [`RunRecord`] results ([`SweepRun`] bundles
 //!   them with the scenario metadata).
