@@ -9,8 +9,7 @@
 //! gluing of Claims 4–5 (reconnect the union without hiding the failure).
 //! `rlnc_core::derand` implements each stage faithfully — but its
 //! estimators re-extract every ball on every Monte-Carlo trial and re-run
-//! one BFS per anchor per trial, and the E6–E8 drivers were hard-wired to
-//! one concrete coloring constructor.
+//! one BFS per anchor per trial.
 //!
 //! This crate turns the argument into a reusable subsystem:
 //!
@@ -18,17 +17,19 @@
 //!   [`DistributedLanguage`](rlnc_core::DistributedLanguage) plus
 //!   constructor/decider pair, producing one typed, cacheable artifact per
 //!   stage ([`RamseyStage`], [`HardInstanceStage`], [`UnionStage`],
-//!   [`GluedStage`]) that downstream callers — the sweep workloads, the
-//!   E6–E8 drivers, `bench-export` — can inspect, reuse across trial
-//!   batches, and export.
+//!   [`GluedStage`]) that downstream callers — the sweep workloads (and,
+//!   through their scenarios, E6–E8), `bench-export` — can inspect, reuse
+//!   across trial batches, and export.
 //! * Every estimator routes through `rlnc-engine`: composite instances are
 //!   planned once ([`UnionPlan`](rlnc_engine::UnionPlan) /
 //!   [`GluedPlan`](rlnc_engine::GluedPlan), one
 //!   [`BallArena`](rlnc_graph::arena::BallArena) pass over the combined
-//!   CSR) and evaluated for K seeds by the plans' own blocked passes
+//!   CSR) and evaluated for K seeds by the plans' own batched passes
 //!   ([`ConstructDecidePlan::acceptance`](rlnc_engine::ConstructDecidePlan::acceptance)
-//!   for Claims 3–5, [`ExecutionPlan::estimate`](rlnc_engine::ExecutionPlan::estimate)
-//!   for β, [`ExecutionPlan::run_many`](rlnc_engine::ExecutionPlan::run_many)
+//!   over a stage's plan for Claims 3–5,
+//!   [`ExecutionPlan::estimate`](rlnc_engine::ExecutionPlan::estimate)
+//!   for β in [`failure_probability_with`],
+//!   [`ExecutionPlan::run_many`](rlnc_engine::ExecutionPlan::run_many)
 //!   for the Claim-2 scan). The per-trial streams are **bit-identical**
 //!   to the legacy `rlnc_core::derand` estimators (same `(master, trial)`
 //!   seed tree, same `child(0)`/`child(1)` constructor/decider split) —
@@ -54,6 +55,6 @@
 pub mod pipeline;
 
 pub use pipeline::{
-    deterministic_agreement, failure_probability_with, ramsey_stage, DerandPipeline, GluedStage,
-    HardInstanceStage, PipelineParams, RamseyStage, UnionStage,
+    failure_probability_with, ramsey_stage, DerandPipeline, GluedStage, HardInstanceStage,
+    PipelineParams, RamseyStage, UnionStage,
 };

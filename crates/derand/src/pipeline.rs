@@ -9,22 +9,24 @@
 //!
 //! ## Determinism contract
 //!
-//! Every estimator reproduces the legacy `rlnc_core::derand` streams
-//! bit-for-bit:
+//! Every estimate over a stage's artifact reproduces the legacy
+//! `rlnc_core::derand` streams bit-for-bit:
 //!
-//! * [`DerandPipeline::failure_probability`] matches
+//! * [`failure_probability_with`] matches
 //!   `HardInstanceSearch::failure_probability` (cached views + the
 //!   `MonteCarlo` `(master, trial)` derivation),
-//! * [`DerandPipeline::union_acceptance`] matches
+//! * [`ConstructDecidePlan::acceptance`](rlnc_engine::ConstructDecidePlan::acceptance)
+//!   over a [`UnionStage`]'s plan matches
 //!   `boosting::disjoint_union_acceptance`,
-//! * [`DerandPipeline::glued_acceptance`] /
-//!   [`DerandPipeline::glued_far_acceptance`] match the
-//!   `GluingExperiment` estimators (the far event's per-trial BFS is
-//!   replaced by a participation set computed once — same verdicts, since a
-//!   node's coins depend only on `(trial seed, node)`).
+//! * the same kernel over a [`GluedStage`]'s plan, with or without its
+//!   participants, matches the two `GluingExperiment` estimators (the far
+//!   event's per-trial BFS is replaced by a participation set computed
+//!   once — same verdicts, since a node's coins depend only on
+//!   `(trial seed, node)`).
 //!
-//! The engine equivalence suite (`crates/engine/tests/equivalence.rs`)
-//! pins these claims down at seed 0 and beyond.
+//! This module's tests and the engine equivalence suite
+//! (`crates/engine/tests/equivalence.rs`) pin these claims down at seed 0
+//! and beyond.
 
 use rlnc_core::algorithm::{LocalAlgorithm, RandomizedLocalAlgorithm};
 use rlnc_core::config::{Instance, IoConfig};
@@ -86,8 +88,6 @@ pub struct UnionStage {
 pub struct GluedStage {
     /// Number of glued parts `ν'`.
     pub nu: usize,
-    /// The Claim-4 anchor count `µ` of the pipeline's `p`.
-    pub mu: usize,
     /// The engine plan (anchors, exclusion radius, participants baked in).
     pub plan: GluedPlan,
     /// The glued instance itself, for structural inspection (connectivity,
@@ -122,18 +122,13 @@ where
         }
     }
 
-    /// The pipeline's quantitative knobs.
-    pub fn params(&self) -> PipelineParams {
-        self.params
-    }
-
     // ---- Stage 1: Ramsey lift (Claim 1 / Appendix A) ------------------
 
     /// The free-function [`ramsey_stage`], as a pipeline method for staged
     /// call sites. The stage reads none of the constructor/decider/language
     /// state — Claim 1 is about the wrapped deterministic algorithm alone —
-    /// so callers that only need the lift (e.g. E8) can use the free
-    /// function directly.
+    /// so callers that only need the lift (e.g. the `ramsey-lift` sweep
+    /// workload) can use the free function directly.
     pub fn ramsey_stage<A: LocalAlgorithm + ?Sized>(
         &self,
         algo: &A,
@@ -241,12 +236,6 @@ where
         HardInstanceStage { pool, missing }
     }
 
-    /// The free-function [`failure_probability_with`] using this pipeline's
-    /// constructor and language.
-    pub fn failure_probability(&self, instance: &HardInstance, trials: u64, seed: u64) -> Estimate {
-        failure_probability_with(self.constructor, self.language, instance, trials, seed)
-    }
-
     // ---- Stage 3: boosted disjoint union (Claim 3) --------------------
 
     /// Plans the disjoint union of `nu` pool instances (cycling through the
@@ -260,13 +249,6 @@ where
             self.decider.radius(),
         );
         UnionStage { nu, plan }
-    }
-
-    /// `Pr[D accepts C(G)]` on the union, over both coin sources —
-    /// bit-identical to `boosting::disjoint_union_acceptance`.
-    pub fn union_acceptance(&self, stage: &UnionStage, trials: u64, seed: u64) -> Estimate {
-        let plan = stage.plan.plan();
-        plan.acceptance(self.constructor, self.decider, None, trials, seed)
     }
 
     // ---- Stage 4: connected gluing (Claims 4–5) -----------------------
@@ -287,12 +269,7 @@ where
             self.constructor.radius(),
             self.decider.radius(),
         );
-        GluedStage {
-            nu,
-            mu: self.params.mu(),
-            plan,
-            instance,
-        }
+        GluedStage { nu, plan, instance }
     }
 
     /// [`DerandPipeline::glued_stage`] with automatic part and anchor
@@ -321,28 +298,13 @@ where
             .collect();
         self.glued_stage(parts, anchors)
     }
-
-    /// All-nodes acceptance `Pr[D accepts C(G)]` on the glued instance —
-    /// bit-identical to `GluingExperiment::acceptance`.
-    pub fn glued_acceptance(&self, stage: &GluedStage, trials: u64, seed: u64) -> Estimate {
-        let plan = stage.plan.plan();
-        plan.acceptance(self.constructor, self.decider, None, trials, seed)
-    }
-
-    /// The Claims-4/5 event `Pr[D accepts C(G) far from every anchor]` —
-    /// bit-identical to `GluingExperiment::acceptance_far_from_all_anchors`.
-    pub fn glued_far_acceptance(&self, stage: &GluedStage, trials: u64, seed: u64) -> Estimate {
-        let far = Some(stage.plan.participants());
-        let plan = stage.plan.plan();
-        plan.acceptance(self.constructor, self.decider, far, trials, seed)
-    }
 }
 
 /// Stage 1 standalone (Claim 1 / Appendix A): refines `universe` until
 /// `algo` is consistent on every ball type of the probe instances (at
 /// `algo`'s radius). The refinement itself is
 /// `rlnc_core::derand::ramsey::consistent_id_set` verbatim, so seeded
-/// streams match the legacy E8 driver exactly.
+/// streams match a direct call exactly.
 pub fn ramsey_stage<A: LocalAlgorithm + ?Sized>(
     algo: &A,
     probes: &[Instance<'_>],
@@ -357,18 +319,6 @@ pub fn ramsey_stage<A: LocalAlgorithm + ?Sized>(
         universe_size: universe.len(),
         templates: templates.len(),
     }
-}
-
-/// Engine-backed agreement of two same-radius deterministic algorithms on
-/// one instance (e.g. `A` and its order-invariant lift `A'`): one plan
-/// (one arena pass) serves both evaluations.
-pub fn deterministic_agreement<A, B>(a: &A, b: &B, instance: &Instance<'_>) -> bool
-where
-    A: LocalAlgorithm + ?Sized,
-    B: LocalAlgorithm + ?Sized,
-{
-    let plan = ExecutionPlan::for_instance(instance, a.radius());
-    plan.run(a) == plan.run(b)
 }
 
 /// Stage-2 standalone (Claim 2): engine-backed failure probability β of a
@@ -558,10 +508,9 @@ mod tests {
 
     #[test]
     fn failure_probability_matches_legacy_search() {
-        let (constructor, decider, language) = coloring_pipeline();
-        let pipeline = DerandPipeline::new(&constructor, &decider, &language, COLORING_PARAMS);
+        let (constructor, _, language) = coloring_pipeline();
         let instance = consecutive_cycle_candidates([6]).remove(0);
-        let engine = pipeline.failure_probability(&instance, 500, 3);
+        let engine = failure_probability_with(&constructor, &language, &instance, 500, 3);
         let legacy = HardInstanceSearch::new(&language)
             .failure_probability(&constructor, &instance, 500, 3);
         assert_eq!(engine.successes, legacy.successes);
@@ -569,14 +518,14 @@ mod tests {
     }
 
     #[test]
-    fn union_acceptance_matches_legacy_boosting() {
+    fn union_stage_acceptance_matches_legacy_boosting() {
         let (constructor, decider, language) = coloring_pipeline();
         let pipeline = DerandPipeline::new(&constructor, &decider, &language, COLORING_PARAMS);
         let pool = consecutive_cycle_candidates([6, 8]);
         for nu in [1usize, 3] {
             let stage = pipeline.union_stage(&pool, nu);
             assert_eq!(stage.plan.components(), nu);
-            let engine = pipeline.union_acceptance(&stage, 400, 0);
+            let engine = stage.plan.plan().acceptance(&constructor, &decider, None, 400, 0);
             let legacy = disjoint_union_acceptance(&constructor, &decider, &pool, nu, 400, 0);
             assert_eq!(engine.successes, legacy.successes);
         }
@@ -599,11 +548,13 @@ mod tests {
             .map(|p| anchor_candidates(p, 0, 1, 0.75)[0])
             .collect();
         let experiment = GluingExperiment::build(parts, anchors, 0, 1);
-        let far_engine = pipeline.glued_far_acceptance(&stage, 300, 0);
+        let plan = stage.plan.plan();
+        let far = Some(stage.plan.participants());
+        let far_engine = plan.acceptance(&constructor, &decider, far, 300, 0);
         let far_legacy =
             experiment.acceptance_far_from_all_anchors(&constructor, &decider, 300, 0);
         assert_eq!(far_engine.successes, far_legacy.successes);
-        let full_engine = pipeline.glued_acceptance(&stage, 300, 7);
+        let full_engine = plan.acceptance(&constructor, &decider, None, 300, 7);
         let full_legacy = experiment.acceptance(&constructor, &decider, 300, 7);
         assert_eq!(full_engine.successes, full_legacy.successes);
     }
@@ -628,7 +579,8 @@ mod tests {
             rlnc_graph::IdAssignment::new(stage.id_set.iter().take(8).copied().collect()),
         );
         let lift = OrderInvariantLift::new(&algo, stage.id_set.clone());
-        assert!(deterministic_agreement(&algo, &lift, &in_set.as_instance()));
+        let plan = ExecutionPlan::for_instance(&in_set.as_instance(), LocalAlgorithm::radius(&algo));
+        assert_eq!(plan.run(&algo), plan.run(&lift));
     }
 
     #[test]
@@ -655,13 +607,15 @@ mod tests {
             assert_eq!(stage.missing, 0, "{}: search came up empty", case.name);
             assert_eq!(stage.pool.len(), case.det_family.len());
             // β is strictly positive (the constructor really fails).
-            let beta = pipeline.failure_probability(&stage.pool[0], 300, 5);
+            let beta =
+                failure_probability_with(&*case.constructor, &*case.language, &stage.pool[0], 300, 5);
             assert!(beta.p_hat > 0.05, "{}: beta {} too small", case.name, beta.p_hat);
             // Stage 3: union acceptance decays with ν.
             let u2 = pipeline.union_stage(&stage.pool, 2);
             let u4 = pipeline.union_stage(&stage.pool, 4);
-            let a2 = pipeline.union_acceptance(&u2, 300, 0);
-            let a4 = pipeline.union_acceptance(&u4, 300, 0);
+            let (constructor, decider) = (&*case.constructor, &*case.decider);
+            let a2 = u2.plan.plan().acceptance(constructor, decider, None, 300, 0);
+            let a4 = u4.plan.plan().acceptance(constructor, decider, None, 300, 0);
             assert!(
                 a4.p_hat <= a2.p_hat + 0.1,
                 "{}: union acceptance must not grow with nu ({} vs {})",
@@ -672,7 +626,8 @@ mod tests {
             // Stage 4: the gluing is connected and evaluable.
             let glued = pipeline.glued_stage_auto(&stage.pool, 2);
             assert!(is_connected(&glued.instance.graph));
-            let far = pipeline.glued_far_acceptance(&glued, 200, 0);
+            let participants = Some(glued.plan.participants());
+            let far = glued.plan.plan().acceptance(constructor, decider, participants, 200, 0);
             assert!((0.0..=1.0).contains(&far.p_hat));
         }
     }

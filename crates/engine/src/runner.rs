@@ -30,8 +30,6 @@ use std::ops::Range;
 // deterministic. The parallel/sequential split depends on core count and
 // nesting context, so the pass counts stay in the timing section.
 static OBS_TRIALS: LazyCounter = LazyCounter::new("engine.batch.trials", Section::Deterministic);
-static OBS_BLOCKED_PASSES: LazyCounter =
-    LazyCounter::new("engine.batch.blocked_passes", Section::Timing);
 static OBS_PARALLEL_PASSES: LazyCounter =
     LazyCounter::new("engine.batch.parallel_passes", Section::Timing);
 static OBS_SEQUENTIAL_PASSES: LazyCounter =
@@ -46,7 +44,6 @@ where
 {
     if rlnc_obs::enabled() {
         OBS_TRIALS.add(trials);
-        OBS_BLOCKED_PASSES.inc();
         if fans_out(work) {
             OBS_PARALLEL_PASSES.inc();
         } else {

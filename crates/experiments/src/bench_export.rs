@@ -367,7 +367,8 @@ fn glued_acceptance(quick: bool) -> BenchGroup {
         let parts = build_parts();
         let anchors = anchors_of(&parts);
         let stage = pipeline.glued_stage(parts, anchors);
-        let est = pipeline.glued_far_acceptance(&stage, trials, 11);
+        let far = Some(stage.plan.participants());
+        let est = stage.plan.plan().acceptance(&constructor, &decider, far, trials, 11);
         engine_successes = est.successes;
     });
     assert_eq!(
@@ -377,7 +378,8 @@ fn glued_acceptance(quick: bool) -> BenchGroup {
     let stage = pipeline.glued_stage(build_parts(), anchors_of(&build_parts()));
     let working_set_bytes = stage.plan.plan().working_set_bytes();
     let counters = obs_counters(|| {
-        let est = pipeline.glued_far_acceptance(&stage, trials, 11);
+        let far = Some(stage.plan.participants());
+        let est = stage.plan.plan().acceptance(&constructor, &decider, far, trials, 11);
         assert_eq!(est.successes, engine_successes);
     });
     BenchGroup {

@@ -4,27 +4,39 @@
 //! Measures, on rings of increasing size, the fraction of properly colored
 //! nodes produced by the uniform random 3-coloring and the probability that
 //! the outcome lies in the ε-slack relaxation for several ε.
+//!
+//! The rings are the `slack-ring` registry scenario, run once per ε on the
+//! `rlnc-sweep` engine. The runs differ only in ε, so they share the
+//! scenario's name and point indices and therefore every trial's coloring:
+//! each row's ε columns count nested events of the same colorings.
 
 use crate::report::{fmt_prob, ExperimentReport, Finding, Scale, Table};
-use rlnc_core::prelude::*;
-use rlnc_core::relaxation::EpsilonSlack;
-use rlnc_graph::generators::cycle;
-use rlnc_graph::IdAssignment;
-use rlnc_langs::coloring::{improperly_colored_nodes, ProperColoring};
-use rlnc_langs::random_coloring::RandomColoring;
-use rlnc_par::trials::MonteCarlo;
+use rlnc_sweep::registry::slack_ring_spec;
+use rlnc_sweep::{SweepExecutor, SweepRun, Workload};
+
+/// The slack fractions of the table's columns, largest first.
+const EPSILONS: [f64; 3] = [0.60, 0.58, 0.52];
 
 /// Runs the experiment at the default master seed.
 pub fn run(scale: Scale) -> ExperimentReport {
     run_seeded(scale, 0)
 }
 
-/// Runs the experiment; `seed` perturbs every random stream (`0`
-/// reproduces the historical default streams).
+/// Runs the experiment; `seed` perturbs every random stream.
 pub fn run_seeded(scale: Scale, seed: u64) -> ExperimentReport {
-    let trials = scale.trials(400);
-    let sizes = [scale.size(64), scale.size(256), scale.size(1024)];
-    let epsilons = [0.60, 0.58, 0.52];
+    let spec = slack_ring_spec();
+    let Workload::SlackColoring { colors, .. } = spec.workload else {
+        unreachable!("slack_ring_spec always carries a SlackColoring workload");
+    };
+    let executor = SweepExecutor::new(scale).with_seed(seed ^ 0xE2);
+    let runs: Vec<SweepRun> = EPSILONS
+        .iter()
+        .map(|&epsilon| {
+            let mut spec = spec.clone();
+            spec.workload = Workload::SlackColoring { colors, epsilon };
+            executor.run(&spec)
+        })
+        .collect();
     let expected_improper = 1.0 - 4.0 / 9.0; // 5/9 on the ring with 3 colors
 
     let mut table = Table::new(&[
@@ -35,43 +47,22 @@ pub fn run_seeded(scale: Scale, seed: u64) -> ExperimentReport {
         "Pr[in 0.58-slack]",
         "Pr[in 0.52-slack]",
     ]);
+    for (i, record) in runs[0].records.iter().enumerate() {
+        let mut row = vec![
+            record.n.to_string(),
+            fmt_prob(record.mean_value),
+            fmt_prob(expected_improper),
+        ];
+        row.extend(runs.iter().map(|run| fmt_prob(run.records[i].p_hat)));
+        table.push_row(row);
+    }
 
-    let algo = RandomColoring::new(3);
-    let lang = ProperColoring::new(3);
     // Concentration kicks in as n grows, so the headline check uses the
     // largest ring; smaller rings are reported for the trend.
-    let mut largest_ring_eps_prob = 0.0f64;
-    let mut mean_improper_overall = 0.0f64;
-
-    for &n in &sizes {
-        let graph = cycle(n);
-        let input = Labeling::empty(n);
-        let ids = IdAssignment::consecutive(&graph);
-        let inst = Instance::new(&graph, &input, &ids);
-        let mc = MonteCarlo::new(trials).with_seed(seed ^ (0xE2 + n as u64));
-        let improper = mc.summarize(|seed| {
-            let out = Simulator::new().run_randomized(&algo, &inst, seed);
-            improperly_colored_nodes(&lang, &IoConfig::new(&graph, &input, &out)) as f64 / n as f64
-        });
-        mean_improper_overall += improper.mean / sizes.len() as f64;
-        let mut eps_cells = Vec::new();
-        for (i, &eps) in epsilons.iter().enumerate() {
-            let relaxed = EpsilonSlack::new(ProperColoring::new(3), eps);
-            let est = Simulator::new().construction_success(&algo, &inst, &relaxed, trials, seed ^ (0xE2 + i as u64));
-            if i == 0 && n == *sizes.last().unwrap() {
-                largest_ring_eps_prob = est.p_hat;
-            }
-            eps_cells.push(fmt_prob(est.p_hat));
-        }
-        table.push_row(vec![
-            n.to_string(),
-            fmt_prob(improper.mean),
-            fmt_prob(expected_improper),
-            eps_cells[0].clone(),
-            eps_cells[1].clone(),
-            eps_cells[2].clone(),
-        ]);
-    }
+    let records = &runs[0].records;
+    let largest_ring_eps_prob = records.last().map_or(0.0, |r| r.p_hat);
+    let mean_improper_overall =
+        records.iter().map(|r| r.mean_value).sum::<f64>() / records.len() as f64;
 
     let findings = vec![
         Finding::new(
@@ -104,5 +95,23 @@ mod tests {
         let report = run(Scale::Smoke);
         assert!(report.all_consistent(), "findings: {:?}", report.findings);
         assert_eq!(report.table.rows.len(), 3);
+    }
+
+    #[test]
+    fn e2_slack_columns_are_monotone_in_epsilon() {
+        // A coloring within 0.52-slack is within 0.58-slack, and that one
+        // within 0.60-slack, so no row may rank the columns otherwise.
+        for scale in [Scale::Smoke, Scale::Standard] {
+            for seed in [0, 7] {
+                let report = run_seeded(scale, seed);
+                for row in &report.table.rows {
+                    let p: Vec<f64> = row[3..].iter().map(|c| c.parse().unwrap()).collect();
+                    assert!(
+                        p[2] <= p[1] && p[1] <= p[0],
+                        "{scale} seed {seed}: row {row:?} is not monotone in ε"
+                    );
+                }
+            }
+        }
     }
 }

@@ -6,58 +6,65 @@
 //! diameter ≥ 2µ(t+t′) — and measures how the probability that the decider
 //! accepts the constructed output *far from every anchor* decays with the
 //! number ν′ of glued instances, against the `(1 − β(1−p)/µ)^{ν′}` shape.
+//!
+//! After β is measured — through the `rlnc-derand` pipeline's engine-backed
+//! Claim-2 estimator, as E6 measures it — the ν′-grid runs on the
+//! `rlnc-sweep` engine: the `glued-decay` registry scenario, whose records
+//! carry the far-from-every-anchor acceptance as their success channel and
+//! the all-nodes acceptance as their value channel.
 
 use crate::report::{fmt_prob, ExperimentReport, Finding, Scale, Table};
 use rlnc_core::derand::gluing::{
-    anchor_candidates, anchor_count, claim5_bound, gluing_repetitions, separation_distance,
-    GluingExperiment,
+    anchor_candidates, anchor_count, claim5_bound, gluing_repetitions, GluingExperiment,
 };
 use rlnc_core::derand::hard_instances::consecutive_cycle_candidates;
 use rlnc_core::prelude::*;
-use rlnc_derand::{DerandPipeline, PipelineParams};
+use rlnc_derand::failure_probability_with;
 use rlnc_graph::traversal::{distance, is_connected};
 use rlnc_langs::coloring::{GlobalGreedyColoring, ProperColoring};
 use rlnc_langs::faulty::FaultyConstructor;
+use rlnc_sweep::registry::glued_decay_spec;
+use rlnc_sweep::{SweepExecutor, Workload};
 
 /// Runs the experiment at the default master seed.
 pub fn run(scale: Scale) -> ExperimentReport {
     run_seeded(scale, 0)
 }
 
-/// Runs the experiment; `seed` perturbs every random stream (`0`
-/// reproduces the historical default streams).
+/// Runs the experiment; `seed` perturbs every random stream.
 pub fn run_seeded(scale: Scale, seed: u64) -> ExperimentReport {
-    let trials = scale.trials(1_500);
-    let p = 0.75f64;
     let r = 0.9f64;
-    let per_node_fault = 0.05f64;
-    let t = 0u32; // constructor radius (the faulty greedy uses a large view, but the relevant anchor radius is the decider's)
-    let t_prime = 1u32;
+    // The decider's radius t' and the constructor radius t the anchors are
+    // spread for, as in the `glued-decay` workload (the faulty greedy
+    // colorer reads a large view, but the relevant anchor radius is the
+    // decider's).
+    let (t, t_prime) = (0u32, 1u32);
 
+    // The constructor/decider parameters come from the shared scenario; β
+    // is measured on the same constructor up front, with the scenario's own
+    // trial budget.
+    let spec = glued_decay_spec();
+    let trials = scale.trials(spec.base_trials);
+    let Workload::GluedDecay {
+        cycle_size,
+        per_node_fault,
+        colors,
+        decider_p: p,
+    } = spec.workload
+    else {
+        unreachable!("glued_decay_spec always carries a GluedDecay workload");
+    };
     let mu = anchor_count(p);
-    let needed_diameter = separation_distance(t, t_prime, p);
-    let cycle_size = (2 * needed_diameter as usize + 8).max(16);
 
     let constructor = FaultyConstructor::new(
-        GlobalGreedyColoring::new(cycle_size as u32, 3),
+        GlobalGreedyColoring::new(cycle_size as u32, colors),
         per_node_fault,
         Label::from_u64(0),
     );
-    let decider = OneSidedLclDecider::new(ProperColoring::new(3), p);
-
-    let language = ProperColoring::new(3);
-    // All estimation now routes through the rlnc-derand pipeline: cached
-    // composite plans and a precomputed far-from-anchors participation set
-    // instead of per-trial view collection and per-anchor BFS. The streams
-    // are bit-identical to the legacy GluingExperiment estimators.
-    let pipeline = DerandPipeline::new(
-        &constructor,
-        &decider,
-        &language,
-        PipelineParams { r, p, t, t_prime },
-    );
+    let language = ProperColoring::new(colors);
     let prototype = consecutive_cycle_candidates([cycle_size]).remove(0);
-    let beta = pipeline.failure_probability(&prototype, trials, seed ^ 0xE7).p_hat;
+    let beta =
+        failure_probability_with(&constructor, &language, &prototype, trials, seed ^ 0xE7).p_hat;
     let nu_prime_star = gluing_repetitions(r, p, beta);
 
     // Structural checks on one gluing of 3 parts.
@@ -79,6 +86,8 @@ pub fn run_seeded(scale: Scale, seed: u64) -> ExperimentReport {
     let connected = is_connected(structural.graph());
     let degree_ok = structural.graph().max_degree() <= 3;
 
+    let sweep = SweepExecutor::new(scale).with_seed(seed ^ 0xE7).run(&spec);
+
     let mut table = Table::new(&[
         "ν' (glued instances)",
         "Pr[accept far from all anchors]",
@@ -86,31 +95,18 @@ pub fn run_seeded(scale: Scale, seed: u64) -> ExperimentReport {
         "Pr[D accepts C(G)] (all nodes)",
     ]);
 
-    let nu_values: Vec<usize> = match scale {
-        Scale::Smoke => vec![2, 4],
-        Scale::Standard => vec![2, 4, 8, 12],
-        Scale::Full => vec![2, 4, 8, 16, 24],
-    };
-
     let mut previous_far = 1.0f64;
     let mut monotone = true;
-    for &nu in &nu_values {
-        let parts = consecutive_cycle_candidates(vec![cycle_size; nu]);
-        let anchors: Vec<_> = parts
-            .iter()
-            .map(|h| anchor_candidates(h, t, t_prime, p)[0])
-            .collect();
-        let stage = pipeline.glued_stage(parts, anchors);
-        let far = pipeline.glued_far_acceptance(&stage, trials, seed ^ (0xE7 + nu as u64));
-        let full = pipeline.glued_acceptance(&stage, trials, seed ^ (0x1E7 + nu as u64));
-        let bound = claim5_bound(beta, p, mu).powi(nu as i32);
-        monotone &= far.p_hat <= previous_far + 0.05;
-        previous_far = far.p_hat;
+    for record in &sweep.records {
+        let nu = record.param_a as i32;
+        let bound = claim5_bound(beta, p, mu).powi(nu);
+        monotone &= record.p_hat <= previous_far + 0.05;
+        previous_far = record.p_hat;
         table.push_row(vec![
             nu.to_string(),
-            fmt_prob(far.p_hat),
+            fmt_prob(record.p_hat),
             fmt_prob(bound),
-            fmt_prob(full.p_hat),
+            fmt_prob(record.mean_value),
         ]);
     }
 
@@ -154,5 +150,7 @@ mod tests {
     fn e7_gluing_structure_and_decay() {
         let report = run(Scale::Smoke);
         assert!(report.all_consistent(), "findings: {:?}", report.findings);
+        // The scenario's ν' ∈ {2, ..., 6} grid, on every scale.
+        assert_eq!(report.table.rows.len(), 5);
     }
 }

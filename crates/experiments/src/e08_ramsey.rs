@@ -6,101 +6,73 @@
 //! when `A` is not; (ii) refining the identity universe until `A` is
 //! consistent on every ball type makes `A'` agree with `A` on instances
 //! whose identities come from the refined set.
+//!
+//! Both halves run on the `ramsey-lift` registry scenario: one row per
+//! record (graph family × wrapped algorithm). The agreement column is the
+//! record's success count over fresh in-set identity draws; the refined
+//! set and the order-invariance checks come from the grid point that
+//! `Workload::prepare` builds under the executor's own seed branch.
 
 use crate::report::{ExperimentReport, Finding, Scale, Table};
 use rlnc_core::derand::ramsey::OrderInvariantLift;
 use rlnc_core::order_invariant::{check_order_invariance, standard_monotone_maps};
 use rlnc_core::prelude::*;
-use rlnc_derand::{deterministic_agreement, ramsey_stage};
-use rlnc_graph::generators::cycle;
-use rlnc_graph::IdAssignment;
+use rlnc_sweep::registry::ramsey_lift_spec;
+use rlnc_sweep::workload::Prepared;
+use rlnc_sweep::SweepExecutor;
 
 /// Runs the experiment at the default master seed.
 pub fn run(scale: Scale) -> ExperimentReport {
     run_seeded(scale, 0)
 }
 
-/// Runs the experiment; `seed` perturbs every random stream (`0`
-/// reproduces the historical default streams).
+/// Runs the experiment; `seed` perturbs every random stream.
 pub fn run_seeded(scale: Scale, seed: u64) -> ExperimentReport {
-    let n = scale.size(32);
-    let universe_size = scale.size(256) as u64;
-    // The refinement's per-round sample count controls how reliably
-    // inconsistencies are detected; it must not be scaled down, or the
-    // refined set may retain stray identities.
-    let samples = 500usize;
-
-    let graph = cycle(n);
-    let input = Labeling::empty(n);
-    let ids = IdAssignment::consecutive(&graph);
-
-    // Three wrapped algorithms: one already order-invariant, two identity-
-    // dependent in different ways.
-    let algorithms: Vec<(&str, FnAlgorithm<Box<dyn Fn(&View) -> Label + Sync>>)> = vec![
-        (
-            "rank-coloring (already order-invariant)",
-            FnAlgorithm::new(1, "rank", Box::new(|v: &View| Label::from_u64(v.center_rank() as u64))),
-        ),
-        (
-            "id-parity (identity-dependent)",
-            FnAlgorithm::new(0, "id-parity", Box::new(|v: &View| Label::from_u64(v.center_id() % 2))),
-        ),
-        (
-            "id-mod-3 (identity-dependent)",
-            FnAlgorithm::new(0, "id-mod-3", Box::new(|v: &View| Label::from_u64(v.center_id() % 3))),
-        ),
-    ];
+    let spec = ramsey_lift_spec();
+    let executor = SweepExecutor::new(scale).with_seed(seed ^ 0xE8);
+    let sweep = executor.run(&spec);
+    let scenario = executor.scenario_sequence(&spec.name);
 
     let maps = standard_monotone_maps();
     let map_refs: Vec<&dyn Fn(u64) -> u64> = maps.iter().map(|m| m.as_ref() as &dyn Fn(u64) -> u64).collect();
 
     let mut table = Table::new(&[
+        "family",
         "wrapped algorithm",
         "A order-invariant?",
         "A' (lift) order-invariant?",
         "refined ID set size",
-        "A ≡ A' on in-set instances?",
+        "A ≡ A' on in-set draws",
     ]);
 
     let mut all_lifts_invariant = true;
     let mut all_agreements = true;
 
-    for (label, algo) in &algorithms {
-        let inner_invariant = check_order_invariance(algo, &graph, &input, &ids, &map_refs);
-        let universe: Vec<u64> = (1..=universe_size).collect();
-        // The Claim-1 stage of the rlnc-derand pipeline: it concerns only
-        // the wrapped deterministic algorithm, so E8 uses the standalone
-        // stage functions (no constructor/decider bundle needed).
-        let stage = ramsey_stage(
+    for (point, record) in spec.grid(scale).iter().zip(&sweep.records) {
+        let Prepared::Ramsey {
+            graph,
+            input,
+            ids,
             algo,
-            &[Instance::new(&graph, &input, &ids)],
-            &universe,
-            samples,
-            seed ^ 0xE8,
-        );
-        let lift = OrderInvariantLift::new(algo, stage.id_set.clone());
+            id_set,
+            ..
+        } = spec.workload.prepare(point, scenario.child(point.index))
+        else {
+            unreachable!("ramsey_lift_spec always prepares Ramsey points");
+        };
+        let inner_invariant = check_order_invariance(&*algo, &graph, &input, &ids, &map_refs);
+        let lift = OrderInvariantLift::new(&*algo, id_set.clone());
         let lift_invariant = check_order_invariance(&lift, &graph, &input, &ids, &map_refs);
         all_lifts_invariant &= lift_invariant;
-
-        // Agreement on an instance whose identities are drawn from the
-        // refined set (preserving order): the Appendix-A correctness,
-        // checked through the engine (one plan serves both evaluations,
-        // reusing the lift built above).
-        let in_set_ids = IdAssignment::new(stage.id_set.iter().take(n).copied().collect());
-        let agreement = if in_set_ids.len() == n {
-            let inst = Instance::new(&graph, &input, &in_set_ids);
-            deterministic_agreement(algo, &lift, &inst)
-        } else {
-            false
-        };
-        all_agreements &= agreement;
+        all_agreements &= record.successes == record.trials;
 
         table.push_row(vec![
-            label.to_string(),
+            record.family.clone(),
+            LocalAlgorithm::name(&*algo),
             inner_invariant.to_string(),
             lift_invariant.to_string(),
-            stage.id_set.len().to_string(),
-            agreement.to_string(),
+            id_set.len().to_string(),
+            format!("{}/{}", record.successes, record.trials),
         ]);
     }
 
@@ -112,7 +84,7 @@ pub fn run_seeded(scale: Scale, seed: u64) -> ExperimentReport {
         ),
         Finding::new(
             "Appendix A: restricted to identities from the (Ramsey-refined) set U, A and A' compute the same outputs",
-            format!("agreement on in-set instances for every wrapped algorithm: {all_agreements}"),
+            format!("agreement on every in-set draw for every wrapped algorithm: {all_agreements}"),
             all_agreements,
         ),
     ];
@@ -134,6 +106,7 @@ mod tests {
     fn e8_order_invariant_lift() {
         let report = run(Scale::Smoke);
         assert!(report.all_consistent(), "findings: {:?}", report.findings);
-        assert_eq!(report.table.rows.len(), 3);
+        // One row per ramsey-lift record: 2 families × 3 wrapped algorithms.
+        assert_eq!(report.table.rows.len(), 6);
     }
 }

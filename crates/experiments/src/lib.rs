@@ -3,25 +3,29 @@
 //! The paper contains no numbered tables or figures; its "evaluation" is a
 //! chain of quantitative claims (decider guarantees, probability bounds,
 //! growth rates, decay rates). Each module here regenerates one of those
-//! claims as a table or series, following the experiment index in
-//! `DESIGN.md` (§5):
+//! claims as a table or series, following the experiment index of
+//! `docs/ARCHITECTURE.md`. Where a claim has a registry scenario, the
+//! experiment renders it from that scenario's `rlnc-sweep` records (the
+//! scenario column), so the report and `rlnc-experiments sweep --scenario
+//! NAME` measure one workload:
 //!
-//! | Id | Claim |
-//! |----|-------|
-//! | E1 | `amos` golden-ratio decider guarantee ≈ 0.618 (§2.3.1) |
-//! | E2 | random 3-coloring solves the ε-slack relaxation (§1.1) |
-//! | E3 | Cole–Vishkin 3-colors rings in `O(log* n)` rounds (§1.1) |
-//! | E4 | order-invariant algorithms are monochromatic on consecutive-ID cycles (§4) |
-//! | E5 | the `L_f` decider of Corollary 1 has guarantee `> 1/2` |
-//! | E6 | disjoint-union boosting: acceptance ≤ `(1−βp)^ν` (Claim 3) |
-//! | E7 | gluing: connected, degree ≤ k, acceptance decays with ν′ (Theorem 1) |
-//! | E8 | Ramsey lift: order-invariance + agreement on consistent ID sets (Claim 1 / Appendix A) |
-//! | E9 | ε-slack: randomization helps, constant-round deterministic algorithms do not (§5) |
-//! | E10 | message-passing execution ≡ ball-view execution (§2.1) |
+//! | Id | Claim | Scenario |
+//! |----|-------|----------|
+//! | E1 | `amos` golden-ratio decider guarantee ≈ 0.618 (§2.3.1) | |
+//! | E2 | random 3-coloring solves the ε-slack relaxation (§1.1) | `slack-ring` |
+//! | E3 | Cole–Vishkin 3-colors rings in `O(log* n)` rounds (§1.1) | |
+//! | E4 | order-invariant algorithms are monochromatic on consecutive-ID cycles (§4) | |
+//! | E5 | the `L_f` decider of Corollary 1 has guarantee `> 1/2` | `resilient-boundary` |
+//! | E6 | disjoint-union boosting: acceptance ≤ `(1−βp)^ν` (Claim 3) | `boosting-decay` |
+//! | E7 | gluing: connected, degree ≤ k, acceptance decays with ν′ (Theorem 1) | `glued-decay` |
+//! | E8 | Ramsey lift: order-invariance + agreement on consistent ID sets (Claim 1 / Appendix A) | `ramsey-lift` |
+//! | E9 | ε-slack: randomization helps, constant-round deterministic algorithms do not (§5) | `slack-ring` |
+//! | E10 | message-passing execution ≡ ball-view execution (§2.1) | |
 //!
 //! Every experiment returns an [`ExperimentReport`] holding a rendered
 //! table plus a list of [`Finding`]s (paper claim vs measured value), which
-//! the `rlnc-experiments` binary assembles into `EXPERIMENTS.md`.
+//! the `rlnc-experiments` binary prints as one markdown document (and
+//! writes to a file with `--markdown FILE`).
 
 // The counting allocator (and its `unsafe impl GlobalAlloc`) lives in
 // `rlnc-obs`; this crate stays pure-safe.

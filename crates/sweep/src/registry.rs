@@ -36,16 +36,7 @@ impl Registry {
             base_trials: 400,
             workload: Workload::SlackColoring { colors: 3, epsilon: 0.60 },
         });
-        registry.insert(ScenarioSpec {
-            name: "slack-ring".into(),
-            description: "§1.1: zero-round random 3-coloring vs the 0.60-slack relaxation on growing rings".into(),
-            families: vec![Family::Cycle],
-            sizes: vec![64, 256, 1024],
-            id_schemes: vec![IdScheme::Consecutive],
-            params: vec![Params::ZERO],
-            base_trials: 400,
-            workload: Workload::SlackColoring { colors: 3, epsilon: 0.60 },
-        });
+        registry.insert(slack_ring_spec());
         registry.insert(ScenarioSpec {
             name: "slack-topologies".into(),
             description: "ε-slack random coloring across bounded-degree topologies the paper never tests (torus, random 4-regular, circulant, prism) and identity schemes".into(),
@@ -67,7 +58,7 @@ impl Registry {
         });
         registry.insert(resilient_boundary_spec());
         registry.insert(boosting_spec(8));
-        registry.insert(glued_decay_spec(6));
+        registry.insert(glued_decay_spec());
         registry.insert(ramsey_lift_spec());
         registry.insert(theorem1_pipeline_spec());
         registry.insert(language_matrix_spec());
@@ -98,6 +89,22 @@ impl Registry {
     /// Iterates over the registered scenarios.
     pub fn iter(&self) -> impl Iterator<Item = &ScenarioSpec> {
         self.scenarios.iter()
+    }
+}
+
+/// The E2 and E9 rings as a scenario: the §1.1 zero-round random
+/// 3-coloring against the 0.60-slack relaxation on rings of 64, 256 and
+/// 1024 nodes (E2 re-runs it at other ε, E9 on the 256-node ring alone).
+pub fn slack_ring_spec() -> ScenarioSpec {
+    ScenarioSpec {
+        name: "slack-ring".into(),
+        description: "§1.1: zero-round random 3-coloring vs the 0.60-slack relaxation on growing rings".into(),
+        families: vec![Family::Cycle],
+        sizes: vec![64, 256, 1024],
+        id_schemes: vec![IdScheme::Consecutive],
+        params: vec![Params::ZERO],
+        base_trials: 400,
+        workload: Workload::SlackColoring { colors: 3, epsilon: 0.60 },
     }
 }
 
@@ -141,16 +148,16 @@ pub fn boosting_spec(max_nu: u64) -> ScenarioSpec {
 }
 
 /// The E7 decay grid as a scenario: Claims 4–5 glued acceptance across
-/// `ν' ∈ {2, ..., max_parts}` glued hard cycles, evaluated through the
-/// engine's [`GluedPlan`](rlnc_engine::GluedPlan) kernels.
-pub fn glued_decay_spec(max_parts: u64) -> ScenarioSpec {
+/// `ν' ∈ {2, ..., 6}` glued hard cycles, evaluated through the engine's
+/// [`GluedPlan`](rlnc_engine::GluedPlan) kernels.
+pub fn glued_decay_spec() -> ScenarioSpec {
     ScenarioSpec {
         name: "glued-decay".into(),
         description: "Claims 4–5: acceptance far from every anchor on the connected gluing of ν' hard cycles decays like (1−β(1−p)/µ)^ν'".into(),
         families: vec![Family::Cycle],
         sizes: vec![16],
         id_schemes: vec![IdScheme::Consecutive],
-        params: (2..=max_parts.max(2)).map(Params::one).collect(),
+        params: (2..=6).map(Params::one).collect(),
         base_trials: 1_500,
         workload: Workload::GluedDecay {
             cycle_size: 16,
@@ -161,8 +168,8 @@ pub fn glued_decay_spec(max_parts: u64) -> ScenarioSpec {
     }
 }
 
-/// The Claim-1 grid as a scenario: the Ramsey-refined identity set and the
-/// order-invariant lift's agreement, for three wrapped algorithms.
+/// The Claim-1 grid as a scenario (E8's): the Ramsey-refined identity set
+/// and the order-invariant lift's agreement, for three wrapped algorithms.
 pub fn ramsey_lift_spec() -> ScenarioSpec {
     ScenarioSpec {
         name: "ramsey-lift".into(),
@@ -173,7 +180,7 @@ pub fn ramsey_lift_spec() -> ScenarioSpec {
         params: (0..3).map(Params::one).collect(),
         base_trials: 200,
         // The per-round sample count must stay high regardless of scale, or
-        // the refined set can retain stray identities (same caveat as E8).
+        // the refined set can retain stray identities.
         workload: Workload::RamseyLift {
             universe: 160,
             samples: 400,
@@ -349,9 +356,8 @@ mod tests {
         assert_eq!(boosting_spec(5).params.len(), 5);
         assert_eq!(boosting_spec(0).params.len(), 1, "ν is clamped to at least 1");
         assert!(boosting_spec(3).validate().is_ok());
-        assert_eq!(glued_decay_spec(6).params.len(), 5);
-        assert_eq!(glued_decay_spec(0).params.len(), 1, "ν' is clamped to at least 2");
-        assert!(glued_decay_spec(4).validate().is_ok());
+        assert_eq!(glued_decay_spec().params.len(), 5);
+        assert!(glued_decay_spec().validate().is_ok());
         assert!(ramsey_lift_spec().validate().is_ok());
         assert!(theorem1_pipeline_spec().validate().is_ok());
     }
@@ -581,9 +587,9 @@ mod tests {
 
     #[test]
     fn glued_decay_acceptance_decays_with_parts() {
-        let spec = glued_decay_spec(4);
+        let spec = glued_decay_spec();
         let run = crate::SweepExecutor::new(rlnc_par::Scale::Smoke).with_seed(3).run(&spec);
-        assert_eq!(run.records.len(), 3);
+        assert_eq!(run.records.len(), 5);
         let first = &run.records[0];
         let last = &run.records[run.records.len() - 1];
         assert!(

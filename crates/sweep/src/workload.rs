@@ -406,6 +406,7 @@ impl Workload {
                 Prepared::Ramsey {
                     graph,
                     input,
+                    ids,
                     algo,
                     id_set: stage.id_set,
                     universe_size: stage.universe_size,
@@ -665,6 +666,8 @@ pub enum Prepared {
         graph: Graph,
         /// The (empty) input labeling.
         input: Labeling,
+        /// The identities the refinement probed, from the grid's scheme.
+        ids: IdAssignment,
         /// The wrapped algorithm `A`.
         algo: Box<dyn LocalAlgorithm>,
         /// The refined identity set `U`.
@@ -884,6 +887,7 @@ impl Prepared {
                 algo,
                 id_set,
                 universe_size,
+                ..
             } => {
                 // Fresh in-set identities each trial: sample n distinct
                 // identities from the refined set, assign in node order.
