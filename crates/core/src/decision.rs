@@ -171,22 +171,26 @@ pub fn decide_randomized<D: RandomizedDecider + ?Sized>(
 }
 
 /// Same as [`decide_randomized`], but only quantifies over the nodes at
-/// distance **greater than** `exclusion_radius` from `anchor` — the
-/// "accepts far from `u`" event used in Claims 4 and 5 of the paper.
+/// distance **greater than** `exclusion_radius` from every anchor — the
+/// "accepts far from `u`" event used in Claims 4 and 5 of the paper (one
+/// anchor), and on a gluing the event "accepts far from every anchor".
 pub fn decide_randomized_far_from<D: RandomizedDecider + ?Sized>(
     decider: &D,
     io: &IoConfig<'_>,
     ids: &IdAssignment,
-    anchor: NodeId,
+    anchors: &[NodeId],
     exclusion_radius: u32,
     execution_seed: SeedSequence,
 ) -> bool {
     let t = decider.radius();
     let coins = Coins::new(execution_seed);
-    let distances = rlnc_graph::bfs_distances(io.graph, anchor);
+    let distances: Vec<Vec<u32>> = anchors
+        .iter()
+        .map(|&anchor| rlnc_graph::bfs_distances(io.graph, anchor))
+        .collect();
     io.graph.nodes().all(|v| {
-        if distances[v.index()] <= exclusion_radius {
-            return true; // nodes near the anchor do not participate
+        if distances.iter().any(|d| d[v.index()] <= exclusion_radius) {
+            return true; // nodes near an anchor do not participate
         }
         let view = View::collect_io(io, ids, v, t);
         decider.accepts(&view, &coins)
@@ -394,7 +398,7 @@ mod tests {
             &d,
             &io,
             &ids,
-            NodeId(0),
+            &[NodeId(0)],
             3,
             SeedSequence::new(0)
         ));
@@ -403,7 +407,7 @@ mod tests {
             &d,
             &io,
             &ids,
-            NodeId(10),
+            &[NodeId(10)],
             0,
             SeedSequence::new(0)
         ));

@@ -102,7 +102,7 @@ where
     MonteCarlo::new(trials).with_seed(seed).estimate(|trial_seed| {
         let output = sim.run_randomized(constructor, &inst, trial_seed.child(0));
         let io = IoConfig::from_instance(&inst, &output);
-        decide_randomized_far_from(decider, &io, &instance.ids, anchor, exclusion_radius, trial_seed.child(1))
+        decide_randomized_far_from(decider, &io, &instance.ids, &[anchor], exclusion_radius, trial_seed.child(1))
     })
 }
 
@@ -225,7 +225,8 @@ impl GluingExperiment {
     }
 
     /// Estimates the probability that `D` accepts `C(G)` *far from every
-    /// anchor simultaneously* — the product-form event bounded by
+    /// anchor simultaneously* — every node beyond each anchor's exclusion
+    /// ball accepts, the product-form event bounded by
     /// `(1 − β(1−p)/µ)^{ν'}` in the proof.
     pub fn acceptance_far_from_all_anchors<C, D>(
         &self,
@@ -246,13 +247,7 @@ impl GluingExperiment {
         MonteCarlo::new(trials).with_seed(seed).estimate(|trial_seed| {
             let output = sim.run_randomized(constructor, &inst, trial_seed.child(0));
             let io = IoConfig::from_instance(&inst, &output);
-            let decision_seed = trial_seed.child(1);
-            // A single coin sample for the decider, evaluated once per
-            // anchor region: every node outside every anchor's exclusion
-            // ball must accept.
-            anchors.iter().all(|&anchor| {
-                decide_randomized_far_from(decider, &io, &hard.ids, anchor, exclusion, decision_seed)
-            })
+            decide_randomized_far_from(decider, &io, &hard.ids, &anchors, exclusion, trial_seed.child(1))
         })
     }
 }

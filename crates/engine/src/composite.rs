@@ -19,8 +19,8 @@
 //!   once, remembering the per-component offsets.
 //! * [`GluedPlan`] plans a glued connected instance and precomputes the
 //!   participation set of the Claims-4/5 event — the nodes at distance
-//!   greater than `t + t'` from at least one anchor — so the far-from
-//!   verdict needs no per-trial BFS.
+//!   greater than `t + t'` from every anchor — so the far-from verdict
+//!   needs no per-trial BFS.
 //!
 //! All kernels follow the `(master seed, trial)` derivation of
 //! [`MonteCarlo`](rlnc_par::MonteCarlo) and split each trial seed into
@@ -35,7 +35,7 @@ use rlnc_core::config::Instance;
 use rlnc_core::decision::RandomizedDecider;
 use rlnc_core::labels::Labeling;
 use rlnc_graph::ops::{concatenate_ids, disjoint_union};
-use rlnc_graph::traversal::nodes_far_from_any;
+use rlnc_graph::traversal::nodes_far_from_all;
 use rlnc_graph::{Graph, IdAssignment, NodeId};
 use rlnc_par::rng::SeedSequence;
 use rlnc_par::stats::Estimate;
@@ -247,7 +247,7 @@ pub struct GluedPlan {
 impl GluedPlan {
     /// Plans the glued instance and precomputes the nodes participating in
     /// the "accepts far from every anchor" event (distance greater than
-    /// `exclusion_radius` from at least one anchor).
+    /// `exclusion_radius` from every anchor).
     ///
     /// # Panics
     /// Panics if no anchors are supplied.
@@ -259,7 +259,7 @@ impl GluedPlan {
         decision_radius: u32,
     ) -> GluedPlan {
         assert!(!anchors.is_empty(), "a glued plan needs at least one anchor");
-        let participants = nodes_far_from_any(instance.graph, &anchors, exclusion_radius)
+        let participants = nodes_far_from_all(instance.graph, &anchors, exclusion_radius)
             .into_iter()
             .map(|v| v.index())
             .collect();
@@ -378,13 +378,17 @@ mod tests {
         let plan = GluedPlan::new(&glued_hard.as_instance(), anchors.clone(), 1, 0, 0);
         assert_eq!(plan.exclusion_radius(), 1);
         assert_eq!(plan.anchors(), &anchors[..]);
-        // Every node far from at least one anchor participates.
+        // Exactly the nodes far from every anchor participate. Each
+        // excluded radius-1 ball holds 3 nodes: the anchor, its one
+        // remaining cycle neighbour, and the subdivision node that replaced
+        // the other.
         for v in exp.graph().nodes() {
-            let expected = anchors.iter().any(|&a| {
+            let expected = anchors.iter().all(|&a| {
                 rlnc_graph::traversal::distance(exp.graph(), a, v).unwrap() > 1
             });
             assert_eq!(plan.participants().contains(&v.index()), expected);
         }
+        assert_eq!(plan.participants().len(), exp.graph().node_count() - 6);
     }
 
     #[test]

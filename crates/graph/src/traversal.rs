@@ -34,18 +34,17 @@ pub fn bfs_distances(graph: &Graph, source: NodeId) -> Vec<u32> {
 
 /// The nodes participating in the combined "accepts far from every anchor"
 /// event of Claims 4–5: a node participates iff it lies at distance
-/// **greater than** `exclusion_radius` from *at least one* anchor (for each
-/// anchor, the nodes beyond its exclusion ball must accept; a node inside
-/// every anchor's ball is never quantified over). Computing this mask once
-/// per glued instance replaces a per-trial, per-anchor BFS in the legacy
-/// estimators. Returned in ascending node order.
-pub fn nodes_far_from_any(graph: &Graph, anchors: &[NodeId], exclusion_radius: u32) -> Vec<NodeId> {
-    let mut participates = vec![false; graph.node_count()];
+/// **greater than** `exclusion_radius` from *every* anchor (a node inside
+/// any anchor's exclusion ball is never quantified over). Computing this
+/// mask once per glued instance replaces a per-trial, per-anchor BFS in the
+/// legacy estimators. Returned in ascending node order.
+pub fn nodes_far_from_all(graph: &Graph, anchors: &[NodeId], exclusion_radius: u32) -> Vec<NodeId> {
+    let mut participates = vec![true; graph.node_count()];
     for &anchor in anchors {
         let dist = bfs_distances(graph, anchor);
         for v in graph.nodes() {
-            if dist[v.index()] > exclusion_radius {
-                participates[v.index()] = true;
+            if dist[v.index()] <= exclusion_radius {
+                participates[v.index()] = false;
             }
         }
     }
@@ -265,20 +264,22 @@ mod tests {
     }
 
     #[test]
-    fn far_from_any_is_the_union_of_ball_complements() {
+    fn far_from_all_is_the_intersection_of_ball_complements() {
         let g = cycle(12);
         let anchors = [NodeId(0), NodeId(6)];
-        let far = nodes_far_from_any(&g, &anchors, 2);
+        let far = nodes_far_from_all(&g, &anchors, 2);
         for v in g.nodes() {
             let expected = anchors
                 .iter()
-                .any(|&a| distance(&g, a, v).unwrap() > 2);
+                .all(|&a| distance(&g, a, v).unwrap() > 2);
             assert_eq!(far.contains(&v), expected, "node {v}");
         }
+        // Two radius-2 balls of 5 nodes each leave 2 participants.
+        assert_eq!(far, [NodeId(3), NodeId(9)]);
         // Radius 0 excludes only the anchors themselves.
-        let far0 = nodes_far_from_any(&g, &[NodeId(3)], 0);
+        let far0 = nodes_far_from_all(&g, &[NodeId(3)], 0);
         assert_eq!(far0.len(), 11);
         // A radius covering the whole graph leaves no participants.
-        assert!(nodes_far_from_any(&g, &[NodeId(0)], 6).is_empty());
+        assert!(nodes_far_from_all(&g, &[NodeId(0)], 6).is_empty());
     }
 }

@@ -574,7 +574,7 @@ mod tests {
             .run(&theorem1_pipeline_spec());
         assert!(run.records.iter().all(|r| r.workload == "language-pipeline"));
         let successes: Vec<u64> = run.records.iter().map(|r| r.successes).collect();
-        assert_eq!(successes, [0, 0, 4, 1, 0, 0, 0, 0, 4, 1, 4, 4, 0, 0, 3, 0, 2, 0]);
+        assert_eq!(successes, [0, 0, 5, 2, 0, 0, 0, 0, 4, 1, 8, 5, 0, 0, 3, 1, 3, 0]);
         let mean_values: Vec<f64> = run.records.iter().map(|r| r.mean_value).collect();
         assert_eq!(
             mean_values,
@@ -602,6 +602,34 @@ mod tests {
         // only be rarer than the far event.
         for record in &run.records {
             assert!(record.mean_value <= record.p_hat + 1e-9);
+        }
+    }
+
+    #[test]
+    fn glued_decay_plans_exclude_every_anchor_ball() {
+        // Claims 4–5 quantify over the nodes beyond every anchor's
+        // exclusion ball. The construction views reach at least that far,
+        // so each anchor's view lists the ball its plan must leave out.
+        let spec = glued_decay_spec();
+        for point in spec.grid(rlnc_par::Scale::Smoke) {
+            let point_seed = rlnc_par::SeedSequence::new(1).child(point.index);
+            let crate::workload::Prepared::Glued { plan, .. } =
+                spec.workload.prepare(&point, point_seed)
+            else {
+                unreachable!("glued-decay prepares glued points");
+            };
+            let views = plan.plan().construction();
+            assert!(views.radius() >= plan.exclusion_radius());
+            let mut near = vec![false; plan.node_count()];
+            for anchor in plan.anchors() {
+                let view = &views.views()[anchor.index()];
+                for i in (0..view.len()).filter(|&i| view.distance(i) <= plan.exclusion_radius()) {
+                    near[view.host_node(i).index()] = true;
+                }
+            }
+            let far: Vec<usize> = (0..near.len()).filter(|&v| !near[v]).collect();
+            assert!(!far.is_empty(), "ν' = {}: no participant", point.params.a);
+            assert_eq!(plan.participants(), &far[..], "ν' = {}", point.params.a);
         }
     }
 
