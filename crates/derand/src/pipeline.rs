@@ -518,7 +518,7 @@ mod tests {
     }
 
     #[test]
-    fn union_stage_acceptance_matches_legacy_boosting() {
+    fn union_acceptance_matches_legacy_boosting() {
         let (constructor, decider, language) = coloring_pipeline();
         let pipeline = DerandPipeline::new(&constructor, &decider, &language, COLORING_PARAMS);
         let pool = consecutive_cycle_candidates([6, 8]);

@@ -33,11 +33,9 @@ pub fn run(scale: Scale) -> ExperimentReport {
 
 /// Runs the experiment; `seed` perturbs every random stream.
 pub fn run_seeded(scale: Scale, seed: u64) -> ExperimentReport {
-    let r = 0.9f64;
-    // The decider's radius t' and the constructor radius t the anchors are
-    // spread for, as in the `glued-decay` workload (the faulty greedy
-    // colorer reads a large view, but the relevant anchor radius is the
-    // decider's).
+    let r = 0.9f64; // the success probability the hypothetical constructor claims
+    // The anchor radii of the `glued-decay` workload: the faulty greedy
+    // reads a large view, but the relevant anchor radius is the decider's.
     let (t, t_prime) = (0u32, 1u32);
 
     // The constructor/decider parameters come from the shared scenario; β

@@ -34,7 +34,10 @@ pub fn run_seeded(scale: Scale, seed: u64) -> ExperimentReport {
     let scenario = executor.scenario_sequence(&spec.name);
 
     let maps = standard_monotone_maps();
-    let map_refs: Vec<&dyn Fn(u64) -> u64> = maps.iter().map(|m| m.as_ref() as &dyn Fn(u64) -> u64).collect();
+    let map_refs: Vec<&dyn Fn(u64) -> u64> = maps
+        .iter()
+        .map(|m| m.as_ref() as &dyn Fn(u64) -> u64)
+        .collect();
 
     let mut table = Table::new(&[
         "family",
