@@ -577,7 +577,7 @@ fn ramsey_refinement_reuses_one_view_per_template() {
     );
 }
 
-/// Pinned seed-0 regression: the exact seed the E6/E7 drivers run at.
+/// Pinned seed-0 regression of both composite kernels.
 #[test]
 fn union_and_glued_kernels_match_legacy_at_seed_zero() {
     let hard = consecutive_cycle_candidates([12]);
