@@ -22,9 +22,8 @@
 //! anchor) on every trial. The production path lives in the `rlnc-derand`
 //! crate, whose staged pipeline routes the same computations through
 //! `rlnc-engine` composite plans — bit-identical streams (the engine's
-//! equivalence suite proves it against the functions here), typically
-//! several times faster (see the `boosted-union-acceptance` and
-//! `glued-acceptance` groups of `rlnc-experiments bench-export`).
+//! equivalence suite proves it against the functions here) without the
+//! per-trial view collection.
 //!
 //! [`PipelineParams`] holds the argument's four knobs. It lives here, below
 //! both the language registry of `rlnc-langs` (every case carries one) and

@@ -186,24 +186,6 @@ impl View {
         self.ids.truncate(n);
     }
 
-    /// Approximate heap bytes held by this view: ball membership and
-    /// distances, the induced CSR adjacency, identities, and 16 bytes per
-    /// input and output label. The per-view term of the engine's
-    /// `working_set_bytes` cache-behavior proxy exported by `bench-export`
-    /// and the observability layer.
-    pub fn memory_bytes(&self) -> u64 {
-        use std::mem::size_of;
-        let labels = self.inputs.len() + self.outputs.as_ref().map_or(0, Vec::len);
-        let ball_graph = (self.ball.graph.node_count() + 1) * size_of::<u32>()
-            + 2 * self.ball.graph.edge_count() * size_of::<u32>();
-        let total = self.ball.members.len() * size_of::<NodeId>()
-            + self.ball.distances.len() * size_of::<u32>()
-            + ball_graph
-            + self.ids.len() * size_of::<u64>()
-            + labels * size_of::<Label>();
-        total as u64
-    }
-
     /// Number of nodes visible in the view.
     #[inline]
     pub fn len(&self) -> usize {
@@ -494,16 +476,6 @@ mod tests {
         let z = Labeling::from_fn(&g, |_| Label::from_u64(7));
         views[0].refresh_outputs(&z);
         assert_eq!(views[0].output(0).as_u64(), 7);
-    }
-
-    #[test]
-    fn memory_bytes_counts_sixteen_bytes_per_label() {
-        let (g, x, ids) = setup(8);
-        let inst = Instance::new(&g, &x, &ids);
-        let mut view = View::collect(&inst, NodeId(3), 1);
-        let construction = view.memory_bytes();
-        view.refresh_outputs(&x);
-        assert_eq!(view.memory_bytes(), construction + (16 * view.len()) as u64);
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //!   [`DistributedLanguage`](rlnc_core::DistributedLanguage) plus
 //!   constructor/decider pair, producing one typed, cacheable artifact per
 //!   stage ([`RamseyStage`], [`HardInstanceStage`], [`UnionStage`],
-//!   [`GluedStage`]) that downstream callers — the sweep workloads (and,
-//!   through their scenarios, E6–E8), `bench-export` — can inspect, reuse
-//!   across trial batches, and export.
+//!   [`GluedStage`]) that downstream callers — the sweep workloads and,
+//!   through their scenarios, E6–E8 — can inspect, reuse across trial
+//!   batches, and export.
 //! * Every estimator routes through `rlnc-engine`: composite instances are
 //!   planned once ([`UnionPlan`](rlnc_engine::UnionPlan) /
 //!   [`GluedPlan`](rlnc_engine::GluedPlan), one

@@ -346,7 +346,7 @@ mod tests {
         let io_plan = shared_plan_for_io(&io, &ids, 1);
         assert_ne!(io_plan.id(), shared_plan_for_instance(&inst, 1).id());
         let io_hit = shared_plan_for_io(&io, &ids, 1);
-        assert_eq!(io_hit.working_set_bytes(), io_plan.working_set_bytes());
+        assert_eq!(io_hit.id(), io_plan.id());
 
         // Disabling clears residency but keeps cumulative counters.
         set_shared_plan_cache(false);

@@ -88,12 +88,6 @@ impl ConstructDecidePlan {
         self.construction.work_per_execution() + self.decision.work_per_execution()
     }
 
-    /// Approximate heap bytes of both cached view sets — the working-set
-    /// proxy `bench-export` records per composite-kernel group.
-    pub fn working_set_bytes(&self) -> u64 {
-        self.construction.working_set_bytes() + self.decision.working_set_bytes()
-    }
-
     /// One trial against caller-provided reusable buffers: constructs with
     /// coins `trial_seed.child(0)` into `out`, then decides `out` with
     /// coins `trial_seed.child(1)`. When `nodes` is `Some`, only the listed

@@ -17,8 +17,8 @@
 //! * The plan then runs its own batched passes against the cached views:
 //!   [`ExecutionPlan::estimate`] (K seeds, one reused output buffer per
 //!   range of trials), [`ExecutionPlan::run_many`] (K deterministic
-//!   algorithms in one view walk) and [`ExecutionPlan::acceptance_many`]
-//!   (K deciders per trial). Every pass goes through
+//!   algorithms in one view walk) and [`ExecutionPlan::acceptance`] (K
+//!   seeds of one decider). Every pass goes through
 //!   [`map_ranges`](rlnc_par::pool::map_ranges): it is split into ranges
 //!   on the pool iff the workspace's one rule,
 //!   [`fans_out`](rlnc_par::pool::fans_out), says so for its total work

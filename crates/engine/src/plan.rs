@@ -108,14 +108,6 @@ impl ExecutionPlan {
         self.work_per_execution
     }
 
-    /// Approximate heap bytes of the cached views — the working set one
-    /// execution pass touches. This is the cache-behavior proxy recorded
-    /// per group in `bench-export` (`working_set_bytes`) alongside the
-    /// arena-level `graph.arena.working_set_bytes` gauge.
-    pub fn working_set_bytes(&self) -> u64 {
-        self.views.iter().map(View::memory_bytes).sum()
-    }
-
     /// Returns `true` if the cached views carry output labels (a decision
     /// plan).
     pub fn has_outputs(&self) -> bool {
@@ -367,18 +359,6 @@ mod tests {
             );
         }
         assert_eq!(scratch.node_count(), 20);
-    }
-
-    #[test]
-    fn working_set_sums_the_view_footprints() {
-        let (g, x, ids) = fixture(16);
-        let y = Labeling::from_fn(&g, |v| Label::from_u64(u64::from(v.0 % 3)));
-        let io = IoConfig::new(&g, &x, &y);
-        for radius in [1, 2] {
-            let plan = ExecutionPlan::for_io(&io, &ids, radius);
-            let per_view: u64 = plan.views().iter().map(View::memory_bytes).sum();
-            assert_eq!(plan.working_set_bytes(), per_view);
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Batched passes: `(algorithm × plan × K seeds)` over cached views.
 //!
 //! The passes that run many trials or many algorithms against one plan —
-//! [`ExecutionPlan::run_many`], [`ExecutionPlan::acceptance_many`],
+//! [`ExecutionPlan::run_many`], [`ExecutionPlan::acceptance`],
 //! [`ExecutionPlan::estimate`] and
 //! [`ConstructDecidePlan::acceptance`](crate::ConstructDecidePlan::acceptance)
 //! — hand their items (trials, or nodes for view walks) and their total
@@ -12,12 +12,9 @@
 //! range on the caller. Each range builds its scratch once. The choice
 //! can never change a result: every trial's coins derive from `(trial
 //! seed, node)` alone.
-//!
-//! [`ExecutionPlan::acceptance`] is [`ExecutionPlan::acceptance_many`] over
-//! one decider.
 
 use crate::plan::ExecutionPlan;
-use rlnc_core::algorithm::{Coins, LocalAlgorithm, RandomizedLocalAlgorithm};
+use rlnc_core::algorithm::{LocalAlgorithm, RandomizedLocalAlgorithm};
 use rlnc_core::decision::RandomizedDecider;
 use rlnc_core::labels::{Label, Labeling};
 use rlnc_obs::{LazyCounter, Section};
@@ -96,104 +93,28 @@ impl ExecutionPlan {
         outs.into_iter().map(Labeling::new).collect()
     }
 
-    /// Estimates the acceptance probability of **K deciders at once** over
-    /// a decision plan: trials are split into ranges, and within each
-    /// trial one walk over the cached views runs the decider loop
-    /// innermost, keeping one verdict bit per decider (a rejected decider
-    /// is never re-evaluated, and the walk stops early once every verdict
-    /// has settled).
-    ///
-    /// Bit-identical, decider by decider, to the per-trial
-    /// [`ExecutionPlan::decide_randomized`] loop with the same master
-    /// seed: trial `t`'s coins derive from `(master_seed, t, node)` alone,
-    /// and a decider's trial verdict is "accepts at every view" either
-    /// way — skipped evaluations only ever follow a rejection that already
-    /// settled the verdict.
-    pub fn acceptance_many<D>(
-        &self,
-        deciders: &[&D],
-        trials: u64,
-        master_seed: u64,
-    ) -> Vec<Estimate>
+    /// Estimates the acceptance probability `Pr[all nodes accept]` of a
+    /// randomized decider over a **decision plan** (fixed outputs): trial
+    /// `t` is one [`ExecutionPlan::decide_randomized`] under the seed
+    /// `(master_seed, t)`, the derivation of
+    /// [`acceptance_probability`](rlnc_core::decision::acceptance_probability).
+    pub fn acceptance<D>(&self, decider: &D, trials: u64, master_seed: u64) -> Estimate
     where
         D: RandomizedDecider + ?Sized,
     {
         assert!(
             self.has_outputs(),
-            "acceptance_many needs a decision plan (ExecutionPlan::for_io)"
+            "acceptance needs a decision plan (ExecutionPlan::for_io)"
         );
-        for decider in deciders {
-            assert_eq!(
-                decider.radius(),
-                self.radius(),
-                "decider radius {} does not match plan radius {}",
-                decider.radius(),
-                self.radius()
-            );
-        }
-        let k = deciders.len();
-        if k == 0 {
-            return Vec::new();
-        }
-        let words = k.div_ceil(64);
+        self.assert_radius(decider.radius());
         let root = SeedSequence::new(master_seed);
-        let run_range = |range: Range<usize>| -> Vec<u64> {
-            let mut successes = vec![0u64; k];
-            let mut alive = vec![0u64; words];
-            for trial in range {
-                let coins = Coins::new(root.child(trial as u64));
-                for slot in alive.iter_mut() {
-                    *slot = u64::MAX;
-                }
-                if k % 64 != 0 {
-                    alive[words - 1] = (1u64 << (k % 64)) - 1;
-                }
-                let mut remaining = k;
-                'walk: for view in self.views() {
-                    for (j, decider) in deciders.iter().enumerate() {
-                        let bit = 1u64 << (j % 64);
-                        if alive[j / 64] & bit != 0 && !decider.accepts(view, &coins) {
-                            alive[j / 64] &= !bit;
-                            remaining -= 1;
-                            if remaining == 0 {
-                                break 'walk;
-                            }
-                        }
-                    }
-                }
-                for (j, success) in successes.iter_mut().enumerate() {
-                    *success += (alive[j / 64] >> (j % 64)) & 1;
-                }
-            }
-            successes
-        };
-        let total_work = (self.work_per_execution() as u64)
-            .saturating_mul(trials)
-            .saturating_mul(k as u64);
-        let counts = run_pass(trials as usize, total_work, trials, run_range);
-        let mut successes = vec![0u64; k];
-        for range_counts in counts {
-            for (total, count) in successes.iter_mut().zip(range_counts) {
-                *total += count;
-            }
-        }
-        successes
-            .into_iter()
-            .map(|s| Estimate::from_counts(s, trials))
-            .collect()
-    }
-
-    /// Estimates the acceptance probability `Pr[all nodes accept]` of a
-    /// randomized decider over a **decision plan** (fixed outputs), with
-    /// the same `(master_seed, trial)` seed derivation as
-    /// [`acceptance_probability`](rlnc_core::decision::acceptance_probability)
-    /// — the K=1 case of [`ExecutionPlan::acceptance_many`].
-    pub fn acceptance<D>(&self, decider: &D, trials: u64, master_seed: u64) -> Estimate
-    where
-        D: RandomizedDecider + ?Sized,
-    {
-        let mut estimates = self.acceptance_many(&[decider], trials, master_seed);
-        estimates.pop().expect("one decider yields one estimate")
+        let work = (self.work_per_execution() as u64).saturating_mul(trials);
+        let counts = run_pass(trials as usize, work, trials, |range| {
+            range
+                .filter(|&trial| self.decide_randomized(decider, root.child(trial as u64)))
+                .count() as u64
+        });
+        Estimate::from_counts(counts.into_iter().sum(), trials)
     }
 
     /// Estimates `Pr[success(output)]` over `trials` executions whose seeds
@@ -226,7 +147,7 @@ impl ExecutionPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rlnc_core::algorithm::{FnAlgorithm, FnRandomizedAlgorithm};
+    use rlnc_core::algorithm::{Coins, FnAlgorithm, FnRandomizedAlgorithm};
     use rlnc_core::config::{Instance, IoConfig};
     use rlnc_core::decision::{acceptance_probability, FnRandomizedDecider};
     use rlnc_core::labels::Label;
@@ -289,8 +210,8 @@ mod tests {
         );
     }
 
-    /// The reference every batched acceptance is checked against: the
-    /// per-trial `ExecutionPlan::decide_randomized` loop.
+    /// The reference an acceptance pass is checked against: the per-trial
+    /// `ExecutionPlan::decide_randomized` loop.
     fn accepted_trials<D: RandomizedDecider + ?Sized>(
         decider: &D,
         plan: &ExecutionPlan,
@@ -328,13 +249,12 @@ mod tests {
     }
 
     #[test]
-    fn acceptance_many_matches_k_sequential_acceptances() {
+    fn acceptance_matches_sequential_decisions_for_every_decider() {
         let (g, x, ids) = fixture(48);
         let y = Labeling::from_fn(&g, |v| Label::from_u64(u64::from(v.0 % 2)));
         let io = IoConfig::new(&g, &x, &y);
         let plan = ExecutionPlan::for_io(&io, &ids, 1);
-        // Different acceptance rates so the verdict bits settle at
-        // different views within a trial.
+        // Different acceptance rates, so trials end at different views.
         let d1 = FnRandomizedDecider::new(1, "p99", |view: &View, coins: &Coins| {
             coins.for_center(view).random_bool(0.99)
         });
@@ -345,34 +265,11 @@ mod tests {
             coins.for_center(view).random_bool(0.3)
         });
         let deciders: Vec<&dyn RandomizedDecider> = vec![&d1, &d2, &d3];
-        let many = plan.acceptance_many(&deciders, 300, 11);
-        assert_eq!(many.len(), 3);
-        for (decider, estimate) in deciders.iter().zip(&many) {
+        for decider in deciders {
             assert_eq!(
-                estimate.successes,
-                accepted_trials(*decider, &plan, 300, 11)
+                plan.acceptance(decider, 300, 11).successes,
+                accepted_trials(decider, &plan, 300, 11)
             );
-        }
-    }
-
-    #[test]
-    fn acceptance_many_handles_more_than_one_bitset_word() {
-        let (g, x, ids) = fixture(20);
-        let y = Labeling::from_fn(&g, |v| Label::from_u64(u64::from(v.0 % 3)));
-        let io = IoConfig::new(&g, &x, &y);
-        let plan = ExecutionPlan::for_io(&io, &ids, 1);
-        let deciders: Vec<_> = (0..70u32)
-            .map(|i| {
-                FnRandomizedDecider::new(1, "graded", move |view: &View, coins: &Coins| {
-                    coins.for_center(view).random_bool(0.4 + f64::from(i) * 0.008)
-                })
-            })
-            .collect();
-        let refs: Vec<&_> = deciders.iter().collect();
-        let many = plan.acceptance_many(&refs, 64, 3);
-        assert_eq!(many.len(), 70);
-        for (decider, estimate) in deciders.iter().zip(&many) {
-            assert_eq!(estimate.successes, accepted_trials(decider, &plan, 64, 3));
         }
     }
 

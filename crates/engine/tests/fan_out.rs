@@ -8,7 +8,6 @@
 
 use rand::Rng;
 use rlnc_core::algorithm::LocalAlgorithm;
-use rlnc_core::decision::RandomizedDecider;
 use rlnc_core::prelude::*;
 use rlnc_core::rounds::run_randomized_via_rounds;
 use rlnc_engine::{ConstructDecidePlan, ExecutionPlan};
@@ -63,13 +62,12 @@ fn small_loops_stay_inline_and_large_batches_fan_out() {
     let decider = FnRandomizedDecider::new(1, "coin", |view: &View, coins: &Coins| {
         coins.for_center(view).random_bool(0.97)
     });
-    let deciders: [&dyn RandomizedDecider; 1] = [&decider];
-    let (decided, many) = tasks_during(|| decision_plan.acceptance_many(&deciders, trials, 5));
-    assert_eq!(decided > 0, fans_out, "acceptance_many");
+    let (decided, acceptance) = tasks_during(|| decision_plan.acceptance(&decider, trials, 5));
+    assert_eq!(decided > 0, fans_out, "acceptance");
     let expected = (0..trials)
         .filter(|&t| decision_plan.decide_randomized(&decider, root.child(t)))
         .count() as u64;
-    assert_eq!(many[0].successes, expected);
+    assert_eq!(acceptance.successes, expected);
 
     let composite = ConstructDecidePlan::new(&instance, 1, 1);
     let (composed, accepted) =

@@ -5,8 +5,8 @@
 //! empirical guarantee matches `p = (√5 − 1)/2 ≈ 0.618` on both sides.
 
 use crate::report::{fmt_prob, ExperimentReport, Finding, Scale, Table};
-use rlnc_core::decision::acceptance_probability;
 use rlnc_core::prelude::*;
+use rlnc_engine::ExecutionPlan;
 use rlnc_graph::generators::Family;
 use rlnc_graph::{IdAssignment, NodeId};
 use rlnc_langs::amos::{selection_output, Amos, AmosGoldenDecider, GOLDEN_GUARANTEE};
@@ -49,7 +49,11 @@ pub fn run_seeded(scale: Scale, seed: u64) -> ExperimentReport {
                 .collect();
             let output = selection_output(nodes, &selected);
             let io = IoConfig::new(&graph, &input, &output);
-            let est = acceptance_probability(&decider, &io, &ids, trials, seed ^ (0xE1 + selected_count as u64));
+            let est = ExecutionPlan::for_io(&io, &ids, decider.radius()).acceptance(
+                &decider,
+                trials,
+                seed ^ (0xE1 + selected_count as u64),
+            );
             let theory = GOLDEN_GUARANTEE.powi(selected_count as i32);
             let in_language = language.contains(&io);
             if in_language {

@@ -24,6 +24,7 @@ use rlnc_derand::failure_probability_with;
 use rlnc_langs::coloring::{GlobalGreedyColoring, ProperColoring};
 use rlnc_langs::faulty::FaultyConstructor;
 use rlnc_sweep::registry::boosting_spec;
+use rlnc_sweep::workload::BOOSTING_TOLERANCE;
 use rlnc_sweep::{SweepExecutor, Workload};
 
 /// Runs the experiment at the default master seed.
@@ -37,10 +38,10 @@ pub fn run_seeded(scale: Scale, seed: u64) -> ExperimentReport {
 
     // The grid (and the constructor/decider parameters) come from the
     // shared scenario; β is measured on the same constructor up front,
-    // with the scenario's own trial budget so its confidence width matches
-    // the sweep's statistical resolution.
+    // with the scenario's own trial count (its 4σ floor included) so its
+    // confidence width matches the sweep's statistical resolution.
     let mut spec = boosting_spec(1);
-    let trials = scale.trials(spec.base_trials);
+    let trials = spec.grid(scale)[0].trials;
     let Workload::BoostingUnion {
         cycle_size,
         per_node_fault,
@@ -83,8 +84,8 @@ pub fn run_seeded(scale: Scale, seed: u64) -> ExperimentReport {
     for record in &sweep.records {
         let nu = record.param_a as usize;
         let bound = boosting_bound(p, beta, nu);
-        monotone &= record.p_hat <= previous + 0.05;
-        bound_respected &= record.p_hat <= bound + 0.05;
+        monotone &= record.p_hat <= previous + BOOSTING_TOLERANCE;
+        bound_respected &= record.p_hat <= bound + BOOSTING_TOLERANCE;
         previous = record.p_hat;
         table.push_row(vec![
             nu.to_string(),
@@ -99,8 +100,9 @@ pub fn run_seeded(scale: Scale, seed: u64) -> ExperimentReport {
         Finding::new(
             "Claim 3: Pr[D accepts C(G)] ≤ (1 − βp)^ν on the disjoint union of ν hard instances",
             format!(
-                "measured β = {:.3}; acceptance decays monotonically and stays within +0.05 of the bound: {}",
+                "measured β = {:.3}; acceptance decays monotonically and stays within +{} of the bound: {}",
                 beta,
+                BOOSTING_TOLERANCE,
                 monotone && bound_respected
             ),
             monotone && bound_respected,
@@ -136,5 +138,19 @@ mod tests {
         let report = run(Scale::Smoke);
         assert!(report.all_consistent(), "findings: {:?}", report.findings);
         assert!(report.table.rows.len() >= 4);
+    }
+
+    /// Smoke's 150 trials, without the 4σ floor, leave seeds 1, 10, 12 and
+    /// 15 more than the tolerance above the bound; with it every seed holds.
+    #[test]
+    fn e6_holds_at_smoke_for_seeds_0_to_15() {
+        for seed in 0..16 {
+            let report = run_seeded(Scale::Smoke, seed);
+            assert!(
+                report.all_consistent(),
+                "seed {seed}: {:?}",
+                report.findings
+            );
+        }
     }
 }

@@ -27,13 +27,9 @@
 //! the `rlnc-experiments` binary prints as one markdown document (and
 //! writes to a file with `--markdown FILE`).
 
-// The counting allocator (and its `unsafe impl GlobalAlloc`) lives in
-// `rlnc-obs`; this crate stays pure-safe.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench_export;
-pub mod bench_gate;
 pub mod e01_amos;
 pub mod e02_slack;
 pub mod e03_cole_vishkin;

@@ -19,18 +19,14 @@
 //! rlnc-experiments sweep-merge s1.json s2.json s3.json --out full.json
 //! rlnc-experiments sweep-serve --listen unix:/tmp/rlnc.sock   # resident service
 //! rlnc-experiments serve-client --connect unix:/tmp/rlnc.sock run --scenario smoke
-//!
-//! rlnc-experiments bench-export --out BENCH_3.json           # perf trajectory
-//! rlnc-experiments bench-export --quick --out BENCH_ci.json  # CI smoke
-//! rlnc-experiments bench-gate --quick                        # regression gate
 //! ```
 //!
 //! Every subcommand accepts `--quiet`: status lines (`wrote <path>`) go
 //! away, warnings and all stdout output stay.
 
 use rlnc_experiments::{
-    bench_export, bench_gate, parse_experiment_id, run_all_seeded, run_by_id_seeded, status,
-    trace, ExperimentReport, Scale, EXPERIMENTS,
+    parse_experiment_id, run_all_seeded, run_by_id_seeded, status, trace, ExperimentReport,
+    Scale, EXPERIMENTS,
 };
 use rlnc_serve::{connect_with_retry, Endpoint, ShardSpec, SweepServer};
 use rlnc_sweep::{emit, Registry, SweepExecutor, SweepRun, DEFAULT_SWEEP_SEED};
@@ -98,183 +94,7 @@ fn main() {
         serve_client_main(&args[1..]);
         return;
     }
-    if args.first().map(String::as_str) == Some("bench-export") {
-        bench_export_main(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("bench-gate") {
-        bench_gate_main(&args[1..]);
-        return;
-    }
     experiments_main(&args);
-}
-
-/// The `bench-export` subcommand: measure the engine-vs-legacy hot paths
-/// and write the perf-trajectory JSON.
-fn bench_export_main(args: &[String]) {
-    let mut quick = false;
-    let mut check = false;
-    let mut out_path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => quick = true,
-            "--check" => check = true,
-            "--quiet" => status::set_quiet(true),
-            "--out" => {
-                i += 1;
-                out_path = match args.get(i) {
-                    Some(path) => Some(path.clone()),
-                    None => usage_error("--out requires a file path"),
-                };
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: rlnc-experiments bench-export [--quick] [--check] [--quiet] \
-                     [--out FILE.json]"
-                );
-                return;
-            }
-            other => usage_error(&format!("unknown bench-export argument: {other}")),
-        }
-        i += 1;
-    }
-    let export = bench_export::run(quick);
-    let json = bench_export::to_json(&export);
-    if check {
-        // Parse-back self check: the emitted document must round-trip
-        // through the same parser `bench-gate` loads baselines with.
-        match bench_export::from_json(&json) {
-            Ok(back) if back == export => status::note("export parses back identically"),
-            Ok(_) => {
-                status::warn("export parse-back differs from the measured export");
-                std::process::exit(1);
-            }
-            Err(e) => {
-                status::warn(&format!("export does not parse back: {e}"));
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(path) = out_path {
-        print!("{}", bench_export::to_summary(&export));
-        write_file(&path, &json);
-        status::note(&format!("wrote {path}"));
-    } else {
-        // JSON goes to stdout (pipe-friendly), the summary to stderr, so
-        // `bench-export > BENCH_N.json` stays parseable.
-        eprint!("{}", bench_export::to_summary(&export));
-        print!("{json}");
-    }
-}
-
-/// The `bench-gate` subcommand: compare a fresh export against the latest
-/// committed trajectory file and exit 1 on regression.
-fn bench_gate_main(args: &[String]) {
-    let mut quick = false;
-    let mut against: Option<String> = None;
-    let mut fresh_path: Option<String> = None;
-    let mut config = bench_gate::GateConfig::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => quick = true,
-            "--quiet" => status::set_quiet(true),
-            "--against" => {
-                i += 1;
-                against = match args.get(i) {
-                    Some(path) => Some(path.clone()),
-                    None => usage_error("--against requires a BENCH_*.json path"),
-                };
-            }
-            "--fresh" => {
-                i += 1;
-                fresh_path = match args.get(i) {
-                    Some(path) => Some(path.clone()),
-                    None => usage_error("--fresh requires a bench-export JSON path"),
-                };
-            }
-            "--tolerance" => {
-                i += 1;
-                config.tolerance = match args.get(i).and_then(|raw| raw.parse::<f64>().ok()) {
-                    Some(t) if t >= 1.0 => t,
-                    _ => usage_error("--tolerance requires a number >= 1.0"),
-                };
-            }
-            "--tolerance-group" => {
-                i += 1;
-                let Some((name, raw)) = args.get(i).and_then(|s| s.split_once('=')) else {
-                    usage_error("--tolerance-group requires NAME=FACTOR");
-                };
-                match raw.parse::<f64>() {
-                    Ok(t) if t >= 1.0 => config.group_tolerance.push((name.to_string(), t)),
-                    _ => usage_error("--tolerance-group requires a factor >= 1.0"),
-                }
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: rlnc-experiments bench-gate [--quick] [--quiet] \
-                     [--against BENCH_N.json] [--fresh EXPORT.json] \
-                     [--tolerance F] [--tolerance-group NAME=F]\n\
-                     \x20  baseline defaults to the highest-numbered BENCH_*.json in .\n\
-                     \x20  exit codes: 0 pass, 1 regression, 2 usage"
-                );
-                return;
-            }
-            other => usage_error(&format!("unknown bench-gate argument: {other}")),
-        }
-        i += 1;
-    }
-
-    let against = against.or_else(|| {
-        bench_gate::latest_bench_file(std::path::Path::new("."))
-            .map(|p| p.to_string_lossy().into_owned())
-    });
-    let Some(against) = against else {
-        usage_error("no BENCH_*.json baseline found; pass --against FILE");
-    };
-    let baseline = match std::fs::read_to_string(&against) {
-        Ok(text) => match bench_export::from_json(&text) {
-            Ok(export) => export,
-            Err(e) => {
-                status::warn(&format!("{against}: invalid bench export: {e}"));
-                std::process::exit(2);
-            }
-        },
-        Err(e) => {
-            status::warn(&format!("cannot read baseline {against}: {e}"));
-            std::process::exit(2);
-        }
-    };
-
-    let fresh = match fresh_path {
-        Some(path) => match std::fs::read_to_string(&path) {
-            Ok(text) => match bench_export::from_json(&text) {
-                Ok(export) => export,
-                Err(e) => {
-                    status::warn(&format!("{path}: invalid bench export: {e}"));
-                    std::process::exit(2);
-                }
-            },
-            Err(e) => {
-                status::warn(&format!("cannot read fresh export {path}: {e}"));
-                std::process::exit(2);
-            }
-        },
-        None => {
-            status::note("measuring fresh export...");
-            bench_export::run(quick)
-        }
-    };
-
-    let report = bench_gate::evaluate(&fresh, &baseline, &config);
-    println!("bench-gate against {against}");
-    print!("{}", report.render());
-    if report.failed() {
-        status::warn("bench-gate: performance regression detected");
-        std::process::exit(1);
-    }
-    println!("bench-gate: ok");
 }
 
 /// The classic E1–E10 driver.
@@ -337,9 +157,7 @@ fn experiments_main(args: &[String]) {
                      \x20      rlnc-experiments sweep --help\n\
                      \x20      rlnc-experiments sweep-merge --help\n\
                      \x20      rlnc-experiments sweep-serve --help\n\
-                     \x20      rlnc-experiments serve-client --help\n\
-                     \x20      rlnc-experiments bench-export [--quick] [--check] [--out FILE.json]\n\
-                     \x20      rlnc-experiments bench-gate --help"
+                     \x20      rlnc-experiments serve-client --help"
                 );
                 return;
             }

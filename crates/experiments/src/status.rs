@@ -10,8 +10,8 @@
 //! * [`warn`] — problems the user must see (inconsistent findings,
 //!   unparsable resume files). Printed to stderr **even under `--quiet`**.
 //! * stdout and exit codes are never touched here: piped output
-//!   (`bench-export > BENCH.json`) and scripted exit-code checks behave
-//!   identically with and without `--quiet`.
+//!   (`rlnc-experiments --only e1 > e1.md`) and scripted exit-code checks
+//!   behave identically with and without `--quiet`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -196,41 +196,6 @@ fn sweep_subcommand_lists_scenarios_and_rejects_unknown_ones() {
 }
 
 #[test]
-fn bench_export_subcommand_writes_the_perf_trajectory() {
-    let exe = env!("CARGO_BIN_EXE_rlnc-experiments");
-    let out_path = std::env::temp_dir().join(format!(
-        "rlnc-bench-export-{}.json",
-        std::process::id()
-    ));
-    let output = std::process::Command::new(exe)
-        .args(["bench-export", "--quick"])
-        .arg("--out")
-        .arg(&out_path)
-        .output()
-        .expect("failed to spawn rlnc-experiments bench-export");
-    assert!(
-        output.status.success(),
-        "bench-export failed: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(stdout.contains("engine-vs-legacy"), "stdout:\n{stdout}");
-    assert!(stdout.contains("speedup"), "stdout:\n{stdout}");
-    let written = std::fs::read_to_string(&out_path).expect("JSON export written");
-    assert!(written.contains("\"schema\": \"rlnc-bench-export-v2\""));
-    assert!(written.contains("ring-monte-carlo"));
-    assert!(written.contains("\"working_set_bytes\""));
-    let _ = std::fs::remove_file(&out_path);
-
-    // Unknown flags are usage errors.
-    let bad = std::process::Command::new(exe)
-        .args(["bench-export", "--turbo"])
-        .output()
-        .expect("failed to spawn bench-export");
-    assert_eq!(bad.status.code(), Some(2));
-}
-
-#[test]
 fn quiet_flag_silences_status_notes_but_not_stdout_or_exit_codes() {
     let exe = env!("CARGO_BIN_EXE_rlnc-experiments");
     let tmp = std::env::temp_dir();
@@ -302,79 +267,6 @@ fn trace_out_deterministic_section_is_reproducible_and_parses_back() {
         "deterministic trace section must not depend on scheduling"
     );
     let _ = std::fs::remove_file(&trace_path);
-}
-
-#[test]
-fn bench_gate_passes_identical_exports_and_fails_injected_regressions() {
-    let exe = env!("CARGO_BIN_EXE_rlnc-experiments");
-    let tmp = std::env::temp_dir();
-    let base_path = tmp.join(format!("rlnc-gate-base-{}.json", std::process::id()));
-    let slow_path = tmp.join(format!("rlnc-gate-slow-{}.json", std::process::id()));
-
-    // Measure once, then gate the export against itself: must pass.
-    let output = std::process::Command::new(exe)
-        .args(["bench-export", "--quick", "--check", "--quiet"])
-        .arg("--out")
-        .arg(&base_path)
-        .output()
-        .expect("failed to spawn bench-export");
-    assert!(
-        output.status.success(),
-        "bench-export --check failed: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let baseline = std::fs::read_to_string(&base_path).unwrap();
-    let gate = std::process::Command::new(exe)
-        .args(["bench-gate", "--fresh"])
-        .arg(&base_path)
-        .arg("--against")
-        .arg(&base_path)
-        .output()
-        .expect("failed to spawn bench-gate");
-    assert!(
-        gate.status.success(),
-        "self-gate must pass:\n{}",
-        String::from_utf8_lossy(&gate.stdout)
-    );
-    assert!(String::from_utf8_lossy(&gate.stdout).contains("bench-gate: ok"));
-
-    // Inject a 10x engine slowdown into every group: gate must exit 1.
-    let parsed = rlnc_experiments::bench_export::from_json(&baseline).unwrap();
-    let mut slowed = parsed.clone();
-    for group in &mut slowed.groups {
-        group.engine_ns *= 10;
-    }
-    std::fs::write(&slow_path, rlnc_experiments::bench_export::to_json(&slowed)).unwrap();
-    let gate = std::process::Command::new(exe)
-        .args(["bench-gate", "--fresh"])
-        .arg(&slow_path)
-        .arg("--against")
-        .arg(&base_path)
-        .output()
-        .expect("failed to spawn bench-gate");
-    assert_eq!(gate.status.code(), Some(1), "10x regression must fail the gate");
-    assert!(String::from_utf8_lossy(&gate.stdout).contains("REGRESSED"));
-
-    // A wide-open tolerance waives it again.
-    let gate = std::process::Command::new(exe)
-        .args(["bench-gate", "--fresh"])
-        .arg(&slow_path)
-        .arg("--against")
-        .arg(&base_path)
-        .args(["--tolerance", "20.0"])
-        .output()
-        .expect("failed to spawn bench-gate");
-    assert!(gate.status.success());
-
-    // Usage errors exit 2.
-    let bad = std::process::Command::new(exe)
-        .args(["bench-gate", "--tolerance", "0.5"])
-        .output()
-        .expect("failed to spawn bench-gate");
-    assert_eq!(bad.status.code(), Some(2));
-
-    let _ = std::fs::remove_file(&base_path);
-    let _ = std::fs::remove_file(&slow_path);
 }
 
 #[test]

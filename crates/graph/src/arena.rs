@@ -310,7 +310,7 @@ impl BallArena {
 
     /// Bytes held by the arena's flat arrays — the working set a kernel
     /// pass over every ball touches, and the cache-behavior proxy exported
-    /// as `graph.arena.working_set_bytes` and in `bench-export` groups.
+    /// as the `graph.arena.working_set_bytes` gauge.
     pub fn working_set_bytes(&self) -> u64 {
         use std::mem::size_of;
         (self.ball_offsets.len() * size_of::<usize>()

@@ -4,8 +4,8 @@
 //!
 //! The derandomization argument of the paper is stated for *arbitrary*
 //! languages, and after the engine/pipeline refactors every downstream
-//! layer (the `rlnc-derand` pipeline, the `rlnc-sweep` workloads, the
-//! bench-export trajectory) is generic over such triples. This module
+//! layer (the `rlnc-derand` pipeline, the `rlnc-sweep` workloads) is
+//! generic over such triples. This module
 //! closes the loop: [`CaseId`] enumerates the catalog ([`CaseId::ALL`],
 //! looked up by slug through [`CaseId::from_name`] and by sweep-axis index
 //! through [`CaseId::from_index`]), and [`CaseId::case`] materializes a

@@ -1,31 +1,20 @@
-//! A counting global allocator (behind the `count-alloc` feature): the
-//! peak-allocation proxy of the perf trajectory, promoted here from
-//! `rlnc-experiments::alloc_counter` so *any* crate's tests can assert
-//! allocation-freedom (the engine equivalence suite and the experiments
-//! harness both do).
+//! A counting global allocator (behind the `count-alloc` feature), so
+//! *any* crate's tests can assert allocation-freedom: with the feature
+//! enabled, every allocation through the global allocator bumps one
+//! relaxed atomic counter. The engine's equivalence suite asserts that
+//! view-native `is_bad_view` verdicts and instrumented engine kernels
+//! perform *zero* heap allocations; this module's tests assert the same of
+//! the obs sinks.
 //!
-//! `BENCH_*.json` used to record wall time only, so memory-behavior
-//! regressions were invisible until they dominated runtime. With this
-//! feature enabled, every allocation through the global allocator bumps a
-//! relaxed atomic counter and a live-bytes gauge (with a peak watermark),
-//! letting `bench-export`:
-//!
-//! * record allocation counts per measured pass alongside nanoseconds, and
-//! * **assert** the hot-loop acceptance criteria — view-native
-//!   `is_bad_view` verdicts and instrumented engine kernels perform
-//!   *zero* heap allocations (disabled obs sinks included).
-//!
-//! The counters use `Ordering::Relaxed`: they are statistics, not
+//! The counter uses `Ordering::Relaxed`: it is a statistic, not
 //! synchronization, and the measured loops are single-threaded.
 
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static CURRENT_BYTES: AtomicUsize = AtomicUsize::new(0);
-static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
 
 /// The counting allocator: delegates to [`System`], counting on the way.
 pub struct CountingAllocator;
@@ -33,40 +22,24 @@ pub struct CountingAllocator;
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-fn record_alloc(size: usize) {
-    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    let live = CURRENT_BYTES.fetch_add(size, Ordering::Relaxed) + size;
-    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-}
-
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let ptr = unsafe { System.alloc(layout) };
         if !ptr.is_null() {
-            record_alloc(layout.size());
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         }
         ptr
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) };
-        CURRENT_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let new_ptr = unsafe { System.realloc(ptr, layout, new_size) };
         if !new_ptr.is_null() {
-            // Count a grow/shrink as one allocation event and move the
-            // live-bytes gauge by the delta.
+            // A grow or shrink counts as one allocation event.
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            if new_size >= layout.size() {
-                let live =
-                    CURRENT_BYTES.fetch_add(new_size - layout.size(), Ordering::Relaxed)
-                        + (new_size - layout.size());
-                PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-            } else {
-                CURRENT_BYTES.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
-            }
         }
         new_ptr
     }
@@ -75,17 +48,6 @@ unsafe impl GlobalAlloc for CountingAllocator {
 /// Total number of allocation events since process start.
 pub fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
-}
-
-/// Live heap bytes currently tracked.
-pub fn current_bytes() -> usize {
-    CURRENT_BYTES.load(Ordering::Relaxed)
-}
-
-/// The high-water mark of live heap bytes — the peak-allocation proxy
-/// recorded in `BENCH_*.json`.
-pub fn peak_bytes() -> usize {
-    PEAK_BYTES.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]
@@ -99,8 +61,6 @@ mod tests {
         // allocation entirely (malloc elision is legal for dead allocs).
         let v: Vec<u64> = std::hint::black_box((0..1024).collect());
         assert!(allocations() > before, "a fresh Vec must be counted");
-        assert!(peak_bytes() >= 1024 * 8);
-        assert!(current_bytes() > 0);
         drop(std::hint::black_box(v));
     }
 

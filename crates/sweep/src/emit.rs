@@ -257,10 +257,10 @@ pub fn merge_runs(runs: &[SweepRun]) -> Result<SweepRun, String> {
 /// A minimal JSON value model and recursive-descent parser.
 ///
 /// Numbers keep their raw token so 64-bit integers (seeds!) never pass
-/// through `f64` and lose precision. Public (since PR 7) so sibling crates
-/// can parse the workspace's other hand-rolled JSON documents — trace
-/// exports (`rlnc-obs`) and bench trajectories (`bench-export`) — without
-/// growing their own parsers: one parser, one set of escape rules,
+/// through `f64` and lose precision. Public so sibling crates can parse
+/// the workspace's other hand-rolled JSON documents — trace exports
+/// (`rlnc-obs`) and the serve protocol (`rlnc-serve`) — without growing
+/// their own parsers: one parser, one set of escape rules,
 /// property-tested round-trips.
 ///
 /// Arrays and objects nest at most 64 levels deep (`MAX_DEPTH`); a

@@ -152,6 +152,17 @@ pub enum Workload {
     Claim2Scan,
 }
 
+/// How far above the Claim-3 bound `(1 − βp)^ν`, and above the previous
+/// ν's estimate, E6 lets a `boosting-decay` acceptance estimate lie; the
+/// boosting kernel's trial floor ([`Workload::min_trials`]) resolves it.
+pub const BOOSTING_TOLERANCE: f64 = 0.05;
+
+/// The trials that resolve a probability estimate to within `margin` at
+/// ≈4σ whatever the probability: σ ≤ √(0.25 / trials).
+fn four_sigma_trials(margin: f64) -> u64 {
+    (0.25 * (4.0 / margin).powi(2)).ceil() as u64
+}
+
 /// Decodes the fault-matrix `params.a` axis: the thousands digit group
 /// selects the [`FaultPlan`] kind and the low three
 /// digits its intensity in permille (`2_250` → kind 2 at intensity 0.25).
@@ -236,18 +247,19 @@ impl Workload {
     /// Near the resilience boundary the inequality under test can be
     /// razor-thin (`f = 8`, `|F| = 9` leaves `1/2 − p⁹ ≈ 0.016`), so the
     /// resilient kernel demands enough trials to resolve its own margin at
-    /// ≈4σ; the 0.015 margin floor caps the demand at ≈17.8k trials.
+    /// ≈4σ; the 0.015 margin floor caps the demand at ≈17.8k trials. The
+    /// boosting kernel resolves [`BOOSTING_TOLERANCE`] the same way
+    /// (1,600 trials).
     pub fn min_trials(&self, point: &GridPoint) -> u64 {
         match self {
             Workload::ResilientBoundary { .. } => {
                 let f = point.params.a.max(1) as usize;
                 let bad = planted_bad_balls(point.n, point.params.b);
                 let theory = theoretical_acceptance(f, bad);
-                let margin = (theory - 0.5).abs().max(0.015);
-                (0.25 * (4.0 / margin).powi(2)).ceil() as u64
+                four_sigma_trials((theory - 0.5).abs().max(0.015))
             }
+            Workload::BoostingUnion { .. } => four_sigma_trials(BOOSTING_TOLERANCE),
             Workload::SlackColoring { .. }
-            | Workload::BoostingUnion { .. }
             | Workload::GluedDecay { .. }
             | Workload::RamseyLift { .. }
             | Workload::LanguagePipeline
@@ -1022,6 +1034,7 @@ mod tests {
     use super::*;
     use crate::spec::Params;
     use rlnc_core::language::bad_ball_count;
+    use rlnc_par::Scale;
 
     #[test]
     fn planted_configuration_creates_three_bad_balls_per_conflict() {
@@ -1075,6 +1088,26 @@ mod tests {
         assert!(w.min_trials(&hard) <= 18_000);
         let s = Workload::SlackColoring { colors: 3, epsilon: 0.6 };
         assert_eq!(s.min_trials(&easy), 0);
+    }
+
+    #[test]
+    fn boosting_min_trials_resolve_the_e6_tolerance_at_four_sigma() {
+        let boosting = crate::registry::boosting_spec(3);
+        let point = boosting.grid(Scale::Smoke)[0];
+        // ⌈0.25 · (4 / 0.05)²⌉: 4σ of any estimate stays within 0.05.
+        assert_eq!(boosting.workload.min_trials(&point), 1_600);
+        // Standard and full already run more.
+        let expected = [
+            (Scale::Smoke, 1_600),
+            (Scale::Standard, 3_000),
+            (Scale::Full, 15_000),
+        ];
+        for (scale, trials) in expected {
+            assert!(
+                boosting.grid(scale).iter().all(|p| p.trials == trials),
+                "{scale:?}"
+            );
+        }
     }
 
     #[test]
