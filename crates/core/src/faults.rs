@@ -4,7 +4,9 @@
 //! Byzantine neighbors: it evaluates every node's output from a fully
 //! gathered view. The operational backend ([`crate::rounds::RoundSystem`])
 //! can — a crashed node simply stops sending, and a Byzantine node's
-//! outgoing messages pass through an [`Adversary`] before delivery. This
+//! outgoing messages pass through the algorithm's
+//! [`forge`](crate::rounds::MessagePassingAlgorithm::forge) before
+//! delivery. This
 //! module provides the *declarative* half of that axis: a [`FaultPlan`]
 //! names a fault model and an intensity, and [`FaultPlan::schedule`]
 //! materializes it into a concrete, bit-reproducible [`FaultSchedule`] for
@@ -87,8 +89,10 @@ pub enum FaultPlan {
     },
     /// Every node is independently Byzantine with the given probability:
     /// it follows the algorithm but its outgoing messages are rewritten
-    /// by an [`Adversary`] (e.g. [`RelabelAdversary`](crate::rounds::RelabelAdversary))
-    /// each round before delivery.
+    /// by the algorithm's
+    /// [`forge`](crate::rounds::MessagePassingAlgorithm::forge) (for the
+    /// gather, [`GatherRun`](crate::rounds::GatherRun)'s identity
+    /// relabeling) each round before delivery.
     ByzantineRelabel {
         /// Per-node corruption probability.
         probability: f64,
@@ -236,7 +240,7 @@ impl FaultPlan {
 pub struct FaultSchedule {
     /// `Some(r)` if the node is silent from round `r` (1-based) on.
     crash_round: Vec<Option<u32>>,
-    /// Whether each node's outgoing messages pass through the adversary.
+    /// Whether each node's outgoing messages are forged.
     byzantine: Vec<bool>,
     /// Root of the adversary's per-`(node, round)` randomness.
     seed: SeedSequence,
@@ -278,8 +282,8 @@ impl FaultSchedule {
         self.faulty_count() > 0
     }
 
-    /// Returns `true` if at least one node is Byzantine (i.e. an adversary
-    /// will actually be consulted).
+    /// Returns `true` if at least one node is Byzantine (i.e. some
+    /// broadcast will actually be forged).
     pub fn has_byzantine(&self) -> bool {
         self.byzantine.iter().any(|&b| b)
     }
@@ -312,7 +316,7 @@ impl FaultSchedule {
 
     /// The adversary's private coin stream for one `(node, round)` pair,
     /// derived from the schedule seed alone — independent of thread
-    /// schedule and of how many messages the adversary rewrites.
+    /// schedule and of how many messages are forged.
     pub fn adversary_rng(&self, v: NodeId, round: u32) -> ChaCha8Rng {
         self.seed
             .child(ADVERSARY_STREAM)
@@ -337,20 +341,6 @@ impl FaultSchedule {
         }
         h
     }
-}
-
-/// A message-level adversary: rewrites the broadcast of a Byzantine node
-/// before delivery.
-///
-/// Implementations must keep whatever structural invariants the message
-/// type relies on (e.g. the full-information gather requires every edge's
-/// endpoints to be listed among the message's known nodes) and must draw
-/// randomness only from the provided RNG, which is derived from the
-/// `(node, round)` pair so rewrites stay bit-reproducible.
-pub trait Adversary<Msg>: Sync {
-    /// Rewrites the message a Byzantine `sender` broadcasts in `round`;
-    /// every neighbor receives the rewritten message.
-    fn rewrite(&self, sender: NodeId, round: u32, message: &mut Msg, rng: &mut ChaCha8Rng);
 }
 
 #[cfg(test)]

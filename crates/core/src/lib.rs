@@ -47,7 +47,7 @@ pub use config::{Instance, IoConfig};
 pub use decision::{
     decide, decide_randomized, FnDecider, FnRandomizedDecider, LocalDecider, RandomizedDecider,
 };
-pub use faults::{Adversary, FaultPlan, FaultSchedule, FAULT_PLAN_KINDS};
+pub use faults::{FaultPlan, FaultSchedule, FAULT_PLAN_KINDS};
 pub use labels::{FkPromise, Label, Labeling};
 pub use language::{DistributedLanguage, FnLanguage, FnLcl, LclLanguage};
 pub use one_sided::OneSidedLclDecider;
@@ -55,8 +55,8 @@ pub use order_invariant::OrderInvariantTable;
 pub use relaxation::{EpsilonSlack, FResilient};
 pub use resilient::ResilientDecider;
 pub use rounds::{
-    decide_randomized_via_rounds, run_randomized_via_rounds, GatherDecide, GatherRun,
-    MessagePassingAlgorithm, NodeInit, RelabelAdversary, RoundSystem,
+    decide_randomized_via_rounds, run_randomized_via_rounds, GatherRun, MessagePassingAlgorithm,
+    NodeInit, RoundSystem,
 };
 pub use simulator::Simulator;
 pub use view::View;
@@ -66,7 +66,7 @@ pub mod prelude {
     pub use crate::algorithm::{Coins, FnAlgorithm, FnRandomizedAlgorithm, LocalAlgorithm, RandomizedLocalAlgorithm};
     pub use crate::config::{Instance, IoConfig};
     pub use crate::decision::{decide, decide_randomized, FnDecider, FnRandomizedDecider, LocalDecider, RandomizedDecider};
-    pub use crate::faults::{Adversary, FaultPlan, FaultSchedule};
+    pub use crate::faults::{FaultPlan, FaultSchedule};
     pub use crate::labels::{FkPromise, Label, Labeling};
     pub use crate::language::{bad_ball_count, bad_nodes, DistributedLanguage, FnLanguage, FnLcl, LclLanguage};
     pub use crate::one_sided::OneSidedLclDecider;

@@ -22,21 +22,23 @@
 //! * [`RoundSystem`] — one broadcast per live node per round, driven by
 //!   [`RoundSystem::step`] / [`RoundSystem::step_until_quiet`], with
 //!   optional [`FaultSchedule`]-driven crashes (a crashed neighbor's
-//!   message is simply absent) and an [`Adversary`] tap on Byzantine
-//!   senders. A system steps on its caller: the work that fans out is
-//!   the batch of trials around it (a sweep's items), never one round.
-//! * The host-keyed full-information gathers [`GatherRun`] and
-//!   [`GatherDecide`], which simulate any `t`-round ball-view algorithm or
-//!   decider (deterministic ones through the blanket
-//!   [`RandomizedLocalAlgorithm`] impl) and reconstruct each node's view
+//!   message is simply absent) and Byzantine senders, whose broadcasts
+//!   pass through [`MessagePassingAlgorithm::forge`]. A system steps on
+//!   its caller: the work that fans out is the batch of trials around it
+//!   (a sweep's items), never one round.
+//! * The host-keyed full-information gather [`GatherRun`], which
+//!   simulates any `t`-round ball-view algorithm (deterministic ones
+//!   through the blanket [`RandomizedLocalAlgorithm`] impl) or decider
+//!   ([`decide_randomized_via_rounds`]) and reconstructs each node's view
 //!   **bit-identically** to [`View::collect`], so algorithms and deciders
 //!   produce the same outputs through messages as through ball extraction
-//!   with the same seed.
+//!   with the same seed. Its [`forge`](MessagePassingAlgorithm::forge) is
+//!   the Byzantine relabeling attack.
 
 use crate::algorithm::{Coins, RandomizedLocalAlgorithm};
 use crate::config::{Instance, IoConfig};
 use crate::decision::RandomizedDecider;
-use crate::faults::{Adversary, FaultSchedule};
+use crate::faults::FaultSchedule;
 use crate::labels::{Label, Labeling};
 use crate::view::View;
 use rand::Rng;
@@ -103,6 +105,13 @@ pub trait MessagePassingAlgorithm: Sync {
 
     /// Output label after the final round.
     fn output(&self, state: &Self::State) -> Label;
+
+    /// Rewrites the broadcast of a node the fault schedule marks
+    /// Byzantine, before any neighbor receives it. All randomness comes
+    /// from `rng`, the schedule's `(node, round)` adversary stream, so a
+    /// forgery replays bit-identically. Honest by default: the message
+    /// goes out as sent.
+    fn forge(&self, _message: &mut Self::Message, _rng: &mut ChaCha8Rng) {}
 }
 
 /// A steppable synchronous message-passing system over one instance, one
@@ -113,14 +122,13 @@ pub trait MessagePassingAlgorithm: Sync {
 /// [`RoundSystem::step_until_quiet`] / [`RoundSystem::run`].
 ///
 /// Fault injection is opt-in: [`RoundSystem::with_faults`] silences
-/// crashed nodes per the schedule, and [`RoundSystem::with_adversary`]
-/// rewrites Byzantine nodes' broadcasts.
+/// crashed nodes per the schedule and passes Byzantine nodes' broadcasts
+/// through the algorithm's [`forge`](MessagePassingAlgorithm::forge).
 pub struct RoundSystem<'a, M: MessagePassingAlgorithm> {
     algo: &'a M,
     graph: &'a Graph,
     states: Vec<M::State>,
     faults: Option<&'a FaultSchedule>,
-    adversary: Option<&'a (dyn Adversary<M::Message> + 'a)>,
     round: u32,
 }
 
@@ -144,14 +152,14 @@ impl<'a, M: MessagePassingAlgorithm> RoundSystem<'a, M> {
             graph,
             states,
             faults: None,
-            adversary: None,
             round: 0,
         }
     }
 
     /// Attaches a fault schedule: crashed nodes stop sending and updating
     /// from their crash round on (their output is computed from the frozen
-    /// state), and Byzantine nodes' messages pass through the adversary.
+    /// state), and Byzantine nodes' messages pass through
+    /// [`forge`](MessagePassingAlgorithm::forge).
     ///
     /// # Panics
     /// Panics if the schedule covers a different node count.
@@ -162,13 +170,6 @@ impl<'a, M: MessagePassingAlgorithm> RoundSystem<'a, M> {
             "fault schedule was built for a different graph"
         );
         self.faults = Some(schedule);
-        self
-    }
-
-    /// Attaches the message-level adversary consulted for Byzantine
-    /// senders (no-op unless a schedule with Byzantine nodes is attached).
-    pub fn with_adversary(mut self, adversary: &'a (dyn Adversary<M::Message> + 'a)) -> Self {
-        self.adversary = Some(adversary);
         self
     }
 
@@ -207,21 +208,18 @@ impl<'a, M: MessagePassingAlgorithm> RoundSystem<'a, M> {
         let n = graph.node_count();
         let algo = self.algo;
         let faults = self.faults;
-        let adversary = self.adversary;
         let silent = |v: NodeId| faults.is_some_and(|f| f.is_silent(v, round));
 
-        // Phase 1: every live node prepares its broadcast; the adversary
-        // rewrites Byzantine senders' with (node, round)-keyed coins.
+        // Phase 1: every live node prepares its broadcast; Byzantine
+        // senders forge theirs with (node, round)-keyed coins.
         let send_one = |vi: usize| -> Option<M::Message> {
             let v = NodeId::from_index(vi);
             if silent(v) {
                 return None;
             }
             let mut message = algo.send(&self.states[vi], round);
-            if let (Some(f), Some(adv)) = (faults, adversary) {
-                if f.is_byzantine(v) {
-                    adv.rewrite(v, round, &mut message, &mut f.adversary_rng(v, round));
-                }
+            if let Some(f) = faults.filter(|f| f.is_byzantine(v)) {
+                algo.forge(&mut message, &mut f.adversary_rng(v, round));
             }
             Some(message)
         };
@@ -286,9 +284,10 @@ impl<'a, M: MessagePassingAlgorithm> RoundSystem<'a, M> {
     }
 }
 
-/// Honest identities must fit below this bound for [`RelabelAdversary`]'s
-/// forged identities (which live at or above it) to stay disjoint from
-/// them — every identity universe in the repo is far below `2^40`.
+/// Honest identities must fit below this bound for the identities
+/// [`GatherRun`]'s [`forge`](MessagePassingAlgorithm::forge) makes (which
+/// live at or above it) to stay disjoint from them — every identity
+/// universe in the repo is far below `2^40`.
 const FORGED_ID_BASE: u64 = 1 << 40;
 
 /// What the host-keyed full-information gather knows about one remote
@@ -303,8 +302,8 @@ pub struct HostInfo {
     degree: usize,
 }
 
-/// State (and message) of the host-keyed full-information gather used by
-/// [`GatherRun`] and [`GatherDecide`]: everything learned so far, keyed
+/// State (and message) of the host-keyed full-information gather
+/// [`GatherRun`]: everything learned so far, keyed
 /// by host index so the center can reconstruct its view — including every
 /// node's private coin stream — bit-identically to [`View::collect`].
 /// Messages are unbounded, so each round a node broadcasts a snapshot of
@@ -364,7 +363,7 @@ impl FullGatherState {
     /// With `mask`'s low 40 bits zero, forged identities stay positive,
     /// injective, and disjoint from honest ones even across chains of
     /// Byzantine relays (XOR composes to another such mask).
-    pub fn forge_ids(&mut self, mask: u64) {
+    fn forge_ids(&mut self, mask: u64) {
         for node in &mut self.nodes {
             node.id ^= mask;
         }
@@ -523,15 +522,44 @@ thread_local! {
 /// identities, inputs, and incident edges, then evaluates the wrapped
 /// algorithm on a view reconstructed bit-identically to
 /// [`View::collect`] — same ball, same member order, same coin streams.
+/// Built `with_outputs`, it also floods each node's output label, so the
+/// views are decision views ([`View::collect_io`]); that is how
+/// [`decide_randomized_via_rounds`] runs deciders.
+///
+/// Its [`forge`](MessagePassingAlgorithm::forge) is the Byzantine
+/// relabeling attack: a corrupted node's broadcast has **every known
+/// identity** XOR-masked with a fresh `(node, round)`-keyed mask whose low
+/// 40 bits are zero. Hosts, inputs, and structure are untouched — pure
+/// identity forgery, the message-level counterpart of the
+/// `FaultyConstructor` (`rlnc-langs`) label corruption. The mask shape
+/// keeps forged identities positive, injective, and disjoint from honest
+/// ones (which live below `2^40`), so victims can still rebuild a valid
+/// [`IdAssignment`] — they just decide over forged identities. The system
+/// forges a broadcast before any neighbor holds it, so the snapshot has
+/// no other owner and [`Arc::make_mut`] forges it in place.
 pub struct GatherRun<'a, A: ?Sized> {
     inner: &'a A,
     coins: Coins,
+    outputs: Option<&'a Labeling>,
 }
 
 impl<'a, A: RandomizedLocalAlgorithm + ?Sized> GatherRun<'a, A> {
     /// Wraps an algorithm together with the execution's coin source.
     pub fn new(inner: &'a A, coins: Coins) -> Self {
-        GatherRun { inner, coins }
+        GatherRun {
+            inner,
+            coins,
+            outputs: None,
+        }
+    }
+
+    /// Like [`GatherRun::new`], but every node also knows its label in
+    /// `outputs` and floods it with the rest.
+    pub(crate) fn with_outputs(inner: &'a A, outputs: &'a Labeling, coins: Coins) -> Self {
+        GatherRun {
+            outputs: Some(outputs),
+            ..GatherRun::new(inner, coins)
+        }
     }
 }
 
@@ -544,7 +572,8 @@ impl<'a, A: RandomizedLocalAlgorithm + ?Sized> MessagePassingAlgorithm for Gathe
     }
 
     fn init(&self, node: &NodeInit) -> FullGatherState {
-        FullGatherState::of(node, Label::empty())
+        let output = self.outputs.map_or(Label::empty(), |y| *y.get(node.node));
+        FullGatherState::of(node, output)
     }
 
     fn send(&self, state: &FullGatherState, _round: u32) -> Arc<FullGatherState> {
@@ -561,99 +590,27 @@ impl<'a, A: RandomizedLocalAlgorithm + ?Sized> MessagePassingAlgorithm for Gathe
     }
 
     fn output(&self, state: &FullGatherState) -> Label {
-        let view = state.reconstruct_view(self.inner.radius(), false);
+        let view = state.reconstruct_view(self.inner.radius(), self.outputs.is_some());
         self.inner.output(&view, &self.coins)
     }
-}
 
-/// The host-keyed full-information gather for **deciders**: each node also
-/// knows its own output label, floods it alongside the rest, and emits its
-/// verdict as a boolean label — the round backend's implementation of the
-/// same [`RandomizedDecider`] contract the engine evaluates by ball
-/// extraction.
-pub struct GatherDecide<'a, D: ?Sized> {
-    inner: &'a D,
-    outputs: &'a Labeling,
-    coins: Coins,
-}
-
-impl<'a, D: RandomizedDecider + ?Sized> GatherDecide<'a, D> {
-    /// Wraps a decider with the configuration's output labeling and the
-    /// execution's coin source.
-    pub fn new(inner: &'a D, outputs: &'a Labeling, coins: Coins) -> Self {
-        GatherDecide {
-            inner,
-            outputs,
-            coins,
-        }
-    }
-}
-
-impl<'a, D: RandomizedDecider + ?Sized> MessagePassingAlgorithm for GatherDecide<'a, D> {
-    type State = FullGatherState;
-    type Message = Arc<FullGatherState>;
-
-    fn rounds(&self) -> u32 {
-        self.inner.radius()
-    }
-
-    fn init(&self, node: &NodeInit) -> FullGatherState {
-        FullGatherState::of(node, *self.outputs.get(node.node))
-    }
-
-    fn send(&self, state: &FullGatherState, _round: u32) -> Arc<FullGatherState> {
-        Arc::new(state.clone())
-    }
-
-    fn receive(
-        &self,
-        state: FullGatherState,
-        _round: u32,
-        incoming: &[Arc<FullGatherState>],
-    ) -> FullGatherState {
-        state.absorb(incoming)
-    }
-
-    fn output(&self, state: &FullGatherState) -> Label {
-        let view = state.reconstruct_view(self.inner.radius(), true);
-        Label::from_bool(self.inner.accepts(&view, &self.coins))
-    }
-}
-
-/// The Byzantine relabeling adversary: each round, a corrupted node's
-/// outgoing gather messages have **every known identity** XOR-masked with
-/// a fresh `(node, round)`-keyed mask whose low 40 bits are zero. Hosts,
-/// inputs, and structure are untouched — this is pure identity forgery,
-/// the generalization of the one-off `FaultyConstructor`
-/// (`rlnc-langs`) label corruption to the message level. The mask shape
-/// keeps forged identities positive, injective, and disjoint from honest
-/// ones (which live below `2^40`), so victims can still rebuild a valid
-/// [`IdAssignment`] — they just decide over forged identities.
-///
-/// The adversary forges a sender's broadcast before the system hands it
-/// to any neighbor, so the snapshot has no other owner and
-/// [`Arc::make_mut`] forges it in place.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RelabelAdversary;
-
-impl RelabelAdversary {
-    /// Creates the adversary (it is stateless; all randomness comes from
-    /// the per-`(node, round)` stream the system hands to `rewrite`).
-    pub fn new() -> Self {
-        RelabelAdversary
-    }
-}
-
-impl Adversary<Arc<FullGatherState>> for RelabelAdversary {
-    fn rewrite(
-        &self,
-        _sender: NodeId,
-        _round: u32,
-        message: &mut Arc<FullGatherState>,
-        rng: &mut ChaCha8Rng,
-    ) {
+    fn forge(&self, message: &mut Arc<FullGatherState>, rng: &mut ChaCha8Rng) {
         let mask = (rng.random::<u64>() | 1) << 40;
         Arc::make_mut(message).forge_ids(mask);
+    }
+}
+
+/// A decider as an algorithm whose output is its verdict, so deciders run
+/// through [`GatherRun`].
+struct Verdict<'a, D: ?Sized>(&'a D);
+
+impl<D: RandomizedDecider + ?Sized> RandomizedLocalAlgorithm for Verdict<'_, D> {
+    fn radius(&self) -> u32 {
+        self.0.radius()
+    }
+
+    fn output(&self, view: &View, coins: &Coins) -> Label {
+        Label::from_bool(self.0.accepts(view, coins))
     }
 }
 
@@ -682,7 +639,8 @@ pub fn decide_randomized_via_rounds<D: RandomizedDecider + ?Sized>(
     execution_seed: rlnc_par::rng::SeedSequence,
 ) -> bool {
     let instance = Instance::new(io.graph, io.input, ids);
-    let wrapper = GatherDecide::new(decider, io.output, Coins::new(execution_seed));
+    let verdict = Verdict(decider);
+    let wrapper = GatherRun::with_outputs(&verdict, io.output, Coins::new(execution_seed));
     let verdicts = RoundSystem::new(&wrapper, &instance).run();
     let yes = Label::from_bool(true);
     verdicts.as_slice().iter().all(|v| *v == yes)
@@ -1001,11 +959,9 @@ mod tests {
         let schedule = FaultPlan::ByzantineRelabel { probability: 0.4 }
             .schedule(&g, SeedSequence::new(2));
         assert!(schedule.has_byzantine());
-        let adversary = RelabelAdversary::new();
         let wrapper = GatherRun::new(&algo, Coins::new(SeedSequence::new(0)));
         let attacked = RoundSystem::new(&wrapper, &inst)
             .with_faults(&schedule)
-            .with_adversary(&adversary)
             .run();
         let honest = Simulator::new().run(&algo, &inst);
         assert_ne!(attacked, honest);
@@ -1016,28 +972,39 @@ mod tests {
         // Determinism: the attack replays bit-identically.
         let replay = RoundSystem::new(&wrapper, &inst)
             .with_faults(&schedule)
-            .with_adversary(&adversary)
             .run();
         assert_eq!(attacked, replay);
     }
 
-    /// Steps a gather to quiescence under `schedule` (through the
-    /// relabeling adversary when it marks Byzantine nodes) and checks every
-    /// node's gathered view against the reference reconstruction.
-    fn assert_gathered_views_match_reference<M>(
-        gather: &M,
+    #[test]
+    fn the_default_forge_is_honest_under_an_all_byzantine_schedule() {
+        // MinIdFlood keeps the default forge, so marking every sender
+        // Byzantine must change nothing.
+        let g = grid(4, 4);
+        let x = Labeling::empty(16);
+        let ids = IdAssignment::spread(&g, 3);
+        let inst = Instance::new(&g, &x, &ids);
+        let algo = MinIdFlood { rounds: 3 };
+        let schedule =
+            FaultPlan::ByzantineRelabel { probability: 1.0 }.schedule(&g, SeedSequence::new(4));
+        assert_eq!(schedule.faulty_count(), 16);
+        assert_eq!(
+            RoundSystem::new(&algo, &inst).with_faults(&schedule).run(),
+            RoundSystem::new(&algo, &inst).run()
+        );
+    }
+
+    /// Steps a gather to quiescence under `schedule` (Byzantine senders
+    /// forge) and checks every node's gathered view against the reference
+    /// reconstruction.
+    fn assert_gathered_views_match_reference<A: RandomizedLocalAlgorithm + ?Sized>(
+        gather: &GatherRun<'_, A>,
         instance: &Instance<'_>,
         schedule: &FaultSchedule,
-        radius: u32,
-        with_outputs: bool,
-    ) where
-        M: MessagePassingAlgorithm<State = FullGatherState, Message = Arc<FullGatherState>>,
-    {
-        let adversary = RelabelAdversary::new();
+    ) {
+        let radius = gather.inner.radius();
+        let with_outputs = gather.outputs.is_some();
         let mut system = RoundSystem::new(gather, instance).with_faults(schedule);
-        if schedule.has_byzantine() {
-            system = system.with_adversary(&adversary);
-        }
         system.step_until_quiet();
         for state in &system.states {
             assert_eq!(
@@ -1074,9 +1041,8 @@ mod tests {
                     let algo = FnRandomizedAlgorithm::new(radius, "empty", |_: &View, _: &Coins| {
                         Label::empty()
                     });
-                    let decider = FnRandomizedDecider::new(radius, "yes", |_: &View, _: &Coins| true);
                     let run = GatherRun::new(&algo, coins);
-                    let decide = GatherDecide::new(&decider, &y, coins);
+                    let decide = GatherRun::with_outputs(&algo, &y, coins);
                     let mut plans = vec![FaultPlan::None];
                     for kind in 0..FAULT_PLAN_KINDS {
                         plans.extend([0.15, 0.35].map(|p| FaultPlan::from_index(kind, p)));
@@ -1084,8 +1050,8 @@ mod tests {
                     for (i, plan) in plans.iter().enumerate() {
                         let schedule =
                             plan.schedule(&g, SeedSequence::new(seed).child(u64::from(radius) * 16 + i as u64));
-                        assert_gathered_views_match_reference(&run, &inst, &schedule, radius, false);
-                        assert_gathered_views_match_reference(&decide, &inst, &schedule, radius, true);
+                        assert_gathered_views_match_reference(&run, &inst, &schedule);
+                        assert_gathered_views_match_reference(&decide, &inst, &schedule);
                     }
                 }
             }

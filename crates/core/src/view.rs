@@ -570,17 +570,44 @@ mod tests {
     #[test]
     fn signatures_capture_order_not_values() {
         let (g, x, _) = setup(10);
-        let ids_a = IdAssignment::consecutive(&g);
-        let ids_b = IdAssignment::spread(&g, 77);
-        let inst_a = Instance::new(&g, &x, &ids_a);
-        let inst_b = Instance::new(&g, &x, &ids_b);
-        let sig_a = View::collect(&inst_a, NodeId(4), 2).signature();
-        let sig_b = View::collect(&inst_b, NodeId(4), 2).signature();
-        assert_eq!(sig_a, sig_b);
-        // Different inputs change the signature.
-        let x2 = Labeling::empty(10);
-        let inst_c = Instance::new(&g, &x2, &ids_a);
-        let sig_c = View::collect(&inst_c, NodeId(4), 2).signature();
-        assert_ne!(sig_a, sig_c);
+        let signatures = |x: &Labeling, ids: &IdAssignment| -> Vec<BallSignature> {
+            let views = View::collect_all(&Instance::new(&g, x, ids), 2);
+            views.iter().map(View::signature).collect()
+        };
+        let ids = IdAssignment::consecutive(&g);
+        let reference = signatures(&x, &ids);
+        // Spread, shifted and monotone-mapped identities keep every
+        // view's order type, so no signature moves.
+        for same_order in [
+            IdAssignment::spread(&g, 77),
+            ids.shifted(500),
+            ids.map_monotone(|id| id * id + 7),
+        ] {
+            assert_eq!(signatures(&x, &same_order), reference);
+        }
+        // Reversed identities reverse every view's ranks.
+        let n = g.node_count() as u64;
+        let reversed = IdAssignment::new((0..n).map(|i| n - i).collect());
+        let flipped = signatures(&x, &reversed);
+        assert!(flipped.iter().zip(&reference).all(|(a, b)| a != b));
+        // Inputs are payloads: different inputs change the signature.
+        assert_ne!(signatures(&Labeling::empty(10), &ids)[4], reference[4]);
+    }
+
+    #[test]
+    fn cycle_balls_with_same_id_order_share_signature() {
+        // On the consecutive-ID cycle, all interior balls (away from the
+        // 1/n seam) have the same order type — the §4 argument.
+        let g = cycle(20);
+        let x = Labeling::empty(20);
+        let ids = IdAssignment::consecutive(&g);
+        let inst = Instance::new(&g, &x, &ids);
+        let signature = |v: u32| View::collect(&inst, NodeId(v), 2).signature();
+        assert_eq!(signature(5), signature(10));
+        assert_ne!(
+            signature(5),
+            signature(0),
+            "the seam ball has a different order type"
+        );
     }
 }

@@ -8,22 +8,18 @@
 //! fault schedule derive from its seed alone, so results never depend on
 //! scheduling.
 //!
-//! Fault-free executions are bit-identical to the ball-extraction path
-//! ([`ExecutionPlan`](crate::ExecutionPlan)) with the same seed — proven
-//! by the `round_equivalence` proptest suite across every registry case.
-//! Fault-injected executions ([`RoundPlan::run_with_faults`]) are where
-//! the two backends diverge: crashes and Byzantine relabeling simply have
-//! no ball-extraction counterpart.
+//! Under a fault-free schedule an execution is bit-identical to the
+//! ball-extraction path ([`ExecutionPlan`](crate::ExecutionPlan)) with
+//! the same seed — proven by the `round_equivalence` proptest suite across
+//! every registry case. Fault-injected executions are where the two
+//! backends diverge: crashes and Byzantine relabeling simply have no
+//! ball-extraction counterpart.
 
 use rlnc_core::algorithm::{Coins, RandomizedLocalAlgorithm};
-use rlnc_core::decision::RandomizedDecider;
 use rlnc_core::faults::FaultSchedule;
 use rlnc_core::labels::Labeling;
-use rlnc_core::rounds::{
-    decide_randomized_via_rounds, run_randomized_via_rounds, GatherRun, RelabelAdversary,
-    RoundSystem,
-};
-use rlnc_core::{Instance, IoConfig};
+use rlnc_core::rounds::{GatherRun, RoundSystem};
+use rlnc_core::Instance;
 use rlnc_graph::{Graph, IdAssignment};
 use rlnc_par::rng::SeedSequence;
 
@@ -64,8 +60,8 @@ impl RoundPlan {
         self.graph.node_count()
     }
 
-    /// The radius the plan was built at; algorithms and deciders must
-    /// declare exactly this radius.
+    /// The radius the plan was built at; algorithms must declare exactly
+    /// this radius.
     pub fn radius(&self) -> u32 {
         self.radius
     }
@@ -78,23 +74,12 @@ impl RoundPlan {
         );
     }
 
-    /// One fault-free execution of a randomized algorithm through the
-    /// round backend. Bit-identical to
+    /// One fault-injected execution: crashed nodes fall silent per the
+    /// schedule, and Byzantine nodes' messages are forged by
+    /// [`GatherRun`]'s identity relabeling. With a fault-free schedule
+    /// this is bit-identical to
     /// [`ExecutionPlan::run_randomized`](crate::ExecutionPlan::run_randomized)
     /// with the same seed.
-    pub fn run_randomized<A: RandomizedLocalAlgorithm + ?Sized>(
-        &self,
-        algo: &A,
-        execution_seed: SeedSequence,
-    ) -> Labeling {
-        self.assert_radius(algo.radius());
-        run_randomized_via_rounds(algo, &self.instance(), execution_seed)
-    }
-
-    /// One fault-injected execution: crashed nodes fall silent per the
-    /// schedule, and if the schedule marks Byzantine nodes their messages
-    /// pass through the [`RelabelAdversary`]. With a fault-free schedule
-    /// this equals [`RoundPlan::run_randomized`].
     pub fn run_with_faults<A: RandomizedLocalAlgorithm + ?Sized>(
         &self,
         algo: &A,
@@ -104,28 +89,9 @@ impl RoundPlan {
         self.assert_radius(algo.radius());
         let instance = self.instance();
         let wrapper = GatherRun::new(algo, Coins::new(execution_seed));
-        let adversary = RelabelAdversary::new();
-        let mut system = RoundSystem::new(&wrapper, &instance).with_faults(schedule);
-        if schedule.has_byzantine() {
-            system = system.with_adversary(&adversary);
-        }
-        system.run()
-    }
-
-    /// One decision of `(G, (x, output))` through the round backend:
-    /// every node gathers its decision view by messages and votes;
-    /// accepted iff every node accepts. Bit-identical to
-    /// [`DecisionScratch::decide_randomized`](crate::DecisionScratch::decide_randomized)
-    /// with the same seed.
-    pub fn decide_randomized<D: RandomizedDecider + ?Sized>(
-        &self,
-        decider: &D,
-        output: &Labeling,
-        execution_seed: SeedSequence,
-    ) -> bool {
-        self.assert_radius(decider.radius());
-        let io = IoConfig::new(&self.graph, &self.input, output);
-        decide_randomized_via_rounds(decider, &io, &self.ids, execution_seed)
+        RoundSystem::new(&wrapper, &instance)
+            .with_faults(schedule)
+            .run()
     }
 }
 
@@ -134,7 +100,6 @@ mod tests {
     use super::*;
     use crate::plan::ExecutionPlan;
     use rlnc_core::algorithm::FnRandomizedAlgorithm;
-    use rlnc_core::decision::FnRandomizedDecider;
     use rlnc_core::view::View;
     use rlnc_core::Label;
     use rand::Rng;
@@ -165,47 +130,14 @@ mod tests {
         let round_plan = RoundPlan::for_instance(&inst, 1);
         assert_eq!(round_plan.node_count(), 20);
         assert_eq!(round_plan.radius(), 1);
+        let schedule = FaultSchedule::fault_free(20, SeedSequence::new(0));
         for t in 0..6 {
             let seed = SeedSequence::new(31).child(t);
             assert_eq!(
-                round_plan.run_randomized(&algo, seed),
+                round_plan.run_with_faults(&algo, seed, &schedule),
                 ball_plan.run_randomized(&algo, seed)
             );
         }
-    }
-
-    #[test]
-    fn round_plan_decides_like_the_decision_scratch() {
-        let (g, x, ids) = fixture(16);
-        let inst = Instance::new(&g, &x, &ids);
-        let y = Labeling::from_fn(&g, |v| Label::from_u64(u64::from(v.0 % 2)));
-        let decider = FnRandomizedDecider::new(1, "noisy", |view: &View, coins: &Coins| {
-            view.output(0).as_u64() == 0 || coins.for_center(view).random_bool(0.6)
-        });
-        let ball_plan = ExecutionPlan::for_instance(&inst, 1);
-        let mut scratch = ball_plan.decision_scratch();
-        let round_plan = RoundPlan::for_instance(&inst, 1);
-        for t in 0..12 {
-            let seed = SeedSequence::new(3).child(t);
-            assert_eq!(
-                round_plan.decide_randomized(&decider, &y, seed),
-                scratch.decide_randomized(&decider, &y, seed)
-            );
-        }
-    }
-
-    #[test]
-    fn fault_free_schedule_reproduces_the_fault_free_run() {
-        let (g, x, ids) = fixture(12);
-        let inst = Instance::new(&g, &x, &ids);
-        let algo = coin_algo();
-        let plan = RoundPlan::for_instance(&inst, 1);
-        let seed = SeedSequence::new(5).child(2);
-        let schedule = FaultSchedule::fault_free(12, SeedSequence::new(0));
-        assert_eq!(
-            plan.run_with_faults(&algo, seed, &schedule),
-            plan.run_randomized(&algo, seed)
-        );
     }
 
     #[test]
@@ -214,6 +146,7 @@ mod tests {
         let (g, x, ids) = fixture(8);
         let inst = Instance::new(&g, &x, &ids);
         let plan = RoundPlan::for_instance(&inst, 2);
-        let _ = plan.run_randomized(&coin_algo(), SeedSequence::new(0));
+        let schedule = FaultSchedule::fault_free(8, SeedSequence::new(0));
+        let _ = plan.run_with_faults(&coin_algo(), SeedSequence::new(0), &schedule);
     }
 }

@@ -507,11 +507,11 @@ fn gathered_outputs_allocate_only_their_views() {
 /// allocates at most 730 times, with or without every node Byzantine: a
 /// sender wraps one snapshot of its state per round (the snapshot and its
 /// two lists), and a Byzantine sender's forged snapshot has no other
-/// owner, so `RelabelAdversary` copies nothing.
+/// owner, so `GatherRun::forge` copies nothing.
 #[cfg(feature = "count-alloc")]
 #[test]
 fn cole_vishkin_gather_steps_within_its_allocation_budget() {
-    use rlnc_core::rounds::{GatherRun, MessagePassingAlgorithm, RelabelAdversary, RoundSystem};
+    use rlnc_core::rounds::{GatherRun, MessagePassingAlgorithm, RoundSystem};
     use rlnc_langs::registry::CaseId;
     use rlnc_obs::alloc_counter::allocations;
 
@@ -524,11 +524,10 @@ fn cole_vishkin_gather_steps_within_its_allocation_budget() {
     assert_eq!(gather.rounds(), 10);
     let byzantine =
         FaultPlan::ByzantineRelabel { probability: 1.0 }.schedule(&graph, SeedSequence::new(31));
-    let adversary = RelabelAdversary::new();
     for schedule in [None, Some(&byzantine)] {
         let mut system = RoundSystem::new(&gather, &instance);
         if let Some(schedule) = schedule {
-            system = system.with_faults(schedule).with_adversary(&adversary);
+            system = system.with_faults(schedule);
         }
         let before = allocations();
         assert_eq!(system.step_until_quiet(), 10);

@@ -1,10 +1,13 @@
 //! Property-based equivalence suite for the **round backend**: fault-free
-//! executions through explicit message passing ([`RoundPlan`]) must be
+//! executions through explicit message passing
+//! ([`run_randomized_via_rounds`], [`decide_randomized_via_rounds`], and
+//! [`RoundPlan::run_with_faults`] under a fault-free schedule) must be
 //! **bit-identical** to the ball-extraction engine ([`ExecutionPlan`] /
-//! [`DecisionScratch`]) for the same `(seed, node)` coin derivation —
-//! across random graph families, sizes, radii, identity assignments,
-//! seeds, synthetic coin-mixing algorithms, and **every language case in
-//! the registry** (constructor and decider alike).
+//! [`DecisionScratch`](rlnc_engine::DecisionScratch)) for the same
+//! `(seed, node)` coin derivation — across random graph families, sizes,
+//! radii, identity assignments, seeds, synthetic coin-mixing algorithms,
+//! and **every language case in the registry** (constructor and decider
+//! alike).
 //!
 //! This is the proof obligation that makes the fault axis trustworthy:
 //! once the fault-free round backend is pinned to the engine bit-for-bit,
@@ -15,6 +18,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rlnc_core::prelude::*;
+use rlnc_core::rounds::{decide_randomized_via_rounds, run_randomized_via_rounds};
 use rlnc_engine::{ExecutionPlan, RoundPlan};
 use rlnc_graph::generators::Family;
 use rlnc_graph::IdAssignment;
@@ -118,7 +122,7 @@ proptest! {
         let round_plan = RoundPlan::for_instance(&instance, radius);
         let execution_seed = SeedSequence::new(seed).child(execution);
         let reference = ball_plan.run_randomized(&algo, execution_seed);
-        prop_assert_eq!(&round_plan.run_randomized(&algo, execution_seed), &reference);
+        prop_assert_eq!(&run_randomized_via_rounds(&algo, &instance, execution_seed), &reference);
         // A fault-free schedule must change nothing.
         let schedule = FaultSchedule::fault_free(graph.node_count(), SeedSequence::new(seed));
         prop_assert_eq!(
@@ -144,10 +148,10 @@ proptest! {
         let decider = mixing_decider(radius);
         let ball_plan = ExecutionPlan::for_instance(&instance, radius);
         let mut scratch = ball_plan.decision_scratch();
-        let round_plan = RoundPlan::for_instance(&instance, radius);
+        let io = IoConfig::new(&graph, &input, &output);
         let execution_seed = SeedSequence::new(seed ^ 0xD0).child(trial);
         prop_assert_eq!(
-            round_plan.decide_randomized(&decider, &output, execution_seed),
+            decide_randomized_via_rounds(&decider, &io, &ids, execution_seed),
             scratch.decide_randomized(&decider, &output, execution_seed)
         );
     }
@@ -178,16 +182,15 @@ proptest! {
         let decide_seed = trial_seed.child(2);
 
         let ball_plan = ExecutionPlan::for_instance(&instance, t);
-        let round_plan = RoundPlan::for_instance(&instance, t);
         let reference = ball_plan.run_randomized(case.constructor.as_ref(), construct_seed);
-        let output = round_plan.run_randomized(case.constructor.as_ref(), construct_seed);
+        let output = run_randomized_via_rounds(case.constructor.as_ref(), &instance, construct_seed);
         prop_assert_eq!(&output, &reference);
 
         let decision_plan = ExecutionPlan::for_instance(&instance, t_prime);
         let mut scratch = decision_plan.decision_scratch();
-        let decision_round_plan = RoundPlan::for_instance(&instance, t_prime);
+        let io = IoConfig::new(&graph, &input, &output);
         prop_assert_eq!(
-            decision_round_plan.decide_randomized(case.decider.as_ref(), &output, decide_seed),
+            decide_randomized_via_rounds(case.decider.as_ref(), &io, &ids, decide_seed),
             scratch.decide_randomized(case.decider.as_ref(), &output, decide_seed)
         );
     }
@@ -210,22 +213,21 @@ fn all_registry_cases_match_the_engine_at_seed_zero() {
         let t_prime = case.checking_radius();
 
         let ball_plan = ExecutionPlan::for_instance(&instance, t);
-        let round_plan = RoundPlan::for_instance(&instance, t);
         let decision_plan = ExecutionPlan::for_instance(&instance, t_prime);
         let mut scratch = decision_plan.decision_scratch();
-        let decision_round_plan = RoundPlan::for_instance(&instance, t_prime);
 
         for trial in 0..8u64 {
             let trial_seed = root.child(trial);
             let reference = ball_plan.run_randomized(case.constructor.as_ref(), trial_seed.child(1));
-            let output = round_plan.run_randomized(case.constructor.as_ref(), trial_seed.child(1));
+            let output = run_randomized_via_rounds(
+                case.constructor.as_ref(),
+                &instance,
+                trial_seed.child(1),
+            );
             assert_eq!(output, reference, "case {} trial {trial} output", case.name);
+            let io = IoConfig::new(&graph, &input, &output);
             assert_eq!(
-                decision_round_plan.decide_randomized(
-                    case.decider.as_ref(),
-                    &output,
-                    trial_seed.child(2)
-                ),
+                decide_randomized_via_rounds(case.decider.as_ref(), &io, &ids, trial_seed.child(2)),
                 scratch.decide_randomized(case.decider.as_ref(), &output, trial_seed.child(2)),
                 "case {} trial {trial} verdict",
                 case.name
@@ -294,7 +296,7 @@ fn fan_out_sized_ring_steps_identically_on_every_thread_count() {
     let seed = SeedSequence::new(23);
     let round_plan = RoundPlan::for_instance(&instance, 1);
     assert_eq!(
-        round_plan.run_randomized(&algo, seed),
+        run_randomized_via_rounds(&algo, &instance, seed),
         ExecutionPlan::for_instance(&instance, 1).run_randomized(&algo, seed)
     );
     // Crash cascade and Byzantine relabeling, at intensity 0.4.

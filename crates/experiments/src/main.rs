@@ -30,7 +30,6 @@ use rlnc_experiments::{
 };
 use rlnc_serve::{connect_with_retry, Endpoint, ShardSpec, SweepServer};
 use rlnc_sweep::{emit, Registry, SweepExecutor, SweepRun, DEFAULT_SWEEP_SEED};
-use std::io::Write;
 use std::time::Duration;
 
 fn usage_error(message: &str) -> ! {
@@ -765,9 +764,11 @@ fn serve_client_main(args: &[String]) {
     }
 }
 
+/// Writes one output file. A path that cannot be written ends the process
+/// with one `cannot write PATH: ERROR` line and exit code 1.
 fn write_file(path: &str, contents: &str) {
-    let mut file = std::fs::File::create(path)
-        .unwrap_or_else(|e| panic!("cannot create output file {path}: {e}"));
-    file.write_all(contents.as_bytes())
-        .unwrap_or_else(|e| panic!("cannot write output file {path}: {e}"));
+    if let Err(e) = std::fs::write(path, contents) {
+        status::warn(&format!("cannot write {path}: {e}"));
+        std::process::exit(1);
+    }
 }

@@ -608,3 +608,34 @@ fn cli_binary_rejects_unknown_experiment_ids_and_bad_scales() {
         .expect("failed to spawn rlnc-experiments");
     assert_eq!(output.status.code(), Some(2));
 }
+
+#[test]
+fn unwritable_output_paths_exit_one_with_one_stderr_line() {
+    let exe = env!("CARGO_BIN_EXE_rlnc-experiments");
+    let missing = std::env::temp_dir().join(format!("rlnc-cli-missing-{}", std::process::id()));
+    assert!(!missing.exists());
+    let sweep = ["sweep", "--scenario", "smoke", "--scale", "smoke"];
+    let classic = ["--scale", "smoke", "--only", "e1"];
+    let runs: [(&[&str], &str, &str); 3] = [
+        (&sweep, "--out", "x.json"),
+        (&sweep, "--trace-out", "t.json"),
+        (&classic, "--markdown", "x.md"),
+    ];
+    for (args, flag, file) in runs {
+        let path = missing.join(file);
+        let output = std::process::Command::new(exe)
+            .args(args)
+            .arg(flag)
+            .arg(&path)
+            .output()
+            .expect("failed to spawn rlnc-experiments");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{flag}: stderr:\n{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{flag}: stderr:\n{stderr}");
+        assert!(
+            stderr.starts_with(&format!("cannot write {}: ", path.display())),
+            "{flag}: stderr:\n{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{flag}: stderr:\n{stderr}");
+    }
+}

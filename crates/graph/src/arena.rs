@@ -84,31 +84,9 @@ impl BfsScratch {
         }
     }
 
-    /// Runs a BFS from `source` truncated at distance `radius`, pushing the
-    /// discovered `(node, distance)` pairs into `out` (cleared first) in
-    /// discovery order. Equivalent to
-    /// [`bfs_distances_bounded`](crate::traversal::bfs_distances_bounded)
-    /// but allocation-free after warm-up.
-    pub fn bounded_bfs(
-        &mut self,
-        graph: &Graph,
-        source: NodeId,
-        radius: u32,
-        out: &mut Vec<(NodeId, u32)>,
-    ) {
-        self.search(
-            graph.node_count(),
-            |v| graph.neighbor_ids(v),
-            source,
-            radius,
-        );
-        out.clear();
-        out.extend_from_slice(&self.queue);
-    }
-
-    /// The bounded BFS behind both public entry points: afterwards `queue`
-    /// holds the discovered nodes and `stamp`/`dist` mark them for this
-    /// generation.
+    /// The bounded BFS behind [`BfsScratch::append_ball`]: afterwards
+    /// `queue` holds the discovered nodes and `stamp`/`dist` mark them for
+    /// this generation.
     fn search<I: Iterator<Item = NodeId>>(
         &mut self,
         node_count: usize,
@@ -381,27 +359,9 @@ impl BallArena {
 mod tests {
     use super::*;
     use crate::ball::{all_balls, Ball};
-    use crate::generators::{cycle, grid, prism, star, Family};
-    use crate::traversal::bfs_distances_bounded;
+    use crate::generators::{cycle, prism, star, Family};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn scratch_bfs_matches_allocating_bfs() {
-        let g = grid(5, 7);
-        let mut scratch = BfsScratch::new(g.node_count());
-        let mut out = Vec::new();
-        for v in g.nodes() {
-            for radius in [0u32, 1, 2, 5] {
-                scratch.bounded_bfs(&g, v, radius, &mut out);
-                let mut ours: Vec<(NodeId, u32)> = out.clone();
-                let mut reference = bfs_distances_bounded(&g, v, radius);
-                ours.sort_unstable_by_key(|&(w, d)| (d, w.0));
-                reference.sort_unstable_by_key(|&(w, d)| (d, w.0));
-                assert_eq!(ours, reference);
-            }
-        }
-    }
 
     #[test]
     fn arena_balls_are_bit_identical_to_per_ball_extraction() {

@@ -10,13 +10,13 @@
 //! [`BallSignature`] is a canonical encoding of a ball *up to identity
 //! values*: it records the structure, the distance of each node from the
 //! center, an arbitrary per-ball payload (e.g. input labels), and the
-//! **order type** of the identities. Two balls with equal signatures are
+//! **order type** of the identities. `rlnc-core`'s `View::signature`
+//! builds it from a view. Two balls with equal signatures are
 //! indistinguishable to any order-invariant algorithm, which is precisely
 //! the finiteness argument behind Claim 2 ("there is a finite number of
 //! order-invariant algorithms") and the Ramsey construction of Appendix A.
 
 use crate::csr::{Graph, NodeId};
-use crate::ids::IdAssignment;
 use crate::traversal::bfs_distances_bounded;
 use serde::{Deserialize, Serialize};
 
@@ -102,37 +102,6 @@ impl Ball {
     pub fn distance(&self, i: usize) -> u32 {
         self.distances[i]
     }
-
-    /// Canonical signature of the ball given per-node payload labels
-    /// (typically input strings) and an identity assignment on the host
-    /// graph. The signature captures everything a `t`-round algorithm may
-    /// depend on except the identity *values*: structure, distances,
-    /// payloads, and the order type of the identities.
-    pub fn signature(&self, ids: &IdAssignment, payload: impl Fn(NodeId) -> Vec<u8>) -> BallSignature {
-        let order: Vec<u32> = self
-            .members
-            .iter()
-            .map(|&v| ids.rank_within(v, &self.members) as u32)
-            .collect();
-        let mut edges: Vec<(u32, u32)> = self
-            .graph
-            .edges()
-            .map(|(u, v)| (u.0, v.0))
-            .collect();
-        edges.sort_unstable();
-        BallSignature {
-            radius: self.radius,
-            distances: self.distances.clone(),
-            edges,
-            id_order: order,
-            payloads: self.members.iter().map(|&v| payload(v)).collect(),
-        }
-    }
-
-    /// Signature of the unlabeled ball (no inputs, identity order only).
-    pub fn structural_signature(&self, ids: &IdAssignment) -> BallSignature {
-        self.signature(ids, |_| Vec::new())
-    }
 }
 
 /// Canonical, hashable encoding of a labeled, ordered ball.
@@ -180,7 +149,6 @@ pub fn all_balls(graph: &Graph, radius: u32) -> Vec<Ball> {
 mod tests {
     use super::*;
     use crate::generators::{cycle, path, star};
-    use crate::ids::IdAssignment;
 
     #[test]
     fn radius_zero_ball_is_a_single_node() {
@@ -243,53 +211,10 @@ mod tests {
     }
 
     #[test]
-    fn signatures_ignore_identity_values_but_not_order() {
-        let g = cycle(8);
-        let b = Ball::extract(&g, NodeId(2), 1);
-        let a1 = IdAssignment::consecutive(&g);
-        let a2 = IdAssignment::spread(&g, 100);
-        let a3 = {
-            // Reverse order: different order type on the ball.
-            let n = g.node_count() as u64;
-            IdAssignment::new((0..n).map(|i| n - i).collect())
-        };
-        let s1 = b.structural_signature(&a1);
-        let s2 = b.structural_signature(&a2);
-        let s3 = b.structural_signature(&a3);
-        assert_eq!(s1, s2);
-        assert_ne!(s1, s3);
-    }
-
-    #[test]
-    fn signatures_include_payloads() {
-        let g = path(5);
-        let b = Ball::extract(&g, NodeId(2), 1);
-        let ids = IdAssignment::consecutive(&g);
-        let s1 = b.signature(&ids, |v| vec![v.0 as u8]);
-        let s2 = b.signature(&ids, |_| vec![0]);
-        assert_ne!(s1, s2);
-        assert_eq!(s1.len(), 3);
-    }
-
-    #[test]
     fn all_balls_returns_one_ball_per_node() {
         let g = cycle(12);
         let balls = all_balls(&g, 2);
         assert_eq!(balls.len(), 12);
         assert!(balls.iter().all(|b| b.len() == 5));
-    }
-
-    #[test]
-    fn cycle_balls_with_same_id_order_share_signature() {
-        // On the consecutive-ID cycle, all interior balls (away from the
-        // 1/n seam) have the same order type — the §4 argument.
-        let g = cycle(20);
-        let ids = IdAssignment::consecutive(&g);
-        let t = 2u32;
-        let sig_5 = Ball::extract(&g, NodeId(5), t).structural_signature(&ids);
-        let sig_10 = Ball::extract(&g, NodeId(10), t).structural_signature(&ids);
-        let sig_0 = Ball::extract(&g, NodeId(0), t).structural_signature(&ids);
-        assert_eq!(sig_5, sig_10);
-        assert_ne!(sig_5, sig_0, "the seam ball has a different order type");
     }
 }

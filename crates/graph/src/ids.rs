@@ -1,4 +1,4 @@
-//! Identity assignments and order-type utilities.
+//! Identity assignments.
 //!
 //! In the LOCAL model every node `v` carries a positive integer identity
 //! `id(v)`, pairwise distinct within the network. The paper's machinery
@@ -9,8 +9,9 @@
 //!   collisions (the gluing of Theorem 1).
 //! * **Relative order** — order-invariant algorithms (Claim 1, Appendix A)
 //!   only look at how the identities in a ball compare to each other, never
-//!   at their values. [`IdAssignment::order_signature`] and
-//!   [`IdAssignment::rank_within`] expose exactly this information.
+//!   at their values. `rlnc-core`'s `View::rank` and `View::signature`
+//!   expose exactly this information; [`IdAssignment::shifted`] and
+//!   [`IdAssignment::map_monotone`] change values and keep the order.
 
 use crate::csr::{Graph, NodeId};
 use rand::seq::SliceRandom;
@@ -137,22 +138,6 @@ impl IdAssignment {
         IdAssignment::new(ids)
     }
 
-    /// Rank (0-based) of node `v`'s identity among the nodes listed in
-    /// `within`. This is the only information about identities that an
-    /// order-invariant algorithm is allowed to use.
-    pub fn rank_within(&self, v: NodeId, within: &[NodeId]) -> usize {
-        let my = self.id(v);
-        within.iter().filter(|&&w| self.id(w) < my).count()
-    }
-
-    /// Order signature of a node list: `sig[i]` is the rank of `nodes[i]`'s
-    /// identity within the list. Two ID assignments induce the same
-    /// behaviour of an order-invariant algorithm on a ball if and only if
-    /// the order signatures of the ball's node list coincide.
-    pub fn order_signature(&self, nodes: &[NodeId]) -> Vec<usize> {
-        nodes.iter().map(|&v| self.rank_within(v, nodes)).collect()
-    }
-
     /// Applies an order-preserving transformation to all identity values
     /// (any strictly increasing map keeps the order type). Used by property
     /// tests asserting order-invariance.
@@ -161,13 +146,6 @@ impl IdAssignment {
         // Verify monotonicity preserved distinctness on the actual values.
         IdAssignment::new(mapped)
     }
-}
-
-/// Returns `true` if the two assignments induce the same identity order on
-/// the given node set (i.e. they are indistinguishable to an order-invariant
-/// algorithm restricted to those nodes).
-pub fn same_order_type(a: &IdAssignment, b: &IdAssignment, nodes: &[NodeId]) -> bool {
-    a.order_signature(nodes) == b.order_signature(nodes)
 }
 
 #[cfg(test)]
@@ -219,13 +197,16 @@ mod tests {
         assert!(ids.min_id() >= 1);
     }
 
+    /// Whether identities strictly increase in node order.
+    fn increasing(ids: &IdAssignment) -> bool {
+        ids.as_slice().windows(2).all(|w| w[0] < w[1])
+    }
+
     #[test]
     fn spread_and_consecutive_have_same_order_type() {
         let g = cycle(12);
-        let a = IdAssignment::consecutive(&g);
-        let b = IdAssignment::spread(&g, 1000);
-        let nodes: Vec<NodeId> = g.nodes().collect();
-        assert!(same_order_type(&a, &b, &nodes));
+        assert!(increasing(&IdAssignment::consecutive(&g)));
+        assert!(increasing(&IdAssignment::spread(&g, 1000)));
     }
 
     #[test]
@@ -233,8 +214,7 @@ mod tests {
         let g = cycle(8);
         let a = IdAssignment::consecutive(&g);
         let b = a.shifted(500);
-        let nodes: Vec<NodeId> = g.nodes().collect();
-        assert!(same_order_type(&a, &b, &nodes));
+        assert_eq!(b.as_slice(), (501..=508).collect::<Vec<u64>>());
         assert_eq!(b.min_id(), 501);
     }
 
@@ -257,21 +237,10 @@ mod tests {
     }
 
     #[test]
-    fn rank_and_order_signature() {
-        let g = cycle(4);
-        let ids = IdAssignment::new(vec![40, 10, 30, 20]);
-        let nodes: Vec<NodeId> = g.nodes().collect();
-        assert_eq!(ids.order_signature(&nodes), vec![3, 0, 2, 1]);
-        assert_eq!(ids.rank_within(NodeId(2), &nodes), 2);
-        assert_eq!(ids.rank_within(NodeId(2), &[NodeId(2), NodeId(0)]), 0);
-    }
-
-    #[test]
     fn monotone_map_preserves_order() {
         let g = cycle(6);
-        let ids = IdAssignment::consecutive(&g);
-        let mapped = ids.map_monotone(|x| x * x + 7);
-        let nodes: Vec<NodeId> = g.nodes().collect();
-        assert!(same_order_type(&ids, &mapped, &nodes));
+        let mapped = IdAssignment::consecutive(&g).map_monotone(|x| x * x + 7);
+        assert_eq!(mapped.as_slice(), &[8, 11, 16, 23, 32, 43]);
+        assert!(increasing(&mapped));
     }
 }

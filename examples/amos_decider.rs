@@ -8,7 +8,6 @@
 
 use rlnc::langs::amos::{selection_output, Amos, AmosGoldenDecider, GOLDEN_GUARANTEE};
 use rlnc::prelude::*;
-use rlnc_core::decision::acceptance_probability;
 use rlnc_graph::generators::path;
 
 fn main() {
@@ -31,7 +30,8 @@ fn main() {
         let output = selection_output(n, &selected);
         let io = IoConfig::new(&graph, &input, &output);
         let in_language = language.contains(&io);
-        let est = acceptance_probability(&decider, &io, &ids, trials, 618 + k as u64);
+        let plan = ExecutionPlan::for_io(&io, &ids, decider.radius());
+        let est = plan.acceptance(&decider, trials, 618 + k as u64);
         let theory = GOLDEN_GUARANTEE.powi(k as i32);
         let side_ok = if in_language { est.p_hat > 0.5 } else { 1.0 - est.p_hat > 0.5 };
         println!(

@@ -10,9 +10,10 @@ use rlnc::langs::faulty::FaultyConstructor;
 use rlnc::prelude::*;
 use rlnc_core::algorithm::Coins;
 use rlnc_core::decision::FnRandomizedDecider;
-use rlnc_core::derand::boosting::{boosting_bound, boosting_repetitions, disjoint_union_acceptance};
-use rlnc_core::derand::gluing::{anchor_candidates, anchor_count, separation_distance, GluingExperiment};
-use rlnc_core::derand::hard_instances::{consecutive_cycle_candidates, HardInstanceSearch};
+use rlnc_core::derand::boosting::{boosting_bound, boosting_repetitions};
+use rlnc_core::derand::gluing::{anchor_candidates, anchor_count, separation_distance};
+use rlnc_core::derand::hard_instances::consecutive_cycle_candidates;
+use rlnc_derand::failure_probability_with;
 use rlnc_graph::traversal::is_connected;
 use rand::Rng;
 
@@ -44,9 +45,15 @@ fn main() {
     });
 
     let language = ProperColoring::new(3);
-    let search = HardInstanceSearch::new(&language);
+    let params = PipelineParams {
+        r,
+        p,
+        t: 0,
+        t_prime: 1,
+    };
+    let pipeline = DerandPipeline::new(&constructor, &decider, &language, params);
     let hard = consecutive_cycle_candidates([cycle_size]);
-    let beta = search.failure_probability(&constructor, &hard[0], trials, 7).p_hat;
+    let beta = failure_probability_with(&constructor, &language, &hard[0], trials, 7).p_hat;
     println!("== Theorem 1 machinery ==\n");
     println!("constructor failure probability on the hard instance: β ≈ {beta:.3}");
     println!("decider guarantee: p = {p}\n");
@@ -56,7 +63,11 @@ fn main() {
     println!("Claim 3 (disjoint unions): ν = 1 + ⌈ln(rp)/ln(1−βp)⌉ = {nu}");
     println!("{:>4} {:>22} {:>18}", "ν", "Pr[D accepts C(G)]", "bound (1−βp)^ν");
     for copies in [1usize, 2, 4, nu.min(8)] {
-        let est = disjoint_union_acceptance(&constructor, &decider, &hard, copies, trials, 11 + copies as u64);
+        let union = pipeline.union_stage(&hard, copies).plan;
+        let seed = 11 + copies as u64;
+        let est = union
+            .plan()
+            .acceptance(&constructor, &decider, None, trials, seed);
         println!("{:>4} {:>22.3} {:>18.3}", copies, est.p_hat, boosting_bound(p, beta, copies));
     }
 
@@ -67,12 +78,16 @@ fn main() {
     for parts_count in [2usize, 4, 8] {
         let parts = consecutive_cycle_candidates(vec![cycle_size; parts_count]);
         let anchors: Vec<_> = parts.iter().map(|h| anchor_candidates(h, 0, 1, p)[0]).collect();
-        let experiment = GluingExperiment::build(parts, anchors, 0, 1);
-        let far = experiment.acceptance_far_from_all_anchors(&constructor, &decider, trials, 23);
+        let glued = pipeline.glued_stage(parts, anchors);
+        let far_nodes = Some(glued.plan.participants());
+        let far = glued
+            .plan
+            .plan()
+            .acceptance(&constructor, &decider, far_nodes, trials, 23);
         println!(
             "ν' = {parts_count}: glued graph connected = {}, max degree = {}, Pr[accept far from anchors] = {:.3}",
-            is_connected(experiment.graph()),
-            experiment.graph().max_degree(),
+            is_connected(&glued.instance.graph),
+            glued.instance.graph.max_degree(),
             far.p_hat
         );
     }

@@ -42,7 +42,8 @@ fn main() {
     // 4. Contrast with the zero-round random coloring (the ε-slack
     //    constructor of §1.1): fast, but only *almost* proper.
     let random = RandomColoring::new(3);
-    let random_output = Simulator::new().run_randomized(&random, &instance, SeedSequence::new(2015));
+    let random_output = ExecutionPlan::for_instance(&instance, random.radius())
+        .run_randomized(&random, SeedSequence::new(2015));
     let random_io = IoConfig::new(&graph, &input, &random_output);
     let improper = improperly_colored_nodes(&language, &random_io);
     println!(

@@ -13,7 +13,6 @@
 
 use rlnc::langs::coloring::{improperly_colored_nodes, ProperColoring, RankColoring};
 use rlnc::prelude::*;
-use rlnc_core::decision::acceptance_probability;
 use rlnc_core::relaxation::FResilient;
 use rlnc_core::resilient::{resilient_acceptance_probability, ResilientDecider};
 use rlnc_graph::generators::cycle;
@@ -62,7 +61,8 @@ nodes of this cycle, so the number of bad balls scales with n — never ≤ f."
     planted.set(NodeId(100), Label::from_u64(1));
     let io_yes = IoConfig::new(&graph, &input, &planted);
     let bad_yes = improperly_colored_nodes(&language, &io_yes);
-    let est_yes = acceptance_probability(&decider, &io_yes, &ids, 20_000, 1);
+    let est_yes =
+        ExecutionPlan::for_io(&io_yes, &ids, decider.radius()).acceptance(&decider, 20_000, 1);
     println!(
         "yes-instance ({bad_yes} bad balls ≤ f): Pr[all accept] = {:.3} (> 1/2: {})",
         est_yes.p_hat,
@@ -71,7 +71,8 @@ nodes of this cycle, so the number of bad balls scales with n — never ≤ f."
     // No-instance: the all-ones coloring.
     let all_ones = Labeling::from_fn(&graph, |_| Label::from_u64(1));
     let io_no = IoConfig::new(&graph, &input, &all_ones);
-    let est_no = acceptance_probability(&decider, &io_no, &ids, 20_000, 2);
+    let est_no =
+        ExecutionPlan::for_io(&io_no, &ids, decider.radius()).acceptance(&decider, 20_000, 2);
     println!(
         "no-instance ({n} bad balls > f): Pr[some reject] = {:.6} (> 1/2: {})",
         1.0 - est_no.p_hat,
