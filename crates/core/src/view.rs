@@ -352,7 +352,7 @@ impl View {
 mod tests {
     use super::*;
     use crate::labels::{Label, Labeling};
-    use rlnc_graph::generators::{cycle, star};
+    use rlnc_graph::generators::{cycle, path, star};
     use rlnc_graph::IdAssignment;
 
     fn setup(n: usize) -> (Graph, Labeling, IdAssignment) {
@@ -570,28 +570,58 @@ mod tests {
     #[test]
     fn signatures_capture_order_not_values() {
         let (g, x, _) = setup(10);
-        let signatures = |x: &Labeling, ids: &IdAssignment| -> Vec<BallSignature> {
-            let views = View::collect_all(&Instance::new(&g, x, ids), 2);
+        let ids_a = IdAssignment::consecutive(&g);
+        let ids_b = IdAssignment::spread(&g, 77);
+        let inst_a = Instance::new(&g, &x, &ids_a);
+        let inst_b = Instance::new(&g, &x, &ids_b);
+        let sig_a = View::collect(&inst_a, NodeId(4), 2).signature();
+        let sig_b = View::collect(&inst_b, NodeId(4), 2).signature();
+        assert_eq!(sig_a, sig_b);
+        // Different inputs change the signature.
+        let x2 = Labeling::empty(10);
+        let inst_c = Instance::new(&g, &x2, &ids_a);
+        let sig_c = View::collect(&inst_c, NodeId(4), 2).signature();
+        assert_ne!(sig_a, sig_c);
+    }
+
+    #[test]
+    fn signatures_ignore_identity_values_but_not_order() {
+        let (g, x, ids) = setup(10);
+        let signatures = |ids: &IdAssignment| -> Vec<BallSignature> {
+            let views = View::collect_all(&Instance::new(&g, &x, ids), 2);
             views.iter().map(View::signature).collect()
         };
-        let ids = IdAssignment::consecutive(&g);
-        let reference = signatures(&x, &ids);
-        // Spread, shifted and monotone-mapped identities keep every
-        // view's order type, so no signature moves.
-        for same_order in [
-            IdAssignment::spread(&g, 77),
-            ids.shifted(500),
-            ids.map_monotone(|id| id * id + 7),
-        ] {
-            assert_eq!(signatures(&x, &same_order), reference);
+        let reference = signatures(&ids);
+        // Shifted and monotone-mapped identities keep every view's order
+        // type, so no signature moves.
+        for same_order in [ids.shifted(500), ids.map_monotone(|id| id * id + 7)] {
+            assert_eq!(signatures(&same_order), reference);
         }
         // Reversed identities reverse every view's ranks.
         let n = g.node_count() as u64;
         let reversed = IdAssignment::new((0..n).map(|i| n - i).collect());
-        let flipped = signatures(&x, &reversed);
+        let flipped = signatures(&reversed);
         assert!(flipped.iter().zip(&reference).all(|(a, b)| a != b));
-        // Inputs are payloads: different inputs change the signature.
-        assert_ne!(signatures(&Labeling::empty(10), &ids)[4], reference[4]);
+    }
+
+    #[test]
+    fn signatures_include_payloads() {
+        // One input payload per ball member, and only theirs: an input
+        // outside the ball leaves the signature unchanged.
+        let g = path(5);
+        let ids = IdAssignment::consecutive(&g);
+        let signature = |x: &Labeling| {
+            View::collect(&Instance::new(&g, x, &ids), NodeId(2), 1).signature()
+        };
+        let x = Labeling::from_fn(&g, |v| Label::from_u64(u64::from(v.0)));
+        let reference = signature(&x);
+        assert_eq!(reference.len(), 3);
+        let mut inside = x.clone();
+        inside.set(NodeId(3), Label::from_u64(9));
+        assert_ne!(signature(&inside), reference);
+        let mut outside = x.clone();
+        outside.set(NodeId(0), Label::from_u64(9));
+        assert_eq!(signature(&outside), reference);
     }
 
     #[test]

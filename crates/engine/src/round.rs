@@ -100,6 +100,7 @@ mod tests {
     use super::*;
     use crate::plan::ExecutionPlan;
     use rlnc_core::algorithm::FnRandomizedAlgorithm;
+    use rlnc_core::rounds::run_randomized_via_rounds;
     use rlnc_core::view::View;
     use rlnc_core::Label;
     use rand::Rng;
@@ -138,6 +139,20 @@ mod tests {
                 ball_plan.run_randomized(&algo, seed)
             );
         }
+    }
+
+    #[test]
+    fn fault_free_schedule_reproduces_the_fault_free_run() {
+        let (g, x, ids) = fixture(12);
+        let inst = Instance::new(&g, &x, &ids);
+        let algo = coin_algo();
+        let plan = RoundPlan::for_instance(&inst, 1);
+        let seed = SeedSequence::new(5).child(2);
+        let schedule = FaultSchedule::fault_free(12, SeedSequence::new(0));
+        assert_eq!(
+            plan.run_with_faults(&algo, seed, &schedule),
+            run_randomized_via_rounds(&algo, &inst, seed)
+        );
     }
 
     #[test]
