@@ -277,17 +277,6 @@ impl FaultSchedule {
         self.byzantine[v.index()]
     }
 
-    /// Returns `true` if any node crashes or is Byzantine.
-    pub fn has_faults(&self) -> bool {
-        self.faulty_count() > 0
-    }
-
-    /// Returns `true` if at least one node is Byzantine (i.e. some
-    /// broadcast will actually be forged).
-    pub fn has_byzantine(&self) -> bool {
-        self.byzantine.iter().any(|&b| b)
-    }
-
     /// Number of faulty (crashing or Byzantine) nodes.
     pub fn faulty_count(&self) -> usize {
         self.crash_round
@@ -380,7 +369,7 @@ mod tests {
         );
         for i in 0..FAULT_PLAN_KINDS {
             let schedule = FaultPlan::from_index(i, 0.0).schedule(&g, SeedSequence::new(1));
-            assert!(!schedule.has_faults());
+            assert_eq!(schedule.faulty_count(), 0);
             assert_eq!(schedule.faulty_fraction(), 0.0);
         }
         assert_eq!(FaultPlan::None.schedule(&g, SeedSequence::new(1)).faulty_count(), 0);
@@ -443,7 +432,7 @@ mod tests {
         let g = cycle(20);
         let plan = FaultPlan::ByzantineRelabel { probability: 1.0 };
         let schedule = plan.schedule(&g, SeedSequence::new(5));
-        assert!(schedule.has_byzantine());
+        assert!(g.nodes().all(|v| schedule.is_byzantine(v)));
         assert_eq!(schedule.faulty_count(), 20);
         assert!(!schedule.is_silent(NodeId(3), 10));
         assert!(!schedule.all_silent_at(1_000));

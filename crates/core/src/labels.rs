@@ -221,15 +221,6 @@ impl Labeling {
         self.labels[v.index()] = label;
     }
 
-    /// Overwrites the labeling with `labels`, resizing to their count.
-    /// Allocation-free once the buffer has grown that far, which keeps the
-    /// language layer's verdict scratch allocation-free in the steady
-    /// state.
-    pub fn copy_from(&mut self, labels: &[Label]) {
-        self.labels.clear();
-        self.labels.extend_from_slice(labels);
-    }
-
     /// Iterates over `(node, label)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &Label)> {
         self.labels
@@ -246,6 +237,11 @@ impl Labeling {
     /// Underlying vector of labels, indexed by node.
     pub fn as_slice(&self) -> &[Label] {
         &self.labels
+    }
+
+    /// Mutable vector of labels, indexed by node.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [Label] {
+        &mut self.labels
     }
 
     /// Concatenates two labelings (for disjoint unions of instances).

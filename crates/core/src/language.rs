@@ -13,10 +13,8 @@
 //! built on top of this trait in [`crate::relaxation`].
 
 use crate::config::IoConfig;
-use crate::labels::Labeling;
 use crate::view::View;
 use rlnc_graph::NodeId;
-use std::cell::RefCell;
 
 /// A distributed language: a predicate on input-output configurations.
 ///
@@ -42,57 +40,27 @@ pub trait LclLanguage: Sync {
     /// inputs and outputs) belongs to `Bad(L)`.
     fn is_bad_ball(&self, io: &IoConfig<'_>, v: NodeId) -> bool;
 
-    /// View-native bad-ball check: evaluates the predicate directly on a
-    /// decision [`View`] of radius at least `t` (the view's center plays
-    /// the role of `v`). An LCL predicate of radius `t` evaluated at the
-    /// center of such a view reads only data inside the view, so this is
-    /// exactly [`LclLanguage::is_bad_ball`] on the ball-restricted
-    /// configuration — the generic deciders
-    /// ([`crate::resilient::ResilientDecider`],
-    /// [`crate::one_sided::OneSidedLclDecider`]) verdict through this hook.
-    ///
-    /// The default implementation falls back to the `IoConfig` path
-    /// ([`is_bad_view_via_config`]) through a reusable thread-local scratch;
-    /// concrete languages should override it to read the view directly so
-    /// the verdict performs no heap allocation at all (every language in
-    /// `rlnc-langs` does).
-    ///
-    /// # Panics
-    /// Panics if the view carries no outputs (a construction view).
-    fn is_bad_view(&self, view: &View) -> bool {
-        is_bad_view_via_config(self, view)
-    }
-
     /// Human-readable name used in experiment tables.
     fn name(&self) -> String {
         std::any::type_name::<Self>().rsplit("::").next().unwrap_or("lcl").to_string()
     }
 }
 
-thread_local! {
-    /// Reusable input/output labelings for [`is_bad_view_via_config`]: the
-    /// buffers grow to the largest ball seen on this thread and are then
-    /// reused, so even the fallback path stops allocating per verdict.
-    static VIEW_CONFIG_SCRATCH: RefCell<(Labeling, Labeling)> =
-        RefCell::new((Labeling::default(), Labeling::default()));
-}
-
-/// The fallback body of [`LclLanguage::is_bad_view`]: rebuilds the view's
-/// ball as a standalone input-output configuration (through a thread-local
-/// reusable scratch) and evaluates [`LclLanguage::is_bad_ball`] at the
-/// center. Exposed so benchmarks and equivalence tests can pin the two
-/// paths against each other.
+/// The verdict of an LCL language on a decision view: the language's own
+/// [`LclLanguage::is_bad_ball`] at the center (local node 0) of the view's
+/// ball configuration ([`View::config`]), which borrows the view's labels
+/// without a copy. A predicate of radius `t` at the center of a view of
+/// radius at least `t` reads only data inside the view, so this equals the
+/// predicate at the center in the host configuration. The generic deciders
+/// ([`crate::resilient::ResilientDecider`],
+/// [`crate::one_sided::OneSidedLclDecider`]) verdict through it, so a
+/// language states its bad balls once.
 ///
 /// # Panics
-/// Panics if the view carries no outputs.
-pub fn is_bad_view_via_config<L: LclLanguage + ?Sized>(language: &L, view: &View) -> bool {
-    VIEW_CONFIG_SCRATCH.with(|cell| {
-        let (input, output) = &mut *cell.borrow_mut();
-        view.write_inputs_to(input);
-        view.write_outputs_to(output);
-        let local_io = IoConfig::new(view.local_graph(), input, output);
-        language.is_bad_ball(&local_io, NodeId::from_index(view.center_local()))
-    })
+/// Panics if the view carries no outputs (a construction view).
+#[inline]
+pub fn is_bad_view<L: LclLanguage + ?Sized>(language: &L, view: &View) -> bool {
+    language.is_bad_ball(&view.config(), NodeId(0))
 }
 
 /// Every LCL language is a distributed language: membership is "no bad
@@ -237,7 +205,7 @@ mod tests {
     }
 
     #[test]
-    fn default_is_bad_view_matches_is_bad_ball() {
+    fn is_bad_view_matches_is_bad_ball() {
         use crate::view::View;
         use rlnc_graph::IdAssignment;
         let g = cycle(8);
@@ -248,17 +216,11 @@ mod tests {
         let io = IoConfig::new(&g, &x, &y);
         let lang = conflict_lcl();
         for v in g.nodes() {
-            // At the language radius and one beyond: both the default hook
-            // and the explicit fallback agree with the full-configuration
-            // predicate.
+            // At the language radius and one beyond, the predicate on the
+            // view's ball agrees with the full-configuration predicate.
             for radius in [1u32, 2] {
                 let view = View::collect_io(&io, &ids, v, radius);
-                assert_eq!(lang.is_bad_view(&view), lang.is_bad_ball(&io, v), "node {v:?}");
-                assert_eq!(
-                    is_bad_view_via_config(&lang, &view),
-                    lang.is_bad_ball(&io, v),
-                    "fallback at node {v:?}"
-                );
+                assert_eq!(is_bad_view(&lang, &view), lang.is_bad_ball(&io, v));
             }
         }
     }

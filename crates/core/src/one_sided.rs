@@ -7,7 +7,7 @@
 
 use crate::algorithm::Coins;
 use crate::decision::RandomizedDecider;
-use crate::language::LclLanguage;
+use crate::language::{is_bad_view, LclLanguage};
 use crate::view::View;
 use rand::Rng;
 
@@ -23,11 +23,10 @@ use rand::Rng;
 /// instantiation (one `random_bool(p)` draw at bad centers, none at good
 /// centers).
 ///
-/// The verdict routes through [`LclLanguage::is_bad_view`], so for the
-/// languages shipped in `rlnc-langs` (which override the hook) it performs
-/// **zero heap allocations** per node — and even for languages relying on
-/// the default hook, the fallback's thread-local scratch stops allocating
-/// once warm.
+/// The verdict is the language's own bad-ball predicate on the view's
+/// ball ([`is_bad_view`]), which borrows the view's labels, so it performs
+/// **zero heap allocations** per node for every language whose
+/// [`LclLanguage::is_bad_ball`] allocates nothing (all of `rlnc-langs`).
 #[derive(Debug, Clone, Copy)]
 pub struct OneSidedLclDecider<L> {
     language: L,
@@ -62,7 +61,7 @@ impl<L: LclLanguage> RandomizedDecider for OneSidedLclDecider<L> {
     }
 
     fn accepts(&self, view: &View, coins: &Coins) -> bool {
-        if !self.language.is_bad_view(view) {
+        if !is_bad_view(&self.language, view) {
             return true;
         }
         !coins.for_center(view).random_bool(self.p)

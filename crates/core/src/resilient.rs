@@ -17,7 +17,7 @@
 
 use crate::algorithm::Coins;
 use crate::decision::RandomizedDecider;
-use crate::language::LclLanguage;
+use crate::language::{is_bad_view, LclLanguage};
 use crate::view::View;
 use rand::Rng;
 
@@ -88,10 +88,9 @@ impl<L: LclLanguage> RandomizedDecider for ResilientDecider<L> {
 
     fn accepts(&self, view: &View, coins: &Coins) -> bool {
         // An LCL predicate of radius t evaluated at the center of a
-        // radius-t view only reads data inside the view, so the view-native
-        // hook is exact — and allocation-free for the languages that
-        // override it (all of `rlnc-langs`).
-        if !self.language.is_bad_view(view) {
+        // radius-t view only reads data inside the view, so the language's
+        // own predicate on the view's ball is exact, and it copies nothing.
+        if !is_bad_view(&self.language, view) {
             return true;
         }
         coins.for_center(view).random_bool(self.p)

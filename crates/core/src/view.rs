@@ -15,9 +15,10 @@ use rlnc_graph::{Graph, IdAssignment, NodeId};
 
 /// The information visible to one node after `t` rounds of communication.
 ///
-/// Identities and labels are flat per-member arrays (local index order);
-/// labels are inline [`Label`] values, so the output array is the
-/// contiguous lane verdict kernels scan.
+/// Identities are a flat per-member array and labels are per-member
+/// [`Labeling`]s (local index order), so a decision view is the
+/// input-output configuration of its ball ([`View::config`]) without a
+/// copy, and the output labels are the contiguous lane verdicts scan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct View {
     /// The ball `B_G(v, t)` (local indices; center is local index 0).
@@ -27,37 +28,31 @@ pub struct View {
     /// Radius of the view.
     pub radius: u32,
     ids: Vec<u64>,
-    inputs: Vec<Label>,
-    outputs: Option<Vec<Label>>,
+    inputs: Labeling,
+    outputs: Option<Labeling>,
     /// Degree of the center in the host graph (known even at radius 0: a
     /// node always knows its own port count in the LOCAL model).
     host_degree: usize,
+}
+
+/// The labels of `members`, in member order.
+fn labels_of(labeling: &Labeling, members: &[NodeId]) -> Labeling {
+    Labeling::new(members.iter().map(|&w| *labeling.get(w)).collect())
 }
 
 impl View {
     /// Collects the view of node `v` in a construction instance
     /// (graph + inputs + identities; no outputs yet).
     pub fn collect(instance: &Instance<'_>, v: NodeId, radius: u32) -> View {
-        let ball = Ball::extract(instance.graph, v, radius);
-        let ids = ball.members.iter().map(|&w| instance.ids.id(w)).collect();
-        let inputs = ball
-            .members
-            .iter()
-            .map(|&w| *instance.input.get(w))
-            .collect();
-        let host_degree = instance.graph.degree(v);
-        View::from_parts(ball, v, radius, ids, inputs, None, host_degree)
+        let Instance { graph, input, ids } = *instance;
+        Self::gather(Ball::extract(graph, v, radius), graph, input, ids, None)
     }
 
     /// Collects the view of node `v` in an input-output configuration with
     /// identities (what a decision algorithm sees).
     pub fn collect_io(io: &IoConfig<'_>, ids: &IdAssignment, v: NodeId, radius: u32) -> View {
         let ball = Ball::extract(io.graph, v, radius);
-        let id_vec = ball.members.iter().map(|&w| ids.id(w)).collect();
-        let inputs = ball.members.iter().map(|&w| *io.input.get(w)).collect();
-        let outputs = ball.members.iter().map(|&w| *io.output.get(w)).collect();
-        let host_degree = io.graph.degree(v);
-        View::from_parts(ball, v, radius, id_vec, inputs, Some(outputs), host_degree)
+        Self::gather(ball, io.graph, io.input, ids, Some(io.output))
     }
 
     /// Collects the views of **every** node of a construction instance in
@@ -91,25 +86,34 @@ impl View {
     ) -> Vec<View> {
         let arena = BallArena::extract_all(graph, radius);
         (0..arena.len())
-            .map(|i| {
-                let v = NodeId::from_index(i);
-                let members = arena.members(i);
-                View {
-                    ball: arena.ball(i),
-                    center: v,
-                    radius,
-                    ids: members.iter().map(|&w| ids.id(w)).collect(),
-                    inputs: members.iter().map(|&w| *input.get(w)).collect(),
-                    outputs: output.map(|out| members.iter().map(|&w| *out.get(w)).collect()),
-                    host_degree: graph.degree(v),
-                }
-            })
+            .map(|i| Self::gather(arena.ball(i), graph, input, ids, output))
             .collect()
     }
 
-    /// Assembles a view from pre-extracted parts — the constructor behind
-    /// the batched collectors above (and available to external planners
-    /// that materialize views from their own arenas).
+    /// The view over an extracted `ball` of the host graph: the members'
+    /// identities and labels, read from the host instance.
+    fn gather(
+        ball: Ball,
+        graph: &Graph,
+        input: &Labeling,
+        ids: &IdAssignment,
+        output: Option<&Labeling>,
+    ) -> View {
+        let members = &ball.members;
+        let center = members[0];
+        View {
+            ids: members.iter().map(|&w| ids.id(w)).collect(),
+            inputs: labels_of(input, members),
+            outputs: output.map(|out| labels_of(out, members)),
+            host_degree: graph.degree(center),
+            center,
+            radius: ball.radius,
+            ball,
+        }
+    }
+
+    /// Assembles a view from pre-extracted parts, for planners that
+    /// materialize views from their own arenas or gathered messages.
     ///
     /// # Panics
     /// Panics if `ids` or `inputs` (or `outputs`, when present) do not have
@@ -133,8 +137,8 @@ impl View {
             center,
             radius,
             ids,
-            inputs,
-            outputs,
+            inputs: Labeling::new(inputs),
+            outputs: outputs.map(Labeling::new),
             host_degree,
         }
     }
@@ -148,11 +152,11 @@ impl View {
         let members = &self.ball.members;
         match &mut self.outputs {
             Some(outs) => {
-                for (slot, &w) in outs.iter_mut().zip(members) {
+                for (slot, &w) in outs.as_mut_slice().iter_mut().zip(members) {
                     *slot = *output.get(w);
                 }
             }
-            None => self.outputs = Some(members.iter().map(|&w| *output.get(w)).collect()),
+            None => self.outputs = Some(labels_of(output, members)),
         }
     }
 
@@ -230,7 +234,7 @@ impl View {
     /// Input label of local node `i`.
     #[inline]
     pub fn input(&self, i: usize) -> &Label {
-        &self.inputs[i]
+        &self.inputs.as_slice()[i]
     }
 
     /// Output label of local node `i`.
@@ -240,7 +244,8 @@ impl View {
     /// view rather than a decision view).
     #[inline]
     pub fn output(&self, i: usize) -> &Label {
-        &self.outputs.as_ref().expect("view has no outputs")[i]
+        let outputs = self.outputs.as_ref().expect("view has no outputs");
+        &outputs.as_slice()[i]
     }
 
     /// Returns `true` if the view carries output labels.
@@ -280,21 +285,21 @@ impl View {
         self.local_graph().neighbor_ids(NodeId(0)).map(|w| w.index())
     }
 
-    /// Copies this view's input labels into `out` (resized to the view's
-    /// length), reusing `out`'s buffer. Together with
-    /// [`View::write_outputs_to`] this is the fill step of the language
-    /// layer's reusable ball-configuration scratch.
-    pub fn write_inputs_to(&self, out: &mut Labeling) {
-        out.copy_from(&self.inputs);
-    }
-
-    /// Copies this view's output labels into `out` (resized to the view's
-    /// length), reusing `out`'s buffer.
+    /// The view's ball as an input-output configuration: its local graph
+    /// with the members' input and output labels, borrowed without a copy.
+    /// The center is local node 0, so a radius-`t` predicate evaluated
+    /// there on a view of radius at least `t` reads exactly what it reads
+    /// at the center of the host configuration.
     ///
     /// # Panics
     /// Panics if the view carries no outputs (a construction view).
-    pub fn write_outputs_to(&self, out: &mut Labeling) {
-        out.copy_from(self.outputs.as_ref().expect("view has no outputs"));
+    #[inline]
+    pub fn config(&self) -> IoConfig<'_> {
+        IoConfig {
+            graph: self.local_graph(),
+            input: &self.inputs,
+            output: self.outputs.as_ref().expect("view has no outputs"),
+        }
     }
 
     /// Rank (0-based) of the center's identity among all identities in the
@@ -326,12 +331,14 @@ impl View {
             .map(|(u, v)| (u.0, v.0))
             .collect();
         edges.sort_unstable();
+        let inputs = self.inputs.as_slice();
+        let outputs = self.outputs.as_ref().map(Labeling::as_slice);
         let payloads = (0..self.len())
             .map(|i| {
                 let mut p = Vec::new();
-                p.push(self.inputs[i].len() as u8);
-                p.extend_from_slice(self.inputs[i].as_bytes());
-                if let Some(outs) = &self.outputs {
+                p.push(inputs[i].len() as u8);
+                p.extend_from_slice(inputs[i].as_bytes());
+                if let Some(outs) = outputs {
                     p.push(outs[i].len() as u8);
                     p.extend_from_slice(outs[i].as_bytes());
                 }
@@ -424,6 +431,31 @@ mod tests {
     }
 
     #[test]
+    fn config_is_the_ball_restricted_configuration() {
+        let (g, x, ids) = setup(10);
+        let y = Labeling::from_fn(&g, |v| Label::from_u64(u64::from(v.0) + 20));
+        let io = IoConfig::new(&g, &x, &y);
+        let view = View::collect_io(&io, &ids, NodeId(4), 2);
+        let config = view.config();
+        assert!(std::ptr::eq(config.graph, view.local_graph()));
+        assert_eq!(config.node_count(), 5);
+        assert_eq!(view.host_node(0), NodeId(4), "the center is local node 0");
+        for i in 0..view.len() {
+            let (local, host) = (NodeId::from_index(i), view.host_node(i));
+            assert_eq!(config.input.get(local), x.get(host));
+            assert_eq!(config.output.get(local), y.get(host));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no outputs")]
+    fn construction_view_has_no_config() {
+        let (g, x, ids) = setup(5);
+        let view = View::collect(&Instance::new(&g, &x, &ids), NodeId(0), 1);
+        let _ = view.config();
+    }
+
+    #[test]
     fn batched_collection_matches_per_node_collection() {
         let (g, x, ids) = setup(12);
         let inst = Instance::new(&g, &x, &ids);
@@ -488,7 +520,7 @@ mod tests {
             reference.center,
             reference.radius,
             reference.ids.clone(),
-            reference.inputs.clone(),
+            reference.inputs.as_slice().to_vec(),
             None,
             reference.center_degree(),
         );
@@ -507,7 +539,7 @@ mod tests {
             reference.center,
             1,
             vec![1],
-            reference.inputs.clone(),
+            reference.inputs.as_slice().to_vec(),
             None,
             2,
         );

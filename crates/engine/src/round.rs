@@ -45,33 +45,9 @@ impl RoundPlan {
         }
     }
 
-    /// The planned instance (borrowing the plan's owned copies).
-    pub fn instance(&self) -> Instance<'_> {
-        Instance::new(&self.graph, &self.input, &self.ids)
-    }
-
     /// The planned graph.
     pub fn graph(&self) -> &Graph {
         &self.graph
-    }
-
-    /// Number of nodes in the planned instance.
-    pub fn node_count(&self) -> usize {
-        self.graph.node_count()
-    }
-
-    /// The radius the plan was built at; algorithms must declare exactly
-    /// this radius.
-    pub fn radius(&self) -> u32 {
-        self.radius
-    }
-
-    fn assert_radius(&self, declared: u32) {
-        assert_eq!(
-            declared, self.radius,
-            "algorithm radius {declared} does not match round plan radius {}",
-            self.radius
-        );
     }
 
     /// One fault-injected execution: crashed nodes fall silent per the
@@ -86,8 +62,13 @@ impl RoundPlan {
         execution_seed: SeedSequence,
         schedule: &FaultSchedule,
     ) -> Labeling {
-        self.assert_radius(algo.radius());
-        let instance = self.instance();
+        let declared = algo.radius();
+        assert_eq!(
+            declared, self.radius,
+            "algorithm radius {declared} does not match round plan radius {}",
+            self.radius
+        );
+        let instance = Instance::new(&self.graph, &self.input, &self.ids);
         let wrapper = GatherRun::new(algo, Coins::new(execution_seed));
         RoundSystem::new(&wrapper, &instance)
             .with_faults(schedule)
@@ -129,8 +110,6 @@ mod tests {
         let algo = coin_algo();
         let ball_plan = ExecutionPlan::for_instance(&inst, 1);
         let round_plan = RoundPlan::for_instance(&inst, 1);
-        assert_eq!(round_plan.node_count(), 20);
-        assert_eq!(round_plan.radius(), 1);
         let schedule = FaultSchedule::fault_free(20, SeedSequence::new(0));
         for t in 0..6 {
             let seed = SeedSequence::new(31).child(t);

@@ -319,11 +319,13 @@ fn instrumented_decision_loop_does_not_allocate() {
     );
 }
 
-/// For every registered LCL case, the view-native verdict path performs
-/// zero heap allocations once the decision views exist.
+/// For every registered LCL case, the bad-ball predicate performs zero
+/// heap allocations: on decision views once they exist, and over the full
+/// host configuration.
 #[cfg(feature = "count-alloc")]
 #[test]
 fn view_native_verdicts_do_not_allocate() {
+    use rlnc_core::language::is_bad_view;
     use rlnc_langs::registry::CaseId;
     use rlnc_obs::alloc_counter::allocations;
 
@@ -346,19 +348,30 @@ fn view_native_verdicts_do_not_allocate() {
             .nodes()
             .map(|v| View::collect_io(&io, &ids, v, lcl.radius()))
             .collect();
-        // Warm-up pass (nothing to warm for overridden languages, but
-        // keep the protocol uniform), then the counted pass.
-        let warm: usize = views.iter().filter(|view| lcl.is_bad_view(view)).count();
+        // Warm-up pass (nothing to warm, but keep the protocol uniform),
+        // then the counted passes: on the views, then on the host.
+        let bad_views = || views.iter().filter(|v| is_bad_view(&**lcl, v)).count();
+        let warm = bad_views();
         let before = allocations();
-        let counted: usize = views.iter().filter(|view| lcl.is_bad_view(view)).count();
-        let after = allocations();
+        let counted = bad_views();
+        let after_views = allocations();
+        let host = bad_ball_count(&**lcl, &io);
+        let after_host = allocations();
         assert_eq!(warm, counted);
+        assert_eq!(host, counted, "case '{}': verdicts differ", case.name);
         assert_eq!(
-            after - before,
+            after_views - before,
             0,
             "case '{}': view-native verdicts allocated {} times",
             case.name,
-            after - before
+            after_views - before
+        );
+        assert_eq!(
+            after_host - after_views,
+            0,
+            "case '{}': host-configuration verdicts allocated {} times",
+            case.name,
+            after_host - after_views
         );
     }
 }

@@ -174,6 +174,7 @@ fn experiments_main(args: &[String]) {
         }
         std::process::exit(2);
     }
+    check_writable([&markdown_path, &trace_path]);
 
     if trace_path.is_some() {
         enable_tracing();
@@ -362,6 +363,7 @@ fn sweep_main(args: &[String]) {
         },
         _ => Vec::new(),
     };
+    check_writable([&out_path, &csv_path, &markdown_path, &trace_path]);
     if trace_path.is_some() {
         enable_tracing();
     }
@@ -447,6 +449,7 @@ fn sweep_merge_main(args: &[String]) {
     if !trace_paths.is_empty() && trace_out.is_none() {
         usage_error("--trace requires --trace-out FILE (where to write the merged trace)");
     }
+    check_writable([&out_path, &trace_out]);
 
     let mut runs: Vec<SweepRun> = Vec::with_capacity(inputs.len());
     for path in &inputs {
@@ -696,6 +699,9 @@ fn serve_client_main(args: &[String]) {
     let Some(action) = action else {
         usage_error("serve-client requires an action: list-scenarios, run, status, or shutdown");
     };
+    if action == "run" {
+        check_writable([&out_path]);
+    }
 
     let mut client = match connect_with_retry(&endpoint, CONNECT_TIMEOUT) {
         Ok(client) => client,
@@ -764,11 +770,33 @@ fn serve_client_main(args: &[String]) {
     }
 }
 
-/// Writes one output file. A path that cannot be written ends the process
-/// with one `cannot write PATH: ERROR` line and exit code 1.
+/// Writes one output file; a path that cannot be written ends the process
+/// through [`cannot_write`].
 fn write_file(path: &str, contents: &str) {
     if let Err(e) = std::fs::write(path, contents) {
-        status::warn(&format!("cannot write {path}: {e}"));
-        std::process::exit(1);
+        cannot_write(path, e);
     }
+}
+
+/// Opens every given output path for writing, without truncating it,
+/// before any work starts, so a path that cannot be written fails fast
+/// (as [`write_file`] would fail after the run).
+fn check_writable<'a>(paths: impl IntoIterator<Item = &'a Option<String>>) {
+    for path in paths.into_iter().flatten() {
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path);
+        if let Err(e) = file {
+            cannot_write(path, e);
+        }
+    }
+}
+
+/// Ends the process with one `cannot write PATH: ERROR` line and exit
+/// code 1.
+fn cannot_write(path: &str, error: std::io::Error) -> ! {
+    status::warn(&format!("cannot write {path}: {error}"));
+    std::process::exit(1);
 }

@@ -614,12 +614,30 @@ fn unwritable_output_paths_exit_one_with_one_stderr_line() {
     let exe = env!("CARGO_BIN_EXE_rlnc-experiments");
     let missing = std::env::temp_dir().join(format!("rlnc-cli-missing-{}", std::process::id()));
     assert!(!missing.exists());
+    // Each path is checked before any work: the shard to merge and the
+    // server to connect to do not exist either, and the sweeps print
+    // nothing.
+    let shard = missing.join("shard.json").display().to_string();
+    let socket = format!("unix:{}", missing.join("serve.sock").display());
     let sweep = ["sweep", "--scenario", "smoke", "--scale", "smoke"];
     let classic = ["--scale", "smoke", "--only", "e1"];
-    let runs: [(&[&str], &str, &str); 3] = [
+    let merge = ["sweep-merge", shard.as_str()];
+    let client = [
+        "serve-client",
+        "--connect",
+        &socket,
+        "run",
+        "--scenario",
+        "smoke",
+    ];
+    let runs: [(&[&str], &str, &str); 7] = [
         (&sweep, "--out", "x.json"),
+        (&sweep, "--csv", "x.csv"),
         (&sweep, "--trace-out", "t.json"),
         (&classic, "--markdown", "x.md"),
+        (&merge, "--out", "x.json"),
+        (&merge, "--trace-out", "t.json"),
+        (&client, "--out", "x.json"),
     ];
     for (args, flag, file) in runs {
         let path = missing.join(file);
@@ -629,13 +647,15 @@ fn unwritable_output_paths_exit_one_with_one_stderr_line() {
             .arg(&path)
             .output()
             .expect("failed to spawn rlnc-experiments");
+        let run = format!("{} {flag}", args.join(" "));
         let stderr = String::from_utf8_lossy(&output.stderr);
-        assert_eq!(output.status.code(), Some(1), "{flag}: stderr:\n{stderr}");
-        assert_eq!(stderr.lines().count(), 1, "{flag}: stderr:\n{stderr}");
+        assert_eq!(output.status.code(), Some(1), "{run}: stderr:\n{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{run}: stderr:\n{stderr}");
         assert!(
             stderr.starts_with(&format!("cannot write {}: ", path.display())),
-            "{flag}: stderr:\n{stderr}"
+            "{run}: stderr:\n{stderr}"
         );
-        assert!(!stderr.contains("panicked"), "{flag}: stderr:\n{stderr}");
+        assert!(!stderr.contains("panicked"), "{run}: stderr:\n{stderr}");
+        assert!(output.stdout.is_empty(), "{run}: printed before failing");
     }
 }

@@ -571,7 +571,7 @@ mod tests {
                 for trial in 0..4 {
                     let seed = SeedSequence::new(trial);
                     let schedule = fault.schedule(&graph, seed.child(0));
-                    forged += usize::from(schedule.has_byzantine());
+                    forged += usize::from(graph.nodes().any(|v| schedule.is_byzantine(v)));
                     assert_eq!(
                         plan.run_with_faults(&algo, seed.child(1), &schedule),
                         plan.run_with_faults(&reference, seed.child(1), &schedule),

@@ -6,6 +6,7 @@
 //! range or collides with a neighbor. §4 of the paper uses (Δ+1)-coloring
 //! and 3-coloring of the ring as its running examples.
 
+use rlnc_core::language::is_bad_view;
 use rlnc_core::prelude::*;
 use rlnc_graph::NodeId;
 
@@ -45,23 +46,15 @@ impl LclLanguage for ProperColoring {
     }
 
     fn is_bad_ball(&self, io: &IoConfig<'_>, v: NodeId) -> bool {
+        // Branchless over the neighborhood: one inline label compare per
+        // neighbor, no early exit.
         let mine = io.output.get(v);
         if !self.in_range(mine) {
             return true;
         }
-        io.graph.neighbor_ids(v).any(|w| io.output.get(w) == mine)
-    }
-
-    fn is_bad_view(&self, view: &View) -> bool {
-        // Branchless over the neighborhood: one inline label compare per
-        // neighbor, no early exit.
-        let mine = view.output(view.center_local());
-        if !self.in_range(mine) {
-            return true;
-        }
         let mut bad = false;
-        for i in view.center_neighbor_indices() {
-            bad |= view.output(i) == mine;
+        for w in io.graph.neighbor_ids(v) {
+            bad |= io.output.get(w) == mine;
         }
         bad
     }
@@ -75,13 +68,15 @@ impl LclLanguage for ProperColoring {
 /// in LD(1): compare your color with your neighbors').
 #[derive(Debug, Clone, Copy)]
 pub struct ColoringDecider {
-    colors: u64,
+    language: ProperColoring,
 }
 
 impl ColoringDecider {
     /// Decider for proper `colors`-coloring.
     pub fn new(colors: u64) -> Self {
-        ColoringDecider { colors }
+        ColoringDecider {
+            language: ProperColoring::new(colors),
+        }
     }
 }
 
@@ -91,20 +86,11 @@ impl LocalDecider for ColoringDecider {
     }
 
     fn accepts(&self, view: &View) -> bool {
-        let mine = view.output(view.center_local());
-        let c = mine.as_u64();
-        if c < 1 || c > self.colors {
-            return false;
-        }
-        let mut collides = false;
-        for i in view.center_neighbor_indices() {
-            collides |= view.output(i) == mine;
-        }
-        !collides
+        !is_bad_view(&self.language, view)
     }
 
     fn name(&self) -> String {
-        format!("{}-coloring-decider", self.colors)
+        format!("{}-coloring-decider", self.language.colors())
     }
 }
 

@@ -25,7 +25,11 @@ impl DominatingSet {
 
     /// Whether `v` is dominated (in the set or adjacent to a member).
     pub fn is_dominated(io: &IoConfig<'_>, v: NodeId) -> bool {
-        io.output.get(v).as_bool() || io.graph.neighbor_ids(v).any(|w| io.output.get(w).as_bool())
+        let mut dominated = io.output.get(v).as_bool();
+        for w in io.graph.neighbor_ids(v) {
+            dominated |= io.output.get(w).as_bool();
+        }
+        dominated
     }
 
     /// Number of members of the set.
@@ -41,14 +45,6 @@ impl LclLanguage for DominatingSet {
 
     fn is_bad_ball(&self, io: &IoConfig<'_>, v: NodeId) -> bool {
         !Self::is_dominated(io, v)
-    }
-
-    fn is_bad_view(&self, view: &View) -> bool {
-        let mut dominated = view.output(view.center_local()).as_bool();
-        for i in view.center_neighbor_indices() {
-            dominated |= view.output(i).as_bool();
-        }
-        !dominated
     }
 
     fn name(&self) -> String {
@@ -75,18 +71,6 @@ impl MinimalDominatingSet {
             .filter(|&w| io.output.get(w).as_bool())
             .count()
     }
-
-    /// Whether member `v` has a private node (so removing it breaks
-    /// domination somewhere).
-    pub fn has_private_node(io: &IoConfig<'_>, v: NodeId) -> bool {
-        debug_assert!(io.output.get(v).as_bool());
-        if Self::dominator_count(io, v) == 1 {
-            return true; // v dominates itself and nobody else does
-        }
-        io.graph
-            .neighbor_ids(v)
-            .any(|u| Self::dominator_count(io, u) == 1)
-    }
 }
 
 impl LclLanguage for MinimalDominatingSet {
@@ -95,39 +79,17 @@ impl LclLanguage for MinimalDominatingSet {
     }
 
     fn is_bad_ball(&self, io: &IoConfig<'_>, v: NodeId) -> bool {
-        if !DominatingSet::is_dominated(io, v) {
-            return true;
-        }
-        io.output.get(v).as_bool() && !Self::has_private_node(io, v)
-    }
-
-    fn is_bad_view(&self, view: &View) -> bool {
-        // All reads stay within distance 2 of the center (the private-node
-        // check looks at dominator counts of the center's neighbors, whose
-        // neighbors are inside a radius-2 view).
-        let graph = view.local_graph();
-        let in_set = |u: usize| view.output(u).as_bool();
-        let dominator_count = |u: usize| {
-            usize::from(in_set(u))
-                + graph
-                    .neighbor_ids(NodeId::from_index(u))
-                    .filter(|w| in_set(w.index()))
-                    .count()
-        };
-        let center = view.center_local();
-        if dominator_count(center) == 0 {
+        // All reads stay within distance 2 of `v`: the private-node check
+        // looks at the dominator counts of `v`'s neighbors.
+        let count = Self::dominator_count(io, v);
+        if count == 0 {
             return true; // not dominated
         }
-        if !in_set(center) {
-            return false;
-        }
-        // Membership without a private node violates minimality.
-        if dominator_count(center) == 1 {
-            return false; // the center is its own private node
-        }
-        !view
-            .center_neighbor_indices()
-            .any(|u| dominator_count(u) == 1)
+        // A member without a private node violates minimality. With one
+        // dominator, that is `v` itself, its own private node; otherwise
+        // it needs a neighbor that only `v` dominates.
+        let private = |u: NodeId| Self::dominator_count(io, u) == 1;
+        io.output.get(v).as_bool() && count > 1 && !io.graph.neighbor_ids(v).any(private)
     }
 
     fn name(&self) -> String {

@@ -7,14 +7,14 @@
 //! even for languages in LD, which is why Corollary 1's general argument
 //! (rather than ad-hoc local fixing) is needed.
 
+use crate::coloring::ProperColoring;
 use rlnc_core::prelude::*;
 use rlnc_graph::NodeId;
-use std::collections::HashMap;
 
 /// The `c`-frugal proper `colors`-coloring language (radius 1).
 #[derive(Debug, Clone, Copy)]
 pub struct FrugalColoring {
-    colors: u64,
+    proper: ProperColoring,
     frugality: usize,
 }
 
@@ -23,26 +23,20 @@ impl FrugalColoring {
     /// `frugality` times in any neighborhood.
     pub fn new(colors: u64, frugality: usize) -> Self {
         assert!(colors >= 1 && frugality >= 1);
-        FrugalColoring { colors, frugality }
+        FrugalColoring {
+            proper: ProperColoring::new(colors),
+            frugality,
+        }
     }
 
     /// Palette size.
     pub fn colors(&self) -> u64 {
-        self.colors
+        self.proper.colors()
     }
 
     /// Maximum allowed multiplicity of a color in a neighborhood.
     pub fn frugality(&self) -> usize {
         self.frugality
-    }
-
-    /// Largest multiplicity of any color in the neighborhood of `v`.
-    pub fn neighborhood_multiplicity(io: &IoConfig<'_>, v: NodeId) -> usize {
-        let mut counts: HashMap<u64, usize> = HashMap::new();
-        for w in io.graph.neighbor_ids(v) {
-            *counts.entry(io.output.get(w).as_u64()).or_insert(0) += 1;
-        }
-        counts.into_values().max().unwrap_or(0)
     }
 }
 
@@ -52,46 +46,22 @@ impl LclLanguage for FrugalColoring {
     }
 
     fn is_bad_ball(&self, io: &IoConfig<'_>, v: NodeId) -> bool {
-        let mine = io.output.get(v);
-        let c = mine.as_u64();
-        if c < 1 || c > self.colors {
+        if self.proper.is_bad_ball(io, v) {
             return true;
         }
-        if io.graph.neighbor_ids(v).any(|w| io.output.get(w) == mine) {
-            return true;
-        }
-        Self::neighborhood_multiplicity(io, v) > self.frugality
-    }
-
-    fn is_bad_view(&self, view: &View) -> bool {
-        let mine = view.output(view.center_local());
-        let c = mine.as_u64();
-        if c < 1 || c > self.colors {
-            return true;
-        }
-        let mut conflict = false;
-        for i in view.center_neighbor_indices() {
-            conflict |= view.output(i) == mine;
-        }
-        if conflict {
-            return true;
-        }
-        // Neighborhood multiplicity without the hash map: O(deg²) pairwise
-        // counting over the (bounded-degree) neighborhood, allocation-free.
-        // Colors are compared by decoded value (`as_u64`), matching
-        // `neighborhood_multiplicity`'s grouping key — byte equality would
-        // diverge on non-canonical encodings of the same color.
-        view.center_neighbor_indices().any(|i| {
-            let color = view.output(i).as_u64();
-            view.center_neighbor_indices()
-                .filter(|&j| view.output(j).as_u64() == color)
-                .count()
-                > self.frugality
+        // Color multiplicity by pairwise counting over the (bounded-degree)
+        // neighborhood: O(deg²), allocation-free. Colors are grouped by
+        // decoded value (`as_u64`): byte equality would split non-canonical
+        // encodings of the same color.
+        let color = |w: NodeId| io.output.get(w).as_u64();
+        io.graph.neighbor_ids(v).any(|w| {
+            let c = color(w);
+            io.graph.neighbor_ids(v).filter(|&u| color(u) == c).count() > self.frugality
         })
     }
 
     fn name(&self) -> String {
-        format!("{}-frugal-{}-coloring", self.frugality, self.colors)
+        format!("{}-frugal-{}-coloring", self.frugality, self.colors())
     }
 }
 
@@ -109,8 +79,8 @@ mod tests {
         let all_same = Labeling::from_fn(&g, |v| Label::from_u64(if v.0 == 0 { 1 } else { 2 }));
         let io = IoConfig::new(&g, &x, &all_same);
         assert!(FrugalColoring::new(6, 6).contains(&io));
+        assert!(!FrugalColoring::new(6, 5).contains(&io));
         assert!(!FrugalColoring::new(6, 2).contains(&io));
-        assert_eq!(FrugalColoring::neighborhood_multiplicity(&io, rlnc_graph::NodeId(0)), 6);
         // Spreading the leaves over three colors is 2-frugal.
         let spread = Labeling::from_fn(&g, |v| {
             Label::from_u64(if v.0 == 0 { 1 } else { 2 + u64::from(v.0 % 3) })
@@ -121,7 +91,7 @@ mod tests {
 
     #[test]
     fn view_native_verdict_groups_colors_by_decoded_value() {
-        use rlnc_core::view::View;
+        use rlnc_core::language::is_bad_view;
         use rlnc_graph::IdAssignment;
         // Two leaves carry the same color 2 under different byte encodings
         // ([2] vs [0, 2]); the multiplicity count must still see one color
@@ -140,14 +110,14 @@ mod tests {
             let io = IoConfig::new(&g, &x, &y);
             assert!(lang.is_bad_ball(&io, center), "multiplicity 2 > frugality 1");
             let view = View::collect_io(&io, &ids, center, 1);
-            assert_eq!(lang.is_bad_view(&view), lang.is_bad_ball(&io, center));
+            assert_eq!(is_bad_view(&lang, &view), lang.is_bad_ball(&io, center));
         }
         // Distinct decoded colors: good on both paths.
         y.set(rlnc_graph::NodeId(2), Label::from_u64(3));
         let io = IoConfig::new(&g, &x, &y);
         assert!(!lang.is_bad_ball(&io, center));
         let view = View::collect_io(&io, &ids, center, 1);
-        assert!(!lang.is_bad_view(&view));
+        assert!(!is_bad_view(&lang, &view));
     }
 
     #[test]

@@ -11,13 +11,14 @@
 //! (`d ≥ 5` suffices). The constructor is a Moser–Tardos-style parallel
 //! resampling loop, simulated locally phase by phase.
 
+use crate::weak_coloring::WeakColoring;
 use rlnc_core::prelude::*;
 use rand::Rng;
 use rlnc_graph::NodeId;
 
 /// The LLL language: no closed neighborhood is monochromatic (for nodes of
-/// degree at least 1). Identical in shape to weak coloring, but kept as a
-/// separate type because the experiments treat it as the paper's LLL
+/// degree at least 1). Its bad balls are weak coloring's, but it is kept
+/// as a separate type because the experiments treat it as the paper's LLL
 /// example, with its own relaxations.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NeighborhoodLll;
@@ -26,15 +27,6 @@ impl NeighborhoodLll {
     /// Creates the language.
     pub fn new() -> Self {
         NeighborhoodLll
-    }
-
-    /// Whether the bad event holds at `v` (closed neighborhood monochromatic).
-    pub fn bad_event(io: &IoConfig<'_>, v: NodeId) -> bool {
-        if io.graph.degree(v) == 0 {
-            return false;
-        }
-        let mine = io.output.get(v);
-        io.graph.neighbor_ids(v).all(|w| io.output.get(w) == mine)
     }
 
     /// The LLL condition `e · 2^{-d} · (d² + 1) ≤ 1` for `d`-regular graphs.
@@ -48,20 +40,10 @@ impl LclLanguage for NeighborhoodLll {
         1
     }
 
+    /// The bad event at `v`: its closed neighborhood is non-trivial and
+    /// monochromatic.
     fn is_bad_ball(&self, io: &IoConfig<'_>, v: NodeId) -> bool {
-        Self::bad_event(io, v)
-    }
-
-    fn is_bad_view(&self, view: &View) -> bool {
-        // Bad iff the closed neighborhood is non-trivial and monochromatic.
-        let mine = view.output(view.center_local());
-        let (mut any, mut differs) = (false, false);
-        for i in view.center_neighbor_indices() {
-            any = true;
-            differs |= view.output(i) != mine;
-        }
-        // Degree-0 centers (no neighbor in a radius ≥ 1 ball) are never bad.
-        any && !differs
+        WeakColoring.is_bad_ball(io, v)
     }
 
     fn name(&self) -> String {
@@ -167,7 +149,7 @@ mod tests {
         let io = IoConfig::new(&g, &x, &constant);
         assert!(!NeighborhoodLll::new().contains(&io));
         assert_eq!(bad_ball_count(&NeighborhoodLll::new(), &io), 5);
-        assert!(NeighborhoodLll::bad_event(&io, rlnc_graph::NodeId(2)));
+        assert!(NeighborhoodLll::new().is_bad_ball(&io, rlnc_graph::NodeId(2)));
         let alternating = Labeling::from_fn(&g, |v| Label::from_bool(v.0 % 2 == 0));
         assert!(NeighborhoodLll::new().contains(&IoConfig::new(&g, &x, &alternating)));
     }

@@ -38,21 +38,6 @@ impl MaximalMatching {
     }
 }
 
-/// Checks the radius-1 matching predicate at one node, given a lookup from
-/// identities to outputs restricted to the ball.
-fn matching_bad_ball(io: &IoConfig<'_>, ids_of: impl Fn(NodeId) -> u64, v: NodeId) -> bool {
-    let claim = io.output.get(v).as_u64();
-    if claim == 0 {
-        // Maximality: no neighbor may also be unmatched.
-        return io.graph.neighbor_ids(v).any(|w| io.output.get(w).as_u64() == 0);
-    }
-    // The claimed partner must be a neighbor that claims us back.
-    match io.graph.neighbor_ids(v).find(|&w| ids_of(w) == claim) {
-        None => true,
-        Some(w) => io.output.get(w).as_u64() != ids_of(v),
-    }
-}
-
 impl LclLanguage for MaximalMatching {
     fn radius(&self) -> u32 {
         1
@@ -65,28 +50,20 @@ impl LclLanguage for MaximalMatching {
         // labels, which the constructors set to each node's own identity.
         // (An alternative would be port numbers; identities keep the labels
         // in F_k for k ≥ 8.)
-        matching_bad_ball(io, |w| io.input.get(w).as_u64(), v)
-    }
-
-    fn is_bad_view(&self, view: &View) -> bool {
-        let center = view.center_local();
-        let claim = view.output(center).as_u64();
+        let claim = io.output.get(v).as_u64();
         if claim == 0 {
             // Maximality: no neighbor may also be unmatched.
             let mut unmatched = false;
-            for i in view.center_neighbor_indices() {
-                unmatched |= view.output(i).as_u64() == 0;
+            for w in io.graph.neighbor_ids(v) {
+                unmatched |= io.output.get(w).as_u64() == 0;
             }
             return unmatched;
         }
-        // The claimed partner must be a neighbor that claims us back
-        // (names are the input labels, as in `is_bad_ball`).
-        match view
-            .center_neighbor_indices()
-            .find(|&i| view.input(i).as_u64() == claim)
-        {
+        // The claimed partner must be a neighbor that claims us back.
+        let name = |w: NodeId| io.input.get(w).as_u64();
+        match io.graph.neighbor_ids(v).find(|&w| name(w) == claim) {
             None => true,
-            Some(i) => view.output(i).as_u64() != view.input(center).as_u64(),
+            Some(w) => io.output.get(w).as_u64() != name(v),
         }
     }
 

@@ -34,20 +34,9 @@ impl LclLanguage for MaximalIndependentSet {
 
     fn is_bad_ball(&self, io: &IoConfig<'_>, v: NodeId) -> bool {
         let in_set = io.output.get(v).as_bool();
-        if in_set {
-            // Independence: no neighbor may be in the set.
-            io.graph.neighbor_ids(v).any(|w| io.output.get(w).as_bool())
-        } else {
-            // Maximality: some neighbor must be in the set.
-            !io.graph.neighbor_ids(v).any(|w| io.output.get(w).as_bool())
-        }
-    }
-
-    fn is_bad_view(&self, view: &View) -> bool {
-        let in_set = view.output(view.center_local()).as_bool();
         let mut neighbor_in_set = false;
-        for i in view.center_neighbor_indices() {
-            neighbor_in_set |= view.output(i).as_bool();
+        for w in io.graph.neighbor_ids(v) {
+            neighbor_in_set |= io.output.get(w).as_bool();
         }
         // Members break independence, non-members break maximality.
         in_set == neighbor_in_set

@@ -21,8 +21,8 @@
 //! Each case carries:
 //!
 //! * the [`DistributedLanguage`] under attack (plus, for LCL languages, a
-//!   second handle as [`LclLanguage`], so the view-native verdict machinery
-//!   and the equivalence suites can reach `is_bad_view`);
+//!   second handle as [`LclLanguage`], so the equivalence suites can check
+//!   its one bad-ball predicate on views and on host configurations);
 //! * a randomized **constructor** with positive failure probability β on
 //!   the case's hard instances;
 //! * a randomized **decider** with one-sided guarantee `p`;
@@ -287,9 +287,10 @@ pub struct LanguageCase {
     /// The distributed language under attack.
     pub language: Box<dyn DistributedLanguage>,
     /// The same language as an [`LclLanguage`] handle when it is locally
-    /// checkable — the view-native verdict machinery (`is_bad_view`) and
-    /// the equivalence suites reach it here. `None` for the global
-    /// languages (`amos`, `majority`).
+    /// checkable: the equivalence suites reach its bad-ball predicate here,
+    /// on decision views through `rlnc_core::language::is_bad_view` and on
+    /// host configurations. `None` for the global languages (`amos`,
+    /// `majority`).
     pub lcl: Option<Box<dyn LclLanguage>>,
     /// The randomized constructor whose failure probability β the pipeline
     /// measures and boosts.

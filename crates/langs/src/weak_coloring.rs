@@ -38,22 +38,14 @@ impl LclLanguage for WeakColoring {
     }
 
     fn is_bad_ball(&self, io: &IoConfig<'_>, v: NodeId) -> bool {
-        if io.graph.degree(v) == 0 {
-            return false;
-        }
+        // Bad iff `v` has neighbors and none of them differs.
         let mine = io.output.get(v);
-        io.graph.neighbor_ids(v).all(|w| io.output.get(w) == mine)
-    }
-
-    fn is_bad_view(&self, view: &View) -> bool {
-        // Bad iff the center has neighbors and none of them differs.
-        let mine = view.output(view.center_local());
         let (mut any, mut differs) = (false, false);
-        for i in view.center_neighbor_indices() {
+        for w in io.graph.neighbor_ids(v) {
             any = true;
-            differs |= view.output(i) != mine;
+            differs |= io.output.get(w) != mine;
         }
-        // No neighbor in the ball: isolated (at radius ≥ 1), never bad.
+        // Isolated nodes are never bad.
         any && !differs
     }
 

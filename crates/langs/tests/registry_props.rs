@@ -1,14 +1,15 @@
 //! Property tests for the language registry's view-native verdicts: for
-//! every registered LCL case, `LclLanguage::is_bad_view` (the overridden,
-//! allocation-free hook) must match the `IoConfig` path bit-for-bit —
-//! per node, across graph families, view radii (the language's own radius
-//! and one beyond), constructor seeds, and identity schemes. This is the
-//! contract that lets `ResilientDecider` / `OneSidedLclDecider` verdict
-//! through the hook without changing a single coin flip.
+//! every registered LCL case, the language's bad-ball predicate on a
+//! decision view's ball (`rlnc_core::language::is_bad_view`) must match
+//! the predicate on the host configuration bit-for-bit — per node, across
+//! graph families, view radii (the language's own radius and one beyond),
+//! constructor seeds, and identity schemes. This is the contract that lets
+//! `ResilientDecider` / `OneSidedLclDecider` verdict on views without
+//! changing a single coin flip.
 
 use proptest::prelude::*;
 use rlnc_core::config::{Instance, IoConfig};
-use rlnc_core::language::is_bad_view_via_config;
+use rlnc_core::language::is_bad_view;
 use rlnc_core::view::View;
 use rlnc_core::Simulator;
 use rlnc_graph::generators::Family;
@@ -57,8 +58,7 @@ proptest! {
                 let view = View::collect_io(&io, &ids, v, radius);
                 // (The vendored mini-proptest's assert macros take no
                 // message; a failure prints the generated inputs.)
-                prop_assert_eq!(lcl.is_bad_view(&view), reference);
-                prop_assert_eq!(is_bad_view_via_config(&**lcl, &view), reference);
+                prop_assert_eq!(is_bad_view(&**lcl, &view), reference);
             }
         }
     }
@@ -69,7 +69,7 @@ proptest! {
         n in 8usize..20,
     ) {
         // The decider-level consequence of the verdict equivalence: the
-        // boxed case decider (which routes through is_bad_view) must agree,
+        // one-sided decider (which verdicts through is_bad_view) must agree,
         // per (configuration, coin seed), with deciding through a fresh
         // per-node IoConfig rebuild. Pinned here for the canonical
         // coloring case; the per-language equivalence above covers the

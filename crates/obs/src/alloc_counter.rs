@@ -2,9 +2,9 @@
 //! *any* crate's tests can assert allocation-freedom: with the feature
 //! enabled, every allocation through the global allocator bumps one
 //! relaxed atomic counter. The engine's equivalence suite asserts that
-//! view-native `is_bad_view` verdicts and instrumented engine kernels
-//! perform *zero* heap allocations; this module's tests assert the same of
-//! the obs sinks.
+//! bad-ball verdicts, on decision views and on host configurations, and
+//! instrumented engine kernels perform *zero* heap allocations; this
+//! module's tests assert the same of the obs sinks.
 //!
 //! The counter uses `Ordering::Relaxed`: it is a statistic, not
 //! synchronization, and the measured loops are single-threaded.

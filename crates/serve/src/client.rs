@@ -1,58 +1,19 @@
 //! A client for the resident sweep service's wire protocol.
 
 use crate::protocol::{Request, Response, StatusReport};
-use crate::server::Endpoint;
+use crate::server::{Conn, Endpoint};
 use crate::shard::ShardSpec;
 use rlnc_par::Scale;
 use rlnc_sweep::{RunRecord, SweepRun};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::time::{Duration, Instant};
 
-enum ClientStream {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl ClientStream {
-    fn try_clone(&self) -> io::Result<ClientStream> {
-        match self {
-            ClientStream::Unix(s) => s.try_clone().map(ClientStream::Unix),
-            ClientStream::Tcp(s) => s.try_clone().map(ClientStream::Tcp),
-        }
-    }
-}
-
-impl Read for ClientStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            ClientStream::Unix(s) => s.read(buf),
-            ClientStream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for ClientStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            ClientStream::Unix(s) => s.write(buf),
-            ClientStream::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            ClientStream::Unix(s) => s.flush(),
-            ClientStream::Tcp(s) => s.flush(),
-        }
-    }
-}
-
 /// A connected protocol client.
 pub struct Connection {
-    reader: BufReader<ClientStream>,
-    writer: ClientStream,
+    reader: BufReader<Conn>,
+    writer: Conn,
 }
 
 /// The reassembled result of one streamed `run` request.
@@ -76,8 +37,8 @@ pub struct RunOutcome {
 /// Connects to a serving endpoint.
 pub fn connect(endpoint: &Endpoint) -> Result<Connection, String> {
     let stream = match endpoint {
-        Endpoint::Unix(path) => UnixStream::connect(path).map(ClientStream::Unix),
-        Endpoint::Tcp(addr) => TcpStream::connect(addr).map(ClientStream::Tcp),
+        Endpoint::Unix(path) => UnixStream::connect(path).map(Conn::Unix),
+        Endpoint::Tcp(addr) => TcpStream::connect(addr).map(Conn::Tcp),
     }
     .map_err(|e| format!("cannot connect to {endpoint}: {e}"))?;
     let reader = stream

@@ -92,14 +92,15 @@ impl fmt::Display for Endpoint {
     }
 }
 
-/// One accepted connection, Unix or TCP.
-enum Conn {
+/// One connected stream, Unix or TCP: accepted by the server, opened by
+/// the client.
+pub(crate) enum Conn {
     Unix(UnixStream),
     Tcp(TcpStream),
 }
 
 impl Conn {
-    fn try_clone(&self) -> io::Result<Conn> {
+    pub(crate) fn try_clone(&self) -> io::Result<Conn> {
         match self {
             Conn::Unix(s) => s.try_clone().map(Conn::Unix),
             Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
