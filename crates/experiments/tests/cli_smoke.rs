@@ -659,3 +659,48 @@ fn unwritable_output_paths_exit_one_with_one_stderr_line() {
         assert!(output.stdout.is_empty(), "{run}: printed before failing");
     }
 }
+
+#[test]
+fn every_value_flag_given_last_is_a_one_line_usage_error() {
+    let exe = env!("CARGO_BIN_EXE_rlnc-experiments");
+    let table: [(&[&str], &[&str]); 5] = [
+        (&[], &["--scale", "--seed", "--only", "--markdown", "--trace-out"]),
+        (
+            &["sweep"],
+            &[
+                "--scale",
+                "--seed",
+                "--scenario",
+                "--out",
+                "--csv",
+                "--markdown",
+                "--trace-out",
+                "--shard",
+                "--check",
+            ],
+        ),
+        (&["sweep-merge"], &["--out", "--trace", "--trace-out"]),
+        (&["sweep-serve"], &["--listen"]),
+        (
+            &["serve-client"],
+            &["--connect", "--scenario", "--scale", "--seed", "--shard", "--out"],
+        ),
+    ];
+    let mut flags = 0;
+    for (subcommand, value_flags) in table {
+        for &flag in value_flags {
+            let output = std::process::Command::new(exe)
+                .args(subcommand)
+                .arg(flag)
+                .output()
+                .expect("failed to spawn rlnc-experiments");
+            let run = format!("{} {flag}", subcommand.join(" "));
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(output.status.code(), Some(2), "{run}: stderr:\n{stderr}");
+            assert_eq!(stderr.lines().count(), 1, "{run}: stderr:\n{stderr}");
+            assert!(stderr.contains(flag), "{run}: stderr:\n{stderr}");
+            flags += 1;
+        }
+    }
+    assert_eq!(flags, 24);
+}

@@ -538,6 +538,27 @@ mod tests {
     }
 
     #[test]
+    fn boosting_and_glued_decay_streams_are_pinned_at_seed_7() {
+        // Every record of both Claim-3/4/5 decay sweeps at smoke scale:
+        // their preparation (hard-cycle search, anchors, gluing) and trial
+        // streams must not move when the pipeline code around them changes.
+        for (spec, records, digest) in [
+            (boosting_spec(8), 8, 0x0569_0722_fcc4_e68f),
+            (glued_decay_spec(), 5, 0x2f10_08f3_7840_40f2),
+        ] {
+            let run = crate::SweepExecutor::new(rlnc_par::Scale::Smoke).with_seed(7).run(&spec);
+            assert_eq!(run.records.len(), records, "{}", spec.name);
+            let lines: Vec<String> = run.records.iter().map(crate::emit::record_json).collect();
+            assert_eq!(
+                crate::executor::scenario_tag(&lines.join("\n")),
+                digest,
+                "{}",
+                spec.name
+            );
+        }
+    }
+
+    #[test]
     fn theorem1_pipeline_covers_three_cases_and_families() {
         let spec = theorem1_pipeline_spec();
         assert!(spec.families.len() >= 3, "need several graph families");
