@@ -268,7 +268,7 @@ mod tests {
         let a3 = FnAlgorithm::new(0, "always-3", |_: &View| Label::from_u64(3));
         let algos: Vec<&dyn LocalAlgorithm> = vec![&a1, &a2, &a3];
         let candidates = consecutive_cycle_candidates([6, 8]);
-        let (family, missing) = search.hard_instance_family(algos.into_iter(), &candidates);
+        let (family, missing) = search.hard_instance_family(algos, &candidates);
         assert_eq!(missing, 0);
         assert_eq!(family.len(), 3);
         for pair in family.windows(2) {

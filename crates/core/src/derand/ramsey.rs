@@ -258,11 +258,6 @@ impl<'a, A: LocalAlgorithm + ?Sized> OrderInvariantLift<'a, A> {
         assert!(!id_set.is_empty(), "identity set must be non-empty");
         OrderInvariantLift { inner, id_set }
     }
-
-    /// The identity set backing the lift.
-    pub fn id_set(&self) -> &[u64] {
-        &self.id_set
-    }
 }
 
 impl<'a, A: LocalAlgorithm + ?Sized> LocalAlgorithm for OrderInvariantLift<'a, A> {

@@ -138,18 +138,6 @@ impl FaultPlan {
         }
     }
 
-    /// The plan's primary intensity (its per-node probability; `0` for
-    /// [`FaultPlan::None`]).
-    pub fn intensity(&self) -> f64 {
-        match *self {
-            FaultPlan::None => 0.0,
-            FaultPlan::CrashOnStart { probability }
-            | FaultPlan::CrashAtRound { probability, .. }
-            | FaultPlan::CrashCascade { probability, .. }
-            | FaultPlan::ByzantineRelabel { probability } => probability,
-        }
-    }
-
     /// Materializes the plan into a concrete per-node schedule for one
     /// graph, drawing every coin from a dedicated child of `seed` (see the
     /// module docs for the exact tree).

@@ -23,7 +23,6 @@
 //! comparing a label never touches the heap.
 
 use rlnc_graph::{Graph, NodeId};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -36,7 +35,7 @@ use std::hash::{Hash, Hasher};
 /// last eight bytes, and [`Label::as_bytes`] borrows the value in place.
 /// `Eq`, `Ord`, `Hash`, `Debug` and `Display` are exactly those of the
 /// byte string [`Label::as_bytes`].
-#[derive(Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
 pub struct Label([u8; Label::SIZE]);
 
 impl Label {
@@ -174,7 +173,7 @@ impl From<bool> for Label {
 }
 
 /// A per-node labeling: the function `x : V → {0,1}*` (or `y`).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Labeling {
     labels: Vec<Label>,
 }
@@ -254,7 +253,7 @@ impl Labeling {
 
 /// The promise `F_k`: degree at most `k`, input and output labels of length
 /// at most `k` (bytes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FkPromise {
     /// The bound `k`.
     pub k: usize,

@@ -43,16 +43,6 @@ impl<L: LclLanguage> OneSidedLclDecider<L> {
         assert!((0.0..=1.0).contains(&p), "rejection probability must lie in [0, 1]");
         OneSidedLclDecider { language, p }
     }
-
-    /// The rejection probability at bad-ball centers.
-    pub fn rejection_probability(&self) -> f64 {
-        self.p
-    }
-
-    /// The underlying LCL language.
-    pub fn language(&self) -> &L {
-        &self.language
-    }
 }
 
 impl<L: LclLanguage> RandomizedDecider for OneSidedLclDecider<L> {
@@ -101,7 +91,6 @@ mod tests {
         let d = OneSidedLclDecider::new(coloring_lcl(), 0.8);
         assert_eq!(RandomizedDecider::radius(&d), 1);
         assert!(d.name().contains("0.8"));
-        assert_eq!(d.rejection_probability(), 0.8);
         for t in 0..10 {
             assert!(decide_randomized(&d, &io, &ids, SeedSequence::new(t)));
         }

@@ -57,16 +57,6 @@ impl OrderInvariantTable {
             default,
         }
     }
-
-    /// Number of ball types the table distinguishes.
-    pub fn table_size(&self) -> usize {
-        self.table.len()
-    }
-
-    /// The output assigned to a specific ball type, if present.
-    pub fn lookup(&self, signature: &BallSignature) -> Option<&Label> {
-        self.table.get(signature)
-    }
 }
 
 impl LocalAlgorithm for OrderInvariantTable {
@@ -158,7 +148,7 @@ pub fn check_order_invariance<A: LocalAlgorithm + ?Sized>(
     let base_instance = Instance::new(graph, input, base_ids);
     let reference = sim.run(algo, &base_instance);
     monotone_maps.iter().all(|map| {
-        let remapped = base_ids.map_monotone(|x| map(x));
+        let remapped = base_ids.map_monotone(map);
         let instance = Instance::new(graph, input, &remapped);
         sim.run(algo, &instance) == reference
     })
@@ -226,13 +216,14 @@ mod tests {
         let mut table = HashMap::new();
         table.insert(sigs[0].clone(), Label::from_u64(7));
         let algo = OrderInvariantTable::new(1, "partial", table, Label::from_u64(9));
-        assert_eq!(algo.table_size(), 1);
-        assert!(algo.lookup(&sigs[0]).is_some());
-        assert!(algo.lookup(&sigs[1]).is_none());
         // Signature 0 is the view of node 0 (degree-1 endpoint, min id).
         let inst2 = Instance::new(&g, &x, &ids);
         let v0 = View::collect(&inst2, rlnc_graph::NodeId(0), 1);
         assert_eq!(algo.output(&v0).as_u64(), 7);
+        // Node 1's ball type is not in the table: the default answers.
+        let v1 = View::collect(&inst2, rlnc_graph::NodeId(1), 1);
+        assert_eq!(v1.signature(), sigs[1]);
+        assert_eq!(algo.output(&v1).as_u64(), 9);
     }
 
     #[test]

@@ -32,22 +32,6 @@ impl<L: LclLanguage> FResilient<L> {
     pub fn new(inner: L, f: usize) -> Self {
         FResilient { inner, f }
     }
-
-    /// The tolerated number of bad balls.
-    pub fn tolerance(&self) -> usize {
-        self.f
-    }
-
-    /// The underlying LCL language.
-    pub fn inner(&self) -> &L {
-        &self.inner
-    }
-
-    /// Number of bad balls in a configuration (the quantity compared
-    /// against `f`).
-    pub fn bad_count(&self, io: &IoConfig<'_>) -> usize {
-        bad_ball_count(&self.inner, io)
-    }
 }
 
 impl<L: LclLanguage> DistributedLanguage for FResilient<L> {
@@ -87,27 +71,9 @@ impl<L: LclLanguage> EpsilonSlack<L> {
         EpsilonSlack { inner, epsilon }
     }
 
-    /// The tolerated fraction of bad balls.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    /// The underlying LCL language.
-    pub fn inner(&self) -> &L {
-        &self.inner
-    }
-
     /// The absolute number of bad balls tolerated on an `n`-node graph.
     pub fn tolerance_for(&self, n: usize) -> usize {
         (self.epsilon * n as f64).floor() as usize
-    }
-
-    /// The fraction of bad balls in a configuration.
-    pub fn bad_fraction(&self, io: &IoConfig<'_>) -> f64 {
-        if io.node_count() == 0 {
-            return 0.0;
-        }
-        bad_ball_count(&self.inner, io) as f64 / io.node_count() as f64
     }
 }
 
@@ -176,10 +142,7 @@ mod tests {
         assert!(!FResilient::new(coloring_lcl(), bad - 1).contains(&io));
         assert!(FResilient::new(coloring_lcl(), bad).contains(&io));
         assert!(FResilient::new(coloring_lcl(), bad + 3).contains(&io));
-        let relaxed = FResilient::new(coloring_lcl(), bad);
-        assert_eq!(relaxed.bad_count(&io), bad);
-        assert_eq!(relaxed.tolerance(), bad);
-        assert!(relaxed.name().contains("resilient"));
+        assert!(FResilient::new(coloring_lcl(), bad).name().contains("resilient"));
     }
 
     #[test]
@@ -193,7 +156,6 @@ mod tests {
         let slack_loose = EpsilonSlack::new(coloring_lcl(), frac + 0.05);
         assert!(!slack_tight.contains(&io));
         assert!(slack_loose.contains(&io));
-        assert!((slack_loose.bad_fraction(&io) - frac).abs() < 1e-9);
         assert_eq!(slack_loose.tolerance_for(100), ((frac + 0.05) * 100.0).floor() as usize);
         assert!(slack_loose.name().contains("slack"));
     }

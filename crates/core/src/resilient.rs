@@ -59,21 +59,6 @@ impl<L: LclLanguage> ResilientDecider<L> {
         ResilientDecider { language, f, p }
     }
 
-    /// The resilience parameter `f`.
-    pub fn resilience(&self) -> usize {
-        self.f
-    }
-
-    /// The acceptance probability used at bad-ball centers.
-    pub fn acceptance_probability(&self) -> f64 {
-        self.p
-    }
-
-    /// The underlying LCL language.
-    pub fn language(&self) -> &L {
-        &self.language
-    }
-
     /// Checks the two strict inequalities from the proof of Corollary 1:
     /// `p^f > 1/2` and `1 − p^{f+1} > 1/2`.
     pub fn interval_is_valid(&self) -> bool {
@@ -202,9 +187,7 @@ mod tests {
     #[test]
     fn with_probability_overrides_p() {
         let d = ResilientDecider::with_probability(coloring_lcl(), 2, 0.99);
-        assert_eq!(d.acceptance_probability(), 0.99);
         assert!(!d.interval_is_valid(), "0.99^3 > 1/2 so the no-side fails");
-        assert_eq!(d.resilience(), 2);
         assert!(RandomizedDecider::name(&d).contains("resilient"));
         assert_eq!(RandomizedDecider::radius(&d), 1);
     }

@@ -178,11 +178,6 @@ impl<'a, M: MessagePassingAlgorithm> RoundSystem<'a, M> {
         self.round
     }
 
-    /// Total rounds the algorithm runs.
-    pub fn total_rounds(&self) -> u32 {
-        self.algo.rounds()
-    }
-
     /// Returns `true` when stepping can no longer change any state: the
     /// algorithm's rounds are exhausted, or every node has crashed.
     pub fn is_quiet(&self) -> bool {
@@ -768,7 +763,6 @@ mod tests {
         let one_shot = RoundSystem::new(&algo, &inst).run();
         let mut system = RoundSystem::new(&algo, &inst);
         assert_eq!(system.round(), 0);
-        assert_eq!(system.total_rounds(), 3);
         assert!(system.step());
         assert!(system.step());
         assert!(!system.is_quiet());

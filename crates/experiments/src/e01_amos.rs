@@ -12,14 +12,9 @@ use rlnc_graph::{IdAssignment, NodeId};
 use rlnc_langs::amos::{selection_output, Amos, AmosGoldenDecider, GOLDEN_GUARANTEE};
 use rlnc_par::rng::SeedSequence;
 
-/// Runs the experiment at the default master seed.
-pub fn run(scale: Scale) -> ExperimentReport {
-    run_seeded(scale, 0)
-}
-
 /// Runs the experiment; `seed` perturbs every random stream (`0`
-/// reproduces the historical default streams).
-pub fn run_seeded(scale: Scale, seed: u64) -> ExperimentReport {
+/// is the CLI's default).
+pub fn run(scale: Scale, seed: u64) -> ExperimentReport {
     let trials = scale.trials(20_000);
     let n = scale.size(64);
     let decider = AmosGoldenDecider::new();
@@ -101,7 +96,7 @@ mod tests {
 
     #[test]
     fn e1_reproduces_the_golden_ratio_guarantee() {
-        let report = run(Scale::Smoke);
+        let report = run(Scale::Smoke, 0);
         assert_eq!(report.id, "E1");
         assert!(report.all_consistent(), "findings: {:?}", report.findings);
         assert_eq!(report.table.rows.len(), 12);

@@ -17,13 +17,8 @@ use rlnc_sweep::{SweepExecutor, SweepRun, Workload};
 /// The slack fractions of the table's columns, largest first.
 const EPSILONS: [f64; 3] = [0.60, 0.58, 0.52];
 
-/// Runs the experiment at the default master seed.
-pub fn run(scale: Scale) -> ExperimentReport {
-    run_seeded(scale, 0)
-}
-
 /// Runs the experiment; `seed` perturbs every random stream.
-pub fn run_seeded(scale: Scale, seed: u64) -> ExperimentReport {
+pub fn run(scale: Scale, seed: u64) -> ExperimentReport {
     let spec = slack_ring_spec();
     let Workload::SlackColoring { colors, .. } = spec.workload else {
         unreachable!("slack_ring_spec always carries a SlackColoring workload");
@@ -92,7 +87,7 @@ mod tests {
 
     #[test]
     fn e2_random_coloring_lands_in_slack_relaxation() {
-        let report = run(Scale::Smoke);
+        let report = run(Scale::Smoke, 0);
         assert!(report.all_consistent(), "findings: {:?}", report.findings);
         assert_eq!(report.table.rows.len(), 3);
     }
@@ -103,7 +98,7 @@ mod tests {
         // within 0.60-slack, so no row may rank the columns otherwise.
         for scale in [Scale::Smoke, Scale::Standard] {
             for seed in [0, 7] {
-                let report = run_seeded(scale, seed);
+                let report = run(scale, seed);
                 for row in &report.table.rows {
                     let p: Vec<f64> = row[3..].iter().map(|c| c.parse().unwrap()).collect();
                     assert!(

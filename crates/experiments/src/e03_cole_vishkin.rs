@@ -11,14 +11,9 @@ use rlnc_core::prelude::*;
 use rlnc_langs::cole_vishkin::{cv_iterations, log_star, oriented_ring_instance, ColeVishkinRingColoring};
 use rlnc_langs::coloring::ProperColoring;
 
-/// Runs the experiment at the default master seed.
-pub fn run(scale: Scale) -> ExperimentReport {
-    run_seeded(scale, 0)
-}
-
 /// Runs the experiment; the experiment is deterministic, so `seed` is
 /// unused (kept for the uniform runner-table signature).
-pub fn run_seeded(scale: Scale, _seed: u64) -> ExperimentReport {
+pub fn run(scale: Scale, _seed: u64) -> ExperimentReport {
     let sizes: Vec<usize> = match scale {
         Scale::Smoke => vec![8, 16, 64],
         Scale::Standard => vec![16, 64, 256, 1024, 4096],
@@ -100,7 +95,7 @@ mod tests {
 
     #[test]
     fn e3_cole_vishkin_round_growth() {
-        let report = run(Scale::Smoke);
+        let report = run(Scale::Smoke, 0);
         assert!(report.all_consistent(), "findings: {:?}", report.findings);
     }
 }

@@ -17,14 +17,9 @@ use rlnc_graph::generators::cycle;
 use rlnc_graph::IdAssignment;
 use rlnc_langs::coloring::{improperly_colored_nodes, ProperColoring, RankColoring};
 
-/// Runs the experiment at the default master seed.
-pub fn run(scale: Scale) -> ExperimentReport {
-    run_seeded(scale, 0)
-}
-
 /// Runs the experiment; the experiment is deterministic, so `seed` is
 /// unused (kept for the uniform runner-table signature).
-pub fn run_seeded(scale: Scale, _seed: u64) -> ExperimentReport {
+pub fn run(scale: Scale, _seed: u64) -> ExperimentReport {
     let sizes = [scale.size(64), scale.size(256)];
     let radii = [0u32, 1, 2];
     let f = 4usize;
@@ -135,7 +130,7 @@ mod tests {
 
     #[test]
     fn e4_order_invariant_failure_bound() {
-        let report = run(Scale::Smoke);
+        let report = run(Scale::Smoke, 0);
         assert!(report.all_consistent(), "findings: {:?}", report.findings);
         assert!(report.table.rows.len() >= 6);
     }

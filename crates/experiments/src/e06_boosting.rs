@@ -27,13 +27,8 @@ use rlnc_sweep::registry::boosting_spec;
 use rlnc_sweep::workload::BOOSTING_TOLERANCE;
 use rlnc_sweep::{SweepExecutor, Workload};
 
-/// Runs the experiment at the default master seed.
-pub fn run(scale: Scale) -> ExperimentReport {
-    run_seeded(scale, 0)
-}
-
 /// Runs the experiment; `seed` perturbs every random stream.
-pub fn run_seeded(scale: Scale, seed: u64) -> ExperimentReport {
+pub fn run(scale: Scale, seed: u64) -> ExperimentReport {
     let r = 0.9f64; // the success probability the hypothetical constructor claims
 
     // The grid (and the constructor/decider parameters) come from the
@@ -66,7 +61,7 @@ pub fn run_seeded(scale: Scale, seed: u64) -> ExperimentReport {
     let beta =
         failure_probability_with(&constructor, &language, &hard[0], trials, seed ^ 0xE6).p_hat;
     let nu_star = boosting_repetitions(r, p, beta);
-    let max_nu = nu_star.min(12).max(4);
+    let max_nu = nu_star.clamp(4, 12);
     spec = boosting_spec(max_nu as u64);
 
     let sweep = SweepExecutor::new(scale).with_seed(seed ^ 0xE6).run(&spec);
@@ -135,7 +130,7 @@ mod tests {
 
     #[test]
     fn e6_boosting_decay() {
-        let report = run(Scale::Smoke);
+        let report = run(Scale::Smoke, 0);
         assert!(report.all_consistent(), "findings: {:?}", report.findings);
         assert!(report.table.rows.len() >= 4);
     }
@@ -145,7 +140,7 @@ mod tests {
     #[test]
     fn e6_holds_at_smoke_for_seeds_0_to_15() {
         for seed in 0..16 {
-            let report = run_seeded(Scale::Smoke, seed);
+            let report = run(Scale::Smoke, seed);
             assert!(
                 report.all_consistent(),
                 "seed {seed}: {:?}",

@@ -26,13 +26,8 @@ use rlnc_langs::faulty::FaultyConstructor;
 use rlnc_sweep::registry::glued_decay_spec;
 use rlnc_sweep::{SweepExecutor, Workload};
 
-/// Runs the experiment at the default master seed.
-pub fn run(scale: Scale) -> ExperimentReport {
-    run_seeded(scale, 0)
-}
-
 /// Runs the experiment; `seed` perturbs every random stream.
-pub fn run_seeded(scale: Scale, seed: u64) -> ExperimentReport {
+pub fn run(scale: Scale, seed: u64) -> ExperimentReport {
     let r = 0.9f64; // the success probability the hypothetical constructor claims
     // The anchor radii of the `glued-decay` workload: the faulty greedy
     // reads a large view, but the relevant anchor radius is the decider's.
@@ -146,7 +141,7 @@ mod tests {
 
     #[test]
     fn e7_gluing_structure_and_decay() {
-        let report = run(Scale::Smoke);
+        let report = run(Scale::Smoke, 0);
         assert!(report.all_consistent(), "findings: {:?}", report.findings);
         // The scenario's ν' ∈ {2, ..., 6} grid, on every scale.
         assert_eq!(report.table.rows.len(), 5);

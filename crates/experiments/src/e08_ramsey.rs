@@ -21,13 +21,8 @@ use rlnc_sweep::registry::ramsey_lift_spec;
 use rlnc_sweep::workload::Prepared;
 use rlnc_sweep::SweepExecutor;
 
-/// Runs the experiment at the default master seed.
-pub fn run(scale: Scale) -> ExperimentReport {
-    run_seeded(scale, 0)
-}
-
 /// Runs the experiment; `seed` perturbs every random stream.
-pub fn run_seeded(scale: Scale, seed: u64) -> ExperimentReport {
+pub fn run(scale: Scale, seed: u64) -> ExperimentReport {
     let spec = ramsey_lift_spec();
     let executor = SweepExecutor::new(scale).with_seed(seed ^ 0xE8);
     let sweep = executor.run(&spec);
@@ -107,7 +102,7 @@ mod tests {
 
     #[test]
     fn e8_order_invariant_lift() {
-        let report = run(Scale::Smoke);
+        let report = run(Scale::Smoke, 0);
         assert!(report.all_consistent(), "findings: {:?}", report.findings);
         // One row per ramsey-lift record: 2 families × 3 wrapped algorithms.
         assert_eq!(report.table.rows.len(), 6);

@@ -22,13 +22,8 @@ use rlnc_langs::coloring::{improperly_colored_nodes, ProperColoring, RankColorin
 use rlnc_sweep::registry::slack_ring_spec;
 use rlnc_sweep::{SweepExecutor, Workload};
 
-/// Runs the experiment at the default master seed.
-pub fn run(scale: Scale) -> ExperimentReport {
-    run_seeded(scale, 0)
-}
-
 /// Runs the experiment; `seed` perturbs every random stream.
-pub fn run_seeded(scale: Scale, seed: u64) -> ExperimentReport {
+pub fn run(scale: Scale, seed: u64) -> ExperimentReport {
     let epsilon = 0.62; // above the 5/9 expected improper fraction of the random coloring
 
     let mut spec = slack_ring_spec();
@@ -134,7 +129,7 @@ mod tests {
 
     #[test]
     fn e9_randomization_helps_for_slack() {
-        let report = run(Scale::Smoke);
+        let report = run(Scale::Smoke, 0);
         assert!(report.all_consistent(), "findings: {:?}", report.findings);
         assert!(report.table.rows.len() >= 6);
     }

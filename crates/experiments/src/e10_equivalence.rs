@@ -16,14 +16,9 @@ use rlnc_graph::IdAssignment;
 use rlnc_langs::coloring::{GlobalGreedyColoring, RankColoring};
 use rlnc_par::rng::SeedSequence;
 
-/// Runs the experiment at the default master seed.
-pub fn run(scale: Scale) -> ExperimentReport {
-    run_seeded(scale, 0)
-}
-
 /// Runs the experiment; `seed` perturbs every random stream (`0`
-/// reproduces the historical default streams).
-pub fn run_seeded(scale: Scale, seed: u64) -> ExperimentReport {
+/// is the CLI's default).
+pub fn run(scale: Scale, seed: u64) -> ExperimentReport {
     let n = scale.size(48);
     let mut rng = SeedSequence::new(seed ^ 0xE10).rng();
 
@@ -92,7 +87,7 @@ mod tests {
 
     #[test]
     fn e10_equivalence_holds() {
-        let report = run(Scale::Smoke);
+        let report = run(Scale::Smoke, 0);
         assert!(report.all_consistent(), "findings: {:?}", report.findings);
         assert_eq!(report.table.rows.len(), 16);
     }
@@ -103,7 +98,7 @@ mod tests {
     /// gather.
     #[test]
     fn e10_seed_zero_table_is_byte_identical_to_the_historical_output() {
-        let report = run(Scale::Smoke);
+        let report = run(Scale::Smoke, 0);
         let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
         for row in &report.table.rows {
             for cell in row {

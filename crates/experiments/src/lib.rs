@@ -65,64 +65,58 @@ pub const EXPERIMENTS: [Experiment; 10] = [
     Experiment {
         id: "e1",
         description: "amos golden-ratio zero-round decider (§2.3.1)",
-        run: e01_amos::run_seeded,
+        run: e01_amos::run,
     },
     Experiment {
         id: "e2",
         description: "ε-slack relaxation via the zero-round random coloring (§1.1)",
-        run: e02_slack::run_seeded,
+        run: e02_slack::run,
     },
     Experiment {
         id: "e3",
         description: "Cole–Vishkin 3-colors oriented rings in O(log* n) rounds (§1.1)",
-        run: e03_cole_vishkin::run_seeded,
+        run: e03_cole_vishkin::run,
     },
     Experiment {
         id: "e4",
         description: "order-invariant algorithms are monochromatic on consecutive-ID cycles (§4)",
-        run: e04_order_invariant::run_seeded,
+        run: e04_order_invariant::run,
     },
     Experiment {
         id: "e5",
         description: "the f-resilient decider of Corollary 1 has guarantee > 1/2 (§4)",
-        run: e05_resilient_decider::run_seeded,
+        run: e05_resilient_decider::run,
     },
     Experiment {
         id: "e6",
         description: "disjoint-union boosting: acceptance ≤ (1−βp)^ν (Claim 3)",
-        run: e06_boosting::run_seeded,
+        run: e06_boosting::run,
     },
     Experiment {
         id: "e7",
         description: "gluing: connected, degree ≤ k, acceptance decays with ν′ (Theorem 1)",
-        run: e07_gluing::run_seeded,
+        run: e07_gluing::run,
     },
     Experiment {
         id: "e8",
         description: "Ramsey lift: consistent ID sets force order-invariance (Claim 1)",
-        run: e08_ramsey::run_seeded,
+        run: e08_ramsey::run,
     },
     Experiment {
         id: "e9",
         description: "ε-slack: randomization helps, constant-round determinism does not (§5)",
-        run: e09_slack_vs_det::run_seeded,
+        run: e09_slack_vs_det::run,
     },
     Experiment {
         id: "e10",
         description: "message-passing execution ≡ ball-view execution (§2.1)",
-        run: e10_equivalence::run_seeded,
+        run: e10_equivalence::run,
     },
 ];
 
-/// Runs every experiment at the given scale, in index order, with the
-/// default seed.
-pub fn run_all(scale: Scale) -> Vec<ExperimentReport> {
-    run_all_seeded(scale, 0)
-}
-
 /// Runs every experiment at the given scale and master seed, in index
 /// order.
-pub fn run_all_seeded(scale: Scale, seed: u64) -> Vec<ExperimentReport> {
+pub fn run_all(scale: Scale, seed: u64) -> Vec<ExperimentReport> {
     EXPERIMENTS.iter().map(|e| (e.run)(scale, seed)).collect()
 }
 
@@ -134,14 +128,9 @@ pub fn parse_experiment_id(id: &str) -> Option<usize> {
     (1..=EXPERIMENTS.len()).contains(&number).then_some(number)
 }
 
-/// Runs a single experiment by its identifier (e.g. `"e1"`, `"E07"`) with
-/// the default seed.
-pub fn run_by_id(id: &str, scale: Scale) -> Option<ExperimentReport> {
-    run_by_id_seeded(id, scale, 0)
-}
-
-/// Runs a single experiment by its identifier at an explicit master seed.
-pub fn run_by_id_seeded(id: &str, scale: Scale, seed: u64) -> Option<ExperimentReport> {
+/// Runs a single experiment by its identifier (e.g. `"e1"`, `"E07"`) at
+/// the given scale and master seed.
+pub fn run_by_id(id: &str, scale: Scale, seed: u64) -> Option<ExperimentReport> {
     let experiment = EXPERIMENTS[parse_experiment_id(id)? - 1];
     Some((experiment.run)(scale, seed))
 }
@@ -152,11 +141,11 @@ mod tests {
 
     #[test]
     fn run_by_id_accepts_flexible_spelling() {
-        assert!(run_by_id("e1", Scale::Smoke).is_some());
-        assert!(run_by_id("E03", Scale::Smoke).is_some());
-        assert!(run_by_id("7", Scale::Smoke).is_some());
-        assert!(run_by_id("e99", Scale::Smoke).is_none());
-        assert!(run_by_id("nonsense", Scale::Smoke).is_none());
+        assert!(run_by_id("e1", Scale::Smoke, 0).is_some());
+        assert!(run_by_id("E03", Scale::Smoke, 0).is_some());
+        assert!(run_by_id("7", Scale::Smoke, 0).is_some());
+        assert!(run_by_id("e99", Scale::Smoke, 0).is_none());
+        assert!(run_by_id("nonsense", Scale::Smoke, 0).is_none());
     }
 
     #[test]
@@ -170,18 +159,14 @@ mod tests {
 
     #[test]
     fn seeded_runs_are_reproducible() {
-        let a = run_by_id_seeded("e1", Scale::Smoke, 42).unwrap();
-        let b = run_by_id_seeded("e1", Scale::Smoke, 42).unwrap();
+        let a = run_by_id("e1", Scale::Smoke, 42).unwrap();
+        let b = run_by_id("e1", Scale::Smoke, 42).unwrap();
         assert_eq!(a.table.rows, b.table.rows);
-        // Seed 0 is the documented default.
-        let default_run = run_by_id("e1", Scale::Smoke).unwrap();
-        let explicit_zero = run_by_id_seeded("e1", Scale::Smoke, 0).unwrap();
-        assert_eq!(default_run.table.rows, explicit_zero.table.rows);
     }
 
     #[test]
     fn all_experiments_produce_consistent_reports_at_smoke_scale() {
-        for report in run_all(Scale::Smoke) {
+        for report in run_all(Scale::Smoke, 0) {
             assert!(!report.id.is_empty());
             assert!(!report.table.columns.is_empty());
             assert!(!report.table.rows.is_empty());

@@ -25,7 +25,7 @@
 //! away, warnings and all stdout output stay.
 
 use rlnc_experiments::{
-    parse_experiment_id, run_all_seeded, run_by_id_seeded, status, trace, ExperimentReport,
+    parse_experiment_id, run_all, run_by_id, status, trace, ExperimentReport,
     Scale, EXPERIMENTS,
 };
 use rlnc_serve::{connect_with_retry, Endpoint, ShardSpec, SweepServer};
@@ -37,26 +37,75 @@ fn usage_error(message: &str) -> ! {
     std::process::exit(2);
 }
 
-fn parse_seed(raw: Option<&String>, flag: &str) -> u64 {
-    let Some(raw) = raw else {
-        usage_error(&format!("{flag} requires an unsigned 64-bit integer"));
-    };
-    let parsed = if let Some(hex) = raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16)
-    } else {
-        raw.parse::<u64>()
-    };
-    match parsed {
-        Ok(seed) => seed,
-        Err(_) => usage_error(&format!("{flag}: '{raw}' is not an unsigned 64-bit integer")),
-    }
+/// Ends the process with one warning line and exit code 1.
+fn fail(message: &str) -> ! {
+    status::warn(message);
+    std::process::exit(1);
 }
 
-fn parse_scale(raw: Option<&String>) -> Scale {
-    match raw.map(String::as_str).map(str::parse::<Scale>) {
-        Some(Ok(scale)) => scale,
-        Some(Err(e)) => usage_error(&format!("--scale: {e}")),
-        None => usage_error("--scale requires one of smoke|standard|full"),
+/// A cursor over one subcommand's arguments. A flag that takes a value
+/// reads it with [`ArgCursor::value`] (or a typed reader built on it);
+/// when the command line ends first, that is a usage error naming the
+/// flag.
+struct ArgCursor<'a> {
+    args: &'a [String],
+    next: usize,
+}
+
+impl<'a> ArgCursor<'a> {
+    fn new(args: &'a [String]) -> Self {
+        ArgCursor { args, next: 0 }
+    }
+
+    /// The next argument, if any.
+    fn next(&mut self) -> Option<&'a str> {
+        let arg = self.args.get(self.next)?;
+        self.next += 1;
+        Some(arg)
+    }
+
+    /// The value of the flag just read; `missing` is the usage error when
+    /// there is none.
+    fn value(&mut self, missing: &str) -> &'a str {
+        self.next().unwrap_or_else(|| usage_error(missing))
+    }
+
+    /// The file path following `flag`.
+    fn path(&mut self, flag: &str) -> &'a str {
+        self.value(&format!("{flag} requires a file path"))
+    }
+
+    /// The arguments up to the next flag (`--only e1 e10`).
+    fn operands(&mut self) -> &'a [String] {
+        let start = self.next;
+        while self.args.get(self.next).is_some_and(|arg| !arg.starts_with("--")) {
+            self.next += 1;
+        }
+        &self.args[start..self.next]
+    }
+
+    /// The value of `--scale`.
+    fn scale(&mut self) -> Scale {
+        let raw = self.value("--scale requires one of smoke|standard|full");
+        raw.parse().unwrap_or_else(|e| usage_error(&format!("--scale: {e}")))
+    }
+
+    /// The value of `--seed`: decimal, or hexadecimal after `0x`.
+    fn seed(&mut self) -> u64 {
+        let raw = self.value("--seed requires an unsigned 64-bit integer");
+        let parsed = match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
+            Some(hex) => u64::from_str_radix(hex, 16),
+            None => raw.parse::<u64>(),
+        };
+        parsed.unwrap_or_else(|_| {
+            usage_error(&format!("--seed: '{raw}' is not an unsigned 64-bit integer"))
+        })
+    }
+
+    /// The value of `--shard`.
+    fn shard(&mut self) -> ShardSpec {
+        let raw = self.value("--shard requires INDEX/COUNT (1-based, e.g. --shard 2/4)");
+        ShardSpec::parse(raw).unwrap_or_else(|e| usage_error(&format!("--shard: {e}")))
     }
 }
 
@@ -71,8 +120,7 @@ fn enable_tracing() {
 /// Writes the collected trace (registry snapshot + pool counters) to
 /// `path`.
 fn write_trace(path: &str) {
-    write_file(path, &trace::collect().to_json());
-    status::note(&format!("wrote {path}"));
+    write_output(path, &trace::collect().to_json());
 }
 
 fn main() {
@@ -100,48 +148,25 @@ fn main() {
 fn experiments_main(args: &[String]) {
     let mut scale = Scale::Standard;
     let mut seed = 0u64;
-    let mut only: Vec<String> = Vec::new();
-    let mut markdown_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
+    let mut only: Vec<&str> = Vec::new();
+    let mut markdown_path: Option<&str> = None;
+    let mut trace_path: Option<&str> = None;
 
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale = parse_scale(args.get(i));
-            }
-            "--seed" => {
-                i += 1;
-                seed = parse_seed(args.get(i), "--seed");
-            }
+    let mut args = ArgCursor::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--scale" => scale = args.scale(),
+            "--seed" => seed = args.seed(),
             "--quiet" => status::set_quiet(true),
             "--only" => {
-                i += 1;
-                let before = only.len();
-                while i < args.len() && !args[i].starts_with("--") {
-                    only.push(args[i].clone());
-                    i += 1;
-                }
-                if only.len() == before {
+                let ids = args.operands();
+                if ids.is_empty() {
                     usage_error("--only requires at least one experiment id (e.g. --only e1 e10)");
                 }
-                continue;
+                only.extend(ids.iter().map(String::as_str));
             }
-            "--markdown" => {
-                i += 1;
-                markdown_path = match args.get(i) {
-                    Some(path) => Some(path.clone()),
-                    None => usage_error("--markdown requires a file path"),
-                };
-            }
-            "--trace-out" => {
-                i += 1;
-                trace_path = match args.get(i) {
-                    Some(path) => Some(path.clone()),
-                    None => usage_error("--trace-out requires a file path"),
-                };
-            }
+            "--markdown" => markdown_path = Some(args.path("--markdown")),
+            "--trace-out" => trace_path = Some(args.path("--trace-out")),
             "--list" => {
                 for e in &EXPERIMENTS {
                     println!("{:>4}  {}", e.id, e.description);
@@ -162,28 +187,28 @@ fn experiments_main(args: &[String]) {
             }
             other => usage_error(&format!("unknown argument: {other}")),
         }
-        i += 1;
     }
 
     // Validate ids up front so a typo (e.g. in a CI invocation) fails loudly
     // instead of silently running an empty report list and exiting 0.
-    let unknown: Vec<&String> = only.iter().filter(|id| parse_experiment_id(id).is_none()).collect();
+    let unknown: Vec<&str> =
+        only.iter().copied().filter(|id| parse_experiment_id(id).is_none()).collect();
     if !unknown.is_empty() {
         for id in unknown {
             status::warn(&format!("unknown experiment id: {id}"));
         }
         std::process::exit(2);
     }
-    check_writable([&markdown_path, &trace_path]);
+    check_writable([markdown_path, trace_path]);
 
     if trace_path.is_some() {
         enable_tracing();
     }
 
     let reports: Vec<ExperimentReport> = if only.is_empty() {
-        run_all_seeded(scale, seed)
+        run_all(scale, seed)
     } else {
-        only.iter().filter_map(|id| run_by_id_seeded(id, scale, seed)).collect()
+        only.iter().filter_map(|id| run_by_id(id, scale, seed)).collect()
     };
 
     let mut all_consistent = true;
@@ -196,11 +221,10 @@ fn experiments_main(args: &[String]) {
     }
 
     if let Some(path) = markdown_path {
-        write_file(&path, &combined);
-        status::note(&format!("wrote {path}"));
+        write_output(path, &combined);
     }
     if let Some(path) = trace_path {
-        write_trace(&path);
+        write_trace(path);
     }
 
     if !all_consistent {
@@ -213,73 +237,30 @@ fn experiments_main(args: &[String]) {
 fn sweep_main(args: &[String]) {
     let mut scale = Scale::Standard;
     let mut seed = DEFAULT_SWEEP_SEED;
-    let mut scenario: Option<String> = None;
-    let mut out_path: Option<String> = None;
-    let mut csv_path: Option<String> = None;
-    let mut markdown_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
+    let mut scenario: Option<&str> = None;
+    let mut out_path: Option<&str> = None;
+    let mut csv_path: Option<&str> = None;
+    let mut markdown_path: Option<&str> = None;
+    let mut trace_path: Option<&str> = None;
     let mut resume = false;
     let mut progress = false;
     let mut shard: Option<ShardSpec> = None;
 
     let registry = Registry::builtin();
 
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale = parse_scale(args.get(i));
-            }
-            "--seed" => {
-                i += 1;
-                seed = parse_seed(args.get(i), "--seed");
-            }
+    let mut args = ArgCursor::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--scale" => scale = args.scale(),
+            "--seed" => seed = args.seed(),
             "--scenario" => {
-                i += 1;
-                scenario = match args.get(i) {
-                    Some(name) => Some(name.clone()),
-                    None => usage_error("--scenario requires a scenario name (see --list-scenarios)"),
-                };
+                scenario = Some(args.value("--scenario requires a scenario name (see --list-scenarios)"));
             }
-            "--out" => {
-                i += 1;
-                out_path = match args.get(i) {
-                    Some(path) => Some(path.clone()),
-                    None => usage_error("--out requires a file path"),
-                };
-            }
-            "--csv" => {
-                i += 1;
-                csv_path = match args.get(i) {
-                    Some(path) => Some(path.clone()),
-                    None => usage_error("--csv requires a file path"),
-                };
-            }
-            "--markdown" => {
-                i += 1;
-                markdown_path = match args.get(i) {
-                    Some(path) => Some(path.clone()),
-                    None => usage_error("--markdown requires a file path"),
-                };
-            }
-            "--trace-out" => {
-                i += 1;
-                trace_path = match args.get(i) {
-                    Some(path) => Some(path.clone()),
-                    None => usage_error("--trace-out requires a file path"),
-                };
-            }
-            "--shard" => {
-                i += 1;
-                let Some(raw) = args.get(i) else {
-                    usage_error("--shard requires INDEX/COUNT (1-based, e.g. --shard 2/4)");
-                };
-                shard = match ShardSpec::parse(raw) {
-                    Ok(spec) => Some(spec),
-                    Err(e) => usage_error(&format!("--shard: {e}")),
-                };
-            }
+            "--out" => out_path = Some(args.path("--out")),
+            "--csv" => csv_path = Some(args.path("--csv")),
+            "--markdown" => markdown_path = Some(args.path("--markdown")),
+            "--trace-out" => trace_path = Some(args.path("--trace-out")),
+            "--shard" => shard = Some(args.shard()),
             "--resume" => resume = true,
             "--progress" => progress = true,
             "--quiet" => status::set_quiet(true),
@@ -294,32 +275,15 @@ fn sweep_main(args: &[String]) {
                 return;
             }
             "--check" => {
-                i += 1;
-                let Some(path) = args.get(i) else {
-                    usage_error("--check requires a file path");
-                };
-                let text = match std::fs::read_to_string(path) {
-                    Ok(text) => text,
-                    Err(e) => {
-                        status::warn(&format!("cannot read {path}: {e}"));
-                        std::process::exit(1);
-                    }
-                };
-                match emit::from_json(&text) {
-                    Ok(run) => {
-                        println!(
-                            "{path}: OK — scenario '{}', {} records at scale {}",
-                            run.scenario,
-                            run.records.len(),
-                            run.scale
-                        );
-                        return;
-                    }
-                    Err(e) => {
-                        status::warn(&format!("{path}: invalid sweep export: {e}"));
-                        std::process::exit(1);
-                    }
-                }
+                let path = args.path("--check");
+                let run = read_export(path);
+                println!(
+                    "{path}: OK — scenario '{}', {} records at scale {}",
+                    run.scenario,
+                    run.records.len(),
+                    run.scale
+                );
+                return;
             }
             "--help" | "-h" => {
                 eprintln!(
@@ -334,13 +298,12 @@ fn sweep_main(args: &[String]) {
             }
             other => usage_error(&format!("unknown sweep argument: {other}")),
         }
-        i += 1;
     }
 
     let Some(name) = scenario else {
         usage_error("sweep requires --scenario NAME (or --list-scenarios / --check FILE)");
     };
-    let Some(spec) = registry.get(&name) else {
+    let Some(spec) = registry.get(name) else {
         status::warn(&format!("unknown scenario: {name}"));
         status::warn(&format!("available scenarios: {}", registry.names().join(", ")));
         std::process::exit(2);
@@ -363,7 +326,7 @@ fn sweep_main(args: &[String]) {
         },
         _ => Vec::new(),
     };
-    check_writable([&out_path, &csv_path, &markdown_path, &trace_path]);
+    check_writable([out_path, csv_path, markdown_path, trace_path]);
     if trace_path.is_some() {
         enable_tracing();
     }
@@ -374,19 +337,16 @@ fn sweep_main(args: &[String]) {
 
     print!("{}", run.to_markdown());
     if let Some(path) = out_path {
-        write_file(&path, &emit::to_json(&run));
-        status::note(&format!("wrote {path}"));
+        write_output(path, &emit::to_json(&run));
     }
     if let Some(path) = csv_path {
-        write_file(&path, &emit::to_csv(&run));
-        status::note(&format!("wrote {path}"));
+        write_output(path, &emit::to_csv(&run));
     }
     if let Some(path) = markdown_path {
-        write_file(&path, &run.to_markdown());
-        status::note(&format!("wrote {path}"));
+        write_output(path, &run.to_markdown());
     }
     if let Some(path) = trace_path {
-        write_trace(&path);
+        write_trace(path);
     }
 }
 
@@ -394,36 +354,20 @@ fn sweep_main(args: &[String]) {
 /// `sweep --shard I/N --out ...`) into the single-process export,
 /// byte-identical to running the sweep unsharded.
 fn sweep_merge_main(args: &[String]) {
-    let mut inputs: Vec<String> = Vec::new();
-    let mut out_path: Option<String> = None;
-    let mut trace_paths: Vec<String> = Vec::new();
-    let mut trace_out: Option<String> = None;
+    let mut inputs: Vec<&str> = Vec::new();
+    let mut out_path: Option<&str> = None;
+    let mut trace_paths: Vec<&str> = Vec::new();
+    let mut trace_out: Option<&str> = None;
     let mut allow_partial = false;
 
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out_path = match args.get(i) {
-                    Some(path) => Some(path.clone()),
-                    None => usage_error("--out requires a file path"),
-                };
-            }
+    let mut args = ArgCursor::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--out" => out_path = Some(args.path("--out")),
             "--trace" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => trace_paths.push(path.clone()),
-                    None => usage_error("--trace requires a shard trace file (repeatable)"),
-                }
+                trace_paths.push(args.value("--trace requires a shard trace file (repeatable)"));
             }
-            "--trace-out" => {
-                i += 1;
-                trace_out = match args.get(i) {
-                    Some(path) => Some(path.clone()),
-                    None => usage_error("--trace-out requires a file path"),
-                };
-            }
+            "--trace-out" => trace_out = Some(args.path("--trace-out")),
             "--allow-partial" => allow_partial = true,
             "--quiet" => status::set_quiet(true),
             "--help" | "-h" => {
@@ -439,9 +383,8 @@ fn sweep_merge_main(args: &[String]) {
             flag if flag.starts_with("--") => {
                 usage_error(&format!("unknown sweep-merge argument: {flag}"))
             }
-            path => inputs.push(path.to_string()),
+            path => inputs.push(path),
         }
-        i += 1;
     }
     if inputs.is_empty() {
         usage_error("sweep-merge requires at least one shard export file");
@@ -449,32 +392,10 @@ fn sweep_merge_main(args: &[String]) {
     if !trace_paths.is_empty() && trace_out.is_none() {
         usage_error("--trace requires --trace-out FILE (where to write the merged trace)");
     }
-    check_writable([&out_path, &trace_out]);
+    check_writable([out_path, trace_out]);
 
-    let mut runs: Vec<SweepRun> = Vec::with_capacity(inputs.len());
-    for path in &inputs {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) => {
-                status::warn(&format!("cannot read {path}: {e}"));
-                std::process::exit(1);
-            }
-        };
-        match emit::from_json(&text) {
-            Ok(run) => runs.push(run),
-            Err(e) => {
-                status::warn(&format!("{path}: invalid sweep export: {e}"));
-                std::process::exit(1);
-            }
-        }
-    }
-    let merged = match emit::merge_runs(&runs) {
-        Ok(merged) => merged,
-        Err(e) => {
-            status::warn(&format!("sweep-merge: {e}"));
-            std::process::exit(1);
-        }
-    };
+    let runs: Vec<SweepRun> = inputs.iter().map(|path| read_export(path)).collect();
+    let merged = emit::merge_runs(&runs).unwrap_or_else(|e| fail(&format!("sweep-merge: {e}")));
 
     // Completeness: unless --allow-partial, the merged record set must
     // cover the scenario's grid exactly — a forgotten shard file should
@@ -493,79 +414,57 @@ fn sweep_merge_main(args: &[String]) {
                         .filter(|idx| !got.contains(idx))
                         .map(u64::to_string)
                         .collect();
-                    status::warn(&format!(
+                    fail(&format!(
                         "sweep-merge: merged run covers {} of {} grid points \
                          (missing: {}); pass --allow-partial to keep a partial merge",
                         got.len(),
                         expected.len(),
                         if missing.is_empty() { "none — extra points".to_string() } else { missing.join(", ") },
                     ));
-                    std::process::exit(1);
                 }
             }
-            _ => {
-                status::warn(&format!(
-                    "sweep-merge: cannot check completeness — scenario '{}' at scale '{}' \
-                     is not in the built-in registry; pass --allow-partial to merge anyway",
-                    merged.scenario, merged.scale
-                ));
-                std::process::exit(1);
-            }
+            _ => fail(&format!(
+                "sweep-merge: cannot check completeness — scenario '{}' at scale '{}' \
+                 is not in the built-in registry; pass --allow-partial to merge anyway",
+                merged.scenario, merged.scale
+            )),
         }
     }
 
     print!("{}", merged.to_markdown());
     if let Some(path) = out_path {
-        write_file(&path, &emit::to_json(&merged));
-        status::note(&format!("wrote {path}"));
+        write_output(path, &emit::to_json(&merged));
     }
     if let Some(out) = trace_out {
-        let mut docs = Vec::with_capacity(trace_paths.len());
-        for path in &trace_paths {
-            let text = match std::fs::read_to_string(path) {
-                Ok(text) => text,
-                Err(e) => {
-                    status::warn(&format!("cannot read trace {path}: {e}"));
-                    std::process::exit(1);
-                }
-            };
-            match trace::from_json(&text) {
-                Ok(doc) => docs.push(doc),
-                Err(e) => {
-                    status::warn(&format!("{path}: invalid trace: {e}"));
-                    std::process::exit(1);
-                }
-            }
-        }
+        let docs: Vec<_> = trace_paths
+            .iter()
+            .map(|path| {
+                let text = std::fs::read_to_string(path)
+                    .unwrap_or_else(|e| fail(&format!("cannot read trace {path}: {e}")));
+                trace::from_json(&text).unwrap_or_else(|e| fail(&format!("{path}: invalid trace: {e}")))
+            })
+            .collect();
         let mut iter = docs.iter();
         let Some(mut combined) = iter.next().cloned() else {
             usage_error("--trace-out requires at least one --trace input");
         };
         for doc in iter {
             if let Err(e) = combined.merge(doc) {
-                status::warn(&format!("cannot merge traces: {e}"));
-                std::process::exit(1);
+                fail(&format!("cannot merge traces: {e}"));
             }
         }
-        write_file(&out, &combined.to_json());
-        status::note(&format!("wrote {out}"));
+        write_output(out, &combined.to_json());
     }
 }
 
 /// The `sweep-serve` subcommand: a resident sweep service that keeps the
 /// process-global plan cache warm across requests.
 fn sweep_serve_main(args: &[String]) {
-    let mut listen: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--listen" => {
-                i += 1;
-                listen = match args.get(i) {
-                    Some(raw) => Some(raw.clone()),
-                    None => usage_error("--listen requires unix:PATH or tcp:HOST:PORT"),
-                };
-            }
+    let mut listen: Option<&str> = None;
+    let mut args = ArgCursor::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--listen" => listen = Some(args.value("--listen requires unix:PATH or tcp:HOST:PORT")),
             "--quiet" => status::set_quiet(true),
             "--help" | "-h" => {
                 eprintln!(
@@ -578,12 +477,11 @@ fn sweep_serve_main(args: &[String]) {
             }
             other => usage_error(&format!("unknown sweep-serve argument: {other}")),
         }
-        i += 1;
     }
     let Some(raw) = listen else {
         usage_error("sweep-serve requires --listen unix:PATH or tcp:HOST:PORT");
     };
-    let endpoint = match Endpoint::parse(&raw) {
+    let endpoint = match Endpoint::parse(raw) {
         Ok(endpoint) => endpoint,
         Err(e) => usage_error(&format!("--listen: {e}")),
     };
@@ -591,22 +489,15 @@ fn sweep_serve_main(args: &[String]) {
     // The service reports obs counters over `status`, so tracing is on for
     // the whole process lifetime.
     enable_tracing();
-    let bound = match SweepServer::new().bind(&endpoint) {
-        Ok(bound) => bound,
-        Err(e) => {
-            status::warn(&format!("sweep-serve: {e}"));
-            std::process::exit(1);
-        }
-    };
+    let bound = SweepServer::new()
+        .bind(&endpoint)
+        .unwrap_or_else(|e| fail(&format!("sweep-serve: {e}")));
     // Print the resolved endpoint (not the requested one): tcp port 0 is
     // resolved at bind time and drivers need the actual port.
     println!("sweep-serve listening on {}", bound.endpoint());
     match bound.serve() {
         Ok(()) => status::note("sweep-serve: shut down"),
-        Err(e) => {
-            status::warn(&format!("sweep-serve: {e}"));
-            std::process::exit(1);
-        }
+        Err(e) => fail(&format!("sweep-serve: {e}")),
     }
 }
 
@@ -614,56 +505,25 @@ fn sweep_serve_main(args: &[String]) {
 fn serve_client_main(args: &[String]) {
     const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
-    let mut connect_to: Option<String> = None;
-    let mut action: Option<String> = None;
-    let mut scenario: Option<String> = None;
+    let mut connect_to: Option<&str> = None;
+    let mut action: Option<&str> = None;
+    let mut scenario: Option<&str> = None;
     let mut scale = Scale::Standard;
     let mut seed = DEFAULT_SWEEP_SEED;
     let mut shard: Option<ShardSpec> = None;
-    let mut out_path: Option<String> = None;
+    let mut out_path: Option<&str> = None;
 
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = ArgCursor::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
             "--connect" => {
-                i += 1;
-                connect_to = match args.get(i) {
-                    Some(raw) => Some(raw.clone()),
-                    None => usage_error("--connect requires unix:PATH or tcp:HOST:PORT"),
-                };
+                connect_to = Some(args.value("--connect requires unix:PATH or tcp:HOST:PORT"));
             }
-            "--scenario" => {
-                i += 1;
-                scenario = match args.get(i) {
-                    Some(name) => Some(name.clone()),
-                    None => usage_error("--scenario requires a scenario name"),
-                };
-            }
-            "--scale" => {
-                i += 1;
-                scale = parse_scale(args.get(i));
-            }
-            "--seed" => {
-                i += 1;
-                seed = parse_seed(args.get(i), "--seed");
-            }
-            "--shard" => {
-                i += 1;
-                let Some(raw) = args.get(i) else {
-                    usage_error("--shard requires INDEX/COUNT (1-based, e.g. --shard 2/4)");
-                };
-                shard = match ShardSpec::parse(raw) {
-                    Ok(spec) => Some(spec),
-                    Err(e) => usage_error(&format!("--shard: {e}")),
-                };
-            }
-            "--out" => {
-                i += 1;
-                out_path = match args.get(i) {
-                    Some(path) => Some(path.clone()),
-                    None => usage_error("--out requires a file path"),
-                };
-            }
+            "--scenario" => scenario = Some(args.value("--scenario requires a scenario name")),
+            "--scale" => scale = args.scale(),
+            "--seed" => seed = args.seed(),
+            "--shard" => shard = Some(args.shard()),
+            "--out" => out_path = Some(args.path("--out")),
             "--quiet" => status::set_quiet(true),
             "--help" | "-h" => {
                 eprintln!(
@@ -677,22 +537,20 @@ fn serve_client_main(args: &[String]) {
                 return;
             }
             "list-scenarios" | "run" | "status" | "shutdown" => {
-                if let Some(previous) = &action {
+                if let Some(previous) = action {
                     usage_error(&format!(
-                        "serve-client takes one action, got '{previous}' and '{}'",
-                        args[i]
+                        "serve-client takes one action, got '{previous}' and '{arg}'"
                     ));
                 }
-                action = Some(args[i].clone());
+                action = Some(arg);
             }
             other => usage_error(&format!("unknown serve-client argument: {other}")),
         }
-        i += 1;
     }
     let Some(raw) = connect_to else {
         usage_error("serve-client requires --connect unix:PATH or tcp:HOST:PORT");
     };
-    let endpoint = match Endpoint::parse(&raw) {
+    let endpoint = match Endpoint::parse(raw) {
         Ok(endpoint) => endpoint,
         Err(e) => usage_error(&format!("--connect: {e}")),
     };
@@ -700,22 +558,13 @@ fn serve_client_main(args: &[String]) {
         usage_error("serve-client requires an action: list-scenarios, run, status, or shutdown");
     };
     if action == "run" {
-        check_writable([&out_path]);
+        check_writable([out_path]);
     }
 
-    let mut client = match connect_with_retry(&endpoint, CONNECT_TIMEOUT) {
-        Ok(client) => client,
-        Err(e) => {
-            status::warn(&format!("serve-client: {e}"));
-            std::process::exit(1);
-        }
-    };
-
-    let failed = |e: String| -> ! {
-        status::warn(&format!("serve-client: {e}"));
-        std::process::exit(1);
-    };
-    match action.as_str() {
+    let failed = |e: String| -> ! { fail(&format!("serve-client: {e}")) };
+    let mut client =
+        connect_with_retry(&endpoint, CONNECT_TIMEOUT).unwrap_or_else(|e| failed(e.to_string()));
+    match action {
         "list-scenarios" => match client.list_scenarios() {
             Ok(scenarios) => {
                 for (name, description, summary) in scenarios {
@@ -729,7 +578,7 @@ fn serve_client_main(args: &[String]) {
             let Some(name) = scenario else {
                 usage_error("serve-client run requires --scenario NAME");
             };
-            let outcome = match client.run(&name, scale, seed, shard, |_| {}) {
+            let outcome = match client.run(name, scale, seed, shard, |_| {}) {
                 Ok(outcome) => outcome,
                 Err(e) => failed(e),
             };
@@ -745,8 +594,7 @@ fn serve_client_main(args: &[String]) {
                 outcome.pool_parks_delta
             );
             if let Some(path) = out_path {
-                write_file(&path, &emit::to_json(&outcome.run));
-                status::note(&format!("wrote {path}"));
+                write_output(path, &emit::to_json(&outcome.run));
             }
         }
         "status" => match client.status() {
@@ -770,18 +618,27 @@ fn serve_client_main(args: &[String]) {
     }
 }
 
-/// Writes one output file; a path that cannot be written ends the process
-/// through [`cannot_write`].
-fn write_file(path: &str, contents: &str) {
+/// Reads and parses one sweep export; a file that cannot be read or
+/// parsed ends the process with one line and exit code 1.
+fn read_export(path: &str) -> SweepRun {
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
+    emit::from_json(&text).unwrap_or_else(|e| fail(&format!("{path}: invalid sweep export: {e}")))
+}
+
+/// Writes one output file and notes `wrote PATH`; a path that cannot be
+/// written ends the process through [`cannot_write`].
+fn write_output(path: &str, contents: &str) {
     if let Err(e) = std::fs::write(path, contents) {
         cannot_write(path, e);
     }
+    status::note(&format!("wrote {path}"));
 }
 
 /// Opens every given output path for writing, without truncating it,
 /// before any work starts, so a path that cannot be written fails fast
-/// (as [`write_file`] would fail after the run).
-fn check_writable<'a>(paths: impl IntoIterator<Item = &'a Option<String>>) {
+/// (as [`write_output`] would fail after the run).
+fn check_writable<'a>(paths: impl IntoIterator<Item = Option<&'a str>>) {
     for path in paths.into_iter().flatten() {
         let file = std::fs::OpenOptions::new()
             .write(true)
@@ -797,6 +654,5 @@ fn check_writable<'a>(paths: impl IntoIterator<Item = &'a Option<String>>) {
 /// Ends the process with one `cannot write PATH: ERROR` line and exit
 /// code 1.
 fn cannot_write(path: &str, error: std::io::Error) -> ! {
-    status::warn(&format!("cannot write {path}: {error}"));
-    std::process::exit(1);
+    fail(&format!("cannot write {path}: {error}"))
 }

@@ -1,13 +1,11 @@
 //! Report primitives: tables, findings, and experiment scales.
 
-use serde::{Deserialize, Serialize};
-
 // The smoke/standard/full knob lives in `rlnc-par` so the sweep engine and
 // the benches share one definition; re-exported here for compatibility.
 pub use rlnc_par::scale::Scale;
 
 /// A rendered table: column headers plus string rows.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Table {
     /// Column headers.
     pub columns: Vec<String>,
@@ -64,7 +62,7 @@ impl Table {
 }
 
 /// A paper-claim-versus-measurement record.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Finding {
     /// What the paper states (with its location).
     pub paper_claim: String,
@@ -86,7 +84,7 @@ impl Finding {
 }
 
 /// The full result of one experiment run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentReport {
     /// Short identifier (`"E1"`, ...).
     pub id: String,
@@ -127,11 +125,6 @@ impl ExperimentReport {
 /// Formats a probability with three decimal places.
 pub fn fmt_prob(p: f64) -> String {
     format!("{p:.3}")
-}
-
-/// Formats a confidence interval.
-pub fn fmt_interval(lower: f64, upper: f64) -> String {
-    format!("[{lower:.3}, {upper:.3}]")
 }
 
 #[cfg(test)]
@@ -183,6 +176,5 @@ mod tests {
         // re-export plus the local formatting helpers.
         assert_eq!(Scale::Smoke.size(64), 16);
         assert_eq!(fmt_prob(0.61803), "0.618");
-        assert_eq!(fmt_interval(0.1, 0.2), "[0.100, 0.200]");
     }
 }

@@ -6,7 +6,7 @@ use rlnc_experiments::{run_by_id, Scale};
 
 #[test]
 fn e1_smoke_run_produces_a_consistent_report() {
-    let report = run_by_id("e1", Scale::Smoke).expect("e1 exists");
+    let report = run_by_id("e1", Scale::Smoke, 0).expect("e1 exists");
     assert_eq!(report.id, "E1");
     assert!(report.all_consistent(), "findings: {:?}", report.findings);
     let markdown = report.to_markdown();
@@ -16,7 +16,7 @@ fn e1_smoke_run_produces_a_consistent_report() {
 
 #[test]
 fn e10_smoke_run_produces_a_consistent_report() {
-    let report = run_by_id("e10", Scale::Smoke).expect("e10 exists");
+    let report = run_by_id("e10", Scale::Smoke, 0).expect("e10 exists");
     assert_eq!(report.id, "E10");
     assert!(report.all_consistent(), "findings: {:?}", report.findings);
     assert!(!report.table.rows.is_empty());

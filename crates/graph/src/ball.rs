@@ -18,7 +18,6 @@
 
 use crate::csr::{Graph, NodeId};
 use crate::traversal::bfs_distances_bounded;
-use serde::{Deserialize, Serialize};
 
 /// The radius-`t` ball around a center node, materialized as a small graph
 /// of its own with a mapping back to the host graph.
@@ -109,7 +108,7 @@ impl Ball {
 /// Equality of signatures is the "same ordered labeled ball" relation of
 /// Appendix A: same structure, same distances from the center, same inputs,
 /// and the same relative order of identities.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BallSignature {
     /// Extraction radius.
     pub radius: u32,

@@ -21,17 +21,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Number of nodes currently in the builder.
-    pub fn node_count(&self) -> usize {
-        self.adjacency.len()
-    }
-
-    /// Appends a fresh isolated node and returns its index.
-    pub fn add_node(&mut self) -> NodeId {
-        self.adjacency.push(Vec::new());
-        NodeId::from_index(self.adjacency.len() - 1)
-    }
-
     /// Adds the undirected edge `{u, v}`.
     ///
     /// Self-loops are ignored. Duplicate insertions are deduplicated at
@@ -51,13 +40,6 @@ impl GraphBuilder {
         }
         self.adjacency[u.index()].push(v.0);
         self.adjacency[v.index()].push(u.0);
-    }
-
-    /// Removes the undirected edge `{u, v}` if present.
-    pub fn remove_edge(&mut self, u: impl Into<NodeId>, v: impl Into<NodeId>) {
-        let (u, v) = (u.into(), v.into());
-        self.adjacency[u.index()].retain(|&w| w != v.0);
-        self.adjacency[v.index()].retain(|&w| w != u.0);
     }
 
     /// Returns `true` if the undirected edge `{u, v}` has been added.
@@ -118,29 +100,6 @@ mod tests {
         assert_eq!(g.edge_count(), 1);
         assert_eq!(g.degree(NodeId(2)), 0);
         assert!(g.validate().is_ok());
-    }
-
-    #[test]
-    fn add_and_remove_edges() {
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(0, 1);
-        b.add_edge(1, 2);
-        assert!(b.has_edge(0, 1));
-        b.remove_edge(0, 1);
-        assert!(!b.has_edge(0, 1));
-        let g = b.build();
-        assert_eq!(g.edge_count(), 1);
-    }
-
-    #[test]
-    fn add_node_grows_graph() {
-        let mut b = GraphBuilder::new(1);
-        let v = b.add_node();
-        assert_eq!(v, NodeId(1));
-        b.add_edge(0, v);
-        let g = b.build();
-        assert_eq!(g.node_count(), 2);
-        assert!(g.has_edge(NodeId(0), NodeId(1)));
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! guides bundled with this workspace: it is compact, cache-friendly, and
 //! trivially shareable across Rayon worker threads.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a node inside a [`Graph`].
@@ -18,7 +17,7 @@ use std::fmt;
 /// [`IdAssignment`](crate::ids::IdAssignment) so that the same topology can
 /// be re-labeled without rebuilding the adjacency structure — exactly what
 /// the order-invariance arguments of the paper require.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -57,7 +56,7 @@ impl From<usize> for NodeId {
 /// * no parallel edges,
 /// * neighbor lists sorted in increasing order,
 /// * every edge appears in both endpoints' neighbor lists.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     /// `offsets[v] .. offsets[v + 1]` is the slice of `neighbors` holding
     /// the adjacency of node `v`.
@@ -95,12 +94,6 @@ impl Graph {
     #[inline]
     pub fn edge_count(&self) -> usize {
         self.neighbors.len() / 2
-    }
-
-    /// Returns `true` if the graph has no nodes.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.node_count() == 0
     }
 
     /// Iterator over all node indices.
@@ -166,15 +159,6 @@ impl Graph {
     /// Sum of all degrees (twice the edge count).
     pub fn degree_sum(&self) -> usize {
         self.neighbors.len()
-    }
-
-    /// Returns a histogram `h` where `h[d]` is the number of nodes of degree `d`.
-    pub fn degree_histogram(&self) -> Vec<usize> {
-        let mut hist = vec![0usize; self.max_degree() + 1];
-        for v in self.nodes() {
-            hist[self.degree(v)] += 1;
-        }
-        hist
     }
 
     /// Checks the CSR invariants exhaustively. Intended for tests and for
@@ -260,17 +244,6 @@ mod tests {
         for (u, v) in edges {
             assert!(u < v);
         }
-    }
-
-    #[test]
-    fn degree_histogram_counts_nodes() {
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(0, 1);
-        b.add_edge(1, 2);
-        let g = b.build();
-        let h = g.degree_histogram();
-        // node 3 isolated, nodes 0 and 2 have degree 1, node 1 has degree 2.
-        assert_eq!(h, vec![1, 2, 1]);
     }
 
     #[test]

@@ -29,17 +29,6 @@ pub fn path(n: usize) -> Graph {
     GraphBuilder::from_edges(n, (0..n.saturating_sub(1)).map(|i| (i, i + 1)))
 }
 
-/// The complete graph `K_n`.
-pub fn complete(n: usize) -> Graph {
-    let mut b = GraphBuilder::new(n);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            b.add_edge(u, v);
-        }
-    }
-    b.build()
-}
-
 /// The star `K_{1,n-1}` with center node `0`.
 pub fn star(n: usize) -> Graph {
     assert!(n >= 1);
@@ -142,38 +131,6 @@ pub fn prism(n: usize) -> Graph {
         b.add_edge(i, (i + 1) % n); // outer cycle
         b.add_edge(n + i, n + (i + 1) % n); // inner cycle
         b.add_edge(i, n + i); // rung
-    }
-    b.build()
-}
-
-/// The `d`-dimensional hypercube on `2^d` nodes (`d`-regular).
-pub fn hypercube(d: u32) -> Graph {
-    let n = 1usize << d;
-    let mut b = GraphBuilder::new(n);
-    for v in 0..n {
-        for bit in 0..d {
-            let w = v ^ (1 << bit);
-            if w > v {
-                b.add_edge(v, w);
-            }
-        }
-    }
-    b.build()
-}
-
-/// A caterpillar: a path of `spine` nodes where every spine node gets
-/// `legs` pendant leaves. Useful as a bounded-degree, large-diameter family.
-pub fn caterpillar(spine: usize, legs: usize) -> Graph {
-    assert!(spine >= 1);
-    let n = spine + spine * legs;
-    let mut b = GraphBuilder::new(n);
-    for i in 0..spine.saturating_sub(1) {
-        b.add_edge(i, i + 1);
-    }
-    for i in 0..spine {
-        for l in 0..legs {
-            b.add_edge(i, spine + i * legs + l);
-        }
     }
     b.build()
 }
@@ -301,7 +258,7 @@ pub fn random_bounded_degree<R: Rng + ?Sized>(
 
 /// The named graph families used by the experiment harness, so experiments
 /// can be parameterised by family without closures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Family {
     /// `cycle(n)`
     Cycle,
@@ -358,11 +315,6 @@ impl Family {
             Family::Circulant2 => "circulant-1-2",
             Family::Prism => "prism",
         }
-    }
-
-    /// Parses the spelling produced by [`Family::name`].
-    pub fn parse(name: &str) -> Option<Family> {
-        Family::ALL.into_iter().find(|f| f.name() == name)
     }
 
     /// Returns `true` if [`Family::generate`] draws from the RNG (so each
@@ -442,13 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn complete_graph_edge_count() {
-        let g = complete(6);
-        assert_eq!(g.edge_count(), 15);
-        assert_eq!(g.max_degree(), 5);
-    }
-
-    #[test]
     fn star_has_center() {
         let g = star(9);
         assert_eq!(g.degree(crate::NodeId(0)), 8);
@@ -471,23 +416,6 @@ mod tests {
         assert!(is_connected(&g));
         let t = torus(5, 7);
         assert!(t.nodes().all(|v| t.degree(v) == 4));
-    }
-
-    #[test]
-    fn hypercube_is_regular() {
-        let g = hypercube(4);
-        assert_eq!(g.node_count(), 16);
-        assert!(g.nodes().all(|v| g.degree(v) == 4));
-        assert_eq!(diameter(&g), Some(4));
-    }
-
-    #[test]
-    fn caterpillar_structure() {
-        let g = caterpillar(5, 2);
-        assert_eq!(g.node_count(), 15);
-        assert_eq!(g.edge_count(), 14);
-        assert!(is_connected(&g));
-        assert!(g.max_degree() <= 4);
     }
 
     #[test]
@@ -556,7 +484,6 @@ mod tests {
                 "{} exceeds degree bound",
                 family.name()
             );
-            assert_eq!(Family::parse(family.name()), Some(family));
             if !family.is_randomized() {
                 // Deterministic families must reproduce the same edge set.
                 let mut rng2 = SmallRng::seed_from_u64(999);
@@ -569,7 +496,6 @@ mod tests {
                 );
             }
         }
-        assert_eq!(Family::parse("klein-bottle"), None);
         assert!(Family::Cubic.is_randomized());
         assert!(!Family::Torus.is_randomized());
     }

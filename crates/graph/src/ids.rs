@@ -16,12 +16,11 @@
 use crate::csr::{Graph, NodeId};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// An assignment of pairwise-distinct positive integer identities to the
 /// nodes of a graph.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IdAssignment {
     ids: Vec<u64>,
 }

@@ -1,5 +1,4 @@
-//! Graph surgery: disjoint unions, edge subdivision, and the Theorem-1
-//! gluing construction.
+//! Graph surgery: disjoint unions and the Theorem-1 gluing construction.
 //!
 //! The proof of Theorem 1 builds a single connected bounded-degree instance
 //! out of `ν'` hard instances `H_1, ..., H_{ν'}` as follows: in each `H_i`
@@ -28,11 +27,6 @@ pub struct DisjointUnion {
 }
 
 impl DisjointUnion {
-    /// Maps a node of part `part` to its index in the union graph.
-    pub fn map(&self, part: usize, v: NodeId) -> NodeId {
-        NodeId::from_index(self.offsets[part] + v.index())
-    }
-
     /// Returns which part a union node belongs to and its part-local index.
     pub fn part_of(&self, v: NodeId) -> (usize, NodeId) {
         let idx = v.index();
@@ -201,30 +195,10 @@ pub fn glued_ids(gluing: &Gluing, parts: &[&IdAssignment]) -> IdAssignment {
         floor = floor.max(part_ids.max_id() + shift);
     }
     // Fresh identities for the inserted nodes.
-    let mut next = floor + 1;
-    for idx in originals..gluing.graph.node_count() {
-        ids[idx] = next;
-        next += 1;
+    for (id, fresh) in ids[originals..].iter_mut().zip(floor + 1..) {
+        *id = fresh;
     }
     IdAssignment::new(ids)
-}
-
-/// Subdivides the edge `{u, v}` once, returning the new graph and the index
-/// of the inserted node. General-purpose helper (the gluing uses its own
-/// inline double subdivision).
-pub fn subdivide_edge(graph: &Graph, u: NodeId, v: NodeId) -> (Graph, NodeId) {
-    assert!(graph.has_edge(u, v), "({u}, {v}) is not an edge");
-    let n = graph.node_count();
-    let mut b = GraphBuilder::new(n + 1);
-    for (a, c) in graph.edges() {
-        if (a == u && c == v) || (a == v && c == u) {
-            continue;
-        }
-        b.add_edge(a.index(), c.index());
-    }
-    b.add_edge(u.index(), n);
-    b.add_edge(n, v.index());
-    (b.build(), NodeId::from_index(n))
 }
 
 #[cfg(test)]
@@ -241,7 +215,6 @@ mod tests {
         assert_eq!(u.graph.node_count(), 9);
         assert_eq!(u.graph.edge_count(), 5 + 3);
         assert_eq!(component_count(&u.graph), 2);
-        assert_eq!(u.map(1, NodeId(0)), NodeId(5));
         assert_eq!(u.part_of(NodeId(7)), (1, NodeId(2)));
         assert_eq!(u.part_of(NodeId(4)), (0, NodeId(4)));
     }
@@ -255,17 +228,6 @@ mod tests {
         assert_eq!(merged.len(), 8);
         assert_eq!(merged.max_id(), 8);
         assert_eq!(merged.min_id(), 1);
-    }
-
-    #[test]
-    fn subdivide_edge_adds_a_degree_two_node() {
-        let g = cycle(6);
-        let (g2, mid) = subdivide_edge(&g, NodeId(0), NodeId(1));
-        assert_eq!(g2.node_count(), 7);
-        assert_eq!(g2.edge_count(), 7);
-        assert_eq!(g2.degree(mid), 2);
-        assert!(!g2.has_edge(NodeId(0), NodeId(1)));
-        assert!(is_connected(&g2));
     }
 
     #[test]

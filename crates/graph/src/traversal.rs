@@ -68,8 +68,8 @@ pub fn bfs_distances_bounded(graph: &Graph, source: NodeId, t: u32) -> Vec<(Node
             continue;
         }
         for w in graph.neighbor_ids(u) {
-            if !seen.contains_key(&w) {
-                seen.insert(w, du + 1);
+            if let std::collections::hash_map::Entry::Vacant(slot) = seen.entry(w) {
+                slot.insert(du + 1);
                 dist.push((w, du + 1));
                 queue.push_back(w);
             }

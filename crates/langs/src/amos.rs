@@ -76,11 +76,6 @@ impl AmosGoldenDecider {
         AmosGoldenDecider { p }
     }
 
-    /// The acceptance probability used at selected nodes.
-    pub fn acceptance_probability(&self) -> f64 {
-        self.p
-    }
-
     /// Theoretical guarantee of the decider as a function of `p`: the
     /// minimum of the yes-side probability (`p`, attained with one selected
     /// node) and the worst no-side probability (`1 − p²`, attained with two

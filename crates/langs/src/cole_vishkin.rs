@@ -193,9 +193,8 @@ impl ColeVishkinRingColoring {
             // Shift down: adopt successor's color. Correct for positions
             // 0..valid-1 exclusive of the last.
             let mut shifted = colors.clone();
-            for j in 0..valid.saturating_sub(1) {
-                shifted[j] = colors[j + 1];
-            }
+            let shift = valid.saturating_sub(1);
+            shifted[..shift].copy_from_slice(&colors[1..=shift]);
             valid -= 1;
             // Recolor nodes holding the target color, reading both shifted
             // neighbors. Correct for positions 1..valid-1.

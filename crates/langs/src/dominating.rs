@@ -31,11 +31,6 @@ impl DominatingSet {
         }
         dominated
     }
-
-    /// Number of members of the set.
-    pub fn size(io: &IoConfig<'_>) -> usize {
-        io.graph.nodes().filter(|&v| io.output.get(v).as_bool()).count()
-    }
 }
 
 impl LclLanguage for DominatingSet {
@@ -204,7 +199,6 @@ mod tests {
         assert!(MinimalDominatingSet::new().contains(&IoConfig::new(&g, &x, &center_only)));
         let empty = Labeling::from_fn(&g, |_| Label::from_bool(false));
         assert!(!DominatingSet::new().contains(&IoConfig::new(&g, &x, &empty)));
-        assert_eq!(DominatingSet::size(&IoConfig::new(&g, &x, &center_only)), 1);
     }
 
     #[test]

@@ -36,11 +36,6 @@ impl<A: RandomizedLocalAlgorithm> FaultyConstructor<A> {
         }
     }
 
-    /// The per-node corruption probability.
-    pub fn fault_probability(&self) -> f64 {
-        self.fault_probability
-    }
-
     /// The expected failure probability of the wrapped constructor on an
     /// `n`-node instance whose inner constructor never fails:
     /// `1 − (1 − q)^n`.
@@ -106,7 +101,6 @@ mod tests {
         );
         assert!((faulty.expected_failure_probability(n) - (1.0 - expected_success)).abs() < 1e-9);
         assert!(faulty.name().contains("faulty"));
-        assert_eq!(faulty.fault_probability(), q);
     }
 
     #[test]

@@ -33,11 +33,6 @@ impl FrugalColoring {
     pub fn colors(&self) -> u64 {
         self.proper.colors()
     }
-
-    /// Maximum allowed multiplicity of a color in a neighborhood.
-    pub fn frugality(&self) -> usize {
-        self.frugality
-    }
 }
 
 impl LclLanguage for FrugalColoring {
@@ -129,7 +124,6 @@ mod tests {
         let out_of_range = Labeling::from_fn(&g, |v| Label::from_u64(u64::from(v.0) + 7));
         assert!(!FrugalColoring::new(4, 3).contains(&IoConfig::new(&g, &x, &out_of_range)));
         assert_eq!(FrugalColoring::new(4, 3).colors(), 4);
-        assert_eq!(FrugalColoring::new(4, 3).frugality(), 3);
         assert!(LclLanguage::name(&FrugalColoring::new(4, 3)).contains("frugal"));
     }
 }

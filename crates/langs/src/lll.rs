@@ -68,11 +68,6 @@ impl ResamplingLll {
         ResamplingLll { phases }
     }
 
-    /// Number of resampling phases.
-    pub fn phases(&self) -> u32 {
-        self.phases
-    }
-
     fn bit(view: &View, coins: &Coins, i: usize, epoch: u32) -> bool {
         let mut rng = coins.for_view_node(view, i);
         let mut value = false;

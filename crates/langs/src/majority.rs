@@ -111,11 +111,6 @@ impl OneSidedLocalMajorityDecider {
         assert!((0.0..=1.0).contains(&p), "rejection probability must lie in [0, 1]");
         OneSidedLocalMajorityDecider { radius, p }
     }
-
-    /// The rejection probability at under-selected centers.
-    pub fn rejection_probability(&self) -> f64 {
-        self.p
-    }
 }
 
 impl RandomizedDecider for OneSidedLocalMajorityDecider {
@@ -174,7 +169,6 @@ mod tests {
         let ids = IdAssignment::consecutive(&g);
         let decider = OneSidedLocalMajorityDecider::new(1, 0.75);
         assert_eq!(RandomizedDecider::radius(&decider), 1);
-        assert_eq!(decider.rejection_probability(), 0.75);
         // All selected: every view is majority-selected, deterministic accept.
         let all = Labeling::from_fn(&g, |_| Label::from_bool(true));
         let io = IoConfig::new(&g, &x, &all);

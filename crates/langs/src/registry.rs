@@ -7,10 +7,9 @@
 //! layer (the `rlnc-derand` pipeline, the `rlnc-sweep` workloads) is
 //! generic over such triples. This module
 //! closes the loop: [`CaseId`] enumerates the catalog ([`CaseId::ALL`],
-//! looked up by slug through [`CaseId::from_name`] and by sweep-axis index
-//! through [`CaseId::from_index`]), and [`CaseId::case`] materializes a
-//! [`LanguageCase`] bundle (boxed trait objects, so sweep grid points can
-//! pick a case at runtime). Every layer picks its cases and their knobs
+//! looked up by sweep-axis index through [`CaseId::from_index`]), and
+//! [`CaseId::case`] materializes a [`LanguageCase`] bundle (boxed trait
+//! objects, so sweep grid points can pick a case at runtime). Every layer picks its cases and their knobs
 //! this way.
 //!
 //! The first three cases (`coloring3`, `amos`, `weak-coloring`) are the
@@ -137,11 +136,6 @@ impl CaseId {
     /// can enumerate the whole catalog.
     pub fn from_index(index: u64) -> CaseId {
         CaseId::ALL[(index % CaseId::ALL.len() as u64) as usize]
-    }
-
-    /// Looks a case up by its [`CaseId::name`] slug.
-    pub fn from_name(name: &str) -> Option<CaseId> {
-        CaseId::ALL.into_iter().find(|c| c.name() == name)
     }
 
     /// Materializes the case's bundle.
@@ -453,11 +447,7 @@ mod tests {
         assert_eq!(CaseId::from_index(10), CaseId::Coloring3);
         for (i, id) in CaseId::ALL.into_iter().enumerate() {
             assert_eq!(CaseId::from_index(i as u64), id);
-            assert_eq!(CaseId::from_name(id.name()), Some(id));
         }
-        assert_eq!(CaseId::from_name("mis"), Some(CaseId::Mis));
-        assert_eq!(CaseId::from_name("cole-vishkin"), Some(CaseId::ColeVishkin));
-        assert_eq!(CaseId::from_name("no-such-case"), None);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * [`trials`]: a Monte-Carlo runner that turns a `Fn(seed) -> bool`
 //!   (or `-> f64`) into a Bernoulli / mean estimate with confidence
 //!   intervals.
-//! * [`stats`]: Wilson score intervals, summary statistics, histograms.
+//! * [`stats`]: Wilson score intervals and summary statistics.
 //! * [`pool`]: the one way work reaches the persistent work-stealing pool
 //!   ([`pool::map_ranges`] and its per-index form [`pool::map`]), the one
 //!   fan-out rule they ask ([`pool::fans_out`]), and introspection (size,

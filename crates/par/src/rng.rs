@@ -30,14 +30,6 @@ pub fn derive_seed(master: u64, index: u64) -> u64 {
     splitmix64(master ^ splitmix64(index.wrapping_mul(0xA24B_AED4_963E_E407)))
 }
 
-/// Derives a sub-seed from a master seed and two indices (e.g. trial and
-/// node), used for the per-node private coins of randomized LOCAL
-/// algorithms.
-#[inline]
-pub fn derive_seed2(master: u64, a: u64, b: u64) -> u64 {
-    derive_seed(derive_seed(master, a), b)
-}
-
 /// Creates a ChaCha8 RNG from a 64-bit seed.
 pub fn rng_from_seed(seed: u64) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(seed)
@@ -102,7 +94,6 @@ mod tests {
     #[test]
     fn derived_seeds_differ_across_masters() {
         assert_ne!(derive_seed(1, 0), derive_seed(2, 0));
-        assert_ne!(derive_seed2(1, 2, 3), derive_seed2(1, 3, 2));
     }
 
     #[test]

@@ -9,10 +9,8 @@
 //! that "smoke" means the same thing to the CLI, the bench export, and
 //! the sweep executor.
 
-use serde::{Deserialize, Serialize};
-
 /// How much work an experiment run should do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Minimal sizes and trial counts — used by unit/integration tests.
     Smoke,

@@ -1,9 +1,7 @@
 //! Summary statistics and confidence intervals for Monte-Carlo estimates.
 
-use serde::{Deserialize, Serialize};
-
 /// A Bernoulli (probability) estimate with a Wilson score interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Estimate {
     /// Number of successes observed.
     pub successes: u64,
@@ -41,17 +39,6 @@ impl Estimate {
     /// Returns `true` if the interval contains `value`.
     pub fn covers(&self, value: f64) -> bool {
         self.lower <= value && value <= self.upper
-    }
-
-    /// Returns `true` if the whole interval lies strictly above `threshold`
-    /// (used for "guarantee > 1/2" style assertions).
-    pub fn strictly_above(&self, threshold: f64) -> bool {
-        self.lower > threshold
-    }
-
-    /// Returns `true` if the whole interval lies strictly below `threshold`.
-    pub fn strictly_below(&self, threshold: f64) -> bool {
-        self.upper < threshold
     }
 }
 
@@ -92,7 +79,7 @@ pub fn variance(values: &[f64]) -> f64 {
 }
 
 /// Summary statistics of a sample of real values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,
@@ -126,88 +113,6 @@ impl Summary {
             max: values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
         }
     }
-
-    /// Standard error of the mean.
-    pub fn std_error(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.std_dev / (self.count as f64).sqrt()
-        }
-    }
-}
-
-/// Integer-valued histogram with fixed bucket width 1, used e.g. for
-/// "number of improperly colored nodes" distributions.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Histogram {
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
-    /// Records one observation of `value`.
-    pub fn record(&mut self, value: usize) {
-        if value >= self.counts.len() {
-            self.counts.resize(value + 1, 0);
-        }
-        self.counts[value] += 1;
-        self.total += 1;
-    }
-
-    /// Number of observations recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Count of observations equal to `value`.
-    pub fn count(&self, value: usize) -> u64 {
-        self.counts.get(value).copied().unwrap_or(0)
-    }
-
-    /// Empirical probability that an observation is at most `value`.
-    pub fn cdf(&self, value: usize) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let upto: u64 = self.counts.iter().take(value + 1).sum();
-        upto as f64 / self.total as f64
-    }
-
-    /// Mean of the recorded observations.
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let weighted: u64 = self
-            .counts
-            .iter()
-            .enumerate()
-            .map(|(v, &c)| v as u64 * c)
-            .sum();
-        weighted as f64 / self.total as f64
-    }
-
-    /// Largest value observed, if any.
-    pub fn max(&self) -> Option<usize> {
-        self.counts.iter().rposition(|&c| c > 0)
-    }
-
-    /// Merges another histogram into this one (used by parallel reductions).
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (i, &c) in other.counts.iter().enumerate() {
-            self.counts[i] += c;
-        }
-        self.total += other.total;
-    }
 }
 
 #[cfg(test)]
@@ -220,8 +125,6 @@ mod tests {
         assert!((e.p_hat - 0.618).abs() < 1e-12);
         assert!(e.lower < 0.618 && 0.618 < e.upper);
         assert!(e.covers(0.62));
-        assert!(e.strictly_above(0.5));
-        assert!(e.strictly_below(0.7));
         assert!(e.half_width() < 0.04);
     }
 
@@ -265,37 +168,7 @@ mod tests {
         assert!((s.mean - 2.0).abs() < 1e-12);
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 3.0);
-        assert!(s.std_error() > 0.0);
         let empty = Summary::of(&[]);
         assert_eq!(empty.count, 0);
-        assert_eq!(empty.std_error(), 0.0);
-    }
-
-    #[test]
-    fn histogram_counts_and_cdf() {
-        let mut h = Histogram::new();
-        for v in [0usize, 1, 1, 2, 5] {
-            h.record(v);
-        }
-        assert_eq!(h.total(), 5);
-        assert_eq!(h.count(1), 2);
-        assert_eq!(h.count(9), 0);
-        assert!((h.cdf(1) - 0.6).abs() < 1e-12);
-        assert!((h.cdf(5) - 1.0).abs() < 1e-12);
-        assert!((h.mean() - 1.8).abs() < 1e-12);
-        assert_eq!(h.max(), Some(5));
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new();
-        a.record(1);
-        let mut b = Histogram::new();
-        b.record(3);
-        b.record(1);
-        a.merge(&b);
-        assert_eq!(a.total(), 3);
-        assert_eq!(a.count(1), 2);
-        assert_eq!(a.count(3), 1);
     }
 }

@@ -11,10 +11,9 @@
 use crate::pool::{self, FAN_OUT_WORK};
 use crate::rng::SeedSequence;
 use crate::stats::{Estimate, Summary};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of a single Monte-Carlo trial when more than a boolean is needed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrialOutcome {
     /// Whether the trial counts as a success.
     pub success: bool,
@@ -58,11 +57,6 @@ impl MonteCarlo {
         self
     }
 
-    /// Number of trials this runner performs.
-    pub fn trials(&self) -> u64 {
-        self.trials
-    }
-
     /// Runs a boolean-valued experiment and returns the probability
     /// estimate of `trial` returning `true`.
     pub fn estimate<F>(&self, trial: F) -> Estimate
@@ -80,18 +74,6 @@ impl MonteCarlo {
         F: Fn(SeedSequence) -> f64 + Sync,
     {
         Summary::of(&self.map_trials(trial))
-    }
-
-    /// Runs an experiment returning a full [`TrialOutcome`] and produces
-    /// both the success-probability estimate and the value summary.
-    pub fn run<F>(&self, trial: F) -> (Estimate, Summary)
-    where
-        F: Fn(SeedSequence) -> TrialOutcome + Sync,
-    {
-        let outcomes = self.map_trials(trial);
-        let successes = outcomes.iter().filter(|o| o.success).count() as u64;
-        let values: Vec<f64> = outcomes.iter().map(|o| o.value).collect();
-        (Estimate::from_counts(successes, self.trials), Summary::of(&values))
     }
 
     /// Maps every trial's seed through `trial`, in trial order, through
@@ -153,21 +135,6 @@ mod tests {
         });
         assert!((s.mean - 0.5).abs() < 0.02);
         assert_eq!(s.count, 10_000);
-    }
-
-    #[test]
-    fn run_returns_consistent_estimate_and_summary() {
-        let mc = MonteCarlo::new(4_000).with_seed(11);
-        let (est, sum) = mc.run(|seq| {
-            let mut rng = seq.rng();
-            let x: f64 = rng.random_range(0.0..1.0);
-            TrialOutcome {
-                success: x < 0.25,
-                value: x,
-            }
-        });
-        assert!(est.covers(0.25));
-        assert!((sum.mean - 0.5).abs() < 0.05);
     }
 
     #[test]

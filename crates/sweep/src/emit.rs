@@ -1,12 +1,12 @@
 //! Deterministic exporters for sweep results: JSON (with an exact
-//! parser, so exports round-trip and resumed runs can reload them), CSV,
-//! and markdown.
+//! parser, so exports round-trip and resumed runs can reload them) and
+//! CSV. The markdown rendering is [`SweepRun::to_markdown`].
 //!
-//! The vendored `serde` is a no-op API stub (this workspace builds
-//! hermetically, without a serialization backend), so the formats here are
-//! hand-rolled: fixed key order, `u64` printed exactly, `f64` printed via
-//! Rust's shortest-round-trip formatting — re-running a sweep with the
-//! same seed therefore produces byte-identical files.
+//! The workspace builds hermetically, without a serialization library,
+//! so the formats here are hand-rolled: fixed key order, `u64` printed
+//! exactly, `f64` printed via Rust's shortest-round-trip formatting —
+//! re-running a sweep with the same seed therefore produces
+//! byte-identical files.
 
 use crate::record::{RunRecord, SweepRun};
 
@@ -126,11 +126,6 @@ pub fn to_csv(run: &SweepRun) -> String {
         ));
     }
     out
-}
-
-/// Serializes a run as a markdown section (see [`SweepRun::to_markdown`]).
-pub fn to_markdown(run: &SweepRun) -> String {
-    run.to_markdown()
 }
 
 /// Parses JSON previously produced by [`to_json`] back into a [`SweepRun`].
@@ -815,12 +810,6 @@ mod tests {
         assert_eq!(lines[0], CSV_COLUMNS.join(","));
         assert!(lines[1].starts_with("demo,0,cycle,36,consecutive,"));
         assert_eq!(lines[1].split(',').count(), CSV_COLUMNS.len());
-    }
-
-    #[test]
-    fn markdown_emitter_delegates_to_the_run() {
-        let run = demo_run();
-        assert_eq!(to_markdown(&run), run.to_markdown());
     }
 
     #[test]

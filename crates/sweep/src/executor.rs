@@ -91,16 +91,6 @@ impl SweepExecutor {
         self
     }
 
-    /// The scale this executor runs at.
-    pub fn scale(&self) -> Scale {
-        self.scale
-    }
-
-    /// The master seed this executor derives every stream from.
-    pub fn master_seed(&self) -> u64 {
-        self.master_seed
-    }
-
     /// The seed branch of a scenario under this executor's master seed.
     pub fn scenario_sequence(&self, name: &str) -> SeedSequence {
         SeedSequence::new(self.master_seed).child(scenario_tag(name))

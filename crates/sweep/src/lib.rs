@@ -22,8 +22,8 @@
 //!   regardless of thread scheduling, and resumable from
 //!   previously exported records.
 //! * [`record`] — structured [`RunRecord`] results ([`SweepRun`] bundles
-//!   them with the scenario metadata).
-//! * [`emit`] — deterministic JSON / CSV / markdown emitters plus a JSON
+//!   them with the scenario metadata and renders them as markdown).
+//! * [`emit`] — deterministic JSON / CSV emitters plus a JSON
 //!   parser, so exported runs round-trip exactly (the CI smoke check and
 //!   the executor's resume path both rely on this).
 //!

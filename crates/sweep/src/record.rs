@@ -1,8 +1,6 @@
 //! Structured sweep results: one [`RunRecord`] per grid point, bundled
 //! into a [`SweepRun`] with the scenario metadata needed to reproduce it.
 
-use serde::{Deserialize, Serialize};
-
 /// The result of all Monte-Carlo trials at one grid point.
 ///
 /// Records are plain data: every field either identifies the grid point
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// parameters, seed) or reports the measurement (trial count, successes,
 /// Wilson interval, mean trial value). Equality is exact, which is what
 /// the resume path and the JSON round-trip tests rely on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunRecord {
     /// Scenario name this record belongs to.
     pub scenario: String,
@@ -49,7 +47,7 @@ pub struct RunRecord {
 
 /// A completed sweep: scenario metadata plus one record per grid point, in
 /// grid enumeration order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepRun {
     /// Scenario name.
     pub scenario: String,

@@ -346,7 +346,8 @@ mod tests {
         let prepared = spec
             .workload
             .prepare(prism_point, rlnc_par::SeedSequence::new(1).child(prism_point.index));
-        let outcome = prepared.run_trial(rlnc_par::SeedSequence::new(1).child(0));
+        let seed = rlnc_par::SeedSequence::new(1).child(0);
+        let outcome = prepared.run_trial_with(&mut prepared.scratch(), seed);
         assert!((0.0..=1.0).contains(&outcome.value));
     }
 
@@ -397,7 +398,8 @@ mod tests {
             .expect("a K = 8 coloring grid point");
         let point_seed = rlnc_par::SeedSequence::new(17).child(point.index);
         let prepared = spec.workload.prepare(point, point_seed);
-        let outcome = prepared.run_trial(point_seed.child(1).child(0));
+        let outcome =
+            prepared.run_trial_with(&mut prepared.scratch(), point_seed.child(1).child(0));
         assert!((0.0..=1.0).contains(&outcome.value));
         // The widened probe family finds hard instances: the coverage
         // channel must report a non-empty pool.
@@ -439,7 +441,8 @@ mod tests {
             let prepared = spec
                 .workload
                 .prepare(point, rlnc_par::SeedSequence::new(11).child(point.index));
-            let outcome = prepared.run_trial(rlnc_par::SeedSequence::new(11).child(1).child(0));
+            let seed = rlnc_par::SeedSequence::new(11).child(1).child(0);
+            let outcome = prepared.run_trial_with(&mut prepared.scratch(), seed);
             assert!((0.0..=1.0).contains(&outcome.value), "case {case}");
         }
     }
@@ -488,7 +491,8 @@ mod tests {
             let prepared = spec
                 .workload
                 .prepare(point, rlnc_par::SeedSequence::new(13).child(point.index));
-            let outcome = prepared.run_trial(rlnc_par::SeedSequence::new(13).child(1).child(0));
+            let seed = rlnc_par::SeedSequence::new(13).child(1).child(0);
+            let outcome = prepared.run_trial_with(&mut prepared.scratch(), seed);
             assert!((0.0..=1.0).contains(&outcome.value), "plan {plan}");
         }
     }
@@ -511,7 +515,6 @@ mod tests {
             let a = prepared.run_trial_with(&mut scratch_a, seed);
             let b = prepared.run_trial_with(&mut scratch_b, seed);
             assert_eq!(a, b, "trial {trial} must replay identically");
-            assert_eq!(a, prepared.run_trial(seed));
         }
     }
 
@@ -580,7 +583,8 @@ mod tests {
             let prepared = spec
                 .workload
                 .prepare(point, rlnc_par::SeedSequence::new(7).child(point.index));
-            let outcome = prepared.run_trial(rlnc_par::SeedSequence::new(7).child(1).child(0));
+            let seed = rlnc_par::SeedSequence::new(7).child(1).child(0);
+            let outcome = prepared.run_trial_with(&mut prepared.scratch(), seed);
             assert!((0.0..=1.0).contains(&outcome.value), "case {case}");
         }
     }

@@ -19,7 +19,6 @@ use crate::spec::{GridPoint, IdScheme};
 use rlnc_core::algorithm::LocalAlgorithm;
 use rlnc_core::decision::RandomizedDecider;
 use rlnc_core::derand::boosting::build_disjoint_union;
-use rlnc_core::derand::gluing::anchor_candidates;
 use rlnc_core::derand::hard_instances::{consecutive_cycle_candidates, HardInstance};
 use rlnc_core::derand::ramsey::OrderInvariantLift;
 use rlnc_core::faults::FaultPlan;
@@ -371,30 +370,25 @@ impl Workload {
                 colors,
                 decider_p,
             } => {
-                let (t, t_prime) = (0u32, 1u32);
                 let nu = point.params.a.max(2) as usize;
-                let parts = consecutive_cycle_candidates(vec![cycle_size; nu]);
-                let anchors: Vec<NodeId> = parts
-                    .iter()
-                    .map(|part| anchor_candidates(part, t, t_prime, decider_p)[0])
-                    .collect();
                 let constructor = FaultyConstructor::new(
                     GlobalGreedyColoring::new(cycle_size as u32, colors),
                     per_node_fault,
                     Label::from_u64(0),
                 );
                 let decider = OneSidedLclDecider::new(ProperColoring::new(colors), decider_p);
-                // The whole glued composite — both view sets and the
-                // Claims-4/5 participation mask — is planned once by the
-                // pipeline's gluing stage; trials only flip coins.
+                // The whole glued composite — ν' copies of the hard cycle,
+                // each anchored at its first spread-set candidate, both view
+                // sets and the Claims-4/5 participation mask — is planned
+                // once by the pipeline's gluing stage; trials only flip coins.
                 let language = ProperColoring::new(colors);
                 let stage = DerandPipeline::new(
                     &constructor,
                     &decider,
                     &language,
-                    rlnc_derand::PipelineParams { r: 0.9, p: decider_p, t, t_prime },
+                    rlnc_derand::PipelineParams { r: 0.9, p: decider_p, t: 0, t_prime: 1 },
                 )
-                .glued_stage(parts, anchors);
+                .glued_stage_auto(&consecutive_cycle_candidates([cycle_size]), nu);
                 Prepared::Glued {
                     constructor,
                     decider,
@@ -748,6 +742,10 @@ pub struct TrialScratch {
     union: Option<(DecisionScratch, Labeling)>,
 }
 
+/// The panic message of a trial run against another point's scratch.
+const FOREIGN_SCRATCH: &str =
+    "TrialScratch does not belong to this grid point (build it with this Prepared's scratch())";
+
 impl Prepared {
     /// Creates the per-batch scratch for this grid point.
     pub fn scratch(&self) -> TrialScratch {
@@ -780,15 +778,9 @@ impl Prepared {
         scratch
     }
 
-    /// Runs one Monte-Carlo trial; `seed` is this trial's leaf of the
-    /// `(scenario, grid point, trial)` seed tree. Convenience wrapper over
-    /// [`Prepared::run_trial_with`] that pays the scratch setup per call —
-    /// batch drivers should create one [`TrialScratch`] per batch instead.
-    pub fn run_trial(&self, seed: SeedSequence) -> TrialOutcome {
-        self.run_trial_with(&mut self.scratch(), seed)
-    }
-
-    /// Runs one Monte-Carlo trial against a reusable [`TrialScratch`].
+    /// Runs one Monte-Carlo trial against a reusable [`TrialScratch`] built
+    /// by this point's [`Prepared::scratch`]; `seed` is this trial's leaf of
+    /// the `(scenario, grid point, trial)` seed tree.
     pub fn run_trial_with(&self, scratch: &mut TrialScratch, seed: SeedSequence) -> TrialOutcome {
         match self {
             Prepared::Slack {
@@ -851,15 +843,8 @@ impl Prepared {
                 decision_plan,
             } => {
                 let out = construction_plan.run_randomized(constructor, seed.child(0));
-                let decision = scratch
-                    .decision
-                    .get_or_insert_with(|| decision_plan.decision_scratch());
-                assert_eq!(
-                    decision.plan_id(),
-                    decision_plan.id(),
-                    "TrialScratch does not belong to this grid point (build it \
-                     with this Prepared's scratch())"
-                );
+                let decision = scratch.decision.as_mut().expect(FOREIGN_SCRATCH);
+                assert_eq!(decision.plan_id(), decision_plan.id(), "{FOREIGN_SCRATCH}");
                 TrialOutcome::from_bool(decision.decide_randomized(
                     decider,
                     &out,
@@ -871,9 +856,7 @@ impl Prepared {
                 decider,
                 plan,
             } => {
-                let (scratch, out) = scratch.glued.get_or_insert_with(|| {
-                    (plan.plan().decision_scratch(), Labeling::empty(plan.node_count()))
-                });
+                let (scratch, out) = scratch.glued.as_mut().expect(FOREIGN_SCRATCH);
                 // Construct once, then evaluate the far-from-anchors event
                 // (success) and the all-nodes acceptance (value) from the
                 // same execution: the decider's verdict at a node depends
@@ -926,9 +909,7 @@ impl Prepared {
                 union,
                 glued,
             } => {
-                let (union_scratch, union_out) = scratch.union.get_or_insert_with(|| {
-                    (union.plan().decision_scratch(), Labeling::empty(union.node_count()))
-                });
+                let (union_scratch, union_out) = scratch.union.as_mut().expect(FOREIGN_SCRATCH);
                 let union_accept = union.plan().accept_once(
                     union_scratch,
                     union_out,
@@ -937,9 +918,7 @@ impl Prepared {
                     None,
                     seed.child(0),
                 );
-                let (glued_scratch, glued_out) = scratch.glued.get_or_insert_with(|| {
-                    (glued.plan().decision_scratch(), Labeling::empty(glued.node_count()))
-                });
+                let (glued_scratch, glued_out) = scratch.glued.as_mut().expect(FOREIGN_SCRATCH);
                 let glued_far = glued.plan().accept_once(
                     glued_scratch,
                     glued_out,
@@ -966,15 +945,8 @@ impl Prepared {
                 // trial replays byte-identically whatever the batching.
                 let schedule = fault_plan.schedule(round_plan.graph(), seed.child(0));
                 let out = round_plan.run_with_faults(&**constructor, seed.child(1), &schedule);
-                let decision = scratch
-                    .decision
-                    .get_or_insert_with(|| decision_plan.decision_scratch());
-                assert_eq!(
-                    decision.plan_id(),
-                    decision_plan.id(),
-                    "TrialScratch does not belong to this grid point (build it \
-                     with this Prepared's scratch())"
-                );
+                let decision = scratch.decision.as_mut().expect(FOREIGN_SCRATCH);
+                assert_eq!(decision.plan_id(), decision_plan.id(), "{FOREIGN_SCRATCH}");
                 let accept = decision.decide_randomized(&**decider, &out, seed.child(2));
                 TrialOutcome {
                     success: accept,
@@ -1140,7 +1112,10 @@ mod tests {
         };
         for trial in 0..8 {
             let seed = point_seed.child(1).child(trial);
-            assert_eq!(hoisted.run_trial(seed), per_trial.run_trial(seed));
+            assert_eq!(
+                hoisted.run_trial_with(&mut hoisted.scratch(), seed),
+                per_trial.run_trial_with(&mut per_trial.scratch(), seed)
+            );
         }
         // Randomized families stay on the per-trial path.
         let random_point = GridPoint {
@@ -1158,7 +1133,10 @@ mod tests {
         assert!(matches!(&mixed, Prepared::Slack { fixed: Some(_), plan: None, .. }));
         for trial in 0..4 {
             let seed = point_seed.child(1).child(trial);
-            assert_eq!(mixed.run_trial(seed), mixed.run_trial(seed));
+            assert_eq!(
+                mixed.run_trial_with(&mut mixed.scratch(), seed),
+                mixed.run_trial_with(&mut mixed.scratch(), seed)
+            );
         }
     }
 
@@ -1198,7 +1176,8 @@ mod tests {
             let prepared = Workload::LanguagePipeline.prepare(&point, point_seed);
             assert!(matches!(&prepared, Prepared::Pipeline { .. }));
             for trial in 0..2u64 {
-                let outcome = prepared.run_trial(point_seed.child(1).child(trial));
+                let seed = point_seed.child(1).child(trial);
+                let outcome = prepared.run_trial_with(&mut prepared.scratch(), seed);
                 assert!(
                     (0.0..=1.0).contains(&outcome.value),
                     "case '{}' produced an out-of-range value",

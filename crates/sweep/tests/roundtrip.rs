@@ -27,7 +27,7 @@ fn smoke_scenario_runs_exports_and_round_trips() {
     assert!(csv.starts_with(&emit::CSV_COLUMNS.join(",")));
 
     // Markdown renders every record row.
-    let md = emit::to_markdown(&run);
+    let md = run.to_markdown();
     assert!(md.contains("sweep `smoke`"));
     assert!(md.contains("| torus |"));
 

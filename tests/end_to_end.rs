@@ -133,7 +133,7 @@ fn luby_mis_is_verified_by_the_lcl_language_across_families() {
 
 #[test]
 fn experiment_harness_smoke_run_is_consistent_with_the_paper() {
-    for report in rlnc::experiments::run_all(rlnc::experiments::Scale::Smoke) {
+    for report in rlnc::experiments::run_all(rlnc::experiments::Scale::Smoke, 0) {
         assert!(
             report.all_consistent(),
             "experiment {} disagrees with the paper: {:?}",

@@ -38,7 +38,7 @@ proptest! {
         prop_assert_eq!(ball.distance(0), 0);
         for i in 0..ball.len() {
             let host = ball.host_node(i);
-            prop_assert_eq!(u32::from(distances[host.index()]), ball.distance(i));
+            prop_assert_eq!(distances[host.index()], ball.distance(i));
             prop_assert!(ball.distance(i) <= radius);
         }
         // Every node within the radius is in the ball.
