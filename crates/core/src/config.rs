@@ -36,11 +36,6 @@ impl<'a> Instance<'a> {
         assert_eq!(graph.node_count(), ids.len(), "identity assignment size mismatch");
         Instance { graph, input, ids }
     }
-
-    /// Number of nodes in the instance.
-    pub fn node_count(&self) -> usize {
-        self.graph.node_count()
-    }
 }
 
 /// An input-output configuration `(G, (x, y))` — the object a distributed
@@ -91,7 +86,6 @@ mod tests {
         let y = Labeling::from_fn(&g, |v| Label::from_u64(u64::from(v.0 % 3)));
         let ids = IdAssignment::consecutive(&g);
         let inst = Instance::new(&g, &x, &ids);
-        assert_eq!(inst.node_count(), 6);
         let io = IoConfig::from_instance(&inst, &y);
         assert_eq!(io.node_count(), 6);
         assert_eq!(io.output.get(rlnc_graph::NodeId(4)).as_u64(), 1);

@@ -59,12 +59,6 @@ pub struct BallTemplate {
 }
 
 impl BallTemplate {
-    /// Extracts the template of the radius-`t` ball of `v` in an instance.
-    pub fn from_instance(instance: &Instance<'_>, v: NodeId, radius: u32) -> Self {
-        let view = View::collect(instance, v, radius);
-        BallTemplate::from_view(&view)
-    }
-
     /// Extracts the template underlying a view.
     pub fn from_view(view: &View) -> Self {
         BallTemplate {
@@ -303,7 +297,7 @@ mod tests {
     fn ball_template_round_trip() {
         let (g, x, ids) = cycle_instance(10);
         let inst = Instance::new(&g, &x, &ids);
-        let template = BallTemplate::from_instance(&inst, NodeId(4), 1);
+        let template = BallTemplate::from_view(&View::collect(&inst, NodeId(4), 1));
         assert_eq!(template.len(), 3);
         // Evaluating the identity-reading algorithm with chosen ids returns
         // the id assigned to the center (rank 1 of {3,4,5} order → middle).

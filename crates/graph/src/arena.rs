@@ -299,11 +299,6 @@ impl BallArena {
             + self.edge_offsets.len() * size_of::<usize>()) as u64
     }
 
-    /// The extraction radius.
-    pub fn radius(&self) -> u32 {
-        self.radius
-    }
-
     /// Number of balls (= nodes of the host graph).
     pub fn len(&self) -> usize {
         self.ball_offsets.len() - 1
@@ -323,18 +318,6 @@ impl BallArena {
     /// Number of nodes in ball `i`.
     pub fn ball_len(&self, i: usize) -> usize {
         self.ball_offsets[i + 1] - self.ball_offsets[i]
-    }
-
-    /// Members of ball `i`, as host-graph nodes in canonical order (center
-    /// first).
-    pub fn members(&self, i: usize) -> &[NodeId] {
-        &self.parts.members[self.ball_offsets[i]..self.ball_offsets[i + 1]]
-    }
-
-    /// Distances from the center for ball `i` (parallel to
-    /// [`BallArena::members`]).
-    pub fn distances(&self, i: usize) -> &[u32] {
-        &self.parts.distances[self.ball_offsets[i]..self.ball_offsets[i + 1]]
     }
 
     /// Materializes ball `i` as a standalone [`Ball`], bit-identical to
@@ -375,8 +358,6 @@ mod tests {
                     let reference = Ball::extract(&g, v, radius);
                     let ours = arena.ball(v.index());
                     assert_eq!(ours, reference, "{} radius {radius} node {v}", family.name());
-                    assert_eq!(arena.members(v.index()), &reference.members[..]);
-                    assert_eq!(arena.distances(v.index()), &reference.distances[..]);
                     assert_eq!(arena.ball_len(v.index()), reference.len());
                 }
             }
@@ -451,7 +432,6 @@ mod tests {
         assert_eq!(arena.total_members(), 9 + 8 * 2);
         assert_eq!(arena.ball_len(0), 9);
         assert!(!arena.is_empty());
-        assert_eq!(arena.radius(), 1);
     }
 
     #[test]

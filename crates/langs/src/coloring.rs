@@ -23,11 +23,6 @@ impl ProperColoring {
         ProperColoring { colors }
     }
 
-    /// The `(Δ+1)`-coloring language for a graph of maximum degree `delta`.
-    pub fn delta_plus_one(delta: usize) -> Self {
-        ProperColoring::new(delta as u64 + 1)
-    }
-
     /// Number of available colors.
     pub fn colors(&self) -> u64 {
         self.colors
@@ -210,7 +205,6 @@ mod tests {
         assert!(!lang.contains(&io));
         assert_eq!(improperly_colored_nodes(&lang, &io), 6);
         assert_eq!(LclLanguage::name(&lang), "3-coloring");
-        assert_eq!(ProperColoring::delta_plus_one(2).colors(), 3);
     }
 
     #[test]
@@ -244,7 +238,7 @@ mod tests {
             let delta = graph.max_degree();
             let algo = GlobalGreedyColoring::new(32, delta as u64 + 1);
             let out = Simulator::new().run(&algo, &inst);
-            let lang = ProperColoring::delta_plus_one(delta);
+            let lang = ProperColoring::new(delta as u64 + 1);
             assert!(
                 lang.contains(&IoConfig::new(&graph, &x, &out)),
                 "global greedy must be proper when it sees the whole graph"

@@ -25,16 +25,6 @@ impl RandomColoring {
         RandomColoring { colors }
     }
 
-    /// The `(Δ+1)`-palette variant for graphs of maximum degree `delta`.
-    pub fn delta_plus_one(delta: usize) -> Self {
-        RandomColoring::new(delta as u64 + 1)
-    }
-
-    /// Palette size.
-    pub fn colors(&self) -> u64 {
-        self.colors
-    }
-
     /// The expected fraction of properly colored nodes on a `d`-regular
     /// graph: each neighbor collides with probability `1/colors`, so a node
     /// is proper with probability `(1 − 1/colors)^d`.
@@ -74,8 +64,6 @@ mod tests {
         // On the ring with 3 colors, a node is properly colored w.p. (2/3)^2.
         let algo = RandomColoring::new(3);
         assert!((algo.expected_proper_fraction(2) - 4.0 / 9.0).abs() < 1e-12);
-        assert_eq!(algo.colors(), 3);
-        assert_eq!(RandomColoring::delta_plus_one(2).colors(), 3);
     }
 
     #[test]

@@ -311,14 +311,6 @@ pub mod json {
             }
         }
 
-        /// The boolean, or an error naming `what`.
-        pub fn as_bool(&self, what: &str) -> Result<bool, String> {
-            match self {
-                Value::Bool(b) => Ok(*b),
-                _ => Err(format!("{what}: expected a JSON boolean")),
-            }
-        }
-
         /// The number as a `u64` (exact, never via `f64`), or an error.
         pub fn as_u64(&self, what: &str) -> Result<u64, String> {
             match self {
@@ -692,8 +684,8 @@ mod tests {
         assert_eq!(arr.len(), 6);
         assert_eq!(arr[0].as_u64("n").unwrap(), 1);
         assert_eq!(arr[1].as_f64("f").unwrap(), -2500.0);
-        assert!(arr[2].as_bool("t").unwrap());
-        assert!(!arr[3].as_bool("f").unwrap());
+        assert!(matches!(arr[2], json::Value::Bool(true)));
+        assert!(matches!(arr[3], json::Value::Bool(false)));
         assert_eq!(arr[5].as_string("s").unwrap(), "xA\n");
     }
 
