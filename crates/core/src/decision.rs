@@ -221,9 +221,7 @@ mod tests {
     fn proper_coloring_decider() -> FnDecider<impl Fn(&View) -> bool + Sync> {
         FnDecider::new(1, "proper-coloring", |view: &View| {
             let mine = view.output(view.center_local());
-            view.center_neighbors()
-                .iter()
-                .all(|&i| view.output(i) != mine)
+            view.center_neighbors().all(|i| view.output(i) != mine)
         })
     }
 
@@ -268,10 +266,7 @@ mod tests {
 
         let decider = FnRandomizedDecider::new(1, "noisy", |view: &View, coins: &Coins| {
             let mine = view.output(view.center_local());
-            let conflict = view
-                .center_neighbors()
-                .iter()
-                .any(|&i| view.output(i) == mine);
+            let conflict = view.center_neighbors().any(|i| view.output(i) == mine);
             if !conflict {
                 true
             } else {

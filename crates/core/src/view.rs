@@ -63,30 +63,13 @@ impl View {
     /// scratch, flat member/distance/offset arrays), so this is the fast
     /// path for Monte-Carlo loops that reuse the same instance across many
     /// trials: collect once, evaluate per trial. The result is
-    /// bit-identical to calling [`View::collect`] per node.
+    /// bit-identical to calling [`View::collect`] per node; decision views
+    /// follow with one [`View::refresh_outputs`] each.
     pub fn collect_all(instance: &Instance<'_>, radius: u32) -> Vec<View> {
-        Self::collect_all_inner(instance.graph, instance.input, instance.ids, None, radius)
-    }
-
-    /// Collects the decision views (with outputs) of every node of an
-    /// input-output configuration in one batched pass; the batched
-    /// counterpart of [`View::collect_io`], bit-identical per node.
-    pub fn collect_all_io(io: &IoConfig<'_>, ids: &IdAssignment, radius: u32) -> Vec<View> {
-        Self::collect_all_inner(io.graph, io.input, ids, Some(io.output), radius)
-    }
-
-    /// Shared body of the batched collectors: one arena pass, one view per
-    /// node, outputs gathered when present.
-    fn collect_all_inner(
-        graph: &Graph,
-        input: &Labeling,
-        ids: &IdAssignment,
-        output: Option<&Labeling>,
-        radius: u32,
-    ) -> Vec<View> {
+        let Instance { graph, input, ids } = *instance;
         let arena = BallArena::extract_all(graph, radius);
         (0..arena.len())
-            .map(|i| Self::gather(arena.ball(i), graph, input, ids, output))
+            .map(|i| Self::gather(arena.ball(i), graph, input, ids, None))
             .collect()
     }
 
@@ -268,21 +251,13 @@ impl View {
         self.host_degree
     }
 
-    /// Local indices of the center's neighbors inside the view (empty for
-    /// radius-0 views).
-    pub fn center_neighbors(&self) -> Vec<usize> {
+    /// The local indices of the center's neighbors inside the view (none
+    /// for radius-0 views), without allocating.
+    #[inline]
+    pub fn center_neighbors(&self) -> impl Iterator<Item = usize> + '_ {
         self.local_graph()
             .neighbor_ids(NodeId(0))
             .map(|w| w.index())
-            .collect()
-    }
-
-    /// Iterator over the local indices of the center's neighbors — the
-    /// allocation-free counterpart of [`View::center_neighbors`], for
-    /// verdict hot paths.
-    #[inline]
-    pub fn center_neighbor_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.local_graph().neighbor_ids(NodeId(0)).map(|w| w.index())
     }
 
     /// The view's ball as an input-output configuration: its local graph
@@ -390,7 +365,7 @@ mod tests {
         // Center id 4; neighbors ids 3 and 5 -> rank 1.
         assert_eq!(view.center_rank(), 1);
         assert_eq!(view.center_degree(), 2);
-        assert_eq!(view.center_neighbors().len(), 2);
+        assert_eq!(view.center_neighbors().count(), 2);
     }
 
     #[test]
@@ -402,7 +377,7 @@ mod tests {
         let view = View::collect(&inst, NodeId(0), 0);
         assert_eq!(view.len(), 1);
         assert_eq!(view.center_degree(), 5);
-        assert!(view.center_neighbors().is_empty());
+        assert_eq!(view.center_neighbors().next(), None);
     }
 
     #[test]
@@ -415,8 +390,7 @@ mod tests {
         assert_eq!(view.output(0).as_u64(), 2);
         let neighbor_outputs: Vec<u64> = view
             .center_neighbors()
-            .iter()
-            .map(|&i| view.output(i).as_u64())
+            .map(|i| view.output(i).as_u64())
             .collect();
         assert!(neighbor_outputs.contains(&1) && neighbor_outputs.contains(&3));
     }
@@ -472,20 +446,6 @@ mod tests {
                 assert_eq!(ours.center_degree(), reference.center_degree());
                 assert_eq!(ours.signature(), reference.signature());
             }
-        }
-    }
-
-    #[test]
-    fn batched_io_collection_matches_per_node_collection() {
-        let (g, x, ids) = setup(10);
-        let y = Labeling::from_fn(&g, |v| Label::from_u64(u64::from(v.0) % 3));
-        let io = IoConfig::new(&g, &x, &y);
-        let batched = View::collect_all_io(&io, &ids, 2);
-        for v in g.nodes() {
-            let reference = View::collect_io(&io, &ids, v, 2);
-            let ours = &batched[v.index()];
-            assert_eq!(ours.outputs, reference.outputs);
-            assert_eq!(ours.signature(), reference.signature());
         }
     }
 

@@ -70,8 +70,7 @@ pub struct HardInstanceStage {
 pub struct UnionStage {
     /// Number of components `ν`.
     pub nu: usize,
-    /// The engine plan over the combined CSR (per-component offsets
-    /// included).
+    /// The engine plan over the combined CSR.
     pub plan: UnionPlan,
 }
 
@@ -234,13 +233,7 @@ where
     /// Plans the disjoint union of `nu` pool instances (cycling through the
     /// pool, identity ranges made disjoint — the Claim-3 composite) once.
     pub fn union_stage(&self, pool: &[HardInstance], nu: usize) -> UnionStage {
-        let parts: Vec<_> = pool.iter().map(|h| (&h.graph, &h.input, &h.ids)).collect();
-        let plan = UnionPlan::for_parts(
-            &parts,
-            nu,
-            self.constructor.radius(),
-            self.decider.radius(),
-        );
+        let plan = UnionPlan::for_parts(pool, nu, self.constructor.radius(), self.decider.radius());
         UnionStage { nu, plan }
     }
 

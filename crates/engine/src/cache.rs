@@ -80,7 +80,14 @@ impl PlanCache {
     /// The plan of `instance` at `radius`: cached when this exact content
     /// was planned before, freshly built (and retained) otherwise.
     pub fn plan_for(&mut self, instance: &Instance<'_>, radius: u32) -> &ExecutionPlan {
-        let key = fingerprint(instance, radius);
+        self.lookup(fingerprint(instance, radius), || {
+            ExecutionPlan::for_instance(instance, radius)
+        })
+    }
+
+    /// The hit/miss/insert body of every lookup, local or shared: the plan
+    /// under `key`, built with `build` and retained on a miss.
+    fn lookup(&mut self, key: u64, build: impl FnOnce() -> ExecutionPlan) -> &ExecutionPlan {
         match self.plans.entry(key) {
             Entry::Occupied(entry) => {
                 self.hits += 1;
@@ -90,7 +97,7 @@ impl PlanCache {
             Entry::Vacant(entry) => {
                 self.misses += 1;
                 OBS_MISSES.inc();
-                entry.insert(ExecutionPlan::for_instance(instance, radius))
+                entry.insert(build())
             }
         }
     }
@@ -103,16 +110,6 @@ impl PlanCache {
     /// Number of cache misses (= plans built) so far.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Number of distinct plans currently held.
-    pub fn len(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// Returns `true` if no plan has been built yet.
-    pub fn is_empty(&self) -> bool {
-        self.plans.is_empty()
     }
 }
 
@@ -135,16 +132,9 @@ const SHARED_PLAN_CAP: usize = 1024;
 
 static SHARED_ENABLED: AtomicBool = AtomicBool::new(false);
 
-#[derive(Default)]
-struct SharedState {
-    plans: HashMap<u64, ExecutionPlan>,
-    hits: u64,
-    misses: u64,
-}
-
-fn shared_state() -> &'static Mutex<SharedState> {
-    static SHARED: OnceLock<Mutex<SharedState>> = OnceLock::new();
-    SHARED.get_or_init(|| Mutex::new(SharedState::default()))
+fn shared_cache() -> &'static Mutex<PlanCache> {
+    static SHARED: OnceLock<Mutex<PlanCache>> = OnceLock::new();
+    SHARED.get_or_init(|| Mutex::new(PlanCache::new()))
 }
 
 /// Cumulative hit/miss/occupancy counters of the process-global shared
@@ -182,41 +172,37 @@ pub fn shared_plan_cache_enabled() -> bool {
 
 /// Drops every resident plan and keeps the cumulative hit/miss counters.
 pub fn shared_plan_cache_clear() {
-    let mut state = shared_state().lock().unwrap_or_else(PoisonError::into_inner);
-    state.plans.clear();
+    let mut cache = shared_cache()
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    cache.plans.clear();
 }
 
 /// Snapshot of the shared cache's hit/miss/occupancy counters. Counters
 /// accumulate across enable/disable cycles; `sweep-serve` reports the
 /// per-request deltas.
 pub fn shared_plan_cache_stats() -> SharedCacheStats {
-    let state = shared_state().lock().unwrap_or_else(PoisonError::into_inner);
+    let cache = shared_cache()
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     SharedCacheStats {
-        hits: state.hits,
-        misses: state.misses,
-        plans: state.plans.len() as u64,
+        hits: cache.hits,
+        misses: cache.misses,
+        plans: cache.plans.len() as u64,
     }
 }
 
-/// Shared-cache lookup body: returns a clone of the cached plan (which
-/// shares its views), building and retaining on miss. Hits/misses feed
-/// the same `engine.plan_cache.*` observability counters as
-/// [`PlanCache`].
+/// Shared-cache lookup: [`PlanCache`]'s own lookup under the lock, after
+/// dropping every resident plan if a miss would grow the cache past its
+/// cap. Returns a clone of the plan, which shares its views.
 fn shared_lookup(key: u64, build: impl FnOnce() -> ExecutionPlan) -> ExecutionPlan {
-    let mut state = shared_state().lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(plan) = state.plans.get(&key).cloned() {
-        state.hits += 1;
-        OBS_HITS.inc();
-        return plan;
+    let mut cache = shared_cache()
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    if cache.plans.len() >= SHARED_PLAN_CAP && !cache.plans.contains_key(&key) {
+        cache.plans.clear();
     }
-    state.misses += 1;
-    OBS_MISSES.inc();
-    if state.plans.len() >= SHARED_PLAN_CAP {
-        state.plans.clear();
-    }
-    let plan = build();
-    state.plans.insert(key, plan.clone());
-    plan
+    cache.lookup(key, build).clone()
 }
 
 /// The plan of `instance` at `radius`, via the process-global shared cache
@@ -267,7 +253,7 @@ mod tests {
         let ids = IdAssignment::consecutive(&g);
         let inst = Instance::new(&g, &x, &ids);
         let mut cache = PlanCache::new();
-        assert!(cache.is_empty());
+        assert!(cache.plans.is_empty());
         let id_first = cache.plan_for(&inst, 1).id();
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
         // Same content (even via a different borrow): a hit, same plan.
@@ -284,7 +270,7 @@ mod tests {
         let named = Labeling::from_fn(&g, |v| Label::from_u64(u64::from(v.0) + 1));
         cache.plan_for(&Instance::new(&g, &named, &ids), 1);
         assert_eq!(cache.misses(), 4);
-        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.plans.len(), 4);
     }
 
     #[test]

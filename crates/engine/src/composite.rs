@@ -14,29 +14,33 @@
 //!   the decider's radius — via one [`BallArena`](rlnc_graph::arena::BallArena)
 //!   pass each over the combined CSR. A trial only evaluates output
 //!   functions and refreshes output labels.
-//! * [`UnionPlan`] assembles the disjoint union of `ν` component instances
-//!   (identity ranges made disjoint exactly as in Claim 3) and plans it
-//!   once, remembering the per-component offsets.
+//! * [`UnionPlan`] plans the Claim-3 disjoint union of `ν` hard instances
+//!   once, as `rlnc_core::derand::boosting::build_disjoint_union` builds
+//!   it (identity ranges made disjoint).
 //! * [`GluedPlan`] plans a glued connected instance and precomputes the
 //!   participation set of the Claims-4/5 event — the nodes at distance
 //!   greater than `t + t'` from every anchor — so the far-from verdict
 //!   needs no per-trial BFS.
 //!
-//! All kernels follow the `(master seed, trial)` derivation of
-//! [`MonteCarlo`](rlnc_par::MonteCarlo) and split each trial seed into
-//! `child(0)` (constructor coins) and `child(1)` (decider coins), exactly
-//! like the legacy estimators — the equivalence suite pins the streams
-//! down bit-for-bit.
+//! [`ConstructDecidePlan::accept_once`] is the one construct-then-decide
+//! kernel: the batched [`ConstructDecidePlan::acceptance`] pass loops it,
+//! and so do the sweep workloads' trials over union and glued plans. It
+//! splits each trial seed into `child(0)` (constructor coins) and
+//! `child(1)` (decider coins), exactly like the legacy estimators, and the
+//! batched pass follows the `(master seed, trial)` derivation of
+//! [`MonteCarlo`](rlnc_par::MonteCarlo) — the equivalence suite pins the
+//! streams down bit-for-bit.
 
 use crate::plan::{DecisionScratch, ExecutionPlan};
-use crate::runner::run_pass;
+use crate::runner::count_trials;
 use rlnc_core::algorithm::RandomizedLocalAlgorithm;
 use rlnc_core::config::Instance;
 use rlnc_core::decision::RandomizedDecider;
+use rlnc_core::derand::boosting::build_disjoint_union;
+use rlnc_core::derand::HardInstance;
 use rlnc_core::labels::Labeling;
-use rlnc_graph::ops::{concatenate_ids, disjoint_union};
 use rlnc_graph::traversal::nodes_far_from_all;
-use rlnc_graph::{Graph, IdAssignment, NodeId};
+use rlnc_graph::NodeId;
 use rlnc_par::rng::SeedSequence;
 use rlnc_par::stats::Estimate;
 
@@ -71,11 +75,6 @@ impl ConstructDecidePlan {
     /// The cached construction views.
     pub fn construction(&self) -> &ExecutionPlan {
         &self.construction
-    }
-
-    /// The cached decision views (outputs refreshed per trial).
-    pub fn decision(&self) -> &ExecutionPlan {
-        &self.decision
     }
 
     /// Number of nodes in the planned instance.
@@ -149,19 +148,15 @@ impl ConstructDecidePlan {
         D: RandomizedDecider + ?Sized,
     {
         self.construction.assert_radius(constructor.radius());
-        let root = SeedSequence::new(master_seed);
-        let work = (self.work_per_trial() as u64).saturating_mul(trials);
-        let counts = run_pass(trials as usize, work, trials, |range| {
-            let mut scratch = self.decision_scratch();
-            let mut out = Labeling::empty(self.node_count());
-            range
-                .filter(|&trial| {
-                    let seed = root.child(trial as u64);
-                    self.accept_once(&mut scratch, &mut out, constructor, decider, nodes, seed)
-                })
-                .count() as u64
-        });
-        Estimate::from_counts(counts.into_iter().sum(), trials)
+        count_trials(
+            self.work_per_trial(),
+            trials,
+            master_seed,
+            || (self.decision_scratch(), Labeling::empty(self.node_count())),
+            |(scratch, out), seed| {
+                self.accept_once(scratch, out, constructor, decider, nodes, seed)
+            },
+        )
     }
 }
 
@@ -170,40 +165,30 @@ impl ConstructDecidePlan {
 #[derive(Debug, Clone)]
 pub struct UnionPlan {
     plan: ConstructDecidePlan,
-    offsets: Vec<usize>,
+    components: usize,
 }
 
 impl UnionPlan {
-    /// Builds and plans the disjoint union of `nu` components, cycling
-    /// through `parts` (graph, input, identity triples) when `nu` exceeds
-    /// their number and shifting identity ranges pairwise disjoint —
-    /// mirroring `rlnc_core::derand::boosting::build_disjoint_union`
-    /// exactly, so the planned instance is the one the legacy estimator
-    /// sees.
+    /// Plans `build_disjoint_union(parts, nu)`: `nu` components, cycling
+    /// through `parts` when `nu` exceeds their number, identity ranges
+    /// pairwise disjoint — the instance the legacy estimator sees.
     ///
     /// # Panics
     /// Panics if `parts` is empty or `nu` is zero.
     pub fn for_parts(
-        parts: &[(&Graph, &Labeling, &IdAssignment)],
+        parts: &[HardInstance],
         nu: usize,
         construction_radius: u32,
         decision_radius: u32,
     ) -> UnionPlan {
-        assert!(!parts.is_empty(), "need at least one component instance");
-        assert!(nu >= 1, "need at least one copy");
-        let chosen: Vec<&(&Graph, &Labeling, &IdAssignment)> =
-            (0..nu).map(|i| &parts[i % parts.len()]).collect();
-        let graphs: Vec<&Graph> = chosen.iter().map(|(g, _, _)| *g).collect();
-        let union = disjoint_union(&graphs);
-        let ids = concatenate_ids(&chosen.iter().map(|(_, _, ids)| *ids).collect::<Vec<_>>());
-        let mut input = Labeling::empty(0);
-        for (_, part_input, _) in &chosen {
-            input = input.concatenate(part_input);
-        }
-        let instance = Instance::new(&union.graph, &input, &ids);
+        let union = build_disjoint_union(parts, nu);
         UnionPlan {
-            plan: ConstructDecidePlan::new(&instance, construction_radius, decision_radius),
-            offsets: union.offsets,
+            plan: ConstructDecidePlan::new(
+                &union.as_instance(),
+                construction_radius,
+                decision_radius,
+            ),
+            components: nu,
         }
     }
 
@@ -212,14 +197,9 @@ impl UnionPlan {
         &self.plan
     }
 
-    /// Number of components in the union.
+    /// Number of components `ν` in the union.
     pub fn components(&self) -> usize {
-        self.offsets.len()
-    }
-
-    /// `offsets()[i]` is the union-graph index of node 0 of component `i`.
-    pub fn offsets(&self) -> &[usize] {
-        &self.offsets
+        self.components
     }
 
     /// Total node count of the union.
@@ -298,16 +278,10 @@ mod tests {
     use rand::Rng;
     use rlnc_core::algorithm::{Coins, FnRandomizedAlgorithm};
     use rlnc_core::decision::FnRandomizedDecider;
-    use rlnc_core::derand::boosting::{acceptance_of_constructed, build_disjoint_union};
+    use rlnc_core::derand::boosting::acceptance_of_constructed;
     use rlnc_core::derand::hard_instances::consecutive_cycle_candidates;
     use rlnc_core::labels::Label;
     use rlnc_core::view::View;
-
-    fn parts_of(
-        hard: &[rlnc_core::derand::HardInstance],
-    ) -> Vec<(&Graph, &Labeling, &IdAssignment)> {
-        hard.iter().map(|h| (&h.graph, &h.input, &h.ids)).collect()
-    }
 
     fn bernoulli_constructor(q: f64) -> FnRandomizedAlgorithm<impl Fn(&View, &Coins) -> Label + Sync> {
         FnRandomizedAlgorithm::new(0, "bernoulli-bit", move |v: &View, c: &Coins| {
@@ -324,11 +298,19 @@ mod tests {
     #[test]
     fn union_plan_builds_the_claim3_union() {
         let hard = consecutive_cycle_candidates([5, 7]);
-        let union = UnionPlan::for_parts(&parts_of(&hard), 3, 0, 0);
-        let reference = build_disjoint_union(&hard, 3);
-        assert_eq!(union.node_count(), reference.node_count());
+        let union = UnionPlan::for_parts(&hard, 3, 0, 0);
+        assert_eq!(union.node_count(), 5 + 7 + 5);
         assert_eq!(union.components(), 3);
-        assert_eq!(union.offsets(), &[0, 5, 12]);
+        // The third component repeats the first, with its identities
+        // shifted past the first two: ranges pairwise disjoint.
+        let ids: Vec<u64> = union
+            .plan()
+            .construction()
+            .views()
+            .iter()
+            .map(View::center_id)
+            .collect();
+        assert_eq!(ids, (1..=17).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -348,12 +330,14 @@ mod tests {
         let hard = consecutive_cycle_candidates([6]);
         let instance = hard[0].as_instance();
         let shared = ConstructDecidePlan::new(&instance, 1, 1);
-        let (construction, decision) = (shared.construction(), shared.decision());
-        assert!(std::ptr::eq(construction.views(), decision.views()));
+        assert!(std::ptr::eq(
+            shared.construction.views(),
+            shared.decision.views()
+        ));
         let split = ConstructDecidePlan::new(&instance, 0, 1);
         assert!(!std::ptr::eq(
-            split.construction().views(),
-            split.decision().views()
+            split.construction.views(),
+            split.decision.views()
         ));
     }
 

@@ -32,12 +32,14 @@
 //!   construct on a disjoint union or gluing of hard instances, then decide
 //!   — into plans built once per composite instance, including the
 //!   precomputed "far from every anchor" participation set of Claims 4–5;
-//!   [`ConstructDecidePlan::acceptance`] is their one batched pass.
+//!   [`ConstructDecidePlan::accept_once`] is their one trial kernel and
+//!   [`ConstructDecidePlan::acceptance`] their one batched pass.
 //! * [`PlanCache`] (mod [`cache`]) memoizes plans by a content fingerprint
 //!   of `(graph, ids, inputs, radius)`, so searches that evaluate many
 //!   algorithms against the same candidate instances (the Claim-2
 //!   hard-instance search) plan each candidate once instead of once per
-//!   `(algorithm, candidate)` pair.
+//!   `(algorithm, candidate)` pair. The opt-in process-global shared
+//!   cache a resident server enables is one more `PlanCache`, capped.
 //! * [`RoundPlan`] (mod [`round`]) is the same planning step over the
 //!   **round backend** — explicit message passing instead of ball
 //!   extraction — with seeded fault injection

@@ -1,12 +1,17 @@
 //! Execution plans: every node's view of a fixed instance, cached once.
 //!
 //! A plan is the amortizable half of a Monte-Carlo loop. Building one costs
-//! a single arena pass over the graph
-//! ([`View::collect_all`] /
-//! [`View::collect_all_io`]); every execution
-//! afterwards only evaluates the algorithm's output function against the
-//! cached views — no ball extraction, no induced-graph construction, no
-//! identity or input re-gathering.
+//! a single arena pass over the graph ([`View::collect_all`]; a decision
+//! plan then writes its fixed outputs into every view once with
+//! [`View::refresh_outputs`]); every execution afterwards only evaluates
+//! the algorithm's output function against the cached views — no ball
+//! extraction, no induced-graph construction, no identity or input
+//! re-gathering.
+//!
+//! Two shapes decide: [`ExecutionPlan::decide_randomized`] over outputs
+//! fixed at plan time, and [`DecisionScratch`] over outputs that change
+//! per trial, which refreshes them in a per-range copy of the views
+//! before every verdict.
 
 use rlnc_core::algorithm::{Coins, LocalAlgorithm, RandomizedLocalAlgorithm};
 use rlnc_core::config::{Instance, IoConfig};
@@ -61,7 +66,10 @@ impl ExecutionPlan {
     /// Plans a decision configuration (views carry output labels), for
     /// deciders over a **fixed** input-output configuration.
     pub fn for_io(io: &IoConfig<'_>, ids: &IdAssignment, radius: u32) -> ExecutionPlan {
-        let views = View::collect_all_io(io, ids, radius);
+        let mut views = View::collect_all(&Instance::new(io.graph, io.input, ids), radius);
+        for view in &mut views {
+            view.refresh_outputs(io.output);
+        }
         ExecutionPlan::from_views(views, radius, true)
     }
 
@@ -209,11 +217,6 @@ pub struct DecisionScratch {
 }
 
 impl DecisionScratch {
-    /// Number of views in the scratch.
-    pub fn node_count(&self) -> usize {
-        self.views.len()
-    }
-
     /// The [`ExecutionPlan::id`] of the plan this scratch was cloned from.
     pub fn plan_id(&self) -> u64 {
         self.plan_id
@@ -358,7 +361,7 @@ mod tests {
                 decide_randomized(&decider, &io, &ids, seed)
             );
         }
-        assert_eq!(scratch.node_count(), 20);
+        assert_eq!(scratch.views.len(), 20);
     }
 
     #[test]

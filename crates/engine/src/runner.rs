@@ -9,9 +9,10 @@
 //! [`map_ranges`]: iff the workspace's one rule, [`fans_out`], says so,
 //! the items are split into balanced ranges that run on the thread pool —
 //! so never inside an already-parallel region; otherwise they run as one
-//! range on the caller. Each range builds its scratch once. The choice
-//! can never change a result: every trial's coins derive from `(trial
-//! seed, node)` alone.
+//! range on the caller. The three Monte-Carlo passes share one trial
+//! loop, `count_trials`: trial `t` runs under the seed `(master, t)`, and
+//! each range builds its scratch once. The choice can never change a
+//! result: every trial's coins derive from `(trial seed, node)` alone.
 
 use crate::plan::ExecutionPlan;
 use rlnc_core::algorithm::{LocalAlgorithm, RandomizedLocalAlgorithm};
@@ -34,7 +35,7 @@ static OBS_SEQUENTIAL_PASSES: LazyCounter =
 
 /// Records one pass in the registry (`trials` is the count it carries)
 /// and maps `f` over ranges of `0..items` with [`map_ranges`].
-pub(crate) fn run_pass<T, F>(items: usize, work: u64, trials: u64, f: F) -> Vec<T>
+fn run_pass<T, F>(items: usize, work: u64, trials: u64, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(Range<usize>) -> T + Sync,
@@ -48,6 +49,31 @@ where
         }
     }
     map_ranges(items, work, f)
+}
+
+/// The one Monte-Carlo pass: counts the trials `0..trials` that `trial`
+/// accepts, trial `t` running under the seed `(master_seed, t)` exactly
+/// like [`MonteCarlo`](rlnc_par::MonteCarlo). Each range of trials builds
+/// its scratch with `scratch` once and hands it to every trial it runs.
+pub(crate) fn count_trials<S, F>(
+    work_per_trial: usize,
+    trials: u64,
+    master_seed: u64,
+    scratch: impl Fn() -> S + Sync,
+    trial: F,
+) -> Estimate
+where
+    F: Fn(&mut S, SeedSequence) -> bool + Sync,
+{
+    let root = SeedSequence::new(master_seed);
+    let work = (work_per_trial as u64).saturating_mul(trials);
+    let counts = run_pass(trials as usize, work, trials, |range| {
+        let mut scratch = scratch();
+        range
+            .filter(|&t| trial(&mut scratch, root.child(t as u64)))
+            .count() as u64
+    });
+    Estimate::from_counts(counts.into_iter().sum(), trials)
 }
 
 impl ExecutionPlan {
@@ -107,14 +133,13 @@ impl ExecutionPlan {
             "acceptance needs a decision plan (ExecutionPlan::for_io)"
         );
         self.assert_radius(decider.radius());
-        let root = SeedSequence::new(master_seed);
-        let work = (self.work_per_execution() as u64).saturating_mul(trials);
-        let counts = run_pass(trials as usize, work, trials, |range| {
-            range
-                .filter(|&trial| self.decide_randomized(decider, root.child(trial as u64)))
-                .count() as u64
-        });
-        Estimate::from_counts(counts.into_iter().sum(), trials)
+        count_trials(
+            self.work_per_execution(),
+            trials,
+            master_seed,
+            || (),
+            |_, seed| self.decide_randomized(decider, seed),
+        )
     }
 
     /// Estimates `Pr[success(output)]` over `trials` executions whose seeds
@@ -129,18 +154,16 @@ impl ExecutionPlan {
         F: Fn(&Labeling) -> bool + Sync,
     {
         self.assert_radius(algo.radius());
-        let root = SeedSequence::new(master_seed);
-        let work = (self.work_per_execution() as u64).saturating_mul(trials);
-        let counts = run_pass(trials as usize, work, trials, |range| {
-            let mut out = Labeling::empty(self.node_count());
-            range
-                .filter(|&trial| {
-                    self.construct_into(algo, root.child(trial as u64), &mut out);
-                    success(&out)
-                })
-                .count() as u64
-        });
-        Estimate::from_counts(counts.into_iter().sum(), trials)
+        count_trials(
+            self.work_per_execution(),
+            trials,
+            master_seed,
+            || Labeling::empty(self.node_count()),
+            |out, seed| {
+                self.construct_into(algo, seed, out);
+                success(out)
+            },
+        )
     }
 }
 

@@ -141,7 +141,7 @@ proptest! {
         // A decider reading outputs, neighbor coins, and its own coins.
         let decider = FnRandomizedDecider::new(1, "noisy-conflict", |view: &View, coins: &Coins| {
             let mine = view.output(view.center_local());
-            let conflict = view.center_neighbors().iter().any(|&i| view.output(i) == mine);
+            let conflict = view.center_neighbors().any(|i| view.output(i) == mine);
             if !conflict {
                 true
             } else {
@@ -212,8 +212,7 @@ proptest! {
         let constructor = coin_mixing_algo(0);
         let decider = parity_decider();
         let legacy = disjoint_union_acceptance(&constructor, &decider, &hard, nu, 60, seed);
-        let parts: Vec<_> = hard.iter().map(|h| (&h.graph, &h.input, &h.ids)).collect();
-        let union = UnionPlan::for_parts(&parts, nu, 0, 1);
+        let union = UnionPlan::for_parts(&hard, nu, 0, 1);
         prop_assert_eq!(union.components(), nu);
         let engine = union.plan().acceptance(&constructor, &decider, None, 60, seed);
         prop_assert_eq!(engine.successes, legacy.successes);
@@ -265,7 +264,7 @@ proptest! {
 fn parity_decider() -> FnRandomizedDecider<impl Fn(&View, &Coins) -> bool + Sync> {
     FnRandomizedDecider::new(1, "parity-coin", |view: &View, coins: &Coins| {
         let mut digest = view.output(view.center_local()).as_u64();
-        for &i in &view.center_neighbors() {
+        for i in view.center_neighbors() {
             digest = digest.wrapping_mul(31).wrapping_add(view.output(i).as_u64());
         }
         let mut rng = coins.for_center(view);
@@ -597,8 +596,7 @@ fn union_and_glued_kernels_match_legacy_at_seed_zero() {
     let decider = parity_decider();
     for nu in [1usize, 4, 8] {
         let legacy = disjoint_union_acceptance(&constructor, &decider, &hard, nu, 200, 0);
-        let parts: Vec<_> = hard.iter().map(|h| (&h.graph, &h.input, &h.ids)).collect();
-        let union = UnionPlan::for_parts(&parts, nu, 0, 1);
+        let union = UnionPlan::for_parts(&hard, nu, 0, 1);
         let engine = union
             .plan()
             .acceptance(&constructor, &decider, None, 200, 0);

@@ -10,56 +10,42 @@
 //! After β is measured — through the `rlnc-derand` pipeline's engine-backed
 //! Claim-2 estimator — the ν-grid runs on the `rlnc-sweep` engine (the
 //! `boosting-decay` registry scenario, truncated to the Eq.-(3) ν*). Its
-//! `boosting-union` workload builds the union with
-//! `boosting::build_disjoint_union` and plans it with two shared
-//! `ExecutionPlan`s (construction and decision radius); each trial
-//! constructs against the first and decides through a `DecisionScratch`
-//! cloned from the second.
+//! `boosting-union` workload plans the union once with
+//! `DerandPipeline::union_stage`, and each trial constructs and decides
+//! through `ConstructDecidePlan::accept_once`. β, `r` and `p` come from the
+//! same `Decay` kernel the workload runs.
 
 use crate::report::{fmt_prob, ExperimentReport, Finding, Scale, Table};
 use rlnc_core::derand::boosting::{boosting_bound, boosting_repetitions};
-use rlnc_core::derand::hard_instances::consecutive_cycle_candidates;
-use rlnc_core::prelude::*;
-use rlnc_derand::failure_probability_with;
-use rlnc_langs::coloring::{GlobalGreedyColoring, ProperColoring};
-use rlnc_langs::faulty::FaultyConstructor;
+use rlnc_derand::{failure_probability_with, PipelineParams};
 use rlnc_sweep::registry::boosting_spec;
 use rlnc_sweep::workload::BOOSTING_TOLERANCE;
 use rlnc_sweep::{SweepExecutor, Workload};
 
 /// Runs the experiment; `seed` perturbs every random stream.
 pub fn run(scale: Scale, seed: u64) -> ExperimentReport {
-    let r = 0.9f64; // the success probability the hypothetical constructor claims
-
-    // The grid (and the constructor/decider parameters) come from the
-    // shared scenario; β is measured on the same constructor up front,
-    // with the scenario's own trial count (its 4σ floor included) so its
-    // confidence width matches the sweep's statistical resolution.
+    // The grid and the kernel come from the shared scenario; β is measured
+    // on the kernel's constructor up front, with the scenario's own trial
+    // count (its 4σ floor included) so its confidence width matches the
+    // sweep's statistical resolution.
     let mut spec = boosting_spec(1);
     let trials = spec.grid(scale)[0].trials;
-    let Workload::BoostingUnion {
-        cycle_size,
-        per_node_fault,
-        colors,
-        decider_p: p,
-    } = spec.workload
-    else {
+    let Workload::BoostingUnion(decay) = spec.workload else {
         unreachable!("boosting_spec always carries a BoostingUnion workload");
     };
-
-    // Constructor: correct greedy coloring with per-node corruption.
-    let constructor = FaultyConstructor::new(
-        GlobalGreedyColoring::new(cycle_size as u32, colors),
-        per_node_fault,
-        Label::from_u64(0),
-    );
-    let language = ProperColoring::new(colors);
-    let hard = consecutive_cycle_candidates([cycle_size]);
+    // `r` is the success probability the hypothetical constructor claims.
+    let PipelineParams { r, p, .. } = decay.params();
     // β comes out of the pipeline's engine-backed Claim-2 estimator
     // (cached views, bit-identical to the legacy HardInstanceSearch path);
     // the Claim-2 stage involves no decider, so the standalone form fits.
-    let beta =
-        failure_probability_with(&constructor, &language, &hard[0], trials, seed ^ 0xE6).p_hat;
+    let beta = failure_probability_with(
+        &decay.constructor(),
+        &decay.language(),
+        &decay.hard_cycle(),
+        trials,
+        seed ^ 0xE6,
+    )
+    .p_hat;
     let nu_star = boosting_repetitions(r, p, beta);
     let max_nu = nu_star.clamp(4, 12);
     spec = boosting_spec(max_nu as u64);

@@ -15,53 +15,40 @@
 
 use crate::report::{fmt_prob, ExperimentReport, Finding, Scale, Table};
 use rlnc_core::derand::gluing::{
-    anchor_candidates, anchor_count, claim5_bound, gluing_repetitions, GluingExperiment,
+    anchor_candidates, claim5_bound, gluing_repetitions, GluingExperiment,
 };
-use rlnc_core::derand::hard_instances::consecutive_cycle_candidates;
-use rlnc_core::prelude::*;
-use rlnc_derand::failure_probability_with;
+use rlnc_derand::{failure_probability_with, PipelineParams};
 use rlnc_graph::traversal::{distance, is_connected};
-use rlnc_langs::coloring::{GlobalGreedyColoring, ProperColoring};
-use rlnc_langs::faulty::FaultyConstructor;
 use rlnc_sweep::registry::glued_decay_spec;
 use rlnc_sweep::{SweepExecutor, Workload};
 
 /// Runs the experiment; `seed` perturbs every random stream.
 pub fn run(scale: Scale, seed: u64) -> ExperimentReport {
-    let r = 0.9f64; // the success probability the hypothetical constructor claims
-    // The anchor radii of the `glued-decay` workload: the faulty greedy
-    // reads a large view, but the relevant anchor radius is the decider's.
-    let (t, t_prime) = (0u32, 1u32);
-
-    // The constructor/decider parameters come from the shared scenario; β
-    // is measured on the same constructor up front, with the scenario's own
-    // trial budget.
+    // The kernel comes from the shared scenario; β is measured on its
+    // constructor up front, with the scenario's own trial budget.
     let spec = glued_decay_spec();
     let trials = scale.trials(spec.base_trials);
-    let Workload::GluedDecay {
-        cycle_size,
-        per_node_fault,
-        colors,
-        decider_p: p,
-    } = spec.workload
-    else {
+    let Workload::GluedDecay(decay) = spec.workload else {
         unreachable!("glued_decay_spec always carries a GluedDecay workload");
     };
-    let mu = anchor_count(p);
+    // `r` is the success probability the hypothetical constructor claims;
+    // `(t, t′)` are the anchor radii the workload glues with.
+    let params = decay.params();
+    let PipelineParams { r, p, t, t_prime } = params;
+    let mu = params.mu();
 
-    let constructor = FaultyConstructor::new(
-        GlobalGreedyColoring::new(cycle_size as u32, colors),
-        per_node_fault,
-        Label::from_u64(0),
-    );
-    let language = ProperColoring::new(colors);
-    let prototype = consecutive_cycle_candidates([cycle_size]).remove(0);
-    let beta =
-        failure_probability_with(&constructor, &language, &prototype, trials, seed ^ 0xE7).p_hat;
+    let beta = failure_probability_with(
+        &decay.constructor(),
+        &decay.language(),
+        &decay.hard_cycle(),
+        trials,
+        seed ^ 0xE7,
+    )
+    .p_hat;
     let nu_prime_star = gluing_repetitions(r, p, beta);
 
     // Structural checks on one gluing of 3 parts.
-    let parts = consecutive_cycle_candidates(vec![cycle_size; 3]);
+    let parts = vec![decay.hard_cycle(); 3];
     let anchors: Vec<_> = parts
         .iter()
         .map(|h| anchor_candidates(h, t, t_prime, p))

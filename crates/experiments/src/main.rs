@@ -45,8 +45,8 @@ fn fail(message: &str) -> ! {
 
 /// A cursor over one subcommand's arguments. A flag that takes a value
 /// reads it with [`ArgCursor::value`] (or a typed reader built on it);
-/// when the command line ends first, that is a usage error naming the
-/// flag.
+/// when the command line ends first, or the next argument is itself a
+/// flag, that is a usage error naming the flag.
 struct ArgCursor<'a> {
     args: &'a [String],
     next: usize,
@@ -65,9 +65,15 @@ impl<'a> ArgCursor<'a> {
     }
 
     /// The value of the flag just read; `missing` is the usage error when
-    /// there is none.
+    /// there is none, or when the next argument starts with `--`.
     fn value(&mut self, missing: &str) -> &'a str {
-        self.next().unwrap_or_else(|| usage_error(missing))
+        match self.args.get(self.next) {
+            Some(arg) if !arg.starts_with("--") => {
+                self.next += 1;
+                arg
+            }
+            _ => usage_error(missing),
+        }
     }
 
     /// The file path following `flag`.

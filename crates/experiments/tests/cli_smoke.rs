@@ -660,6 +660,8 @@ fn unwritable_output_paths_exit_one_with_one_stderr_line() {
     }
 }
 
+/// Each value-taking flag, given last or followed by another flag, is a
+/// one-line usage error naming it: a flag is never another flag's value.
 #[test]
 fn every_value_flag_given_last_is_a_one_line_usage_error() {
     let exe = env!("CARGO_BIN_EXE_rlnc-experiments");
@@ -689,16 +691,19 @@ fn every_value_flag_given_last_is_a_one_line_usage_error() {
     let mut flags = 0;
     for (subcommand, value_flags) in table {
         for &flag in value_flags {
-            let output = std::process::Command::new(exe)
-                .args(subcommand)
-                .arg(flag)
-                .output()
-                .expect("failed to spawn rlnc-experiments");
-            let run = format!("{} {flag}", subcommand.join(" "));
-            let stderr = String::from_utf8_lossy(&output.stderr);
-            assert_eq!(output.status.code(), Some(2), "{run}: stderr:\n{stderr}");
-            assert_eq!(stderr.lines().count(), 1, "{run}: stderr:\n{stderr}");
-            assert!(stderr.contains(flag), "{run}: stderr:\n{stderr}");
+            for next in [&[][..], &["--quiet"]] {
+                let output = std::process::Command::new(exe)
+                    .args(subcommand)
+                    .arg(flag)
+                    .args(next)
+                    .output()
+                    .expect("failed to spawn rlnc-experiments");
+                let run = format!("{} {flag} {}", subcommand.join(" "), next.join(" "));
+                let stderr = String::from_utf8_lossy(&output.stderr);
+                assert_eq!(output.status.code(), Some(2), "{run}: stderr:\n{stderr}");
+                assert_eq!(stderr.lines().count(), 1, "{run}: stderr:\n{stderr}");
+                assert!(stderr.contains(flag), "{run}: stderr:\n{stderr}");
+            }
             flags += 1;
         }
     }

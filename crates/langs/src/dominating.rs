@@ -121,7 +121,7 @@ impl LocalAlgorithm for MinIdPointerDominatingSet {
             best
         };
         let mut selected = closed_min(center) == center_id;
-        for &i in &view.center_neighbors() {
+        for i in view.center_neighbors() {
             if closed_min(i) == center_id {
                 selected = true;
             }

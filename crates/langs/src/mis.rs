@@ -151,7 +151,7 @@ impl LocalAlgorithm for LocalMinimumMis {
 
     fn output(&self, view: &View) -> Label {
         let mine = view.center_id();
-        let is_min = view.center_neighbors().iter().all(|&i| view.id(i) > mine);
+        let is_min = view.center_neighbors().all(|i| view.id(i) > mine);
         Label::from_bool(is_min)
     }
 

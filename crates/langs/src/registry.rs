@@ -400,7 +400,7 @@ fn matching_family() -> Vec<Box<dyn LocalAlgorithm>> {
         Box::new(FnAlgorithm::new(1, "claim-nothing", |_: &View| Label::from_u64(0))),
         Box::new(FnAlgorithm::new(1, "claim-min-name-neighbor", |v: &View| {
             let min = v
-                .center_neighbor_indices()
+                .center_neighbors()
                 .map(|i| v.input(i).as_u64())
                 .min()
                 .unwrap_or(0);

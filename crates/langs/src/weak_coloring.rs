@@ -91,7 +91,7 @@ impl LocalAlgorithm for LocalMinimumMarking {
 
     fn output(&self, view: &View) -> Label {
         let mine = view.center_id();
-        Label::from_bool(view.center_neighbors().iter().all(|&i| view.id(i) > mine))
+        Label::from_bool(view.center_neighbors().all(|i| view.id(i) > mine))
     }
 
     fn name(&self) -> String {

@@ -4,14 +4,20 @@
 //! ## Lifetime of the warm cache
 //!
 //! [`BoundServer::serve`] enables the process-global shared plan cache in
-//! `rlnc-engine` before accepting connections, so every `run` request's
-//! workload preparation routes through it. Plans are pure functions of
-//! instance content; the first request for a scenario pays the planning
+//! `rlnc-engine` before accepting connections. The preparations that plan
+//! through it are the fixed instances of the slack scenarios,
+//! `resilient-boundary`'s configuration, `fault-matrix`'s decision plans
+//! and `claim2-scan`'s target. The `rlnc-derand` stages build the union
+//! and gluing composites outside it, so `boosting-decay`, `glued-decay`,
+//! `language-matrix` and `theorem1-pipeline` re-plan on every request;
+//! `ramsey-lift` plans each trial's freshly relabeled instance on its
+//! own. Plans are pure functions of instance
+//! content; the first request for a cached scenario pays the planning
 //! cost (misses), repeat requests at the same scale reuse the resident
-//! plans (hits) — that is the whole point of staying resident. Each
-//! `run-end` line reports the request's hit/miss deltas so clients (and
-//! CI) can observe the reuse; under concurrent requests the deltas are
-//! attributed to whichever requests were in flight.
+//! plans (hits). Each `run-end` line reports the request's hit/miss
+//! deltas so clients (and CI) can observe the reuse; under concurrent
+//! requests the deltas are attributed to whichever requests were in
+//! flight.
 //!
 //! ## Concurrency and streaming
 //!

@@ -56,7 +56,7 @@ pub use executor::{SweepExecutor, DEFAULT_SWEEP_SEED};
 pub use record::{RunRecord, SweepRun};
 pub use registry::Registry;
 pub use spec::{GridPoint, IdScheme, Params, ScenarioSpec};
-pub use workload::{decode_fault_params, Workload};
+pub use workload::{decode_fault_params, Decay, Workload};
 
 // Re-exported so scenario authors don't need a direct rlnc-graph dep.
 pub use rlnc_graph::generators::Family;

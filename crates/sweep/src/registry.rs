@@ -7,7 +7,7 @@
 //! blocks; callers can [`Registry::insert`] their own.
 
 use crate::spec::{IdScheme, Params, ScenarioSpec};
-use crate::workload::Workload;
+use crate::workload::{Decay, Workload};
 use rlnc_graph::generators::Family;
 use rlnc_langs::registry::CaseId;
 
@@ -138,12 +138,12 @@ pub fn boosting_spec(max_nu: u64) -> ScenarioSpec {
         id_schemes: vec![IdScheme::Consecutive],
         params: (1..=max_nu.max(1)).map(Params::one).collect(),
         base_trials: 3_000,
-        workload: Workload::BoostingUnion {
+        workload: Workload::BoostingUnion(Decay {
             cycle_size: 12,
             per_node_fault: 0.05,
             colors: 3,
             decider_p: 0.8,
-        },
+        }),
     }
 }
 
@@ -159,12 +159,12 @@ pub fn glued_decay_spec() -> ScenarioSpec {
         id_schemes: vec![IdScheme::Consecutive],
         params: (2..=6).map(Params::one).collect(),
         base_trials: 1_500,
-        workload: Workload::GluedDecay {
+        workload: Workload::GluedDecay(Decay {
             cycle_size: 16,
             per_node_fault: 0.05,
             colors: 3,
             decider_p: 0.75,
-        },
+        }),
     }
 }
 

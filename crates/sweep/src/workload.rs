@@ -18,7 +18,6 @@
 use crate::spec::{GridPoint, IdScheme};
 use rlnc_core::algorithm::LocalAlgorithm;
 use rlnc_core::decision::RandomizedDecider;
-use rlnc_core::derand::boosting::build_disjoint_union;
 use rlnc_core::derand::hard_instances::{consecutive_cycle_candidates, HardInstance};
 use rlnc_core::derand::ramsey::OrderInvariantLift;
 use rlnc_core::faults::FaultPlan;
@@ -29,8 +28,10 @@ use rlnc_core::prelude::{
 };
 use rlnc_core::relaxation::EpsilonSlack;
 use rlnc_core::resilient::{theoretical_acceptance, ResilientDecider};
-use rlnc_derand::DerandPipeline;
-use rlnc_engine::{DecisionScratch, ExecutionPlan, GluedPlan, PlanCache, RoundPlan, UnionPlan};
+use rlnc_derand::{DerandPipeline, PipelineParams};
+use rlnc_engine::{
+    ConstructDecidePlan, DecisionScratch, ExecutionPlan, GluedPlan, PlanCache, RoundPlan, UnionPlan,
+};
 use rlnc_graph::generators::{cycle, Family};
 use rlnc_graph::{Graph, IdAssignment, NodeId};
 use rlnc_langs::coloring::{improperly_colored_nodes, GlobalGreedyColoring, ProperColoring};
@@ -65,39 +66,20 @@ pub enum Workload {
         /// boundary instance uses 2).
         colors: u64,
     },
-    /// Claim-3 error boosting: a fault-injected colorer runs on the
-    /// disjoint union of `params.a` copies of a consecutive-identity hard
-    /// cycle, then a one-sided per-bad-ball rejecting decider with
-    /// guarantee `decider_p` decides the result. A trial succeeds if the
-    /// decider accepts everywhere. Requires [`Family::Cycle`].
-    BoostingUnion {
-        /// Size of each hard cycle copy.
-        cycle_size: usize,
-        /// Per-node corruption probability of the faulty constructor.
-        per_node_fault: f64,
-        /// Palette size of the greedy colorer and of the decider's range
-        /// check.
-        colors: u64,
-        /// Rejection probability at bad-ball centers (the decider's
-        /// one-sided guarantee).
-        decider_p: f64,
-    },
-    /// Claims 4–5 glued decay: the fault-injected colorer runs on the
-    /// connected gluing of `params.a` hard cycles; the engine's
+    /// Claim-3 error boosting: the [`Decay`] kernel's constructor runs on
+    /// the disjoint union of `params.a` copies of its hard cycle, planned
+    /// by [`DerandPipeline::union_stage`]; its decider then decides the
+    /// result. A trial succeeds if the decider accepts everywhere.
+    /// Requires [`Family::Cycle`].
+    BoostingUnion(Decay),
+    /// Claims 4–5 glued decay: the [`Decay`] kernel's constructor runs on
+    /// the connected gluing of `params.a` copies of its hard cycle,
+    /// planned by [`DerandPipeline::glued_stage_auto`]; the engine's
     /// [`GluedPlan`] evaluates both the "accepts far from every anchor"
     /// event (the trial's success) and the all-nodes acceptance (the
     /// trial's value) against cached views and a precomputed participation
     /// set. Requires [`Family::Cycle`].
-    GluedDecay {
-        /// Size of each glued hard cycle.
-        cycle_size: usize,
-        /// Per-node corruption probability of the faulty constructor.
-        per_node_fault: f64,
-        /// Palette size.
-        colors: u64,
-        /// The decider's one-sided guarantee `p`.
-        decider_p: f64,
-    },
+    GluedDecay(Decay),
     /// Claim 1 Ramsey lift: refine an identity universe until the wrapped
     /// algorithm (selected by `params.a`: 0 = rank coloring, 1 = id
     /// parity, 2 = id mod 3) is consistent on every ball type, then test
@@ -151,6 +133,64 @@ pub enum Workload {
     Claim2Scan,
 }
 
+/// The Claims 3–5 decay kernel: a fault-injected greedy colorer on
+/// consecutive-identity hard cycles, judged by a one-sided per-bad-ball
+/// rejecting decider. The `boosting-decay` and `glued-decay` workloads, E6
+/// and E7 all build its parts through these methods.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Decay {
+    /// Size of each hard cycle copy.
+    pub cycle_size: usize,
+    /// Per-node corruption probability of the faulty constructor.
+    pub per_node_fault: f64,
+    /// Palette size of the greedy colorer and of the decider's range check.
+    pub colors: u64,
+    /// Rejection probability at bad-ball centers (the decider's one-sided
+    /// guarantee `p`).
+    pub decider_p: f64,
+}
+
+impl Decay {
+    /// The correct greedy colorer (it sees the whole hard cycle), with
+    /// each node's output corrupted to color 0 at rate `per_node_fault`.
+    pub fn constructor(&self) -> FaultyConstructor<GlobalGreedyColoring> {
+        FaultyConstructor::new(
+            GlobalGreedyColoring::new(self.cycle_size as u32, self.colors),
+            self.per_node_fault,
+            Label::from_u64(0),
+        )
+    }
+
+    /// The one-sided decider: rejects at each bad ball with probability
+    /// `decider_p`.
+    pub fn decider(&self) -> OneSidedLclDecider<ProperColoring> {
+        OneSidedLclDecider::new(self.language(), self.decider_p)
+    }
+
+    /// The language: proper `colors`-coloring.
+    pub fn language(&self) -> ProperColoring {
+        ProperColoring::new(self.colors)
+    }
+
+    /// The Theorem-1 knobs: the claimed success probability `r = 0.9`, the
+    /// decider's `p`, and the anchor radii `(t, t′) = (0, 1)` — the
+    /// relevant radius is the decider's, however far the greedy colorer
+    /// reads.
+    pub fn params(&self) -> PipelineParams {
+        PipelineParams {
+            r: 0.9,
+            p: self.decider_p,
+            t: 0,
+            t_prime: 1,
+        }
+    }
+
+    /// The hard instance: a `cycle_size`-cycle with consecutive identities.
+    pub fn hard_cycle(&self) -> HardInstance {
+        consecutive_cycle_candidates([self.cycle_size]).remove(0)
+    }
+}
+
 /// How far above the Claim-3 bound `(1 − βp)^ν`, and above the previous
 /// ν's estimate, E6 lets a `boosting-decay` acceptance estimate lie; the
 /// boosting kernel's trial floor ([`Workload::min_trials`]) resolves it.
@@ -175,8 +215,8 @@ impl Workload {
         match self {
             Workload::SlackColoring { .. } => "slack-coloring",
             Workload::ResilientBoundary { .. } => "resilient-boundary",
-            Workload::BoostingUnion { .. } => "boosting-union",
-            Workload::GluedDecay { .. } => "glued-decay",
+            Workload::BoostingUnion(_) => "boosting-union",
+            Workload::GluedDecay(_) => "glued-decay",
             Workload::RamseyLift { .. } => "ramsey-lift",
             Workload::LanguagePipeline => "language-pipeline",
             Workload::FaultMatrix => "fault-matrix",
@@ -189,8 +229,8 @@ impl Workload {
         match self {
             Workload::SlackColoring { .. } | Workload::RamseyLift { .. } => Ok(()),
             Workload::ResilientBoundary { .. }
-            | Workload::BoostingUnion { .. }
-            | Workload::GluedDecay { .. } => {
+            | Workload::BoostingUnion(_)
+            | Workload::GluedDecay(_) => {
                 if family == Family::Cycle {
                     Ok(())
                 } else {
@@ -229,8 +269,7 @@ impl Workload {
             // out of copies of a fixed hard cycle, so the recorded size is
             // pinned to the copy size (the scale knob varies trials, not
             // the instance).
-            Workload::BoostingUnion { cycle_size, .. }
-            | Workload::GluedDecay { cycle_size, .. } => *cycle_size,
+            Workload::BoostingUnion(decay) | Workload::GluedDecay(decay) => decay.cycle_size,
             // The pipeline's hard-instance candidates need room for anchors
             // pairwise 2(t + t') apart and a usable Ramsey probe.
             Workload::LanguagePipeline | Workload::FaultMatrix | Workload::Claim2Scan => {
@@ -257,9 +296,9 @@ impl Workload {
                 let theory = theoretical_acceptance(f, bad);
                 four_sigma_trials((theory - 0.5).abs().max(0.015))
             }
-            Workload::BoostingUnion { .. } => four_sigma_trials(BOOSTING_TOLERANCE),
+            Workload::BoostingUnion(_) => four_sigma_trials(BOOSTING_TOLERANCE),
             Workload::SlackColoring { .. }
-            | Workload::GluedDecay { .. }
+            | Workload::GluedDecay(_)
             | Workload::RamseyLift { .. }
             | Workload::LanguagePipeline
             | Workload::FaultMatrix
@@ -330,65 +369,29 @@ impl Workload {
                     rlnc_engine::shared_plan_for_io(&io, &ids, RandomizedDecider::radius(&decider));
                 Prepared::Resilient { decider, plan }
             }
-            Workload::BoostingUnion {
-                cycle_size,
-                per_node_fault,
-                colors,
-                decider_p,
-            } => {
-                let nu = point.params.a.max(1) as usize;
-                let hard = consecutive_cycle_candidates([cycle_size]);
-                let union = build_disjoint_union(&hard, nu);
-                let constructor = FaultyConstructor::new(
-                    GlobalGreedyColoring::new(cycle_size as u32, colors),
-                    per_node_fault,
-                    Label::from_u64(0),
-                );
-                let decider = OneSidedLclDecider::new(ProperColoring::new(colors), decider_p);
-                let instance = union.as_instance();
-                let construction_plan = rlnc_engine::shared_plan_for_instance(
-                    &instance,
-                    RandomizedLocalAlgorithm::radius(&constructor),
-                );
-                // The decider's outputs vary per trial, so its plan carries
-                // construction views whose outputs a per-batch
-                // [`DecisionScratch`] refreshes.
-                let decision_plan = rlnc_engine::shared_plan_for_instance(
-                    &instance,
-                    RandomizedDecider::radius(&decider),
-                );
+            Workload::BoostingUnion(decay) => {
+                // The union of ν copies of the hard cycle — both view sets —
+                // is planned once by the pipeline's union stage; trials only
+                // flip coins.
+                let (constructor, decider, language) =
+                    (decay.constructor(), decay.decider(), decay.language());
+                let stage = DerandPipeline::new(&constructor, &decider, &language, decay.params())
+                    .union_stage(&[decay.hard_cycle()], point.params.a.max(1) as usize);
                 Prepared::Boosting {
                     constructor,
                     decider,
-                    construction_plan,
-                    decision_plan,
+                    plan: stage.plan,
                 }
             }
-            Workload::GluedDecay {
-                cycle_size,
-                per_node_fault,
-                colors,
-                decider_p,
-            } => {
-                let nu = point.params.a.max(2) as usize;
-                let constructor = FaultyConstructor::new(
-                    GlobalGreedyColoring::new(cycle_size as u32, colors),
-                    per_node_fault,
-                    Label::from_u64(0),
-                );
-                let decider = OneSidedLclDecider::new(ProperColoring::new(colors), decider_p);
+            Workload::GluedDecay(decay) => {
                 // The whole glued composite — ν' copies of the hard cycle,
                 // each anchored at its first spread-set candidate, both view
                 // sets and the Claims-4/5 participation mask — is planned
                 // once by the pipeline's gluing stage; trials only flip coins.
-                let language = ProperColoring::new(colors);
-                let stage = DerandPipeline::new(
-                    &constructor,
-                    &decider,
-                    &language,
-                    rlnc_derand::PipelineParams { r: 0.9, p: decider_p, t: 0, t_prime: 1 },
-                )
-                .glued_stage_auto(&consecutive_cycle_candidates([cycle_size]), nu);
+                let (constructor, decider, language) =
+                    (decay.constructor(), decay.decider(), decay.language());
+                let stage = DerandPipeline::new(&constructor, &decider, &language, decay.params())
+                    .glued_stage_auto(&[decay.hard_cycle()], point.params.a.max(2) as usize);
                 Prepared::Glued {
                     constructor,
                     decider,
@@ -640,18 +643,15 @@ pub enum Prepared {
         /// Cached decision views of the planted configuration.
         plan: ExecutionPlan,
     },
-    /// Boosting union: the composite instance and both algorithms are
-    /// fixed, construction and decision coins vary per trial.
+    /// Boosting union: the union is planned once; a trial constructs and
+    /// decides with fresh coins.
     Boosting {
         /// The fault-injected colorer.
         constructor: FaultyConstructor<GlobalGreedyColoring>,
         /// The one-sided rejecting decider.
         decider: OneSidedLclDecider<ProperColoring>,
-        /// Cached construction views at the constructor's radius.
-        construction_plan: ExecutionPlan,
-        /// Cached radius-1 views whose outputs a [`DecisionScratch`]
-        /// refreshes per trial.
-        decision_plan: ExecutionPlan,
+        /// The engine plan over the disjoint union.
+        plan: UnionPlan,
     },
     /// Glued decay: the glued composite is planned once (views, anchors,
     /// far-from-anchors participants); a trial constructs with fresh coins
@@ -754,24 +754,18 @@ impl Prepared {
             glued: None,
             union: None,
         };
+        let composite = |plan: &ConstructDecidePlan| {
+            (plan.decision_scratch(), Labeling::empty(plan.node_count()))
+        };
         match self {
-            Prepared::Boosting { decision_plan, .. }
-            | Prepared::FaultMatrix { decision_plan, .. } => {
+            Prepared::FaultMatrix { decision_plan, .. } => {
                 scratch.decision = Some(decision_plan.decision_scratch());
             }
-            Prepared::Glued { plan, .. } => {
-                scratch.glued =
-                    Some((plan.plan().decision_scratch(), Labeling::empty(plan.node_count())));
-            }
+            Prepared::Boosting { plan, .. } => scratch.union = Some(composite(plan.plan())),
+            Prepared::Glued { plan, .. } => scratch.glued = Some(composite(plan.plan())),
             Prepared::Pipeline { union, glued, .. } => {
-                scratch.union = Some((
-                    union.plan().decision_scratch(),
-                    Labeling::empty(union.node_count()),
-                ));
-                scratch.glued = Some((
-                    glued.plan().decision_scratch(),
-                    Labeling::empty(glued.node_count()),
-                ));
+                scratch.union = Some(composite(union.plan()));
+                scratch.glued = Some(composite(glued.plan()));
             }
             _ => {}
         }
@@ -839,16 +833,16 @@ impl Prepared {
             Prepared::Boosting {
                 constructor,
                 decider,
-                construction_plan,
-                decision_plan,
+                plan,
             } => {
-                let out = construction_plan.run_randomized(constructor, seed.child(0));
-                let decision = scratch.decision.as_mut().expect(FOREIGN_SCRATCH);
-                assert_eq!(decision.plan_id(), decision_plan.id(), "{FOREIGN_SCRATCH}");
-                TrialOutcome::from_bool(decision.decide_randomized(
+                let (scratch, out) = scratch.union.as_mut().expect(FOREIGN_SCRATCH);
+                TrialOutcome::from_bool(plan.plan().accept_once(
+                    scratch,
+                    out,
+                    constructor,
                     decider,
-                    &out,
-                    seed.child(1),
+                    None,
+                    seed,
                 ))
             }
             Prepared::Glued {
@@ -1029,12 +1023,7 @@ mod tests {
         assert_eq!(s.normalize_size(100), 100);
         // Boosting always runs ν copies of its fixed hard cycle; the
         // recorded size must say so instead of echoing the scaled axis.
-        let b = Workload::BoostingUnion {
-            cycle_size: 12,
-            per_node_fault: 0.05,
-            colors: 3,
-            decider_p: 0.8,
-        };
+        let b = crate::registry::boosting_spec(1).workload;
         assert_eq!(b.normalize_size(8), 12);
         assert_eq!(b.normalize_size(48), 12);
     }
@@ -1147,12 +1136,7 @@ mod tests {
         let res = Workload::ResilientBoundary { colors: 2 };
         assert!(res.check_family(Family::Cycle).is_ok());
         assert!(res.check_family(Family::Torus).is_err());
-        let boost = Workload::BoostingUnion {
-            cycle_size: 12,
-            per_node_fault: 0.05,
-            colors: 3,
-            decider_p: 0.8,
-        };
+        let boost = crate::registry::boosting_spec(1).workload;
         assert!(boost.check_family(Family::Grid).is_err());
         assert!(Workload::LanguagePipeline.check_family(Family::Circulant2).is_ok());
         assert!(Workload::LanguagePipeline.check_family(Family::Path).is_err());

@@ -36,7 +36,7 @@ fn main() {
         let mine = view.output(view.center_local());
         let ok = mine.as_u64() >= 1
             && mine.as_u64() <= 3
-            && view.center_neighbors().iter().all(|&i| view.output(i) != mine);
+            && view.center_neighbors().all(|i| view.output(i) != mine);
         if ok {
             true
         } else {
