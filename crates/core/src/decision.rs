@@ -51,7 +51,7 @@ pub trait RandomizedDecider: Sync {
 
 /// Every deterministic decider is a randomized decider that ignores its
 /// coins (`LD ⊆ BPLD`).
-impl<D: LocalDecider> RandomizedDecider for D {
+impl<D: LocalDecider + ?Sized> RandomizedDecider for D {
     fn radius(&self) -> u32 {
         LocalDecider::radius(self)
     }
@@ -145,34 +145,28 @@ pub fn rejecting_nodes<D: LocalDecider + ?Sized>(
         .collect()
 }
 
-/// Global verdict of a deterministic decider: accepted iff every node accepts.
+/// Global verdict of a deterministic decider: accepted iff every node
+/// accepts — [`decide_randomized`] with coins the decider never reads.
 pub fn decide<D: LocalDecider + ?Sized>(decider: &D, io: &IoConfig<'_>, ids: &IdAssignment) -> bool {
-    let t = decider.radius();
-    io.graph.nodes().all(|v| {
-        let view = View::collect_io(io, ids, v, t);
-        decider.accepts(&view)
-    })
+    decide_randomized(decider, io, ids, SeedSequence::new(0))
 }
 
-/// Global verdict of one execution of a randomized decider.
+/// Global verdict of one execution of a randomized decider:
+/// [`decide_randomized_far_from`] with no anchors, so every node takes part.
 pub fn decide_randomized<D: RandomizedDecider + ?Sized>(
     decider: &D,
     io: &IoConfig<'_>,
     ids: &IdAssignment,
     execution_seed: SeedSequence,
 ) -> bool {
-    let t = decider.radius();
-    let coins = Coins::new(execution_seed);
-    io.graph.nodes().all(|v| {
-        let view = View::collect_io(io, ids, v, t);
-        decider.accepts(&view, &coins)
-    })
+    decide_randomized_far_from(decider, io, ids, &[], 0, execution_seed)
 }
 
-/// Same as [`decide_randomized`], but only quantifies over the nodes at
-/// distance **greater than** `exclusion_radius` from every anchor — the
-/// "accepts far from `u`" event used in Claims 4 and 5 of the paper (one
-/// anchor), and on a gluing the event "accepts far from every anchor".
+/// The one reference decide loop: a verdict over the nodes at distance
+/// **greater than** `exclusion_radius` from every anchor, each deciding on
+/// a freshly collected view — the "accepts far from `u`" event used in
+/// Claims 4 and 5 of the paper (one anchor), and on a gluing the event
+/// "accepts far from every anchor". With no anchors every node takes part.
 pub fn decide_randomized_far_from<D: RandomizedDecider + ?Sized>(
     decider: &D,
     io: &IoConfig<'_>,

@@ -12,15 +12,13 @@
 //! ≥ p·r` — which is how Claim 3 rules out the existence of `C` for
 //! languages over possibly-disconnected graphs.
 
+use super::gluing::acceptance_far_from;
 use super::hard_instances::HardInstance;
 use crate::algorithm::RandomizedLocalAlgorithm;
-use crate::config::{Instance, IoConfig};
-use crate::decision::{decide_randomized, RandomizedDecider};
+use crate::decision::RandomizedDecider;
 use crate::labels::Labeling;
-use crate::simulator::Simulator;
 use rlnc_graph::ops::{concatenate_ids, disjoint_union};
 use rlnc_par::stats::Estimate;
-use rlnc_par::trials::MonteCarlo;
 
 /// Eq. (3): the number of disjoint copies needed to push the acceptance
 /// probability below `r · p`.
@@ -77,8 +75,8 @@ where
 }
 
 /// Estimates `Pr[D accepts C(H)]` on a single (possibly composite) instance,
-/// over the coins of both algorithms: each trial runs the constructor with
-/// fresh coins, then the decider with fresh independent coins.
+/// over the coins of both algorithms: [`acceptance_far_from`] with no
+/// anchors, so every node takes part.
 pub fn acceptance_of_constructed<C, D>(
     constructor: &C,
     decider: &D,
@@ -90,15 +88,7 @@ where
     C: RandomizedLocalAlgorithm + ?Sized,
     D: RandomizedDecider + ?Sized,
 {
-    let inst: Instance<'_> = instance.as_instance();
-    let sim = Simulator::new();
-    MonteCarlo::new(trials).with_seed(seed).estimate(|trial_seed| {
-        let construction_seed = trial_seed.child(0);
-        let decision_seed = trial_seed.child(1);
-        let output = sim.run_randomized(constructor, &inst, construction_seed);
-        let io = IoConfig::from_instance(&inst, &output);
-        decide_randomized(decider, &io, &instance.ids, decision_seed)
-    })
+    acceptance_far_from(constructor, decider, instance, &[], 0, trials, seed)
 }
 
 #[cfg(test)]

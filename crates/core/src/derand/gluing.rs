@@ -22,7 +22,7 @@
 
 use super::hard_instances::HardInstance;
 use crate::algorithm::RandomizedLocalAlgorithm;
-use crate::config::{Instance, IoConfig};
+use crate::config::IoConfig;
 use crate::decision::{decide_randomized_far_from, RandomizedDecider};
 use crate::labels::Labeling;
 use crate::simulator::Simulator;
@@ -81,14 +81,16 @@ pub fn anchor_candidates(instance: &HardInstance, t: u32, t_prime: u32, p: f64) 
     spread_set(&instance.graph, 2 * (t + t_prime), mu)
 }
 
-/// Estimates `Pr[D accepts C(H) far from u]` — all nodes at distance
-/// greater than `t + t'` from `u` accept — over the coins of both
-/// algorithms.
+/// The one reference construct-then-decide estimator of
+/// `Pr[D accepts C(H) far from every anchor]`: all nodes at distance greater
+/// than `exclusion_radius` (`t + t'`) from each anchor accept; with no
+/// anchors, all nodes. Each trial constructs with coins `child(0)` of its
+/// seed and decides with `child(1)`, on freshly collected views.
 pub fn acceptance_far_from<C, D>(
     constructor: &C,
     decider: &D,
     instance: &HardInstance,
-    anchor: NodeId,
+    anchors: &[NodeId],
     exclusion_radius: u32,
     trials: u64,
     seed: u64,
@@ -97,12 +99,19 @@ where
     C: RandomizedLocalAlgorithm + ?Sized,
     D: RandomizedDecider + ?Sized,
 {
-    let inst: Instance<'_> = instance.as_instance();
+    let inst = instance.as_instance();
     let sim = Simulator::new();
     MonteCarlo::new(trials).with_seed(seed).estimate(|trial_seed| {
         let output = sim.run_randomized(constructor, &inst, trial_seed.child(0));
         let io = IoConfig::from_instance(&inst, &output);
-        decide_randomized_far_from(decider, &io, &instance.ids, &[anchor], exclusion_radius, trial_seed.child(1))
+        decide_randomized_far_from(
+            decider,
+            &io,
+            &instance.ids,
+            anchors,
+            exclusion_radius,
+            trial_seed.child(1),
+        )
     })
 }
 
@@ -131,7 +140,7 @@ where
                 constructor,
                 decider,
                 instance,
-                u,
+                &[u],
                 exclusion_radius,
                 trials,
                 seed.wrapping_add(i as u64),
@@ -221,7 +230,7 @@ impl GluingExperiment {
         D: RandomizedDecider + ?Sized,
     {
         let hard = self.as_hard_instance();
-        super::boosting::acceptance_of_constructed(constructor, decider, &hard, trials, seed)
+        acceptance_far_from(constructor, decider, &hard, &[], 0, trials, seed)
     }
 
     /// Estimates the probability that `D` accepts `C(G)` *far from every
@@ -240,15 +249,9 @@ impl GluingExperiment {
         D: RandomizedDecider + ?Sized,
     {
         let hard = self.as_hard_instance();
-        let inst = hard.as_instance();
-        let sim = Simulator::new();
         let anchors: Vec<NodeId> = (0..self.parts.len()).map(|i| self.glued_anchor(i)).collect();
         let exclusion = self.exclusion_radius;
-        MonteCarlo::new(trials).with_seed(seed).estimate(|trial_seed| {
-            let output = sim.run_randomized(constructor, &inst, trial_seed.child(0));
-            let io = IoConfig::from_instance(&inst, &output);
-            decide_randomized_far_from(decider, &io, &hard.ids, &anchors, exclusion, trial_seed.child(1))
-        })
+        acceptance_far_from(constructor, decider, &hard, &anchors, exclusion, trials, seed)
     }
 }
 

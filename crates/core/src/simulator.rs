@@ -15,11 +15,10 @@
 //! simulator inside a pool task never does.
 //!
 //! Monte-Carlo estimation over a fixed instance
-//! ([`Simulator::construction_success`]) collects every node's view
-//! **once** via [`View::collect_all`] and reuses the cached views across
-//! all trials — the same plan-then-execute split the `rlnc-engine` crate
-//! exposes as a full subsystem (an `ExecutionPlan` and its batched
-//! passes, such as `ExecutionPlan::estimate`).
+//! ([`Simulator::construction_success`]) simulates every trial from
+//! scratch, so it is an independent reference for the `rlnc-engine`
+//! crate's `ExecutionPlan::estimate`, which collects every view once and
+//! reuses it across trials.
 
 use crate::algorithm::{Coins, LocalAlgorithm, RandomizedLocalAlgorithm};
 use crate::config::{Instance, IoConfig};
@@ -43,14 +42,10 @@ impl Simulator {
         Simulator
     }
 
-    /// Runs a deterministic algorithm, returning the output labeling.
+    /// Runs a deterministic algorithm, returning the output labeling:
+    /// [`Simulator::run_randomized`] with coins the algorithm never reads.
     pub fn run<A: LocalAlgorithm + ?Sized>(&self, algo: &A, instance: &Instance<'_>) -> Labeling {
-        let t = algo.radius();
-        let outputs = self.map_nodes(instance, |v| {
-            let view = View::collect(instance, v, t);
-            algo.output(&view)
-        });
-        Labeling::new(outputs)
+        self.run_randomized(algo, instance, SeedSequence::new(0))
     }
 
     /// Runs a randomized algorithm with the coins of one execution,
@@ -63,22 +58,20 @@ impl Simulator {
     ) -> Labeling {
         let t = algo.radius();
         let coins = Coins::new(execution_seed);
-        let outputs = self.map_nodes(instance, |v| {
-            let view = View::collect(instance, v, t);
+        let n = instance.graph.node_count();
+        let work = (n as u64).saturating_mul(FAN_OUT_WORK / 64);
+        Labeling::new(pool::map(n, work, |i| {
+            let view = View::collect(instance, NodeId::from_index(i), t);
             algo.output(&view, &coins)
-        });
-        Labeling::new(outputs)
+        }))
     }
 
     /// Estimates the success probability of a randomized Monte-Carlo
     /// construction algorithm on a fixed instance for a language `L`:
     /// `Pr[(G, (x, C(G,x,id))) ∈ L]` over the algorithm's coins.
     ///
-    /// The instance is fixed across trials, so every node's view is
-    /// collected **once** ([`View::collect_all`]) and all trials evaluate
-    /// against the cached views; only the coins (and hence the outputs)
-    /// change per trial. The per-trial success stream is bit-identical to
-    /// re-simulating from scratch each trial.
+    /// Each trial runs [`Simulator::run_randomized`] under the seed
+    /// `(seed, trial)` of [`MonteCarlo`], collecting every view afresh.
     pub fn construction_success<A, L>(
         &self,
         algo: &A,
@@ -91,23 +84,10 @@ impl Simulator {
         A: RandomizedLocalAlgorithm + ?Sized,
         L: DistributedLanguage + ?Sized,
     {
-        let views = View::collect_all(instance, algo.radius());
         MonteCarlo::new(trials).with_seed(seed).estimate(|trial_seed| {
-            let coins = Coins::new(trial_seed);
-            let output = Labeling::new(views.iter().map(|v| algo.output(v, &coins)).collect());
-            let io = IoConfig::from_instance(instance, &output);
-            language.contains(&io)
+            let output = self.run_randomized(algo, instance, trial_seed);
+            language.contains(&IoConfig::from_instance(instance, &output))
         })
-    }
-
-    fn map_nodes<T, F>(&self, instance: &Instance<'_>, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(NodeId) -> T + Sync,
-    {
-        let n = instance.graph.node_count();
-        let work = (n as u64).saturating_mul(FAN_OUT_WORK / 64);
-        pool::map(n, work, |i| f(NodeId::from_index(i)))
     }
 }
 

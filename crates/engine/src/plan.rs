@@ -21,6 +21,7 @@ use rlnc_core::view::View;
 use rlnc_graph::{IdAssignment, NodeId};
 use rlnc_obs::{LazyCounter, LazySpan, Section};
 use rlnc_par::rng::SeedSequence;
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -123,11 +124,11 @@ impl ExecutionPlan {
     }
 
     /// Evaluates a deterministic algorithm once, sequentially, against the
-    /// cached views. Bit-identical to
+    /// cached views: [`ExecutionPlan::run_randomized`] with coins the
+    /// algorithm never reads. Bit-identical to
     /// [`Simulator::run`](rlnc_core::Simulator::run).
     pub fn run<A: LocalAlgorithm + ?Sized>(&self, algo: &A) -> Labeling {
-        self.assert_radius(algo.radius());
-        Labeling::new(self.views.iter().map(|v| algo.output(v)).collect())
+        self.run_randomized(algo, SeedSequence::new(0))
     }
 
     /// Evaluates one execution (one coin seed) of a randomized algorithm,
@@ -140,15 +141,16 @@ impl ExecutionPlan {
         execution_seed: SeedSequence,
     ) -> Labeling {
         self.assert_radius(algo.radius());
-        let coins = Coins::new(execution_seed);
-        Labeling::new(self.views.iter().map(|v| algo.output(v, &coins)).collect())
+        let mut out = Labeling::empty(self.node_count());
+        self.construct_into(algo, execution_seed, &mut out);
+        out
     }
 
     /// One execution of a randomized algorithm written into a reused
-    /// buffer: node `i`'s output goes to `out[i]`. The trial kernel of
-    /// [`ExecutionPlan::estimate`] and
-    /// [`ConstructDecidePlan::accept_once`](crate::ConstructDecidePlan::accept_once);
-    /// the caller checks the algorithm's radius.
+    /// buffer: node `i`'s output goes to `out[i]`. The one construct loop:
+    /// [`ExecutionPlan::run_randomized`], [`ExecutionPlan::estimate`] and
+    /// [`ConstructDecidePlan::accept_once`](crate::ConstructDecidePlan::accept_once)
+    /// run it; the caller checks the algorithm's radius.
     pub(crate) fn construct_into<A: RandomizedLocalAlgorithm + ?Sized>(
         &self,
         algo: &A,
@@ -224,43 +226,39 @@ impl DecisionScratch {
 
     /// Decides `(G, (x, output))` with one coin seed: refreshes every
     /// cached view's outputs from `output`, then checks that every node
-    /// accepts. Bit-identical to collecting fresh decision views and
-    /// calling [`decide_randomized`](rlnc_core::decision::decide_randomized).
+    /// accepts — [`DecisionScratch::decide_randomized_at`] over all nodes.
+    /// Bit-identical to collecting fresh decision views and calling
+    /// [`decide_randomized`](rlnc_core::decision::decide_randomized).
     pub fn decide_randomized<D: RandomizedDecider + ?Sized>(
         &mut self,
         decider: &D,
         output: &Labeling,
         execution_seed: SeedSequence,
     ) -> bool {
-        assert_eq!(
-            decider.radius(),
-            self.radius,
-            "decider radius {} does not match plan radius {}",
-            decider.radius(),
-            self.radius
-        );
-        OBS_DECISIONS.inc();
-        let coins = Coins::new(execution_seed);
-        self.views.iter_mut().all(|view| {
-            view.refresh_outputs(output);
-            decider.accepts(view, &coins)
-        })
+        let nodes = 0..self.views.len();
+        self.decide_randomized_at(decider, output, nodes, execution_seed)
     }
 
-    /// Like [`DecisionScratch::decide_randomized`], but only quantifies over
-    /// the listed nodes (host-graph indices): accepted iff every listed node
-    /// accepts. This is the kernel behind the "accepts far from every
-    /// anchor" event of the gluing construction — the participation set is
-    /// computed once per plan instead of once per trial. Coins still derive
-    /// from `(execution seed, node)`, so the verdict at a node is identical
-    /// to the all-nodes variant's.
-    pub fn decide_randomized_at<D: RandomizedDecider + ?Sized>(
+    /// The one refresh-and-decide loop: refreshes the outputs of the listed
+    /// nodes' views (host-graph indices) from `output` and checks that
+    /// every listed node accepts. Listing the nodes far from every anchor
+    /// gives the "accepts far from every anchor" event of the gluing
+    /// construction, with the participation set computed once per plan
+    /// instead of once per trial. Coins derive from `(execution seed,
+    /// node)`, so the verdict at a node does not depend on which other
+    /// nodes are listed.
+    pub fn decide_randomized_at<D, I>(
         &mut self,
         decider: &D,
         output: &Labeling,
-        nodes: &[usize],
+        nodes: I,
         execution_seed: SeedSequence,
-    ) -> bool {
+    ) -> bool
+    where
+        D: RandomizedDecider + ?Sized,
+        I: IntoIterator,
+        I::Item: Borrow<usize>,
+    {
         assert_eq!(
             decider.radius(),
             self.radius,
@@ -270,8 +268,8 @@ impl DecisionScratch {
         );
         OBS_DECISIONS.inc();
         let coins = Coins::new(execution_seed);
-        nodes.iter().all(|&i| {
-            let view = &mut self.views[i];
+        nodes.into_iter().all(|i| {
+            let view = &mut self.views[*i.borrow()];
             view.refresh_outputs(output);
             decider.accepts(view, &coins)
         })

@@ -4,12 +4,13 @@
 //! 1, 2, 3 selected nodes across graph families and checks that the
 //! empirical guarantee matches `p = (√5 − 1)/2 ≈ 0.618` on both sides.
 
-use crate::report::{fmt_prob, ExperimentReport, Finding, Scale, Table};
+use crate::report::{fmt_prob, ExperimentReport, Finding, Table};
 use rlnc_core::prelude::*;
 use rlnc_engine::ExecutionPlan;
 use rlnc_graph::generators::Family;
 use rlnc_graph::{IdAssignment, NodeId};
 use rlnc_langs::amos::{selection_output, Amos, AmosGoldenDecider, GOLDEN_GUARANTEE};
+use rlnc_par::Scale;
 use rlnc_par::rng::SeedSequence;
 
 /// Runs the experiment; `seed` perturbs every random stream (`0`

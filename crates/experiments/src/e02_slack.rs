@@ -10,7 +10,8 @@
 //! scenario's name and point indices and therefore every trial's coloring:
 //! each row's ε columns count nested events of the same colorings.
 
-use crate::report::{fmt_prob, ExperimentReport, Finding, Scale, Table};
+use crate::report::{fmt_prob, ExperimentReport, Finding, Table};
+use rlnc_par::Scale;
 use rlnc_sweep::registry::slack_ring_spec;
 use rlnc_sweep::{SweepExecutor, SweepRun, Workload};
 

@@ -6,10 +6,11 @@
 //! rings (covered in more depth by E4); here we tabulate the round counts
 //! and verify correctness at every size.
 
-use crate::report::{ExperimentReport, Finding, Scale, Table};
+use crate::report::{ExperimentReport, Finding, Table};
 use rlnc_core::prelude::*;
 use rlnc_langs::cole_vishkin::{cv_iterations, log_star, oriented_ring_instance, ColeVishkinRingColoring};
 use rlnc_langs::coloring::ProperColoring;
+use rlnc_par::Scale;
 
 /// Runs the experiment; the experiment is deterministic, so `seed` is
 /// unused (kept for the uniform runner-table signature).

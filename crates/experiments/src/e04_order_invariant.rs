@@ -9,13 +9,14 @@
 //! the rank-based coloring and for *every* enumerated order-invariant
 //! radius-0/1 algorithm, and we record how many bad balls result.
 
-use crate::report::{ExperimentReport, Finding, Scale, Table};
+use crate::report::{ExperimentReport, Finding, Table};
 use rlnc_core::order_invariant::{collect_signatures, enumerate_algorithms};
 use rlnc_core::prelude::*;
 use rlnc_core::relaxation::FResilient;
 use rlnc_graph::generators::cycle;
 use rlnc_graph::IdAssignment;
 use rlnc_langs::coloring::{improperly_colored_nodes, ProperColoring, RankColoring};
+use rlnc_par::Scale;
 
 /// Runs the experiment; the experiment is deterministic, so `seed` is
 /// unused (kept for the uniform runner-table signature).

@@ -13,8 +13,9 @@
 //! `1/2 − p⁹ ≈ 0.016`), so each grid point gets enough trials to resolve
 //! its own margin at ≈4σ.
 
-use crate::report::{fmt_prob, ExperimentReport, Finding, Scale, Table};
+use crate::report::{fmt_prob, ExperimentReport, Finding, Table};
 use rlnc_core::resilient::{resilient_acceptance_probability, theoretical_acceptance};
+use rlnc_par::Scale;
 use rlnc_sweep::registry::resilient_boundary_spec;
 use rlnc_sweep::workload::planted_bad_balls;
 use rlnc_sweep::SweepExecutor;

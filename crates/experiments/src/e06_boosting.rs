@@ -15,9 +15,10 @@
 //! through `ConstructDecidePlan::accept_once`. β, `r` and `p` come from the
 //! same `Decay` kernel the workload runs.
 
-use crate::report::{fmt_prob, ExperimentReport, Finding, Scale, Table};
+use crate::report::{fmt_prob, ExperimentReport, Finding, Table};
 use rlnc_core::derand::boosting::{boosting_bound, boosting_repetitions};
 use rlnc_derand::{failure_probability_with, PipelineParams};
+use rlnc_par::Scale;
 use rlnc_sweep::registry::boosting_spec;
 use rlnc_sweep::workload::BOOSTING_TOLERANCE;
 use rlnc_sweep::{SweepExecutor, Workload};

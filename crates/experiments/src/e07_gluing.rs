@@ -13,12 +13,13 @@
 //! carry the far-from-every-anchor acceptance as their success channel and
 //! the all-nodes acceptance as their value channel.
 
-use crate::report::{fmt_prob, ExperimentReport, Finding, Scale, Table};
+use crate::report::{fmt_prob, ExperimentReport, Finding, Table};
 use rlnc_core::derand::gluing::{
     anchor_candidates, claim5_bound, gluing_repetitions, GluingExperiment,
 };
 use rlnc_derand::{failure_probability_with, PipelineParams};
 use rlnc_graph::traversal::{distance, is_connected};
+use rlnc_par::Scale;
 use rlnc_sweep::registry::glued_decay_spec;
 use rlnc_sweep::{SweepExecutor, Workload};
 

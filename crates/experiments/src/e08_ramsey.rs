@@ -13,10 +13,11 @@
 //! set and the order-invariance checks come from the grid point that
 //! `Workload::prepare` builds under the executor's own seed branch.
 
-use crate::report::{ExperimentReport, Finding, Scale, Table};
+use crate::report::{ExperimentReport, Finding, Table};
 use rlnc_core::derand::ramsey::OrderInvariantLift;
 use rlnc_core::order_invariant::{check_order_invariance, standard_monotone_maps};
 use rlnc_core::prelude::*;
+use rlnc_par::Scale;
 use rlnc_sweep::registry::ramsey_lift_spec;
 use rlnc_sweep::workload::Prepared;
 use rlnc_sweep::SweepExecutor;

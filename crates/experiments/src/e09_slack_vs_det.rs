@@ -12,13 +12,14 @@
 //! ε = 0.62 on its 256-node ring, run on the `rlnc-sweep` engine; the
 //! deterministic rows run on the same ring.
 
-use crate::report::{fmt_prob, ExperimentReport, Finding, Scale, Table};
+use crate::report::{fmt_prob, ExperimentReport, Finding, Table};
 use rlnc_core::order_invariant::{collect_signatures, enumerate_algorithms};
 use rlnc_core::prelude::*;
 use rlnc_core::relaxation::EpsilonSlack;
 use rlnc_graph::generators::cycle;
 use rlnc_graph::IdAssignment;
 use rlnc_langs::coloring::{improperly_colored_nodes, ProperColoring, RankColoring};
+use rlnc_par::Scale;
 use rlnc_sweep::registry::slack_ring_spec;
 use rlnc_sweep::{SweepExecutor, Workload};
 

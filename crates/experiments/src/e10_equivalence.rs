@@ -8,12 +8,13 @@
 //! agree node for node — and that the system goes quiet after exactly the
 //! declared number of rounds.
 
-use crate::report::{ExperimentReport, Finding, Scale, Table};
+use crate::report::{ExperimentReport, Finding, Table};
 use rlnc_core::prelude::*;
 use rlnc_core::rounds::{GatherRun, RoundSystem};
 use rlnc_graph::generators::Family;
 use rlnc_graph::IdAssignment;
 use rlnc_langs::coloring::{GlobalGreedyColoring, RankColoring};
+use rlnc_par::Scale;
 use rlnc_par::rng::SeedSequence;
 
 /// Runs the experiment; `seed` perturbs every random stream (`0`

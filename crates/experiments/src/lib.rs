@@ -44,7 +44,8 @@ pub mod report;
 pub mod status;
 pub mod trace;
 
-pub use report::{ExperimentReport, Finding, Scale, Table};
+pub use report::{ExperimentReport, Finding, Table};
+use rlnc_par::Scale;
 
 /// One entry of the [`EXPERIMENTS`] runner table: identifier, one-line
 /// description, and the seeded runner.

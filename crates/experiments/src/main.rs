@@ -25,9 +25,9 @@
 //! away, warnings and all stdout output stay.
 
 use rlnc_experiments::{
-    parse_experiment_id, run_all, run_by_id, status, trace, ExperimentReport,
-    Scale, EXPERIMENTS,
+    parse_experiment_id, run_all, run_by_id, status, trace, ExperimentReport, EXPERIMENTS,
 };
+use rlnc_par::Scale;
 use rlnc_serve::{connect_with_retry, Endpoint, ShardSpec, SweepServer};
 use rlnc_sweep::{emit, Registry, SweepExecutor, SweepRun, DEFAULT_SWEEP_SEED};
 use std::time::Duration;
@@ -336,10 +336,8 @@ fn sweep_main(args: &[String]) {
     if trace_path.is_some() {
         enable_tracing();
     }
-    let run = match shard {
-        Some(s) => executor.resume_shard(spec, &existing, s.index, s.count),
-        None => executor.resume(spec, &existing),
-    };
+    let shard = shard.unwrap_or_else(ShardSpec::full);
+    let run = executor.resume_where(spec, &existing, |p| shard.owns(p.index));
 
     print!("{}", run.to_markdown());
     if let Some(path) = out_path {

@@ -1,8 +1,4 @@
-//! Report primitives: tables, findings, and experiment scales.
-
-// The smoke/standard/full knob lives in `rlnc-par` so the sweep engine and
-// the benches share one definition; re-exported here for compatibility.
-pub use rlnc_par::scale::Scale;
+//! Report primitives: tables and findings.
 
 /// A rendered table: column headers plus string rows.
 #[derive(Debug, Clone, Default)]
@@ -171,10 +167,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_scale_is_reexported_and_formatting_helpers_work() {
-        // The Scale definition itself is tested in rlnc-par; this guards the
-        // re-export plus the local formatting helpers.
-        assert_eq!(Scale::Smoke.size(64), 16);
+    fn formatting_helpers_work() {
         assert_eq!(fmt_prob(0.61803), "0.618");
     }
 }

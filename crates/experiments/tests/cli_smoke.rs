@@ -2,7 +2,8 @@
 //! point (`run_by_id` at `Scale::Smoke`) for the first and last experiments,
 //! and the compiled `rlnc-experiments` binary end to end.
 
-use rlnc_experiments::{run_by_id, Scale};
+use rlnc_experiments::run_by_id;
+use rlnc_par::Scale;
 
 #[test]
 fn e1_smoke_run_produces_a_consistent_report() {
@@ -389,6 +390,59 @@ fn sweep_shard_exports_merge_byte_identically_to_the_full_run() {
         let _ = std::fs::remove_file(path);
     }
     let _ = std::fs::remove_file(tmp.join(format!("rlnc-shard-otherseed-{pid}.json")));
+}
+
+#[test]
+fn sweep_resume_reuses_matching_records_and_recomputes_the_rest() {
+    let exe = env!("CARGO_BIN_EXE_rlnc-experiments");
+    let pid = std::process::id();
+    let path = |name: &str| std::env::temp_dir().join(format!("rlnc-resume-{name}-{pid}.json"));
+    let (full, shard2, resumed, trace) =
+        (path("full"), path("shard2"), path("resumed"), path("trace"));
+    // One fault-matrix smoke sweep into `out`; returns how many grid points
+    // it computed rather than reused (the trace's `sweep.points.completed`).
+    let sweep = |seed: &str, extra: &[&str], out: &std::path::Path| -> u64 {
+        let output = std::process::Command::new(exe)
+            .args(["sweep", "--scenario", "fault-matrix", "--scale", "smoke", "--quiet"])
+            .args(["--seed", seed])
+            .args(extra)
+            .arg("--out")
+            .arg(out)
+            .arg("--trace-out")
+            .arg(&trace)
+            .output()
+            .expect("failed to spawn rlnc-experiments sweep");
+        assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+        let text = std::fs::read_to_string(&trace).expect("trace written");
+        let doc = rlnc_experiments::trace::from_json(&text).expect("trace parses back");
+        match doc.deterministic.get("sweep.points.completed") {
+            Some(rlnc_obs::MetricValue::Counter(n)) => *n,
+            None => 0, // a counter left at zero is omitted
+            Some(other) => panic!("sweep.points.completed is not a counter: {other:?}"),
+        }
+    };
+    let read = |p: &std::path::Path| std::fs::read_to_string(p).expect("export written");
+    assert_eq!(sweep("5", &[], &full), 240);
+    assert_eq!(sweep("5", &["--shard", "2/3"], &shard2), 80);
+
+    // Resuming the full run into a shard-1 export computes the other
+    // shards' points and writes the full export, byte for byte.
+    assert_eq!(sweep("5", &["--shard", "1/3"], &resumed), 80);
+    assert_eq!(sweep("5", &["--resume"], &resumed), 160);
+    assert_eq!(read(&resumed), read(&full));
+    // A shard resumed over the full export reuses all of its records.
+    std::fs::copy(&full, &resumed).unwrap();
+    assert_eq!(sweep("5", &["--shard", "2/3", "--resume"], &resumed), 0);
+    assert_eq!(read(&resumed), read(&shard2));
+    // Records of another master seed never match: every point recomputes.
+    std::fs::copy(&full, &resumed).unwrap();
+    assert_eq!(sweep("6", &["--resume"], &resumed), 240);
+    assert_eq!(sweep("6", &[], &full), 240);
+    assert_eq!(read(&resumed), read(&full));
+
+    for p in [&full, &shard2, &resumed, &trace] {
+        let _ = std::fs::remove_file(p);
+    }
 }
 
 #[test]

@@ -137,12 +137,6 @@ impl Counter {
         }
     }
 
-    /// Adds one to the counter.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         match &self.0.data {
@@ -173,14 +167,6 @@ impl Gauge {
             g.fetch_max(v, Ordering::Relaxed);
         }
     }
-
-    /// Current watermark.
-    pub fn get(&self) -> u64 {
-        match &self.0.data {
-            Data::Gauge(g) => g.load(Ordering::Relaxed),
-            _ => 0,
-        }
-    }
 }
 
 /// Resolves (interning on first use) the gauge `name`.
@@ -204,24 +190,6 @@ impl Histogram {
             let idx = bounds.partition_point(|&b| b < v);
             counts[idx].fetch_add(1, Ordering::Relaxed);
             sum.fetch_add(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Total of all observed values.
-    pub fn sum(&self) -> u64 {
-        match &self.0.data {
-            Data::Histogram { sum, .. } => sum.load(Ordering::Relaxed),
-            _ => 0,
-        }
-    }
-
-    /// Total number of observations.
-    pub fn count(&self) -> u64 {
-        match &self.0.data {
-            Data::Histogram { counts, .. } => {
-                counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-            }
-            _ => 0,
         }
     }
 }
@@ -534,20 +502,35 @@ mod tests {
     fn counters_gauges_histograms_accumulate() {
         let c = counter("test.registry.counter", Section::Deterministic);
         c.add(3);
-        c.inc();
+        c.add(1);
         assert_eq!(c.get(), 4);
 
         let g = gauge("test.registry.gauge", Section::Deterministic);
         g.record_max(10);
         g.record_max(7);
-        assert_eq!(g.get(), 10);
 
         let h = histogram("test.registry.hist", Section::Deterministic, &POW2_BUCKETS);
         h.observe(1); // bucket 0 (<= 1)
         h.observe(3); // bucket 2 (<= 4)
         h.observe(2_000_000); // overflow bucket
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.sum(), 2_000_004);
+
+        let doc = snapshot();
+        assert_eq!(
+            doc.deterministic.get("test.registry.gauge"),
+            Some(&MetricValue::Gauge(10))
+        );
+        let mut counts = vec![0; POW2_BUCKETS.len() + 1];
+        counts[0] = 1;
+        counts[2] = 1;
+        counts[POW2_BUCKETS.len()] = 1;
+        assert_eq!(
+            doc.deterministic.get("test.registry.hist"),
+            Some(&MetricValue::Histogram {
+                bounds: POW2_BUCKETS.to_vec(),
+                counts,
+                sum: 2_000_004,
+            })
+        );
     }
 
     #[test]
@@ -583,8 +566,8 @@ mod tests {
 
     #[test]
     fn snapshot_sections_split_by_registration() {
-        counter("test.registry.det_side", Section::Deterministic).inc();
-        counter("test.registry.timing_side", Section::Timing).inc();
+        counter("test.registry.det_side", Section::Deterministic).add(1);
+        counter("test.registry.timing_side", Section::Timing).add(1);
         let doc = snapshot();
         assert!(doc.deterministic.get("test.registry.det_side").is_some());
         assert!(doc.deterministic.get("test.registry.timing_side").is_none());

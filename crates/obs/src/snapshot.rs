@@ -64,19 +64,9 @@ impl MetricsSnapshot {
         self.entries.get(name)
     }
 
-    /// Number of metrics in the snapshot.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Whether the snapshot holds no metrics.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Iterates the metrics in sorted name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &MetricValue)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v))
     }
 
     /// Merges `other` into `self`. Counters add, gauges take the max,

@@ -337,7 +337,6 @@ impl SweepServer {
         // a local sharded run of the same points.
         let streamed = executor.stream_where(
             spec,
-            &[],
             |p| shard.owns(p.index),
             |record| {
                 Self::send(writer, &Response::Record { record })?;

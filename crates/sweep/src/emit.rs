@@ -36,22 +36,6 @@ fn fmt_f64(x: f64) -> String {
     format!("{x}")
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Serializes one record as a single-line JSON object — the exact byte
 /// form embedded in [`to_json`] exports and streamed over the
 /// `sweep-serve` wire protocol (`rlnc-serve`), so a client reassembling
@@ -64,12 +48,12 @@ pub fn record_json(r: &RunRecord) -> String {
             "\"trials\":{},\"seed\":{},\"successes\":{},\"p_hat\":{},\"lower\":{},",
             "\"upper\":{},\"mean_value\":{}}}"
         ),
-        escape_json(&r.scenario),
+        json::escape(&r.scenario),
         r.point,
-        escape_json(&r.family),
+        json::escape(&r.family),
         r.n,
-        escape_json(&r.id_scheme),
-        escape_json(&r.workload),
+        json::escape(&r.id_scheme),
+        json::escape(&r.workload),
         r.param_a,
         r.param_b,
         r.trials,
@@ -86,10 +70,10 @@ pub fn record_json(r: &RunRecord) -> String {
 pub fn to_json(run: &SweepRun) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str(&format!("  \"scenario\": \"{}\",\n", escape_json(&run.scenario)));
-    out.push_str(&format!("  \"description\": \"{}\",\n", escape_json(&run.description)));
-    out.push_str(&format!("  \"workload\": \"{}\",\n", escape_json(&run.workload)));
-    out.push_str(&format!("  \"scale\": \"{}\",\n", escape_json(&run.scale)));
+    out.push_str(&format!("  \"scenario\": \"{}\",\n", json::escape(&run.scenario)));
+    out.push_str(&format!("  \"description\": \"{}\",\n", json::escape(&run.description)));
+    out.push_str(&format!("  \"workload\": \"{}\",\n", json::escape(&run.workload)));
+    out.push_str(&format!("  \"scale\": \"{}\",\n", json::escape(&run.scale)));
     out.push_str(&format!("  \"master_seed\": {},\n", run.master_seed));
     out.push_str("  \"records\": [\n");
     for (i, r) in run.records.iter().enumerate() {
@@ -346,7 +330,19 @@ pub mod json {
     /// control escapes, `\u00xx` for the rest of the control range;
     /// everything else raw UTF-8).
     pub fn escape(s: &str) -> String {
-        super::escape_json(s)
+        let mut out = String::with_capacity(s.len() + 2);
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out
     }
 
     /// Looks a key up in an object.

@@ -16,11 +16,11 @@
 //! Nothing depends on thread scheduling, so a sweep is bit-reproducible;
 //! and because each grid point's records are derived independently, a
 //! sweep is resumable: feed previously exported records back via
-//! [`SweepExecutor::resume`] and only the missing points run.
+//! [`SweepExecutor::resume_where`] and only the missing points run.
 
 use crate::record::{RunRecord, SweepRun};
 use crate::spec::{GridPoint, ScenarioSpec};
-use rlnc_obs::{LazyCounter, LazySpan, Section};
+use rlnc_obs::{LazyCounter, LazySpan, Section, SpanGuard};
 use rlnc_par::pool::{self, balanced_ranges, FAN_OUT_WORK};
 use rlnc_par::rng::SeedSequence;
 use rlnc_par::stats::Estimate;
@@ -101,7 +101,7 @@ impl SweepExecutor {
     /// # Panics
     /// Panics if `spec` fails [`ScenarioSpec::validate`].
     pub fn run(&self, spec: &ScenarioSpec) -> SweepRun {
-        self.resume(spec, &[])
+        self.resume_where(spec, &[], |_| true)
     }
 
     /// Runs shard `index` of `count` of `spec`'s grid: the round-robin
@@ -113,49 +113,23 @@ impl SweepExecutor {
     ///
     /// # Panics
     /// Panics if `spec` is invalid or `(index, count)` is not a valid
-    /// 1-based shard (`1 <= index <= count`). The CLI validates `--shard`
-    /// before calling through (`rlnc-serve`'s `ShardSpec::parse`).
+    /// 1-based shard (`1 <= index <= count`).
     pub fn run_shard(&self, spec: &ScenarioSpec, index: u64, count: u64) -> SweepRun {
-        self.resume_shard(spec, &[], index, count)
-    }
-
-    /// [`resume`](Self::resume) restricted to shard `index` of `count`
-    /// (see [`run_shard`](Self::run_shard)).
-    ///
-    /// # Panics
-    /// Panics if `spec` is invalid or the shard coordinates are.
-    pub fn resume_shard(
-        &self,
-        spec: &ScenarioSpec,
-        existing: &[RunRecord],
-        index: u64,
-        count: u64,
-    ) -> SweepRun {
         assert!(
             count >= 1 && index >= 1 && index <= count,
             "invalid shard {index}/{count}: need 1 <= index <= count"
         );
-        self.resume_where(spec, existing, |p| p.index % count == index - 1)
+        self.resume_where(spec, &[], |p| p.index % count == index - 1)
     }
 
-    /// Runs `spec`, skipping grid points for which `existing` already holds
-    /// a matching record (same scenario, point index, grid coordinates,
-    /// trial count, and seed — i.e. a record this executor would reproduce
-    /// bit-for-bit). Records are returned in grid order regardless of how
-    /// `existing` was ordered, so a resumed run equals a fresh one.
-    ///
-    /// # Panics
-    /// Panics if `spec` fails [`ScenarioSpec::validate`].
-    pub fn resume(&self, spec: &ScenarioSpec, existing: &[RunRecord]) -> SweepRun {
-        self.resume_where(spec, existing, |_| true)
-    }
-
-    /// The general run path [`resume`](Self::resume) and the shard drivers
-    /// share: runs exactly the grid points selected by `keep`, reusing
-    /// matching records from `existing`. The returned run carries only the
-    /// kept points' records, in grid order; because every point's seed
-    /// branch and workload setup are derived independently, a filtered run
-    /// computes records bit-identical to the same points of a full run.
+    /// Runs exactly the grid points of `spec` selected by `keep`, skipping
+    /// those for which `existing` already holds a matching record (same
+    /// scenario, point index, grid coordinates, trial count, and seed —
+    /// i.e. a record this executor would reproduce bit-for-bit). The
+    /// returned run carries only the kept points' records, in grid order
+    /// regardless of how `existing` was ordered; because every point's
+    /// seed branch and workload setup are derived independently, a
+    /// filtered or resumed run equals the same points of a fresh full run.
     ///
     /// # Panics
     /// Panics if `spec` fails [`ScenarioSpec::validate`].
@@ -165,15 +139,7 @@ impl SweepExecutor {
         existing: &[RunRecord],
         keep: impl Fn(&GridPoint) -> bool,
     ) -> SweepRun {
-        if let Err(e) = spec.validate() {
-            panic!("invalid scenario: {e}");
-        }
-        let _span = OBS_RESUME_SPAN.start();
-        OBS_RUNS.inc();
-        let points: Vec<GridPoint> =
-            spec.grid(self.scale).into_iter().filter(|p| keep(p)).collect();
-        let scenario_seq = self.scenario_sequence(&spec.name);
-
+        let (_span, points, scenario_seq) = self.select(spec, keep);
         let reusable: HashMap<u64, &RunRecord> = existing
             .iter()
             .filter(|r| r.scenario == spec.name)
@@ -208,54 +174,52 @@ impl SweepExecutor {
         }
     }
 
-    /// Streaming variant of [`resume_where`](Self::resume_where): runs the
-    /// kept grid points one at a time (trial batches still execute in
-    /// parallel within a point) and hands each point's record to
-    /// `on_record` as soon as it completes, in grid order. Validation,
-    /// grid enumeration, and run-level obs accounting (`sweep.runs`, the
-    /// resume span) happen once per call, so a streamed run counts as one
-    /// run and its point/trial counters sum to the non-streaming totals;
-    /// records are bit-identical to the same points of a non-streamed run.
-    /// Returns the number of records delivered, or the first `on_record`
-    /// error (remaining points are skipped).
+    /// Streaming variant of [`resume_where`](Self::resume_where) without
+    /// records to reuse: runs the kept grid points one at a time (trial
+    /// batches still execute in parallel within a point) and hands each
+    /// point's record to `on_record` as soon as it completes, in grid
+    /// order. A streamed run counts as one run, its point/trial counters
+    /// sum to the non-streaming totals, and its records are bit-identical
+    /// to the same points of a non-streamed run. Returns the number of
+    /// records delivered, or the first `on_record` error (remaining points
+    /// are skipped).
     ///
     /// # Panics
     /// Panics if `spec` fails [`ScenarioSpec::validate`].
     pub fn stream_where<E>(
         &self,
         spec: &ScenarioSpec,
-        existing: &[RunRecord],
         keep: impl Fn(&GridPoint) -> bool,
         mut on_record: impl FnMut(RunRecord) -> Result<(), E>,
     ) -> Result<u64, E> {
+        let (_span, points, scenario_seq) = self.select(spec, keep);
+        for p in &points {
+            let record = self
+                .compute_points(spec, &[p], scenario_seq)
+                .remove(&p.index)
+                .expect("compute_points yields a record per todo point");
+            on_record(record)?;
+        }
+        Ok(points.len() as u64)
+    }
+
+    /// The run preamble of [`resume_where`](Self::resume_where) and
+    /// [`stream_where`](Self::stream_where): validates `spec`, opens the
+    /// run's `sweep.resume` span (returned; it closes when dropped),
+    /// counts one run, and selects the kept grid points and the
+    /// scenario's seed branch.
+    fn select(
+        &self,
+        spec: &ScenarioSpec,
+        keep: impl Fn(&GridPoint) -> bool,
+    ) -> (SpanGuard, Vec<GridPoint>, SeedSequence) {
         if let Err(e) = spec.validate() {
             panic!("invalid scenario: {e}");
         }
-        let _span = OBS_RESUME_SPAN.start();
+        let span = OBS_RESUME_SPAN.start();
         OBS_RUNS.inc();
-        let points: Vec<GridPoint> =
-            spec.grid(self.scale).into_iter().filter(|p| keep(p)).collect();
-        let scenario_seq = self.scenario_sequence(&spec.name);
-
-        let reusable: HashMap<u64, &RunRecord> = existing
-            .iter()
-            .filter(|r| r.scenario == spec.name)
-            .map(|r| (r.point, r))
-            .collect();
-
-        let mut streamed = 0u64;
-        for p in &points {
-            let record = match reusable.get(&p.index) {
-                Some(r) if record_matches_point(r, p, scenario_seq, spec) => (*r).clone(),
-                _ => self
-                    .compute_points(spec, &[p], scenario_seq)
-                    .remove(&p.index)
-                    .expect("compute_points yields a record per todo point"),
-            };
-            on_record(record)?;
-            streamed += 1;
-        }
-        Ok(streamed)
+        let points = spec.grid(self.scale).into_iter().filter(|p| keep(p)).collect();
+        (span, points, self.scenario_sequence(&spec.name))
     }
 
     /// The execution core shared by [`resume_where`](Self::resume_where)
@@ -427,11 +391,11 @@ mod tests {
         let full = exec.run(&spec);
         assert!(full.records.len() >= 2);
         let partial = &full.records[..full.records.len() / 2];
-        let resumed = exec.resume(&spec, partial);
+        let resumed = exec.resume_where(&spec, partial, |_| true);
         assert_eq!(resumed, full);
         // Records from a different seed don't match and are recomputed.
         let stale = SweepExecutor::new(Scale::Smoke).with_seed(99).run(&spec);
-        let recomputed = exec.resume(&spec, &stale.records);
+        let recomputed = exec.resume_where(&spec, &stale.records, |_| true);
         assert_eq!(recomputed, full);
     }
 
@@ -492,7 +456,7 @@ mod tests {
         // Streaming the full grid delivers the same records in grid order.
         let mut streamed = Vec::new();
         let n = exec
-            .stream_where(&spec, &[], |_| true, |r| {
+            .stream_where(&spec, |_| true, |r| {
                 streamed.push(r);
                 Ok::<(), ()>(())
             })
@@ -500,21 +464,21 @@ mod tests {
         assert_eq!(n as usize, full.records.len());
         assert_eq!(streamed, full.records);
 
-        // A shard filter with matching existing records re-serves them.
+        // A shard filter streams exactly that shard's records of the full run.
         let shard: Vec<RunRecord> =
             full.records.iter().filter(|r| r.point % 2 == 0).cloned().collect();
         assert!(!shard.is_empty());
-        let mut resumed = Vec::new();
-        exec.stream_where(&spec, &shard, |p| p.index % 2 == 0, |r| {
-            resumed.push(r);
+        let mut filtered = Vec::new();
+        exec.stream_where(&spec, |p| p.index % 2 == 0, |r| {
+            filtered.push(r);
             Ok::<(), ()>(())
         })
         .unwrap();
-        assert_eq!(resumed, shard);
+        assert_eq!(filtered, shard);
 
         // An on_record error propagates and stops the stream.
         let mut delivered = 0;
-        let err = exec.stream_where(&spec, &[], |_| true, |_| {
+        let err = exec.stream_where(&spec, |_| true, |_| {
             delivered += 1;
             Err("stop")
         });
@@ -527,7 +491,7 @@ mod tests {
         let spec = smoke_spec();
         let exec = SweepExecutor::new(Scale::Smoke).with_seed(31);
         let shard = exec.run_shard(&spec, 2, 2);
-        let resumed = exec.resume_shard(&spec, &shard.records, 2, 2);
+        let resumed = exec.resume_where(&spec, &shard.records, |p| p.index % 2 == 1);
         assert_eq!(resumed, shard);
     }
 

@@ -562,6 +562,31 @@ mod tests {
     }
 
     #[test]
+    fn language_slack_and_claim2_streams_are_pinned_at_seed_7() {
+        // Every record of the scenarios whose trial kernels run through the
+        // engine's construct and decide loops: the whole language catalog
+        // (language-matrix), both slack-coloring paths (slack-topologies),
+        // and the batched probe scan plus constructor trials (claim2-scan).
+        let registry = Registry::builtin();
+        for (name, records, successes, digest) in [
+            ("language-matrix", 60, 240, 0xa650_d165_820f_1dc8),
+            ("slack-topologies", 32, 159, 0x5fed_f149_209d_5dd4),
+            ("claim2-scan", 36, 537, 0x99a8_c4ba_bb99_098b),
+        ] {
+            let spec = registry.get(name).expect("builtin scenario");
+            let run = crate::SweepExecutor::new(rlnc_par::Scale::Smoke).with_seed(7).run(spec);
+            assert_eq!(run.records.len(), records, "{name}");
+            assert_eq!(run.records.iter().map(|r| r.successes).sum::<u64>(), successes, "{name}");
+            let lines: Vec<String> = run.records.iter().map(crate::emit::record_json).collect();
+            assert_eq!(
+                crate::executor::scenario_tag(&lines.join("\n")),
+                digest,
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
     fn theorem1_pipeline_covers_three_cases_and_families() {
         let spec = theorem1_pipeline_spec();
         assert!(spec.families.len() >= 3, "need several graph families");

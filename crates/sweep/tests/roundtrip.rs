@@ -32,7 +32,7 @@ fn smoke_scenario_runs_exports_and_round_trips() {
     assert!(md.contains("| torus |"));
 
     // Resuming from the parsed export recomputes nothing and loses nothing.
-    let resumed = exec.resume(spec, &parsed.records);
+    let resumed = exec.resume_where(spec, &parsed.records, |_| true);
     assert_eq!(resumed, run);
 }
 

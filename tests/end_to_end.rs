@@ -12,6 +12,7 @@ use rlnc_core::relaxation::{EpsilonSlack, FResilient};
 use rlnc_core::resilient::ResilientDecider;
 use rlnc_core::rounds::run_randomized_via_rounds;
 use rlnc_graph::generators::cycle;
+use rlnc_par::Scale;
 
 #[test]
 fn cole_vishkin_pipeline_produces_locally_checkable_colorings() {
@@ -133,7 +134,7 @@ fn luby_mis_is_verified_by_the_lcl_language_across_families() {
 
 #[test]
 fn experiment_harness_smoke_run_is_consistent_with_the_paper() {
-    for report in rlnc::experiments::run_all(rlnc::experiments::Scale::Smoke, 0) {
+    for report in rlnc::experiments::run_all(Scale::Smoke, 0) {
         assert!(
             report.all_consistent(),
             "experiment {} disagrees with the paper: {:?}",
