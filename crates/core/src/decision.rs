@@ -129,22 +129,6 @@ impl<F: Fn(&View, &Coins) -> bool + Sync> RandomizedDecider for FnRandomizedDeci
     }
 }
 
-/// Runs a deterministic decider at every node; returns the rejecting nodes.
-pub fn rejecting_nodes<D: LocalDecider + ?Sized>(
-    decider: &D,
-    io: &IoConfig<'_>,
-    ids: &IdAssignment,
-) -> Vec<NodeId> {
-    let t = decider.radius();
-    io.graph
-        .nodes()
-        .filter(|&v| {
-            let view = View::collect_io(io, ids, v, t);
-            !decider.accepts(&view)
-        })
-        .collect()
-}
-
 /// Global verdict of a deterministic decider: accepted iff every node
 /// accepts — [`decide_randomized`] with coins the decider never reads.
 pub fn decide<D: LocalDecider + ?Sized>(decider: &D, io: &IoConfig<'_>, ids: &IdAssignment) -> bool {
@@ -228,7 +212,9 @@ mod tests {
         let io = IoConfig::new(&g, &x, &y);
         let d = proper_coloring_decider();
         assert!(decide(&d, &io, &ids));
-        assert!(rejecting_nodes(&d, &io, &ids).is_empty());
+        assert!(g
+            .nodes()
+            .all(|v| LocalDecider::accepts(&d, &View::collect_io(&io, &ids, v, 1))));
     }
 
     #[test]
@@ -241,9 +227,12 @@ mod tests {
         let io = IoConfig::new(&g, &x, &y);
         let d = proper_coloring_decider();
         assert!(!decide(&d, &io, &ids));
-        let rejecting = rejecting_nodes(&d, &io, &ids);
-        assert!(rejecting.contains(&NodeId(3)));
-        assert!(rejecting.len() >= 2);
+        // Exactly node 3 and its two neighbors see the conflict.
+        let rejecting: Vec<NodeId> = g
+            .nodes()
+            .filter(|&v| !LocalDecider::accepts(&d, &View::collect_io(&io, &ids, v, 1)))
+            .collect();
+        assert_eq!(rejecting, [NodeId(2), NodeId(3), NodeId(4)]);
     }
 
     #[test]

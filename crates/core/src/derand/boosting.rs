@@ -16,8 +16,6 @@ use super::gluing::acceptance_far_from;
 use super::hard_instances::HardInstance;
 use crate::algorithm::RandomizedLocalAlgorithm;
 use crate::decision::RandomizedDecider;
-use crate::labels::Labeling;
-use rlnc_graph::ops::{concatenate_ids, disjoint_union};
 use rlnc_par::stats::Estimate;
 
 /// Eq. (3): the number of disjoint copies needed to push the acceptance
@@ -41,19 +39,13 @@ pub fn boosting_bound(p: f64, beta: f64, nu: usize) -> f64 {
 
 /// The disjoint union of the first `nu` hard instances (cycling through the
 /// supplied list if `nu` exceeds its length), with identity ranges made
-/// disjoint, as in the proof of Claim 3.
+/// disjoint, as in the proof of Claim 3: [`HardInstance::compose`] with no
+/// anchors.
 pub fn build_disjoint_union(hard: &[HardInstance], nu: usize) -> HardInstance {
     assert!(!hard.is_empty(), "need at least one hard instance");
     assert!(nu >= 1, "need at least one copy");
     let chosen: Vec<&HardInstance> = (0..nu).map(|i| &hard[i % hard.len()]).collect();
-    let graphs: Vec<&rlnc_graph::Graph> = chosen.iter().map(|h| &h.graph).collect();
-    let union = disjoint_union(&graphs);
-    let ids = concatenate_ids(&chosen.iter().map(|h| &h.ids).collect::<Vec<_>>());
-    let mut input = Labeling::empty(0);
-    for h in &chosen {
-        input = input.concatenate(&h.input);
-    }
-    HardInstance::new(union.graph, input, ids)
+    HardInstance::compose(&chosen, &[])
 }
 
 /// Estimates `Pr[D accepts C(G)]` where `G` is the disjoint union of `nu`

@@ -16,7 +16,7 @@
 //!   ([`select_anchor`]).
 //! * The gluing itself: subdivide an edge incident to each chosen anchor
 //!   twice and ring-connect the inserted nodes
-//!   ([`GluingExperiment::build`], delegating to `rlnc_graph::ops`).
+//!   ([`GluingExperiment::build`], through [`HardInstance::compose`]).
 //! * The repetition count `ν'` that pushes the glued acceptance
 //!   probability below `r` ([`gluing_repetitions`]).
 
@@ -24,9 +24,7 @@ use super::hard_instances::HardInstance;
 use crate::algorithm::RandomizedLocalAlgorithm;
 use crate::config::IoConfig;
 use crate::decision::{decide_randomized_far_from, RandomizedDecider};
-use crate::labels::Labeling;
 use crate::simulator::Simulator;
-use rlnc_graph::ops::{glue_instances, glued_ids, Gluing};
 use rlnc_graph::traversal::spread_set;
 use rlnc_graph::NodeId;
 use rlnc_par::stats::Estimate;
@@ -159,15 +157,10 @@ pub struct GluingExperiment {
     pub parts: Vec<HardInstance>,
     /// The anchor chosen in each part (part-local node index).
     pub anchors: Vec<NodeId>,
-    /// The gluing (graph + inserted-node bookkeeping).
-    pub gluing: Gluing,
-    /// Identity assignment of the glued graph.
-    pub ids: rlnc_graph::IdAssignment,
-    /// Input labeling of the glued graph (parts' inputs; inserted nodes get
-    /// the empty input).
-    pub input: Labeling,
     /// The exclusion radius `t + t'` used for the far-from events.
     pub exclusion_radius: u32,
+    /// The glued instance: [`HardInstance::compose`] at the anchors.
+    instance: HardInstance,
 }
 
 impl GluingExperiment {
@@ -177,50 +170,35 @@ impl GluingExperiment {
     /// # Panics
     /// Panics if fewer than two parts are provided or anchors do not match.
     pub fn build(parts: Vec<HardInstance>, anchors: Vec<NodeId>, t: u32, t_prime: u32) -> Self {
+        // With no anchors `compose` would build the union instead.
         assert!(parts.len() >= 2, "gluing needs at least two hard instances");
         assert_eq!(parts.len(), anchors.len(), "one anchor per part required");
-        let with_anchors: Vec<(&rlnc_graph::Graph, NodeId)> = parts
-            .iter()
-            .zip(&anchors)
-            .map(|(h, &a)| (&h.graph, a))
-            .collect();
-        let gluing = glue_instances(&with_anchors);
-        let ids = glued_ids(&gluing, &parts.iter().map(|h| &h.ids).collect::<Vec<_>>());
-        // Inputs: copy each part's input into its slot; inserted nodes get
-        // the empty label ("set arbitrarily" in the paper).
-        let mut input = Labeling::empty(gluing.graph.node_count());
-        for (gp, part) in gluing.parts.iter().zip(&parts) {
-            for local in 0..gp.original_len {
-                input.set(
-                    NodeId::from_index(gp.offset + local),
-                    *part.input.get(NodeId::from_index(local)),
-                );
-            }
-        }
+        let refs: Vec<&HardInstance> = parts.iter().collect();
+        let instance = HardInstance::compose(&refs, &anchors);
         GluingExperiment {
             parts,
             anchors,
-            gluing,
-            ids,
-            input,
             exclusion_radius: t + t_prime,
+            instance,
         }
     }
 
     /// The glued graph.
     pub fn graph(&self) -> &rlnc_graph::Graph {
-        &self.gluing.graph
+        &self.instance.graph
     }
 
     /// The glued instance as an owned [`HardInstance`] (handy for reusing
     /// the boosting estimators).
     pub fn as_hard_instance(&self) -> HardInstance {
-        HardInstance::new(self.gluing.graph.clone(), self.input.clone(), self.ids.clone())
+        self.instance.clone()
     }
 
-    /// The glued-graph node index of the anchor of part `i`.
+    /// The glued-graph node index of the anchor of part `i`: part `i`'s
+    /// nodes follow those of parts `0..i`.
     pub fn glued_anchor(&self, i: usize) -> NodeId {
-        self.gluing.map(i, self.anchors[i])
+        let offset: usize = self.parts[..i].iter().map(HardInstance::node_count).sum();
+        NodeId::from_index(offset + self.anchors[i].index())
     }
 
     /// Estimates `Pr[D accepts C(G)]` on the glued instance.
@@ -229,8 +207,7 @@ impl GluingExperiment {
         C: RandomizedLocalAlgorithm + ?Sized,
         D: RandomizedDecider + ?Sized,
     {
-        let hard = self.as_hard_instance();
-        acceptance_far_from(constructor, decider, &hard, &[], 0, trials, seed)
+        acceptance_far_from(constructor, decider, &self.instance, &[], 0, trials, seed)
     }
 
     /// Estimates the probability that `D` accepts `C(G)` *far from every
@@ -248,10 +225,9 @@ impl GluingExperiment {
         C: RandomizedLocalAlgorithm + ?Sized,
         D: RandomizedDecider + ?Sized,
     {
-        let hard = self.as_hard_instance();
         let anchors: Vec<NodeId> = (0..self.parts.len()).map(|i| self.glued_anchor(i)).collect();
         let exclusion = self.exclusion_radius;
-        acceptance_far_from(constructor, decider, &hard, &anchors, exclusion, trials, seed)
+        acceptance_far_from(constructor, decider, &self.instance, &anchors, exclusion, trials, seed)
     }
 }
 
@@ -324,13 +300,14 @@ mod tests {
         assert!(is_connected(exp.graph()));
         assert!(exp.graph().max_degree() <= 3);
         assert_eq!(exp.graph().node_count(), 20 + 24 + 28 + 6);
-        assert_eq!(exp.ids.len(), exp.graph().node_count());
-        assert_eq!(exp.input.len(), exp.graph().node_count());
+        assert_eq!(exp.instance.ids.len(), exp.graph().node_count());
+        assert_eq!(exp.instance.input.len(), exp.graph().node_count());
         assert_eq!(exp.exclusion_radius, 2);
-        // Anchors map into their parts.
-        for i in 0..3 {
+        // Anchors map into their parts, each next to its inserted `v_i`.
+        for (i, offset) in [0u32, 20, 44].into_iter().enumerate() {
             let anchor = exp.glued_anchor(i);
-            assert_eq!(exp.gluing.origin(anchor), Some((i, NodeId(0))));
+            assert_eq!(anchor, NodeId(offset));
+            assert!(exp.graph().has_edge(anchor, NodeId(72 + 2 * i as u32)));
         }
     }
 

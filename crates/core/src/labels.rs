@@ -242,13 +242,6 @@ impl Labeling {
     pub(crate) fn as_mut_slice(&mut self) -> &mut [Label] {
         &mut self.labels
     }
-
-    /// Concatenates two labelings (for disjoint unions of instances).
-    pub fn concatenate(&self, other: &Labeling) -> Labeling {
-        Labeling {
-            labels: [self.labels.as_slice(), &other.labels].concat(),
-        }
-    }
 }
 
 /// The promise `F_k`: degree at most `k`, input and output labels of length
@@ -415,15 +408,6 @@ mod tests {
         let pairs: Vec<_> = from_fn.iter().collect();
         assert_eq!(pairs.len(), 5);
         assert_eq!(from_fn.max_len(), 1);
-    }
-
-    #[test]
-    fn labeling_concatenate() {
-        let a = Labeling::new(vec![Label::from_u64(1), Label::from_u64(2)]);
-        let b = Labeling::new(vec![Label::from_u64(3)]);
-        let c = a.concatenate(&b);
-        assert_eq!(c.len(), 3);
-        assert_eq!(c.get(NodeId(2)).as_u64(), 3);
     }
 
     #[test]

@@ -62,8 +62,9 @@ proptest! {
         prop_assert!(is_connected(experiment.graph()));
         prop_assert!(experiment.graph().max_degree() <= 3);
         prop_assert_eq!(experiment.graph().node_count(), originals + 2 * nu);
-        prop_assert_eq!(experiment.ids.len(), originals + 2 * nu);
-        prop_assert_eq!(experiment.input.len(), originals + 2 * nu);
+        let glued_instance = experiment.as_hard_instance();
+        prop_assert_eq!(glued_instance.ids.len(), originals + 2 * nu);
+        prop_assert_eq!(glued_instance.input.len(), originals + 2 * nu);
 
         // Per-component ball preservation: an order-invariant algorithm
         // agrees between the standalone part and the glued graph at every
@@ -71,14 +72,15 @@ proptest! {
         // both the subdivided edge and the inserted nodes, and the uniform
         // per-part identity shift preserves the order type).
         let algo = order_invariant_digest();
-        let glued_instance = experiment.as_hard_instance();
         let glued_out = Simulator::new().run(&algo, &glued_instance.as_instance());
+        let mut offset = 0;
         for (part_index, part) in parts.iter().enumerate() {
             let part_out = Simulator::new().run(&algo, &part.as_instance());
             let dist = bfs_distances(&part.graph, anchors[part_index]);
             for v in part.graph.nodes() {
                 if dist[v.index()] > t {
-                    let glued_node = experiment.gluing.map(part_index, v);
+                    // Part nodes follow those of the parts before them.
+                    let glued_node = NodeId::from_index(offset + v.index());
                     prop_assert!(
                         glued_out.get(glued_node) == part_out.get(v),
                         "part {} node {} (distance {} from anchor) diverged",
@@ -88,6 +90,7 @@ proptest! {
                     );
                 }
             }
+            offset += part.node_count();
         }
     }
 

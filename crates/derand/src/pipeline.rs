@@ -135,7 +135,7 @@ where
     // ---- Stage 2: hard instances (Claim 2) ----------------------------
 
     /// Builds the Claim-2 pool: for each algorithm, the first candidate
-    /// (after enforcing the running identity floor, by shifting) of
+    /// (lifted to the running identity floor by `HardInstance::at_or_above`) of
     /// diameter at least `min_diameter` on which it fails. Identity ranges
     /// come out pairwise disjoint, exactly like
     /// `HardInstanceSearch::hard_instance_family`. Every probe plans the
@@ -189,11 +189,7 @@ where
                     continue;
                 }
                 let Probe { instance, verdicts } = probes[ci].get_or_insert_with(|| Probe {
-                    instance: if candidate.min_id() >= floor {
-                        candidate.clone()
-                    } else {
-                        candidate.shifted_ids(floor - candidate.min_id())
-                    },
+                    instance: candidate.clone().at_or_above(floor),
                     verdicts: vec![None; algorithms.len()],
                 });
                 let inst = instance.as_instance();

@@ -16,7 +16,7 @@
 //!   functions and refreshes output labels.
 //! * [`UnionPlan`] plans the Claim-3 disjoint union of `ν` hard instances
 //!   once, as `rlnc_core::derand::boosting::build_disjoint_union` builds
-//!   it (identity ranges made disjoint).
+//!   it through `HardInstance::compose` (identity ranges made disjoint).
 //! * [`GluedPlan`] plans a glued connected instance and precomputes the
 //!   participation set of the Claims-4/5 event — the nodes at distance
 //!   greater than `t + t'` from every anchor — so the far-from verdict

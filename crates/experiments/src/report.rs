@@ -44,17 +44,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders the table as CSV.
-    pub fn to_csv(&self) -> String {
-        let mut out = self.columns.join(",");
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// A paper-claim-versus-measurement record.
@@ -128,15 +117,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table_markdown_and_csv_round_trip() {
+    fn table_markdown_renders_header_and_rows() {
         let mut table = Table::new(&["n", "p"]);
         table.push_row(vec!["8".into(), "0.5".into()]);
         table.push_row(vec!["16".into(), "0.25".into()]);
         let md = table.to_markdown();
         assert!(md.starts_with("| n | p |"));
         assert!(md.contains("| 16 | 0.25 |"));
-        let csv = table.to_csv();
-        assert_eq!(csv.lines().count(), 3);
+        assert_eq!(md.lines().count(), 4);
     }
 
     #[test]

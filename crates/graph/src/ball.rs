@@ -134,16 +134,6 @@ impl BallSignature {
     }
 }
 
-/// Extracts the balls of radius `t` around every node of the graph.
-///
-/// Runs through [`BallArena`](crate::arena::BallArena) so the bounded-BFS
-/// scratch is shared across all extractions; the returned balls are
-/// bit-identical to calling [`Ball::extract`] per node.
-pub fn all_balls(graph: &Graph, radius: u32) -> Vec<Ball> {
-    let arena = crate::arena::BallArena::extract_all(graph, radius);
-    (0..arena.len()).map(|i| arena.ball(i)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,13 +197,5 @@ mod tests {
             assert_eq!(b.local_index(host), Some(i));
         }
         assert_eq!(b.local_index(NodeId(0)), None);
-    }
-
-    #[test]
-    fn all_balls_returns_one_ball_per_node() {
-        let g = cycle(12);
-        let balls = all_balls(&g, 2);
-        assert_eq!(balls.len(), 12);
-        assert!(balls.iter().all(|b| b.len() == 5));
     }
 }

@@ -162,7 +162,7 @@ impl Graph {
     }
 
     /// Checks the CSR invariants exhaustively. Intended for tests and for
-    /// validating graphs produced by the gluing/subdivision operations.
+    /// validating composite graphs such as unions and gluings.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.node_count();
         if self.offsets[0] != 0 {

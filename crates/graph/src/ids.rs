@@ -5,8 +5,9 @@
 //! cares about identities in two distinct ways:
 //!
 //! * **Values** — Claim 2 needs instances whose identities are all at least
-//!   `I_min`, so that hard instances can be concatenated without ID
-//!   collisions (the gluing of Theorem 1).
+//!   `I_min`, so that hard instances can be combined without ID collisions
+//!   (the union of Claim 3 and the gluing of Theorem 1);
+//!   [`IdAssignment::at_or_above`] is that one rule.
 //! * **Relative order** — order-invariant algorithms (Claim 1, Appendix A)
 //!   only look at how the identities in a ball compare to each other, never
 //!   at their values. `rlnc-core`'s `View::rank` and `View::signature`
@@ -120,21 +121,19 @@ impl IdAssignment {
     }
 
     /// Shifts every identity by `offset` (keeps the order type, moves the
-    /// value range — exactly the `I_min` requirement of Claim 2).
+    /// value range).
     pub fn shifted(&self, offset: u64) -> Self {
         IdAssignment {
             ids: self.ids.iter().map(|&id| id + offset).collect(),
         }
     }
 
-    /// Concatenates two assignments (for disjoint unions of graphs).
-    ///
-    /// # Panics
-    /// Panics if the identity ranges overlap.
-    pub fn concatenate(&self, other: &IdAssignment) -> Self {
-        let mut ids = self.ids.clone();
-        ids.extend_from_slice(&other.ids);
-        IdAssignment::new(ids)
+    /// The smallest upward shift whose identities are all at least `floor`:
+    /// the `I_min` requirement of Claim 2, and the rule that gives the parts
+    /// of a union or a gluing disjoint identity ranges. An assignment
+    /// already at or above `floor` is unchanged.
+    pub fn at_or_above(&self, floor: u64) -> Self {
+        self.shifted(floor.saturating_sub(self.min_id()))
     }
 
     /// Applies an order-preserving transformation to all identity values
@@ -215,24 +214,9 @@ mod tests {
         let b = a.shifted(500);
         assert_eq!(b.as_slice(), (501..=508).collect::<Vec<u64>>());
         assert_eq!(b.min_id(), 501);
-    }
-
-    #[test]
-    fn concatenation_requires_disjoint_ranges() {
-        let g = cycle(4);
-        let a = IdAssignment::consecutive(&g);
-        let b = a.shifted(4);
-        let c = a.concatenate(&b);
-        assert_eq!(c.len(), 8);
-        assert_eq!(c.max_id(), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate identity")]
-    fn concatenation_rejects_overlap() {
-        let g = cycle(4);
-        let a = IdAssignment::consecutive(&g);
-        let _ = a.concatenate(&a);
+        // `at_or_above` shifts just far enough, and never down.
+        assert_eq!(a.at_or_above(501), b);
+        assert_eq!(b.at_or_above(7), b);
     }
 
     #[test]

@@ -22,9 +22,11 @@
 //!   scratch, and batched extraction of *every* node's ball into flat
 //!   shared arrays — the allocation-free substrate of the `rlnc-engine`
 //!   execution planner and of the round backend's gathered views.
-//! * [`ops`]: disjoint unions, edge subdivisions, and the Theorem-1
-//!   **gluing** construction that connects hard instances into a single
-//!   connected bounded-degree graph.
+//!
+//! The composites of the paper's proofs (Claim 3's disjoint union and
+//! Theorem 1's gluing) are built in `rlnc-core`, by
+//! `HardInstance::compose`, which places graphs, inputs and identities in
+//! one pass.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +37,6 @@ pub mod builder;
 pub mod csr;
 pub mod generators;
 pub mod ids;
-pub mod ops;
 pub mod traversal;
 
 pub use arena::{BallArena, BallParts, BfsScratch};

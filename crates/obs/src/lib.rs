@@ -62,4 +62,4 @@ pub use registry::{
     counter, enabled, gauge, histogram, record_span, reset, set_enabled, snapshot, Counter, Gauge,
     Histogram, LazyCounter, LazyGauge, LazyHistogram, LazySpan, Section, SpanGuard, POW2_BUCKETS,
 };
-pub use snapshot::{MetricValue, MetricsSnapshot, TraceDocument};
+pub use snapshot::{escape_json, MetricValue, MetricsSnapshot, TraceDocument};

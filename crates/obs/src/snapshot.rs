@@ -191,10 +191,12 @@ fn value_json(value: &MetricValue) -> String {
     }
 }
 
-/// JSON string escaping, byte-compatible with the exact-JSON emitters in
-/// `rlnc-sweep` (quotes, backslashes, named control escapes, `\u00xx` for
-/// the rest of the control range; everything else raw UTF-8).
-fn escape_json(s: &str) -> String {
+/// Escapes a string for embedding in a JSON document: quotes, backslashes,
+/// named control escapes, `\u00xx` for the rest of the control range, and
+/// everything else raw UTF-8. The one escaper of the workspace's exact-JSON
+/// emitters: trace exports here, sweep exports in `rlnc-sweep` and the
+/// serve protocol in `rlnc-serve`.
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

@@ -31,6 +31,7 @@
 //! never tear down the connection.
 
 use crate::shard::ShardSpec;
+use rlnc_obs::escape_json;
 use rlnc_par::Scale;
 use rlnc_sweep::emit::{json, record_from_json, record_json};
 use rlnc_sweep::{RunRecord, DEFAULT_SWEEP_SEED};
@@ -70,7 +71,7 @@ impl Request {
             } => {
                 let mut out = format!(
                     "{{\"cmd\":\"run\",\"scenario\":\"{}\",\"scale\":\"{}\",\"seed\":{}",
-                    json::escape(scenario),
+                    escape_json(scenario),
                     scale.name(),
                     seed
                 );
@@ -222,9 +223,9 @@ impl Response {
                 summary,
             } => format!(
                 "{{\"type\":\"scenario\",\"name\":\"{}\",\"description\":\"{}\",\"summary\":\"{}\"}}",
-                json::escape(name),
-                json::escape(description),
-                json::escape(summary)
+                escape_json(name),
+                escape_json(description),
+                escape_json(summary)
             ),
             Response::ScenariosDone { count } => {
                 format!("{{\"type\":\"scenarios-done\",\"count\":{count}}}")
@@ -241,10 +242,10 @@ impl Response {
                     "{{\"type\":\"run-start\",\"scenario\":\"{}\",\"description\":\"{}\",",
                     "\"workload\":\"{}\",\"scale\":\"{}\",\"master_seed\":{},\"points\":{}}}"
                 ),
-                json::escape(scenario),
-                json::escape(description),
-                json::escape(workload),
-                json::escape(scale),
+                escape_json(scenario),
+                escape_json(description),
+                escape_json(workload),
+                escape_json(scale),
                 master_seed,
                 points
             ),
@@ -288,7 +289,7 @@ impl Response {
             ),
             Response::ShuttingDown => "{\"type\":\"shutting-down\"}".into(),
             Response::Error { message } => {
-                format!("{{\"type\":\"error\",\"message\":\"{}\"}}", json::escape(message))
+                format!("{{\"type\":\"error\",\"message\":\"{}\"}}", escape_json(message))
             }
         }
     }
@@ -324,17 +325,12 @@ impl Response {
                     .as_u64("plan_cache_hits_delta")?,
                 plan_cache_misses_delta: json::get(obj, "plan_cache_misses_delta")?
                     .as_u64("plan_cache_misses_delta")?,
-                // Pool deltas predate no server we ship, but tolerate
-                // their absence so older captures still parse.
-                pool_tasks_delta: json::get(obj, "pool_tasks_delta")
-                    .and_then(|v| v.as_u64("pool_tasks_delta"))
-                    .unwrap_or(0),
-                pool_steals_delta: json::get(obj, "pool_steals_delta")
-                    .and_then(|v| v.as_u64("pool_steals_delta"))
-                    .unwrap_or(0),
-                pool_parks_delta: json::get(obj, "pool_parks_delta")
-                    .and_then(|v| v.as_u64("pool_parks_delta"))
-                    .unwrap_or(0),
+                pool_tasks_delta: json::get(obj, "pool_tasks_delta")?
+                    .as_u64("pool_tasks_delta")?,
+                pool_steals_delta: json::get(obj, "pool_steals_delta")?
+                    .as_u64("pool_steals_delta")?,
+                pool_parks_delta: json::get(obj, "pool_parks_delta")?
+                    .as_u64("pool_parks_delta")?,
             }),
             "status" => Ok(Response::Status(StatusReport {
                 requests: json::get(obj, "requests")?.as_u64("requests")?,
@@ -480,23 +476,6 @@ mod tests {
             assert!(!line.contains('\n'), "one line per message: {line}");
             assert_eq!(Response::from_json(&line).unwrap(), resp, "line: {line}");
         }
-    }
-
-    #[test]
-    fn run_end_tolerates_missing_pool_deltas() {
-        let legacy = "{\"type\":\"run-end\",\"records\":2,\"plan_cache_hits_delta\":1,\
-                      \"plan_cache_misses_delta\":0}";
-        assert_eq!(
-            Response::from_json(legacy).unwrap(),
-            Response::RunEnd {
-                records: 2,
-                plan_cache_hits_delta: 1,
-                plan_cache_misses_delta: 0,
-                pool_tasks_delta: 0,
-                pool_steals_delta: 0,
-                pool_parks_delta: 0,
-            }
-        );
     }
 
     #[test]

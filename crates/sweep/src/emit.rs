@@ -9,6 +9,7 @@
 //! byte-identical files.
 
 use crate::record::{RunRecord, SweepRun};
+use rlnc_obs::escape_json;
 
 /// Column order shared by the CSV emitter and header checks.
 pub const CSV_COLUMNS: [&str; 15] = [
@@ -48,12 +49,12 @@ pub fn record_json(r: &RunRecord) -> String {
             "\"trials\":{},\"seed\":{},\"successes\":{},\"p_hat\":{},\"lower\":{},",
             "\"upper\":{},\"mean_value\":{}}}"
         ),
-        json::escape(&r.scenario),
+        escape_json(&r.scenario),
         r.point,
-        json::escape(&r.family),
+        escape_json(&r.family),
         r.n,
-        json::escape(&r.id_scheme),
-        json::escape(&r.workload),
+        escape_json(&r.id_scheme),
+        escape_json(&r.workload),
         r.param_a,
         r.param_b,
         r.trials,
@@ -70,10 +71,10 @@ pub fn record_json(r: &RunRecord) -> String {
 pub fn to_json(run: &SweepRun) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str(&format!("  \"scenario\": \"{}\",\n", json::escape(&run.scenario)));
-    out.push_str(&format!("  \"description\": \"{}\",\n", json::escape(&run.description)));
-    out.push_str(&format!("  \"workload\": \"{}\",\n", json::escape(&run.workload)));
-    out.push_str(&format!("  \"scale\": \"{}\",\n", json::escape(&run.scale)));
+    out.push_str(&format!("  \"scenario\": \"{}\",\n", escape_json(&run.scenario)));
+    out.push_str(&format!("  \"description\": \"{}\",\n", escape_json(&run.description)));
+    out.push_str(&format!("  \"workload\": \"{}\",\n", escape_json(&run.workload)));
+    out.push_str(&format!("  \"scale\": \"{}\",\n", escape_json(&run.scale)));
     out.push_str(&format!("  \"master_seed\": {},\n", run.master_seed));
     out.push_str("  \"records\": [\n");
     for (i, r) in run.records.iter().enumerate() {
@@ -323,26 +324,6 @@ pub mod json {
                 _ => Err(format!("{what}: expected a JSON number")),
             }
         }
-    }
-
-    /// Escapes a string for embedding in a JSON document, byte-compatible
-    /// with this workspace's exact emitters (quotes, backslashes, named
-    /// control escapes, `\u00xx` for the rest of the control range;
-    /// everything else raw UTF-8).
-    pub fn escape(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
     }
 
     /// Looks a key up in an object.

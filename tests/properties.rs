@@ -3,16 +3,22 @@
 use proptest::prelude::*;
 use rlnc::langs::coloring::ProperColoring;
 use rlnc::prelude::*;
+use rlnc_core::derand::HardInstance;
 use rlnc_core::relaxation::{EpsilonSlack, FResilient};
 use rlnc_core::resilient::resilient_acceptance_probability;
 use rlnc_core::{DistributedLanguage, FnAlgorithm};
 use rlnc_graph::ball::Ball;
 use rlnc_graph::generators::{cycle, random_bounded_degree, random_tree};
-use rlnc_graph::ops::{disjoint_union, glue_instances};
 use rlnc_graph::traversal::{bfs_distances, is_connected};
 use rlnc_par::rng::SeedSequence;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+
+/// `graph` with consecutive identities and empty inputs.
+fn bare(graph: rlnc_graph::Graph) -> HardInstance {
+    let (input, ids) = (Labeling::empty(graph.node_count()), IdAssignment::consecutive(&graph));
+    HardInstance::new(graph, input, ids)
+}
 
 fn arbitrary_graph(seed: u64, n: usize, kind: u8) -> rlnc_graph::Graph {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -46,30 +52,30 @@ proptest! {
         prop_assert_eq!(within, ball.len());
     }
 
-    /// The disjoint union preserves node and edge counts and never connects
-    /// the parts.
+    /// The disjoint union preserves node and edge counts, never connects
+    /// the parts, and puts the second part's identities above the first's.
     #[test]
     fn disjoint_union_preserves_structure(seed in 0u64..5000, n1 in 3usize..24, n2 in 3usize..24) {
-        let a = cycle(n1);
-        let b = arbitrary_graph(seed, n2, 1);
-        let union = disjoint_union(&[&a, &b]);
-        prop_assert_eq!(union.graph.node_count(), a.node_count() + b.node_count());
-        prop_assert_eq!(union.graph.edge_count(), a.edge_count() + b.edge_count());
+        let a = bare(cycle(n1));
+        let b = bare(arbitrary_graph(seed, n2, 1));
+        let union = HardInstance::compose(&[&a, &b], &[]);
+        prop_assert_eq!(union.node_count(), a.node_count() + b.node_count());
+        prop_assert_eq!(union.graph.edge_count(), a.graph.edge_count() + b.graph.edge_count());
         prop_assert!(union.graph.validate().is_ok());
         // No edge crosses the parts.
         for (u, v) in union.graph.edges() {
-            prop_assert_eq!(union.part_of(u).0, union.part_of(v).0);
+            prop_assert_eq!(u.index() < n1, v.index() < n1);
         }
+        prop_assert!(union.ids.as_slice()[n1..].iter().all(|&id| id > a.max_id()));
     }
 
     /// Gluing cycles produces a connected graph of maximum degree at most 3
     /// (the k > 2 requirement of Theorem 1) with the right node count.
     #[test]
     fn gluing_is_connected_and_degree_bounded(sizes in proptest::collection::vec(6usize..20, 2..5)) {
-        let parts: Vec<rlnc_graph::Graph> = sizes.iter().map(|&s| cycle(s)).collect();
-        let with_anchors: Vec<(&rlnc_graph::Graph, NodeId)> =
-            parts.iter().map(|g| (g, NodeId(0))).collect();
-        let glued = glue_instances(&with_anchors);
+        let parts: Vec<HardInstance> = sizes.iter().map(|&s| bare(cycle(s))).collect();
+        let refs: Vec<&HardInstance> = parts.iter().collect();
+        let glued = HardInstance::compose(&refs, &vec![NodeId(0); parts.len()]);
         prop_assert!(is_connected(&glued.graph));
         prop_assert!(glued.graph.max_degree() <= 3);
         let expected: usize = sizes.iter().sum::<usize>() + 2 * sizes.len();
